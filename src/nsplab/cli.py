@@ -191,17 +191,14 @@ def cmd_simulate(cfg: AppConfig, outdir: Path) -> int:
         series = run_simulation(sim)
     except SimulationAbort as exc:
         wall = time.perf_counter() - t0
-        if exc.series is not None:
+        if exc.series is None:  # aborted while building the initial data
+            summary = {"verdict": "ABORTED", "failure_time": exc.t_fail,
+                       "seed": cfg.seed, "wall_time_s": wall}
+        else:
             _series_csv(outdir / "series.csv", exc.series)
-            _write_json(outdir / "summary.json",
-                        _summarize(exc.series, cfg, wall,
-                                   failure_time=exc.t_fail))
-        return EXIT_RUNTIME
-    except VacuumError:
-        _write_json(outdir / "summary.json",
-                    {"verdict": "ABORTED", "failure_time": 0.0,
-                     "seed": cfg.seed,
-                     "wall_time_s": time.perf_counter() - t0})
+            summary = _summarize(exc.series, cfg, wall,
+                                 failure_time=exc.t_fail)
+        _write_json(outdir / "summary.json", summary)
         return EXIT_RUNTIME
     wall = time.perf_counter() - t0
     _series_csv(outdir / "series.csv", series)

@@ -38,10 +38,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import energy as energy_mod
-from .elliptic import solve_poisson_neumann
+from .elliptic import (_apply_banded, _banded_operator, factor_banded,
+                       solve_factored, solve_poisson_neumann,
+                       solve_poisson_values)
 from .errors import (IterationError, ParameterError, SimulationAbort,
                      VacuumError)
 from .grids import FluidParams, RadialField, RadialGrid, _derivative_matrix
@@ -143,6 +144,7 @@ class _Workspace:
         self.grid = grid
         self.params = params
         self.r = grid.r
+        self.r2 = grid.r**2
         self.cv = grid.weights / (4.0 * math.pi)  # dual-cell volumes / 4pi
         self.d1 = _derivative_matrix(grid, 1)
         self.rho_s = config.steady.rho_tilde.values
@@ -173,6 +175,7 @@ class _Workspace:
         else:
             self.sponge_mask = np.zeros_like(self.r)
         self.sponge_on = self.sponge_rate > 0.0 and np.any(self.sponge_mask > 0.0)
+        self.sponge_wsum = float(np.dot(grid.weights, self.sponge_mask))
         self.dt_acoustic = dt_acoustic
 
     def rho(self, q: np.ndarray) -> np.ndarray:
@@ -199,7 +202,7 @@ class _Workspace:
         nonlinear = self.mode == "nonlinear"
         rho = self.rho(q)  # vacuum guard in both modes
         carrier = rho if nonlinear else self.rho_s
-        q_t = -self.flux_divergence(self.r**2 * carrier * u)
+        q_t = -self.flux_divergence(self.r2 * carrier * u)
 
         u_t = np.zeros_like(u)
         if self.pressure:
@@ -208,7 +211,7 @@ class _Workspace:
             else:
                 u_t -= self.d1 @ (self.hp_s * q)
         if self.viscosity:
-            lap_u = _apply_rows(self.visc, u)
+            lap_u = _apply_banded(self.visc, u)
             coef = self.params.longitudinal_viscosity / rho if nonlinear else self.nu_s
             u_t += coef * lap_u
         if self.coupling:
@@ -225,42 +228,28 @@ class _Workspace:
             z = np.zeros_like(q)
             return z, z
         s = self.sponge_mask
-        w = self.grid.weights
-        wsum = float(np.dot(w, s))
-        mean = float(np.dot(w, s * q)) / wsum
+        mean = float(np.dot(self.grid.weights, s * q)) / self.sponge_wsum
         dq = -self.sponge_rate * s * (q - mean)
         du = -self.sponge_rate * s * u
         return dq, du
 
 
 def _viscous_rows(grid: RadialGrid) -> np.ndarray:
-    """Banded rows of d_r(div u) = u'' + (2/r) u' - 2 u/r^2 with zero rows at
-    the walls (u is pinned there)."""
+    """Banded rows of d_r(div u) = u'' + (2/r) u' - 2 u/r^2: the interior rows
+    of the Laplacian with 2/r^2 taken off the diagonal, and zero rows at the
+    walls (u is pinned there)."""
     key = "viscous_rows"
     cached = grid._cache.get(key)
     if cached is not None:
         return cached
-    r = grid.r
-    n = r.size
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    denom = hm + hp
-    rmid = r[1:-1]
-    ab = np.zeros((3, n))
-    ab[2, :-2] = 2.0 / (hm * denom) + (2.0 / rmid) * (-hp / (hm * denom))
-    ab[1, 1:-1] = -2.0 / (hm * hp) + (2.0 / rmid) * ((hp - hm) / (hm * hp)) \
-        - 2.0 / rmid**2
-    ab[0, 2:] = 2.0 / (hp * denom) + (2.0 / rmid) * (hm / (hp * denom))
+    ab = np.array(_banded_operator(grid, 0.0))
+    ab[1, 1:-1] -= 2.0 / grid.r[1:-1] ** 2
+    ab[1, 0] = ab[1, -1] = 0.0
+    ab[0, 1] = 0.0
+    ab[2, -2] = 0.0
     ab.flags.writeable = False
     grid._cache[key] = ab
     return ab
-
-
-def _apply_rows(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    y = ab[1] * x
-    y[:-1] += ab[0, 1:] * x[1:]
-    y[1:] += ab[2, :-1] * x[:-1]
-    return y
 
 
 def compute_rhs(state: PerturbationState, steady: SteadyState,
@@ -281,15 +270,16 @@ def _tendencies(ws: _Workspace, state: PerturbationState) -> Tendencies:
     q, u, phi = state.q.values, state.u.values, state.phi.values
     q_t, u_t = ws.rhs(q, u, phi)
     grid = ws.grid
-    phi_t = solve_poisson_neumann(RadialField(q_t, grid)).phi
+    phi_t = solve_poisson_values(grid, q_t)
     if ws.mode == "nonlinear":
         rho = ws.rho_s + q
-        g = ws.r**2 * (q_t * u + rho * u_t)
+        g = ws.r2 * (q_t * u + rho * u_t)
     else:
-        g = ws.r**2 * (ws.rho_s * u_t)
+        g = ws.r2 * (ws.rho_s * u_t)
     q_tt = -ws.flux_divergence(g)
     return Tendencies(q_t=RadialField(q_t, grid), u_t=RadialField(u_t, grid),
-                      phi_t=phi_t, q_tt=RadialField(q_tt, grid))
+                      phi_t=RadialField(phi_t, grid),
+                      q_tt=RadialField(q_tt, grid))
 
 
 def init_perturbation(kind: str, delta: float, grid: RadialGrid,
@@ -389,56 +379,68 @@ def _cn_matrix(ws: _Workspace, dt: float) -> np.ndarray:
     return ab
 
 
+def _finite(x: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
+        raise VacuumError("non-finite values produced during time step")
+    return x
+
+
 class _Stepper:
-    """One Heun/Crank-Nicolson IMEX step of fixed dt."""
+    """One Heun/Crank-Nicolson IMEX step of fixed dt on raw (q, u, phi)
+    arrays; the Crank-Nicolson matrix is factored once per stepper."""
 
     def __init__(self, config: SimConfig, ws: _Workspace, dt: float):
         self.ws = ws
         self.dt = dt
         self.implicit = config.viscosity
         if self.implicit:
-            self.cn = _cn_matrix(ws, dt)
+            self.cn = factor_banded(_cn_matrix(ws, dt))
 
     def _explicit(self, q, u, phi):
-        """Tendencies minus the implicitly treated part of the viscous term."""
+        """Tendencies minus the implicitly treated part of the viscous term,
+        and that part (0.0 without viscosity)."""
         ws = self.ws
         q_t, u_t = ws.rhs(q, u, phi)
+        vu = 0.0
         if self.implicit:
-            u_t = u_t - ws.nu_s * _apply_rows(ws.visc, u)
+            vu = ws.nu_s * _apply_banded(ws.visc, u)
+            u_t = u_t - vu
             u_t[0] = 0.0
             u_t[-1] = 0.0
         sp_q, sp_u = ws.sponge(q, u)
-        return q_t + sp_q, u_t + sp_u
+        return q_t + sp_q, u_t + sp_u, vu
 
     def _solve_u(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = rhs.copy()
+        """Velocity update; ``rhs`` is a fresh array and is overwritten."""
         rhs[0] = 0.0
         rhs[-1] = 0.0
-        if not self.implicit:
-            return rhs
-        return solve_banded((1, 1), self.cn, rhs)
+        if self.implicit:
+            rhs = solve_factored(self.cn, rhs)
+        return _finite(rhs)
 
-    def advance(self, state: PerturbationState) -> PerturbationState:
-        ws = self.ws
+    def _potential(self, q: np.ndarray) -> np.ndarray:
+        return _finite(solve_poisson_values(self.ws.grid, q))
+
+    def advance(self, q0: np.ndarray, u0: np.ndarray,
+                phi0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return (q, u, phi) one step later; raises VacuumError when the
+        density hits the vacuum guard or a stage produces non-finite values."""
         dt = self.dt
-        q0, u0, phi0 = state.q.values, state.u.values, state.phi.values
-        vu0 = ws.nu_s * _apply_rows(ws.visc, u0) if self.implicit else 0.0
-
-        eq0, eu0 = self._explicit(q0, u0, phi0)
+        eq0, eu0, vu0 = self._explicit(q0, u0, phi0)
         u1 = self._solve_u(u0 + dt * eu0 + 0.5 * dt * vu0)
         q1 = q0 + dt * eq0
-        phi1 = solve_poisson_neumann(RadialField(q1, ws.grid)).phi.values
+        phi1 = self._potential(q1)
 
-        eq1, eu1 = self._explicit(q1, u1, phi1)
+        eq1, eu1, _ = self._explicit(q1, u1, phi1)
         q2 = q0 + 0.5 * dt * (eq0 + eq1)
         u2 = self._solve_u(u0 + 0.5 * dt * (eu0 + eu1) + 0.5 * dt * vu0)
-        phi2 = solve_poisson_neumann(RadialField(q2, ws.grid)).phi
+        phi2 = self._potential(q2)
+        return _finite(q2), u2, phi2
 
-        if not (np.all(np.isfinite(q2)) and np.all(np.isfinite(u2))):
-            raise VacuumError("non-finite values produced during time step")
-        return PerturbationState(q=RadialField(q2, ws.grid),
-                                 u=RadialField(u2, ws.grid),
-                                 phi=phi2, t=state.t + dt)
+
+def _fields(grid: RadialGrid, q, u, phi, t: float) -> PerturbationState:
+    return PerturbationState(q=RadialField(q, grid), u=RadialField(u, grid),
+                             phi=RadialField(phi, grid), t=t)
 
 
 def step_imex(state: PerturbationState, dt: float,
@@ -449,7 +451,9 @@ def step_imex(state: PerturbationState, dt: float,
     if dt == 0.0:
         return state
     ws = _Workspace(config)
-    return _Stepper(config, ws, dt).advance(state)
+    q, u, phi = _Stepper(config, ws, dt).advance(
+        state.q.values, state.u.values, state.phi.values)
+    return _fields(ws.grid, q, u, phi, state.t + dt)
 
 
 def _default_digest(config: SimConfig) -> str:
@@ -470,14 +474,19 @@ def run_simulation(config: SimConfig) -> "energy_mod.TimeSeries":
     steps; returns the series with the stability verdict attached.
 
     Aborts (vacuum or non-finite values) raise SimulationAbort carrying the
-    failure time and the partial series.
+    failure time and the partial series; an abort while the initial data is
+    built has t_fail = 0 and no series.  The loop carries raw arrays and
+    builds fields only for the samples.
     """
     ws = _Workspace(config)
-    state = init_perturbation(config.init_kind, config.delta, config.grid,
-                              config.steady, config.params, mode=config.mode,
-                              pressure=config.pressure,
-                              coupling=config.coupling,
-                              viscosity=config.viscosity)
+    try:
+        state = init_perturbation(config.init_kind, config.delta, config.grid,
+                                  config.steady, config.params,
+                                  mode=config.mode, pressure=config.pressure,
+                                  coupling=config.coupling,
+                                  viscosity=config.viscosity)
+    except VacuumError as exc:
+        raise SimulationAbort(str(exc), t_fail=0.0) from exc
     dt = _resolve_dt(config, state, ws)
     n_steps = max(1, math.ceil(config.t_end / dt - 1e-12))
     dt = config.t_end / n_steps
@@ -487,26 +496,23 @@ def run_simulation(config: SimConfig) -> "energy_mod.TimeSeries":
     recorder = energy_mod.SeriesRecorder(config, c_visc=c_visc, dt=dt,
                                          digest=_default_digest(config))
 
-    def sample(st: PerturbationState):
-        tend = _tendencies(ws, st)
-        recorder.add(st, tend)
-
-    def maybe_checkpoint(st: PerturbationState, step: int):
+    def sample(st: PerturbationState, step: int):
+        recorder.add(st, _tendencies(ws, st))
         if config.checkpoint_dir is not None:
             from pathlib import Path
             path = Path(config.checkpoint_dir) / f"state_{step:08d}.txt"
             write_checkpoint(st, path)
 
-    sample(state)
-    maybe_checkpoint(state, 0)
+    q, u, phi, t = state.q.values, state.u.values, state.phi.values, state.t
     try:
+        sample(state, 0)
         for step in range(1, n_steps + 1):
-            state = stepper.advance(state)
+            q, u, phi = stepper.advance(q, u, phi)
+            t = t + dt
             if step % config.output_stride == 0 or step == n_steps:
-                sample(state)
-                maybe_checkpoint(state, step)
+                sample(_fields(config.grid, q, u, phi, t), step)
     except VacuumError as exc:
-        raise SimulationAbort(str(exc), t_fail=state.t,
+        raise SimulationAbort(str(exc), t_fail=t,
                               series=recorder.finish(margin=None)) from exc
     return recorder.finish(margin=config.margin)
 

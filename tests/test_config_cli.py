@@ -187,7 +187,9 @@ def test_cli_simulate_vacuum_abort(tmp_path):
                  "--set", "evolve.delta=1e5"])
     assert code == 4
     summary = json.loads((out / "summary.json").read_text())
-    assert "failure_time" in summary
+    # the initial data already crosses the vacuum guard
+    assert summary["verdict"] == "ABORTED"
+    assert summary["failure_time"] == 0.0
 
 
 def test_cli_simulate_checkpoints(tmp_path):
@@ -262,6 +264,23 @@ def test_cli_sweep_determinism(tmp_path, monkeypatch):
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         outs.append((out / "sweep.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_cli_sweep_keeps_rows_when_one_aborts(tmp_path):
+    # the second row's initial data already crosses the vacuum guard
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--set", "sweep.delta=1e-3,1e7"])
+    assert code == 4
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, [float(x) for x in line.split(",")]))
+            for line in lines[1:]]
+    assert len(rows) == 2
+    assert rows[0]["verdict_pass"] == 1.0
+    assert rows[1]["verdict_pass"] == 0.0
+    assert rows[1]["delta"] == 1e7
 
 
 def test_cli_unreadable_config(tmp_path):

@@ -147,3 +147,55 @@ def test_poisson_regularity_constant_is_one(shell16):
         ratios.append(hessian_norm_radial(sol.phi) / weighted_l2_norm(q))
     assert max(ratios) < 1.0 + 1e-3
     assert min(ratios) > 0.999
+
+
+# ------------------------------------------------------- factored kernel
+
+def _cn_like(grid):
+    """Crank-Nicolson matrix I - (dt/2) nu L of the viscous step."""
+    from types import SimpleNamespace
+
+    from nsplab.evolve import _cn_matrix, _viscous_rows
+    ws = SimpleNamespace(r=grid.r, nu_s=1.0 / (1.0 + 0.5 / grid.r),
+                         visc=_viscous_rows(grid))
+    return _cn_matrix(ws, 0.05)
+
+
+@pytest.mark.parametrize("n_cells", [16, 2000])
+@pytest.mark.parametrize("stretch", [0.0, 1.5])
+@pytest.mark.parametrize("operator", ["poisson", "shifted", "crank_nicolson"])
+def test_factored_solve_matches_solve_banded(n_cells, stretch, operator):
+    from scipy.linalg import solve_banded
+
+    from nsplab.elliptic import _banded_operator, factor_banded, solve_factored
+    g = build_radial_grid(1.0, 4.0, n_cells, stretch)
+    ab = {"poisson": lambda: _banded_operator(g, 0.0),
+          "shifted": lambda: _banded_operator(g, 2.5),
+          "crank_nicolson": lambda: _cn_like(g)}[operator]()
+    factors = factor_banded(ab)
+    rng = np.random.default_rng(n_cells)
+    for _ in range(3):
+        rhs = rng.standard_normal(g.n_nodes)
+        assert np.array_equal(solve_factored(factors, rhs),
+                              solve_banded((1, 1), ab, rhs))
+
+
+def test_solves_reuse_cached_factors(monkeypatch):
+    from scipy.linalg import lapack
+    calls = []
+    dgttrf = lapack.dgttrf
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dgttrf(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgttrf", counting)
+    g = build_radial_grid(1.0, 16.0, 300)
+    q = g.field(np.exp(-((g.r - 3.0) ** 2)))
+    first = solve_poisson_neumann(q)
+    second = solve_poisson_neumann(q)
+    assert len(calls) == 1
+    assert np.array_equal(first.phi.values, second.phi.values)
+    solve_shifted(1.5, q)
+    solve_shifted(1.5, q)
+    assert len(calls) == 2

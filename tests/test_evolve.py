@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from nsplab import (FluidParams, ParameterError, PerturbationState,
-                    SimConfig, VacuumError, build_radial_grid, compute_rhs,
+                    SimConfig, SimulationAbort, VacuumError,
+                    build_radial_grid, compute_rhs,
                     init_perturbation, make_profile, run_simulation,
                     solve_steady_monotone, step_imex, weighted_l2_norm)
 from nsplab.energy import basic_energy, energy_E
-from nsplab.evolve import read_checkpoint, write_checkpoint
+from nsplab.evolve import (_Stepper, _viscous_rows, _Workspace,
+                           read_checkpoint, write_checkpoint)
 from nsplab.grids import RadialField
 
 
@@ -218,6 +220,39 @@ def test_acoustic_neutral_stability():
     assert drift < 0.01
 
 
+@pytest.mark.parametrize("n_cells,stretch", [(200, 0.0), (2000, 0.0),
+                                             (200, 0.5), (2000, 3.0)])
+def test_viscous_rows_match_direct_stencil(n_cells, stretch):
+    # reference: the d_r(div u) stencil assembled on its own
+    g = build_radial_grid(1.0, 16.0, n_cells, stretch)
+    r = g.r
+    hm = r[1:-1] - r[:-2]
+    hp = r[2:] - r[1:-1]
+    denom = hm + hp
+    rmid = r[1:-1]
+    ref = np.zeros((3, r.size))
+    ref[2, :-2] = 2.0 / (hm * denom) + (2.0 / rmid) * (-hp / (hm * denom))
+    ref[1, 1:-1] = -2.0 / (hm * hp) + (2.0 / rmid) * ((hp - hm) / (hm * hp)) \
+        - 2.0 / rmid**2
+    ref[0, 2:] = 2.0 / (hp * denom) + (2.0 / rmid) * (hm / (hp * denom))
+    assert np.array_equal(_viscous_rows(g), ref)
+
+
+def test_stepper_non_finite_is_vacuum_error(shell16, steady_bump_gamma2,
+                                            params_gamma2):
+    cfg = SimConfig(params=params_gamma2, grid=shell16,
+                    steady=steady_bump_gamma2)
+    st = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
+                           params_gamma2)
+    q = st.q.values.copy()
+    q[shell16.n_nodes // 3] = np.nan
+    ws = _Workspace(cfg)
+    stepper = _Stepper(cfg, ws, cfl_dt(params_gamma2, steady_bump_gamma2,
+                                       shell16))
+    with pytest.raises(VacuumError):
+        stepper.advance(q, st.u.values, st.phi.values)
+
+
 # ------------------------------------------------------------------- runs
 
 def test_run_zero_delta_stays_zero(shell16, steady_bump_gamma2,
@@ -278,3 +313,13 @@ def test_checkpoint_roundtrip(tmp_path, shell16, steady_bump_gamma2,
     assert np.array_equal(back.q.values, st.q.values)
     assert np.array_equal(back.u.values, st.u.values)
     assert np.array_equal(back.phi.values, st.phi.values)
+
+
+def test_run_abort_while_building_initial_data(shell16, steady_bump_gamma2,
+                                               params_gamma2):
+    cfg = SimConfig(params=params_gamma2, grid=shell16,
+                    steady=steady_bump_gamma2, delta=1e7, t_end=0.5)
+    with pytest.raises(SimulationAbort) as info:
+        run_simulation(cfg)
+    assert info.value.t_fail == 0.0
+    assert info.value.series is None
