@@ -17,8 +17,9 @@ from .grids import (FluidParams, RadialField, RadialGrid, build_radial_grid,
 from .elliptic import (PoissonSolution, hessian_norm_radial,
                        solve_poisson_neumann, solve_shifted)
 from .steady import (BackgroundProfile, CertReport, SteadyState,
-                     check_subsuper, make_profile, rho_from_phi,
-                     solve_steady_monotone, steady_regularity_report,
-                     subsolution_phi, supersolution_phi)
+                     check_subsuper, make_profile, profile_supersolution,
+                     rho_from_phi, solve_steady_monotone,
+                     steady_regularity_report, subsolution_phi,
+                     supersolution_phi)
 
 __version__ = "0.1.0"

@@ -9,11 +9,9 @@ full round-trip precision so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import itertools
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -22,13 +20,12 @@ from pathlib import Path
 from . import energy as energy_mod
 from . import ineqlab
 from .config import AppConfig, parse_config
-from .errors import (NsplabError, ParameterError, SimulationAbort,
-                     VacuumError)
+from .errors import (IterationError, NsplabError, ParameterError,
+                     SimulationAbort, VacuumError)
 from .evolve import SimConfig, run_simulation
-from .grids import build_radial_grid
-from .steady import (check_subsuper, compatibility_residual, make_profile,
-                     solve_steady_monotone, steady_regularity_report,
-                     subsolution_phi, supersolution_phi, write_profile)
+from .steady import (check_subsuper, compatibility_residual,
+                     profile_supersolution, solve_steady_monotone,
+                     steady_regularity_report, subsolution_phi, write_profile)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,22 +53,14 @@ def _series_csv(path: Path, series: energy_mod.TimeSeries) -> None:
 
 
 def _build_grid(cfg: AppConfig):
-    d = cfg.domain
-    return build_radial_grid(d["r_inner"], d["r_outer"], d["n_cells"],
-                             d["stretch"])
+    return cfg.radial_grid()
 
 
 def _build_steady(cfg: AppConfig, grid):
-    st = cfg.steady
-    gamma = cfg.fluid.gamma
-    profile = make_profile(st["profile"], cfg.fluid.c_star, st["amplitude"],
-                           grid, envelope_c0=st["envelope_c0"],
-                           envelope_eps=st["envelope_eps"],
-                           gamma=gamma if st["profile"] == "general_gamma_envelope"
-                           else None)
-    return profile, solve_steady_monotone(gamma, profile, grid,
-                                          tol=st["tol"],
-                                          max_iter=st["max_iter"])
+    profile = cfg.background(grid)
+    return profile, solve_steady_monotone(cfg.fluid.gamma, profile, grid,
+                                          tol=cfg.steady["tol"],
+                                          max_iter=cfg.steady["max_iter"])
 
 
 def cmd_steady(cfg: AppConfig, outdir: Path) -> int:
@@ -82,13 +71,8 @@ def cmd_steady(cfg: AppConfig, outdir: Path) -> int:
 
     sub_cert = check_subsuper(subsolution_phi(gamma, grid), "sub", gamma,
                               profile, tol=1e-8)
-    if profile.kind == "general_gamma_envelope" or gamma > 2.0:
-        phi_super = supersolution_phi(gamma, cfg.fluid.c_star, grid,
-                                      envelope_c0=cfg.steady["envelope_c0"],
-                                      envelope_eps=cfg.steady["envelope_eps"])
-    else:
-        phi_super = supersolution_phi(gamma, cfg.fluid.c_star, grid)
-    super_cert = check_subsuper(phi_super, "super", gamma, profile, tol=1e-8)
+    super_cert = check_subsuper(profile_supersolution(profile, gamma), "super",
+                                gamma, profile, tol=1e-8)
 
     report = steady_regularity_report(steady, grid)
     residual_pass = steady.residual_elliptic <= 1e-6
@@ -213,8 +197,7 @@ def cmd_verify_inequalities(cfg: AppConfig, outdir: Path) -> int:
     iq = cfg.ineqlab
     d = cfg.domain
     seed = cfg.seed
-    sgrid = ineqlab.build_spherical_grid(d["r_inner"], d["r_outer"],
-                                         iq["nr"], iq["ntheta"], iq["nphi"])
+    sgrid = cfg.spherical_grid()
     rgrid = _build_grid(cfg)
     reports = {
         "div_curl": ineqlab.div_curl_report(sgrid, iq["n_fields"], seed,
@@ -253,25 +236,28 @@ SWEEP_COLUMNS = ("gamma", "delta", "n_cells", "r_max", "E0", "sup_ratio_E",
                  "steady_residual", "steady_compat_residual", "verdict_pass")
 
 
-def _sweep_row(raw_text: str, base_overrides: list[str], seed: int,
-               row_dir: Path, gamma, delta, n_cells, r_max):
-    overrides = list(base_overrides) + [
-        f"fluid.gamma={gamma}", f"evolve.delta={delta}",
-        f"domain.n_cells={n_cells}", f"domain.r_outer={r_max}"]
-    sub_cfg = parse_config(raw_text, overrides=overrides, seed=seed)
+def _sweep_row(cfg: AppConfig, row_dir: Path) -> dict:
+    """Run one sweep row.  A steady solve that fails to converge or a run
+    that aborts leaves the row's result columns zero and verdict_pass 0."""
     row_dir.mkdir(parents=True, exist_ok=True)
-    grid = _build_grid(sub_cfg)
-    _, steady = _build_steady(sub_cfg, grid)
-    sim = _sim_config(sub_cfg, grid, steady)
-    row = {"gamma": gamma, "delta": delta, "n_cells": n_cells, "r_max": r_max,
-           "steady_residual": steady.residual_elliptic,
-           "steady_compat_residual": compatibility_residual(steady),
+    row = {"gamma": cfg.fluid.gamma, "delta": cfg.evolve["delta"],
+           "n_cells": cfg.domain["n_cells"], "r_max": cfg.domain["r_outer"],
+           "steady_residual": 0.0, "steady_compat_residual": 0.0,
            "E0": 0.0, "sup_ratio_E": 0.0, "sup_ratio_quadratic": 0.0,
            "c_fit": 0.0, "mass_drift": 0.0, "verdict_pass": 0.0,
            "aborted": False}
+    grid = _build_grid(cfg)
     try:
-        series = run_simulation(sim)
+        _, steady = _build_steady(cfg, grid)
+    except IterationError as exc:
+        print(f"failed: {row_dir.name}: {exc}", file=sys.stderr)
+        return row
+    row["steady_residual"] = steady.residual_elliptic
+    row["steady_compat_residual"] = compatibility_residual(steady)
+    try:
+        series = run_simulation(_sim_config(cfg, grid, steady))
     except SimulationAbort as exc:
+        print(f"aborted: {row_dir.name}: {exc}", file=sys.stderr)
         if exc.series is not None:
             _series_csv(row_dir / "series.csv", exc.series)
         row["aborted"] = True
@@ -292,26 +278,20 @@ def _sweep_row(raw_text: str, base_overrides: list[str], seed: int,
 
 def cmd_sweep(cfg: AppConfig, outdir: Path, raw_text: str,
               base_overrides: list[str]) -> int:
+    """Every row config is parsed before the first row runs; the rows then
+    run one after another in row order."""
     sw = cfg.sweep
     gammas = sw["gamma"] or [cfg.fluid.gamma]
     deltas = sw["delta"] or [cfg.evolve["delta"]]
     cells = sw["n_cells"] or [cfg.domain["n_cells"]]
     rmaxes = sw["r_max"] or [cfg.domain["r_outer"]]
-    rows = list(itertools.product(gammas, deltas, cells, rmaxes))
-
-    env_threads = os.environ.get("NSP_THREADS")
-    max_workers = int(env_threads) if env_threads else min(8, os.cpu_count() or 1)
-    max_workers = max(1, max_workers)
-
-    results = [None] * len(rows)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = {}
-        for i, (g, dl, nc, rm) in enumerate(rows):
-            row_dir = outdir / f"row_{i:03d}"
-            futures[pool.submit(_sweep_row, raw_text, base_overrides,
-                                cfg.seed, row_dir, g, dl, nc, rm)] = i
-        for fut in concurrent.futures.as_completed(futures):
-            results[futures[fut]] = fut.result()
+    row_cfgs = [
+        parse_config(raw_text, seed=cfg.seed, overrides=[
+            *base_overrides, f"fluid.gamma={g}", f"evolve.delta={dl}",
+            f"domain.n_cells={nc}", f"domain.r_outer={rm}"])
+        for g, dl, nc, rm in itertools.product(gammas, deltas, cells, rmaxes)]
+    results = [_sweep_row(row_cfg, outdir / f"row_{i:03d}")
+               for i, row_cfg in enumerate(row_cfgs)]
 
     lines = [",".join(SWEEP_COLUMNS)]
     for row in results:

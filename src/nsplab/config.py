@@ -1,25 +1,26 @@
 """Strict flat key = value configuration with bracketed sections.
 
 Unknown sections or keys fail the parse (silent misconfiguration is worse
-than a hard error), every value is typed and validated at parse time, and
-the accepted grammar is deliberately tiny: blank lines, full-line # comments,
-[section] headers, and key = value pairs.
+than a hard error), every value is typed at parse time and validated by the
+constructor that owns it, and the accepted grammar is deliberately tiny:
+blank lines, full-line # comments, [section] headers, and key = value pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
-from .grids import FluidParams
+from .errors import ConfigError, ParameterError
+from .evolve import check_run_settings
+from .grids import FluidParams, build_radial_grid
+from .ineqlab import build_spherical_grid
+from .steady import make_profile, profile_supersolution
 
 
-def _float(text: str) -> float:
-    return float(text)
-
-
-def _int(text: str) -> int:
+def _count(text: str) -> int:
     value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
     return value
 
 
@@ -56,54 +57,54 @@ def _int_list(text: str):
 
 _SCHEMA = {
     "fluid": {
-        "gamma": (_float, 2.0),
-        "mu": (_float, 0.5),
-        "lambda": (_float, 0.0),
-        "alpha": (_float, 0.0),
-        "c_star": (_float, 1.0),
+        "gamma": (float, 2.0),
+        "mu": (float, 0.5),
+        "lambda": (float, 0.0),
+        "alpha": (float, 0.0),
+        "c_star": (float, 1.0),
     },
     "domain": {
-        "r_inner": (_float, 1.0),
-        "r_outer": (_float, 16.0),
-        "n_cells": (_int, 2000),
-        "stretch": (_float, 0.0),
+        "r_inner": (float, 1.0),
+        "r_outer": (float, 16.0),
+        "n_cells": (int, 2000),
+        "stretch": (float, 0.0),
     },
     "steady": {
         "profile": (_enum("constant", "admissible_bump",
                           "general_gamma_envelope"), "admissible_bump"),
-        "amplitude": (_float, 0.5),
-        "tol": (_float, 1e-10),
-        "max_iter": (_int, 200),
-        "envelope_c0": (_float, 1.0),
-        "envelope_eps": (_float, 0.5),
+        "amplitude": (float, 0.5),
+        "tol": (float, 1e-10),
+        "max_iter": (_count, 200),
+        "envelope_c0": (float, 1.0),
+        "envelope_eps": (float, 0.5),
     },
     "evolve": {
-        "delta": (_float, 1e-3),
-        "t_end": (_float, 10.0),
+        "delta": (float, 1e-3),
+        "t_end": (float, 10.0),
         "dt": (_float_or_auto, "auto"),
         "sponge_width": (_float_or_auto, "auto"),
         "sponge_rate": (_float_or_auto, "auto"),
-        "output_stride": (_int, 50),
+        "output_stride": (int, 50),
         "init_kind": (_enum("standard", "density_only", "velocity_only"),
                       "standard"),
         "mode": (_enum("nonlinear", "linear"), "nonlinear"),
         "pressure": (_bool, True),
         "coupling": (_bool, True),
         "viscosity": (_bool, True),
-        "margin": (_float, 2.0),
-        "vacuum_floor": (_float, 0.1),
+        "margin": (float, 2.0),
+        "vacuum_floor": (float, 0.1),
         "checkpoints": (_bool, False),
     },
     "ineqlab": {
-        "nr": (_int, 32),
-        "ntheta": (_int, 16),
-        "nphi": (_int, 32),
-        "n_fields": (_int, 100),
-        "n_scalars": (_int, 20),
-        "n_lame": (_int, 20),
-        "modes": (_int, 3),
-        "allowance": (_float, 0.05),
-        "trace_outer_factor": (_float, 4.0),
+        "nr": (int, 32),
+        "ntheta": (int, 16),
+        "nphi": (int, 32),
+        "n_fields": (_count, 100),
+        "n_scalars": (_count, 20),
+        "n_lame": (_count, 20),
+        "modes": (int, 3),
+        "allowance": (float, 0.05),
+        "trace_outer_factor": (float, 4.0),
     },
     "sweep": {
         "gamma": (_float_list, None),
@@ -112,7 +113,7 @@ _SCHEMA = {
         "r_max": (_float_list, None),
     },
     "output": {
-        "seed": (_int, 0),
+        "seed": (int, 0),
     },
 }
 
@@ -121,7 +122,8 @@ REQUIRED_SECTIONS = ("fluid", "domain")
 
 @dataclass(frozen=True)
 class AppConfig:
-    """Typed configuration; section dataclass per schema section."""
+    """Typed configuration: the fluid constants, one dict per other schema
+    section, and the objects the sections describe."""
 
     fluid: FluidParams
     domain: dict
@@ -132,10 +134,29 @@ class AppConfig:
     seed: int
     canonical: str = field(repr=False, default="")
 
+    def radial_grid(self):
+        d = self.domain
+        return build_radial_grid(d["r_inner"], d["r_outer"], d["n_cells"],
+                                 d["stretch"])
 
-def _tokenize(text: str) -> dict:
-    """Map (section, key) -> (raw value, line number), strictly."""
+    def background(self, grid):
+        st = self.steady
+        return make_profile(st["profile"], self.fluid.c_star, st["amplitude"],
+                            grid, envelope_c0=st["envelope_c0"],
+                            envelope_eps=st["envelope_eps"],
+                            gamma=self.fluid.gamma)
+
+    def spherical_grid(self):
+        d, iq = self.domain, self.ineqlab
+        return build_spherical_grid(d["r_inner"], d["r_outer"], iq["nr"],
+                                    iq["ntheta"], iq["nphi"])
+
+
+def _tokenize(text: str) -> tuple[dict, set]:
+    """Map (section, key) -> (raw value, line number), strictly; also return
+    the set of sections whose header appears."""
     entries = {}
+    sections = set()
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -145,6 +166,7 @@ def _tokenize(text: str) -> dict:
             section = line[1:-1].strip()
             if section not in _SCHEMA:
                 raise ConfigError(f"unknown section [{section}] at line {lineno}")
+            sections.add(section)
             continue
         if "=" not in line:
             raise ConfigError(f"expected key = value at line {lineno}: {raw!r}")
@@ -160,7 +182,7 @@ def _tokenize(text: str) -> dict:
             raise ConfigError(
                 f"duplicate key {key!r} in section [{section}] at line {lineno}")
         entries[(section, key)] = (value, lineno)
-    return entries
+    return entries, sections
 
 
 def _apply_overrides(entries: dict, overrides: list[str]) -> dict:
@@ -177,22 +199,25 @@ def _apply_overrides(entries: dict, overrides: list[str]) -> dict:
     return out
 
 
+def _owned(section: str, check):
+    """Run a check owned by the module that defines the values; report its
+    ParameterError as a ConfigError naming the section."""
+    try:
+        return check()
+    except ParameterError as exc:
+        raise ConfigError(f"invalid [{section}] parameters: {exc}") from exc
+
+
 def parse_config(text: str, overrides: list[str] | None = None,
                  seed: int | None = None) -> AppConfig:
     """Parse config text (plus optional overrides) into a typed AppConfig.
 
-    Every invariant the downstream types enforce (positivity, gamma >= 1,
-    the viscosity condition) is triggered here so misconfiguration fails
-    before any run starts.
+    Every section is validated by constructing what it describes (fluid
+    constants, radial grid, background profile and its supersolution,
+    spherical grid) or by the run-settings check SimConfig also applies, so
+    misconfiguration fails before any run starts.
     """
-    entries = _tokenize(text)
-    present = {section for (section, _) in entries}
-    header_sections = {
-        line.strip()[1:-1].strip()
-        for line in text.splitlines()
-        if line.strip().startswith("[") and line.strip().endswith("]")
-    }
-    present |= {s for s in header_sections if s in _SCHEMA}
+    entries, present = _tokenize(text)
     for section in REQUIRED_SECTIONS:
         if section not in present:
             keys = ", ".join(sorted(_SCHEMA[section]))
@@ -218,40 +243,9 @@ def parse_config(text: str, overrides: list[str] | None = None,
         typed[section] = out
 
     fl = typed["fluid"]
-    try:
-        fluid = FluidParams(gamma=fl["gamma"], mu=fl["mu"],
-                            lambda_=fl["lambda"], alpha=fl["alpha"],
-                            c_star=fl["c_star"])
-    except Exception as exc:
-        raise ConfigError(f"invalid [fluid] parameters: {exc}") from exc
-
-    dom = typed["domain"]
-    if not (dom["r_inner"] > 0.0 and dom["r_outer"] > dom["r_inner"]):
-        raise ConfigError("[domain] needs 0 < r_inner < r_outer")
-    if dom["n_cells"] < 8:
-        raise ConfigError("[domain] n_cells must be >= 8")
-
-    st = typed["steady"]
-    if not (0.0 <= st["amplitude"] <= 1.0):
-        raise ConfigError("[steady] amplitude must lie in [0, 1]")
-    if st["tol"] <= 0.0 or st["max_iter"] < 1:
-        raise ConfigError("[steady] tol must be > 0 and max_iter >= 1")
-    if fluid.gamma > 2.0 and st["profile"] != "general_gamma_envelope":
-        raise ConfigError("[steady] gamma > 2 requires the "
-                          "general_gamma_envelope profile")
-
-    ev = typed["evolve"]
-    if ev["delta"] < 0.0:
-        raise ConfigError("[evolve] delta must be >= 0")
-    if ev["t_end"] <= 0.0:
-        raise ConfigError("[evolve] t_end must be > 0")
-    if ev["output_stride"] < 1:
-        raise ConfigError("[evolve] output_stride must be >= 1")
-
-    iq = typed["ineqlab"]
-    if iq["nr"] < 16 or iq["ntheta"] < 8 or iq["nphi"] < 8:
-        raise ConfigError("[ineqlab] needs nr >= 16, ntheta >= 8, nphi >= 8")
-
+    fluid = _owned("fluid", lambda: FluidParams(
+        gamma=fl["gamma"], mu=fl["mu"], lambda_=fl["lambda"],
+        alpha=fl["alpha"], c_star=fl["c_star"]))
     use_seed = typed["output"]["seed"] if seed is None else int(seed)
 
     canonical_parts = []
@@ -261,6 +255,19 @@ def parse_config(text: str, overrides: list[str] | None = None,
     canonical_parts.append(f"seed={use_seed}")
     canonical = ";".join(canonical_parts)
 
-    return AppConfig(fluid=fluid, domain=dom, steady=st, evolve=ev,
-                     ineqlab=iq, sweep=typed["sweep"], seed=use_seed,
-                     canonical=canonical)
+    cfg = AppConfig(fluid=fluid, domain=typed["domain"],
+                    steady=typed["steady"], evolve=typed["evolve"],
+                    ineqlab=typed["ineqlab"], sweep=typed["sweep"],
+                    seed=use_seed, canonical=canonical)
+
+    grid = _owned("domain", cfg.radial_grid)
+    if cfg.steady["tol"] <= 0.0:
+        raise ConfigError("[steady] tol must be > 0")
+    _owned("steady", lambda: profile_supersolution(cfg.background(grid),
+                                                   fluid.gamma))
+    ev = cfg.evolve
+    _owned("evolve", lambda: check_run_settings(
+        ev["delta"], ev["t_end"], ev["dt"], ev["output_stride"],
+        ev["init_kind"], ev["mode"], ev["vacuum_floor"]))
+    _owned("ineqlab", cfg.spherical_grid)
+    return cfg

@@ -105,7 +105,7 @@ def dissipation_D(state, tendencies, grid: RadialGrid) -> tuple[float, float]:
     return comps.total, comps.total_no_qtt
 
 
-def mass(q: RadialField, grid: RadialGrid | None = None) -> float:
+def mass(q: RadialField) -> float:
     """Discrete integral of q with the shell volume measure."""
     return integrate(q)
 
@@ -214,6 +214,15 @@ class SeriesRecorder:
         return series
 
 
+def _centered_rate(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Second-order centered de/dt on the non-uniform samples t, at the
+    interior samples only (needs t.size >= 3)."""
+    hm = t[1:-1] - t[:-2]
+    hp = t[2:] - t[1:-1]
+    return (e[2:] * hm**2 - e[:-2] * hp**2
+            + e[1:-1] * (hp**2 - hm**2)) / (hm * hp * (hm + hp))
+
+
 def _identity_residuals(t: np.ndarray, e_basic: np.ndarray,
                         grad_u_sq: np.ndarray, c_visc: float) -> np.ndarray:
     """Centered-difference residual of the zero-order identity per interior
@@ -222,12 +231,7 @@ def _identity_residuals(t: np.ndarray, e_basic: np.ndarray,
     out = np.zeros(n)
     if n < 3:
         return out
-    tm, t0, tp = t[:-2], t[1:-1], t[2:]
-    em, e0, ep = e_basic[:-2], e_basic[1:-1], e_basic[2:]
-    hm = t0 - tm
-    hp = tp - t0
-    dedt = (ep * hm**2 - em * hp**2 + e0 * (hp**2 - hm**2)) / (hm * hp * (hm + hp))
-    out[1:-1] = dedt + c_visc * grad_u_sq[1:-1]
+    out[1:-1] = _centered_rate(t, e_basic) + c_visc * grad_u_sq[1:-1]
     return out
 
 
@@ -273,15 +277,8 @@ def measure_viscous_constant(series: TimeSeries) -> float:
     carries no usable signal."""
     if len(series.samples) < 3:
         return series.c_visc
-    t = series.t
-    eb = series.column("E_basic")
-    grad = series.grad_u_sq
-    tm, t0, tp = t[:-2], t[1:-1], t[2:]
-    hm = t0 - tm
-    hp = tp - t0
-    dedt = (eb[2:] * hm**2 - eb[:-2] * hp**2
-            + eb[1:-1] * (hp**2 - hm**2)) / (hm * hp * (hm + hp))
-    g = grad[1:-1]
+    dedt = _centered_rate(series.t, series.column("E_basic"))
+    g = series.grad_u_sq[1:-1]
     denom = float(np.dot(g, g))
     if denom <= 0.0 or not math.isfinite(denom):
         return series.c_visc

@@ -45,13 +45,39 @@ from .elliptic import (_apply_banded, _banded_operator, factor_banded,
                        solve_poisson_values)
 from .errors import (IterationError, ParameterError, SimulationAbort,
                      VacuumError)
-from .grids import FluidParams, RadialField, RadialGrid, _derivative_matrix
-from .steady import SteadyState
+from .grids import (FluidParams, RadialField, RadialGrid, _derivative_matrix,
+                    smoothstep)
+from .steady import SteadyState, effective_length
 
 INIT_KINDS = ("standard", "density_only", "velocity_only")
 MODES = ("nonlinear", "linear")
 CFL_SAFETY = 0.4
 CFL_LIMIT = 0.5
+
+
+def _check_init(kind: str, delta: float) -> None:
+    if kind not in INIT_KINDS:
+        raise ParameterError(f"unknown init_kind {kind!r}")
+    if delta < 0.0:
+        raise ParameterError(f"delta must be >= 0, got {delta}")
+
+
+def check_run_settings(delta: float, t_end: float, dt: float | str,
+                       output_stride: int, init_kind: str, mode: str,
+                       vacuum_floor: float) -> None:
+    """Range checks of the scalar run settings; SimConfig runs them on
+    construction and the config parser before any run starts."""
+    _check_init(init_kind, delta)
+    if t_end <= 0.0:
+        raise ParameterError(f"t_end must be > 0, got {t_end}")
+    if dt != "auto" and float(dt) <= 0.0:
+        raise ParameterError(f"dt must be > 0, got {dt}")
+    if output_stride < 1:
+        raise ParameterError("output_stride must be >= 1")
+    if mode not in MODES:
+        raise ParameterError(f"mode must be one of {MODES}")
+    if not (0.0 < vacuum_floor < 1.0):
+        raise ParameterError("vacuum_floor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -102,18 +128,9 @@ class SimConfig:
     digest_extra: str = ""
 
     def __post_init__(self):
-        if self.delta < 0.0:
-            raise ParameterError(f"delta must be >= 0, got {self.delta}")
-        if self.t_end <= 0.0:
-            raise ParameterError(f"t_end must be > 0, got {self.t_end}")
-        if self.output_stride < 1:
-            raise ParameterError("output_stride must be >= 1")
-        if self.init_kind not in INIT_KINDS:
-            raise ParameterError(f"unknown init_kind {self.init_kind!r}")
-        if self.mode not in MODES:
-            raise ParameterError(f"mode must be one of {MODES}")
-        if not (0.0 < self.vacuum_floor < 1.0):
-            raise ParameterError("vacuum_floor must lie in (0, 1)")
+        check_run_settings(self.delta, self.t_end, self.dt,
+                           self.output_stride, self.init_kind, self.mode,
+                           self.vacuum_floor)
 
 
 def _smooth_bump(r: np.ndarray, center: float, width: float) -> np.ndarray:
@@ -169,9 +186,8 @@ class _Workspace:
             rate = cs_max / width if width > 0.0 else 0.0
         self.sponge_rate = float(rate)
         if self.sponge_rate > 0.0 and width > 0.0:
-            from .steady import _smoothstep
             edge = grid.r_outer - width
-            self.sponge_mask = _smoothstep((self.r - edge) / width)
+            self.sponge_mask = smoothstep((self.r - edge) / width)
         else:
             self.sponge_mask = np.zeros_like(self.r)
         self.sponge_on = self.sponge_rate > 0.0 and np.any(self.sponge_mask > 0.0)
@@ -295,11 +311,7 @@ def init_perturbation(kind: str, delta: float, grid: RadialGrid,
     sums cancel exactly.  Both parts and the velocity bump vanish identically
     near the walls.
     """
-    if kind not in INIT_KINDS:
-        raise ParameterError(f"unknown init_kind {kind!r}")
-    if delta < 0.0:
-        raise ParameterError(f"delta must be >= 0, got {delta}")
-    from .steady import effective_length
+    _check_init(kind, delta)
     r = grid.r
     length = effective_length(grid.r_inner, grid.r_outer)
 
@@ -356,8 +368,6 @@ def _resolve_dt(config: SimConfig, state: PerturbationState,
         dt = CFL_SAFETY * limit
     else:
         dt = float(config.dt)
-        if dt <= 0.0:
-            raise ParameterError(f"dt must be > 0, got {dt}")
         if dt > CFL_LIMIT * limit:
             raise ParameterError(
                 f"dt = {dt:g} violates the acoustic CFL bound {CFL_LIMIT * limit:g}")

@@ -157,6 +157,17 @@ class RadialField:
         object.__setattr__(self, "values", vals)
 
 
+def volume_weights(r: np.ndarray) -> np.ndarray:
+    """Trapezoid weights in the volume coordinate r^3/3 for nodes r, per unit
+    solid angle: they sum to (r_N^3 - r_0^3)/3 exactly."""
+    cubes = r**3
+    w = np.empty_like(r)
+    w[1:-1] = (cubes[2:] - cubes[:-2]) / 6.0
+    w[0] = (cubes[1] - cubes[0]) / 6.0
+    w[-1] = (cubes[-1] - cubes[-2]) / 6.0
+    return w
+
+
 def build_radial_grid(r_inner: float, r_outer: float, n_cells: int,
                       stretch: float = 0.0) -> RadialGrid:
     """Build a shell grid with n_cells intervals (n_cells + 1 nodes).
@@ -191,13 +202,35 @@ def build_radial_grid(r_inner: float, r_outer: float, n_cells: int,
         r[-1] = r_outer
         uniform = False
 
-    cubes = r**3
-    w = np.empty_like(r)
-    w[1:-1] = (cubes[2:] - cubes[:-2]) / 6.0
-    w[0] = (cubes[1] - cubes[0]) / 6.0
-    w[-1] = (cubes[-1] - cubes[-2]) / 6.0
+    w = volume_weights(r)
     w *= FOUR_PI
     return RadialGrid(r=r, weights=w, uniform=uniform)
+
+
+def smoothstep(x: np.ndarray) -> np.ndarray:
+    """C-infinity step: 0 for x <= 0, 1 for x >= 1."""
+    def f(t):
+        out = np.zeros_like(t)
+        pos = t > 0.0
+        out[pos] = np.exp(-1.0 / t[pos])
+        return out
+    fx = f(np.asarray(x, dtype=float))
+    f1 = f(1.0 - np.asarray(x, dtype=float))
+    return fx / (fx + f1)
+
+
+# radial cutoff as fractions of a shell length: 1 up to the first fraction
+# past the inner radius, 0 beyond the second
+CUT_START = 0.6
+CUT_END = 0.8
+
+
+def cutoff(r: np.ndarray, r_inner: float, length: float) -> np.ndarray:
+    """Smooth mask: 1 for r <= r_inner + CUT_START*length, 0 for
+    r >= r_inner + CUT_END*length."""
+    c1 = r_inner + CUT_START * length
+    c2 = r_inner + CUT_END * length
+    return 1.0 - smoothstep((r - c1) / (c2 - c1))
 
 
 def _fornberg_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:

@@ -30,12 +30,9 @@ import numpy as np
 
 from .elliptic import hessian_norm_radial, solve_poisson_neumann
 from .errors import DegenerateFieldError, ParameterError
-from .grids import (RadialField, RadialGrid, radial_derivative,
-                    vector_gradient_norm, vector_hessian_norm,
-                    weighted_l2_norm)
-
-_CUT_START = 0.6
-_CUT_END = 0.8
+from .grids import (RadialField, RadialGrid, build_radial_grid, cutoff,
+                    radial_derivative, vector_gradient_norm,
+                    vector_hessian_norm, volume_weights, weighted_l2_norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,22 +105,17 @@ class IneqReport:
 
 def build_spherical_grid(r_inner: float, r_outer: float, nr: int, ntheta: int,
                          nphi: int) -> SphericalGrid:
-    """Uniform radial nodes, midpoint theta nodes avoiding the poles, and a
-    periodic azimuth; requires nr >= 16, ntheta >= 8, nphi >= 8."""
-    if not (r_inner > 0.0 and r_outer > r_inner):
-        raise ParameterError("need 0 < r_inner < r_outer")
+    """The nodes of the uniform radial grid, midpoint theta nodes avoiding
+    the poles, and a periodic azimuth; requires nr >= 16, ntheta >= 8,
+    nphi >= 8."""
     if nr < 16 or ntheta < 8 or nphi < 8:
         raise ParameterError("resolution too coarse: need nr>=16, ntheta>=8, nphi>=8")
-    r = np.linspace(r_inner, r_outer, nr + 1)
+    r = build_radial_grid(r_inner, r_outer, nr).r
     dtheta = math.pi / ntheta
     theta = (np.arange(ntheta) + 0.5) * dtheta
     phi = np.arange(nphi) * (2.0 * math.pi / nphi)
 
-    cubes = r**3
-    w_r = np.empty_like(r)
-    w_r[1:-1] = (cubes[2:] - cubes[:-2]) / 6.0
-    w_r[0] = (cubes[1] - cubes[0]) / 6.0
-    w_r[-1] = (cubes[-1] - cubes[-2]) / 6.0
+    w_r = volume_weights(r)
     # exact solid-angle cell weights: integral of sin over each theta cell
     w_theta = 2.0 * math.sin(0.5 * dtheta) * np.sin(theta)
     w_phi = 2.0 * math.pi / nphi
@@ -236,11 +228,9 @@ def boundary_l2_sq(v: VectorField3) -> float:
 
 
 def _cutoff_radial(grid: SphericalGrid) -> np.ndarray:
-    from .steady import _smoothstep
-    length = grid.r_outer - grid.r_inner
-    c1 = grid.r_inner + _CUT_START * length
-    c2 = grid.r_inner + _CUT_END * length
-    return (1.0 - _smoothstep((grid.r - c1) / (c2 - c1)))[:, None, None]
+    """grids.cutoff over the full (uncapped) shell length."""
+    return cutoff(grid.r, grid.r_inner,
+                  grid.r_outer - grid.r_inner)[:, None, None]
 
 
 def random_tangent_field(seed: int, grid: SphericalGrid,

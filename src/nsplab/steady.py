@@ -31,7 +31,6 @@ uniqueness certificate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,45 +38,22 @@ import numpy as np
 from .elliptic import apply_laplacian, solve_shifted
 from .errors import (EvaluationDomainError, IterationError, MonotonicityError,
                      ParameterError)
-from .grids import (RadialField, RadialGrid, radial_derivative,
-                    vector_gradient_norm, vector_hessian_norm,
-                    weighted_l2_norm)
+from .grids import (RadialField, RadialGrid, build_radial_grid, cutoff,
+                    radial_derivative, vector_gradient_norm,
+                    vector_hessian_norm, weighted_l2_norm)
 
 PROFILE_KINDS = ("constant", "admissible_bump", "general_gamma_envelope")
 
-# background cutoffs, as fractions of the effective shell width: profiles
-# return to c_star beyond the second fraction so truncation does not fight
-# the far field.  The effective width is capped at FAR_FIELD_CAP_RADII inner
-# radii: anything beyond that is far-field territory reserved for the
-# truncation, so widening the box leaves the physical problem unchanged.
-_CUT_START = 0.6
-_CUT_END = 0.8
+# backgrounds return to c_star beyond the grids.cutoff of the effective
+# shell width so truncation does not fight the far field.  The effective
+# width is capped at FAR_FIELD_CAP_RADII inner radii: anything beyond that is
+# far-field territory reserved for the truncation, so widening the box leaves
+# the physical problem unchanged.
 FAR_FIELD_CAP_RADII = 15.0
 
 
 def effective_length(r_inner: float, r_outer: float) -> float:
     return min(r_outer - r_inner, FAR_FIELD_CAP_RADII * r_inner)
-
-
-def _smoothstep(x: np.ndarray) -> np.ndarray:
-    """C-infinity step: 0 for x <= 0, 1 for x >= 1."""
-    def f(t):
-        out = np.zeros_like(t)
-        pos = t > 0.0
-        out[pos] = np.exp(-1.0 / t[pos])
-        return out
-    fx = f(np.asarray(x, dtype=float))
-    f1 = f(1.0 - np.asarray(x, dtype=float))
-    return fx / (fx + f1)
-
-
-def _cutoff(grid: RadialGrid) -> np.ndarray:
-    """Smooth mask: 1 near the inner radius, 0 beyond 80% of the effective
-    shell width."""
-    length = effective_length(grid.r_inner, grid.r_outer)
-    c1 = grid.r_inner + _CUT_START * length
-    c2 = grid.r_inner + _CUT_END * length
-    return 1.0 - _smoothstep((grid.r - c1) / (c2 - c1))
 
 
 @dataclass(frozen=True)
@@ -171,11 +147,12 @@ def make_profile(kind: str, c_star: float, amplitude: float, grid: RadialGrid,
         raise ParameterError(f"c_star must be > 0, got {c_star}")
 
     r = grid.r
+    mask = cutoff(r, grid.r_inner, effective_length(grid.r_inner, grid.r_outer))
     if kind == "constant":
         vals = np.full_like(r, c_star)
         return BackgroundProfile(kind, c_star, amplitude, RadialField(vals, grid))
     if kind == "admissible_bump":
-        vals = c_star + amplitude * _cutoff(grid) / r
+        vals = c_star + amplitude * mask / r
         return BackgroundProfile(kind, c_star, amplitude, RadialField(vals, grid))
 
     # envelope: b = F(amplitude * c0 * r**(-eps) * s(r)) for the gamma branch
@@ -186,7 +163,7 @@ def make_profile(kind: str, c_star: float, amplitude: float, grid: RadialGrid,
     if envelope_c0 <= 0.0:
         raise ParameterError(f"envelope_c0 must be > 0, got {envelope_c0}")
     branch = _Branch(gamma, c_star)
-    phi_env = amplitude * envelope_c0 * r ** (-envelope_eps) * _cutoff(grid)
+    phi_env = amplitude * envelope_c0 * r ** (-envelope_eps) * mask
     vals = branch.F(phi_env)
     return BackgroundProfile(kind, c_star, amplitude, RadialField(vals, grid),
                              envelope_c0=envelope_c0, envelope_eps=envelope_eps)
@@ -233,6 +210,19 @@ def supersolution_phi(gamma: float, c_star: float, grid: RadialGrid,
     branch = _Branch(gamma, c_star)
     vals = gamma / (gamma - 1.0) * (c_star + 1.0 / r) ** (gamma - 1.0) - branch.c1
     return RadialField(vals, grid)
+
+
+def profile_supersolution(profile: BackgroundProfile,
+                          gamma: float) -> RadialField:
+    """The explicit supersolution that brackets the steady problem for this
+    background: the envelope form for the envelope profile, the closed form
+    (gamma in [1, 2] only) otherwise."""
+    grid = profile.values.grid
+    if profile.kind == "general_gamma_envelope":
+        return supersolution_phi(gamma, profile.c_star, grid,
+                                 envelope_c0=profile.envelope_c0,
+                                 envelope_eps=profile.envelope_eps)
+    return supersolution_phi(gamma, profile.c_star, grid)
 
 
 def rho_from_phi(phi: RadialField, gamma: float, c_star: float) -> RadialField:
@@ -304,16 +294,7 @@ def solve_steady_monotone(gamma: float, profile: BackgroundProfile,
     """
     c_star = profile.c_star
     branch = _Branch(gamma, c_star)
-    if profile.kind == "general_gamma_envelope":
-        phi_super = supersolution_phi(gamma, c_star, grid,
-                                      envelope_c0=profile.envelope_c0,
-                                      envelope_eps=profile.envelope_eps)
-    else:
-        if gamma > 2.0:
-            raise ParameterError(
-                "gamma > 2 has no explicit bracket for this background class; "
-                "use the general_gamma_envelope profile")
-        phi_super = supersolution_phi(gamma, c_star, grid)
+    phi_super = profile_supersolution(profile, gamma)
     phi_sub = subsolution_phi(gamma, grid)
 
     fp_max = float(np.max(branch.Fprime(phi_super.values)))
@@ -393,8 +374,6 @@ def steady_regularity_report(steady: SteadyState,
     """Report the L2 norms of the first three gradients of rho and Phi and
     check they stay within a factor 2 under one grid refinement and one
     doubling of the truncation radius."""
-    from .grids import build_radial_grid  # local import to avoid cycle noise
-
     base = _derivative_norms(steady)
     prof = steady.profile
     n_cells = grid.n_nodes - 1
@@ -403,7 +382,7 @@ def steady_regularity_report(steady: SteadyState,
         p = make_profile(prof.kind, prof.c_star, prof.amplitude, new_grid,
                          envelope_c0=prof.envelope_c0 or 1.0,
                          envelope_eps=prof.envelope_eps or 0.5,
-                         gamma=steady.gamma if prof.kind == "general_gamma_envelope" else None)
+                         gamma=steady.gamma)
         return solve_steady_monotone(steady.gamma, p, new_grid)
 
     fine = resolve(build_radial_grid(grid.r_inner, grid.r_outer, 2 * n_cells))

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsplab.cli import main
 from nsplab.config import parse_config
@@ -120,6 +122,77 @@ def test_gamma_above_two_needs_envelope_profile():
     assert cfg.fluid.gamma == 3.0
 
 
+def test_parse_empty_domain_header_uses_defaults():
+    cfg = parse_config("[fluid]\n[domain]\n")
+    assert cfg.domain == {"r_inner": 1.0, "r_outer": 16.0, "n_cells": 2000,
+                          "stretch": 0.0}
+    assert cfg.fluid.gamma == 2.0
+
+
+# each range rule lives in the constructor or validator that owns the value;
+# parse_config still rejects the value and names the section
+@pytest.mark.parametrize("override, section", [
+    ("domain.r_outer=0.5", "[domain]"),
+    ("domain.n_cells=4", "[domain]"),
+    ("steady.amplitude=1.5", "[steady]"),
+    ("fluid.gamma=3.0", "[steady]"),
+    ("evolve.delta=-1e-3", "[evolve]"),
+    ("evolve.t_end=0", "[evolve]"),
+    ("evolve.output_stride=0", "[evolve]"),
+    ("evolve.dt=-0.1", "[evolve]"),
+    ("evolve.vacuum_floor=2", "[evolve]"),
+    ("ineqlab.ntheta=4", "[ineqlab]"),
+])
+def test_parse_owner_checks_name_the_section(override, section):
+    with pytest.raises(ConfigError) as err:
+        parse_config(QUICK, overrides=[override])
+    assert section in str(err.value)
+
+
+_VALUES = st.one_of(
+    st.tuples(st.just("fluid.gamma"), st.floats(1.0, 2.0)),
+    st.tuples(st.just("fluid.mu"), st.floats(0.01, 10.0)),
+    st.tuples(st.just("domain.r_outer"), st.floats(1.5, 40.0)),
+    st.tuples(st.just("domain.n_cells"), st.integers(8, 4000)),
+    st.tuples(st.just("domain.stretch"), st.floats(0.0, 3.0)),
+    st.tuples(st.just("steady.amplitude"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("steady.max_iter"), st.integers(1, 1000)),
+    st.tuples(st.just("evolve.delta"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("evolve.t_end"), st.floats(1e-3, 100.0)),
+    st.tuples(st.just("evolve.output_stride"), st.integers(1, 500)),
+    st.tuples(st.just("ineqlab.nr"), st.integers(16, 128)),
+    st.tuples(st.just("ineqlab.n_fields"), st.integers(1, 500)),
+    st.tuples(st.just("output.seed"), st.integers(0, 2**31)),
+)
+
+
+def _with_value(text, target, value):
+    """Config text with section.key = value written in (replacing any line
+    that sets the key in that section)."""
+    section, key = target.split(".")
+    out, current = [], None
+    for line in text.splitlines():
+        stripped = line.strip()
+        if stripped.startswith("["):
+            current = stripped[1:-1]
+        elif current == section and stripped.partition("=")[0].strip() == key:
+            continue
+        out.append(line)
+        if stripped == f"[{section}]":
+            out.append(f"{key} = {value}")
+    return "\n".join(out) + "\n"
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_VALUES)
+def test_override_equals_value_written_in_text(item):
+    target, value = item
+    by_override = parse_config(QUICK, overrides=[f"{target}={value!r}"])
+    in_text = parse_config(_with_value(QUICK, target, repr(value)))
+    assert by_override == in_text
+    assert by_override.canonical == in_text.canonical
+
+
 # -------------------------------------------------------------------- CLI
 
 def test_cli_steady_success(tmp_path):
@@ -234,8 +307,16 @@ def test_cli_verify_inequalities_bad_resolution(tmp_path):
     assert code == 2
 
 
-def test_cli_sweep_single_cell_matches_simulate(tmp_path, monkeypatch):
-    monkeypatch.setenv("NSP_THREADS", "2")
+@pytest.mark.parametrize("key", ["n_fields", "n_scalars", "n_lame"])
+def test_cli_verify_inequalities_empty_ensemble(tmp_path, key):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    code = main(["verify-inequalities", "--config", str(cfg),
+                 "--out", str(out), "--set", f"ineqlab.{key}=0"])
+    assert code == 2
+
+
+def test_cli_sweep_single_cell_matches_simulate(tmp_path):
     cfg = write_cfg(tmp_path)
     out_sim = tmp_path / "sim"
     out_sweep = tmp_path / "sweep"
@@ -254,8 +335,7 @@ def test_cli_sweep_single_cell_matches_simulate(tmp_path, monkeypatch):
             == (out_sim / "series.csv").read_bytes())
 
 
-def test_cli_sweep_determinism(tmp_path, monkeypatch):
-    monkeypatch.setenv("NSP_THREADS", "4")
+def test_cli_sweep_determinism(tmp_path):
     cfg = write_cfg(tmp_path, QUICK + "\n[sweep]\ndelta = 1e-4, 1e-3\n"
                                       "n_cells = 200, 400\n")
     outs = []
@@ -283,13 +363,42 @@ def test_cli_sweep_keeps_rows_when_one_aborts(tmp_path):
     assert rows[1]["delta"] == 1e7
 
 
+def test_cli_sweep_keeps_rows_when_one_steady_solve_fails(tmp_path):
+    # gamma = 2 converges in 10 iterations; gamma = 1 needs more than 15
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--set", "steady.max_iter=15", "--set", "sweep.gamma=2.0,1.0",
+                 "--set", "evolve.t_end=0.2"])
+    assert code == 3
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, [float(x) for x in line.split(",")]))
+            for line in lines[1:]]
+    assert [r["gamma"] for r in rows] == [2.0, 1.0]
+    assert rows[0]["verdict_pass"] == 1.0
+    assert rows[0]["steady_residual"] > 0.0
+    assert all(v == 0.0 for k, v in rows[1].items()
+               if k not in ("gamma", "delta", "n_cells", "r_max"))
+    assert (out / "row_000" / "series.csv").exists()
+    assert not (out / "row_001" / "series.csv").exists()
+
+
+def test_cli_sweep_rejects_bad_row_before_running(tmp_path):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--set", "sweep.r_max=16.0,0.5"])
+    assert code == 2
+    assert not (out / "row_000").exists()
+
+
 def test_cli_unreadable_config(tmp_path):
     assert main(["steady", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "out")]) == 2
 
 
-def test_cli_sweep_amplitude_robustness_and_convergence(tmp_path, monkeypatch):
-    monkeypatch.setenv("NSP_THREADS", "4")
+def test_cli_sweep_amplitude_robustness_and_convergence(tmp_path):
     cfg = write_cfg(tmp_path, QUICK + "\n[sweep]\ndelta = 1e-4, 1e-3\n"
                                       "n_cells = 320, 640\n")
     out = tmp_path / "out"

@@ -73,6 +73,13 @@ def test_grid_quadrature_refinement():
     assert err(16, 8, 8) / err(32, 16, 16) > 2.0
 
 
+def test_radial_weights_shared_with_radial_grid():
+    g = build_spherical_grid(1.0, 16.0, 32, 8, 8)
+    radial = build_radial_grid(1.0, 16.0, 32)
+    assert np.array_equal(g.r, radial.r)
+    assert np.array_equal(4.0 * math.pi * g.w_r, radial.weights)
+
+
 def test_grid_resolution_validation():
     with pytest.raises(ParameterError):
         build_spherical_grid(1.0, 2.0, 32, 16, 4)

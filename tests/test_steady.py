@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from nsplab import (EvaluationDomainError, ParameterError, build_radial_grid,
-                    check_subsuper, make_profile, rho_from_phi,
-                    solve_steady_monotone, steady_regularity_report,
-                    subsolution_phi, supersolution_phi)
+                    check_subsuper, make_profile, profile_supersolution,
+                    rho_from_phi, solve_steady_monotone,
+                    steady_regularity_report, subsolution_phi,
+                    supersolution_phi)
 from nsplab.elliptic import solve_shifted
 from nsplab.grids import RadialField
 from nsplab.steady import (BackgroundProfile, _Branch, compatibility_residual,
@@ -78,6 +79,22 @@ def test_supersolution_gamma_below_one_rejected(shell16):
         supersolution_phi(0.5, 1.0, shell16)
     with pytest.raises(ParameterError):
         supersolution_phi(3.0, 1.0, shell16)  # explicit form needs the envelope
+
+
+def test_profile_supersolution_picks_the_bracket(shell16):
+    bump = make_profile("admissible_bump", 1.0, 0.5, shell16)
+    assert np.array_equal(profile_supersolution(bump, 1.5).values,
+                          supersolution_phi(1.5, 1.0, shell16).values)
+    env = make_profile("general_gamma_envelope", 1.0, 0.8, shell16,
+                       envelope_c0=0.5, envelope_eps=0.4, gamma=3.0)
+    assert np.array_equal(profile_supersolution(env, 3.0).values,
+                          0.5 * shell16.r ** -0.4)
+    # gamma > 2 has no closed-form bracket for the bump class
+    bump3 = make_profile("admissible_bump", 1.0, 0.5, shell16, gamma=3.0)
+    with pytest.raises(ParameterError):
+        profile_supersolution(bump3, 3.0)
+    with pytest.raises(ParameterError):
+        solve_steady_monotone(3.0, bump3, shell16)
 
 
 def test_branch_limit_gamma_to_one(shell16):
