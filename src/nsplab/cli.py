@@ -109,8 +109,15 @@ def cmd_steady(cfg: AppConfig, outdir: Path) -> int:
     return EXIT_OK if ok else EXIT_VERDICT
 
 
-def _sim_config(cfg: AppConfig, grid, steady, checkpoint_dir=None) -> SimConfig:
+def _sim_config(cfg: AppConfig, grid, steady, outdir: Path) -> SimConfig:
+    """The run settings of cfg; with evolve.checkpoints on, checkpoints go
+    to outdir/checkpoints, which is created here."""
     ev = cfg.evolve
+    checkpoint_dir = None
+    if ev["checkpoints"]:
+        checkpoint_dir = outdir / "checkpoints"
+        checkpoint_dir.mkdir(parents=True, exist_ok=True)
+        checkpoint_dir = str(checkpoint_dir)
     return SimConfig(params=cfg.fluid, grid=grid, steady=steady,
                      delta=ev["delta"], t_end=ev["t_end"], dt=ev["dt"],
                      sponge_width=ev["sponge_width"],
@@ -165,14 +172,8 @@ def cmd_simulate(cfg: AppConfig, outdir: Path) -> int:
     t0 = time.perf_counter()
     grid = _build_grid(cfg)
     _, steady = _build_steady(cfg, grid)
-    checkpoint_dir = None
-    if cfg.evolve["checkpoints"]:
-        checkpoint_dir = outdir / "checkpoints"
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        checkpoint_dir = str(checkpoint_dir)
-    sim = _sim_config(cfg, grid, steady, checkpoint_dir)
     try:
-        series = run_simulation(sim)
+        series = run_simulation(_sim_config(cfg, grid, steady, outdir))
     except SimulationAbort as exc:
         wall = time.perf_counter() - t0
         if exc.series is None:  # aborted while building the initial data
@@ -255,7 +256,7 @@ def _sweep_row(cfg: AppConfig, row_dir: Path) -> dict:
     row["steady_residual"] = steady.residual_elliptic
     row["steady_compat_residual"] = compatibility_residual(steady)
     try:
-        series = run_simulation(_sim_config(cfg, grid, steady))
+        series = run_simulation(_sim_config(cfg, grid, steady, row_dir))
     except SimulationAbort as exc:
         print(f"aborted: {row_dir.name}: {exc}", file=sys.stderr)
         if exc.series is not None:

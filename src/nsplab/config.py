@@ -267,7 +267,8 @@ def parse_config(text: str, overrides: list[str] | None = None,
                                                    fluid.gamma))
     ev = cfg.evolve
     _owned("evolve", lambda: check_run_settings(
-        ev["delta"], ev["t_end"], ev["dt"], ev["output_stride"],
-        ev["init_kind"], ev["mode"], ev["vacuum_floor"]))
+        ev["delta"], ev["t_end"], ev["dt"], ev["sponge_width"],
+        ev["sponge_rate"], ev["output_stride"], ev["init_kind"], ev["mode"],
+        ev["vacuum_floor"]))
     _owned("ineqlab", cfg.spherical_grid)
     return cfg

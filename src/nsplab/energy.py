@@ -29,80 +29,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .grids import (RadialField, RadialGrid, integrate, radial_derivative,
-                    sobolev_norm, vector_gradient_norm,
-                    vector_gradient_sobolev_norm, vector_sobolev_norm,
-                    weighted_l2_norm)
+from .grids import (RadialField, _vector_grad_terms, _wsq, integrate,
+                    radial_derivative, sobolev_norm, weighted_l2_norm)
 
 
-@dataclass(frozen=True)
-class EnergyComponents:
-    """The five summands of E, recoverable individually."""
+def _sample_norms(state, tendencies) -> tuple[float, float, float, float]:
+    """E, D, D without its ||q_tt|| term, and ||grad u||^2 of one sample.
 
-    u_h3: float
-    q_h2: float
-    qt_ut_h1: float
-    grad_phi: float
-    grad_phi_t: float
-
-    @property
-    def total(self) -> float:
-        return self.u_h3 + self.q_h2 + self.qt_ut_h1 + self.grad_phi \
-            + self.grad_phi_t
-
-
-@dataclass(frozen=True)
-class DissipationComponents:
-    """The five summands of D."""
-
-    grad_u_h2: float
-    grad_ut_h1: float
-    q_h2: float
-    qt_h1: float
-    qtt_l2: float
-
-    @property
-    def total(self) -> float:
-        return self.grad_u_h2 + self.grad_ut_h1 + self.q_h2 + self.qt_h1 \
-            + self.qtt_l2
-
-    @property
-    def total_no_qtt(self) -> float:
-        return self.total - self.qtt_l2
+    Each radial derivative and squared norm is computed once and shared by
+    the functionals; the sums keep the association order of the norm
+    routines in grids, so the values equal the ones those routines give.
+    """
+    u, u_t = state.u, tendencies.u_t
+    grad_u = _vector_grad_terms(u, 3)
+    grad_ut = _vector_grad_terms(u_t, 2)
+    q_h2 = sobolev_norm(state.q, 2)
+    qt_h1 = sobolev_norm(tendencies.q_t, 1)
+    u_h3 = math.sqrt(_wsq(u.grid, u.values) + grad_u[0] + grad_u[1]
+                     + grad_u[2])
+    ut_h1 = math.sqrt(_wsq(u_t.grid, u_t.values) + grad_ut[0])
+    e = (u_h3 + q_h2 + math.sqrt(qt_h1**2 + ut_h1**2)
+         + weighted_l2_norm(radial_derivative(state.phi, 1))
+         + weighted_l2_norm(radial_derivative(tendencies.phi_t, 1)))
+    qtt_l2 = weighted_l2_norm(tendencies.q_tt)
+    d = (math.sqrt(grad_u[0] + grad_u[1] + grad_u[2])
+         + math.sqrt(grad_ut[0] + grad_ut[1]) + q_h2 + qt_h1 + qtt_l2)
+    return e, d, d - qtt_l2, math.sqrt(grad_u[0]) ** 2
 
 
-def energy_components(state, tendencies, grid: RadialGrid) -> EnergyComponents:
-    pair = math.sqrt(sobolev_norm(tendencies.q_t, 1) ** 2
-                     + vector_sobolev_norm(tendencies.u_t, 1) ** 2)
-    return EnergyComponents(
-        u_h3=vector_sobolev_norm(state.u, 3),
-        q_h2=sobolev_norm(state.q, 2),
-        qt_ut_h1=pair,
-        grad_phi=weighted_l2_norm(radial_derivative(state.phi, 1)),
-        grad_phi_t=weighted_l2_norm(radial_derivative(tendencies.phi_t, 1)),
-    )
-
-
-def energy_E(state, tendencies, grid: RadialGrid) -> float:
+def energy_E(state, tendencies) -> float:
     """Instantaneous size of the perturbation (sum of five norms)."""
-    return energy_components(state, tendencies, grid).total
+    return _sample_norms(state, tendencies)[0]
 
 
-def dissipation_components(state, tendencies,
-                           grid: RadialGrid) -> DissipationComponents:
-    return DissipationComponents(
-        grad_u_h2=vector_gradient_sobolev_norm(state.u, 2),
-        grad_ut_h1=vector_gradient_sobolev_norm(tendencies.u_t, 1),
-        q_h2=sobolev_norm(state.q, 2),
-        qt_h1=sobolev_norm(tendencies.q_t, 1),
-        qtt_l2=weighted_l2_norm(tendencies.q_tt),
-    )
-
-
-def dissipation_D(state, tendencies, grid: RadialGrid) -> tuple[float, float]:
+def dissipation_D(state, tendencies) -> tuple[float, float]:
     """Dissipation functional, with and without the ||q_tt|| term."""
-    comps = dissipation_components(state, tendencies, grid)
-    return comps.total, comps.total_no_qtt
+    _, d, d_no_qtt, _ = _sample_norms(state, tendencies)
+    return d, d_no_qtt
 
 
 def mass(q: RadialField) -> float:
@@ -184,9 +147,7 @@ class SeriesRecorder:
 
     def add(self, state, tendencies) -> None:
         cfg = self.config
-        grid = state.q.grid
-        e = energy_E(state, tendencies, grid)
-        d, d_no = dissipation_D(state, tendencies, grid)
+        e, d, d_no, grad_u_sq = _sample_norms(state, tendencies)
         row = {
             "t": state.t,
             "E": e,
@@ -198,7 +159,7 @@ class SeriesRecorder:
                                         + state.q.values)),
         }
         self.rows.append(row)
-        self.grad_u_sq.append(vector_gradient_norm(state.u) ** 2)
+        self.grad_u_sq.append(grad_u_sq)
 
     def finish(self, margin: float | None) -> TimeSeries:
         grad = np.array(self.grad_u_sq)

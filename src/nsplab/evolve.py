@@ -53,25 +53,30 @@ INIT_KINDS = ("standard", "density_only", "velocity_only")
 MODES = ("nonlinear", "linear")
 CFL_SAFETY = 0.4
 CFL_LIMIT = 0.5
-
-
-def _check_init(kind: str, delta: float) -> None:
-    if kind not in INIT_KINDS:
-        raise ParameterError(f"unknown init_kind {kind!r}")
-    if delta < 0.0:
-        raise ParameterError(f"delta must be >= 0, got {delta}")
+# real-axis stability limit of Heun's method: |1 - z + z^2/2| <= 1 for
+# 0 <= z <= 2, with z = sponge_rate * dt
+HEUN_LIMIT = 2.0
 
 
 def check_run_settings(delta: float, t_end: float, dt: float | str,
+                       sponge_width: float | str, sponge_rate: float | str,
                        output_stride: int, init_kind: str, mode: str,
                        vacuum_floor: float) -> None:
     """Range checks of the scalar run settings; SimConfig runs them on
     construction and the config parser before any run starts."""
-    _check_init(init_kind, delta)
+    if init_kind not in INIT_KINDS:
+        raise ParameterError(f"unknown init_kind {init_kind!r}")
+    if delta < 0.0:
+        raise ParameterError(f"delta must be >= 0, got {delta}")
     if t_end <= 0.0:
         raise ParameterError(f"t_end must be > 0, got {t_end}")
     if dt != "auto" and float(dt) <= 0.0:
         raise ParameterError(f"dt must be > 0, got {dt}")
+    for name, value in (("sponge_width", sponge_width),
+                        ("sponge_rate", sponge_rate)):
+        if value != "auto" and not (math.isfinite(value) and value >= 0.0):
+            raise ParameterError(f"{name} must be 'auto' or a finite value "
+                                 f">= 0, got {value}")
     if output_stride < 1:
         raise ParameterError("output_stride must be >= 1")
     if mode not in MODES:
@@ -129,6 +134,7 @@ class SimConfig:
 
     def __post_init__(self):
         check_run_settings(self.delta, self.t_end, self.dt,
+                           self.sponge_width, self.sponge_rate,
                            self.output_stride, self.init_kind, self.mode,
                            self.vacuum_floor)
 
@@ -205,7 +211,7 @@ class _Workspace:
         """Conservative divergence of the radial flux density g = r^2 * F:
         returns (1/r^2) d_r(g) on the dual cells, with the physical wall
         fluxes g[0], g[-1] as end closures.  sum_i w_i out_i telescopes to
-        4*pi*(g[0] - g[-1]) exactly."""
+        4*pi*(g[-1] - g[0]) exactly."""
         mid = 0.5 * (g[1:] + g[:-1])
         out = np.empty_like(g)
         out[1:-1] = (mid[1:] - mid[:-1]) / self.cv[1:-1]
@@ -311,7 +317,11 @@ def init_perturbation(kind: str, delta: float, grid: RadialGrid,
     sums cancel exactly.  Both parts and the velocity bump vanish identically
     near the walls.
     """
-    _check_init(kind, delta)
+    ws = _Workspace(SimConfig(params=params, grid=grid, steady=steady,
+                              delta=delta, init_kind=kind, mode=mode,
+                              pressure=pressure, coupling=coupling,
+                              viscosity=viscosity, sponge_rate=0.0,
+                              sponge_width=0.0))
     r = grid.r
     length = effective_length(grid.r_inner, grid.r_outer)
 
@@ -342,9 +352,7 @@ def init_perturbation(kind: str, delta: float, grid: RadialGrid,
 
     def energy_of(a: float) -> float:
         st = state_at(a)
-        tend = compute_rhs(st, steady, params, mode=mode, pressure=pressure,
-                           coupling=coupling, viscosity=viscosity)
-        return energy_mod.energy_E(st, tend, grid)
+        return energy_mod.energy_E(st, _tendencies(ws, st))
 
     probe = 1e-6
     amp = delta * probe / energy_of(probe)
@@ -371,6 +379,10 @@ def _resolve_dt(config: SimConfig, state: PerturbationState,
         if dt > CFL_LIMIT * limit:
             raise ParameterError(
                 f"dt = {dt:g} violates the acoustic CFL bound {CFL_LIMIT * limit:g}")
+    if ws.sponge_on and ws.sponge_rate * dt > HEUN_LIMIT:
+        raise ParameterError(
+            f"sponge_rate * dt = {ws.sponge_rate * dt:g} exceeds {HEUN_LIMIT:g}, "
+            "the stability limit of the explicit Heun sponge")
     return dt
 
 

@@ -341,21 +341,23 @@ def sobolev_norm(f: RadialField, k: int) -> float:
     return math.sqrt(total)
 
 
-def _vector_grad_term(u: RadialField, j: int) -> float:
-    """Squared L2 size of the j-th derivative of the gradient of u(r)*rhat.
+def _vector_grad_terms(u: RadialField, k: int) -> list[float]:
+    """Squared L2 sizes of the j-th radial derivatives of the gradient of
+    u(r)*rhat, for j = 0..k-1.
 
     The gradient of a radial vector field has the two scalar channels u' and
     u/r (the latter with multiplicity two); higher derivatives differentiate
     each channel radially.
     """
     grid = u.grid
-    total = _wsq(grid, radial_derivative(u, j + 1).values)
     over_r = RadialField(u.values / grid.r, grid)
-    if j == 0:
-        total += 2.0 * _wsq(grid, over_r.values)
-    else:
-        total += 2.0 * _wsq(grid, radial_derivative(over_r, j).values)
-    return total
+    terms = []
+    for j in range(k):
+        total = _wsq(grid, radial_derivative(u, j + 1).values)
+        channel = over_r if j == 0 else radial_derivative(over_r, j)
+        total += 2.0 * _wsq(grid, channel.values)
+        terms.append(total)
+    return terms
 
 
 def vector_sobolev_norm(u: RadialField, k: int) -> float:
@@ -365,25 +367,14 @@ def vector_sobolev_norm(u: RadialField, k: int) -> float:
     if k not in (0, 1, 2, 3):
         raise ParameterError(f"Sobolev order must be in 0..3, got {k}")
     total = _wsq(u.grid, u.values)
-    for j in range(k):
-        total += _vector_grad_term(u, j)
-    return math.sqrt(total)
-
-
-def vector_gradient_sobolev_norm(u: RadialField, k: int) -> float:
-    """Discrete H^k norm of grad(u(r)*rhat) as an object in its own right:
-    sqrt(sum_{j=0..k} ||d^j grad u||^2)."""
-    if k not in (0, 1, 2):
-        raise ParameterError(f"gradient Sobolev order must be in 0..2, got {k}")
-    total = 0.0
-    for j in range(k + 1):
-        total += _vector_grad_term(u, j)
+    for term in _vector_grad_terms(u, k):
+        total += term
     return math.sqrt(total)
 
 
 def vector_gradient_norm(u: RadialField) -> float:
     """L2 norm of grad(u(r)*rhat): sqrt(int (u'^2 + 2 (u/r)^2))."""
-    return math.sqrt(_vector_grad_term(u, 0))
+    return math.sqrt(_vector_grad_terms(u, 1)[0])
 
 
 def vector_hessian_norm(u: RadialField) -> float:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nsplab.cli import main
 from nsplab.config import parse_config
 from nsplab.errors import ConfigError
+from nsplab.evolve import read_checkpoint
 
 QUICK = """
 [fluid]
@@ -141,6 +142,8 @@ def test_parse_empty_domain_header_uses_defaults():
     ("evolve.output_stride=0", "[evolve]"),
     ("evolve.dt=-0.1", "[evolve]"),
     ("evolve.vacuum_floor=2", "[evolve]"),
+    ("evolve.sponge_rate=-5", "[evolve]"),
+    ("evolve.sponge_width=-2", "[evolve]"),
     ("ineqlab.ntheta=4", "[ineqlab]"),
 ])
 def test_parse_owner_checks_name_the_section(override, section):
@@ -278,6 +281,18 @@ def test_cli_simulate_checkpoints(tmp_path):
     assert header == "r q u phi"
 
 
+def test_cli_simulate_sponge_rate_beyond_heun_limit(tmp_path):
+    # dt = 0.0119 here: a rate of 300 puts rate*dt = 3.6 past Heun's limit
+    # of 2 (the run used to blow up at t = 0.3); 150 gives 1.8 and runs
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--set", "evolve.sponge_rate=300"]) == 2
+    assert not (out / "series.csv").exists()
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--set", "evolve.sponge_rate=150"]) == 0
+
+
 def test_cli_verify_inequalities(tmp_path):
     cfg = write_cfg(tmp_path)
     outs = []
@@ -344,6 +359,24 @@ def test_cli_sweep_determinism(tmp_path):
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         outs.append((out / "sweep.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_cli_sweep_writes_row_checkpoints(tmp_path):
+    cfg = write_cfg(tmp_path)
+    sweeps = []
+    for flag in ("on", "off"):
+        out = tmp_path / flag
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--set", f"evolve.checkpoints={flag}",
+                     "--set", "evolve.t_end=0.1"]) == 0
+        sweeps.append((out / "sweep.csv").read_bytes())
+    assert sweeps[0] == sweeps[1]
+    assert not (tmp_path / "off" / "row_000" / "checkpoints").exists()
+    files = sorted((tmp_path / "on" / "row_000" / "checkpoints")
+                   .glob("state_*.txt"))
+    assert files[0].name == "state_00000000.txt"
+    state = read_checkpoint(files[-1], parse_config(QUICK).radial_grid())
+    assert state.t == pytest.approx(0.1, rel=1e-12)
 
 
 def test_cli_sweep_keeps_rows_when_one_aborts(tmp_path):

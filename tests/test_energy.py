@@ -5,11 +5,12 @@ import pytest
 
 from nsplab import (ParameterError, PerturbationState, SimConfig, Tendencies,
                     build_radial_grid, check_theorem_bound, compute_rhs,
-                    init_perturbation, mass, run_simulation,
-                    weighted_l2_norm)
-from nsplab.energy import (EnergySample, TimeSeries,
+                    init_perturbation, mass, radial_derivative,
+                    run_simulation, sobolev_norm, vector_gradient_norm,
+                    vector_sobolev_norm, weighted_l2_norm)
+from nsplab import grids
+from nsplab.energy import (EnergySample, SeriesRecorder, TimeSeries,
                            basic_energy_identity_residual, dissipation_D,
-                           dissipation_components, energy_components,
                            energy_E, measure_viscous_constant)
 from nsplab.grids import RadialField
 
@@ -45,37 +46,82 @@ def bundle(shell16, steady_bump_gamma2, params_gamma2):
 
 def test_zero_state_energy(shell16):
     state, tend = _zero_bundle(shell16)
-    assert energy_E(state, tend, shell16) == 0.0
-    assert dissipation_D(state, tend, shell16) == (0.0, 0.0)
+    assert energy_E(state, tend) == 0.0
+    assert dissipation_D(state, tend) == (0.0, 0.0)
 
 
-def test_components_sum_to_total(shell16, bundle):
+def _grad_sobolev_sq(u, k):
+    """Squared H^k norm of grad(u(r)*rhat), term by term from its channels
+    u' and u/r (multiplicity two)."""
+    grid = u.grid
+    over_r = RadialField(u.values / grid.r, grid)
+    total = 0.0
+    for j in range(k + 1):
+        du = radial_derivative(u, j + 1)
+        dv = over_r if j == 0 else radial_derivative(over_r, j)
+        total += weighted_l2_norm(du) ** 2 + 2.0 * weighted_l2_norm(dv) ** 2
+    return total
+
+
+def test_components_sum_to_total(bundle):
     state, tend = bundle
-    comps = energy_components(state, tend, shell16)
-    parts = [comps.u_h3, comps.q_h2, comps.qt_ut_h1, comps.grad_phi,
-             comps.grad_phi_t]
-    assert all(p >= 0.0 for p in parts)
-    assert sum(parts) == comps.total
-    assert energy_E(state, tend, shell16) == comps.total
-    # dropping any summand strictly decreases E for generic data
-    assert all(comps.total - p < comps.total for p in parts if p > 0)
+    parts = [vector_sobolev_norm(state.u, 3), sobolev_norm(state.q, 2),
+             math.sqrt(sobolev_norm(tend.q_t, 1) ** 2
+                       + vector_sobolev_norm(tend.u_t, 1) ** 2),
+             weighted_l2_norm(radial_derivative(state.phi, 1)),
+             weighted_l2_norm(radial_derivative(tend.phi_t, 1))]
+    assert all(p > 0.0 for p in parts)
+    total = parts[0]
+    for p in parts[1:]:
+        total += p
+    assert energy_E(state, tend) == total
+
+    qtt = weighted_l2_norm(tend.q_tt)
+    d_parts = [math.sqrt(_grad_sobolev_sq(state.u, 2)),
+               math.sqrt(_grad_sobolev_sq(tend.u_t, 1)),
+               sobolev_norm(state.q, 2), sobolev_norm(tend.q_t, 1)]
+    assert all(p > 0.0 for p in d_parts) and qtt > 0.0
+    d, d_no = dissipation_D(state, tend)
+    assert d == pytest.approx(sum(d_parts) + qtt, rel=1e-14)
+    assert d_no == pytest.approx(sum(d_parts), rel=1e-14)
+
+
+def test_sample_computes_each_derivative_once(shell16, bundle,
+                                              steady_bump_gamma2,
+                                              params_gamma2, monkeypatch):
+    state, tend = bundle
+    cfg = SimConfig(params=params_gamma2, grid=shell16,
+                    steady=steady_bump_gamma2)
+    calls = []
+    real = grids.radial_derivative
+
+    def counted(f, order):
+        calls.append(order)
+        return real(f, order)
+
+    monkeypatch.setattr(grids, "radial_derivative", counted)
+    monkeypatch.setattr("nsplab.energy.radial_derivative", counted)
+    recorder = SeriesRecorder(cfg, c_visc=1.0, dt=0.1, digest="x")
+    recorder.add(state, tend)
+    assert 0 < len(calls) <= 14
+    assert recorder.grad_u_sq == [vector_gradient_norm(state.u) ** 2]
 
 
 def test_homogeneity_exact(shell16, bundle):
     state, tend = bundle
-    e1 = energy_E(state, tend, shell16)
-    d1, d1n = dissipation_D(state, tend, shell16)
+    e1 = energy_E(state, tend)
+    d1, d1n = dissipation_D(state, tend)
     for lam in (2.0, 3.0):
         s, t = _scaled(state, tend, lam, shell16)
-        assert energy_E(s, t, shell16) == pytest.approx(lam * e1, rel=1e-12)
-        d2, d2n = dissipation_D(s, t, shell16)
+        assert energy_E(s, t) == pytest.approx(lam * e1, rel=1e-12)
+        d2, d2n = dissipation_D(s, t)
         assert d2 == pytest.approx(lam * d1, rel=1e-12)
         assert d2n == pytest.approx(lam * d1n, rel=1e-12)
 
 
 def test_d_no_qtt_bounded_by_d(shell16, bundle):
     state, tend = bundle
-    d, d_no = dissipation_D(state, tend, shell16)
+    d, d_no = dissipation_D(state, tend)
     assert d_no <= d
 
 

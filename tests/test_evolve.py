@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsplab import (FluidParams, ParameterError, PerturbationState,
                     SimConfig, SimulationAbort, VacuumError,
@@ -41,17 +43,15 @@ def test_init_energy_equals_delta(shell16, steady_bump_gamma2, params_gamma2):
         st = init_perturbation("standard", delta, shell16, steady_bump_gamma2,
                                params_gamma2)
         tend = compute_rhs(st, steady_bump_gamma2, params_gamma2)
-        e = energy_E(st, tend, shell16)
+        e = energy_E(st, tend)
         assert e == pytest.approx(delta, rel=1e-9)
     # doubling delta doubles E(0) (well within the 2% near-linearity budget)
     st1 = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
                             params_gamma2)
     st2 = init_perturbation("standard", 2e-3, shell16, steady_bump_gamma2,
                             params_gamma2)
-    e1 = energy_E(st1, compute_rhs(st1, steady_bump_gamma2, params_gamma2),
-                  shell16)
-    e2 = energy_E(st2, compute_rhs(st2, steady_bump_gamma2, params_gamma2),
-                  shell16)
+    e1 = energy_E(st1, compute_rhs(st1, steady_bump_gamma2, params_gamma2))
+    e2 = energy_E(st2, compute_rhs(st2, steady_bump_gamma2, params_gamma2))
     assert e2 / e1 == pytest.approx(2.0, rel=0.02)
 
 
@@ -108,6 +108,29 @@ def test_continuity_matches_analytic_divergence(params_gamma2):
         tend = compute_rhs(state, steady, params_gamma2)
         errs.append(np.max(np.abs(tend.q_t.values - q_t_exact)))
     assert errs[0] / errs[1] > 3.0
+
+
+@pytest.fixture(scope="module", params=[0.0, 3.0], ids=["uniform", "stretched"])
+def flux_workspace(request, params_gamma2):
+    g = build_radial_grid(1.0, 16.0, 64, request.param)
+    steady = solve_steady_monotone(2.0, make_profile("constant", 1.0, 0.0, g),
+                                   g)
+    return _Workspace(SimConfig(params=params_gamma2, grid=g, steady=steady))
+
+
+_WALL = st.one_of(st.floats(0.1, 1.0), st.floats(-1.0, -0.1))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(walls=st.tuples(_WALL, _WALL),
+       interior=st.lists(st.floats(-1.0, 1.0), min_size=63, max_size=63))
+def test_flux_divergence_telescopes(flux_workspace, walls, interior):
+    # sum_i w_i div(g)_i leaves only the wall fluxes, whatever g is inside
+    g = np.array([walls[0], *interior, walls[1]])
+    ws = flux_workspace
+    total = float(np.dot(ws.grid.weights, ws.flux_divergence(g)))
+    exact = 4.0 * math.pi * (g[-1] - g[0])
+    assert abs(total - exact) <= 1e-12 * 4.0 * math.pi * np.max(np.abs(g))
 
 
 def test_tendency_scaling_exponent(shell16, steady_bump_gamma2,
