@@ -200,9 +200,12 @@ def cmd_verify_inequalities(cfg: AppConfig, outdir: Path) -> int:
     seed = cfg.seed
     sgrid = cfg.spherical_grid()
     rgrid = _build_grid(cfg)
+    # one pass over the tangent fields serves both div-curl and pairing
+    tangents = ineqlab.tangent_ensemble(sgrid, iq["n_fields"], seed,
+                                        iq["modes"])
     reports = {
         "div_curl": ineqlab.div_curl_report(sgrid, iq["n_fields"], seed,
-                                            iq["modes"]),
+                                            iq["modes"], ensemble=tangents),
         "trace_scaling": ineqlab.verify_trace_scaling(
             r_values=(d["r_inner"], 2 * d["r_inner"], 4 * d["r_inner"]),
             outer_factor=iq["trace_outer_factor"], nr=iq["nr"],
@@ -210,7 +213,7 @@ def cmd_verify_inequalities(cfg: AppConfig, outdir: Path) -> int:
             modes=iq["modes"]),
         "boundary_pairing": ineqlab.boundary_pairing_report(
             sgrid, iq["n_fields"], iq["n_scalars"], seed, iq["modes"],
-            allowance=iq["allowance"]),
+            allowance=iq["allowance"], ensemble=tangents),
         "sobolev_l6": ineqlab.sobolev_l6_report(sgrid, iq["n_fields"], seed,
                                                 iq["modes"]),
         "lame_gradient_case": ineqlab.lame_report(
@@ -238,8 +241,9 @@ SWEEP_COLUMNS = ("gamma", "delta", "n_cells", "r_max", "E0", "sup_ratio_E",
 
 
 def _sweep_row(cfg: AppConfig, row_dir: Path) -> dict:
-    """Run one sweep row.  A steady solve that fails to converge or a run
-    that aborts leaves the row's result columns zero and verdict_pass 0."""
+    """Run one sweep row.  A steady solve that fails to converge, a run that
+    fails its time-step checks (CFL, explicit sponge) and a run that aborts
+    leave the row's result columns zero and verdict_pass 0."""
     row_dir.mkdir(parents=True, exist_ok=True)
     row = {"gamma": cfg.fluid.gamma, "delta": cfg.evolve["delta"],
            "n_cells": cfg.domain["n_cells"], "r_max": cfg.domain["r_outer"],
@@ -262,6 +266,9 @@ def _sweep_row(cfg: AppConfig, row_dir: Path) -> dict:
         if exc.series is not None:
             _series_csv(row_dir / "series.csv", exc.series)
         row["aborted"] = True
+        return row
+    except ParameterError as exc:
+        print(f"failed: {row_dir.name}: {exc}", file=sys.stderr)
         return row
     _series_csv(row_dir / "series.csv", series)
     v = series.verdict

@@ -190,11 +190,11 @@ def build_radial_grid(r_inner: float, r_outer: float, n_cells: int,
         raise ParameterError(f"stretch must be >= 0, got {stretch}")
 
     n = int(n_cells)
-    if stretch == 0.0:
+    ratio = math.exp(stretch / (n - 1))
+    if ratio == 1.0:  # stretch == 0, or too small to show in double precision
         r = np.linspace(r_inner, r_outer, n + 1)
         uniform = True
     else:
-        ratio = math.exp(stretch / (n - 1))
         # first width from the geometric-series sum h0*(ratio^n - 1)/(ratio - 1)
         h0 = (r_outer - r_inner) * (ratio - 1.0) / (ratio**n - 1.0)
         widths = h0 * ratio ** np.arange(n)

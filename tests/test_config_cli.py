@@ -417,6 +417,31 @@ def test_cli_sweep_keeps_rows_when_one_steady_solve_fails(tmp_path):
     assert not (out / "row_001" / "series.csv").exists()
 
 
+def test_cli_sweep_keeps_rows_when_one_fails_its_dt_check(tmp_path, capsys):
+    # at n_cells = 160 the CFL step doubles and sponge_rate * dt = 3.6
+    # exceeds Heun's limit of 2; at 320 it is 1.8
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--set", "sweep.n_cells=320,160",
+                 "--set", "evolve.sponge_rate=150",
+                 "--set", "evolve.t_end=0.2"])
+    assert code == 3
+    assert "failed: row_001: sponge_rate * dt" in capsys.readouterr().err
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, [float(x) for x in line.split(",")]))
+            for line in lines[1:]]
+    assert [r["n_cells"] for r in rows] == [320.0, 160.0]
+    assert rows[0]["verdict_pass"] == 1.0
+    assert rows[1]["verdict_pass"] == 0.0
+    assert all(rows[1][k] == 0.0 for k in ("E0", "sup_ratio_E",
+                                           "sup_ratio_quadratic", "c_fit",
+                                           "mass_drift"))
+    assert (out / "row_000" / "series.csv").exists()
+    assert not (out / "row_001" / "series.csv").exists()
+
+
 def test_cli_sweep_rejects_bad_row_before_running(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"

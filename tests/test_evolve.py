@@ -85,6 +85,22 @@ def test_equilibrium_tendencies_vanish(shell16, steady_bump_gamma2,
         assert np.max(np.abs(f.values)) == 0.0
 
 
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(gamma=st.floats(1.0, 2.0), amplitude=st.floats(0.0, 1.0),
+       n_cells=st.integers(64, 400), stretch=st.floats(0.0, 3.0))
+def test_zero_perturbation_tendencies_vanish(gamma, amplitude, n_cells,
+                                             stretch):
+    # the steady state is a discrete equilibrium for every admissible setup
+    g = build_radial_grid(1.0, 16.0, n_cells, stretch)
+    steady = solve_steady_monotone(
+        gamma, make_profile("admissible_bump", 1.0, amplitude, g), g)
+    params = FluidParams(gamma=gamma, mu=0.5, lambda_=0.0)
+    zero = PerturbationState(q=g.zeros(), u=g.zeros(), phi=g.zeros(), t=0.0)
+    tend = compute_rhs(zero, steady, params)
+    for f in (tend.q_t, tend.u_t, tend.phi_t, tend.q_tt):
+        assert np.max(np.abs(f.values)) <= 1e-13
+
+
 def test_continuity_matches_analytic_divergence(params_gamma2):
     errs = []
     for n in (400, 800):

@@ -37,6 +37,14 @@ def test_geometric_stretch_matches_closed_form():
     assert np.max(np.abs(ratios - ratios[0])) < 1e-12
 
 
+def test_stretch_below_double_precision_gives_uniform_grid():
+    # exp(stretch/(n-1)) rounds to 1: the geometric widths are all equal
+    for stretch in (1e-308, 1e-15):
+        g = build_radial_grid(1.0, 16.0, 64, stretch=stretch)
+        assert g.uniform
+        assert np.array_equal(g.r, build_radial_grid(1.0, 16.0, 64).r)
+
+
 def test_weights_positive_and_volume_exact():
     for stretch in (0.0, 1.0):
         g = build_radial_grid(1.0, 2.0, 64, stretch=stretch)

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from nsplab.ineqlab import (VectorField3, boundary_pairing_report,
                             divergence, grad_scalar, l2_norm, l2_norm_vec,
                             lame_report, poisson_regularity_report,
                             random_scalar_field, random_tangent_field,
-                            verify_boundary_pairing, verify_div_curl,
+                            tangent_ensemble, verify_boundary_pairing,
+                            verify_div_curl,
                             verify_lame_gradient_case, verify_sobolev_l6,
                             verify_trace_scaling)
 
@@ -234,3 +236,76 @@ def test_poisson_regularity_ensemble():
                                     seed=0)
     assert rep.passed
     assert rep.max_ratio == pytest.approx(1.0, abs=0.02)
+
+
+def test_streamed_reports_equal_per_field_loop(sgrid):
+    n_fields, n_scalars, seed = 6, 4, 3
+    fields = [random_tangent_field(seed + i, sgrid) for i in range(n_fields)]
+    scalars = [random_scalar_field(seed + 1000 + j, sgrid)
+               for j in range(n_scalars)]
+    div_curl = [verify_div_curl(v) for v in fields]
+    pairs = [verify_boundary_pairing(v, f) for v in fields for f in scalars]
+    pairing = [lhs / rhs for lhs, rhs in pairs]
+
+    rep = div_curl_report(sgrid, n_fields, seed)
+    assert rep.max_ratio == max(div_curl)
+    assert rep.mean_ratio == float(np.mean(div_curl))
+    rep = boundary_pairing_report(sgrid, n_fields, n_scalars, seed)
+    assert rep.n_samples == n_fields * n_scalars
+    assert rep.max_ratio == max(pairing)
+    assert rep.mean_ratio == float(np.mean(pairing))
+
+
+def test_shared_ensemble_gives_the_same_reports(sgrid):
+    ens = tangent_ensemble(sgrid, 5, seed=2)
+    assert ens.traces.shape == (5, 3) + sgrid.shape[1:]
+    assert np.all(ens.traces[:, 0] == 0.0)  # v_r(R) = 0
+    assert (div_curl_report(sgrid, 5, 2, ensemble=ens)
+            == div_curl_report(sgrid, 5, 2))
+    assert (boundary_pairing_report(sgrid, 5, 3, 2, ensemble=ens)
+            == boundary_pairing_report(sgrid, 5, 3, 2))
+    with pytest.raises(ParameterError):
+        div_curl_report(sgrid, 5, 3, ensemble=ens)
+    with pytest.raises(ParameterError):
+        boundary_pairing_report(sgrid, 4, 3, 2, ensemble=ens)
+
+
+def test_geometry_computed_once_per_grid(sgrid):
+    r, sin, cot = sgrid.geometry
+    assert sgrid.geometry is sgrid.geometry
+    assert np.array_equal(sin[0, :, 0], np.sin(sgrid.theta))
+    assert np.array_equal(cot[0, :, 0],
+                          np.cos(sgrid.theta) / np.sin(sgrid.theta))
+    assert np.array_equal(r[:, 0, 0], sgrid.r)
+
+
+def test_d_phi_slicing_equals_roll(sgrid):
+    f = np.random.default_rng(4).standard_normal(sgrid.shape)
+    h = 2.0 * math.pi / sgrid.phi.size
+    rolled = (np.roll(f, -1, axis=2) - np.roll(f, 1, axis=2)) / (2.0 * h)
+    assert np.array_equal(iq._d_phi(sgrid, f), rolled)
+
+
+def test_l6_norm_matches_sixth_power(sgrid):
+    for seed in range(4):
+        f = random_scalar_field(seed, sgrid)
+        ref = sgrid.integrate(f**6) ** (1.0 / 6.0)
+        assert abs(iq.l6_norm(sgrid, f) - ref) <= 1e-15 * ref
+
+
+def test_verify_inequalities_builds_each_tangent_field_once(tmp_path,
+                                                            monkeypatch):
+    from nsplab.cli import main
+    calls = []
+    build = iq.random_tangent_field
+
+    def counted(seed, grid, modes=3):
+        calls.append(seed)
+        return build(seed, grid, modes)
+
+    monkeypatch.setattr(iq, "random_tangent_field", counted)
+    config = Path(__file__).parents[1] / "configs" / "quick.cfg"
+    assert main(["verify-inequalities", "--config", str(config),
+                 "--out", str(tmp_path), "--set", "ineqlab.n_fields=7"]) == 0
+    # n_fields for the shared div-curl/pairing pass, 3 for trace scaling
+    assert len(calls) == 7 + 3
