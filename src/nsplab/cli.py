@@ -223,7 +223,7 @@ def cmd_verify_inequalities(cfg: AppConfig, outdir: Path) -> int:
             rgrid, iq["n_fields"], seed),
     }
     ok = all(r.passed for r in reports.values())
-    payload = {name: r.to_dict() for name, r in reports.items()}
+    payload = {name: asdict(r) for name, r in reports.items()}
     payload["seed"] = seed
     payload["grid"] = {"nr": iq["nr"], "ntheta": iq["ntheta"],
                        "nphi": iq["nphi"], "r_inner": d["r_inner"],

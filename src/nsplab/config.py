@@ -8,6 +8,7 @@ blank lines, full-line # comments, [section] headers, and key = value pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ParameterError
@@ -47,12 +48,10 @@ def _enum(*options):
     return parse
 
 
-def _float_list(text: str):
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
-def _int_list(text: str):
-    return [int(part) for part in text.split(",") if part.strip()]
+def _list_of(kind):
+    def parse(text: str) -> list:
+        return [kind(part) for part in text.split(",") if part.strip()]
+    return parse
 
 
 _SCHEMA = {
@@ -107,10 +106,10 @@ _SCHEMA = {
         "trace_outer_factor": (float, 4.0),
     },
     "sweep": {
-        "gamma": (_float_list, None),
-        "delta": (_float_list, None),
-        "n_cells": (_int_list, None),
-        "r_max": (_float_list, None),
+        "gamma": (_list_of(float), None),
+        "delta": (_list_of(float), None),
+        "n_cells": (_list_of(int), None),
+        "r_max": (_list_of(float), None),
     },
     "output": {
         "seed": (int, 0),
@@ -261,14 +260,16 @@ def parse_config(text: str, overrides: list[str] | None = None,
                     seed=use_seed, canonical=canonical)
 
     grid = _owned("domain", cfg.radial_grid)
-    if cfg.steady["tol"] <= 0.0:
-        raise ConfigError("[steady] tol must be > 0")
+    tol = cfg.steady["tol"]
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"invalid [steady] parameters: tol must be finite "
+                          f"and > 0, got {tol}")
     _owned("steady", lambda: profile_supersolution(cfg.background(grid),
                                                    fluid.gamma))
     ev = cfg.evolve
     _owned("evolve", lambda: check_run_settings(
         ev["delta"], ev["t_end"], ev["dt"], ev["sponge_width"],
         ev["sponge_rate"], ev["output_stride"], ev["init_kind"], ev["mode"],
-        ev["vacuum_floor"]))
+        ev["vacuum_floor"], ev["margin"]))
     _owned("ineqlab", cfg.spherical_grid)
     return cfg

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ParameterError
-from .grids import RadialField, RadialGrid, radial_derivative, weighted_l2_norm
+from .grids import RadialField, RadialGrid, differentiate, weighted_l2_norm
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class PoissonSolution:
     """Solution of the Neumann/Robin problem with its residual certificate."""
 
     phi: RadialField
-    flux_at_outer: float
     residual_norm: float
 
 
@@ -172,9 +171,8 @@ def solve_poisson_neumann(q: RadialField) -> PoissonSolution:
     data, not of this solver.
     """
     phi_vals, res_norm = _solve(q.grid, 0.0, q.values)
-    phi = RadialField(phi_vals, q.grid)
-    flux = float(radial_derivative(phi, 1).values[-1])
-    return PoissonSolution(phi=phi, flux_at_outer=flux, residual_norm=res_norm)
+    return PoissonSolution(phi=RadialField(phi_vals, q.grid),
+                           residual_norm=res_norm)
 
 
 def solve_shifted(shift: float, rhs: RadialField) -> RadialField:
@@ -188,8 +186,7 @@ def solve_shifted(shift: float, rhs: RadialField) -> RadialField:
 def hessian_norm_radial(phi: RadialField) -> float:
     """Discrete L2 norm of the second gradient of a radial scalar:
     sqrt(||phi''||^2 + 2 ||phi'/r||^2)."""
-    d1 = radial_derivative(phi, 1)
-    d2 = radial_derivative(phi, 2)
     grid = phi.grid
-    dens = d2.values**2 + 2.0 * (d1.values / grid.r) ** 2
+    d1, d2 = (differentiate(grid, phi.values, k) for k in (1, 2))
+    dens = d2**2 + 2.0 * (d1 / grid.r) ** 2
     return math.sqrt(float(np.dot(grid.weights, dens)))

@@ -29,32 +29,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .grids import (RadialField, _vector_grad_terms, _wsq, integrate,
-                    radial_derivative, sobolev_norm, weighted_l2_norm)
+from .grids import RadialField, _wsq, differentiate, integrate
 
 
-def _sample_norms(state, tendencies) -> tuple[float, float, float, float]:
-    """E, D, D without its ||q_tt|| term, and ||grad u||^2 of one sample.
+def _sample_norms(state, tendencies):
+    """E, D, D without its ||q_tt|| term, ||grad u||^2 and phi' of one sample.
 
-    Each radial derivative and squared norm is computed once and shared by
-    the functionals; the sums keep the association order of the norm
-    routines in grids, so the values equal the ones those routines give.
+    The radial derivatives are one stacked apply per order, each computed
+    once and shared by the functionals; the sums keep the association order
+    of the norm routines in grids, so the values equal the ones those
+    routines give.
     """
-    u, u_t = state.u, tendencies.u_t
-    grad_u = _vector_grad_terms(u, 3)
-    grad_ut = _vector_grad_terms(u_t, 2)
-    q_h2 = sobolev_norm(state.q, 2)
-    qt_h1 = sobolev_norm(tendencies.q_t, 1)
-    u_h3 = math.sqrt(_wsq(u.grid, u.values) + grad_u[0] + grad_u[1]
-                     + grad_u[2])
-    ut_h1 = math.sqrt(_wsq(u_t.grid, u_t.values) + grad_ut[0])
-    e = (u_h3 + q_h2 + math.sqrt(qt_h1**2 + ut_h1**2)
-         + weighted_l2_norm(radial_derivative(state.phi, 1))
-         + weighted_l2_norm(radial_derivative(tendencies.phi_t, 1)))
-    qtt_l2 = weighted_l2_norm(tendencies.q_tt)
+    grid = state.u.grid
+    u, u_t = state.u.values, tendencies.u_t.values
+    # order 2 differentiates the first four rows
+    f = np.stack((u, u / grid.r, u_t, state.q.values, u_t / grid.r,
+                  tendencies.q_t.values, state.phi.values,
+                  tendencies.phi_t.values))
+    d1 = differentiate(grid, f, 1)
+    u0, v0, ut0, q0, vt0, qt0 = (_wsq(grid, row) for row in f[:6])
+    u1, v1, ut1, q1, vt1, qt1, phi1, phit1 = (_wsq(grid, row) for row in d1)
+    u2, v2, ut2, q2 = (_wsq(grid, row)
+                       for row in differentiate(grid, f[:4], 2))
+    u3 = _wsq(grid, differentiate(grid, u, 3))
+    # |grad u|^2 has the channels u' and u/r (twice); see grids
+    grad_u = (u1 + 2.0 * v0, u2 + 2.0 * v1, u3 + 2.0 * v2)
+    grad_ut = (ut1 + 2.0 * vt0, ut2 + 2.0 * vt1)
+    q_h2 = math.sqrt(q0 + q1 + q2)
+    qt_h1 = math.sqrt(qt0 + qt1)
+    u_h3 = math.sqrt(u0 + grad_u[0] + grad_u[1] + grad_u[2])
+    ut_h1 = math.sqrt(ut0 + grad_ut[0])
+    e = (u_h3 + q_h2 + math.sqrt(qt_h1**2 + ut_h1**2) + math.sqrt(phi1)
+         + math.sqrt(phit1))
+    qtt_l2 = math.sqrt(_wsq(grid, tendencies.q_tt.values))
     d = (math.sqrt(grad_u[0] + grad_u[1] + grad_u[2])
          + math.sqrt(grad_ut[0] + grad_ut[1]) + q_h2 + qt_h1 + qtt_l2)
-    return e, d, d - qtt_l2, math.sqrt(grad_u[0]) ** 2
+    return e, d, d - qtt_l2, math.sqrt(grad_u[0]) ** 2, d1[6]
 
 
 def energy_E(state, tendencies) -> float:
@@ -64,7 +74,7 @@ def energy_E(state, tendencies) -> float:
 
 def dissipation_D(state, tendencies) -> tuple[float, float]:
     """Dissipation functional, with and without the ||q_tt|| term."""
-    _, d, d_no_qtt, _ = _sample_norms(state, tendencies)
+    _, d, d_no_qtt, _, _ = _sample_norms(state, tendencies)
     return d, d_no_qtt
 
 
@@ -73,13 +83,13 @@ def mass(q: RadialField) -> float:
     return integrate(q)
 
 
-def basic_energy(state, steady, params) -> float:
-    """Zero-order quadratic energy 1/2 int (rho_tilde u^2 + h' q^2 + |grad phi|^2)."""
+def basic_energy(state, phi_r: np.ndarray, steady, params) -> float:
+    """Zero-order quadratic energy 1/2 int (rho_tilde u^2 + h' q^2 + |grad phi|^2),
+    with phi_r the radial derivative of state.phi."""
     grid = state.q.grid
     rho_s = steady.rho_tilde.values
     hp = params.enthalpy_weight(rho_s)
-    dphi = radial_derivative(state.phi, 1).values
-    dens = rho_s * state.u.values**2 + hp * state.q.values**2 + dphi**2
+    dens = rho_s * state.u.values**2 + hp * state.q.values**2 + phi_r**2
     return 0.5 * float(np.dot(grid.weights, dens))
 
 
@@ -147,14 +157,14 @@ class SeriesRecorder:
 
     def add(self, state, tendencies) -> None:
         cfg = self.config
-        e, d, d_no, grad_u_sq = _sample_norms(state, tendencies)
+        e, d, d_no, grad_u_sq, phi_r = _sample_norms(state, tendencies)
         row = {
             "t": state.t,
             "E": e,
             "D": d,
             "D_no_qtt": d_no,
             "mass": mass(state.q),
-            "E_basic": basic_energy(state, cfg.steady, cfg.params),
+            "E_basic": basic_energy(state, phi_r, cfg.steady, cfg.params),
             "min_density": float(np.min(cfg.steady.rho_tilde.values
                                         + state.q.values)),
         }

@@ -45,7 +45,7 @@ from .elliptic import (_apply_banded, _banded_operator, factor_banded,
                        solve_poisson_values)
 from .errors import (IterationError, ParameterError, SimulationAbort,
                      VacuumError)
-from .grids import (FluidParams, RadialField, RadialGrid, _derivative_matrix,
+from .grids import (FluidParams, RadialField, RadialGrid, differentiate,
                     smoothstep)
 from .steady import SteadyState, effective_length
 
@@ -61,17 +61,16 @@ HEUN_LIMIT = 2.0
 def check_run_settings(delta: float, t_end: float, dt: float | str,
                        sponge_width: float | str, sponge_rate: float | str,
                        output_stride: int, init_kind: str, mode: str,
-                       vacuum_floor: float) -> None:
+                       vacuum_floor: float, margin: float) -> None:
     """Range checks of the scalar run settings; SimConfig runs them on
     construction and the config parser before any run starts."""
     if init_kind not in INIT_KINDS:
         raise ParameterError(f"unknown init_kind {init_kind!r}")
-    if delta < 0.0:
-        raise ParameterError(f"delta must be >= 0, got {delta}")
-    if t_end <= 0.0:
-        raise ParameterError(f"t_end must be > 0, got {t_end}")
-    if dt != "auto" and float(dt) <= 0.0:
-        raise ParameterError(f"dt must be > 0, got {dt}")
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise ParameterError(f"delta must be finite and >= 0, got {delta}")
+    for name, value in (("t_end", t_end), ("dt", dt), ("margin", margin)):
+        if value != "auto" and not (math.isfinite(value) and value > 0.0):
+            raise ParameterError(f"{name} must be finite and > 0, got {value}")
     for name, value in (("sponge_width", sponge_width),
                         ("sponge_rate", sponge_rate)):
         if value != "auto" and not (math.isfinite(value) and value >= 0.0):
@@ -136,7 +135,7 @@ class SimConfig:
         check_run_settings(self.delta, self.t_end, self.dt,
                            self.sponge_width, self.sponge_rate,
                            self.output_stride, self.init_kind, self.mode,
-                           self.vacuum_floor)
+                           self.vacuum_floor, self.margin)
 
 
 def _smooth_bump(r: np.ndarray, center: float, width: float) -> np.ndarray:
@@ -169,7 +168,6 @@ class _Workspace:
         self.r = grid.r
         self.r2 = grid.r**2
         self.cv = grid.weights / (4.0 * math.pi)  # dual-cell volumes / 4pi
-        self.d1 = _derivative_matrix(grid, 1)
         self.rho_s = config.steady.rho_tilde.values
         self.hp_s = params.enthalpy_weight(self.rho_s)
         self.nu_s = params.longitudinal_viscosity / self.rho_s
@@ -226,20 +224,20 @@ class _Workspace:
         carrier = rho if nonlinear else self.rho_s
         q_t = -self.flux_divergence(self.r2 * carrier * u)
 
+        dh = (self.params.enthalpy_increment(self.rho_s, q) if nonlinear
+              else self.hp_s * q)
+        dh_r, phi_r, u_r = differentiate(self.grid, np.stack((dh, phi, u)), 1)
         u_t = np.zeros_like(u)
         if self.pressure:
-            if nonlinear:
-                u_t -= self.d1 @ self.params.enthalpy_increment(self.rho_s, q)
-            else:
-                u_t -= self.d1 @ (self.hp_s * q)
+            u_t -= dh_r
         if self.viscosity:
             lap_u = _apply_banded(self.visc, u)
             coef = self.params.longitudinal_viscosity / rho if nonlinear else self.nu_s
             u_t += coef * lap_u
         if self.coupling:
-            u_t += self.d1 @ phi
+            u_t += phi_r
         if nonlinear:
-            u_t -= u * (self.d1 @ u)
+            u_t -= u * u_r
         u_t[0] = 0.0
         u_t[-1] = 0.0
         return q_t, u_t
@@ -563,6 +561,4 @@ def read_checkpoint(path, grid: RadialGrid) -> PerturbationState:
         raise ParameterError("checkpoint does not match the grid")
     if not np.allclose(data[:, 0], grid.r, rtol=0.0, atol=1e-12):
         raise ParameterError("checkpoint nodes differ from the grid nodes")
-    return PerturbationState(q=RadialField(data[:, 1], grid),
-                             u=RadialField(data[:, 2], grid),
-                             phi=RadialField(data[:, 3], grid), t=t)
+    return _fields(grid, data[:, 1], data[:, 2], data[:, 3], t)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ParameterError
 
@@ -64,12 +64,6 @@ class FluidParams:
     def enthalpy_weight(self, rho):
         """h'(rho) = p'(rho)/rho = gamma * rho**(gamma-2); pressure linearization weight."""
         return self.gamma * np.power(rho, self.gamma - 2.0)
-
-    def enthalpy(self, rho):
-        """Enthalpy h with h'(s) = p'(s)/s; log branch at gamma = 1."""
-        if self.gamma == 1.0:
-            return np.log(rho)
-        return (self.gamma / (self.gamma - 1.0)) * np.power(rho, self.gamma - 1.0)
 
     def enthalpy_increment(self, rho_base, q):
         """h(rho_base + q) - h(rho_base), evaluated without cancellation.
@@ -233,21 +227,23 @@ def cutoff(r: np.ndarray, r_inner: float, length: float) -> np.ndarray:
     return 1.0 - smoothstep((r - c1) / (c2 - c1))
 
 
-def _fornberg_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
-    """Finite-difference weights for the m-th derivative at z on nodes x."""
-    n = x.size
-    c = np.zeros((n, m + 1))
-    c1 = 1.0
-    c4 = x[0] - z
+def _fornberg_weights(z: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """Finite-difference weights for the m-th derivative at each z[k] on the
+    nodes x[k, :]: Fornberg's recursion (Math. Comp. 51, 1988), run on all
+    rows at once."""
+    rows, n = x.shape
+    c = np.zeros((n, m + 1, rows))
+    c1 = np.ones(rows)
+    c4 = x[:, 0] - z
     c[0, 0] = 1.0
     for i in range(1, n):
         mn = min(i, m)
-        c2 = 1.0
+        c2 = np.ones(rows)
         c5 = c4
-        c4 = x[i] - z
+        c4 = x[:, i] - z
         for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
+            c3 = x[:, i] - x[:, j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
                     c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
@@ -256,64 +252,88 @@ def _fornberg_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
                 c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
             c[j, 0] = c4 * c[j, 0] / c3
         c1 = c2
-    return c[:, m]
+    return c[:, m].T
 
 
-def _stencil_window(i: int, n: int, order: int, uniform: bool) -> tuple[int, int]:
-    """Node window [lo, hi) for the derivative stencil at node i.
+class _Stencil(NamedTuple):
+    """Derivative rows of one order: row i weighs x[lo[i]:lo[i] + k] by
+    w[i, :k], k its window size, with w zero-padded to the widest window.
+    The rows in ``inner`` share one centered window of ``width`` nodes and
+    are applied by slices; the few ``ends`` rows gather the nodes
+    ``end_nodes`` and weigh them by ``end_w``, all columns of w."""
+
+    lo: np.ndarray
+    w: np.ndarray
+    inner: slice
+    width: int
+    ends: np.ndarray
+    end_nodes: np.ndarray
+    end_w: np.ndarray
+
+
+def _stencil(grid: RadialGrid, order: int) -> _Stencil:
+    """The derivative rows of one order on this grid, built once.
 
     Interior stencils are centered; end stencils are one-sided with enough
     points for second-order accuracy (a one-sided second derivative needs
     four points, as does the second derivative on a non-uniform grid).
     """
-    if order == 1:
-        size = 3
-        lo = i - 1
-    elif order == 2:
-        if uniform and 1 <= i <= n - 2:
-            size = 3
-            lo = i - 1
-        else:
-            size = 4
-            lo = i - 2 if i >= 2 else i - 1
-    else:
-        size = 5
-        lo = i - 2
-    lo = max(0, min(lo, n - size))
-    return lo, lo + size
-
-
-def _derivative_matrix(grid: RadialGrid, order: int) -> sp.csr_matrix:
-    key = ("deriv", order)
+    key = ("stencil", order)
     cached = grid._cache.get(key)
     if cached is not None:
         return cached
+    if order not in (1, 2, 3):
+        raise ParameterError(f"derivative order must be 1, 2 or 3, got {order}")
     r = grid.r
     n = r.size
-    min_nodes = {1: 3, 2: 4, 3: 5}[order]
-    if n < min_nodes:
-        raise ParameterError(f"grid too small for derivative order {order}")
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        lo, hi = _stencil_window(i, n, order, grid.uniform)
-        w = _fornberg_weights(r[i], r[lo:hi], order)
-        rows.extend([i] * (hi - lo))
-        cols.extend(range(lo, hi))
-        vals.extend(w.tolist())
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    grid._cache[key] = mat
-    return mat
+    if n < order + 2:
+        raise ParameterError("grid has too few nodes for this derivative order")
+    size = np.full(n, order + 2)
+    if order == 2 and grid.uniform:
+        size[1:-1] = 3
+    centered = np.arange(n) - size // 2
+    lo = np.clip(centered, 0, n - size)
+    w = np.zeros((n, int(size.max())), order="F")  # contiguous columns
+    for k in np.unique(size):
+        rows = np.flatnonzero(size == k)
+        window = r[lo[rows, None] + np.arange(k)]
+        w[rows, :k] = _fornberg_weights(r[rows], window, order)
+    inner = np.flatnonzero(lo == centered)
+    ends = np.flatnonzero(lo != centered)
+    st = _Stencil(lo, w, slice(inner[0], inner[-1] + 1), int(size[inner[0]]),
+                  ends, lo[ends, None] + np.arange(w.shape[1]), w[ends])
+    grid._cache[key] = st
+    return st
+
+
+def differentiate(grid: RadialGrid, values: np.ndarray,
+                  order: int) -> np.ndarray:
+    """Finite-difference derivative of formal order 2 of the profile
+    ``values`` (shape (n,)) or of each row of a stack (shape (k, n)):
+    centered in the interior, one-sided at both ends.  Each row sums its
+    weighted nodes from left to right."""
+    if np.shape(values)[-1] != grid.n_nodes:
+        raise ParameterError("values do not match the grid nodes")
+    st = _stencil(grid, order)
+    out = np.empty_like(values, dtype=float)
+    a, b = st.inner.start, st.inner.stop
+    s = a - st.lo[a]
+    acc = st.w[a:b, 0] * values[..., a - s:b - s]
+    for j in range(1, st.width):
+        acc += st.w[a:b, j] * values[..., a - s + j:b - s + j]
+    out[..., a:b] = acc
+    terms = values[..., st.end_nodes] * st.end_w
+    acc = terms[..., 0] + terms[..., 1]
+    for j in range(2, terms.shape[-1]):
+        acc += terms[..., j]
+    out[..., st.ends] = acc
+    return out
 
 
 def radial_derivative(f: RadialField, order: int) -> RadialField:
-    """Finite-difference derivative of formal order 2: centered in the
-    interior, one-sided at both ends."""
-    if order not in (1, 2, 3):
-        raise ParameterError(f"derivative order must be 1, 2 or 3, got {order}")
-    if f.grid.n_nodes < order + 2:
-        raise ParameterError("grid has too few nodes for this derivative order")
-    mat = _derivative_matrix(f.grid, order)
-    return RadialField(mat @ f.values, f.grid)
+    """Finite-difference derivative of formal order 2 of a field (see
+    ``differentiate``)."""
+    return RadialField(differentiate(f.grid, f.values, order), f.grid)
 
 
 def integrate(f: RadialField) -> float:
@@ -337,44 +357,36 @@ def sobolev_norm(f: RadialField, k: int) -> float:
         raise ParameterError(f"Sobolev order must be in 0..3, got {k}")
     total = _wsq(f.grid, f.values)
     for j in range(1, k + 1):
-        total += _wsq(f.grid, radial_derivative(f, j).values)
+        total += _wsq(f.grid, differentiate(f.grid, f.values, j))
     return math.sqrt(total)
-
-
-def _vector_grad_terms(u: RadialField, k: int) -> list[float]:
-    """Squared L2 sizes of the j-th radial derivatives of the gradient of
-    u(r)*rhat, for j = 0..k-1.
-
-    The gradient of a radial vector field has the two scalar channels u' and
-    u/r (the latter with multiplicity two); higher derivatives differentiate
-    each channel radially.
-    """
-    grid = u.grid
-    over_r = RadialField(u.values / grid.r, grid)
-    terms = []
-    for j in range(k):
-        total = _wsq(grid, radial_derivative(u, j + 1).values)
-        channel = over_r if j == 0 else radial_derivative(over_r, j)
-        total += 2.0 * _wsq(grid, channel.values)
-        terms.append(total)
-    return terms
 
 
 def vector_sobolev_norm(u: RadialField, k: int) -> float:
     """Discrete H^k norm of the radial vector field u(r)*rhat, including the
     angular metric contributions (|grad u|^2 = u'^2 + 2 (u/r)^2 and its
-    radial derivatives)."""
+    radial derivatives).
+
+    The gradient of a radial vector field has the two scalar channels u' and
+    u/r (the latter with multiplicity two); higher derivatives differentiate
+    each channel radially.
+    """
     if k not in (0, 1, 2, 3):
         raise ParameterError(f"Sobolev order must be in 0..3, got {k}")
-    total = _wsq(u.grid, u.values)
-    for term in _vector_grad_terms(u, k):
-        total += term
+    grid = u.grid
+    over_r = u.values / grid.r
+    total = _wsq(grid, u.values)
+    for j in range(k):
+        channel = over_r if j == 0 else differentiate(grid, over_r, j)
+        total += (_wsq(grid, differentiate(grid, u.values, j + 1))
+                  + 2.0 * _wsq(grid, channel))
     return math.sqrt(total)
 
 
 def vector_gradient_norm(u: RadialField) -> float:
     """L2 norm of grad(u(r)*rhat): sqrt(int (u'^2 + 2 (u/r)^2))."""
-    return math.sqrt(_vector_grad_terms(u, 1)[0])
+    grid = u.grid
+    return math.sqrt(_wsq(grid, differentiate(grid, u.values, 1))
+                     + 2.0 * _wsq(grid, u.values / grid.r))
 
 
 def vector_hessian_norm(u: RadialField) -> float:
@@ -385,10 +397,8 @@ def vector_hessian_norm(u: RadialField) -> float:
     """
     grid = u.grid
     r = grid.r
-    up = radial_derivative(u, 1).values
     b = u.values / r
-    a = up - b
-    ap = radial_derivative(RadialField(a, grid), 1).values
-    bp = radial_derivative(RadialField(b, grid), 1).values
+    a = differentiate(grid, u.values, 1) - b
+    ap, bp = differentiate(grid, np.stack((a, b)), 1)
     dens = ap**2 + 4.0 * (a / r) ** 2 + 3.0 * bp**2 + 2.0 * ap * bp
     return math.sqrt(float(np.dot(grid.weights, dens)))

@@ -24,7 +24,7 @@ pole-free midpoint grid sees only smooth data.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -32,7 +32,7 @@ import numpy as np
 from .elliptic import hessian_norm_radial, solve_poisson_neumann
 from .errors import DegenerateFieldError, ParameterError
 from .grids import (RadialField, RadialGrid, build_radial_grid, cutoff,
-                    radial_derivative, vector_gradient_norm,
+                    differentiate, radial_derivative, vector_gradient_norm,
                     vector_hessian_norm, volume_weights, weighted_l2_norm)
 
 
@@ -60,10 +60,6 @@ class SphericalGrid:
     @property
     def r_outer(self) -> float:
         return float(self.r[-1])
-
-    def volume_weights(self) -> np.ndarray:
-        return (self.w_r[:, None, None] * self.w_theta[None, :, None]
-                * self.w_phi)
 
     def integrate(self, f: np.ndarray) -> float:
         return float(np.einsum("i,j,ijk->", self.w_r, self.w_theta, f)
@@ -109,9 +105,6 @@ class IneqReport:
     passed: bool | None = None
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def build_spherical_grid(r_inner: float, r_outer: float, nr: int, ntheta: int,
                          nphi: int) -> SphericalGrid:
@@ -133,21 +126,17 @@ def build_spherical_grid(r_inner: float, r_outer: float, nr: int, ntheta: int,
                          w_phi=w_phi)
 
 
-def _d_r(grid: SphericalGrid, f: np.ndarray) -> np.ndarray:
-    h = grid.r[1] - grid.r[0]
+def _d_axis(grid: SphericalGrid, f: np.ndarray, axis: int) -> np.ndarray:
+    """Centered difference along r (axis 0) or theta (axis 1), one-sided
+    second order at both ends."""
+    nodes = grid.r if axis == 0 else grid.theta
+    h = nodes[1] - nodes[0]
+    g = np.moveaxis(f, axis, 0)
     out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
-    return out
-
-
-def _d_theta(grid: SphericalGrid, f: np.ndarray) -> np.ndarray:
-    h = grid.theta[1] - grid.theta[0]
-    out = np.empty_like(f)
-    out[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2.0 * h)
-    out[:, 0] = (-3.0 * f[:, 0] + 4.0 * f[:, 1] - f[:, 2]) / (2.0 * h)
-    out[:, -1] = (3.0 * f[:, -1] - 4.0 * f[:, -2] + f[:, -3]) / (2.0 * h)
+    d = np.moveaxis(out, axis, 0)
+    d[1:-1] = (g[2:] - g[:-2]) / (2.0 * h)
+    d[0] = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * h)
+    d[-1] = (3.0 * g[-1] - 4.0 * g[-2] + g[-3]) / (2.0 * h)
     return out
 
 
@@ -164,8 +153,8 @@ def _d_phi(grid: SphericalGrid, f: np.ndarray) -> np.ndarray:
 
 def grad_scalar(grid: SphericalGrid, f: np.ndarray) -> VectorField3:
     r, sin, _ = grid.geometry
-    return VectorField3(vr=_d_r(grid, f),
-                        vtheta=_d_theta(grid, f) / r,
+    return VectorField3(vr=_d_axis(grid, f, 0),
+                        vtheta=_d_axis(grid, f, 1) / r,
                         vphi=_d_phi(grid, f) / (r * sin),
                         grid=grid)
 
@@ -173,17 +162,17 @@ def grad_scalar(grid: SphericalGrid, f: np.ndarray) -> VectorField3:
 def divergence(v: VectorField3) -> np.ndarray:
     grid = v.grid
     r, sin, _ = grid.geometry
-    return (_d_r(grid, r**2 * v.vr) / r**2
-            + _d_theta(grid, sin * v.vtheta) / (r * sin)
+    return (_d_axis(grid, r**2 * v.vr, 0) / r**2
+            + _d_axis(grid, sin * v.vtheta, 1) / (r * sin)
             + _d_phi(grid, v.vphi) / (r * sin))
 
 
 def curl(v: VectorField3) -> VectorField3:
     grid = v.grid
     r, sin, _ = grid.geometry
-    cr = (_d_theta(grid, sin * v.vphi) - _d_phi(grid, v.vtheta)) / (r * sin)
-    ct = _d_phi(grid, v.vr) / (r * sin) - _d_r(grid, r * v.vphi) / r
-    cp = (_d_r(grid, r * v.vtheta) - _d_theta(grid, v.vr)) / r
+    cr = (_d_axis(grid, sin * v.vphi, 1) - _d_phi(grid, v.vtheta)) / (r * sin)
+    ct = _d_phi(grid, v.vr) / (r * sin) - _d_axis(grid, r * v.vphi, 0) / r
+    cp = (_d_axis(grid, r * v.vtheta, 0) - _d_axis(grid, v.vr, 1)) / r
     return VectorField3(vr=cr, vtheta=ct, vphi=cp, grid=grid)
 
 
@@ -192,14 +181,14 @@ def gradient_squared(v: VectorField3) -> np.ndarray:
     grid = v.grid
     r, sin, cot = grid.geometry
     comps = (
-        _d_r(grid, v.vr),
-        _d_theta(grid, v.vr) / r - v.vtheta / r,
+        _d_axis(grid, v.vr, 0),
+        _d_axis(grid, v.vr, 1) / r - v.vtheta / r,
         _d_phi(grid, v.vr) / (r * sin) - v.vphi / r,
-        _d_r(grid, v.vtheta),
-        _d_theta(grid, v.vtheta) / r + v.vr / r,
+        _d_axis(grid, v.vtheta, 0),
+        _d_axis(grid, v.vtheta, 1) / r + v.vr / r,
         _d_phi(grid, v.vtheta) / (r * sin) - cot * v.vphi / r,
-        _d_r(grid, v.vphi),
-        _d_theta(grid, v.vphi) / r,
+        _d_axis(grid, v.vphi, 0),
+        _d_axis(grid, v.vphi, 1) / r,
         _d_phi(grid, v.vphi) / (r * sin) + v.vr / r + cot * v.vtheta / r,
     )
     total = np.zeros(grid.shape)
@@ -308,6 +297,14 @@ def random_scalar_field(seed: int, grid: SphericalGrid,
     return out
 
 
+def _ensemble_report(inequality: str, ratios) -> IneqReport:
+    """Max and mean of an ensemble's ratios; passed when all are finite."""
+    return IneqReport(inequality=inequality, n_samples=len(ratios),
+                      max_ratio=float(np.max(ratios)),
+                      mean_ratio=float(np.mean(ratios)),
+                      passed=bool(np.all(np.isfinite(ratios))))
+
+
 def _div_curl_ratio(num: float, denom: float) -> float:
     if denom < 1e-14 * max(1.0, num):
         raise DegenerateFieldError(
@@ -381,10 +378,7 @@ def div_curl_report(grid: SphericalGrid, n_samples: int = 100, seed: int = 0,
     ens = _ensemble(ensemble, grid, n_samples, seed, modes)
     ratios = [_div_curl_ratio(num, denom)
               for num, denom in zip(ens.grad_norms, ens.div_curl_norms)]
-    return IneqReport(inequality="div_curl", n_samples=n_samples,
-                      max_ratio=float(np.max(ratios)),
-                      mean_ratio=float(np.mean(ratios)),
-                      passed=bool(np.all(np.isfinite(ratios))))
+    return _ensemble_report("div_curl", ratios)
 
 
 def verify_trace_scaling(r_values=(1.0, 2.0, 4.0), outer_factor: float = 4.0,
@@ -477,10 +471,7 @@ def sobolev_l6_report(grid: SphericalGrid, n_samples: int = 100, seed: int = 0,
                       modes: int = 3) -> IneqReport:
     ratios = [verify_sobolev_l6(grid, random_scalar_field(seed + i, grid, modes))
               for i in range(n_samples)]
-    return IneqReport(inequality="sobolev_l6", n_samples=n_samples,
-                      max_ratio=float(np.max(ratios)),
-                      mean_ratio=float(np.mean(ratios)),
-                      passed=bool(np.all(np.isfinite(ratios))))
+    return _ensemble_report("sobolev_l6", ratios)
 
 
 def verify_lame_gradient_case(psi: RadialField, mu: float,
@@ -490,10 +481,8 @@ def verify_lame_gradient_case(psi: RadialField, mu: float,
     C_emp = ||grad^2 u|| / (||g|| + ||grad u||)."""
     grid = psi.grid
     u = radial_derivative(psi, 1)
-    lap = RadialField(radial_derivative(psi, 2).values
-                      + 2.0 * u.values / grid.r, grid)
-    g = RadialField(-(2.0 * mu + lambda_) * radial_derivative(lap, 1).values,
-                    grid)
+    lap = differentiate(grid, psi.values, 2) + 2.0 * u.values / grid.r
+    g = RadialField(-(2.0 * mu + lambda_) * differentiate(grid, lap, 1), grid)
     hess_u = vector_hessian_norm(u)
     denom = weighted_l2_norm(g) + vector_gradient_norm(u)
     if denom < 1e-14 * max(1.0, hess_u):
@@ -534,10 +523,7 @@ def lame_report(grid: RadialGrid, n_samples: int = 20, seed: int = 0,
         psi = solve_poisson_neumann(q).phi
         rep = verify_lame_gradient_case(psi, mu, lambda_)
         ratios.append(rep.max_ratio)
-    return IneqReport(inequality="lame_gradient_case", n_samples=n_samples,
-                      max_ratio=float(np.max(ratios)),
-                      mean_ratio=float(np.mean(ratios)),
-                      passed=bool(np.all(np.isfinite(ratios))))
+    return _ensemble_report("lame_gradient_case", ratios)
 
 
 def poisson_regularity_report(grid: RadialGrid, n_samples: int = 100,
@@ -548,7 +534,4 @@ def poisson_regularity_report(grid: RadialGrid, n_samples: int = 100,
         q = _random_radial_source(seed + i, grid)
         sol = solve_poisson_neumann(q)
         ratios.append(hessian_norm_radial(sol.phi) / weighted_l2_norm(q))
-    return IneqReport(inequality="poisson_regularity", n_samples=n_samples,
-                      max_ratio=float(np.max(ratios)),
-                      mean_ratio=float(np.mean(ratios)),
-                      passed=bool(np.all(np.isfinite(ratios))))
+    return _ensemble_report("poisson_regularity", ratios)

@@ -39,7 +39,7 @@ from .elliptic import apply_laplacian, solve_shifted
 from .errors import (EvaluationDomainError, IterationError, MonotonicityError,
                      ParameterError)
 from .grids import (RadialField, RadialGrid, build_radial_grid, cutoff,
-                    radial_derivative, vector_gradient_norm,
+                    differentiate, radial_derivative, vector_gradient_norm,
                     vector_hessian_norm, weighted_l2_norm)
 
 PROFILE_KINDS = ("constant", "admissible_bump", "general_gamma_envelope")
@@ -111,22 +111,22 @@ class _Branch:
             self.c1 = None
             self.prefactor = None
 
-    def F(self, phi: np.ndarray) -> np.ndarray:
-        if self.gamma == 1.0:
-            return self.c_star * np.exp(phi)
+    def _base(self, phi: np.ndarray) -> np.ndarray:
         base = phi + self.c1
         if np.any(base <= 0.0):
             raise EvaluationDomainError("Phi + c1 must stay positive for gamma > 1")
-        return self.prefactor * base ** (1.0 / (self.gamma - 1.0))
+        return base
+
+    def F(self, phi: np.ndarray) -> np.ndarray:
+        if self.gamma == 1.0:
+            return self.c_star * np.exp(phi)
+        return self.prefactor * self._base(phi) ** (1.0 / (self.gamma - 1.0))
 
     def Fprime(self, phi: np.ndarray) -> np.ndarray:
         if self.gamma == 1.0:
             return self.c_star * np.exp(phi)
-        base = phi + self.c1
-        if np.any(base <= 0.0):
-            raise EvaluationDomainError("Phi + c1 must stay positive for gamma > 1")
         expo = (2.0 - self.gamma) / (self.gamma - 1.0)
-        return self.prefactor / (self.gamma - 1.0) * base**expo
+        return self.prefactor / (self.gamma - 1.0) * self._base(phi)**expo
 
 
 def make_profile(kind: str, c_star: float, amplitude: float, grid: RadialGrid,
@@ -246,8 +246,7 @@ def check_subsuper(phi: RadialField, role: str, gamma: float,
     lap = apply_laplacian(phi).values
     residual = lap - branch.F(phi.values) + profile.values.values
     interior = residual[1:-1]
-    dphi_dr_inner = float(radial_derivative(phi, 1).values[0])
-    normal = -dphi_dr_inner
+    normal = -float(differentiate(phi.grid, phi.values, 1)[0])
     if role == "super":
         passed = bool(np.max(interior) <= tol and normal >= -tol)
     else:
@@ -342,8 +341,8 @@ def compatibility_residual(steady: SteadyState) -> float:
     """Max-norm defect of grad(Phi) = gamma * rho**(gamma-2) * grad(rho);
     O(h^2) for a converged state."""
     rho = steady.rho_tilde
-    dphi = radial_derivative(steady.phi_tilde, 1).values
-    drho = radial_derivative(rho, 1).values
+    dphi, drho = differentiate(rho.grid, np.stack((steady.phi_tilde.values,
+                                                   rho.values)), 1)
     rhs = steady.gamma * rho.values ** (steady.gamma - 2.0) * drho
     return float(np.max(np.abs(dphi - rhs)))
 

@@ -7,6 +7,7 @@ discrete system (same operator, independent solution path).
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
 from nsplab.elliptic import _apply_banded, _banded_operator
@@ -96,3 +97,61 @@ def radial_vector_h3_norm_dense(u_funcs, r_inner, r_outer, n=40001):
     total += integral(u2) + 2.0 * integral(over1)
     total += integral(u3) + 2.0 * integral(over2)
     return np.sqrt(total)
+
+
+def fornberg_weights(z, x, m):
+    """Finite-difference weights for the m-th derivative at z on nodes x,
+    one scalar Fornberg recursion (Math. Comp. 51, 1988)."""
+    n = x.size
+    c = np.zeros((n, m + 1))
+    c1 = 1.0
+    c4 = x[0] - z
+    c[0, 0] = 1.0
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - z
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c[:, m]
+
+
+def stencil_window(i, n, order, uniform):
+    """Node window [lo, hi) of the package's derivative stencil at node i:
+    centered in the interior, one-sided with second-order accuracy at the
+    ends (four points for a one-sided or non-uniform second derivative)."""
+    if order == 1:
+        size, lo = 3, i - 1
+    elif order == 2:
+        if uniform and 1 <= i <= n - 2:
+            size, lo = 3, i - 1
+        else:
+            size = 4
+            lo = i - 2 if i >= 2 else i - 1
+    else:
+        size, lo = 5, i - 2
+    lo = max(0, min(lo, n - size))
+    return lo, lo + size
+
+
+def derivative_csr(grid, order):
+    """The derivative stencil as a CSR matrix, one scalar Fornberg call per
+    node."""
+    n = grid.n_nodes
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        lo, hi = stencil_window(i, n, order, grid.uniform)
+        rows.extend([i] * (hi - lo))
+        cols.extend(range(lo, hi))
+        vals.extend(fornberg_weights(grid.r[i], grid.r[lo:hi], order))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))

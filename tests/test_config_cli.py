@@ -144,6 +144,15 @@ def test_parse_empty_domain_header_uses_defaults():
     ("evolve.vacuum_floor=2", "[evolve]"),
     ("evolve.sponge_rate=-5", "[evolve]"),
     ("evolve.sponge_width=-2", "[evolve]"),
+    ("evolve.delta=inf", "[evolve]"),
+    ("evolve.t_end=inf", "[evolve]"),
+    ("evolve.t_end=nan", "[evolve]"),
+    ("evolve.dt=nan", "[evolve]"),
+    ("evolve.margin=-1", "[evolve]"),
+    ("evolve.margin=nan", "[evolve]"),
+    ("steady.tol=nan", "[steady]"),
+    ("steady.tol=0", "[steady]"),
+    ("steady.tol=inf", "[steady]"),
     ("ineqlab.ntheta=4", "[ineqlab]"),
 ])
 def test_parse_owner_checks_name_the_section(override, section):

@@ -92,18 +92,38 @@ def test_sample_computes_each_derivative_once(shell16, bundle,
     state, tend = bundle
     cfg = SimConfig(params=params_gamma2, grid=shell16,
                     steady=steady_bump_gamma2)
-    calls = []
-    real = grids.radial_derivative
+    applied = []
+    real = grids.differentiate
 
-    def counted(f, order):
-        calls.append(order)
-        return real(f, order)
+    def counted(grid, values, order):
+        out = real(grid, values, order)
+        applied.append((order, np.atleast_2d(values), np.atleast_2d(out)))
+        return out
 
-    monkeypatch.setattr(grids, "radial_derivative", counted)
-    monkeypatch.setattr("nsplab.energy.radial_derivative", counted)
+    monkeypatch.setattr(grids, "differentiate", counted)
+    monkeypatch.setattr("nsplab.energy.differentiate", counted)
     recorder = SeriesRecorder(cfg, c_visc=1.0, dt=0.1, digest="x")
     recorder.add(state, tend)
-    assert 0 < len(calls) <= 14
+    monkeypatch.undo()
+    # one stacked apply per order
+    assert len(applied) <= 3
+    rows = [(order, row, d) for order, values, out in applied
+            for row, d in zip(values, out)]
+    # the 14 derivatives a sample needs, phi' twice (E and E_basic): each
+    # is one applied row, equal to the single-field derivative
+    r = shell16.r
+    u, u_t, q = state.u.values, tend.u_t.values, state.q.values
+    wanted = [(1, u), (1, u / r), (1, u_t), (1, u_t / r), (1, q),
+              (1, tend.q_t.values), (1, state.phi.values),
+              (1, tend.phi_t.values), (1, state.phi.values),
+              (2, u), (2, u / r), (2, u_t), (2, q), (3, u)]
+    assert len(rows) == 13
+    for order, f in wanted:
+        hits = [d for o, row, d in rows
+                if o == order and np.array_equal(row, f)]
+        assert len(hits) == 1
+        expected = radial_derivative(shell16.field(f), order).values
+        assert np.array_equal(hits[0], expected)
     assert recorder.grad_u_sq == [vector_gradient_norm(state.u) ** 2]
 
 

@@ -1,14 +1,22 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nsplab
 from nsplab import (ParameterError, build_radial_grid, integrate,
                     radial_derivative, sobolev_norm, vector_gradient_norm,
                     vector_sobolev_norm, weighted_l2_norm)
-from nsplab.grids import RadialField, vector_hessian_norm
+from nsplab.grids import (RadialField, _stencil, differentiate,
+                          vector_hessian_norm)
 
-from oracles import dense_l2_norm, geometric_nodes
+from oracles import (dense_l2_norm, derivative_csr, fornberg_weights,
+                     geometric_nodes, stencil_window)
 
 
 def test_uniform_nodes():
@@ -97,6 +105,55 @@ def test_derivative_invalid_order(shell12):
         radial_derivative(f, 4)
     with pytest.raises(ParameterError):
         radial_derivative(f, 0)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_differentiate_rejects_values_off_the_grid(shell12):
+    for values in (np.ones(shell12.n_nodes + 1), np.ones((2, 5))):
+        with pytest.raises(ParameterError):
+            differentiate(shell12, values, 1)
+
+
+@pytest.mark.parametrize("n_cells, stretch", [(8, 0.0), (8, 2.0), (64, 0.0),
+                                              (64, 1.0), (1000, 0.0),
+                                              (1000, 3.0)])
+def test_vectorized_weights_equal_scalar_fornberg(n_cells, stretch):
+    g = build_radial_grid(1.0, 16.0, n_cells, stretch=stretch)
+    n = g.n_nodes
+    for order in (1, 2, 3):
+        sten = _stencil(g, order)
+        for i in range(n):
+            lo, hi = stencil_window(i, n, order, g.uniform)
+            ref = fornberg_weights(g.r[i], g.r[lo:hi], order)
+            assert sten.lo[i] == lo
+            assert np.array_equal(_bits(sten.w[i, :hi - lo]), _bits(ref))
+            assert not np.any(sten.w[i, hi - lo:])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n_cells=st.integers(8, 400),
+       stretch=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+       order=st.integers(1, 3))
+def test_apply_equals_csr_matvec(n_cells, stretch, order):
+    g = build_radial_grid(1.0, 16.0, n_cells, stretch=stretch)
+    csr = derivative_csr(g, order)
+    x = np.random.default_rng(n_cells).standard_normal((5, g.n_nodes))
+    stacked = differentiate(g, x, order)
+    for row, d in zip(x, stacked):
+        ref = csr @ row
+        assert np.array_equal(_bits(d), _bits(ref))
+        assert np.array_equal(_bits(differentiate(g, row, order)), _bits(ref))
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    src = str(Path(nsplab.__file__).resolve().parents[1])
+    code = "import sys, nsplab.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])

@@ -286,6 +286,23 @@ def test_d_phi_slicing_equals_roll(sgrid):
     assert np.array_equal(iq._d_phi(sgrid, f), rolled)
 
 
+def test_d_axis_equals_per_axis_formula(sgrid):
+    # the one r/theta helper keeps the three-point formula of each axis
+    f = np.random.default_rng(5).standard_normal(sgrid.shape)
+    h = sgrid.r[1] - sgrid.r[0]
+    d_r = np.empty_like(f)
+    d_r[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    d_r[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+    d_r[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+    h = sgrid.theta[1] - sgrid.theta[0]
+    d_theta = np.empty_like(f)
+    d_theta[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2.0 * h)
+    d_theta[:, 0] = (-3.0 * f[:, 0] + 4.0 * f[:, 1] - f[:, 2]) / (2.0 * h)
+    d_theta[:, -1] = (3.0 * f[:, -1] - 4.0 * f[:, -2] + f[:, -3]) / (2.0 * h)
+    assert np.array_equal(iq._d_axis(sgrid, f, 0), d_r)
+    assert np.array_equal(iq._d_axis(sgrid, f, 1), d_theta)
+
+
 def test_l6_norm_matches_sixth_power(sgrid):
     for seed in range(4):
         f = random_scalar_field(seed, sgrid)
