@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ParameterError
-from .evolve import check_run_settings
+from .evolve import INIT_KINDS, MODES, check_run_settings
 from .grids import FluidParams, build_radial_grid
-from .ineqlab import build_spherical_grid
-from .steady import make_profile, profile_supersolution
+from .ineqlab import build_spherical_grid, check_allowance, check_outer_factor
+from .steady import PROFILE_KINDS, make_profile, profile_supersolution
 
 
 def _count(text: str) -> int:
@@ -69,8 +69,7 @@ _SCHEMA = {
         "stretch": (float, 0.0),
     },
     "steady": {
-        "profile": (_enum("constant", "admissible_bump",
-                          "general_gamma_envelope"), "admissible_bump"),
+        "profile": (_enum(*PROFILE_KINDS), "admissible_bump"),
         "amplitude": (float, 0.5),
         "tol": (float, 1e-10),
         "max_iter": (_count, 200),
@@ -84,9 +83,8 @@ _SCHEMA = {
         "sponge_width": (_float_or_auto, "auto"),
         "sponge_rate": (_float_or_auto, "auto"),
         "output_stride": (int, 50),
-        "init_kind": (_enum("standard", "density_only", "velocity_only"),
-                      "standard"),
-        "mode": (_enum("nonlinear", "linear"), "nonlinear"),
+        "init_kind": (_enum(*INIT_KINDS), "standard"),
+        "mode": (_enum(*MODES), "nonlinear"),
         "pressure": (_bool, True),
         "coupling": (_bool, True),
         "viscosity": (_bool, True),
@@ -101,7 +99,7 @@ _SCHEMA = {
         "n_fields": (_count, 100),
         "n_scalars": (_count, 20),
         "n_lame": (_count, 20),
-        "modes": (int, 3),
+        "modes": (_count, 3),
         "allowance": (float, 0.05),
         "trace_outer_factor": (float, 4.0),
     },
@@ -236,7 +234,8 @@ def parse_config(text: str, overrides: list[str] | None = None,
                 except ValueError as exc:
                     where = f"line {lineno}" if lineno else "override"
                     raise ConfigError(
-                        f"bad value for {section}.{key} at {where}: {exc}") from exc
+                        f"invalid [{section}] value {section}.{key} at "
+                        f"{where}: {exc}") from exc
             else:
                 out[key] = default
         typed[section] = out
@@ -271,5 +270,8 @@ def parse_config(text: str, overrides: list[str] | None = None,
         ev["delta"], ev["t_end"], ev["dt"], ev["sponge_width"],
         ev["sponge_rate"], ev["output_stride"], ev["init_kind"], ev["mode"],
         ev["vacuum_floor"], ev["margin"]))
+    iq = cfg.ineqlab
     _owned("ineqlab", cfg.spherical_grid)
+    _owned("ineqlab", lambda: check_allowance(iq["allowance"]))
+    _owned("ineqlab", lambda: check_outer_factor(iq["trace_outer_factor"]))
     return cfg

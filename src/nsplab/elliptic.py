@@ -13,13 +13,17 @@ and (thanks to the Robin row) strict diagonal dominance.  That sign structure
 is what gives the discrete comparison principle the steady-state solver relies
 on, and it also makes the operator nonsingular even at zero shift.
 
-Each operator is factored once: LAPACK ``gttrf`` runs once per (grid, shift)
-and the factors are cached on the grid; every solve is then a ``gttrs``
-call.  ``gttrf``/``gttrs`` perform the same eliminations as the one-shot
-``gtsv`` behind ``scipy.linalg.solve_banded``, so the solutions are
-bit-identical to it.  Every solve keeps its one unconditional
-iterative-refinement pass, so time-stepped trajectories stay bit-identical
-too (see ``_refined_solve``).
+Every tridiagonal matrix in the package is a ``Tridiagonal``: three read-only
+row-aligned diagonals, an apply (``@``) and a ``solve`` that runs LAPACK
+``gttrf`` on its first call and keeps the factors on the object, so each later
+solve is one ``gttrs`` call.  ``gttrf``/``gttrs`` perform the same
+eliminations as the one-shot ``gtsv`` behind ``scipy.linalg.solve_banded``, so
+the solutions are bit-identical to it.  ``laplacian(grid, shift)`` builds the
+Neumann/Robin operator once per grid and shift (cached on the grid, factors
+included); ``evolve`` builds its viscous and Crank-Nicolson operators from its
+diagonals.  Every Laplacian solve keeps one unconditional iterative-refinement
+pass, so time-stepped trajectories stay bit-identical too (see
+``Tridiagonal.solve_refined``).
 """
 
 from __future__ import annotations
@@ -42,21 +46,67 @@ class PoissonSolution:
     residual_norm: float
 
 
-def _banded_operator(grid: RadialGrid, shift: float) -> np.ndarray:
-    """Assemble (Lap - shift) with ghost Neumann (inner) / Robin (outer) rows
-    in solve_banded layout: rows are (super, diag, sub)."""
-    key = ("elliptic", shift)
+class Tridiagonal:
+    """Tridiagonal matrix held as three row-aligned diagonals: row i of
+    ``A @ x`` is sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1] (sub[0] and
+    sup[-1] are never read).  The diagonals are read-only; the LU factors are
+    computed on the first solve and kept."""
+
+    def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray):
+        for d in (sub, diag, sup):
+            d.flags.writeable = False
+        self.sub, self.diag, self.sup = sub, diag, sup
+        self._factors = None
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = self.diag * x
+        y[:-1] += self.sup[:-1] * x[1:]
+        y[1:] += self.sub[1:] * x[:-1]
+        return y
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """LAPACK ``gttrs`` with the cached ``gttrf`` factors.
+
+        No finiteness check: a non-finite right-hand side gives a non-finite
+        solution, which the caller tests for."""
+        if self._factors is None:
+            *factors, info = lapack.dgttrf(self.sub[1:], self.diag,
+                                           self.sup[:-1])
+            if info != 0:
+                raise ParameterError(
+                    f"singular tridiagonal operator (gttrf info {info})")
+            self._factors = factors
+        x, _ = lapack.dgttrs(*self._factors, rhs)
+        return x
+
+    def solve_refined(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve plus one unconditional iterative-refinement pass.
+
+        Being unconditional, the refinement keeps the solution a smooth
+        function of the data (a data-dependent branch would make downstream
+        root finding on solver output jittery).  It does not lower the
+        residual measurably, but dropping it moves the time-stepped trajectory
+        at roundoff, and the remainder constant -- a centred time difference
+        of the basic energy divided by D^2 -- amplifies that shift to ~1e-10
+        relative."""
+        x = self.solve(rhs)
+        return x + self.solve(rhs - self @ x)
+
+
+def laplacian(grid: RadialGrid, shift: float = 0.0) -> Tridiagonal:
+    """(Lap - shift) with ghost Neumann (inner) / Robin (outer) rows, built
+    once per grid and shift."""
+    key = ("laplacian", shift)
     cached = grid._cache.get(key)
     if cached is not None:
         return cached
     r = grid.r
-    n = r.size
     hm = r[1:-1] - r[:-2]
     hp = r[2:] - r[1:-1]
     if np.max(hp) >= np.min(r[1:-1]):
         raise ParameterError("grid spacing must stay below the inner radius")
 
-    ab = np.zeros((3, n))
+    sub, diag, sup = np.zeros((3, r.size))
     # interior rows: second derivative + (2/r) first derivative, 3-point
     denom = hm + hp
     rmid = r[1:-1]
@@ -66,90 +116,31 @@ def _banded_operator(grid: RadialGrid, shift: float) -> np.ndarray:
     a1m = -hp / (hm * denom)
     a1p = hm / (hp * denom)
     a10 = (hp - hm) / (hm * hp)
-    ab[2, :-2] = a2m + (2.0 / rmid) * a1m          # sub-diagonal (row i, col i-1)
-    ab[1, 1:-1] = a20 + (2.0 / rmid) * a10 - shift  # diagonal
-    ab[0, 2:] = a2p + (2.0 / rmid) * a1p            # super-diagonal (row i, col i+1)
+    sub[1:-1] = a2m + (2.0 / rmid) * a1m
+    diag[1:-1] = a20 + (2.0 / rmid) * a10 - shift
+    sup[1:-1] = a2p + (2.0 / rmid) * a1p
 
     # inner row: ghost node from phi'(R) = 0, PDE collocated at r_0
     h0 = r[1] - r[0]
-    ab[1, 0] = -2.0 / h0**2 - shift
-    ab[0, 1] = 2.0 / h0**2
+    diag[0] = -2.0 / h0**2 - shift
+    sup[0] = 2.0 / h0**2
 
     # outer row: ghost node from phi' + phi/r = 0, PDE collocated at r_N
     hN = r[-1] - r[-2]
     rN = r[-1]
-    ab[2, -2] = 2.0 / hN**2
-    ab[1, -1] = -2.0 / hN**2 - 2.0 / (hN * rN) - 2.0 / rN**2 - shift
+    sub[-1] = 2.0 / hN**2
+    diag[-1] = -2.0 / hN**2 - 2.0 / (hN * rN) - 2.0 / rN**2 - shift
 
-    ab.flags.writeable = False
-    grid._cache[key] = ab
-    return ab
-
-
-def _apply_banded(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    y = ab[1] * x
-    y[:-1] += ab[0, 1:] * x[1:]
-    y[1:] += ab[2, :-1] * x[:-1]
-    return y
-
-
-def factor_banded(ab: np.ndarray) -> tuple:
-    """LU factors (LAPACK ``gttrf``) of a tridiagonal matrix given in
-    solve_banded layout (rows super, diag, sub)."""
-    dl, d, du, du2, ipiv, info = lapack.dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
-    if info != 0:
-        raise ParameterError(f"singular tridiagonal operator (gttrf info {info})")
-    return dl, d, du, du2, ipiv
-
-
-def solve_factored(factors: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve with factors from ``factor_banded`` (LAPACK ``gttrs``).
-
-    No finiteness check: a non-finite right-hand side gives a non-finite
-    solution, which the caller tests for."""
-    x, _ = lapack.dgttrs(*factors, rhs)
-    return x
-
-
-def _factored_operator(grid: RadialGrid, shift: float) -> tuple[np.ndarray, tuple]:
-    key = ("elliptic_lu", shift)
-    cached = grid._cache.get(key)
-    if cached is None:
-        ab = _banded_operator(grid, shift)
-        cached = grid._cache[key] = (ab, factor_banded(ab))
-    return cached
-
-
-def apply_laplacian(f: RadialField, shift: float = 0.0) -> RadialField:
-    """Apply the assembled (Lap - shift) operator, boundary closures included."""
-    ab = _banded_operator(f.grid, shift)
-    return RadialField(_apply_banded(ab, f.values), f.grid)
-
-
-def _refined_solve(grid: RadialGrid, shift: float,
-                   rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factored solve plus one unconditional iterative-refinement pass;
-    returns the operator and the solution.
-
-    Being unconditional, the refinement keeps the solution a smooth function
-    of the data (a data-dependent branch would make downstream root finding
-    on solver output jittery).  It does not lower the residual measurably,
-    but dropping it moves the time-stepped trajectory at roundoff, and the
-    remainder constant -- a centred time difference of the basic energy
-    divided by D^2 -- amplifies that shift to ~1e-10 relative."""
-    ab, factors = _factored_operator(grid, shift)
-    x = solve_factored(factors, rhs)
-    res = rhs - _apply_banded(ab, x)
-    return ab, x + solve_factored(factors, res)
+    op = grid._cache[key] = Tridiagonal(sub, diag, sup)
+    return op
 
 
 def _solve(grid: RadialGrid, shift: float, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Certified solve: factor once (``gttrf``, cached per grid and shift),
-    solve per call (``gttrs``) with the refinement pass, then the weighted
-    residual norm of the refined solution."""
-    ab, x = _refined_solve(grid, shift, rhs)
-    res = rhs - _apply_banded(ab, x)
-    res_norm = weighted_l2_norm(RadialField(res, grid))
+    """Certified solve: the refined solve, then the weighted residual norm of
+    the refined solution."""
+    op = laplacian(grid, shift)
+    x = op.solve_refined(rhs)
+    res_norm = weighted_l2_norm(RadialField(rhs - op @ x, grid))
     if not np.all(np.isfinite(x)):
         raise ParameterError("elliptic solve produced non-finite values")
     return x, res_norm
@@ -159,7 +150,7 @@ def solve_poisson_values(grid: RadialGrid, q: np.ndarray) -> np.ndarray:
     """phi values with Lap(phi) = q on raw arrays: the same refined solve as
     solve_poisson_neumann, without the residual certificate and without a
     finiteness check (non-finite data gives non-finite phi)."""
-    return _refined_solve(grid, 0.0, q)[1]
+    return laplacian(grid).solve_refined(q)
 
 
 def solve_poisson_neumann(q: RadialField) -> PoissonSolution:

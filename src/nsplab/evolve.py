@@ -40,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import energy as energy_mod
-from .elliptic import (_apply_banded, _banded_operator, factor_banded,
-                       solve_factored, solve_poisson_neumann,
+from .elliptic import (Tridiagonal, laplacian, solve_poisson_neumann,
                        solve_poisson_values)
 from .errors import (IterationError, ParameterError, SimulationAbort,
                      VacuumError)
@@ -171,7 +170,7 @@ class _Workspace:
         self.rho_s = config.steady.rho_tilde.values
         self.hp_s = params.enthalpy_weight(self.rho_s)
         self.nu_s = params.longitudinal_viscosity / self.rho_s
-        self.visc = _viscous_rows(grid)
+        self.visc = _viscous_operator(grid)
         self.mode = config.mode
         self.pressure = config.pressure
         self.coupling = config.coupling
@@ -231,7 +230,7 @@ class _Workspace:
         if self.pressure:
             u_t -= dh_r
         if self.viscosity:
-            lap_u = _apply_banded(self.visc, u)
+            lap_u = self.visc @ u
             coef = self.params.longitudinal_viscosity / rho if nonlinear else self.nu_s
             u_t += coef * lap_u
         if self.coupling:
@@ -254,22 +253,15 @@ class _Workspace:
         return dq, du
 
 
-def _viscous_rows(grid: RadialGrid) -> np.ndarray:
-    """Banded rows of d_r(div u) = u'' + (2/r) u' - 2 u/r^2: the interior rows
-    of the Laplacian with 2/r^2 taken off the diagonal, and zero rows at the
-    walls (u is pinned there)."""
-    key = "viscous_rows"
-    cached = grid._cache.get(key)
-    if cached is not None:
-        return cached
-    ab = np.array(_banded_operator(grid, 0.0))
-    ab[1, 1:-1] -= 2.0 / grid.r[1:-1] ** 2
-    ab[1, 0] = ab[1, -1] = 0.0
-    ab[0, 1] = 0.0
-    ab[2, -2] = 0.0
-    ab.flags.writeable = False
-    grid._cache[key] = ab
-    return ab
+def _viscous_operator(grid: RadialGrid) -> Tridiagonal:
+    """d_r(div u) = u'' + (2/r) u' - 2 u/r^2: the interior rows of the
+    Laplacian with 2/r^2 taken off the diagonal, and zero rows at the walls
+    (u is pinned there)."""
+    lap = laplacian(grid)
+    diagonals = (lap.sub.copy(), lap.diag - 2.0 / grid.r**2, lap.sup.copy())
+    for d in diagonals:
+        d[[0, -1]] = 0.0
+    return Tridiagonal(*diagonals)
 
 
 def compute_rhs(state: PerturbationState, steady: SteadyState,
@@ -384,21 +376,6 @@ def _resolve_dt(config: SimConfig, state: PerturbationState,
     return dt
 
 
-def _cn_matrix(ws: _Workspace, dt: float) -> np.ndarray:
-    """Banded matrix of I - (dt/2) nu(rho_tilde) L with identity wall rows."""
-    n = ws.r.size
-    ab = np.zeros((3, n))
-    factor = 0.5 * dt * ws.nu_s
-    ab[0, 1:] = -factor[:-1] * ws.visc[0, 1:]
-    ab[1, :] = 1.0 - factor * ws.visc[1, :]
-    ab[2, :-1] = -factor[1:] * ws.visc[2, :-1]
-    ab[1, 0] = 1.0
-    ab[0, 1] = 0.0
-    ab[1, -1] = 1.0
-    ab[2, -2] = 0.0
-    return ab
-
-
 def _finite(x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise VacuumError("non-finite values produced during time step")
@@ -407,14 +384,19 @@ def _finite(x: np.ndarray) -> np.ndarray:
 
 class _Stepper:
     """One Heun/Crank-Nicolson IMEX step of fixed dt on raw (q, u, phi)
-    arrays; the Crank-Nicolson matrix is factored once per stepper."""
+    arrays; the Crank-Nicolson operator I - (dt/2) nu(rho_tilde) L is built
+    (and factored on its first solve) once per stepper.  Its wall rows are
+    identity rows, since L has zero rows there."""
 
     def __init__(self, config: SimConfig, ws: _Workspace, dt: float):
         self.ws = ws
         self.dt = dt
         self.implicit = config.viscosity
         if self.implicit:
-            self.cn = factor_banded(_cn_matrix(ws, dt))
+            visc = ws.visc
+            f = 0.5 * dt * ws.nu_s
+            self.cn = Tridiagonal(-f * visc.sub, 1.0 - f * visc.diag,
+                                  -f * visc.sup)
 
     def _explicit(self, q, u, phi):
         """Tendencies minus the implicitly treated part of the viscous term,
@@ -423,7 +405,7 @@ class _Stepper:
         q_t, u_t = ws.rhs(q, u, phi)
         vu = 0.0
         if self.implicit:
-            vu = ws.nu_s * _apply_banded(ws.visc, u)
+            vu = ws.nu_s * (ws.visc @ u)
             u_t = u_t - vu
             u_t[0] = 0.0
             u_t[-1] = 0.0
@@ -435,7 +417,7 @@ class _Stepper:
         rhs[0] = 0.0
         rhs[-1] = 0.0
         if self.implicit:
-            rhs = solve_factored(self.cn, rhs)
+            rhs = self.cn.solve(rhs)
         return _finite(rhs)
 
     def _potential(self, q: np.ndarray) -> np.ndarray:

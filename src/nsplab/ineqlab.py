@@ -381,12 +381,20 @@ def div_curl_report(grid: SphericalGrid, n_samples: int = 100, seed: int = 0,
     return _ensemble_report("div_curl", ratios)
 
 
+def check_outer_factor(outer_factor: float) -> None:
+    """The trace-scaling shells run from R to outer_factor * R."""
+    if not (math.isfinite(outer_factor) and outer_factor > 1.0):
+        raise ParameterError(f"trace_outer_factor must be finite and > 1, "
+                             f"got {outer_factor}")
+
+
 def verify_trace_scaling(r_values=(1.0, 2.0, 4.0), outer_factor: float = 4.0,
                          nr: int = 32, ntheta: int = 16, nphi: int = 32,
                          seed: int = 0, modes: int = 3,
                          rel_tol: float = 0.30) -> IneqReport:
     """Boundary-trace ratio |v|^2_{r=R} / (R ||grad v||^2) for one field shape
     rescaled across inner radii; the ratio should be R-independent."""
+    check_outer_factor(outer_factor)
     ratios = []
     for r_in in r_values:
         grid = build_spherical_grid(r_in, outer_factor * r_in, nr, ntheta, nphi)
@@ -426,6 +434,13 @@ def verify_boundary_pairing(v: VectorField3, f: np.ndarray) -> tuple[float, floa
     return lhs, rhs
 
 
+def check_allowance(allowance: float) -> None:
+    """The pairing report passes up to 1 + allowance."""
+    if not (math.isfinite(allowance) and allowance >= 0.0):
+        raise ParameterError(f"allowance must be finite and >= 0, "
+                             f"got {allowance}")
+
+
 def boundary_pairing_report(grid: SphericalGrid, n_fields: int = 100,
                             n_scalars: int = 20, seed: int = 0,
                             modes: int = 3,
@@ -436,6 +451,7 @@ def boundary_pairing_report(grid: SphericalGrid, n_fields: int = 100,
     the full ensemble product; the claimed constant is exactly 1 and the
     measured excess over 1 is the quadrature allowance.  The pairings are one
     contraction of the tangent traces against the scalar-gradient traces."""
+    check_allowance(allowance)
     ens = _ensemble(ensemble, grid, n_fields, seed, modes)
     g_traces = np.empty((n_scalars, 3) + grid.shape[1:])
     g_norms = np.empty(n_scalars)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import apply_laplacian, solve_shifted
+from .elliptic import laplacian, solve_shifted
 from .errors import (EvaluationDomainError, IterationError, MonotonicityError,
                      ParameterError)
 from .grids import (RadialField, RadialGrid, build_radial_grid, cutoff,
@@ -243,7 +243,7 @@ def check_subsuper(phi: RadialField, role: str, gamma: float,
     if role not in ("sub", "super"):
         raise ParameterError(f"role must be 'sub' or 'super', got {role!r}")
     branch = _Branch(gamma, profile.c_star)
-    lap = apply_laplacian(phi).values
+    lap = laplacian(phi.grid) @ phi.values
     residual = lap - branch.F(phi.values) + profile.values.values
     interior = residual[1:-1]
     normal = -float(differentiate(phi.grid, phi.values, 1)[0])
@@ -321,8 +321,8 @@ def solve_steady_monotone(gamma: float, profile: BackgroundProfile,
     phi_tilde = RadialField(phi_vals, grid)
     rho_tilde = rho_from_phi(phi_tilde, gamma, c_star)
 
-    residual = apply_laplacian(phi_tilde).values - (rho_tilde.values
-                                                    - profile.values.values)
+    residual = laplacian(grid) @ phi_vals - (rho_tilde.values
+                                              - profile.values.values)
     residual_norm = weighted_l2_norm(RadialField(residual, grid))
 
     ceiling = profile_upper_bound(profile, gamma)

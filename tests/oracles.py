@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
-from nsplab.elliptic import _apply_banded, _banded_operator
+from nsplab.elliptic import laplacian
 from nsplab.steady import _Branch
 
 FOUR_PI = 4.0 * np.pi
@@ -37,25 +37,30 @@ def geometric_nodes(r_inner, r_outer, n_cells, stretch):
     return nodes
 
 
+def banded_layout(sub, diag, sup):
+    """The (3, n) ``scipy.linalg.solve_banded`` layout (rows super, diag,
+    sub) of a tridiagonal matrix given by row-aligned diagonals."""
+    return np.array([np.r_[0.0, sup[:-1]], diag, np.r_[sub[1:], 0.0]])
+
+
 def newton_steady(gamma, profile, grid, tol=2e-11, max_iter=60):
     """Damped Newton on the discrete semilinear system
     L_h Phi - F(Phi) + b = 0 (same operator as the production solver,
     independent iteration)."""
     branch = _Branch(gamma, profile.c_star)
-    ab = _banded_operator(grid, 0.0)
+    lap = laplacian(grid)
     b = profile.values.values
     phi = np.zeros(grid.n_nodes)
 
     def residual(p):
-        return _apply_banded(ab, p) - branch.F(p) + b
+        return lap @ p - branch.F(p) + b
 
     g = residual(phi)
     for _ in range(max_iter):
         norm = np.max(np.abs(g))
         if norm < tol:
             return phi
-        jac = np.array(ab)
-        jac[1] = jac[1] - branch.Fprime(phi)
+        jac = banded_layout(lap.sub, lap.diag - branch.Fprime(phi), lap.sup)
         step = solve_banded((1, 1), jac, -g)
         lam = 1.0
         while lam > 1e-6:

@@ -154,6 +154,11 @@ def test_parse_empty_domain_header_uses_defaults():
     ("steady.tol=0", "[steady]"),
     ("steady.tol=inf", "[steady]"),
     ("ineqlab.ntheta=4", "[ineqlab]"),
+    ("ineqlab.allowance=nan", "[ineqlab]"),
+    ("ineqlab.allowance=inf", "[ineqlab]"),
+    ("ineqlab.allowance=-1", "[ineqlab]"),
+    ("ineqlab.modes=0", "[ineqlab]"),
+    ("ineqlab.trace_outer_factor=0.5", "[ineqlab]"),
 ])
 def test_parse_owner_checks_name_the_section(override, section):
     with pytest.raises(ConfigError) as err:

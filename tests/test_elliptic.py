@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from nsplab import (ParameterError, build_radial_grid, hessian_norm_radial,
                     solve_poisson_neumann, solve_shifted, weighted_l2_norm)
-from nsplab.elliptic import apply_laplacian
+from nsplab.elliptic import laplacian
 from nsplab.grids import RadialField
+from oracles import banded_layout
 
 
 def manufactured(grid):
@@ -117,7 +121,7 @@ def test_comparison_principle(shell16):
 def test_apply_laplacian_annihilates_monopole(shell16):
     # 1/r is in the kernel of the interior stencil to roundoff
     f = shell16.field(2.0 / shell16.r)
-    lap = apply_laplacian(f).values[1:-1]
+    lap = (laplacian(shell16) @ f.values)[1:-1]
     assert np.max(np.abs(lap)) < 1e-10
 
 
@@ -152,32 +156,29 @@ def test_poisson_regularity_constant_is_one(shell16):
 # ------------------------------------------------------- factored kernel
 
 def _cn_like(grid):
-    """Crank-Nicolson matrix I - (dt/2) nu L of the viscous step."""
+    """Crank-Nicolson operator I - (dt/2) nu L of the viscous step, built by
+    the stepper itself."""
     from types import SimpleNamespace
 
-    from nsplab.evolve import _cn_matrix, _viscous_rows
-    ws = SimpleNamespace(r=grid.r, nu_s=1.0 / (1.0 + 0.5 / grid.r),
-                         visc=_viscous_rows(grid))
-    return _cn_matrix(ws, 0.05)
+    from nsplab.evolve import _Stepper, _viscous_operator
+    ws = SimpleNamespace(nu_s=1.0 / (1.0 + 0.5 / grid.r),
+                         visc=_viscous_operator(grid))
+    return _Stepper(SimpleNamespace(viscosity=True), ws, 0.05).cn
 
 
 @pytest.mark.parametrize("n_cells", [16, 2000])
 @pytest.mark.parametrize("stretch", [0.0, 1.5])
 @pytest.mark.parametrize("operator", ["poisson", "shifted", "crank_nicolson"])
 def test_factored_solve_matches_solve_banded(n_cells, stretch, operator):
-    from scipy.linalg import solve_banded
-
-    from nsplab.elliptic import _banded_operator, factor_banded, solve_factored
     g = build_radial_grid(1.0, 4.0, n_cells, stretch)
-    ab = {"poisson": lambda: _banded_operator(g, 0.0),
-          "shifted": lambda: _banded_operator(g, 2.5),
+    op = {"poisson": lambda: laplacian(g),
+          "shifted": lambda: laplacian(g, 2.5),
           "crank_nicolson": lambda: _cn_like(g)}[operator]()
-    factors = factor_banded(ab)
+    ab = banded_layout(op.sub, op.diag, op.sup)
     rng = np.random.default_rng(n_cells)
     for _ in range(3):
         rhs = rng.standard_normal(g.n_nodes)
-        assert np.array_equal(solve_factored(factors, rhs),
-                              solve_banded((1, 1), ab, rhs))
+        assert np.array_equal(op.solve(rhs), solve_banded((1, 1), ab, rhs))
 
 
 def test_solves_reuse_cached_factors(monkeypatch):
@@ -199,3 +200,27 @@ def test_solves_reuse_cached_factors(monkeypatch):
     solve_shifted(1.5, q)
     solve_shifted(1.5, q)
     assert len(calls) == 2
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n_cells=st.integers(8, 400), stretch=st.floats(0.0, 3.0),
+       r_outer=st.floats(2.0, 40.0),
+       shift=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+       seed=st.integers(0, 2**32 - 1))
+def test_solve_is_solve_banded_with_certified_residual(n_cells, stretch,
+                                                       r_outer, shift, seed):
+    g = build_radial_grid(1.0, r_outer, n_cells, stretch)
+    try:
+        op = laplacian(g, shift)
+    except ParameterError:  # spacing not below the inner radius
+        assume(False)
+    rhs = g.field(np.random.default_rng(seed).standard_normal(g.n_nodes))
+    ab = banded_layout(op.sub, op.diag, op.sup)
+    assert np.array_equal(op.solve(rhs.values),
+                          solve_banded((1, 1), ab, rhs.values))
+    if shift == 0.0:
+        residual = solve_poisson_neumann(rhs).residual_norm
+    else:
+        w = solve_shifted(shift, rhs)
+        residual = weighted_l2_norm(g.field(rhs.values - op @ w.values))
+    assert residual <= 1e-10 * weighted_l2_norm(rhs)

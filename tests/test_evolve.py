@@ -11,7 +11,7 @@ from nsplab import (FluidParams, ParameterError, PerturbationState,
                     init_perturbation, make_profile, run_simulation,
                     solve_steady_monotone, step_imex, weighted_l2_norm)
 from nsplab.energy import basic_energy, energy_E
-from nsplab.evolve import (_Stepper, _viscous_rows, _Workspace,
+from nsplab.evolve import (_Stepper, _viscous_operator, _Workspace,
                            read_checkpoint, write_checkpoint)
 from nsplab.grids import RadialField
 
@@ -269,12 +269,15 @@ def test_viscous_rows_match_direct_stencil(n_cells, stretch):
     hp = r[2:] - r[1:-1]
     denom = hm + hp
     rmid = r[1:-1]
-    ref = np.zeros((3, r.size))
-    ref[2, :-2] = 2.0 / (hm * denom) + (2.0 / rmid) * (-hp / (hm * denom))
-    ref[1, 1:-1] = -2.0 / (hm * hp) + (2.0 / rmid) * ((hp - hm) / (hm * hp)) \
+    sub, diag, sup = np.zeros((3, r.size))
+    sub[1:-1] = 2.0 / (hm * denom) + (2.0 / rmid) * (-hp / (hm * denom))
+    diag[1:-1] = -2.0 / (hm * hp) + (2.0 / rmid) * ((hp - hm) / (hm * hp)) \
         - 2.0 / rmid**2
-    ref[0, 2:] = 2.0 / (hp * denom) + (2.0 / rmid) * (hm / (hp * denom))
-    assert np.array_equal(_viscous_rows(g), ref)
+    sup[1:-1] = 2.0 / (hp * denom) + (2.0 / rmid) * (hm / (hp * denom))
+    op = _viscous_operator(g)
+    assert np.array_equal(op.sub, sub)
+    assert np.array_equal(op.diag, diag)
+    assert np.array_equal(op.sup, sup)
 
 
 def test_stepper_non_finite_is_vacuum_error(shell16, steady_bump_gamma2,
