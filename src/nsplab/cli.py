@@ -204,16 +204,14 @@ def cmd_verify_inequalities(cfg: AppConfig, outdir: Path) -> int:
     tangents = ineqlab.tangent_ensemble(sgrid, iq["n_fields"], seed,
                                         iq["modes"])
     reports = {
-        "div_curl": ineqlab.div_curl_report(sgrid, iq["n_fields"], seed,
-                                            iq["modes"], ensemble=tangents),
+        "div_curl": ineqlab.div_curl_report(tangents),
         "trace_scaling": ineqlab.verify_trace_scaling(
-            r_values=(d["r_inner"], 2 * d["r_inner"], 4 * d["r_inner"]),
+            r_values=ineqlab.trace_radii(d["r_inner"]),
             outer_factor=iq["trace_outer_factor"], nr=iq["nr"],
             ntheta=iq["ntheta"], nphi=iq["nphi"], seed=seed,
             modes=iq["modes"]),
         "boundary_pairing": ineqlab.boundary_pairing_report(
-            sgrid, iq["n_fields"], iq["n_scalars"], seed, iq["modes"],
-            allowance=iq["allowance"], ensemble=tangents),
+            tangents, iq["n_scalars"], iq["allowance"]),
         "sobolev_l6": ineqlab.sobolev_l6_report(sgrid, iq["n_fields"], seed,
                                                 iq["modes"]),
         "lame_gradient_case": ineqlab.lame_report(

@@ -8,14 +8,15 @@ blank lines, full-line # comments, [section] headers, and key = value pairs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ParameterError
 from .evolve import INIT_KINDS, MODES, check_run_settings
 from .grids import FluidParams, build_radial_grid
-from .ineqlab import build_spherical_grid, check_allowance, check_outer_factor
-from .steady import PROFILE_KINDS, make_profile, profile_supersolution
+from .ineqlab import (build_spherical_grid, check_allowance,
+                      check_outer_factor, trace_radii)
+from .steady import (PROFILE_KINDS, check_tol, make_profile,
+                     profile_supersolution)
 
 
 def _count(text: str) -> int:
@@ -259,10 +260,7 @@ def parse_config(text: str, overrides: list[str] | None = None,
                     seed=use_seed, canonical=canonical)
 
     grid = _owned("domain", cfg.radial_grid)
-    tol = cfg.steady["tol"]
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ConfigError(f"invalid [steady] parameters: tol must be finite "
-                          f"and > 0, got {tol}")
+    _owned("steady", lambda: check_tol(cfg.steady["tol"]))
     _owned("steady", lambda: profile_supersolution(cfg.background(grid),
                                                    fluid.gamma))
     ev = cfg.evolve
@@ -274,4 +272,7 @@ def parse_config(text: str, overrides: list[str] | None = None,
     _owned("ineqlab", cfg.spherical_grid)
     _owned("ineqlab", lambda: check_allowance(iq["allowance"]))
     _owned("ineqlab", lambda: check_outer_factor(iq["trace_outer_factor"]))
+    r_max = max(trace_radii(cfg.domain["r_inner"]))  # the largest trace shell
+    _owned("ineqlab", lambda: build_radial_grid(
+        r_max, iq["trace_outer_factor"] * r_max, iq["nr"]))
     return cfg

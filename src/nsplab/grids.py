@@ -171,7 +171,9 @@ def build_radial_grid(r_inner: float, r_outer: float, n_cells: int,
     constant ratio chosen so that the last cell is exp(stretch) times wider
     than the first.
     """
-    for name, v in (("r_inner", r_inner), ("r_outer", r_outer), ("stretch", stretch)):
+    # r_outer**3 is formed as a product: a Python float power would raise
+    for name, v in (("r_inner", r_inner), ("r_outer", r_outer), ("stretch", stretch),
+                    ("4 pi r_outer**3", FOUR_PI * r_outer * r_outer * r_outer)):
         if not math.isfinite(v):
             raise ParameterError(f"{name} must be finite")
     if r_inner <= 0.0:

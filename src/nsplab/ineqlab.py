@@ -17,8 +17,9 @@ constants are reported, never asserted against an abstract bound):
                    ||grad^2 u|| <= C (||g|| + ||grad u||);
 * Neumann-Poisson regularity: ||grad^2 phi|| <= C ||q|| for the radial solver.
 
-All angular patterns use low azimuthal orders and a sin^2(theta) taper so the
-pole-free midpoint grid sees only smooth data.
+One seeded mode sum builds the tangent and the scalar fields, with low
+azimuthal orders and a sin^2(theta) taper so the pole-free midpoint grid sees
+only smooth data; the div-curl and pairing reports read one TangentEnsemble.
 """
 
 from __future__ import annotations
@@ -227,74 +228,53 @@ def boundary_l2_sq(v: VectorField3) -> float:
     return float(_boundary_integral(v.grid, f2d))
 
 
-def _cutoff_radial(grid: SphericalGrid) -> np.ndarray:
-    """grids.cutoff over the full (uncapped) shell length."""
-    return cutoff(grid.r, grid.r_inner,
-                  grid.r_outer - grid.r_inner)[:, None, None]
-
-
-def random_tangent_field(seed: int, grid: SphericalGrid,
-                         modes: int = 3) -> VectorField3:
-    """Seed-deterministic smooth field with v_r(R) = 0 exactly.
-
-    Low-order trig modes in (theta, phi) with a sin^2(theta) pole taper ride
-    smooth radial envelopes; the radial component carries the extra factor
-    1 - exp(-((r-R)/w)^2), which vanishes identically at the inner sphere.
-    All components decay to zero well before the outer truncation.  The
-    construction depends on radius only through (r - R)/(R_max - R), so the
-    same seed on a geometrically similar grid yields the rescaled field.
-    """
+def _mode_sum(rng: np.random.Generator, grid: SphericalGrid, modes: int,
+              n_comp: int, n_phases: int) -> list[np.ndarray]:
+    """n_comp sums of the same `modes` seeded separable terms, one amplitude
+    per component: a trig pattern in (theta, phi) with a sin^2(theta) pole
+    taper times a cut-off radial envelope in x = (r - R)/(R_max - R)."""
     if modes < 1:
         raise ParameterError("modes must be >= 1")
-    rng = np.random.default_rng([seed, 3])
     r = grid.r[:, None, None]
     x = (r - grid.r_inner) / (grid.r_outer - grid.r_inner)
     theta = grid.theta[None, :, None]
     phi = grid.phi[None, None, :]
     taper = np.sin(theta) ** 2
-    cut = _cutoff_radial(grid)
-    w = 0.15 * (grid.r_outer - grid.r_inner)
-    vr_factor = 1.0 - np.exp(-(((r - grid.r_inner) / w) ** 2))
-
-    comps = [np.zeros(grid.shape) for _ in range(3)]
+    cut = cutoff(r, grid.r_inner, grid.r_outer - grid.r_inner)
+    comps = [np.zeros(grid.shape) for _ in range(n_comp)]
     for _ in range(modes):
         l_phi = rng.integers(0, 5)
         l_theta = rng.integers(1, 4)
         k_r = rng.integers(1, 3)
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=4)
-        amps = rng.uniform(-1.0, 1.0, size=3)
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=n_phases)
+        amps = rng.uniform(-1.0, 1.0, size=n_comp)
         angular = (np.cos(l_phi * phi + phases[0])
                    * np.cos(l_theta * theta + phases[1]) * taper)
         envelope = cut * (0.5 + 0.5 * np.cos(k_r * math.pi * x + phases[2]))
-        for c in range(3):
+        for c in range(n_comp):
             comps[c] += amps[c] * angular * envelope
-    comps[0] = comps[0] * vr_factor
-    return VectorField3(vr=comps[0], vtheta=comps[1], vphi=comps[2], grid=grid)
+    return comps
+
+
+def random_tangent_field(seed: int, grid: SphericalGrid,
+                         modes: int = 3) -> VectorField3:
+    """Seed-deterministic smooth field with v_r(R) = 0 exactly: the radial
+    component of a three-component mode sum carries the extra factor
+    1 - exp(-((r-R)/w)^2).  All components vanish well before R_max, and the
+    same seed on a geometrically similar grid yields the rescaled field."""
+    # draws 4 phases, uses 3: keeps the seeded streams (perfbench reference)
+    vr, vtheta, vphi = _mode_sum(np.random.default_rng([seed, 3]), grid,
+                                 modes, 3, 4)
+    r = grid.r[:, None, None]
+    w = 0.15 * (grid.r_outer - grid.r_inner)
+    vr = vr * (1.0 - np.exp(-(((r - grid.r_inner) / w) ** 2)))
+    return VectorField3(vr=vr, vtheta=vtheta, vphi=vphi, grid=grid)
 
 
 def random_scalar_field(seed: int, grid: SphericalGrid,
                         modes: int = 3) -> np.ndarray:
     """Seed-deterministic smooth scalar, decaying before the outer boundary."""
-    if modes < 1:
-        raise ParameterError("modes must be >= 1")
-    rng = np.random.default_rng([seed, 7])
-    r = grid.r[:, None, None]
-    x = (r - grid.r_inner) / (grid.r_outer - grid.r_inner)
-    theta = grid.theta[None, :, None]
-    phi = grid.phi[None, None, :]
-    taper = np.sin(theta) ** 2
-    cut = _cutoff_radial(grid)
-    out = np.zeros(grid.shape)
-    for _ in range(modes):
-        l_phi = rng.integers(0, 5)
-        l_theta = rng.integers(1, 4)
-        k_r = rng.integers(1, 3)
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=3)
-        amp = rng.uniform(-1.0, 1.0)
-        out += (amp * np.cos(l_phi * phi + phases[0])
-                * np.cos(l_theta * theta + phases[1]) * taper
-                * cut * (0.5 + 0.5 * np.cos(k_r * math.pi * x + phases[2])))
-    return out
+    return _mode_sum(np.random.default_rng([seed, 7]), grid, modes, 1, 3)[0]
 
 
 def _ensemble_report(inequality: str, ratios) -> IneqReport:
@@ -359,23 +339,7 @@ def tangent_ensemble(grid: SphericalGrid, n_fields: int, seed: int = 0,
                            div_curl_norms=div_curl_norms, traces=traces)
 
 
-def _ensemble(ensemble: TangentEnsemble | None, grid: SphericalGrid,
-              n_fields: int, seed: int, modes: int) -> TangentEnsemble:
-    """The given ensemble, checked against the report's arguments, or a new
-    one."""
-    if ensemble is None:
-        return tangent_ensemble(grid, n_fields, seed, modes)
-    if (ensemble.grid is not grid or ensemble.grad_norms.size != n_fields
-            or ensemble.seed != seed or ensemble.modes != modes):
-        raise ParameterError("the tangent ensemble was built for another "
-                             "grid, size, seed or mode count")
-    return ensemble
-
-
-def div_curl_report(grid: SphericalGrid, n_samples: int = 100, seed: int = 0,
-                    modes: int = 3, *,
-                    ensemble: TangentEnsemble | None = None) -> IneqReport:
-    ens = _ensemble(ensemble, grid, n_samples, seed, modes)
+def div_curl_report(ens: TangentEnsemble) -> IneqReport:
     ratios = [_div_curl_ratio(num, denom)
               for num, denom in zip(ens.grad_norms, ens.div_curl_norms)]
     return _ensemble_report("div_curl", ratios)
@@ -388,7 +352,12 @@ def check_outer_factor(outer_factor: float) -> None:
                              f"got {outer_factor}")
 
 
-def verify_trace_scaling(r_values=(1.0, 2.0, 4.0), outer_factor: float = 4.0,
+def trace_radii(r_inner: float) -> tuple[float, float, float]:
+    """Inner radii of the trace-scaling shells: R, 2R and 4R."""
+    return (r_inner, 2.0 * r_inner, 4.0 * r_inner)
+
+
+def verify_trace_scaling(r_values=trace_radii(1.0), outer_factor: float = 4.0,
                          nr: int = 32, ntheta: int = 16, nphi: int = 32,
                          seed: int = 0, modes: int = 3,
                          rel_tol: float = 0.30) -> IneqReport:
@@ -441,18 +410,15 @@ def check_allowance(allowance: float) -> None:
                              f"got {allowance}")
 
 
-def boundary_pairing_report(grid: SphericalGrid, n_fields: int = 100,
-                            n_scalars: int = 20, seed: int = 0,
-                            modes: int = 3,
-                            allowance: float = 0.05, *,
-                            ensemble: TangentEnsemble | None = None
-                            ) -> IneqReport:
+def boundary_pairing_report(ens: TangentEnsemble, n_scalars: int = 20,
+                            allowance: float = 0.05) -> IneqReport:
     """Check |int v . grad f| <= (1 + allowance) ||grad v|| ||grad f|| over
-    the full ensemble product; the claimed constant is exactly 1 and the
-    measured excess over 1 is the quadrature allowance.  The pairings are one
-    contraction of the tangent traces against the scalar-gradient traces."""
+    the ensemble times n_scalars seeded scalars; the claimed constant is
+    exactly 1 and the measured excess over 1 is the quadrature allowance.
+    The pairings are one contraction of the tangent traces against the
+    scalar-gradient traces."""
     check_allowance(allowance)
-    ens = _ensemble(ensemble, grid, n_fields, seed, modes)
+    grid, seed, modes = ens.grid, ens.seed, ens.modes
     g_traces = np.empty((n_scalars, 3) + grid.shape[1:])
     g_norms = np.empty(n_scalars)
     for j in range(n_scalars):

@@ -280,6 +280,12 @@ def _iterate(branch: _Branch, b: np.ndarray, grid: RadialGrid, start: np.ndarray
         f"monotone iteration did not reach {tol:g} within {max_iter} iterations")
 
 
+def check_tol(tol: float) -> None:
+    """The monotone iteration stops at a finite tolerance > 0."""
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"tol must be finite and > 0, got {tol}")
+
+
 def solve_steady_monotone(gamma: float, profile: BackgroundProfile,
                           grid: RadialGrid, tol: float = 1e-10,
                           max_iter: int = 200) -> SteadyState:
@@ -291,6 +297,7 @@ def solve_steady_monotone(gamma: float, profile: BackgroundProfile,
     limits must agree within 10*tol, which doubles as a uniqueness
     certificate; the returned potential is their average.
     """
+    check_tol(tol)
     c_star = profile.c_star
     branch = _Branch(gamma, c_star)
     phi_super = profile_supersolution(profile, gamma)

@@ -6,11 +6,14 @@ callables, and the steady-state oracle is a damped Newton iteration on the
 discrete system (same operator, independent solution path).
 """
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
 from nsplab.elliptic import laplacian
+from nsplab.grids import cutoff
 from nsplab.steady import _Branch
 
 FOUR_PI = 4.0 * np.pi
@@ -160,3 +163,58 @@ def derivative_csr(grid, order):
         cols.extend(range(lo, hi))
         vals.extend(fornberg_weights(grid.r[i], grid.r[lo:hi], order))
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def premerge_tangent_field(seed, grid, modes=3):
+    """(v_r, v_theta, v_phi) of the seeded tangent field as built before the
+    tangent and scalar generators shared one mode sum: the reference the
+    shared generator must reproduce bit for bit."""
+    rng = np.random.default_rng([seed, 3])
+    r = grid.r[:, None, None]
+    x = (r - grid.r_inner) / (grid.r_outer - grid.r_inner)
+    theta = grid.theta[None, :, None]
+    phi = grid.phi[None, None, :]
+    taper = np.sin(theta) ** 2
+    cut = cutoff(grid.r, grid.r_inner,
+                 grid.r_outer - grid.r_inner)[:, None, None]
+    w = 0.15 * (grid.r_outer - grid.r_inner)
+    vr_factor = 1.0 - np.exp(-(((r - grid.r_inner) / w) ** 2))
+
+    comps = [np.zeros(grid.shape) for _ in range(3)]
+    for _ in range(modes):
+        l_phi = rng.integers(0, 5)
+        l_theta = rng.integers(1, 4)
+        k_r = rng.integers(1, 3)
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=4)
+        amps = rng.uniform(-1.0, 1.0, size=3)
+        angular = (np.cos(l_phi * phi + phases[0])
+                   * np.cos(l_theta * theta + phases[1]) * taper)
+        envelope = cut * (0.5 + 0.5 * np.cos(k_r * math.pi * x + phases[2]))
+        for c in range(3):
+            comps[c] += amps[c] * angular * envelope
+    comps[0] = comps[0] * vr_factor
+    return tuple(comps)
+
+
+def premerge_scalar_field(seed, grid, modes=3):
+    """The seeded scalar field as built before the shared mode sum; the
+    shared generator reassociates the product, so it agrees to roundoff."""
+    rng = np.random.default_rng([seed, 7])
+    r = grid.r[:, None, None]
+    x = (r - grid.r_inner) / (grid.r_outer - grid.r_inner)
+    theta = grid.theta[None, :, None]
+    phi = grid.phi[None, None, :]
+    taper = np.sin(theta) ** 2
+    cut = cutoff(grid.r, grid.r_inner,
+                 grid.r_outer - grid.r_inner)[:, None, None]
+    out = np.zeros(grid.shape)
+    for _ in range(modes):
+        l_phi = rng.integers(0, 5)
+        l_theta = rng.integers(1, 4)
+        k_r = rng.integers(1, 3)
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=3)
+        amp = rng.uniform(-1.0, 1.0)
+        out += (amp * np.cos(l_phi * phi + phases[0])
+                * np.cos(l_theta * theta + phases[1]) * taper
+                * cut * (0.5 + 0.5 * np.cos(k_r * math.pi * x + phases[2])))
+    return out

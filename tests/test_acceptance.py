@@ -214,8 +214,10 @@ def spherical_grids():
 def test_criterion_09_boundary_pairing_constant_one(spherical_grids):
     coarse, fine = spherical_grids
     t0 = time.perf_counter()
-    rep_c = iq.boundary_pairing_report(coarse, 100, 20, seed=0)
-    rep_f = iq.boundary_pairing_report(fine, 100, 20, seed=0)
+    rep_c = iq.boundary_pairing_report(iq.tangent_ensemble(coarse, 100,
+                                                           seed=0), 20)
+    rep_f = iq.boundary_pairing_report(iq.tangent_ensemble(fine, 100,
+                                                           seed=0), 20)
     wall = time.perf_counter() - t0
     ok = (rep_c.max_ratio <= 1.05 and rep_f.max_ratio <= 1.02
           and wall < 120.0)
@@ -226,8 +228,8 @@ def test_criterion_09_boundary_pairing_constant_one(spherical_grids):
 
 def test_criterion_10_div_curl_ensemble(spherical_grids):
     coarse, fine = spherical_grids
-    rep_c = iq.div_curl_report(coarse, 100, seed=0)
-    rep_f = iq.div_curl_report(fine, 100, seed=0)
+    rep_c = iq.div_curl_report(iq.tangent_ensemble(coarse, 100, seed=0))
+    rep_f = iq.div_curl_report(iq.tangent_ensemble(fine, 100, seed=0))
     change = abs(rep_f.max_ratio - rep_c.max_ratio) / rep_c.max_ratio
     ok = (math.isfinite(rep_c.max_ratio) and math.isfinite(rep_f.max_ratio)
           and change < 0.25)

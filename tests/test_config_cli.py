@@ -159,6 +159,8 @@ def test_parse_empty_domain_header_uses_defaults():
     ("ineqlab.allowance=-1", "[ineqlab]"),
     ("ineqlab.modes=0", "[ineqlab]"),
     ("ineqlab.trace_outer_factor=0.5", "[ineqlab]"),
+    ("ineqlab.trace_outer_factor=1e308", "[ineqlab]"),
+    ("domain.r_outer=1e200", "[domain]"),
 ])
 def test_parse_owner_checks_name_the_section(override, section):
     with pytest.raises(ConfigError) as err:

@@ -3,10 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsplab import DegenerateFieldError, ParameterError, build_radial_grid
 from nsplab import ineqlab as iq
 from nsplab.elliptic import solve_poisson_neumann
+from nsplab.grids import CUT_END
 from nsplab.ineqlab import (VectorField3, boundary_pairing_report,
                             build_spherical_grid, curl, div_curl_report,
                             divergence, grad_scalar, l2_norm, l2_norm_vec,
@@ -16,6 +19,8 @@ from nsplab.ineqlab import (VectorField3, boundary_pairing_report,
                             verify_div_curl,
                             verify_lame_gradient_case, verify_sobolev_l6,
                             verify_trace_scaling)
+
+from oracles import premerge_scalar_field, premerge_tangent_field
 
 
 @pytest.fixture(scope="module")
@@ -169,9 +174,10 @@ def test_div_curl_rejects_zero_field(sgrid):
 
 
 def test_div_curl_ensemble_stable_under_refinement():
-    r1 = div_curl_report(build_spherical_grid(1.0, 2.0, 16, 8, 8), 10, seed=1)
-    r2 = div_curl_report(build_spherical_grid(1.0, 2.0, 32, 16, 16), 10,
-                         seed=1)
+    r1 = div_curl_report(tangent_ensemble(
+        build_spherical_grid(1.0, 2.0, 16, 8, 8), 10, seed=1))
+    r2 = div_curl_report(tangent_ensemble(
+        build_spherical_grid(1.0, 2.0, 32, 16, 16), 10, seed=1))
     assert abs(r2.max_ratio - r1.max_ratio) / r1.max_ratio < 0.25
 
 
@@ -197,7 +203,8 @@ def test_boundary_pairing_trivial_cases(sgrid):
 
 
 def test_boundary_pairing_small_ensemble(sgrid):
-    rep = boundary_pairing_report(sgrid, n_fields=10, n_scalars=5, seed=0)
+    rep = boundary_pairing_report(tangent_ensemble(sgrid, 10, seed=0),
+                                  n_scalars=5)
     assert rep.passed
     assert rep.claimed_constant == 1.0
     assert rep.max_ratio <= 1.05
@@ -239,18 +246,20 @@ def test_poisson_regularity_ensemble():
 
 
 def test_streamed_reports_equal_per_field_loop(sgrid):
-    n_fields, n_scalars, seed = 6, 4, 3
-    fields = [random_tangent_field(seed + i, sgrid) for i in range(n_fields)]
-    scalars = [random_scalar_field(seed + 1000 + j, sgrid)
+    n_fields, n_scalars, seed, modes = 6, 4, 3, 2
+    fields = [random_tangent_field(seed + i, sgrid, modes)
+              for i in range(n_fields)]
+    scalars = [random_scalar_field(seed + 1000 + j, sgrid, modes)
                for j in range(n_scalars)]
     div_curl = [verify_div_curl(v) for v in fields]
     pairs = [verify_boundary_pairing(v, f) for v in fields for f in scalars]
     pairing = [lhs / rhs for lhs, rhs in pairs]
 
-    rep = div_curl_report(sgrid, n_fields, seed)
+    ens = tangent_ensemble(sgrid, n_fields, seed, modes)
+    rep = div_curl_report(ens)
     assert rep.max_ratio == max(div_curl)
     assert rep.mean_ratio == float(np.mean(div_curl))
-    rep = boundary_pairing_report(sgrid, n_fields, n_scalars, seed)
+    rep = boundary_pairing_report(ens, n_scalars)
     assert rep.n_samples == n_fields * n_scalars
     assert rep.max_ratio == max(pairing)
     assert rep.mean_ratio == float(np.mean(pairing))
@@ -260,14 +269,33 @@ def test_shared_ensemble_gives_the_same_reports(sgrid):
     ens = tangent_ensemble(sgrid, 5, seed=2)
     assert ens.traces.shape == (5, 3) + sgrid.shape[1:]
     assert np.all(ens.traces[:, 0] == 0.0)  # v_r(R) = 0
-    assert (div_curl_report(sgrid, 5, 2, ensemble=ens)
-            == div_curl_report(sgrid, 5, 2))
-    assert (boundary_pairing_report(sgrid, 5, 3, 2, ensemble=ens)
-            == boundary_pairing_report(sgrid, 5, 3, 2))
-    with pytest.raises(ParameterError):
-        div_curl_report(sgrid, 5, 3, ensemble=ens)
-    with pytest.raises(ParameterError):
-        boundary_pairing_report(sgrid, 4, 3, 2, ensemble=ens)
+    again = tangent_ensemble(sgrid, 5, seed=2)
+    assert div_curl_report(ens) == div_curl_report(again)
+    assert boundary_pairing_report(ens, 3) == boundary_pairing_report(again, 3)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(nr=st.integers(16, 48), ntheta=st.integers(8, 24),
+       nphi=st.integers(8, 32), r_inner=st.floats(0.5, 4.0),
+       outer=st.floats(1.5, 8.0), modes=st.integers(1, 4),
+       seed=st.integers(min_value=0))
+def test_mode_sum_reproduces_the_premerge_fields(nr, ntheta, nphi, r_inner,
+                                                 outer, modes, seed):
+    grid = build_spherical_grid(r_inner, outer * r_inner, nr, ntheta, nphi)
+    v = random_tangent_field(seed, grid, modes)
+    for got, want in zip((v.vr, v.vtheta, v.vphi),
+                         premerge_tangent_field(seed, grid, modes)):
+        assert np.array_equal(got, want)
+    f = random_scalar_field(seed, grid, modes)
+    want = premerge_scalar_field(seed, grid, modes)
+    # the shared sum reassociates the scalar's product: roundoff only
+    assert (np.max(np.abs(f - want))
+            <= 8.0 * np.finfo(float).eps * np.max(np.abs(want)))
+    assert np.all(v.vr[0] == 0.0)
+    far = grid.r >= grid.r_inner + CUT_END * (grid.r_outer - grid.r_inner)
+    assert far.any()
+    for comp in (v.vr, v.vtheta, v.vphi, f):
+        assert np.all(comp[far] == 0.0)
 
 
 def test_geometry_computed_once_per_grid(sgrid):

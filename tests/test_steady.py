@@ -245,6 +245,14 @@ def test_iteration_budget_error(shell16):
         solve_steady_monotone(2.0, profile, shell16, tol=1e-10, max_iter=2)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+def test_solver_rejects_a_tolerance_that_is_not_finite_and_positive(shell16,
+                                                                     tol):
+    profile = make_profile("admissible_bump", 1.0, 0.5, shell16)
+    with pytest.raises(ParameterError):
+        solve_steady_monotone(2.0, profile, shell16, tol=tol)
+
+
 def test_regularity_report_flat_background(shell16):
     profile = make_profile("constant", 1.0, 0.0, shell16)
     st = solve_steady_monotone(2.0, profile, shell16)
