@@ -112,46 +112,46 @@ def cmd_steady(cfg: AppConfig, outdir: Path) -> int:
 def _sim_config(cfg: AppConfig, grid, steady, outdir: Path) -> SimConfig:
     """The run settings of cfg; with evolve.checkpoints on, checkpoints go
     to outdir/checkpoints, which is created here."""
-    ev = cfg.evolve
+    settings = dict(cfg.evolve)
     checkpoint_dir = None
-    if ev["checkpoints"]:
+    if settings.pop("checkpoints"):
         checkpoint_dir = outdir / "checkpoints"
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
         checkpoint_dir = str(checkpoint_dir)
-    return SimConfig(params=cfg.fluid, grid=grid, steady=steady,
-                     delta=ev["delta"], t_end=ev["t_end"], dt=ev["dt"],
-                     sponge_width=ev["sponge_width"],
-                     sponge_rate=ev["sponge_rate"],
-                     output_stride=ev["output_stride"],
-                     init_kind=ev["init_kind"], mode=ev["mode"],
-                     pressure=ev["pressure"], coupling=ev["coupling"],
-                     viscosity=ev["viscosity"], margin=ev["margin"],
-                     vacuum_floor=ev["vacuum_floor"],
+    return SimConfig(params=cfg.fluid, grid=grid, steady=steady, **settings,
                      checkpoint_dir=checkpoint_dir,
                      digest_extra=hashlib.sha256(
                          cfg.canonical.encode()).hexdigest())
 
 
-def _summarize(series: energy_mod.TimeSeries, cfg: AppConfig,
-               wall: float, failure_time=None) -> dict:
-    samples = series.samples
-    e0 = samples[0].E if samples else 0.0
-    mass0 = samples[0].mass if samples else 0.0
-    drift = max(abs(s.mass - mass0) for s in samples) if samples else 0.0
-    out = {
-        "config_digest": series.config_digest,
-        "dt": series.dt,
-        "n_samples": len(samples),
-        "c_visc": series.c_visc,
-        "E0": e0,
-        "mass_drift": drift,
-        "seed": cfg.seed,
-        "wall_time_s": wall,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-    }
-    if failure_time is not None:
-        out["failure_time"] = failure_time
-        out["verdict"] = "ABORTED"
+def _simulate(cfg: AppConfig, grid, steady, outdir: Path, t0: float) -> dict:
+    """Run the simulation of cfg, write outdir/series.csv (the partial series
+    of an aborted run too) and return the summary: the verdict (PASS, FAIL,
+    ABORTED or SKIPPED), the measured ratios and, for an abort, the failure
+    time and its reason."""
+    failure = None
+    try:
+        series = run_simulation(_sim_config(cfg, grid, steady, outdir))
+    except SimulationAbort as exc:
+        failure, series = exc, exc.series
+    out = {"seed": cfg.seed}
+    if series is not None:
+        _series_csv(outdir / "series.csv", series)
+        samples = series.samples
+        mass0 = samples[0].mass if samples else 0.0
+        out.update({
+            "config_digest": series.config_digest,
+            "dt": series.dt,
+            "n_samples": len(samples),
+            "c_visc": series.c_visc,
+            "E0": samples[0].E if samples else 0.0,
+            "mass_drift": max((abs(s.mass - mass0) for s in samples),
+                              default=0.0),
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+        })
+    if failure is not None:
+        out.update(verdict="ABORTED", failure_time=failure.t_fail,
+                   reason=str(failure))
     elif series.verdict is None:
         out["verdict"] = "SKIPPED (zero initial energy)"
     else:
@@ -162,9 +162,10 @@ def _summarize(series: energy_mod.TimeSeries, cfg: AppConfig,
         out["sup_ratio_quadratic_with_qtt"] = v.sup_ratio_quadratic_with_qtt
         out["margin"] = v.margin
         out["c_fit"] = v.c_fit
-        if len(samples) >= 3:
+        if len(series.samples) >= 3:
             out["lemma_remainder_kappa"] = energy_mod.lemma_remainder_constant(
                 series)
+    out["wall_time_s"] = time.perf_counter() - t0
     return out
 
 
@@ -172,25 +173,10 @@ def cmd_simulate(cfg: AppConfig, outdir: Path) -> int:
     t0 = time.perf_counter()
     grid = _build_grid(cfg)
     _, steady = _build_steady(cfg, grid)
-    try:
-        series = run_simulation(_sim_config(cfg, grid, steady, outdir))
-    except SimulationAbort as exc:
-        wall = time.perf_counter() - t0
-        if exc.series is None:  # aborted while building the initial data
-            summary = {"verdict": "ABORTED", "failure_time": exc.t_fail,
-                       "seed": cfg.seed, "wall_time_s": wall}
-        else:
-            _series_csv(outdir / "series.csv", exc.series)
-            summary = _summarize(exc.series, cfg, wall,
-                                 failure_time=exc.t_fail)
-        _write_json(outdir / "summary.json", summary)
-        return EXIT_RUNTIME
-    wall = time.perf_counter() - t0
-    _series_csv(outdir / "series.csv", series)
-    _write_json(outdir / "summary.json", _summarize(series, cfg, wall))
-    if series.verdict is not None and not series.verdict.passed:
-        return EXIT_VERDICT
-    return EXIT_OK
+    summary = _simulate(cfg, grid, steady, outdir, t0)
+    _write_json(outdir / "summary.json", summary)
+    return {"ABORTED": EXIT_RUNTIME, "FAIL": EXIT_VERDICT}.get(
+        summary["verdict"], EXIT_OK)
 
 
 def cmd_verify_inequalities(cfg: AppConfig, outdir: Path) -> int:
@@ -258,27 +244,18 @@ def _sweep_row(cfg: AppConfig, row_dir: Path) -> dict:
     row["steady_residual"] = steady.residual_elliptic
     row["steady_compat_residual"] = compatibility_residual(steady)
     try:
-        series = run_simulation(_sim_config(cfg, grid, steady, row_dir))
-    except SimulationAbort as exc:
-        print(f"aborted: {row_dir.name}: {exc}", file=sys.stderr)
-        if exc.series is not None:
-            _series_csv(row_dir / "series.csv", exc.series)
-        row["aborted"] = True
-        return row
+        summary = _simulate(cfg, grid, steady, row_dir, time.perf_counter())
     except ParameterError as exc:
         print(f"failed: {row_dir.name}: {exc}", file=sys.stderr)
         return row
-    _series_csv(row_dir / "series.csv", series)
-    v = series.verdict
-    row.update({
-        "E0": series.samples[0].E,
-        "sup_ratio_E": v.sup_ratio_E if v else 0.0,
-        "sup_ratio_quadratic": v.sup_ratio_quadratic if v else 0.0,
-        "c_fit": v.c_fit if v else 0.0,
-        "mass_drift": max(abs(s.mass - series.samples[0].mass)
-                          for s in series.samples),
-        "verdict_pass": 1.0 if (v is None or v.passed) else 0.0,
-    })
+    if summary["verdict"] == "ABORTED":
+        print(f"aborted: {row_dir.name}: {summary['reason']}", file=sys.stderr)
+        row["aborted"] = True
+        return row
+    for key in ("E0", "sup_ratio_E", "sup_ratio_quadratic", "c_fit",
+                "mass_drift"):
+        row[key] = summary.get(key, 0.0)
+    row["verdict_pass"] = 0.0 if summary["verdict"] == "FAIL" else 1.0
     return row
 
 

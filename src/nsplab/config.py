@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .elliptic import laplacian
 from .errors import ConfigError, ParameterError
 from .evolve import INIT_KINDS, MODES, check_run_settings
 from .grids import FluidParams, build_radial_grid
@@ -260,6 +261,7 @@ def parse_config(text: str, overrides: list[str] | None = None,
                     seed=use_seed, canonical=canonical)
 
     grid = _owned("domain", cfg.radial_grid)
+    _owned("domain", lambda: laplacian(grid))  # the spacing rule
     _owned("steady", lambda: check_tol(cfg.steady["tol"]))
     _owned("steady", lambda: profile_supersolution(cfg.background(grid),
                                                    fluid.gamma))
@@ -271,8 +273,6 @@ def parse_config(text: str, overrides: list[str] | None = None,
     iq = cfg.ineqlab
     _owned("ineqlab", cfg.spherical_grid)
     _owned("ineqlab", lambda: check_allowance(iq["allowance"]))
-    _owned("ineqlab", lambda: check_outer_factor(iq["trace_outer_factor"]))
-    r_max = max(trace_radii(cfg.domain["r_inner"]))  # the largest trace shell
-    _owned("ineqlab", lambda: build_radial_grid(
-        r_max, iq["trace_outer_factor"] * r_max, iq["nr"]))
+    _owned("ineqlab", lambda: check_outer_factor(
+        iq["trace_outer_factor"], max(trace_radii(cfg.domain["r_inner"]))))
     return cfg

@@ -135,17 +135,6 @@ def laplacian(grid: RadialGrid, shift: float = 0.0) -> Tridiagonal:
     return op
 
 
-def _solve(grid: RadialGrid, shift: float, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Certified solve: the refined solve, then the weighted residual norm of
-    the refined solution."""
-    op = laplacian(grid, shift)
-    x = op.solve_refined(rhs)
-    res_norm = weighted_l2_norm(RadialField(rhs - op @ x, grid))
-    if not np.all(np.isfinite(x)):
-        raise ParameterError("elliptic solve produced non-finite values")
-    return x, res_norm
-
-
 def solve_poisson_values(grid: RadialGrid, q: np.ndarray) -> np.ndarray:
     """phi values with Lap(phi) = q on raw arrays: the same refined solve as
     solve_poisson_neumann, without the residual certificate and without a
@@ -161,17 +150,23 @@ def solve_poisson_neumann(q: RadialField) -> PoissonSolution:
     the zero-mean compatibility of the unbounded problem is a property of the
     data, not of this solver.
     """
-    phi_vals, res_norm = _solve(q.grid, 0.0, q.values)
-    return PoissonSolution(phi=RadialField(phi_vals, q.grid),
-                           residual_norm=res_norm)
+    op = laplacian(q.grid)
+    phi = op.solve_refined(q.values)
+    if not np.all(np.isfinite(phi)):
+        raise ParameterError("elliptic solve produced non-finite values")
+    return PoissonSolution(
+        phi=RadialField(phi, q.grid),
+        residual_norm=weighted_l2_norm(RadialField(q.values - op @ phi, q.grid)))
 
 
 def solve_shifted(shift: float, rhs: RadialField) -> RadialField:
     """Solve (Lap - shift) w = rhs with the same boundary closures."""
     if not math.isfinite(shift) or shift < 0.0:
         raise ParameterError(f"shift must be finite and >= 0, got {shift}")
-    w_vals, _ = _solve(rhs.grid, shift, rhs.values)
-    return RadialField(w_vals, rhs.grid)
+    w = laplacian(rhs.grid, shift).solve_refined(rhs.values)
+    if not np.all(np.isfinite(w)):
+        raise ParameterError("elliptic solve produced non-finite values")
+    return RadialField(w, rhs.grid)
 
 
 def hessian_norm_radial(phi: RadialField) -> float:

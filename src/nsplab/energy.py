@@ -172,10 +172,15 @@ class SeriesRecorder:
         self.grad_u_sq.append(grad_u_sq)
 
     def finish(self, margin: float | None) -> TimeSeries:
+        """The series with the centered-difference residual of the zero-order
+        identity at each interior sample (zero at the endpoints, which have
+        no centered stencil) and, given a margin, the stability verdict."""
         grad = np.array(self.grad_u_sq)
-        t = np.array([r["t"] for r in self.rows])
-        eb = np.array([r["E_basic"] for r in self.rows])
-        resid = _identity_residuals(t, eb, grad, self.c_visc)
+        resid = np.zeros(len(self.rows))
+        if len(self.rows) >= 3:
+            t = np.array([r["t"] for r in self.rows])
+            eb = np.array([r["E_basic"] for r in self.rows])
+            resid[1:-1] = _centered_rate(t, eb) + self.c_visc * grad[1:-1]
         samples = [EnergySample(identity_residual=float(resid[i]), **row)
                    for i, row in enumerate(self.rows)]
         series = TimeSeries(samples=samples, grad_u_sq=grad, c_visc=self.c_visc,
@@ -194,26 +199,14 @@ def _centered_rate(t: np.ndarray, e: np.ndarray) -> np.ndarray:
             + e[1:-1] * (hp**2 - hm**2)) / (hm * hp * (hm + hp))
 
 
-def _identity_residuals(t: np.ndarray, e_basic: np.ndarray,
-                        grad_u_sq: np.ndarray, c_visc: float) -> np.ndarray:
-    """Centered-difference residual of the zero-order identity per interior
-    sample; endpoints are set to zero (no centered stencil there)."""
-    n = t.size
-    out = np.zeros(n)
-    if n < 3:
-        return out
-    out[1:-1] = _centered_rate(t, e_basic) + c_visc * grad_u_sq[1:-1]
-    return out
-
-
 def basic_energy_identity_residual(series: TimeSeries,
                                    index: int | None = None):
     """Residual rho_i = (dE_basic/dt)|centered + c_visc ||grad u||^2 at one
-    interior sample, or the array over all interior samples."""
+    interior sample, or the array over all interior samples, as stored in
+    the series' identity_residual column."""
     if len(series.samples) < 3:
         raise ParameterError("identity residual needs at least 3 samples")
-    resid = _identity_residuals(series.t, series.column("E_basic"),
-                                series.grad_u_sq, series.c_visc)
+    resid = series.column("identity_residual")
     if index is None:
         return resid[1:-1]
     if not (1 <= index <= len(series.samples) - 2):

@@ -181,11 +181,10 @@ class _Workspace:
         if width == "auto":
             width = 0.2 * (grid.r_outer - grid.r_inner)
         rate = config.sponge_rate
-        cs_max = float(np.max(params.sound_speed(self.rho_s)))
-        dt_acoustic = grid.min_spacing / cs_max
         if rate == "auto":
             # inverse acoustic crossing time of the layer; a grid-scale rate
             # would turn the sponge into a reflective wall
+            cs_max = float(np.max(params.sound_speed(self.rho_s)))
             rate = cs_max / width if width > 0.0 else 0.0
         self.sponge_rate = float(rate)
         if self.sponge_rate > 0.0 and width > 0.0:
@@ -195,7 +194,6 @@ class _Workspace:
             self.sponge_mask = np.zeros_like(self.r)
         self.sponge_on = self.sponge_rate > 0.0 and np.any(self.sponge_mask > 0.0)
         self.sponge_wsum = float(np.dot(grid.weights, self.sponge_mask))
-        self.dt_acoustic = dt_acoustic
 
     def rho(self, q: np.ndarray) -> np.ndarray:
         rho = self.rho_s + q
@@ -388,10 +386,10 @@ class _Stepper:
     (and factored on its first solve) once per stepper.  Its wall rows are
     identity rows, since L has zero rows there."""
 
-    def __init__(self, config: SimConfig, ws: _Workspace, dt: float):
+    def __init__(self, ws: _Workspace, dt: float):
         self.ws = ws
         self.dt = dt
-        self.implicit = config.viscosity
+        self.implicit = ws.viscosity
         if self.implicit:
             visc = ws.visc
             f = 0.5 * dt * ws.nu_s
@@ -453,7 +451,7 @@ def step_imex(state: PerturbationState, dt: float,
     if dt == 0.0:
         return state
     ws = _Workspace(config)
-    q, u, phi = _Stepper(config, ws, dt).advance(
+    q, u, phi = _Stepper(ws, dt).advance(
         state.q.values, state.u.values, state.phi.values)
     return _fields(ws.grid, q, u, phi, state.t + dt)
 
@@ -492,7 +490,7 @@ def run_simulation(config: SimConfig) -> "energy_mod.TimeSeries":
     dt = _resolve_dt(config, state, ws)
     n_steps = max(1, math.ceil(config.t_end / dt - 1e-12))
     dt = config.t_end / n_steps
-    stepper = _Stepper(config, ws, dt)
+    stepper = _Stepper(ws, dt)
     c_visc = config.params.longitudinal_viscosity
 
     recorder = energy_mod.SeriesRecorder(config, c_visc=c_visc, dt=dt,

@@ -166,6 +166,9 @@ def test_parse_owner_checks_name_the_section(override, section):
     with pytest.raises(ConfigError) as err:
         parse_config(QUICK, overrides=[override])
     assert section in str(err.value)
+    # the message names the key, not the radius of the overflowing shell
+    if override == "ineqlab.trace_outer_factor=1e308":
+        assert "trace_outer_factor" in str(err.value)
 
 
 _VALUES = st.one_of(
@@ -282,6 +285,23 @@ def test_cli_simulate_vacuum_abort(tmp_path):
     # the initial data already crosses the vacuum guard
     assert summary["verdict"] == "ABORTED"
     assert summary["failure_time"] == 0.0
+    assert "vacuum guard" in summary["reason"]
+
+
+def test_cli_simulate_mid_run_abort_writes_partial_series(tmp_path):
+    # the velocity bump piles up density until it crosses the vacuum guard
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--set", "evolve.delta=3000",
+                 "--set", "evolve.init_kind=velocity_only"])
+    assert code == 4
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdict"] == "ABORTED"
+    assert 0.0 < summary["failure_time"] < 0.5
+    assert "vacuum guard" in summary["reason"]
+    lines = (out / "series.csv").read_text().strip().splitlines()
+    assert len(lines) == summary["n_samples"] + 1 > 2
 
 
 def test_cli_simulate_checkpoints(tmp_path):
@@ -358,8 +378,9 @@ def test_cli_sweep_single_cell_matches_simulate(tmp_path):
     row = dict(zip(sweep_lines[0].split(","),
                    [float(x) for x in sweep_lines[1].split(",")]))
     summary = json.loads((out_sim / "summary.json").read_text())
-    assert row["sup_ratio_E"] == pytest.approx(summary["sup_ratio_E"],
-                                               rel=1e-12)
+    for key in ("E0", "sup_ratio_E", "sup_ratio_quadratic", "c_fit",
+                "mass_drift"):
+        assert row[key] == summary[key]
     assert row["verdict_pass"] == 1.0
     # row directory carries the same series bytes as the simulate run
     assert ((out_sweep / "row_000" / "series.csv").read_bytes()
@@ -395,13 +416,14 @@ def test_cli_sweep_writes_row_checkpoints(tmp_path):
     assert state.t == pytest.approx(0.1, rel=1e-12)
 
 
-def test_cli_sweep_keeps_rows_when_one_aborts(tmp_path):
+def test_cli_sweep_keeps_rows_when_one_aborts(tmp_path, capsys):
     # the second row's initial data already crosses the vacuum guard
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
     code = main(["sweep", "--config", str(cfg), "--out", str(out),
                  "--set", "sweep.delta=1e-3,1e7"])
     assert code == 4
+    assert "aborted: row_001: density fell" in capsys.readouterr().err
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     header = lines[0].split(",")
     rows = [dict(zip(header, [float(x) for x in line.split(",")]))
@@ -410,6 +432,9 @@ def test_cli_sweep_keeps_rows_when_one_aborts(tmp_path):
     assert rows[0]["verdict_pass"] == 1.0
     assert rows[1]["verdict_pass"] == 0.0
     assert rows[1]["delta"] == 1e7
+    assert all(rows[1][k] == 0.0 for k in ("E0", "sup_ratio_E",
+                                           "sup_ratio_quadratic", "c_fit",
+                                           "mass_drift"))
 
 
 def test_cli_sweep_keeps_rows_when_one_steady_solve_fails(tmp_path):
@@ -464,6 +489,19 @@ def test_cli_sweep_rejects_bad_row_before_running(tmp_path):
     code = main(["sweep", "--config", str(cfg), "--out", str(out),
                  "--set", "sweep.r_max=16.0,0.5"])
     assert code == 2
+    assert not (out / "row_000").exists()
+
+
+def test_cli_sweep_rejects_row_too_coarse_for_the_laplacian(tmp_path, capsys):
+    # at n_cells = 8 and stretch = 3 the outermost cell is wider than the
+    # first interior radius, which the Laplacian's spacing rule forbids
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--set", "sweep.n_cells=320,8", "--set", "domain.stretch=3",
+                 "--set", "evolve.t_end=0.2"])
+    assert code == 2
+    assert "[domain]" in capsys.readouterr().err
     assert not (out / "row_000").exists()
 
 

@@ -256,6 +256,20 @@ def test_identity_residual_zero_perturbation(shell16, steady_bump_gamma2,
     assert np.max(np.abs(basic_energy_identity_residual(series))) == 0.0
 
 
+def test_identity_residual_reads_the_recorded_column(shell16,
+                                                     steady_bump_gamma2,
+                                                     params_gamma2):
+    cfg = SimConfig(params=params_gamma2, grid=shell16,
+                    steady=steady_bump_gamma2, delta=1e-3, t_end=0.2,
+                    output_stride=5)
+    series = run_simulation(cfg)
+    resid = basic_energy_identity_residual(series)
+    assert np.any(resid != 0.0)
+    assert np.array_equal(resid, series.column("identity_residual")[1:-1])
+    assert (basic_energy_identity_residual(series, 2)
+            == series.samples[2].identity_residual)
+
+
 def test_remainder_constant_scales_with_amplitude(params_gamma2,
                                                   steady_bump_gamma2,
                                                   shell16):

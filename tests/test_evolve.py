@@ -289,8 +289,7 @@ def test_stepper_non_finite_is_vacuum_error(shell16, steady_bump_gamma2,
     q = st.q.values.copy()
     q[shell16.n_nodes // 3] = np.nan
     ws = _Workspace(cfg)
-    stepper = _Stepper(cfg, ws, cfl_dt(params_gamma2, steady_bump_gamma2,
-                                       shell16))
+    stepper = _Stepper(ws, cfl_dt(params_gamma2, steady_bump_gamma2, shell16))
     with pytest.raises(VacuumError):
         stepper.advance(q, st.u.values, st.phi.values)
 
