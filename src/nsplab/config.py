@@ -274,5 +274,6 @@ def parse_config(text: str, overrides: list[str] | None = None,
     _owned("ineqlab", cfg.spherical_grid)
     _owned("ineqlab", lambda: check_allowance(iq["allowance"]))
     _owned("ineqlab", lambda: check_outer_factor(
-        iq["trace_outer_factor"], max(trace_radii(cfg.domain["r_inner"]))))
+        iq["trace_outer_factor"], max(trace_radii(cfg.domain["r_inner"])),
+        iq["nr"]))
     return cfg

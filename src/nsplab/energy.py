@@ -83,12 +83,12 @@ def mass(q: RadialField) -> float:
     return integrate(q)
 
 
-def basic_energy(state, phi_r: np.ndarray, steady, params) -> float:
+def basic_energy(state, phi_r: np.ndarray, rho_s: np.ndarray,
+                 hp: np.ndarray) -> float:
     """Zero-order quadratic energy 1/2 int (rho_tilde u^2 + h' q^2 + |grad phi|^2),
-    with phi_r the radial derivative of state.phi."""
+    with phi_r the radial derivative of state.phi, rho_s = rho_tilde and
+    hp = h'(rho_tilde)."""
     grid = state.q.grid
-    rho_s = steady.rho_tilde.values
-    hp = params.enthalpy_weight(rho_s)
     dens = rho_s * state.u.values**2 + hp * state.q.values**2 + phi_r**2
     return 0.5 * float(np.dot(grid.weights, dens))
 
@@ -145,10 +145,13 @@ class TimeSeries:
 
 
 class SeriesRecorder:
-    """Accumulates samples during a run and assembles the TimeSeries."""
+    """Accumulates samples during a run and assembles the TimeSeries;
+    hp_s is h'(rho_tilde), the run's enthalpy weight."""
 
-    def __init__(self, config, c_visc: float, dt: float, digest: str):
-        self.config = config
+    def __init__(self, config, c_visc: float, dt: float, digest: str,
+                 hp_s: np.ndarray):
+        self.rho_s = config.steady.rho_tilde.values
+        self.hp_s = hp_s
         self.c_visc = c_visc
         self.dt = dt
         self.digest = digest
@@ -156,7 +159,6 @@ class SeriesRecorder:
         self.grad_u_sq = []
 
     def add(self, state, tendencies) -> None:
-        cfg = self.config
         e, d, d_no, grad_u_sq, phi_r = _sample_norms(state, tendencies)
         row = {
             "t": state.t,
@@ -164,9 +166,8 @@ class SeriesRecorder:
             "D": d,
             "D_no_qtt": d_no,
             "mass": mass(state.q),
-            "E_basic": basic_energy(state, phi_r, cfg.steady, cfg.params),
-            "min_density": float(np.min(cfg.steady.rho_tilde.values
-                                        + state.q.values)),
+            "E_basic": basic_energy(state, phi_r, self.rho_s, self.hp_s),
+            "min_density": float(np.min(self.rho_s + state.q.values)),
         }
         self.rows.append(row)
         self.grad_u_sq.append(grad_u_sq)

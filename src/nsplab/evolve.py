@@ -26,6 +26,10 @@ Discretization notes:
 * the stiff viscous term is advanced by Crank-Nicolson (tridiagonal solves),
   everything else by a Heun predictor-corrector; the combination is second
   order in time;
+* the run loop evaluates the explicit tendencies once per state: the
+  evaluation of a new state is both its sample's tendencies and the next
+  step's stage 0, and each evaluation applies the viscous operator once,
+  for the explicit tendency and the Crank-Nicolson split alike;
 * an outer sponge layer relaxes u toward zero and q toward its layer mean --
   relaxing toward the mean rather than zero keeps the sponge exactly
   mass-neutral.
@@ -169,9 +173,11 @@ class _Workspace:
         self.cv = grid.weights / (4.0 * math.pi)  # dual-cell volumes / 4pi
         self.rho_s = config.steady.rho_tilde.values
         self.hp_s = params.enthalpy_weight(self.rho_s)
-        self.nu_s = params.longitudinal_viscosity / self.rho_s
+        self.dh = params.enthalpy_increment_about(self.rho_s)
+        self.c_visc = params.longitudinal_viscosity
+        self.nu_s = self.c_visc / self.rho_s
         self.visc = _viscous_operator(grid)
-        self.mode = config.mode
+        self.nonlinear = config.mode == "nonlinear"
         self.pressure = config.pressure
         self.coupling = config.coupling
         self.viscosity = config.viscosity
@@ -194,12 +200,13 @@ class _Workspace:
             self.sponge_mask = np.zeros_like(self.r)
         self.sponge_on = self.sponge_rate > 0.0 and np.any(self.sponge_mask > 0.0)
         self.sponge_wsum = float(np.dot(grid.weights, self.sponge_mask))
+        self.sponge_coef = -self.sponge_rate * self.sponge_mask
 
     def rho(self, q: np.ndarray) -> np.ndarray:
         rho = self.rho_s + q
-        if float(np.min(rho)) <= self.vacuum_min:
+        if rho.min() <= self.vacuum_min:
             raise VacuumError(
-                f"density fell to {float(np.min(rho)):.3e}, below the vacuum guard")
+                f"density fell to {float(rho.min()):.3e}, below the vacuum guard")
         return rho
 
     def flux_divergence(self, g: np.ndarray) -> np.ndarray:
@@ -215,21 +222,22 @@ class _Workspace:
         return out
 
     def rhs(self, q: np.ndarray, u: np.ndarray, phi: np.ndarray):
-        """Continuity and momentum tendencies (sponge not included)."""
-        nonlinear = self.mode == "nonlinear"
+        """Continuity and momentum tendencies (sponge not included) and
+        the viscous apply visc @ u they used (None without viscosity)."""
+        nonlinear = self.nonlinear
         rho = self.rho(q)  # vacuum guard in both modes
         carrier = rho if nonlinear else self.rho_s
         q_t = -self.flux_divergence(self.r2 * carrier * u)
 
-        dh = (self.params.enthalpy_increment(self.rho_s, q) if nonlinear
-              else self.hp_s * q)
+        dh = self.dh(q) if nonlinear else self.hp_s * q
         dh_r, phi_r, u_r = differentiate(self.grid, np.stack((dh, phi, u)), 1)
         u_t = np.zeros_like(u)
         if self.pressure:
             u_t -= dh_r
+        lap_u = None
         if self.viscosity:
             lap_u = self.visc @ u
-            coef = self.params.longitudinal_viscosity / rho if nonlinear else self.nu_s
+            coef = self.c_visc / rho if nonlinear else self.nu_s
             u_t += coef * lap_u
         if self.coupling:
             u_t += phi_r
@@ -237,7 +245,7 @@ class _Workspace:
             u_t -= u * u_r
         u_t[0] = 0.0
         u_t[-1] = 0.0
-        return q_t, u_t
+        return q_t, u_t, lap_u
 
     def sponge(self, q: np.ndarray, u: np.ndarray):
         """Mass-neutral relaxation tendencies in the outer layer."""
@@ -246,9 +254,7 @@ class _Workspace:
             return z, z
         s = self.sponge_mask
         mean = float(np.dot(self.grid.weights, s * q)) / self.sponge_wsum
-        dq = -self.sponge_rate * s * (q - mean)
-        du = -self.sponge_rate * s * u
-        return dq, du
+        return self.sponge_coef * (q - mean), self.sponge_coef * u
 
 
 def _viscous_operator(grid: RadialGrid) -> Tridiagonal:
@@ -273,15 +279,20 @@ def compute_rhs(state: PerturbationState, steady: SteadyState,
                     mode=mode, pressure=pressure, coupling=coupling,
                     viscosity=viscosity, sponge_rate=0.0, sponge_width=0.0)
     ws = _Workspace(cfg)
-    return _tendencies(ws, state)
+    return _tendencies(ws, state, ws.rhs(*_arrays(state)))
 
 
-def _tendencies(ws: _Workspace, state: PerturbationState) -> Tendencies:
-    q, u, phi = state.q.values, state.u.values, state.phi.values
-    q_t, u_t = ws.rhs(q, u, phi)
+def _arrays(state: PerturbationState):
+    return state.q.values, state.u.values, state.phi.values
+
+
+def _tendencies(ws: _Workspace, state: PerturbationState, f) -> Tendencies:
+    """The tendency bundle of state, given f = ws.rhs of its arrays."""
+    q, u = state.q.values, state.u.values
+    q_t, u_t, _ = f
     grid = ws.grid
     phi_t = solve_poisson_values(grid, q_t)
-    if ws.mode == "nonlinear":
+    if ws.nonlinear:
         rho = ws.rho_s + q
         g = ws.r2 * (q_t * u + rho * u_t)
     else:
@@ -340,7 +351,8 @@ def init_perturbation(kind: str, delta: float, grid: RadialGrid,
 
     def energy_of(a: float) -> float:
         st = state_at(a)
-        return energy_mod.energy_E(st, _tendencies(ws, st))
+        return energy_mod.energy_E(st, _tendencies(ws, st,
+                                                   ws.rhs(*_arrays(st))))
 
     probe = 1e-6
     amp = delta * probe / energy_of(probe)
@@ -375,7 +387,7 @@ def _resolve_dt(config: SimConfig, state: PerturbationState,
 
 
 def _finite(x: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise VacuumError("non-finite values produced during time step")
     return x
 
@@ -396,14 +408,15 @@ class _Stepper:
             self.cn = Tridiagonal(-f * visc.sub, 1.0 - f * visc.diag,
                                   -f * visc.sup)
 
-    def _explicit(self, q, u, phi):
-        """Tendencies minus the implicitly treated part of the viscous term,
-        and that part (0.0 without viscosity)."""
+    def _explicit(self, q, u, f):
+        """Tendencies f = ws.rhs(q, u, phi) plus the sponge, minus the
+        implicitly treated part of the viscous term, and that part (0.0
+        without viscosity)."""
         ws = self.ws
-        q_t, u_t = ws.rhs(q, u, phi)
+        q_t, u_t, lap_u = f
         vu = 0.0
         if self.implicit:
-            vu = ws.nu_s * (ws.visc @ u)
+            vu = ws.nu_s * lap_u
             u_t = u_t - vu
             u_t[0] = 0.0
             u_t[-1] = 0.0
@@ -421,17 +434,18 @@ class _Stepper:
     def _potential(self, q: np.ndarray) -> np.ndarray:
         return _finite(solve_poisson_values(self.ws.grid, q))
 
-    def advance(self, q0: np.ndarray, u0: np.ndarray,
-                phi0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (q, u, phi) one step later; raises VacuumError when the
-        density hits the vacuum guard or a stage produces non-finite values."""
+    def advance(self, q0: np.ndarray, u0: np.ndarray, phi0: np.ndarray,
+                f0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return (q, u, phi) one step later, given f0 = ws.rhs(q0, u0,
+        phi0) as stage 0; raises VacuumError when the density hits the
+        vacuum guard or a stage produces non-finite values."""
         dt = self.dt
-        eq0, eu0, vu0 = self._explicit(q0, u0, phi0)
+        eq0, eu0, vu0 = self._explicit(q0, u0, f0)
         u1 = self._solve_u(u0 + dt * eu0 + 0.5 * dt * vu0)
         q1 = q0 + dt * eq0
         phi1 = self._potential(q1)
 
-        eq1, eu1, _ = self._explicit(q1, u1, phi1)
+        eq1, eu1, _ = self._explicit(q1, u1, self.ws.rhs(q1, u1, phi1))
         q2 = q0 + 0.5 * dt * (eq0 + eq1)
         u2 = self._solve_u(u0 + 0.5 * dt * (eu0 + eu1) + 0.5 * dt * vu0)
         phi2 = self._potential(q2)
@@ -451,8 +465,8 @@ def step_imex(state: PerturbationState, dt: float,
     if dt == 0.0:
         return state
     ws = _Workspace(config)
-    q, u, phi = _Stepper(ws, dt).advance(
-        state.q.values, state.u.values, state.phi.values)
+    arrays = _arrays(state)
+    q, u, phi = _Stepper(ws, dt).advance(*arrays, ws.rhs(*arrays))
     return _fields(ws.grid, q, u, phi, state.t + dt)
 
 
@@ -475,8 +489,11 @@ def run_simulation(config: SimConfig) -> "energy_mod.TimeSeries":
 
     Aborts (vacuum or non-finite values) raise SimulationAbort carrying the
     failure time and the partial series; an abort while the initial data is
-    built has t_fail = 0 and no series.  The loop carries raw arrays and
-    builds fields only for the samples.
+    built (vacuum, or an amplitude that cannot reach delta) has t_fail = 0
+    and no series.  The loop carries raw arrays and evaluates the explicit
+    tendencies once per state: that evaluation is the next step's stage 0
+    and, on a sampled step, the sample's tendencies.  Fields are built only
+    for the samples.
     """
     ws = _Workspace(config)
     try:
@@ -485,32 +502,34 @@ def run_simulation(config: SimConfig) -> "energy_mod.TimeSeries":
                                   mode=config.mode, pressure=config.pressure,
                                   coupling=config.coupling,
                                   viscosity=config.viscosity)
-    except VacuumError as exc:
+    except (VacuumError, IterationError) as exc:
         raise SimulationAbort(str(exc), t_fail=0.0) from exc
     dt = _resolve_dt(config, state, ws)
     n_steps = max(1, math.ceil(config.t_end / dt - 1e-12))
     dt = config.t_end / n_steps
     stepper = _Stepper(ws, dt)
-    c_visc = config.params.longitudinal_viscosity
 
-    recorder = energy_mod.SeriesRecorder(config, c_visc=c_visc, dt=dt,
-                                         digest=_default_digest(config))
+    recorder = energy_mod.SeriesRecorder(config, c_visc=ws.c_visc, dt=dt,
+                                         digest=_default_digest(config),
+                                         hp_s=ws.hp_s)
 
-    def sample(st: PerturbationState, step: int):
-        recorder.add(st, _tendencies(ws, st))
+    def sample(st: PerturbationState, f, step: int):
+        recorder.add(st, _tendencies(ws, st, f))
         if config.checkpoint_dir is not None:
             from pathlib import Path
             path = Path(config.checkpoint_dir) / f"state_{step:08d}.txt"
             write_checkpoint(st, path)
 
-    q, u, phi, t = state.q.values, state.u.values, state.phi.values, state.t
+    q, u, phi, t = *_arrays(state), state.t
     try:
-        sample(state, 0)
+        f = ws.rhs(q, u, phi)
+        sample(state, f, 0)
         for step in range(1, n_steps + 1):
-            q, u, phi = stepper.advance(q, u, phi)
+            q, u, phi = stepper.advance(q, u, phi, f)
             t = t + dt
+            f = ws.rhs(q, u, phi)
             if step % config.output_stride == 0 or step == n_steps:
-                sample(_fields(config.grid, q, u, phi, t), step)
+                sample(_fields(config.grid, q, u, phi, t), f, step)
     except VacuumError as exc:
         raise SimulationAbort(str(exc), t_fail=t,
                               series=recorder.finish(margin=None)) from exc

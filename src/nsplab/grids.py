@@ -65,18 +65,19 @@ class FluidParams:
         """h'(rho) = p'(rho)/rho = gamma * rho**(gamma-2); pressure linearization weight."""
         return self.gamma * np.power(rho, self.gamma - 2.0)
 
-    def enthalpy_increment(self, rho_base, q):
-        """h(rho_base + q) - h(rho_base), evaluated without cancellation.
+    def enthalpy_increment_about(self, rho_base):
+        """The map q -> h(rho_base + q) - h(rho_base), evaluated without
+        cancellation; its q-independent factor is computed once, here.
 
         The naive difference loses ~|log10 q| digits for small perturbations;
         the expm1/log1p form is exact at q = 0 and accurate uniformly in q.
         """
-        ratio = np.log1p(q / rho_base)
-        if self.gamma == 1.0:
-            return ratio
-        return (self.gamma / (self.gamma - 1.0)) \
-            * np.power(rho_base, self.gamma - 1.0) \
-            * np.expm1((self.gamma - 1.0) * ratio)
+        g = self.gamma
+        if g == 1.0:
+            return lambda q: np.log1p(q / rho_base)
+        prefactor = (g / (g - 1.0)) * np.power(rho_base, g - 1.0)
+        return lambda q: prefactor * np.expm1((g - 1.0)
+                                              * np.log1p(q / rho_base))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +145,7 @@ class RadialField:
             raise ParameterError(
                 f"field length {vals.shape} does not match grid ({self.grid.n_nodes},)"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ParameterError("field values must be finite")
         vals = vals.copy()
         vals.flags.writeable = False

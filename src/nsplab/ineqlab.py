@@ -345,12 +345,19 @@ def div_curl_report(ens: TangentEnsemble) -> IneqReport:
     return _ensemble_report("div_curl", ratios)
 
 
-def check_outer_factor(outer_factor: float, r_inner: float) -> None:
+def check_outer_factor(outer_factor: float, r_inner: float, nr: int) -> None:
     """The trace-scaling shell from r_inner to outer_factor * r_inner is a
-    valid radial shell; callers pass the inner radius of the largest shell."""
+    valid radial shell, and its nr cells are narrower than r_inner (the
+    spacing rule elliptic.laplacian applies to [domain]): outer_factor < nr
+    + 1.  Callers pass the inner radius of the largest shell."""
     if not (math.isfinite(outer_factor) and outer_factor > 1.0):
         raise ParameterError(f"trace_outer_factor must be finite and > 1, "
                              f"got {outer_factor}")
+    if outer_factor >= nr + 1:
+        raise ParameterError(f"trace_outer_factor = {outer_factor:g} must stay "
+                             f"below nr + 1 = {nr + 1}: wider shells of {nr} "
+                             "cells have a spacing that reaches the inner "
+                             "radius")
     try:
         build_radial_grid(r_inner, outer_factor * r_inner, 8)
     except ParameterError as exc:
@@ -369,7 +376,7 @@ def verify_trace_scaling(r_values=trace_radii(1.0), outer_factor: float = 4.0,
                          rel_tol: float = 0.30) -> IneqReport:
     """Boundary-trace ratio |v|^2_{r=R} / (R ||grad v||^2) for one field shape
     rescaled across inner radii; the ratio should be R-independent."""
-    check_outer_factor(outer_factor, max(r_values))
+    check_outer_factor(outer_factor, max(r_values), nr)
     ratios = []
     for r_in in r_values:
         grid = build_spherical_grid(r_in, outer_factor * r_in, nr, ntheta, nphi)

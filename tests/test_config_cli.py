@@ -160,6 +160,8 @@ def test_parse_empty_domain_header_uses_defaults():
     ("ineqlab.modes=0", "[ineqlab]"),
     ("ineqlab.trace_outer_factor=0.5", "[ineqlab]"),
     ("ineqlab.trace_outer_factor=1e308", "[ineqlab]"),
+    ("ineqlab.trace_outer_factor=1e100", "[ineqlab]"),
+    ("ineqlab.trace_outer_factor=17", "[ineqlab]"),
     ("domain.r_outer=1e200", "[domain]"),
 ])
 def test_parse_owner_checks_name_the_section(override, section):
@@ -167,7 +169,8 @@ def test_parse_owner_checks_name_the_section(override, section):
         parse_config(QUICK, overrides=[override])
     assert section in str(err.value)
     # the message names the key, not the radius of the overflowing shell
-    if override == "ineqlab.trace_outer_factor=1e308":
+    # or the spacing of the too-wide one
+    if override.startswith("ineqlab.trace_outer_factor"):
         assert "trace_outer_factor" in str(err.value)
 
 
@@ -286,6 +289,20 @@ def test_cli_simulate_vacuum_abort(tmp_path):
     assert summary["verdict"] == "ABORTED"
     assert summary["failure_time"] == 0.0
     assert "vacuum guard" in summary["reason"]
+
+
+def test_cli_simulate_unscalable_initial_data_aborts(tmp_path):
+    # no amplitude brings the initial energy to delta = 2000
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--set", "evolve.delta=2000"])
+    assert code == 4
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdict"] == "ABORTED"
+    assert summary["failure_time"] == 0.0
+    assert "could not scale" in summary["reason"]
+    assert not (out / "series.csv").exists()
 
 
 def test_cli_simulate_mid_run_abort_writes_partial_series(tmp_path):
@@ -432,6 +449,28 @@ def test_cli_sweep_keeps_rows_when_one_aborts(tmp_path, capsys):
     assert rows[0]["verdict_pass"] == 1.0
     assert rows[1]["verdict_pass"] == 0.0
     assert rows[1]["delta"] == 1e7
+    assert all(rows[1][k] == 0.0 for k in ("E0", "sup_ratio_E",
+                                           "sup_ratio_quadratic", "c_fit",
+                                           "mass_drift"))
+
+
+def test_cli_sweep_keeps_rows_when_one_cannot_scale_its_initial_data(
+        tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--set", "sweep.delta=1e-3,2000",
+                 "--set", "evolve.t_end=0.2"])
+    assert code == 4
+    assert ("aborted: row_001: could not scale initial data"
+            in capsys.readouterr().err)
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, [float(x) for x in line.split(",")]))
+            for line in lines[1:]]
+    assert [r["delta"] for r in rows] == [1e-3, 2000.0]
+    assert rows[0]["verdict_pass"] == 1.0
+    assert rows[1]["verdict_pass"] == 0.0
     assert all(rows[1][k] == 0.0 for k in ("E0", "sup_ratio_E",
                                            "sup_ratio_quadratic", "c_fit",
                                            "mass_drift"))

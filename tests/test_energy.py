@@ -102,7 +102,8 @@ def test_sample_computes_each_derivative_once(shell16, bundle,
 
     monkeypatch.setattr(grids, "differentiate", counted)
     monkeypatch.setattr("nsplab.energy.differentiate", counted)
-    recorder = SeriesRecorder(cfg, c_visc=1.0, dt=0.1, digest="x")
+    hp_s = params_gamma2.enthalpy_weight(steady_bump_gamma2.rho_tilde.values)
+    recorder = SeriesRecorder(cfg, c_visc=1.0, dt=0.1, digest="x", hp_s=hp_s)
     recorder.add(state, tend)
     monkeypatch.undo()
     # one stacked apply per order

@@ -10,7 +10,9 @@ from nsplab import (FluidParams, ParameterError, PerturbationState,
                     build_radial_grid, compute_rhs,
                     init_perturbation, make_profile, run_simulation,
                     solve_steady_monotone, step_imex, weighted_l2_norm)
-from nsplab.energy import basic_energy, energy_E
+from nsplab import evolve
+from nsplab.elliptic import Tridiagonal
+from nsplab.energy import SeriesRecorder, basic_energy, energy_E
 from nsplab.evolve import (_Stepper, _viscous_operator, _Workspace,
                            read_checkpoint, write_checkpoint)
 from nsplab.grids import RadialField
@@ -291,7 +293,8 @@ def test_stepper_non_finite_is_vacuum_error(shell16, steady_bump_gamma2,
     ws = _Workspace(cfg)
     stepper = _Stepper(ws, cfl_dt(params_gamma2, steady_bump_gamma2, shell16))
     with pytest.raises(VacuumError):
-        stepper.advance(q, st.u.values, st.phi.values)
+        stepper.advance(q, st.u.values, st.phi.values,
+                        ws.rhs(q, st.u.values, st.phi.values))
 
 
 # ------------------------------------------------------------------- runs
@@ -364,3 +367,179 @@ def test_run_abort_while_building_initial_data(shell16, steady_bump_gamma2,
         run_simulation(cfg)
     assert info.value.t_fail == 0.0
     assert info.value.series is None
+
+
+# ------------------------------------------- one explicit evaluation per state
+
+@pytest.fixture(scope="module", params=[1.0, 1.5, 2.0],
+                ids=["gamma1", "gamma1.5", "gamma2"])
+def cells16(request):
+    """A 16-cell shell, its steady state and fluid at one gamma; gamma = 1
+    takes the log branch of the enthalpy increment, the others the
+    prefactor branch."""
+    g = build_radial_grid(1.0, 16.0, 16)
+    gamma = request.param
+    steady = solve_steady_monotone(
+        gamma, make_profile("admissible_bump", 1.0, 0.5, g), g)
+    return g, steady, FluidParams(gamma=gamma, mu=0.5, lambda_=0.0)
+
+
+def test_hoisted_run_constants_keep_the_inline_arithmetic(cells16):
+    # the per-run factors give the bits of the one-line formulas
+    g, steady, params = cells16
+    gamma, rho_s = params.gamma, steady.rho_tilde.values
+    q = 1e-3 * np.sin(g.r)
+    ratio = np.log1p(q / rho_s)
+    inline = ratio if gamma == 1.0 else (
+        (gamma / (gamma - 1.0)) * np.power(rho_s, gamma - 1.0)
+        * np.expm1((gamma - 1.0) * ratio))
+    dh = params.enthalpy_increment_about(rho_s)(q)
+    assert dh.tobytes() == inline.tobytes()
+
+    ws = _Workspace(SimConfig(params=params, grid=g, steady=steady))
+    assert ws.sponge_on
+    s, u = ws.sponge_mask, 1e-3 * np.cos(g.r)
+    mean = float(np.dot(g.weights, s * q)) / ws.sponge_wsum
+    dq, du = ws.sponge(q, u)
+    assert dq.tobytes() == (-ws.sponge_rate * s * (q - mean)).tobytes()
+    assert du.tobytes() == (-ws.sponge_rate * s * u).tobytes()
+
+
+def _reference_run(cfg: SimConfig, dt: float):
+    """The sampled run rebuilt from public pieces: step_imex for each step
+    and compute_rhs for each sample, so every state's tendencies are
+    evaluated afresh.  Returns the series, or the failure time, the message
+    and the partial series of a vacuum abort."""
+    flags = dict(mode=cfg.mode, pressure=cfg.pressure,
+                 coupling=cfg.coupling, viscosity=cfg.viscosity)
+    params, steady = cfg.params, cfg.steady
+    state = init_perturbation(cfg.init_kind, cfg.delta, cfg.grid, steady,
+                              params, **flags)
+    recorder = SeriesRecorder(
+        cfg, c_visc=params.longitudinal_viscosity, dt=dt,
+        digest=evolve._default_digest(cfg),
+        hp_s=params.enthalpy_weight(steady.rho_tilde.values))
+    n_steps = round(cfg.t_end / dt)
+    try:
+        recorder.add(state, compute_rhs(state, steady, params, **flags))
+        for step in range(1, n_steps + 1):
+            state = step_imex(state, dt, cfg)
+            if step % cfg.output_stride == 0 or step == n_steps:
+                recorder.add(state, compute_rhs(state, steady, params,
+                                                **flags))
+    except VacuumError as exc:
+        return state.t, str(exc), recorder.finish(margin=None)
+    return recorder.finish(margin=cfg.margin)
+
+
+def _assert_same_series(a, b):
+    # repr spells every float exactly, signed zeros included
+    assert len(a.samples) == len(b.samples) > 1
+    assert [repr(s) for s in a.samples] == [repr(s) for s in b.samples]
+    assert a.grad_u_sq.tobytes() == b.grad_u_sq.tobytes()
+    assert repr(a.verdict) == repr(b.verdict)
+    assert (a.dt, a.c_visc, a.config_digest) == (b.dt, b.c_visc,
+                                                 b.config_digest)
+
+
+@pytest.mark.parametrize("mode", ["nonlinear", "linear"])
+@pytest.mark.parametrize("sponge_rate", ["auto", 0.0],
+                         ids=["sponge", "no_sponge"])
+def test_run_samples_equal_the_public_step_loop(cells16, mode, sponge_rate):
+    g, steady, params = cells16
+    cfg = SimConfig(params=params, grid=g, steady=steady, delta=1e-3,
+                    t_end=4.0, output_stride=3, mode=mode,
+                    sponge_rate=sponge_rate)
+    series = run_simulation(cfg)
+    assert series.verdict is not None
+    _assert_same_series(series, _reference_run(cfg, series.dt))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_run_vacuum_abort_equals_the_public_step_loop(cells16, stride):
+    # the velocity bump piles up density until it crosses a guard at 0.8
+    g, steady, params = cells16
+    cfg = SimConfig(params=params, grid=g, steady=steady, delta=100.0,
+                    t_end=4.0, output_stride=stride,
+                    init_kind="velocity_only", vacuum_floor=0.8)
+    with pytest.raises(SimulationAbort) as info:
+        run_simulation(cfg)
+    abort = info.value
+    t_fail, message, partial = _reference_run(cfg, abort.series.dt)
+    assert 0.0 < abort.t_fail == t_fail
+    assert str(abort) == message
+    assert abort.series.verdict is None
+    _assert_same_series(abort.series, partial)
+
+
+@pytest.mark.parametrize("k", [4, 5], ids=["sampled", "unsampled"])
+def test_run_abort_at_a_state_equals_the_public_step_loop(cells16, k,
+                                                          monkeypatch):
+    # a guard that trips at the state after k steps, not inside a step:
+    # the failure time is that state's
+    g, steady, params = cells16
+    cfg = SimConfig(params=params, grid=g, steady=steady, delta=1e-3,
+                    t_end=4.0, output_stride=2)
+    dt = run_simulation(cfg).dt
+    state = init_perturbation("standard", 1e-3, g, steady, params)
+    for _ in range(k):
+        state = step_imex(state, dt, cfg)
+    real_rhs = _Workspace.rhs
+
+    def rhs(self, q, u, phi):
+        if np.array_equal(q, state.q.values):
+            raise VacuumError("tripped")
+        return real_rhs(self, q, u, phi)
+
+    monkeypatch.setattr(_Workspace, "rhs", rhs)
+    with pytest.raises(SimulationAbort) as info:
+        run_simulation(cfg)
+    t_fail, message, partial = _reference_run(cfg, dt)
+    assert info.value.t_fail == t_fail == state.t
+    assert str(info.value) == message == "tripped"
+    _assert_same_series(info.value.series, partial)
+    assert len(partial.samples) == 1 + (k - 1) // 2
+
+
+@pytest.mark.parametrize("stride", [1, 3, 1000])
+def test_run_evaluates_rhs_once_per_state(cells16, stride, monkeypatch):
+    g, steady, params = cells16
+    counts = {"rhs": 0, "visc": 0}
+    viscs = []
+    real_rhs = _Workspace.rhs
+    real_matmul = Tridiagonal.__matmul__
+    real_visc = evolve._viscous_operator
+    real_init = evolve.init_perturbation
+
+    def rhs(self, q, u, phi):
+        counts["rhs"] += 1
+        return real_rhs(self, q, u, phi)
+
+    def matmul(self, x):
+        counts["visc"] += any(self is v for v in viscs)
+        return real_matmul(self, x)
+
+    def viscous_operator(grid):
+        viscs.append(real_visc(grid))
+        return viscs[-1]
+
+    def init(*args, **kwargs):
+        # count only the run loop's evaluations
+        state = real_init(*args, **kwargs)
+        counts.update(rhs=0, visc=0)
+        return state
+
+    monkeypatch.setattr(_Workspace, "rhs", rhs)
+    monkeypatch.setattr(Tridiagonal, "__matmul__", matmul)
+    monkeypatch.setattr(evolve, "_viscous_operator", viscous_operator)
+    monkeypatch.setattr(evolve, "init_perturbation", init)
+    cfg = SimConfig(params=params, grid=g, steady=steady, delta=1e-3,
+                    t_end=4.0, output_stride=stride)
+    series = run_simulation(cfg)
+    n = round(cfg.t_end / series.dt)
+    assert n > 3
+    # one evaluation per state: the initial one, then two stages a step
+    # whose second result is the next state's, shared with its sample
+    assert counts["rhs"] == 2 * n + 1
+    # and each evaluation, one per stage, applies visc once
+    assert counts["visc"] == counts["rhs"]

@@ -190,6 +190,16 @@ def test_trace_scaling_invariance():
     assert max(ratios) - min(ratios) <= 1e-3 * max(ratios)
 
 
+def test_trace_scaling_rejects_unresolved_shells():
+    # spacing (f - 1) R / nr must stay below R: f < nr + 1
+    iq.check_outer_factor(16.99, 4.0, 16)
+    for factor in (17.0, 1e100):
+        with pytest.raises(ParameterError, match="trace_outer_factor"):
+            iq.check_outer_factor(factor, 4.0, 16)
+    with pytest.raises(ParameterError, match="trace_outer_factor"):
+        verify_trace_scaling(outer_factor=1e100, nr=16, ntheta=8, nphi=8)
+
+
 def test_boundary_pairing_trivial_cases(sgrid):
     v = random_tangent_field(7, sgrid)
     f_const = np.full(sgrid.shape, 2.5)
