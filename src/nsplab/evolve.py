@@ -273,7 +273,12 @@ def compute_rhs(state: PerturbationState, steady: SteadyState,
                 pressure: bool = True, coupling: bool = True,
                 viscosity: bool = True) -> Tendencies:
     """Evaluate the full tendency bundle (q_t, u_t, phi_t, q_tt) from the
-    equations; used both by the stepper stages and by the energy functionals.
+    equations, with the same workspace arithmetic the stepper stages and the
+    energy samples use.
+
+    A one-shot reference entry point: each call builds its own workspace
+    (viscous operator, sound speeds).  Loops over many states should use
+    run_simulation, which builds the workspace once per run.
     """
     cfg = SimConfig(params=params, grid=state.q.grid, steady=steady,
                     mode=mode, pressure=pressure, coupling=coupling,
@@ -459,7 +464,13 @@ def _fields(grid: RadialGrid, q, u, phi, t: float) -> PerturbationState:
 
 def step_imex(state: PerturbationState, dt: float,
               config: SimConfig) -> PerturbationState:
-    """Advance one step; dt = 0 returns the state unchanged bit-for-bit."""
+    """Advance one step; dt = 0 returns the state unchanged bit-for-bit.
+
+    A one-shot reference entry point: each call builds its own workspace and
+    a freshly factored Crank-Nicolson operator, which costs more than the
+    step itself on fine grids.  Loops should call run_simulation, which
+    builds both once per run and takes the same steps.
+    """
     if dt < 0.0 or not math.isfinite(dt):
         raise ParameterError(f"dt must be finite and >= 0, got {dt}")
     if dt == 0.0:

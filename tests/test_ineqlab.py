@@ -255,15 +255,24 @@ def test_poisson_regularity_ensemble():
     assert rep.max_ratio == pytest.approx(1.0, abs=0.02)
 
 
+def _pairing(grid, v_traces, g_traces):
+    return abs(float(iq._boundary_pairings(grid, v_traces[None],
+                                           g_traces[None])[0, 0]))
+
+
 def test_streamed_reports_equal_per_field_loop(sgrid):
     n_fields, n_scalars, seed, modes = 6, 4, 3, 2
-    fields = [random_tangent_field(seed + i, sgrid, modes)
-              for i in range(n_fields)]
-    scalars = [random_scalar_field(seed + 1000 + j, sgrid, modes)
+    members = [iq._tangent_member(seed + i, sgrid, modes)
+               for i in range(n_fields)]
+    scalars = [iq._scalar_gradient(seed + 1000 + j, sgrid, modes)
                for j in range(n_scalars)]
-    div_curl = [verify_div_curl(v) for v in fields]
-    pairs = [verify_boundary_pairing(v, f) for v in fields for f in scalars]
-    pairing = [lhs / rhs for lhs, rhs in pairs]
+    g_traces = [np.stack([iq._trace(c) for c in comps]) for comps in scalars]
+    g_norms = [math.sqrt(iq._vector_sq(sgrid, comps)) for comps in scalars]
+    div_curl = [math.sqrt(m.grad_sq) / (math.sqrt(m.div_sq)
+                                        + math.sqrt(m.curl_sq))
+                for m in members]
+    pairing = [_pairing(sgrid, m.traces, tg) / (math.sqrt(m.grad_sq) * gn)
+               for m in members for tg, gn in zip(g_traces, g_norms)]
 
     ens = tangent_ensemble(sgrid, n_fields, seed, modes)
     rep = div_curl_report(ens)
@@ -352,15 +361,81 @@ def test_verify_inequalities_builds_each_tangent_field_once(tmp_path,
                                                             monkeypatch):
     from nsplab.cli import main
     calls = []
-    build = iq.random_tangent_field
+    build = iq._tangent_modes
 
-    def counted(seed, grid, modes=3):
+    def counted(seed, grid, modes):
         calls.append(seed)
         return build(seed, grid, modes)
 
-    monkeypatch.setattr(iq, "random_tangent_field", counted)
+    def forbidden(*args):
+        raise AssertionError("a seeded member went through the 3-D grid")
+
+    monkeypatch.setattr(iq, "_tangent_modes", counted)
+    for name in ("gradient_squared", "curl", "divergence"):
+        monkeypatch.setattr(iq, name, forbidden)
     config = Path(__file__).parents[1] / "configs" / "quick.cfg"
     assert main(["verify-inequalities", "--config", str(config),
                  "--out", str(tmp_path), "--set", "ineqlab.n_fields=7"]) == 0
-    # n_fields for the shared div-curl/pairing pass, 3 for trace scaling
+    # n_fields factor builds for the shared div-curl/pairing pass, 3 for
+    # trace scaling
     assert len(calls) == 7 + 3
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(nr=st.integers(16, 48), ntheta=st.integers(8, 24),
+       nphi=st.integers(8, 32), r_inner=st.floats(0.5, 4.0),
+       outer=st.floats(1.5, 8.0), modes=st.integers(1, 4),
+       seed=st.integers(min_value=0))
+def test_factor_path_matches_the_grid_operators(nr, ntheta, nphi, r_inner,
+                                                outer, modes, seed):
+    # the per-field operators on the 3-D grid are the oracle of the factor
+    # path; 1e-12 is the inequality-ratio tolerance of the benchmark gate
+    grid = build_spherical_grid(r_inner, outer * r_inner, nr, ntheta, nphi)
+
+    def close(got, want):
+        return abs(got - want) <= 1e-12 * abs(want)
+
+    def close_traces(got, want):
+        return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    v = random_tangent_field(seed, grid, modes)
+    m = iq._tangent_member(seed, grid, modes)
+    assert close(math.sqrt(m.grad_sq), iq.grad_norm(v))
+    assert close(math.sqrt(m.div_sq) + math.sqrt(m.curl_sq),
+                 iq._div_curl_norm(v))
+    assert close_traces(m.traces, iq._traces(v))
+
+    gf = grad_scalar(grid, random_scalar_field(seed, grid, modes))
+    comps = iq._scalar_gradient(seed, grid, modes)
+    assert close(math.sqrt(iq._vector_sq(grid, comps)), l2_norm_vec(gf))
+    assert close_traces(np.stack([iq._trace(c) for c in comps]),
+                        iq._traces(gf))
+
+
+def test_batched_pairings_match_each_pair(sgrid):
+    ens = tangent_ensemble(sgrid, 4, seed=5)
+    g = np.stack([np.stack([iq._trace(c)
+                            for c in iq._scalar_gradient(s, sgrid, 3)])
+                  for s in range(3)])
+    pairs = iq._boundary_pairings(sgrid, ens.traces, g)
+    for i, tv in enumerate(ens.traces):
+        for j, tg in enumerate(g):
+            direct = float(iq._boundary_integral(sgrid, np.sum(tv * tg, 0)))
+            assert pairs[i, j] == pytest.approx(direct, rel=1e-13, abs=1e-15)
+
+
+def test_div_curl_boundary_identity_converges_at_second_order():
+    # ||grad v||^2 - ||div v||^2 - ||curl v||^2 = R^-1 int_{r=R} |v|^2 dS
+    # for fields tangent to the sphere r = R and vanishing at R_max
+    # (Grisvard 1985, sec. 3.1; von Wahl 1992); the factor path makes grids
+    # of 512 x 256 x 256 cheap
+    for seed in (1, 2, 3):
+        errors = []
+        for n in (128, 256, 512):
+            grid = build_spherical_grid(1.0, 4.0, n, n // 2, n // 2)
+            m = iq._tangent_member(seed, grid, 3)
+            boundary = iq._boundary_l2_sq(grid, m.traces) / grid.r_inner
+            errors.append((m.grad_sq - m.div_sq - m.curl_sq) / boundary - 1.0)
+        assert abs(errors[-1]) < 2e-3
+        order = math.log2(errors[-2] / errors[-1])
+        assert 1.9 <= order <= 2.1
