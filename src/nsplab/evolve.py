@@ -248,10 +248,8 @@ class _Workspace:
         return q_t, u_t, lap_u
 
     def sponge(self, q: np.ndarray, u: np.ndarray):
-        """Mass-neutral relaxation tendencies in the outer layer."""
-        if not self.sponge_on:
-            z = np.zeros_like(q)
-            return z, z
+        """Mass-neutral relaxation tendencies in the outer layer; only
+        called when sponge_on."""
         s = self.sponge_mask
         mean = float(np.dot(self.grid.weights, s * q)) / self.sponge_wsum
         return self.sponge_coef * (q - mean), self.sponge_coef * u
@@ -414,8 +412,8 @@ class _Stepper:
                                   -f * visc.sup)
 
     def _explicit(self, q, u, f):
-        """Tendencies f = ws.rhs(q, u, phi) plus the sponge, minus the
-        implicitly treated part of the viscous term, and that part (0.0
+        """Tendencies f = ws.rhs(q, u, phi) plus the sponge (if on), minus
+        the implicitly treated part of the viscous term, and that part (0.0
         without viscosity)."""
         ws = self.ws
         q_t, u_t, lap_u = f
@@ -425,8 +423,10 @@ class _Stepper:
             u_t = u_t - vu
             u_t[0] = 0.0
             u_t[-1] = 0.0
-        sp_q, sp_u = ws.sponge(q, u)
-        return q_t + sp_q, u_t + sp_u, vu
+        if ws.sponge_on:
+            sp_q, sp_u = ws.sponge(q, u)
+            q_t, u_t = q_t + sp_q, u_t + sp_u
+        return q_t, u_t, vu
 
     def _solve_u(self, rhs: np.ndarray) -> np.ndarray:
         """Velocity update; ``rhs`` is a fresh array and is overwritten."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,22 @@ def test_poisson_regularity_ensemble():
     assert rep.max_ratio == pytest.approx(1.0, abs=0.02)
 
 
+def _tangent_member(seed, grid, modes):
+    """The factor-path quantities of one tangent field: a batch of one."""
+    m = iq._tangent_members(iq._batch(iq._tangent_modes, seed, 1, grid, modes))
+    return type(m)(*(x[0] for x in m))
+
+
+def _scalar_gradient(seed, grid, modes):
+    """The grad-f pieces of one scalar, a batch of one."""
+    return iq._scalar_gradient(iq._batch(iq._scalar_modes, seed, 1, grid,
+                                         modes))
+
+
+def _scalar_traces(comps):
+    return np.stack([iq._trace(c)[0] for c in comps])
+
+
 def _pairing(grid, v_traces, g_traces):
     return abs(float(iq._boundary_pairings(grid, v_traces[None],
                                            g_traces[None])[0, 0]))
@@ -262,12 +279,12 @@ def _pairing(grid, v_traces, g_traces):
 
 def test_streamed_reports_equal_per_field_loop(sgrid):
     n_fields, n_scalars, seed, modes = 6, 4, 3, 2
-    members = [iq._tangent_member(seed + i, sgrid, modes)
+    members = [_tangent_member(seed + i, sgrid, modes)
                for i in range(n_fields)]
-    scalars = [iq._scalar_gradient(seed + 1000 + j, sgrid, modes)
+    scalars = [_scalar_gradient(seed + 1000 + j, sgrid, modes)
                for j in range(n_scalars)]
-    g_traces = [np.stack([iq._trace(c) for c in comps]) for comps in scalars]
-    g_norms = [math.sqrt(iq._vector_sq(sgrid, comps)) for comps in scalars]
+    g_traces = [_scalar_traces(comps) for comps in scalars]
+    g_norms = [math.sqrt(iq._vector_sq(sgrid, comps)[0]) for comps in scalars]
     div_curl = [math.sqrt(m.grad_sq) / (math.sqrt(m.div_sq)
                                         + math.sqrt(m.curl_sq))
                 for m in members]
@@ -399,23 +416,21 @@ def test_factor_path_matches_the_grid_operators(nr, ntheta, nphi, r_inner,
         return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     v = random_tangent_field(seed, grid, modes)
-    m = iq._tangent_member(seed, grid, modes)
+    m = _tangent_member(seed, grid, modes)
     assert close(math.sqrt(m.grad_sq), iq.grad_norm(v))
     assert close(math.sqrt(m.div_sq) + math.sqrt(m.curl_sq),
                  iq._div_curl_norm(v))
     assert close_traces(m.traces, iq._traces(v))
 
     gf = grad_scalar(grid, random_scalar_field(seed, grid, modes))
-    comps = iq._scalar_gradient(seed, grid, modes)
-    assert close(math.sqrt(iq._vector_sq(grid, comps)), l2_norm_vec(gf))
-    assert close_traces(np.stack([iq._trace(c) for c in comps]),
-                        iq._traces(gf))
+    comps = _scalar_gradient(seed, grid, modes)
+    assert close(math.sqrt(iq._vector_sq(grid, comps)[0]), l2_norm_vec(gf))
+    assert close_traces(_scalar_traces(comps), iq._traces(gf))
 
 
 def test_batched_pairings_match_each_pair(sgrid):
     ens = tangent_ensemble(sgrid, 4, seed=5)
-    g = np.stack([np.stack([iq._trace(c)
-                            for c in iq._scalar_gradient(s, sgrid, 3)])
+    g = np.stack([_scalar_traces(_scalar_gradient(s, sgrid, 3))
                   for s in range(3)])
     pairs = iq._boundary_pairings(sgrid, ens.traces, g)
     for i, tv in enumerate(ens.traces):
@@ -433,9 +448,65 @@ def test_div_curl_boundary_identity_converges_at_second_order():
         errors = []
         for n in (128, 256, 512):
             grid = build_spherical_grid(1.0, 4.0, n, n // 2, n // 2)
-            m = iq._tangent_member(seed, grid, 3)
+            m = _tangent_member(seed, grid, 3)
             boundary = iq._boundary_l2_sq(grid, m.traces) / grid.r_inner
             errors.append((m.grad_sq - m.div_sq - m.curl_sq) / boundary - 1.0)
         assert abs(errors[-1]) < 2e-3
         order = math.log2(errors[-2] / errors[-1])
         assert 1.9 <= order <= 2.1
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(nr=st.integers(16, 48), ntheta=st.integers(8, 24),
+       nphi=st.integers(8, 32), r_inner=st.floats(0.5, 4.0),
+       outer=st.floats(1.5, 8.0), modes=st.integers(1, 4),
+       seed=st.integers(min_value=0), n=st.integers(2, 6))
+def test_batch_members_equal_batches_of_one(nr, ntheta, nphi, r_inner, outer,
+                                            modes, seed, n):
+    # member i of one batched evaluation is the batch of one of seed + i,
+    # bit for bit: the reports do not depend on the ensemble size
+    grid = build_spherical_grid(r_inner, outer * r_inner, nr, ntheta, nphi)
+    batch = iq._tangent_members(iq._batch(iq._tangent_modes, seed, n, grid,
+                                          modes))
+    comps = iq._scalar_gradient(iq._batch(iq._scalar_modes, seed, n, grid,
+                                          modes))
+    g_sq = iq._vector_sq(grid, comps)
+    g_traces = [iq._trace(c) for c in comps]
+    for i in range(n):
+        one = _tangent_member(seed + i, grid, modes)
+        for got, want in zip(batch, one):
+            assert np.array_equal(got[i], want)
+        one = _scalar_gradient(seed + i, grid, modes)
+        assert g_sq[i] == iq._vector_sq(grid, one)[0]
+        assert np.array_equal(np.stack([t[i] for t in g_traces]),
+                              _scalar_traces(one))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(nr=st.integers(16, 48), ntheta=st.integers(8, 24),
+       nphi=st.integers(8, 32), r_inner=st.floats(0.5, 4.0),
+       outer=st.floats(1.5, 8.0), modes=st.integers(1, 4),
+       seed=st.integers(min_value=0), n=st.integers(1, 4))
+def test_l6_numerator_product_matches_the_grid_field(nr, ntheta, nphi,
+                                                     r_inner, outer, modes,
+                                                     seed, n):
+    # 1e-12 is the inequality-ratio tolerance of the benchmark gate
+    grid = build_spherical_grid(r_inner, outer * r_inner, nr, ntheta, nphi)
+    norms = iq._l6_norms(iq._batch(iq._scalar_modes, seed, n, grid, modes))
+    for i, got in enumerate(norms):
+        want = iq.l6_norm(grid, random_scalar_field(seed + i, grid, modes))
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_tangent_ensemble_allocates_little_besides_its_traces():
+    # the traces are written in place: stacking per-component slabs, or
+    # keeping the temporaries of the quadratic terms alive next to the
+    # traces, raises the traced peak by several MB
+    grid = build_spherical_grid(1.0, 16.0, 64, 32, 64)
+    tracemalloc.start()
+    try:
+        ens = tangent_ensemble(grid, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ens.traces.nbytes + 2**20
