@@ -29,16 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .grids import RadialField, _wsq, differentiate, integrate
+from .grids import (RadialField, _wsq, differentiate, integrate,
+                    sobolev_terms)
 
 
 def _sample_norms(state, tendencies):
     """E, D, D without its ||q_tt|| term, ||grad u||^2 and phi' of one sample.
 
     The radial derivatives are one stacked apply per order, each computed
-    once and shared by the functionals; the sums keep the association order
-    of the norm routines in grids, so the values equal the ones those
-    routines give.
+    once and shared by the functionals through ``sobolev_terms``.
     """
     grid = state.u.grid
     u, u_t = state.u.values, tendencies.u_t.values
@@ -47,24 +46,21 @@ def _sample_norms(state, tendencies):
                   tendencies.q_t.values, state.phi.values,
                   tendencies.phi_t.values))
     d1 = differentiate(grid, f, 1)
-    u0, v0, ut0, q0, vt0, qt0 = (_wsq(grid, row) for row in f[:6])
-    u1, v1, ut1, q1, vt1, qt1, phi1, phit1 = (_wsq(grid, row) for row in d1)
-    u2, v2, ut2, q2 = (_wsq(grid, row)
-                       for row in differentiate(grid, f[:4], 2))
-    u3 = _wsq(grid, differentiate(grid, u, 3))
-    # |grad u|^2 has the channels u' and u/r (twice); see grids
-    grad_u = (u1 + 2.0 * v0, u2 + 2.0 * v1, u3 + 2.0 * v2)
-    grad_ut = (ut1 + 2.0 * vt0, ut2 + 2.0 * vt1)
-    q_h2 = math.sqrt(q0 + q1 + q2)
-    qt_h1 = math.sqrt(qt0 + qt1)
-    u_h3 = math.sqrt(u0 + grad_u[0] + grad_u[1] + grad_u[2])
-    ut_h1 = math.sqrt(ut0 + grad_ut[0])
-    e = (u_h3 + q_h2 + math.sqrt(qt_h1**2 + ut_h1**2) + math.sqrt(phi1)
-         + math.sqrt(phit1))
+    d2 = differentiate(grid, f[:4], 2)
+    # u and u_t carry the angular channels u/r and u_t/r; see grids
+    u_terms = sobolev_terms(grid, (u, d1[0], d2[0], differentiate(grid, u, 3)),
+                            (f[1], d1[1], d2[1]))
+    ut_terms = sobolev_terms(grid, (u_t, d1[2], d2[2]), (f[4], d1[4]))
+    q_h2 = math.sqrt(sum(sobolev_terms(grid, (f[3], d1[3], d2[3]))))
+    qt_h1 = math.sqrt(sum(sobolev_terms(grid, (f[5], d1[5]))))
+    u_h3 = math.sqrt(sum(u_terms))
+    ut_h1 = math.sqrt(ut_terms[0] + ut_terms[1])
+    e = (u_h3 + q_h2 + math.sqrt(qt_h1**2 + ut_h1**2)
+         + math.sqrt(_wsq(grid, d1[6])) + math.sqrt(_wsq(grid, d1[7])))
     qtt_l2 = math.sqrt(_wsq(grid, tendencies.q_tt.values))
-    d = (math.sqrt(grad_u[0] + grad_u[1] + grad_u[2])
-         + math.sqrt(grad_ut[0] + grad_ut[1]) + q_h2 + qt_h1 + qtt_l2)
-    return e, d, d - qtt_l2, math.sqrt(grad_u[0]) ** 2, d1[6]
+    d = (math.sqrt(sum(u_terms[1:])) + math.sqrt(sum(ut_terms[1:])) + q_h2
+         + qt_h1 + qtt_l2)
+    return e, d, d - qtt_l2, math.sqrt(u_terms[1]) ** 2, d1[6]
 
 
 def energy_E(state, tendencies) -> float:

@@ -556,19 +556,3 @@ def write_checkpoint(state: PerturbationState, path) -> None:
         for r, q, u, p in zip(grid.r, state.q.values, state.u.values,
                               state.phi.values):
             fh.write(f"{r:.17g} {q:.17g} {u:.17g} {p:.17g}\n")
-
-
-def read_checkpoint(path, grid: RadialGrid) -> PerturbationState:
-    """Read a checkpoint written by write_checkpoint onto a matching grid."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        t = float(first.split()[2]) if first.startswith("#") else 0.0
-        header = fh.readline().split()
-        if header != ["r", "q", "u", "phi"]:
-            raise ParameterError(f"unexpected checkpoint header {header}")
-        data = np.loadtxt(fh)
-    if data.shape[0] != grid.n_nodes:
-        raise ParameterError("checkpoint does not match the grid")
-    if not np.allclose(data[:, 0], grid.r, rtol=0.0, atol=1e-12):
-        raise ParameterError("checkpoint nodes differ from the grid nodes")
-    return _fields(grid, data[:, 1], data[:, 2], data[:, 3], t)

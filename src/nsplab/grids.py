@@ -5,7 +5,8 @@ Everything downstream works on scalar profiles f(r) over a truncated shell
 trapezoid rule in the volume coordinate r^3/3, which integrates constants
 exactly and is second-order for smooth integrands.  Radial vector fields
 u(r)*rhat are stored as their scalar radial component; the angular metric
-terms (the 2*(u/r)^2 family) are added inside the norm routines, never stored.
+terms (the 2*(u/r)^2 family) are added in one routine, ``sobolev_terms``,
+never stored.
 """
 
 from __future__ import annotations
@@ -353,15 +354,25 @@ def _wsq(grid: RadialGrid, values: np.ndarray) -> float:
     return float(np.dot(grid.weights, values**2))
 
 
+def sobolev_terms(grid: RadialGrid, derivs, channels=()) -> list:
+    """Squared terms of a discrete H^k norm from the caller's derivatives
+    derivs[j] = d^j f: term j is ||d^j f||^2.  Given the channels
+    channels[i] = d^i (u/r) of a radial vector field u(r)*rhat, term j >= 1
+    also carries 2 ||d^(j-1) (u/r)||^2, so terms 1.. are those of grad u."""
+    terms = [_wsq(grid, d) for d in derivs]
+    for j, c in enumerate(channels, 1):
+        terms[j] += 2.0 * _wsq(grid, c)
+    return terms
+
+
 def sobolev_norm(f: RadialField, k: int) -> float:
     """Discrete H^k norm of a scalar profile: sqrt of the summed squared L2
     norms of the radial derivatives of orders 0..k."""
     if k not in (0, 1, 2, 3):
         raise ParameterError(f"Sobolev order must be in 0..3, got {k}")
-    total = _wsq(f.grid, f.values)
-    for j in range(1, k + 1):
-        total += _wsq(f.grid, differentiate(f.grid, f.values, j))
-    return math.sqrt(total)
+    derivs = [differentiate(f.grid, f.values, j) if j else f.values
+              for j in range(k + 1)]
+    return math.sqrt(sum(sobolev_terms(f.grid, derivs)))
 
 
 def vector_sobolev_norm(u: RadialField, k: int) -> float:
@@ -377,19 +388,19 @@ def vector_sobolev_norm(u: RadialField, k: int) -> float:
         raise ParameterError(f"Sobolev order must be in 0..3, got {k}")
     grid = u.grid
     over_r = u.values / grid.r
-    total = _wsq(grid, u.values)
-    for j in range(k):
-        channel = over_r if j == 0 else differentiate(grid, over_r, j)
-        total += (_wsq(grid, differentiate(grid, u.values, j + 1))
-                  + 2.0 * _wsq(grid, channel))
-    return math.sqrt(total)
+    derivs = [differentiate(grid, u.values, j) if j else u.values
+              for j in range(k + 1)]
+    channels = [differentiate(grid, over_r, j) if j else over_r
+                for j in range(k)]
+    return math.sqrt(sum(sobolev_terms(grid, derivs, channels)))
 
 
 def vector_gradient_norm(u: RadialField) -> float:
     """L2 norm of grad(u(r)*rhat): sqrt(int (u'^2 + 2 (u/r)^2))."""
     grid = u.grid
-    return math.sqrt(_wsq(grid, differentiate(grid, u.values, 1))
-                     + 2.0 * _wsq(grid, u.values / grid.r))
+    _, grad = sobolev_terms(grid, (u.values, differentiate(grid, u.values, 1)),
+                            (u.values / grid.r,))
+    return math.sqrt(grad)
 
 
 def vector_hessian_norm(u: RadialField) -> float:

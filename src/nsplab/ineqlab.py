@@ -79,8 +79,8 @@ class SphericalGrid:
         return float(self.r[-1])
 
     def integrate(self, f: np.ndarray) -> float:
-        return float(np.einsum("i,j,ijk->", self.w_r, self.w_theta, f)
-                     * self.w_phi)
+        w = np.repeat(self.w_theta, self.phi.size)  # (theta, phi) row-major
+        return float(self.w_r @ (f.reshape(self.r.size, -1) @ w) * self.w_phi)
 
     @cached_property
     def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

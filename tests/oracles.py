@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.polynomial import Polynomial
 from scipy.linalg import solve_banded
 
 from nsplab.elliptic import laplacian
@@ -105,6 +106,100 @@ def radial_vector_h3_norm_dense(u_funcs, r_inner, r_outer, n=40001):
     total += integral(u2) + 2.0 * integral(over1)
     total += integral(u3) + 2.0 * integral(over2)
     return np.sqrt(total)
+
+
+# the terms of the perturbation equations a manufactured forcing can scale
+MMS_TERMS = ("advection", "pressure", "field", "viscous", "flux")
+
+
+def _bump_derivatives(r, center, width, orders):
+    """B = (1 - x^2)^8 on |x| < 1, x = (r - center)/width, and its radial
+    derivatives of the given orders; exact polynomial derivatives in x on
+    the support, zero outside (B is C^7 there)."""
+    b = Polynomial([1.0, 0.0, -1.0]) ** 8
+    x = (r - center) / width
+    inside = np.abs(x) < 1.0
+    out = []
+    for k in orders:
+        d = np.zeros_like(r)
+        d[inside] = b.deriv(k)(x[inside]) / width**k
+        out.append(d)
+    return out
+
+
+def background_density(r):
+    """rho_tilde = 1 + e^(-(r-1)^2)/2 and its radial derivative."""
+    e = np.exp(-((r - 1.0) ** 2))
+    return 1.0 + 0.5 * e, -(r - 1.0) * e
+
+
+class Manufactured:
+    """Closed-form manufactured solution of the radial perturbation
+    equations on the nodes r:
+
+        phi_m = a (1 + sin(t)/2) B(r; 5, 2),   q_m = Lap phi_m,
+        u_m = a sin(2t + 0.3) B(r; 4, 2),
+
+    with B the bump of ``_bump_derivatives``, and the forcing (S_q, S_u)
+    that makes them exact:
+
+        S_q = d_t q_m + (1/r^2) d_r(r^2 rho u_m)
+        S_u = d_t u_m + d_r(dh) - (c/rho) d_r(div u_m) - d_r phi_m
+              + u_m d_r u_m
+
+    with rho = rho_tilde + q_m and dh = h(rho) - h(rho_tilde) when
+    ``nonlinear``; the linear equations take rho = rho_tilde,
+    dh = h'(rho_tilde) q_m and no advection.  h'(s) = gamma s^(gamma-2) and
+    c is the longitudinal viscosity.  ``scale`` maps names in MMS_TERMS to
+    factors on the matching forcing terms (c/rho for "viscous").
+    """
+
+    def __init__(self, r, gamma, c_visc, amplitude, nonlinear=True,
+                 scale=None):
+        self.r, self.gamma, self.c_visc = r, gamma, c_visc
+        self.a, self.nonlinear = amplitude, nonlinear
+        self.scale = {name: 1.0 for name in MMS_TERMS}
+        self.scale.update(scale or {})
+        b1, b2, b3 = _bump_derivatives(r, 5.0, 2.0, (1, 2, 3))
+        self.phi1 = b1
+        self.lap = b2 + 2.0 * b1 / r
+        self.lap1 = b3 + 2.0 * b2 / r - 2.0 * b1 / r**2
+        self.u0, self.u1, u2 = _bump_derivatives(r, 4.0, 2.0, (0, 1, 2))
+        self.div_grad = u2 + 2.0 * self.u1 / r - 2.0 * self.u0 / r**2
+        self.rho_s, self.rho_s1 = background_density(r)
+
+    def _hp(self, s):
+        return self.gamma * s ** (self.gamma - 2.0)
+
+    def exact(self, t):
+        """(q_m, u_m) at time t."""
+        a = self.a
+        return (a * (1.0 + 0.5 * math.sin(t)) * self.lap,
+                a * math.sin(2.0 * t + 0.3) * self.u0)
+
+    def forcing(self, t):
+        """(S_q, S_u) at time t."""
+        a, r, k = self.a, self.r, self.scale
+        tp, tu = 1.0 + 0.5 * math.sin(t), math.sin(2.0 * t + 0.3)
+        q, q1 = a * tp * self.lap, a * tp * self.lap1
+        u, u1 = a * tu * self.u0, a * tu * self.u1
+        rho, rho1 = self.rho_s, self.rho_s1
+        if self.nonlinear:
+            rho, rho1 = rho + q, rho1 + q1
+            dh1 = self._hp(rho) * rho1 - self._hp(self.rho_s) * self.rho_s1
+        else:
+            g = self.gamma
+            dh1 = (g * (g - 2.0) * self.rho_s ** (g - 3.0) * self.rho_s1 * q
+                   + self._hp(self.rho_s) * q1)
+        s_q = (a * 0.5 * math.cos(t) * self.lap
+               + k["flux"] * (rho1 * u + rho * (u1 + 2.0 * u / r)))
+        s_u = (2.0 * a * math.cos(2.0 * t + 0.3) * self.u0
+               + k["pressure"] * dh1
+               - k["viscous"] * self.c_visc / rho * (a * tu * self.div_grad)
+               - k["field"] * a * tp * self.phi1)
+        if self.nonlinear:
+            s_u += k["advection"] * u * u1
+        return s_q, s_u
 
 
 def fornberg_weights(z, x, m):

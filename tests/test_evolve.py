@@ -10,12 +10,14 @@ from nsplab import (FluidParams, ParameterError, PerturbationState,
                     build_radial_grid, compute_rhs,
                     init_perturbation, make_profile, run_simulation,
                     solve_steady_monotone, step_imex, weighted_l2_norm)
-from nsplab import evolve
-from nsplab.elliptic import Tridiagonal
+from nsplab import SteadyState, evolve
+from nsplab.elliptic import Tridiagonal, solve_poisson_values
 from nsplab.energy import SeriesRecorder, basic_energy, energy_E
 from nsplab.evolve import (_Stepper, _viscous_operator, _Workspace,
-                           read_checkpoint, write_checkpoint)
+                           write_checkpoint)
 from nsplab.grids import RadialField
+
+from oracles import MMS_TERMS, Manufactured, background_density
 
 
 def cfl_dt(params, steady, grid, factor=0.4):
@@ -352,11 +354,14 @@ def test_checkpoint_roundtrip(tmp_path, shell16, steady_bump_gamma2,
         q=st.q, u=st.u, phi=st.phi, t=1.25)
     path = tmp_path / "state_00000001.txt"
     write_checkpoint(st, path)
-    back = read_checkpoint(path, shell16)
-    assert back.t == st.t
-    assert np.array_equal(back.q.values, st.q.values)
-    assert np.array_equal(back.u.values, st.u.values)
-    assert np.array_equal(back.phi.values, st.phi.values)
+    first, header = path.read_text().splitlines()[:2]
+    assert first.split()[:2] == ["#", "t"] and header == "r q u phi"
+    assert float(first.split()[2]) == st.t
+    r, q, u, phi = np.loadtxt(path, skiprows=2).T
+    assert np.array_equal(r, shell16.r)
+    assert np.array_equal(q, st.q.values)
+    assert np.array_equal(u, st.u.values)
+    assert np.array_equal(phi, st.phi.values)
 
 
 def test_run_abort_while_building_initial_data(shell16, steady_bump_gamma2,
@@ -543,3 +548,81 @@ def test_run_evaluates_rhs_once_per_state(cells16, stride, monkeypatch):
     assert counts["rhs"] == 2 * n + 1
     # and each evaluation, one per stage, applies visc once
     assert counts["visc"] == counts["rhs"]
+
+
+# ------------------------------------------------------ manufactured solution
+
+MMS_LEVELS = (250, 500, 1000)
+# large enough for the advection term to show, small enough to stay clear
+# of the vacuum guard
+MMS_AMPLITUDE = 0.03
+
+
+class _ForcedWorkspace(_Workspace):
+    """The run workspace with the forcing at time ``t`` added to the
+    tendencies of every evaluation."""
+
+    def __init__(self, config, forcing):
+        super().__init__(config)
+        self.forcing = forcing
+        self.t = 0.0
+
+    def rhs(self, q, u, phi):
+        q_t, u_t, lap_u = super().rhs(q, u, phi)
+        s_q, s_u = self.forcing(self.t)
+        return q_t + s_q, u_t + s_u, lap_u
+
+
+def _mms_errors(gamma, mode, n, scale=None):
+    """max |q - q_m| and max |u - u_m| at t = 1 of a forced run on [1, 16]
+    with n cells and dt = 5/n, sponge off, started from the manufactured
+    solution; the stage at t_n takes the forcing at t_n, the stage at
+    t_n + dt the forcing at t_n + dt."""
+    grid = build_radial_grid(1.0, 16.0, n)
+    params = FluidParams(gamma=gamma, mu=0.5, lambda_=0.0)
+    mms = Manufactured(grid.r, gamma, params.longitudinal_viscosity,
+                       MMS_AMPLITUDE, nonlinear=mode == "nonlinear",
+                       scale=scale)
+    # the perturbation equations use the background only as a coefficient
+    steady = SteadyState(
+        rho_tilde=RadialField(background_density(grid.r)[0], grid),
+        phi_tilde=grid.zeros(), gamma=gamma, profile=None,
+        residual_elliptic=0.0, bounds_ok=True, iterations_super=0,
+        iterations_sub=0, limit_gap=0.0, monotonicity_defect=0.0)
+    ws = _ForcedWorkspace(SimConfig(params=params, grid=grid, steady=steady,
+                                    mode=mode, sponge_rate=0.0,
+                                    sponge_width=0.0), mms.forcing)
+    dt = 5.0 / n
+    stepper = _Stepper(ws, dt)
+    q, u = mms.exact(0.0)
+    phi = solve_poisson_values(grid, q)
+    for step in range(n // 5):
+        ws.t = step * dt
+        f = ws.rhs(q, u, phi)
+        ws.t = (step + 1) * dt
+        q, u, phi = stepper.advance(q, u, phi, f)
+    q_m, u_m = mms.exact(1.0)
+    return float(np.max(np.abs(q - q_m))), float(np.max(np.abs(u - u_m)))
+
+
+def _mms_orders(gamma, mode, scale=None):
+    """Observed orders of the (q, u) errors, one row per pair of levels."""
+    errs = np.array([_mms_errors(gamma, mode, n, scale) for n in MMS_LEVELS])
+    return np.log2(errs[:-1] / errs[1:])
+
+
+@pytest.mark.parametrize("gamma, mode", [(2.0, "nonlinear"),
+                                         (1.0, "nonlinear"),
+                                         (2.0, "linear")])
+def test_manufactured_solution_converges_at_second_order(gamma, mode):
+    # the full IMEX run (rhs, Heun stages, Crank-Nicolson, Poisson) against
+    # a closed-form solution of the PDE, not against itself
+    orders = _mms_orders(gamma, mode)
+    assert np.all((orders >= 1.9) & (orders <= 2.1)), orders
+
+
+@pytest.mark.parametrize("term", MMS_TERMS)
+def test_manufactured_solution_sees_a_wrong_term(term):
+    # a forcing 5 % off in one term stands for a scheme 5 % off in it
+    orders = _mms_orders(2.0, "nonlinear", {term: 1.05})
+    assert orders.min() < 1.9, orders

@@ -38,6 +38,19 @@ def test_grid_volume_exact_and_weights_positive(sgrid):
     assert sgrid.w_phi > 0.0
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(nr=st.integers(16, 24), ntheta=st.integers(8, 12),
+       extra_phi=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_integrate_equals_the_explicit_triple_sum(nr, ntheta, extra_phi,
+                                                  seed):
+    # ntheta != nphi and a field that varies along every axis: weights
+    # attached to the wrong angular axis cannot pass
+    g = build_spherical_grid(1.0, 3.0, nr, ntheta, ntheta + extra_phi)
+    f = np.random.default_rng(seed).standard_normal(g.shape)
+    terms = (g.w_r[:, None, None] * g.w_theta[None, :, None] * g.w_phi) * f
+    assert abs(g.integrate(f) - terms.sum()) <= 1e-12 * np.abs(terms).sum()
+
+
 def test_gradient_squared_agrees_with_radial_reduction():
     # the nine-component covariant gradient on the 3-D grid and the radial
     # module's closed-form |grad u|^2 = u'^2 + 2 (u/r)^2 are independent
