@@ -247,6 +247,9 @@ def parse_config(text: str, overrides: list[str] | None = None,
         gamma=fl["gamma"], mu=fl["mu"], lambda_=fl["lambda"],
         alpha=fl["alpha"], c_star=fl["c_star"]))
     use_seed = typed["output"]["seed"] if seed is None else int(seed)
+    if use_seed < 0:  # numpy seeds its generators from non-negative integers
+        raise ConfigError(
+            f"invalid [output] seed: must be >= 0, got {use_seed}")
 
     canonical_parts = []
     for section in sorted(_SCHEMA):

@@ -188,13 +188,19 @@ def build_radial_grid(r_inner: float, r_outer: float, n_cells: int,
         raise ParameterError(f"stretch must be >= 0, got {stretch}")
 
     n = int(n_cells)
-    ratio = math.exp(stretch / (n - 1))
+    try:
+        ratio = math.exp(stretch / (n - 1))
+        growth = ratio**n
+    except OverflowError:
+        raise ParameterError(f"stretch = {stretch:g} is too large: the growth "
+                             f"of the cell widths over {n} cells overflows "
+                             "double precision") from None
     if ratio == 1.0:  # stretch == 0, or too small to show in double precision
         r = np.linspace(r_inner, r_outer, n + 1)
         uniform = True
     else:
         # first width from the geometric-series sum h0*(ratio^n - 1)/(ratio - 1)
-        h0 = (r_outer - r_inner) * (ratio - 1.0) / (ratio**n - 1.0)
+        h0 = (r_outer - r_inner) * (ratio - 1.0) / (growth - 1.0)
         widths = h0 * ratio ** np.arange(n)
         r = r_inner + np.concatenate(([0.0], np.cumsum(widths)))
         r[-1] = r_outer

@@ -17,9 +17,10 @@ constants are reported, never asserted against an abstract bound):
                    ||grad^2 u|| <= C (||g|| + ||grad u||);
 * Neumann-Poisson regularity: ||grad^2 phi|| <= C ||q|| for the radial solver.
 
-One seeded mode sum builds the tangent and the scalar fields, with low
-azimuthal orders and a sin^2(theta) taper so the pole-free midpoint grid sees
-only smooth data; the div-curl and pairing reports read one TangentEnsemble.
+One seeded mode sum (_mode_sum) is the only generator of the tangent and
+the scalar members, with low azimuthal orders and a sin^2(theta) taper so the
+pole-free midpoint grid sees only smooth data; the div-curl and pairing
+reports read one TangentEnsemble.
 
 Each seeded member is a short sum of separable terms R(r) T(theta) P(phi),
 the difference stencils act along one axis and the quadrature is a tensor
@@ -32,9 +33,10 @@ leading batch axis, so one batched pass evaluates every member, through the
 same code that serves a batch of one.  Only the L6 norm, which is not
 quadratic, is taken on the 3-D grid: each member is multiplied out by one
 (nr x modes) @ (modes x ntheta*nphi) product, one member at a time.
-random_tangent_field, random_scalar_field and the per-field operators
-grad_scalar, divergence, curl and gradient_squared act on 3-D arrays; they
-serve single fields and are the oracle the factor path is tested against.
+
+The per-field operators grad_scalar, divergence, curl and gradient_squared
+act on 3-D arrays.  The 3-D operators are the oracle; tests build their
+fields from tests/oracles.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -275,17 +276,6 @@ class _ModeSum:
     taper: np.ndarray       # (ntheta,): sin^2(theta)
     azimuthal: np.ndarray   # ([n,] modes, nphi)
 
-    def field(self, c: int) -> np.ndarray:
-        """Component c of one member on the 3-D grid, multiplied out in the
-        order the seeded fields have always been built in (bit for bit)."""
-        out = np.zeros(self.grid.shape)
-        taper = self.taper[None, :, None]
-        for amp, rad, cos, azi in zip(self.amps[:, c], self.radial,
-                                      self.cos_theta, self.azimuthal):
-            angular = azi[None, None, :] * cos[None, :, None] * taper
-            out += amp * angular * rad[:, None, None]
-        return out
-
     def __getitem__(self, i: int) -> _ModeSum:
         """Member i of a batch."""
         return replace(self, amps=self.amps[i], radial=self.radial[i],
@@ -349,24 +339,6 @@ def _radial_lift(grid: SphericalGrid) -> np.ndarray:
     return 1.0 - np.exp(-(((grid.r - grid.r_inner) / w) ** 2))
 
 
-def random_tangent_field(seed: int, grid: SphericalGrid,
-                         modes: int = 3) -> VectorField3:
-    """Seed-deterministic smooth field with v_r(R) = 0 exactly: the radial
-    component of a three-component mode sum carries the extra factor
-    1 - exp(-((r-R)/w)^2).  All components vanish well before R_max, and the
-    same seed on a geometrically similar grid yields the rescaled field."""
-    ms = _tangent_modes(seed, grid, modes)
-    vr = ms.field(0) * _radial_lift(grid)[:, None, None]
-    return VectorField3(vr=vr, vtheta=ms.field(1), vphi=ms.field(2),
-                        grid=grid)
-
-
-def random_scalar_field(seed: int, grid: SphericalGrid,
-                        modes: int = 3) -> np.ndarray:
-    """Seed-deterministic smooth scalar, decaying before the outer boundary."""
-    return _scalar_modes(seed, grid, modes).field(0)
-
-
 # The factor path.  A piece is a separable sum, sum_t R_t(r) T_t(theta)
 # P_t(phi), held as its three (..., terms, n) factor stacks; the leading
 # axes, if any, index the members of a batch.  The stencils act along one
@@ -409,15 +381,10 @@ class _Stencils:
         return _three_point(rad, self.h_r)
 
 
-class _TangentMembers(NamedTuple):
-    grad_sq: np.ndarray  # (n,)
-    div_sq: np.ndarray   # (n,)
-    curl_sq: np.ndarray  # (n,)
-    traces: np.ndarray   # (n, 3, ntheta, nphi)
-
-
 def _tangent_radial(ms: _ModeSum, c: int) -> np.ndarray:
-    """The radial factors of component c of random_tangent_field."""
+    """The radial factors of component c of the seeded tangent field: v_r
+    carries the extra factor 1 - exp(-((r-R)/w)^2), so v_r(R) = 0
+    exactly."""
     rad = ms.radial_stack(c)
     if c == 0:
         rad *= _radial_lift(ms.grid)
@@ -455,24 +422,40 @@ def _tangent_quadratics(ms: _ModeSum):
     return grad_sq, div_sq, curl_sq
 
 
-def _tangent_members(ms: _ModeSum) -> _TangentMembers:
-    """||grad v||^2, ||div v||^2, ||curl v||^2 and the inner-sphere traces
-    of each member of a batch of tangent mode sums (random_tangent_field),
-    from its factors."""
+@dataclass(frozen=True, eq=False)
+class TangentEnsemble:
+    """What the div-curl, trace-scaling and boundary-pairing reports need of
+    the seeded tangent fields seed, seed + 1, ..., seed + n - 1: per member
+    ||grad v||^2, ||div v||^2 and ||curl v||^2, shape (n,), and the
+    inner-sphere traces, shape (n, 3, ntheta, nphi)."""
+
+    grid: SphericalGrid
+    seed: int
+    modes: int
+    grad_sq: np.ndarray
+    div_sq: np.ndarray
+    curl_sq: np.ndarray
+    traces: np.ndarray
+
+
+def tangent_ensemble(grid: SphericalGrid, n_fields: int, seed: int = 0,
+                     modes: int = 3) -> TangentEnsemble:
+    """One batched pass over the factors of every member."""
+    ms = _batch(_tangent_modes, seed, n_fields, grid, modes)
     grad_sq, div_sq, curl_sq = _tangent_quadratics(ms)
     # allocated once the temporaries of the quadratic terms are gone, and
     # filled component by component
-    traces = np.empty(ms.amps.shape[:-2] + (3,) + ms.grid.shape[1:])
+    traces = np.empty((n_fields, 3) + grid.shape[1:])
     pol = ms.cos_theta * ms.taper
     for c in range(3):
-        _trace((_tangent_radial(ms, c), pol, ms.azimuthal),
-               out=traces[..., c, :, :])
-    return _TangentMembers(grad_sq, div_sq, curl_sq, traces)
+        _trace((_tangent_radial(ms, c), pol, ms.azimuthal), out=traces[:, c])
+    return TangentEnsemble(grid=grid, seed=seed, modes=modes, grad_sq=grad_sq,
+                           div_sq=div_sq, curl_sq=curl_sq, traces=traces)
 
 
 def _scalar_gradient(ms: _ModeSum) -> list:
-    """The three components of grad_scalar(random_scalar_field(...)) of
-    each member of a batch of scalar mode sums, as pieces."""
+    """The three components of the gradient of each member of a batch of
+    scalar mode sums (grad_scalar on the 3-D grid), as pieces."""
     s = _Stencils(ms)
     f = ms.radial_stack(0)
     return [(s.d_r(f), s.pol, s.azi), (f / s.r, s.d_pol, s.azi),
@@ -492,21 +475,17 @@ def _ensemble_report(inequality: str, ratios) -> IneqReport:
                       passed=bool(np.all(np.isfinite(ratios))))
 
 
-def _div_curl_ratio(num: float, denom: float) -> float:
-    if denom < 1e-14 * max(1.0, num):
-        raise DegenerateFieldError(
-            "div and curl both vanish; a decaying tangent field with that "
-            "property must be zero")
-    return num / denom
+def _guarded_ratios(nums: np.ndarray, denoms: np.ndarray,
+                    degenerate: str) -> np.ndarray:
+    """nums / denoms per member; DegenerateFieldError(degenerate) when a
+    denominator vanishes against its numerator."""
+    if np.any(denoms < 1e-14 * np.fmax(1.0, nums)):
+        raise DegenerateFieldError(degenerate)
+    return nums / denoms
 
 
 def _div_curl_norm(v: VectorField3) -> float:
     return l2_norm(v.grid, divergence(v)) + l2_norm_vec(curl(v))
-
-
-def verify_div_curl(v: VectorField3) -> float:
-    """Ratio ||grad v|| / (||div v|| + ||curl v||) for a tangent field."""
-    return _div_curl_ratio(grad_norm(v), _div_curl_norm(v))
 
 
 def _traces(v: VectorField3) -> np.ndarray:
@@ -514,35 +493,11 @@ def _traces(v: VectorField3) -> np.ndarray:
     return np.stack((v.vr[0], v.vtheta[0], v.vphi[0]))
 
 
-@dataclass(frozen=True, eq=False)
-class TangentEnsemble:
-    """What the div-curl and boundary-pairing reports need of the seeded
-    tangent fields seed, seed + 1, ..., seed + n - 1: per member ||grad v||,
-    ||div v|| + ||curl v||, and the inner-sphere traces, shape
-    (n, 3, ntheta, nphi)."""
-
-    grid: SphericalGrid
-    seed: int
-    modes: int
-    grad_norms: np.ndarray
-    div_curl_norms: np.ndarray
-    traces: np.ndarray
-
-
-def tangent_ensemble(grid: SphericalGrid, n_fields: int, seed: int = 0,
-                     modes: int = 3) -> TangentEnsemble:
-    """One batched pass over the factors of every member."""
-    m = _tangent_members(_batch(_tangent_modes, seed, n_fields, grid, modes))
-    return TangentEnsemble(grid=grid, seed=seed, modes=modes,
-                           grad_norms=np.sqrt(m.grad_sq),
-                           div_curl_norms=np.sqrt(m.div_sq)
-                           + np.sqrt(m.curl_sq),
-                           traces=m.traces)
-
-
 def div_curl_report(ens: TangentEnsemble) -> IneqReport:
-    ratios = [_div_curl_ratio(num, denom)
-              for num, denom in zip(ens.grad_norms, ens.div_curl_norms)]
+    ratios = _guarded_ratios(
+        np.sqrt(ens.grad_sq), np.sqrt(ens.div_sq) + np.sqrt(ens.curl_sq),
+        "div and curl both vanish; a decaying tangent field with that "
+        "property must be zero")
     return _ensemble_report("div_curl", ratios)
 
 
@@ -581,9 +536,9 @@ def verify_trace_scaling(r_values=trace_radii(1.0), outer_factor: float = 4.0,
     ratios = []
     for r_in in r_values:
         grid = build_spherical_grid(r_in, outer_factor * r_in, nr, ntheta, nphi)
-        m = _tangent_members(_batch(_tangent_modes, seed, 1, grid, modes))
-        ratios.append(_boundary_l2_sq(grid, m.traces[0])
-                      / (r_in * m.grad_sq[0]))
+        ens = tangent_ensemble(grid, 1, seed, modes)
+        ratios.append(_boundary_l2_sq(grid, ens.traces[0])
+                      / (r_in * ens.grad_sq[0]))
     spread = (max(ratios) - min(ratios)) / max(ratios)
     return IneqReport(inequality="trace_scaling", n_samples=len(ratios),
                       max_ratio=float(max(ratios)),
@@ -603,16 +558,6 @@ def _boundary_pairings(grid: SphericalGrid, v_traces: np.ndarray,
     weighted = g_traces * (grid.w_theta[:, None] * grid.w_phi
                            * grid.r_inner**2)
     return np.einsum("vcjk,gcjk->vg", v_traces, weighted)
-
-
-def verify_boundary_pairing(v: VectorField3, f: np.ndarray) -> tuple[float, float]:
-    """Return (|int_{r=R} v . grad f|, ||grad v|| ||grad f||)."""
-    grid = v.grid
-    gf = grad_scalar(grid, f)
-    lhs = abs(float(_boundary_pairings(grid, _traces(v)[None],
-                                       _traces(gf)[None])[0, 0]))
-    rhs = grad_norm(v) * l2_norm_vec(gf)
-    return lhs, rhs
 
 
 def check_allowance(allowance: float) -> None:
@@ -639,7 +584,7 @@ def boundary_pairing_report(ens: TangentEnsemble, n_scalars: int = 20,
     for c, comp in enumerate(comps):
         _trace(comp, out=g_traces[:, c])
     lhs = np.abs(_boundary_pairings(grid, ens.traces, g_traces))
-    rhs = ens.grad_norms[:, None] * g_norms[None, :]
+    rhs = np.sqrt(ens.grad_sq)[:, None] * g_norms[None, :]
     kept = rhs > 0.0
     ratios = lhs[kept] / rhs[kept]
     max_ratio = float(np.max(ratios))
@@ -650,17 +595,6 @@ def boundary_pairing_report(ens: TangentEnsemble, n_scalars: int = 20,
                       quadrature_allowance=measured_excess,
                       passed=bool(max_ratio <= 1.0 + allowance),
                       details={"allowance_budget": allowance})
-
-
-def _sobolev_ratio(num: float, denom: float) -> float:
-    if denom < 1e-14 * max(1.0, num):
-        raise DegenerateFieldError("gradient vanishes; ratio undefined")
-    return num / denom
-
-
-def verify_sobolev_l6(grid: SphericalGrid, f: np.ndarray) -> float:
-    """Ratio ||f||_L6 / ||grad f||_L2 for a smooth decaying scalar."""
-    return _sobolev_ratio(l6_norm(grid, f), l2_norm_vec(grad_scalar(grid, f)))
 
 
 def _l6_norms(ms: _ModeSum) -> np.ndarray:
@@ -685,8 +619,8 @@ def sobolev_l6_report(grid: SphericalGrid, n_samples: int = 100, seed: int = 0,
     factors, ||f||_L6 from one product per member (_l6_norms)."""
     ms = _batch(_scalar_modes, seed, n_samples, grid, modes)
     denoms = np.sqrt(_vector_sq(grid, _scalar_gradient(ms)))
-    ratios = [_sobolev_ratio(num, denom)
-              for num, denom in zip(_l6_norms(ms), denoms)]
+    ratios = _guarded_ratios(_l6_norms(ms), denoms,
+                             "gradient vanishes; ratio undefined")
     return _ensemble_report("sobolev_l6", ratios)
 
 

@@ -261,9 +261,10 @@ def derivative_csr(grid, order):
 
 
 def premerge_tangent_field(seed, grid, modes=3):
-    """(v_r, v_theta, v_phi) of the seeded tangent field as built before the
-    tangent and scalar generators shared one mode sum: the reference the
-    shared generator must reproduce bit for bit."""
+    """(v_r, v_theta, v_phi) of the seeded tangent field on the 3-D grid,
+    built directly from the seeded draws: the field the 3-D operators take
+    as the oracle of the mode-factored ensembles (nsplab builds its members
+    from 1-D factors only)."""
     rng = np.random.default_rng([seed, 3])
     r = grid.r[:, None, None]
     x = (r - grid.r_inner) / (grid.r_outer - grid.r_inner)
@@ -292,8 +293,8 @@ def premerge_tangent_field(seed, grid, modes=3):
 
 
 def premerge_scalar_field(seed, grid, modes=3):
-    """The seeded scalar field as built before the shared mode sum; the
-    shared generator reassociates the product, so it agrees to roundoff."""
+    """The seeded scalar field on the 3-D grid, built directly from the
+    seeded draws: the oracle field of the scalar ensembles."""
     rng = np.random.default_rng([seed, 7])
     r = grid.r[:, None, None]
     x = (r - grid.r_inner) / (grid.r_outer - grid.r_inner)

@@ -112,6 +112,9 @@ def test_overrides():
 
 def test_seed_override():
     assert parse_config(QUICK, seed=123).seed == 123
+    # the --seed flag is held to the same range as [output] seed
+    with pytest.raises(ConfigError, match=r"\[output\]"):
+        parse_config(QUICK, seed=-1)
 
 
 def test_gamma_above_two_needs_envelope_profile():
@@ -162,6 +165,9 @@ def test_parse_empty_domain_header_uses_defaults():
     ("ineqlab.trace_outer_factor=1e100", "[ineqlab]"),
     ("ineqlab.trace_outer_factor=17", "[ineqlab]"),
     ("domain.r_outer=1e200", "[domain]"),
+    ("domain.stretch=710", "[domain]"),
+    ("domain.stretch=1e308", "[domain]"),
+    ("output.seed=-1", "[output]"),
 ])
 def test_parse_owner_checks_name_the_section(override, section):
     with pytest.raises(ConfigError) as err:

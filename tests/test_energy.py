@@ -230,6 +230,14 @@ def test_theorem_bound_synthetic_growth_fails():
     assert verdict.sup_ratio_E > 10.0
 
 
+def test_theorem_bound_huge_margin_does_not_overflow():
+    # margin**2 raises OverflowError for a finite margin above ~1.3e154
+    series = _synthetic_series(decay=False)
+    verdict = check_theorem_bound(series, margin=1e200, c_fit=1.0)
+    assert verdict.passed
+    assert verdict.margin == 1e200
+
+
 def test_theorem_bound_rejects_zero_initial_energy(shell16):
     samples = [EnergySample(t=0.0, E=0.0, D=0.0, D_no_qtt=0.0, mass=0.0,
                             E_basic=0.0, identity_residual=0.0,

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,17 +12,22 @@ from nsplab import DegenerateFieldError, ParameterError, build_radial_grid
 from nsplab import ineqlab as iq
 from nsplab.elliptic import solve_poisson_neumann
 from nsplab.grids import CUT_END
-from nsplab.ineqlab import (VectorField3, boundary_pairing_report,
-                            build_spherical_grid, curl, div_curl_report,
-                            divergence, grad_scalar, l2_norm, l2_norm_vec,
-                            lame_report, poisson_regularity_report,
-                            random_scalar_field, random_tangent_field,
-                            tangent_ensemble, verify_boundary_pairing,
-                            verify_div_curl,
-                            verify_lame_gradient_case, verify_sobolev_l6,
+from nsplab.ineqlab import (TangentEnsemble, VectorField3,
+                            boundary_pairing_report, build_spherical_grid,
+                            curl, div_curl_report, divergence, grad_norm,
+                            grad_scalar, l2_norm, l2_norm_vec, lame_report,
+                            poisson_regularity_report, sobolev_l6_report,
+                            tangent_ensemble, verify_lame_gradient_case,
                             verify_trace_scaling)
 
 from oracles import premerge_scalar_field, premerge_tangent_field
+
+MEMBER_FIELDS = ("grad_sq", "div_sq", "curl_sq", "traces")
+
+
+def tangent_field(seed, grid, modes=3):
+    """The seeded tangent field on the 3-D grid, from the oracle."""
+    return VectorField3(*premerge_tangent_field(seed, grid, modes), grid=grid)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +62,6 @@ def test_gradient_squared_agrees_with_radial_reduction():
     # module's closed-form |grad u|^2 = u'^2 + 2 (u/r)^2 are independent
     # implementations of the same quantity
     from nsplab import build_radial_grid, vector_gradient_norm
-    from nsplab.ineqlab import grad_norm
     for nr in (32, 64):
         g3 = build_spherical_grid(1.0, 2.0, nr, 12, 16)
         prof = np.exp(-(((g3.r - 1.4) / 0.2) ** 2))
@@ -136,7 +141,7 @@ def test_div_of_curl_is_roundoff():
     # discrete identity holds to roundoff at every resolution
     for nr, nt, np_ in ((16, 8, 8), (32, 16, 16)):
         g = build_spherical_grid(1.0, 2.0, nr, nt, np_)
-        v = random_tangent_field(3, g)
+        v = tangent_field(3, g)
         c = curl(v)
         assert l2_norm(g, divergence(c)) <= 1e-12 * max(l2_norm_vec(c), 1e-30)
 
@@ -144,27 +149,24 @@ def test_div_of_curl_is_roundoff():
 def test_curl_of_gradient_is_roundoff():
     for nr, nt, np_ in ((16, 8, 8), (32, 16, 16)):
         g = build_spherical_grid(1.0, 2.0, nr, nt, np_)
-        f = random_scalar_field(5, g)
+        f = premerge_scalar_field(5, g)
         gf = grad_scalar(g, f)
         c = curl(gf)
         assert l2_norm_vec(c) <= 1e-12 * max(l2_norm_vec(gf), 1e-30)
 
 
 def test_tangent_field_boundary_and_determinism(sgrid):
-    v1 = random_tangent_field(42, sgrid)
-    v2 = random_tangent_field(42, sgrid)
-    assert np.max(np.abs(v1.vr[0])) == 0.0
-    assert np.array_equal(v1.vr, v2.vr)
-    assert np.array_equal(v1.vtheta, v2.vtheta)
-    assert np.array_equal(v1.vphi, v2.vphi)
-    v3 = random_tangent_field(43, sgrid)
-    assert not np.array_equal(v1.vr, v3.vr)
+    ens = tangent_ensemble(sgrid, 2, seed=42)  # seeds 42 and 43
+    again = tangent_ensemble(sgrid, 2, seed=42)
+    assert np.max(np.abs(ens.traces[:, 0])) == 0.0  # v_r(R) = 0
+    for name in MEMBER_FIELDS:
+        assert np.array_equal(getattr(ens, name), getattr(again, name))
+    assert not np.array_equal(ens.traces[0], ens.traces[1])
+    assert ens.grad_sq[0] != ens.grad_sq[1]
 
 
 def test_tangent_ensemble_nondegenerate(sgrid):
-    from nsplab.ineqlab import grad_norm
-    norms = [grad_norm(random_tangent_field(s, sgrid)) for s in range(20)]
-    assert min(norms) > 0.0
+    assert min(tangent_ensemble(sgrid, 20).grad_sq) > 0.0
 
 
 def test_div_curl_constructed_curl_free_member(sgrid):
@@ -177,14 +179,19 @@ def test_div_curl_constructed_curl_free_member(sgrid):
     v = VectorField3(vr=dpsi[:, None, None] * np.ones(sgrid.shape),
                      vtheta=np.zeros(sgrid.shape),
                      vphi=np.zeros(sgrid.shape), grid=sgrid)
-    ratio = verify_div_curl(v)
+    ratio = grad_norm(v) / iq._div_curl_norm(v)
     assert np.isfinite(ratio) and ratio > 0.0
 
 
 def test_div_curl_rejects_zero_field(sgrid):
-    z = np.zeros(sgrid.shape)
-    with pytest.raises(DegenerateFieldError):
-        verify_div_curl(VectorField3(vr=z, vtheta=z, vphi=z, grid=sgrid))
+    # a member whose div and curl vanish while its gradient does not
+    ens = tangent_ensemble(sgrid, 3)
+    zero = np.zeros(3)
+    degenerate = TangentEnsemble(grid=sgrid, seed=0, modes=3,
+                                 grad_sq=ens.grad_sq, div_sq=zero,
+                                 curl_sq=zero, traces=ens.traces)
+    with pytest.raises(DegenerateFieldError, match="div and curl"):
+        div_curl_report(degenerate)
 
 
 def test_div_curl_ensemble_stable_under_refinement():
@@ -215,15 +222,11 @@ def test_trace_scaling_rejects_unresolved_shells():
 
 
 def test_boundary_pairing_trivial_cases(sgrid):
-    v = random_tangent_field(7, sgrid)
-    f_const = np.full(sgrid.shape, 2.5)
-    lhs, rhs = verify_boundary_pairing(v, f_const)
-    assert lhs == pytest.approx(0.0, abs=1e-12)
-    z = np.zeros(sgrid.shape)
-    vzero = VectorField3(vr=z, vtheta=z, vphi=z, grid=sgrid)
-    f = random_scalar_field(8, sgrid)
-    lhs, rhs = verify_boundary_pairing(vzero, f)
-    assert lhs == 0.0
+    v = iq._traces(tangent_field(7, sgrid))
+    g_const = iq._traces(grad_scalar(sgrid, np.full(sgrid.shape, 2.5)))
+    assert _pairing(sgrid, v, g_const) == pytest.approx(0.0, abs=1e-12)
+    g = iq._traces(grad_scalar(sgrid, premerge_scalar_field(8, sgrid)))
+    assert _pairing(sgrid, np.zeros_like(v), g) == 0.0
 
 
 def test_boundary_pairing_small_ensemble(sgrid):
@@ -234,13 +237,17 @@ def test_boundary_pairing_small_ensemble(sgrid):
     assert rep.max_ratio <= 1.05
 
 
-def test_sobolev_l6_ratio_properties(sgrid):
-    f = random_scalar_field(11, sgrid)
-    r1 = verify_sobolev_l6(sgrid, f)
-    r2 = verify_sobolev_l6(sgrid, 2.0 * f)
-    assert r2 == pytest.approx(r1, rel=1e-12)
-    with pytest.raises(DegenerateFieldError):
-        verify_sobolev_l6(sgrid, np.zeros(sgrid.shape))
+def test_sobolev_l6_ratio_properties(sgrid, monkeypatch):
+    def ratio(f):
+        return iq.l6_norm(sgrid, f) / l2_norm_vec(grad_scalar(sgrid, f))
+
+    f = premerge_scalar_field(11, sgrid)
+    assert ratio(2.0 * f) == pytest.approx(ratio(f), rel=1e-12)
+    # members whose gradients vanish while their L6 norms do not
+    monkeypatch.setattr(iq, "_vector_sq",
+                        lambda grid, comps: np.zeros(comps[0][0].shape[0]))
+    with pytest.raises(DegenerateFieldError, match="gradient vanishes"):
+        sobolev_l6_report(sgrid, 4)
 
 
 def test_lame_trivial_and_homogeneous():
@@ -271,8 +278,9 @@ def test_poisson_regularity_ensemble():
 
 def _tangent_member(seed, grid, modes):
     """The factor-path quantities of one tangent field: a batch of one."""
-    m = iq._tangent_members(iq._batch(iq._tangent_modes, seed, 1, grid, modes))
-    return type(m)(*(x[0] for x in m))
+    ens = tangent_ensemble(grid, 1, seed, modes)
+    return SimpleNamespace(**{name: getattr(ens, name)[0]
+                              for name in MEMBER_FIELDS})
 
 
 def _scalar_gradient(seed, grid, modes):
@@ -323,30 +331,6 @@ def test_shared_ensemble_gives_the_same_reports(sgrid):
     assert boundary_pairing_report(ens, 3) == boundary_pairing_report(again, 3)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(nr=st.integers(16, 48), ntheta=st.integers(8, 24),
-       nphi=st.integers(8, 32), r_inner=st.floats(0.5, 4.0),
-       outer=st.floats(1.5, 8.0), modes=st.integers(1, 4),
-       seed=st.integers(min_value=0))
-def test_mode_sum_reproduces_the_premerge_fields(nr, ntheta, nphi, r_inner,
-                                                 outer, modes, seed):
-    grid = build_spherical_grid(r_inner, outer * r_inner, nr, ntheta, nphi)
-    v = random_tangent_field(seed, grid, modes)
-    for got, want in zip((v.vr, v.vtheta, v.vphi),
-                         premerge_tangent_field(seed, grid, modes)):
-        assert np.array_equal(got, want)
-    f = random_scalar_field(seed, grid, modes)
-    want = premerge_scalar_field(seed, grid, modes)
-    # the shared sum reassociates the scalar's product: roundoff only
-    assert (np.max(np.abs(f - want))
-            <= 8.0 * np.finfo(float).eps * np.max(np.abs(want)))
-    assert np.all(v.vr[0] == 0.0)
-    far = grid.r >= grid.r_inner + CUT_END * (grid.r_outer - grid.r_inner)
-    assert far.any()
-    for comp in (v.vr, v.vtheta, v.vphi, f):
-        assert np.all(comp[far] == 0.0)
-
-
 def test_geometry_computed_once_per_grid(sgrid):
     r, sin, cot = sgrid.geometry
     assert sgrid.geometry is sgrid.geometry
@@ -382,7 +366,7 @@ def test_d_axis_equals_per_axis_formula(sgrid):
 
 def test_l6_norm_matches_sixth_power(sgrid):
     for seed in range(4):
-        f = random_scalar_field(seed, sgrid)
+        f = premerge_scalar_field(seed, sgrid)
         ref = sgrid.integrate(f**6) ** (1.0 / 6.0)
         assert abs(iq.l6_norm(sgrid, f) - ref) <= 1e-15 * ref
 
@@ -428,14 +412,14 @@ def test_factor_path_matches_the_grid_operators(nr, ntheta, nphi, r_inner,
     def close_traces(got, want):
         return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    v = random_tangent_field(seed, grid, modes)
+    v = tangent_field(seed, grid, modes)
     m = _tangent_member(seed, grid, modes)
-    assert close(math.sqrt(m.grad_sq), iq.grad_norm(v))
+    assert close(math.sqrt(m.grad_sq), grad_norm(v))
     assert close(math.sqrt(m.div_sq) + math.sqrt(m.curl_sq),
                  iq._div_curl_norm(v))
     assert close_traces(m.traces, iq._traces(v))
 
-    gf = grad_scalar(grid, random_scalar_field(seed, grid, modes))
+    gf = grad_scalar(grid, premerge_scalar_field(seed, grid, modes))
     comps = _scalar_gradient(seed, grid, modes)
     assert close(math.sqrt(iq._vector_sq(grid, comps)[0]), l2_norm_vec(gf))
     assert close_traces(_scalar_traces(comps), iq._traces(gf))
@@ -479,16 +463,25 @@ def test_batch_members_equal_batches_of_one(nr, ntheta, nphi, r_inner, outer,
     # member i of one batched evaluation is the batch of one of seed + i,
     # bit for bit: the reports do not depend on the ensemble size
     grid = build_spherical_grid(r_inner, outer * r_inner, nr, ntheta, nphi)
-    batch = iq._tangent_members(iq._batch(iq._tangent_modes, seed, n, grid,
-                                          modes))
-    comps = iq._scalar_gradient(iq._batch(iq._scalar_modes, seed, n, grid,
-                                          modes))
+    batch = tangent_ensemble(grid, n, seed, modes)
+    scalars = iq._batch(iq._scalar_modes, seed, n, grid, modes)
+    comps = iq._scalar_gradient(scalars)
     g_sq = iq._vector_sq(grid, comps)
     g_traces = [iq._trace(c) for c in comps]
+    # every member has v_r(R) = 0, vanishes beyond the cut-off, and
+    # differs from the member of the next seed
+    assert np.all(batch.traces[:, 0] == 0.0)
+    far = grid.r >= grid.r_inner + CUT_END * (grid.r_outer - grid.r_inner)
+    assert far.any()
+    tangents = iq._batch(iq._tangent_modes, seed, n, grid, modes)
+    for rad in [iq._tangent_radial(tangents, c) for c in range(3)] + [
+            scalars.radial_stack(0)]:
+        assert np.all(rad[..., far] == 0.0)
+    assert len(set(batch.grad_sq)) == n
     for i in range(n):
         one = _tangent_member(seed + i, grid, modes)
-        for got, want in zip(batch, one):
-            assert np.array_equal(got[i], want)
+        for name in MEMBER_FIELDS:
+            assert np.array_equal(getattr(batch, name)[i], getattr(one, name))
         one = _scalar_gradient(seed + i, grid, modes)
         assert g_sq[i] == iq._vector_sq(grid, one)[0]
         assert np.array_equal(np.stack([t[i] for t in g_traces]),
@@ -507,7 +500,7 @@ def test_l6_numerator_product_matches_the_grid_field(nr, ntheta, nphi,
     grid = build_spherical_grid(r_inner, outer * r_inner, nr, ntheta, nphi)
     norms = iq._l6_norms(iq._batch(iq._scalar_modes, seed, n, grid, modes))
     for i, got in enumerate(norms):
-        want = iq.l6_norm(grid, random_scalar_field(seed + i, grid, modes))
+        want = iq.l6_norm(grid, premerge_scalar_field(seed + i, grid, modes))
         assert abs(got - want) <= 1e-12 * want
 
 
