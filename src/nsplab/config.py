@@ -87,9 +87,6 @@ _SCHEMA = {
         "output_stride": (int, 50),
         "init_kind": (_enum(*INIT_KINDS), "standard"),
         "mode": (_enum(*MODES), "nonlinear"),
-        "pressure": (_bool, True),
-        "coupling": (_bool, True),
-        "viscosity": (_bool, True),
         "margin": (float, 2.0),
         "vacuum_floor": (float, 0.1),
         "checkpoints": (_bool, False),

@@ -126,9 +126,6 @@ class SimConfig:
     output_stride: int = 50
     init_kind: str = "standard"
     mode: str = "nonlinear"
-    pressure: bool = True
-    coupling: bool = True
-    viscosity: bool = True
     margin: float = 2.0
     vacuum_floor: float = 0.1
     checkpoint_dir: str | None = None
@@ -178,9 +175,6 @@ class _Workspace:
         self.nu_s = self.c_visc / self.rho_s
         self.visc = _viscous_operator(grid)
         self.nonlinear = config.mode == "nonlinear"
-        self.pressure = config.pressure
-        self.coupling = config.coupling
-        self.viscosity = config.viscosity
         self.vacuum_min = config.vacuum_floor * params.c_star
 
         width = config.sponge_width
@@ -223,7 +217,7 @@ class _Workspace:
 
     def rhs(self, q: np.ndarray, u: np.ndarray, phi: np.ndarray):
         """Continuity and momentum tendencies (sponge not included) and
-        the viscous apply visc @ u they used (None without viscosity)."""
+        the viscous apply visc @ u they used."""
         nonlinear = self.nonlinear
         rho = self.rho(q)  # vacuum guard in both modes
         carrier = rho if nonlinear else self.rho_s
@@ -231,16 +225,13 @@ class _Workspace:
 
         dh = self.dh(q) if nonlinear else self.hp_s * q
         dh_r, phi_r, u_r = differentiate(self.grid, np.stack((dh, phi, u)), 1)
+        # 0 - dh_r, not -dh_r: a zero dh_r stays +0 in the checkpoints
         u_t = np.zeros_like(u)
-        if self.pressure:
-            u_t -= dh_r
-        lap_u = None
-        if self.viscosity:
-            lap_u = self.visc @ u
-            coef = self.c_visc / rho if nonlinear else self.nu_s
-            u_t += coef * lap_u
-        if self.coupling:
-            u_t += phi_r
+        u_t -= dh_r
+        lap_u = self.visc @ u
+        coef = self.c_visc / rho if nonlinear else self.nu_s
+        u_t += coef * lap_u
+        u_t += phi_r
         if nonlinear:
             u_t -= u * u_r
         u_t[0] = 0.0
@@ -267,9 +258,7 @@ def _viscous_operator(grid: RadialGrid) -> Tridiagonal:
 
 
 def compute_rhs(state: PerturbationState, steady: SteadyState,
-                params: FluidParams, *, mode: str = "nonlinear",
-                pressure: bool = True, coupling: bool = True,
-                viscosity: bool = True) -> Tendencies:
+                params: FluidParams, *, mode: str = "nonlinear") -> Tendencies:
     """Evaluate the full tendency bundle (q_t, u_t, phi_t, q_tt) from the
     equations, with the same workspace arithmetic the stepper stages and the
     energy samples use.
@@ -279,8 +268,7 @@ def compute_rhs(state: PerturbationState, steady: SteadyState,
     run_simulation, which builds the workspace once per run.
     """
     cfg = SimConfig(params=params, grid=state.q.grid, steady=steady,
-                    mode=mode, pressure=pressure, coupling=coupling,
-                    viscosity=viscosity, sponge_rate=0.0, sponge_width=0.0)
+                    mode=mode, sponge_rate=0.0, sponge_width=0.0)
     ws = _Workspace(cfg)
     return _tendencies(ws, state, ws.rhs(*_arrays(state)))
 
@@ -308,9 +296,7 @@ def _tendencies(ws: _Workspace, state: PerturbationState, f) -> Tendencies:
 
 def init_perturbation(kind: str, delta: float, grid: RadialGrid,
                       steady: SteadyState, params: FluidParams,
-                      mode: str = "nonlinear", pressure: bool = True,
-                      coupling: bool = True,
-                      viscosity: bool = True) -> PerturbationState:
+                      mode: str = "nonlinear") -> PerturbationState:
     """Smooth, compactly supported initial data with exactly zero discrete
     mass and amplitude scaled so the energy functional at t = 0 equals delta.
 
@@ -321,9 +307,7 @@ def init_perturbation(kind: str, delta: float, grid: RadialGrid,
     """
     ws = _Workspace(SimConfig(params=params, grid=grid, steady=steady,
                               delta=delta, init_kind=kind, mode=mode,
-                              pressure=pressure, coupling=coupling,
-                              viscosity=viscosity, sponge_rate=0.0,
-                              sponge_width=0.0))
+                              sponge_rate=0.0, sponge_width=0.0))
     r = grid.r
     length = effective_length(grid.r_inner, grid.r_outer)
 
@@ -404,25 +388,20 @@ class _Stepper:
     def __init__(self, ws: _Workspace, dt: float):
         self.ws = ws
         self.dt = dt
-        self.implicit = ws.viscosity
-        if self.implicit:
-            visc = ws.visc
-            f = 0.5 * dt * ws.nu_s
-            self.cn = Tridiagonal(-f * visc.sub, 1.0 - f * visc.diag,
-                                  -f * visc.sup)
+        visc = ws.visc
+        f = 0.5 * dt * ws.nu_s
+        self.cn = Tridiagonal(-f * visc.sub, 1.0 - f * visc.diag,
+                              -f * visc.sup)
 
     def _explicit(self, q, u, f):
         """Tendencies f = ws.rhs(q, u, phi) plus the sponge (if on), minus
-        the implicitly treated part of the viscous term, and that part (0.0
-        without viscosity)."""
+        the implicitly treated part of the viscous term, and that part."""
         ws = self.ws
         q_t, u_t, lap_u = f
-        vu = 0.0
-        if self.implicit:
-            vu = ws.nu_s * lap_u
-            u_t = u_t - vu
-            u_t[0] = 0.0
-            u_t[-1] = 0.0
+        vu = ws.nu_s * lap_u
+        u_t = u_t - vu
+        u_t[0] = 0.0
+        u_t[-1] = 0.0
         if ws.sponge_on:
             sp_q, sp_u = ws.sponge(q, u)
             q_t, u_t = q_t + sp_q, u_t + sp_u
@@ -432,9 +411,7 @@ class _Stepper:
         """Velocity update; ``rhs`` is a fresh array and is overwritten."""
         rhs[0] = 0.0
         rhs[-1] = 0.0
-        if self.implicit:
-            rhs = self.cn.solve(rhs)
-        return _finite(rhs)
+        return _finite(self.cn.solve(rhs))
 
     def _potential(self, q: np.ndarray) -> np.ndarray:
         return _finite(solve_poisson_values(self.ws.grid, q))
@@ -489,7 +466,6 @@ def _default_digest(config: SimConfig) -> str:
         g.r_inner, g.r_outer, g.n_nodes, config.delta, config.t_end,
         config.dt, config.sponge_width, config.sponge_rate,
         config.output_stride, config.init_kind, config.mode,
-        config.pressure, config.coupling, config.viscosity,
         config.digest_extra))
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -510,9 +486,7 @@ def run_simulation(config: SimConfig) -> "energy_mod.TimeSeries":
     try:
         state = init_perturbation(config.init_kind, config.delta, config.grid,
                                   config.steady, config.params,
-                                  mode=config.mode, pressure=config.pressure,
-                                  coupling=config.coupling,
-                                  viscosity=config.viscosity)
+                                  mode=config.mode)
     except (VacuumError, IterationError) as exc:
         raise SimulationAbort(str(exc), t_fail=0.0) from exc
     dt = _resolve_dt(config, state, ws)

@@ -204,6 +204,10 @@ def build_radial_grid(r_inner: float, r_outer: float, n_cells: int,
         widths = h0 * ratio ** np.arange(n)
         r = r_inner + np.concatenate(([0.0], np.cumsum(widths)))
         r[-1] = r_outer
+        if np.any(np.diff(r) <= 0.0):
+            raise ParameterError(f"stretch = {stretch:g} is too large: cells "
+                                 f"from the first width {h0:.3g} on vanish in "
+                                 f"the roundoff of r_inner = {r_inner:g}")
         uniform = False
 
     w = volume_weights(r)

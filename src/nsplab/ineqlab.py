@@ -322,11 +322,17 @@ def _scalar_modes(seed: int, grid: SphericalGrid, modes: int) -> _ModeSum:
     return _mode_sum(np.random.default_rng([seed, 7]), grid, modes, 1, 3)
 
 
+def _check_ensemble_size(n: int) -> None:
+    if n < 1:
+        raise ParameterError(f"ensemble size must be >= 1, got {n}")
+
+
 def _batch(build, seed: int, n: int, grid: SphericalGrid,
            modes: int) -> _ModeSum:
     """The factors of build(seed + i, grid, modes) for i < n, stacked on a
     leading batch axis; each member still draws from its own seeded
     stream."""
+    _check_ensemble_size(n)
     members = [build(seed + i, grid, modes) for i in range(n)]
     return _ModeSum(grid=grid, taper=members[0].taper, **{
         name: np.stack([getattr(m, name) for m in members])
@@ -469,6 +475,7 @@ def _vector_sq(grid: SphericalGrid, comps) -> np.ndarray:
 
 def _ensemble_report(inequality: str, ratios) -> IneqReport:
     """Max and mean of an ensemble's ratios; passed when all are finite."""
+    _check_ensemble_size(len(ratios))
     return IneqReport(inequality=inequality, n_samples=len(ratios),
                       max_ratio=float(np.max(ratios)),
                       mean_ratio=float(np.mean(ratios)),

@@ -72,6 +72,14 @@ def test_parse_rejects_unknown_key():
     assert "line" in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["pressure", "coupling", "viscosity"])
+def test_parse_rejects_per_term_switches(key):
+    # a run always carries every term the diagnostics assume
+    with pytest.raises(ConfigError) as err:
+        parse_config(QUICK, overrides=[f"evolve.{key}=off"])
+    assert f"evolve.{key}" in str(err.value)
+
+
 def test_parse_rejects_unknown_section():
     with pytest.raises(ConfigError):
         parse_config(QUICK + "\n[plotting]\nstyle = fancy\n")
@@ -165,6 +173,7 @@ def test_parse_empty_domain_header_uses_defaults():
     ("ineqlab.trace_outer_factor=1e100", "[ineqlab]"),
     ("ineqlab.trace_outer_factor=17", "[ineqlab]"),
     ("domain.r_outer=1e200", "[domain]"),
+    ("domain.stretch=40", "stretch"),
     ("domain.stretch=710", "[domain]"),
     ("domain.stretch=1e308", "[domain]"),
     ("output.seed=-1", "[output]"),

@@ -162,7 +162,7 @@ def _cn_like(grid):
 
     from nsplab.evolve import _Stepper, _viscous_operator
     ws = SimpleNamespace(nu_s=1.0 / (1.0 + 0.5 / grid.r),
-                         visc=_viscous_operator(grid), viscosity=True)
+                         visc=_viscous_operator(grid))
     return _Stepper(ws, 0.05).cn
 
 

@@ -15,7 +15,7 @@ from nsplab.elliptic import Tridiagonal, solve_poisson_values
 from nsplab.energy import SeriesRecorder, basic_energy, energy_E
 from nsplab.evolve import (_Stepper, _viscous_operator, _Workspace,
                            write_checkpoint)
-from nsplab.grids import RadialField
+from nsplab.grids import RadialField, differentiate
 
 from oracles import MMS_TERMS, Manufactured, background_density
 
@@ -213,54 +213,47 @@ def test_step_global_second_order(shell16, steady_bump_gamma2, params_gamma2):
     assert math.log2(errs[0] / errs[1]) > 1.9
 
 
-def test_viscous_only_decay_second_order(params_gamma2):
-    g = build_radial_grid(1.0, 16.0, 500)
+def _linear_run_basic_energy(params, n_cells, kind, dt_factor, n_steps):
+    """E_basic = 1/2 int (rho_tilde u^2 + h' q^2 + |grad phi|^2) at every
+    state of a linear run about a flat background on [1, 16], sponge off,
+    driven through the run's own workspace and stepper."""
+    g = build_radial_grid(1.0, 16.0, n_cells)
     profile = make_profile("constant", 1.0, 0.0, g)
-    steady = solve_steady_monotone(2.0, profile, g)
-    cfg = SimConfig(params=params_gamma2, grid=g, steady=steady,
-                    pressure=False, coupling=False, mode="linear",
-                    sponge_rate=0.0)
-    state = init_perturbation("velocity_only", 1e-3, g, steady, params_gamma2,
-                              mode="linear", pressure=False, coupling=False)
-    dt0 = cfl_dt(params_gamma2, steady, g)
-    horizon = 16 * dt0
-
-    def advance(dt):
-        s = state
-        for _ in range(round(horizon / dt)):
-            s = step_imex(s, dt, cfg)
-        return s
-
-    ref = advance(dt0 / 8)
-    errs = [np.max(np.abs(advance(dt0 / k).u.values - ref.u.values))
-            for k in (1, 2)]
-    assert math.log2(errs[0] / errs[1]) > 1.9
-    # and it actually decays
-    assert np.max(np.abs(ref.u.values)) < np.max(np.abs(state.u.values))
-
-
-def test_acoustic_neutral_stability():
-    params = FluidParams(gamma=1.0, mu=0.5, lambda_=0.0, c_star=1.0)
-    g = build_radial_grid(1.0, 16.0, 400)
-    profile = make_profile("constant", 1.0, 0.0, g)
-    steady = solve_steady_monotone(1.0, profile, g)
+    steady = solve_steady_monotone(params.gamma, profile, g)
     cfg = SimConfig(params=params, grid=g, steady=steady, mode="linear",
-                    viscosity=False, coupling=False, sponge_rate=0.0)
-    state = init_perturbation("standard", 1e-3, g, steady, params,
-                              mode="linear", viscosity=False, coupling=False)
-    dt = cfl_dt(params, steady, g, factor=0.25)
+                    sponge_rate=0.0)
+    ws = _Workspace(cfg)
+    stepper = _Stepper(ws, cfl_dt(params, steady, g, factor=dt_factor))
+    state = init_perturbation(kind, 1e-3, g, steady, params, mode="linear")
+    q, u, phi = state.q.values, state.u.values, state.phi.values
 
-    def acoustic_energy(st):
-        hp = params.enthalpy_weight(steady.rho_tilde.values)
-        dens = steady.rho_tilde.values * st.u.values**2 + hp * st.q.values**2
-        return 0.5 * float(np.dot(g.weights, dens))
+    def e_basic():
+        st = PerturbationState(q=g.field(q), u=g.field(u), phi=g.field(phi),
+                               t=0.0)
+        return basic_energy(st, differentiate(g, phi, 1), ws.rho_s, ws.hp_s)
 
-    e0 = acoustic_energy(state)
-    s = state
-    for _ in range(1000):
-        s = step_imex(s, dt, cfg)
-    drift = abs(acoustic_energy(s) - e0) / e0
-    assert drift < 0.01
+    energies = [e_basic()]
+    for _ in range(n_steps):
+        q, u, phi = stepper.advance(q, u, phi, ws.rhs(q, u, phi))
+        energies.append(e_basic())
+    return np.array(energies)
+
+
+def test_linear_run_basic_energy_is_nonincreasing(params_gamma2):
+    # the zero-order identity dE_basic/dt = -c_visc ||grad u||^2 <= 0 of
+    # the full linear system, seen step by step
+    e = _linear_run_basic_energy(params_gamma2, 500, "velocity_only", 0.4,
+                                 160)
+    assert np.all(np.diff(e) <= 0.0)
+    assert e[-1] < e[0]
+
+
+def test_inviscid_linear_run_conserves_zero_order_energy():
+    # pressure and field forces exchange energy but, without viscosity, do
+    # not dissipate it; a scheme off in either term drifts
+    params = FluidParams(gamma=1.0, mu=1e-12, lambda_=0.0, c_star=1.0)
+    e = _linear_run_basic_energy(params, 400, "standard", 0.25, 1000)
+    assert abs(e[-1] - e[0]) / e[0] < 1e-3
 
 
 @pytest.mark.parametrize("n_cells,stretch", [(200, 0.0), (2000, 0.0),
@@ -415,23 +408,21 @@ def _reference_run(cfg: SimConfig, dt: float):
     and compute_rhs for each sample, so every state's tendencies are
     evaluated afresh.  Returns the series, or the failure time, the message
     and the partial series of a vacuum abort."""
-    flags = dict(mode=cfg.mode, pressure=cfg.pressure,
-                 coupling=cfg.coupling, viscosity=cfg.viscosity)
     params, steady = cfg.params, cfg.steady
     state = init_perturbation(cfg.init_kind, cfg.delta, cfg.grid, steady,
-                              params, **flags)
+                              params, mode=cfg.mode)
     recorder = SeriesRecorder(
         cfg, c_visc=params.longitudinal_viscosity, dt=dt,
         digest=evolve._default_digest(cfg),
         hp_s=params.enthalpy_weight(steady.rho_tilde.values))
     n_steps = round(cfg.t_end / dt)
     try:
-        recorder.add(state, compute_rhs(state, steady, params, **flags))
+        recorder.add(state, compute_rhs(state, steady, params, mode=cfg.mode))
         for step in range(1, n_steps + 1):
             state = step_imex(state, dt, cfg)
             if step % cfg.output_stride == 0 or step == n_steps:
                 recorder.add(state, compute_rhs(state, steady, params,
-                                                **flags))
+                                                mode=cfg.mode))
     except VacuumError as exc:
         return state.t, str(exc), recorder.finish(margin=None)
     return recorder.finish(margin=cfg.margin)

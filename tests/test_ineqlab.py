@@ -276,6 +276,23 @@ def test_poisson_regularity_ensemble():
     assert rep.max_ratio == pytest.approx(1.0, abs=0.02)
 
 
+@pytest.mark.parametrize("call", ["tangent_ensemble", "sobolev_l6",
+                                  "boundary_pairing", "lame",
+                                  "poisson_regularity"])
+def test_empty_ensembles_are_parameter_errors(sgrid, call):
+    rgrid = build_radial_grid(1.0, 16.0, 64)
+    run = {"tangent_ensemble": lambda: tangent_ensemble(sgrid, 0),
+           "sobolev_l6": lambda: sobolev_l6_report(sgrid, 0),
+           "boundary_pairing": lambda: boundary_pairing_report(
+               tangent_ensemble(sgrid, 2), 0),
+           "lame": lambda: lame_report(rgrid, 0),
+           "poisson_regularity": lambda: poisson_regularity_report(rgrid, 0),
+           }[call]
+    with pytest.raises(ParameterError, match="ensemble size must be >= 1, "
+                                             "got 0"):
+        run()
+
+
 def _tangent_member(seed, grid, modes):
     """The factor-path quantities of one tangent field: a batch of one."""
     ens = tangent_ensemble(grid, 1, seed, modes)
