@@ -4,12 +4,12 @@ the functional inequalities the stability analysis rests on."""
 
 from .energy import (EnergySample, StabilityVerdict, TimeSeries,
                      basic_energy_identity_residual, check_theorem_bound,
-                     dissipation_D, energy_E, mass)
+                     mass)
 from .errors import (ConfigError, DegenerateFieldError, EvaluationDomainError,
                      IterationError, MonotonicityError, NsplabError,
                      ParameterError, SimulationAbort, VacuumError)
-from .evolve import (PerturbationState, SimConfig, Tendencies, compute_rhs,
-                     init_perturbation, run_simulation, step_imex)
+from .evolve import (PerturbationState, SimConfig, Tendencies,
+                     init_perturbation, run_simulation)
 from .grids import (FluidParams, RadialField, RadialGrid, build_radial_grid,
                     integrate, radial_derivative, sobolev_norm,
                     vector_gradient_norm, vector_sobolev_norm,
@@ -23,3 +23,20 @@ from .steady import (BackgroundProfile, CertReport, SteadyState,
                      supersolution_phi)
 
 __version__ = "0.1.0"
+
+# the public surface; the submodules hold the rest
+__all__ = [
+    "BackgroundProfile", "CertReport", "ConfigError", "DegenerateFieldError",
+    "EnergySample", "EvaluationDomainError", "FluidParams", "IterationError",
+    "MonotonicityError", "NsplabError", "ParameterError", "PerturbationState",
+    "PoissonSolution", "RadialField", "RadialGrid", "SimConfig",
+    "SimulationAbort", "StabilityVerdict", "SteadyState", "Tendencies",
+    "TimeSeries", "VacuumError", "basic_energy_identity_residual",
+    "build_radial_grid", "check_subsuper", "check_theorem_bound",
+    "hessian_norm_radial", "init_perturbation", "integrate", "make_profile",
+    "mass", "profile_supersolution", "radial_derivative", "rho_from_phi",
+    "run_simulation", "sobolev_norm", "solve_poisson_neumann", "solve_shifted",
+    "solve_steady_monotone", "steady_regularity_report", "subsolution_phi",
+    "supersolution_phi", "vector_gradient_norm", "vector_sobolev_norm",
+    "weighted_l2_norm",
+]

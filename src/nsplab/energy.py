@@ -63,17 +63,6 @@ def _sample_norms(state, tendencies):
     return e, d, d - qtt_l2, math.sqrt(u_terms[1]) ** 2, d1[6]
 
 
-def energy_E(state, tendencies) -> float:
-    """Instantaneous size of the perturbation (sum of five norms)."""
-    return _sample_norms(state, tendencies)[0]
-
-
-def dissipation_D(state, tendencies) -> tuple[float, float]:
-    """Dissipation functional, with and without the ||q_tt|| term."""
-    _, d, d_no_qtt, _, _ = _sample_norms(state, tendencies)
-    return d, d_no_qtt
-
-
 def mass(q: RadialField) -> float:
     """Discrete integral of q with the shell volume measure."""
     return integrate(q)

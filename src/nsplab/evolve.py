@@ -257,22 +257,6 @@ def _viscous_operator(grid: RadialGrid) -> Tridiagonal:
     return Tridiagonal(*diagonals)
 
 
-def compute_rhs(state: PerturbationState, steady: SteadyState,
-                params: FluidParams, *, mode: str = "nonlinear") -> Tendencies:
-    """Evaluate the full tendency bundle (q_t, u_t, phi_t, q_tt) from the
-    equations, with the same workspace arithmetic the stepper stages and the
-    energy samples use.
-
-    A one-shot reference entry point: each call builds its own workspace
-    (viscous operator, sound speeds).  Loops over many states should use
-    run_simulation, which builds the workspace once per run.
-    """
-    cfg = SimConfig(params=params, grid=state.q.grid, steady=steady,
-                    mode=mode, sponge_rate=0.0, sponge_width=0.0)
-    ws = _Workspace(cfg)
-    return _tendencies(ws, state, ws.rhs(*_arrays(state)))
-
-
 def _arrays(state: PerturbationState):
     return state.q.values, state.u.values, state.phi.values
 
@@ -338,8 +322,8 @@ def init_perturbation(kind: str, delta: float, grid: RadialGrid,
 
     def energy_of(a: float) -> float:
         st = state_at(a)
-        return energy_mod.energy_E(st, _tendencies(ws, st,
-                                                   ws.rhs(*_arrays(st))))
+        return energy_mod._sample_norms(
+            st, _tendencies(ws, st, ws.rhs(*_arrays(st))))[0]
 
     probe = 1e-6
     amp = delta * probe / energy_of(probe)
@@ -437,25 +421,6 @@ class _Stepper:
 def _fields(grid: RadialGrid, q, u, phi, t: float) -> PerturbationState:
     return PerturbationState(q=RadialField(q, grid), u=RadialField(u, grid),
                              phi=RadialField(phi, grid), t=t)
-
-
-def step_imex(state: PerturbationState, dt: float,
-              config: SimConfig) -> PerturbationState:
-    """Advance one step; dt = 0 returns the state unchanged bit-for-bit.
-
-    A one-shot reference entry point: each call builds its own workspace and
-    a freshly factored Crank-Nicolson operator, which costs more than the
-    step itself on fine grids.  Loops should call run_simulation, which
-    builds both once per run and takes the same steps.
-    """
-    if dt < 0.0 or not math.isfinite(dt):
-        raise ParameterError(f"dt must be finite and >= 0, got {dt}")
-    if dt == 0.0:
-        return state
-    ws = _Workspace(config)
-    arrays = _arrays(state)
-    q, u, phi = _Stepper(ws, dt).advance(*arrays, ws.rhs(*arrays))
-    return _fields(ws.grid, q, u, phi, state.t + dt)
 
 
 def _default_digest(config: SimConfig) -> str:

@@ -33,10 +33,6 @@ leading batch axis, so one batched pass evaluates every member, through the
 same code that serves a batch of one.  Only the L6 norm, which is not
 quadratic, is taken on the 3-D grid: each member is multiplied out by one
 (nr x modes) @ (modes x ntheta*nphi) product, one member at a time.
-
-The per-field operators grad_scalar, divergence, curl and gradient_squared
-act on 3-D arrays.  The 3-D operators are the oracle; tests build their
-fields from tests/oracles.
 """
 
 from __future__ import annotations
@@ -100,23 +96,6 @@ class SphericalGrid:
                 2.0 * math.pi / self.phi.size)
 
 
-@dataclass(frozen=True, eq=False)
-class VectorField3:
-    """Spherical components (v_r, v_theta, v_phi) on a SphericalGrid."""
-
-    vr: np.ndarray
-    vtheta: np.ndarray
-    vphi: np.ndarray
-    grid: SphericalGrid
-
-    def __post_init__(self):
-        for comp in (self.vr, self.vtheta, self.vphi):
-            if comp.shape != self.grid.shape:
-                raise ParameterError("component shape does not match the grid")
-            if not np.all(np.isfinite(comp)):
-                raise ParameterError("field components must be finite")
-
-
 @dataclass(frozen=True)
 class IneqReport:
     """Measured ensemble statistics for one inequality."""
@@ -174,79 +153,11 @@ def _periodic(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _d_axis(grid: SphericalGrid, f: np.ndarray, axis: int) -> np.ndarray:
-    """Centered difference along r (axis 0) or theta (axis 1)."""
-    return _three_point(f, grid.steps[axis], axis)
-
-
-def _d_phi(grid: SphericalGrid, f: np.ndarray) -> np.ndarray:
-    """Periodic centered difference in azimuth."""
-    return _periodic(f, grid.steps[2])
-
-
-def grad_scalar(grid: SphericalGrid, f: np.ndarray) -> VectorField3:
-    r, sin, _ = grid.geometry
-    return VectorField3(vr=_d_axis(grid, f, 0),
-                        vtheta=_d_axis(grid, f, 1) / r,
-                        vphi=_d_phi(grid, f) / (r * sin),
-                        grid=grid)
-
-
-def divergence(v: VectorField3) -> np.ndarray:
-    grid = v.grid
-    r, sin, _ = grid.geometry
-    return (_d_axis(grid, r**2 * v.vr, 0) / r**2
-            + _d_axis(grid, sin * v.vtheta, 1) / (r * sin)
-            + _d_phi(grid, v.vphi) / (r * sin))
-
-
-def curl(v: VectorField3) -> VectorField3:
-    grid = v.grid
-    r, sin, _ = grid.geometry
-    cr = (_d_axis(grid, sin * v.vphi, 1) - _d_phi(grid, v.vtheta)) / (r * sin)
-    ct = _d_phi(grid, v.vr) / (r * sin) - _d_axis(grid, r * v.vphi, 0) / r
-    cp = (_d_axis(grid, r * v.vtheta, 0) - _d_axis(grid, v.vr, 1)) / r
-    return VectorField3(vr=cr, vtheta=ct, vphi=cp, grid=grid)
-
-
-def gradient_squared(v: VectorField3) -> np.ndarray:
-    """Pointwise |grad v|^2: all nine orthonormal covariant components."""
-    grid = v.grid
-    r, sin, cot = grid.geometry
-    comps = (
-        _d_axis(grid, v.vr, 0),
-        _d_axis(grid, v.vr, 1) / r - v.vtheta / r,
-        _d_phi(grid, v.vr) / (r * sin) - v.vphi / r,
-        _d_axis(grid, v.vtheta, 0),
-        _d_axis(grid, v.vtheta, 1) / r + v.vr / r,
-        _d_phi(grid, v.vtheta) / (r * sin) - cot * v.vphi / r,
-        _d_axis(grid, v.vphi, 0),
-        _d_axis(grid, v.vphi, 1) / r,
-        _d_phi(grid, v.vphi) / (r * sin) + v.vr / r + cot * v.vtheta / r,
-    )
-    total = np.zeros(grid.shape)
-    for c in comps:
-        total += c**2
-    return total
-
-
-def l2_norm(grid: SphericalGrid, f: np.ndarray) -> float:
-    return math.sqrt(grid.integrate(f**2))
-
-
-def l2_norm_vec(v: VectorField3) -> float:
-    return math.sqrt(v.grid.integrate(v.vr**2 + v.vtheta**2 + v.vphi**2))
-
-
 def l6_norm(grid: SphericalGrid, f: np.ndarray) -> float:
     f2 = f * f  # f**6 would go through pow(), several times slower
     f6 = f2 * f2
     f6 *= f2
     return grid.integrate(f6) ** (1.0 / 6.0)
-
-
-def grad_norm(v: VectorField3) -> float:
-    return math.sqrt(v.grid.integrate(gradient_squared(v)))
 
 
 def _boundary_integral(grid: SphericalGrid, f: np.ndarray) -> np.ndarray:
@@ -398,8 +309,9 @@ def _tangent_radial(ms: _ModeSum, c: int) -> np.ndarray:
 
 
 def _tangent_quadratics(ms: _ModeSum):
-    """||grad v||^2, ||div v||^2 and ||curl v||^2 per member: the components
-    of gradient_squared, divergence and curl, piece by piece."""
+    """||grad v||^2, ||div v||^2 and ||curl v||^2 per member: the nine
+    covariant gradient components, the divergence and the curl of the grid
+    stencils, piece by piece."""
     grid = ms.grid
     s = _Stencils(ms)
     r, sin, pol, azi = s.r, s.sin, s.pol, s.azi
@@ -461,7 +373,7 @@ def tangent_ensemble(grid: SphericalGrid, n_fields: int, seed: int = 0,
 
 def _scalar_gradient(ms: _ModeSum) -> list:
     """The three components of the gradient of each member of a batch of
-    scalar mode sums (grad_scalar on the 3-D grid), as pieces."""
+    scalar mode sums, as pieces."""
     s = _Stencils(ms)
     f = ms.radial_stack(0)
     return [(s.d_r(f), s.pol, s.azi), (f / s.r, s.d_pol, s.azi),
@@ -489,15 +401,6 @@ def _guarded_ratios(nums: np.ndarray, denoms: np.ndarray,
     if np.any(denoms < 1e-14 * np.fmax(1.0, nums)):
         raise DegenerateFieldError(degenerate)
     return nums / denoms
-
-
-def _div_curl_norm(v: VectorField3) -> float:
-    return l2_norm(v.grid, divergence(v)) + l2_norm_vec(curl(v))
-
-
-def _traces(v: VectorField3) -> np.ndarray:
-    """The three components on the inner sphere, shape (3, ntheta, nphi)."""
-    return np.stack((v.vr[0], v.vtheta[0], v.vphi[0]))
 
 
 def div_curl_report(ens: TangentEnsemble) -> IneqReport:

@@ -6,7 +6,7 @@ density c_star, and a homogeneous Neumann condition at the inner sphere.
 Eliminating rho turns this into the semilinear problem
 
     Lap(Phi) - F(Phi) + b = 0,
-    F(Phi) = ((gamma-1)/gamma)**(1/(gamma-1)) * (Phi + c1)**(1/(gamma-1)),
+    F(Phi) = ((gamma-1)/gamma * (Phi + c1))**(1/(gamma-1)),
     c1 = gamma/(gamma-1) * c_star**(gamma-1),
 
 with the log branch F(Phi) = c_star * exp(Phi) at gamma = 1.  The
@@ -104,29 +104,29 @@ class _Branch:
             raise ParameterError(f"gamma must be >= 1, got {gamma}")
         self.gamma = gamma
         self.c_star = c_star
-        if gamma > 1.0:
-            self.c1 = gamma / (gamma - 1.0) * c_star ** (gamma - 1.0)
-            self.prefactor = ((gamma - 1.0) / gamma) ** (1.0 / (gamma - 1.0))
-        else:
-            self.c1 = None
-            self.prefactor = None
+        self.c1 = (gamma / (gamma - 1.0) * c_star ** (gamma - 1.0)
+                   if gamma > 1.0 else None)
 
-    def _base(self, phi: np.ndarray) -> np.ndarray:
+    def _scaled(self, phi: np.ndarray) -> np.ndarray:
+        """(gamma-1)/gamma * (Phi + c1), which stays near c_star**(gamma-1)
+        as gamma -> 1.  F and F' raise it to a power as one product: near
+        gamma = 1 the split form ((gamma-1)/gamma)**(1/(gamma-1)) *
+        (Phi + c1)**(1/(gamma-1)) is 0 * inf."""
         base = phi + self.c1
         if np.any(base <= 0.0):
             raise EvaluationDomainError("Phi + c1 must stay positive for gamma > 1")
-        return base
+        return (self.gamma - 1.0) / self.gamma * base
 
     def F(self, phi: np.ndarray) -> np.ndarray:
         if self.gamma == 1.0:
             return self.c_star * np.exp(phi)
-        return self.prefactor * self._base(phi) ** (1.0 / (self.gamma - 1.0))
+        return self._scaled(phi) ** (1.0 / (self.gamma - 1.0))
 
     def Fprime(self, phi: np.ndarray) -> np.ndarray:
         if self.gamma == 1.0:
             return self.c_star * np.exp(phi)
         expo = (2.0 - self.gamma) / (self.gamma - 1.0)
-        return self.prefactor / (self.gamma - 1.0) * self._base(phi)**expo
+        return self._scaled(phi) ** expo / self.gamma
 
 
 def make_profile(kind: str, c_star: float, amplitude: float, grid: RadialGrid,

@@ -3,10 +3,16 @@
 Everything here deliberately avoids the package's quadrature and derivative
 machinery: integrals come from dense plain trapezoid sums over analytic
 callables, and the steady-state oracle is a damped Newton iteration on the
-discrete system (same operator, independent solution path).
+discrete system (same operator, independent solution path).  The one
+exception is the 3-D spherical operators at the end: they apply the
+package's one-axis stencils and quadrature to whole 3-D arrays, an
+independent evaluation path for the mode-factored ensembles.  The module
+also holds ``tendencies``, the suite's one way to evaluate a single state's
+tendencies through a run workspace.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -14,7 +20,10 @@ from numpy.polynomial import Polynomial
 from scipy.linalg import solve_banded
 
 from nsplab.elliptic import laplacian
+from nsplab.errors import ParameterError
+from nsplab.evolve import SimConfig, _tendencies, _Workspace
 from nsplab.grids import cutoff
+from nsplab.ineqlab import SphericalGrid, _periodic, _three_point
 from nsplab.steady import _Branch
 
 FOUR_PI = 4.0 * np.pi
@@ -106,6 +115,15 @@ def radial_vector_h3_norm_dense(u_funcs, r_inner, r_outer, n=40001):
     total += integral(u2) + 2.0 * integral(over1)
     total += integral(u3) + 2.0 * integral(over2)
     return np.sqrt(total)
+
+
+def tendencies(state, steady, params, mode="nonlinear"):
+    """The tendency bundle of one state, evaluated afresh by a run workspace
+    of its own, as a run evaluates the state it samples."""
+    ws = _Workspace(SimConfig(params=params, grid=state.q.grid, steady=steady,
+                              mode=mode))
+    return _tendencies(ws, state, ws.rhs(state.q.values, state.u.values,
+                                         state.phi.values))
 
 
 # the terms of the perturbation equations a manufactured forcing can scale
@@ -314,3 +332,106 @@ def premerge_scalar_field(seed, grid, modes=3):
                 * np.cos(l_theta * theta + phases[1]) * taper
                 * cut * (0.5 + 0.5 * np.cos(k_r * math.pi * x + phases[2])))
     return out
+
+
+# The per-field operators on the 3-D spherical grid: the oracle of the
+# mode-factored ensembles in nsplab.ineqlab, which form a 3-D field only
+# for the L6 norm.
+
+@dataclass(frozen=True, eq=False)
+class VectorField3:
+    """Spherical components (v_r, v_theta, v_phi) on a SphericalGrid."""
+
+    vr: np.ndarray
+    vtheta: np.ndarray
+    vphi: np.ndarray
+    grid: SphericalGrid
+
+    def __post_init__(self):
+        for comp in (self.vr, self.vtheta, self.vphi):
+            if comp.shape != self.grid.shape:
+                raise ParameterError("component shape does not match the grid")
+            if not np.all(np.isfinite(comp)):
+                raise ParameterError("field components must be finite")
+
+
+def d_axis(grid, f, axis):
+    """Centered difference along r (axis 0) or theta (axis 1)."""
+    return _three_point(f, grid.steps[axis], axis)
+
+
+def d_phi(grid, f):
+    """Periodic centered difference in azimuth."""
+    return _periodic(f, grid.steps[2])
+
+
+def grad_scalar(grid, f):
+    r, sin, _ = grid.geometry
+    return VectorField3(vr=d_axis(grid, f, 0),
+                        vtheta=d_axis(grid, f, 1) / r,
+                        vphi=d_phi(grid, f) / (r * sin),
+                        grid=grid)
+
+
+def divergence(v):
+    grid = v.grid
+    r, sin, _ = grid.geometry
+    return (d_axis(grid, r**2 * v.vr, 0) / r**2
+            + d_axis(grid, sin * v.vtheta, 1) / (r * sin)
+            + d_phi(grid, v.vphi) / (r * sin))
+
+
+def curl(v):
+    grid = v.grid
+    r, sin, _ = grid.geometry
+    cr = (d_axis(grid, sin * v.vphi, 1) - d_phi(grid, v.vtheta)) / (r * sin)
+    ct = d_phi(grid, v.vr) / (r * sin) - d_axis(grid, r * v.vphi, 0) / r
+    cp = (d_axis(grid, r * v.vtheta, 0) - d_axis(grid, v.vr, 1)) / r
+    return VectorField3(vr=cr, vtheta=ct, vphi=cp, grid=grid)
+
+
+def gradient_squared(v):
+    """Pointwise |grad v|^2: all nine orthonormal covariant components."""
+    grid = v.grid
+    r, sin, cot = grid.geometry
+    comps = (
+        d_axis(grid, v.vr, 0),
+        d_axis(grid, v.vr, 1) / r - v.vtheta / r,
+        d_phi(grid, v.vr) / (r * sin) - v.vphi / r,
+        d_axis(grid, v.vtheta, 0),
+        d_axis(grid, v.vtheta, 1) / r + v.vr / r,
+        d_phi(grid, v.vtheta) / (r * sin) - cot * v.vphi / r,
+        d_axis(grid, v.vphi, 0),
+        d_axis(grid, v.vphi, 1) / r,
+        d_phi(grid, v.vphi) / (r * sin) + v.vr / r + cot * v.vtheta / r,
+    )
+    total = np.zeros(grid.shape)
+    for c in comps:
+        total += c**2
+    return total
+
+
+def l2_norm(grid, f):
+    return math.sqrt(grid.integrate(f**2))
+
+
+def l2_norm_vec(v):
+    return math.sqrt(v.grid.integrate(v.vr**2 + v.vtheta**2 + v.vphi**2))
+
+
+def grad_norm(v):
+    return math.sqrt(v.grid.integrate(gradient_squared(v)))
+
+
+def div_curl_norm(v):
+    return l2_norm(v.grid, divergence(v)) + l2_norm_vec(curl(v))
+
+
+def inner_traces(v):
+    """The three components on the inner sphere, shape (3, ntheta, nphi)."""
+    return np.stack((v.vr[0], v.vtheta[0], v.vphi[0]))
+
+
+def tangent_field(seed, grid, modes=3):
+    """The seeded tangent field on the 3-D grid, from the seeded draws."""
+    return VectorField3(*premerge_tangent_field(seed, grid, modes), grid=grid)

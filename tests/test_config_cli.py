@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from nsplab.cli import main
 from nsplab.config import parse_config
 from nsplab.errors import ConfigError
+
+CONFIGS = Path(__file__).parents[1] / "configs"
 
 QUICK = """
 [fluid]
@@ -292,6 +295,13 @@ def test_cli_simulate_pass_and_determinism(tmp_path):
     assert summary["verdict"] == "PASS"
 
 
+def test_cli_simulate_rejects_a_per_term_switch(tmp_path):
+    # the scheme has no per-term switches: an unknown override target
+    assert main(["simulate", "--config", str(CONFIGS / "quick.cfg"),
+                 "--out", str(tmp_path),
+                 "--set", "evolve.viscosity=off"]) == 2
+
+
 def test_cli_simulate_vacuum_abort(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
@@ -379,6 +389,26 @@ def test_cli_verify_inequalities(tmp_path):
         payload.pop("timestamp")
         payload.pop("wall_time_s")
     assert outs[0] == outs[1]
+
+
+def test_cli_verify_inequalities_acceptance_at_64x32x64(tmp_path):
+    # the criteria-09/10 ensembles at 64x32x64 pass: exit 0
+    code = main(["verify-inequalities", "--config",
+                 str(CONFIGS / "acceptance.cfg"), "--out", str(tmp_path),
+                 "--set", "ineqlab.nr=64", "--set", "ineqlab.ntheta=32",
+                 "--set", "ineqlab.nphi=64"])
+    assert code == 0
+    assert json.loads((tmp_path / "inequalities.json").read_text())[
+        "all_pass"] is True
+
+
+@pytest.mark.parametrize("override", ["ineqlab.n_fields=1",
+                                      "ineqlab.n_scalars=1",
+                                      "ineqlab.modes=6"])
+def test_cli_verify_inequalities_batch_shape_edges(tmp_path, override):
+    # batch-shape edges of the factor path: ensembles of one, six modes
+    assert main(["verify-inequalities", "--config", str(CONFIGS / "quick.cfg"),
+                 "--out", str(tmp_path), "--set", override]) == 0
 
 
 def test_cli_verify_inequalities_bad_resolution(tmp_path):

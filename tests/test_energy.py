@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from nsplab import (ParameterError, PerturbationState, SimConfig, Tendencies,
-                    build_radial_grid, check_theorem_bound, compute_rhs,
+                    build_radial_grid, check_theorem_bound,
                     init_perturbation, mass, radial_derivative,
                     run_simulation, sobolev_norm, vector_gradient_norm,
                     vector_sobolev_norm, weighted_l2_norm)
 from nsplab import grids
 from nsplab.energy import (EnergySample, SeriesRecorder, TimeSeries,
-                           basic_energy_identity_residual, dissipation_D,
-                           energy_E, measure_viscous_constant)
+                           _sample_norms, basic_energy_identity_residual,
+                           measure_viscous_constant)
+from nsplab.evolve import _Stepper, _Workspace
 from nsplab.grids import RadialField
 
-from oracles import radial_vector_h3_norm_dense
+from oracles import radial_vector_h3_norm_dense, tendencies
 
 
 def _zero_bundle(grid):
@@ -40,14 +41,13 @@ def _scaled(state, tend, lam, grid):
 def bundle(shell16, steady_bump_gamma2, params_gamma2):
     state = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
                               params_gamma2)
-    tend = compute_rhs(state, steady_bump_gamma2, params_gamma2)
+    tend = tendencies(state, steady_bump_gamma2, params_gamma2)
     return state, tend
 
 
 def test_zero_state_energy(shell16):
     state, tend = _zero_bundle(shell16)
-    assert energy_E(state, tend) == 0.0
-    assert dissipation_D(state, tend) == (0.0, 0.0)
+    assert _sample_norms(state, tend)[:3] == (0.0, 0.0, 0.0)
 
 
 def _grad_sobolev_sq(u, k):
@@ -74,14 +74,14 @@ def test_components_sum_to_total(bundle):
     total = parts[0]
     for p in parts[1:]:
         total += p
-    assert energy_E(state, tend) == total
+    e, d, d_no = _sample_norms(state, tend)[:3]
+    assert e == total
 
     qtt = weighted_l2_norm(tend.q_tt)
     d_parts = [math.sqrt(_grad_sobolev_sq(state.u, 2)),
                math.sqrt(_grad_sobolev_sq(tend.u_t, 1)),
                sobolev_norm(state.q, 2), sobolev_norm(tend.q_t, 1)]
     assert all(p > 0.0 for p in d_parts) and qtt > 0.0
-    d, d_no = dissipation_D(state, tend)
     assert d == pytest.approx(sum(d_parts) + qtt, rel=1e-14)
     assert d_no == pytest.approx(sum(d_parts), rel=1e-14)
 
@@ -130,19 +130,17 @@ def test_sample_computes_each_derivative_once(shell16, bundle,
 
 def test_homogeneity_exact(shell16, bundle):
     state, tend = bundle
-    e1 = energy_E(state, tend)
-    d1, d1n = dissipation_D(state, tend)
+    e1, d1, d1n = _sample_norms(state, tend)[:3]
     for lam in (2.0, 3.0):
-        s, t = _scaled(state, tend, lam, shell16)
-        assert energy_E(s, t) == pytest.approx(lam * e1, rel=1e-12)
-        d2, d2n = dissipation_D(s, t)
+        e2, d2, d2n = _sample_norms(*_scaled(state, tend, lam, shell16))[:3]
+        assert e2 == pytest.approx(lam * e1, rel=1e-12)
         assert d2 == pytest.approx(lam * d1, rel=1e-12)
         assert d2n == pytest.approx(lam * d1n, rel=1e-12)
 
 
 def test_d_no_qtt_bounded_by_d(shell16, bundle):
     state, tend = bundle
-    d, d_no = dissipation_D(state, tend)
+    d, d_no = _sample_norms(state, tend)[1:3]
     assert d_no <= d
 
 
@@ -174,18 +172,20 @@ def test_qtt_consistent_with_time_differences(shell16, steady_bump_gamma2,
                                               params_gamma2):
     # centered second difference of q along a finely substepped trajectory
     # converges at O(dt^2) to the equation-evaluated q_tt
-    from nsplab import step_imex
-    cfg = SimConfig(params=params_gamma2, grid=shell16,
-                    steady=steady_bump_gamma2, sponge_rate=0.0)
+    ws = _Workspace(SimConfig(params=params_gamma2, grid=shell16,
+                              steady=steady_bump_gamma2, sponge_rate=0.0))
     state = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
                               params_gamma2)
     cs = float(np.max(params_gamma2.sound_speed(
         steady_bump_gamma2.rho_tilde.values)))
 
     def advance(st, horizon, n_sub):
+        stepper = _Stepper(ws, horizon / n_sub)
+        q, u, phi = st.q.values, st.u.values, st.phi.values
         for _ in range(n_sub):
-            st = step_imex(st, horizon / n_sub, cfg)
-        return st
+            q, u, phi = stepper.advance(q, u, phi, ws.rhs(q, u, phi))
+        return PerturbationState(q=shell16.field(q), u=shell16.field(u),
+                                 phi=shell16.field(phi), t=st.t + horizon)
 
     diffs = []
     for dt in (0.4 * shell16.min_spacing / cs,
@@ -193,7 +193,7 @@ def test_qtt_consistent_with_time_differences(shell16, steady_bump_gamma2,
                0.1 * shell16.min_spacing / cs):
         s1 = advance(state, dt, 16)
         s2 = advance(s1, dt, 16)
-        tend_mid = compute_rhs(s1, steady_bump_gamma2, params_gamma2)
+        tend_mid = tendencies(s1, steady_bump_gamma2, params_gamma2)
         fd = (s2.q.values - 2.0 * s1.q.values + state.q.values) / dt**2
         scale = np.max(np.abs(tend_mid.q_tt.values))
         diffs.append(np.max(np.abs(fd - tend_mid.q_tt.values)) / scale)

@@ -7,17 +7,16 @@ from hypothesis import strategies as st
 
 from nsplab import (FluidParams, ParameterError, PerturbationState,
                     SimConfig, SimulationAbort, VacuumError,
-                    build_radial_grid, compute_rhs,
-                    init_perturbation, make_profile, run_simulation,
-                    solve_steady_monotone, step_imex, weighted_l2_norm)
+                    build_radial_grid, init_perturbation, make_profile,
+                    run_simulation, solve_steady_monotone, weighted_l2_norm)
 from nsplab import SteadyState, evolve
 from nsplab.elliptic import Tridiagonal, solve_poisson_values
-from nsplab.energy import SeriesRecorder, basic_energy, energy_E
+from nsplab.energy import SeriesRecorder, _sample_norms, basic_energy
 from nsplab.evolve import (_Stepper, _viscous_operator, _Workspace,
                            write_checkpoint)
 from nsplab.grids import RadialField, differentiate
 
-from oracles import MMS_TERMS, Manufactured, background_density
+from oracles import MMS_TERMS, Manufactured, background_density, tendencies
 
 
 def cfl_dt(params, steady, grid, factor=0.4):
@@ -46,16 +45,17 @@ def test_init_energy_equals_delta(shell16, steady_bump_gamma2, params_gamma2):
     for delta in (1e-4, 1e-3):
         st = init_perturbation("standard", delta, shell16, steady_bump_gamma2,
                                params_gamma2)
-        tend = compute_rhs(st, steady_bump_gamma2, params_gamma2)
-        e = energy_E(st, tend)
+        tend = tendencies(st, steady_bump_gamma2, params_gamma2)
+        e = _sample_norms(st, tend)[0]
         assert e == pytest.approx(delta, rel=1e-9)
     # doubling delta doubles E(0) (well within the 2% near-linearity budget)
     st1 = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
                             params_gamma2)
     st2 = init_perturbation("standard", 2e-3, shell16, steady_bump_gamma2,
                             params_gamma2)
-    e1 = energy_E(st1, compute_rhs(st1, steady_bump_gamma2, params_gamma2))
-    e2 = energy_E(st2, compute_rhs(st2, steady_bump_gamma2, params_gamma2))
+    e1, e2 = (_sample_norms(st, tendencies(st, steady_bump_gamma2,
+                                           params_gamma2))[0]
+              for st in (st1, st2))
     assert e2 / e1 == pytest.approx(2.0, rel=0.02)
 
 
@@ -84,7 +84,7 @@ def test_equilibrium_tendencies_vanish(shell16, steady_bump_gamma2,
                                        params_gamma2):
     st = init_perturbation("standard", 0.0, shell16, steady_bump_gamma2,
                            params_gamma2)
-    tend = compute_rhs(st, steady_bump_gamma2, params_gamma2)
+    tend = tendencies(st, steady_bump_gamma2, params_gamma2)
     for f in (tend.q_t, tend.u_t, tend.phi_t, tend.q_tt):
         assert np.max(np.abs(f.values)) == 0.0
 
@@ -100,7 +100,7 @@ def test_zero_perturbation_tendencies_vanish(gamma, amplitude, n_cells,
         gamma, make_profile("admissible_bump", 1.0, amplitude, g), g)
     params = FluidParams(gamma=gamma, mu=0.5, lambda_=0.0)
     zero = PerturbationState(q=g.zeros(), u=g.zeros(), phi=g.zeros(), t=0.0)
-    tend = compute_rhs(zero, steady, params)
+    tend = tendencies(zero, steady, params)
     for f in (tend.q_t, tend.u_t, tend.phi_t, tend.q_tt):
         assert np.max(np.abs(f.values)) <= 1e-13
 
@@ -125,7 +125,7 @@ def test_continuity_matches_analytic_divergence(params_gamma2):
         state = PerturbationState(
             q=RadialField(q, g), u=RadialField(u, g),
             phi=g.zeros(), t=0.0)
-        tend = compute_rhs(state, steady, params_gamma2)
+        tend = tendencies(state, steady, params_gamma2)
         errs.append(np.max(np.abs(tend.q_t.values - q_t_exact)))
     assert errs[0] / errs[1] > 3.0
 
@@ -170,8 +170,8 @@ def test_tendency_scaling_exponent(shell16, steady_bump_gamma2,
             q=RadialField(2 * scale * base.q.values, shell16),
             u=RadialField(2 * scale * base.u.values, shell16),
             phi=RadialField(2 * scale * base.phi.values, shell16), t=0.0)
-        t1 = compute_rhs(st1, steady_bump_gamma2, params_gamma2)
-        t2 = compute_rhs(st2, steady_bump_gamma2, params_gamma2)
+        t1 = tendencies(st1, steady_bump_gamma2, params_gamma2)
+        t2 = tendencies(st2, steady_bump_gamma2, params_gamma2)
         defect = (np.max(np.abs(t2.u_t.values - 2 * t1.u_t.values))
                   + np.max(np.abs(t2.q_t.values - 2 * t1.q_t.values)))
         defects.append(defect)
@@ -181,35 +181,26 @@ def test_tendency_scaling_exponent(shell16, steady_bump_gamma2,
 
 # ------------------------------------------------------------------ steps
 
-def test_zero_dt_is_identity(shell16, steady_bump_gamma2, params_gamma2):
-    cfg = SimConfig(params=params_gamma2, grid=shell16,
-                    steady=steady_bump_gamma2)
-    st = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
-                           params_gamma2)
-    out = step_imex(st, 0.0, cfg)
-    assert out is st
-
-
 def test_step_global_second_order(shell16, steady_bump_gamma2, params_gamma2):
-    cfg = SimConfig(params=params_gamma2, grid=shell16,
-                    steady=steady_bump_gamma2, sponge_rate=0.0)
+    ws = _Workspace(SimConfig(params=params_gamma2, grid=shell16,
+                              steady=steady_bump_gamma2, sponge_rate=0.0))
     state = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
                               params_gamma2)
     dt0 = cfl_dt(params_gamma2, steady_bump_gamma2, shell16)
     horizon = 16 * dt0
 
     def advance(dt):
-        s = state
+        stepper = _Stepper(ws, dt)
+        q, u, phi = state.q.values, state.u.values, state.phi.values
         for _ in range(round(horizon / dt)):
-            s = step_imex(s, dt, cfg)
-        return s
+            q, u, phi = stepper.advance(q, u, phi, ws.rhs(q, u, phi))
+        return q, u
 
-    ref = advance(dt0 / 8)
+    ref_q, ref_u = advance(dt0 / 8)
     errs = []
     for k in (1, 2):
-        y = advance(dt0 / k)
-        errs.append(np.max(np.abs(y.u.values - ref.u.values))
-                    + np.max(np.abs(y.q.values - ref.q.values)))
+        q, u = advance(dt0 / k)
+        errs.append(np.max(np.abs(u - ref_u)) + np.max(np.abs(q - ref_q)))
     assert math.log2(errs[0] / errs[1]) > 1.9
 
 
@@ -404,10 +395,10 @@ def test_hoisted_run_constants_keep_the_inline_arithmetic(cells16):
 
 
 def _reference_run(cfg: SimConfig, dt: float):
-    """The sampled run rebuilt from public pieces: step_imex for each step
-    and compute_rhs for each sample, so every state's tendencies are
-    evaluated afresh.  Returns the series, or the failure time, the message
-    and the partial series of a vacuum abort."""
+    """The sampled run rebuilt step by step: a fresh evaluation of the
+    tendencies for each step's stage 0 and for each sample, where the run
+    shares one evaluation per state.  Returns the series, or the failure
+    time, the message and the partial series of a vacuum abort."""
     params, steady = cfg.params, cfg.steady
     state = init_perturbation(cfg.init_kind, cfg.delta, cfg.grid, steady,
                               params, mode=cfg.mode)
@@ -416,13 +407,17 @@ def _reference_run(cfg: SimConfig, dt: float):
         digest=evolve._default_digest(cfg),
         hp_s=params.enthalpy_weight(steady.rho_tilde.values))
     n_steps = round(cfg.t_end / dt)
+    ws = _Workspace(cfg)
+    stepper = _Stepper(ws, dt)
+    q, u, phi = state.q.values, state.u.values, state.phi.values
     try:
-        recorder.add(state, compute_rhs(state, steady, params, mode=cfg.mode))
+        recorder.add(state, tendencies(state, steady, params, cfg.mode))
         for step in range(1, n_steps + 1):
-            state = step_imex(state, dt, cfg)
+            q, u, phi = stepper.advance(q, u, phi, ws.rhs(q, u, phi))
+            state = evolve._fields(cfg.grid, q, u, phi, state.t + dt)
             if step % cfg.output_stride == 0 or step == n_steps:
-                recorder.add(state, compute_rhs(state, steady, params,
-                                                mode=cfg.mode))
+                recorder.add(state, tendencies(state, steady, params,
+                                               cfg.mode))
     except VacuumError as exc:
         return state.t, str(exc), recorder.finish(margin=None)
     return recorder.finish(margin=cfg.margin)
@@ -477,13 +472,17 @@ def test_run_abort_at_a_state_equals_the_public_step_loop(cells16, k,
     cfg = SimConfig(params=params, grid=g, steady=steady, delta=1e-3,
                     t_end=4.0, output_stride=2)
     dt = run_simulation(cfg).dt
+    ws = _Workspace(cfg)
+    stepper = _Stepper(ws, dt)
     state = init_perturbation("standard", 1e-3, g, steady, params)
+    q_k, u, phi, t_k = state.q.values, state.u.values, state.phi.values, 0.0
     for _ in range(k):
-        state = step_imex(state, dt, cfg)
+        q_k, u, phi = stepper.advance(q_k, u, phi, ws.rhs(q_k, u, phi))
+        t_k = t_k + dt
     real_rhs = _Workspace.rhs
 
     def rhs(self, q, u, phi):
-        if np.array_equal(q, state.q.values):
+        if np.array_equal(q, q_k):
             raise VacuumError("tripped")
         return real_rhs(self, q, u, phi)
 
@@ -491,7 +490,7 @@ def test_run_abort_at_a_state_equals_the_public_step_loop(cells16, k,
     with pytest.raises(SimulationAbort) as info:
         run_simulation(cfg)
     t_fail, message, partial = _reference_run(cfg, dt)
-    assert info.value.t_fail == t_fail == state.t
+    assert info.value.t_fail == t_fail == t_k
     assert str(info.value) == message == "tripped"
     _assert_same_series(info.value.series, partial)
     assert len(partial.samples) == 1 + (k - 1) // 2

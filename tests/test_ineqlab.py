@@ -12,22 +12,18 @@ from nsplab import DegenerateFieldError, ParameterError, build_radial_grid
 from nsplab import ineqlab as iq
 from nsplab.elliptic import solve_poisson_neumann
 from nsplab.grids import CUT_END
-from nsplab.ineqlab import (TangentEnsemble, VectorField3,
-                            boundary_pairing_report, build_spherical_grid,
-                            curl, div_curl_report, divergence, grad_norm,
-                            grad_scalar, l2_norm, l2_norm_vec, lame_report,
-                            poisson_regularity_report, sobolev_l6_report,
-                            tangent_ensemble, verify_lame_gradient_case,
-                            verify_trace_scaling)
+from nsplab.ineqlab import (TangentEnsemble, boundary_pairing_report,
+                            build_spherical_grid, div_curl_report,
+                            lame_report, poisson_regularity_report,
+                            sobolev_l6_report, tangent_ensemble,
+                            verify_lame_gradient_case, verify_trace_scaling)
 
-from oracles import premerge_scalar_field, premerge_tangent_field
+from oracles import (VectorField3, curl, d_axis, d_phi, div_curl_norm,
+                     divergence, grad_norm, grad_scalar, inner_traces,
+                     l2_norm, l2_norm_vec, premerge_scalar_field,
+                     tangent_field)
 
 MEMBER_FIELDS = ("grad_sq", "div_sq", "curl_sq", "traces")
-
-
-def tangent_field(seed, grid, modes=3):
-    """The seeded tangent field on the 3-D grid, from the oracle."""
-    return VectorField3(*premerge_tangent_field(seed, grid, modes), grid=grid)
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +73,6 @@ def test_gradient_squared_agrees_with_radial_reduction():
 
 def test_scalar_gradient_agrees_with_radial_reduction():
     from nsplab import build_radial_grid, radial_derivative, weighted_l2_norm
-    from nsplab.ineqlab import l2_norm_vec
     g3 = build_spherical_grid(1.0, 2.0, 48, 12, 16)
     prof = np.sin(2.0 * g3.r)
     f = prof[:, None, None] * np.ones(g3.shape)
@@ -179,7 +174,7 @@ def test_div_curl_constructed_curl_free_member(sgrid):
     v = VectorField3(vr=dpsi[:, None, None] * np.ones(sgrid.shape),
                      vtheta=np.zeros(sgrid.shape),
                      vphi=np.zeros(sgrid.shape), grid=sgrid)
-    ratio = grad_norm(v) / iq._div_curl_norm(v)
+    ratio = grad_norm(v) / div_curl_norm(v)
     assert np.isfinite(ratio) and ratio > 0.0
 
 
@@ -222,10 +217,10 @@ def test_trace_scaling_rejects_unresolved_shells():
 
 
 def test_boundary_pairing_trivial_cases(sgrid):
-    v = iq._traces(tangent_field(7, sgrid))
-    g_const = iq._traces(grad_scalar(sgrid, np.full(sgrid.shape, 2.5)))
+    v = inner_traces(tangent_field(7, sgrid))
+    g_const = inner_traces(grad_scalar(sgrid, np.full(sgrid.shape, 2.5)))
     assert _pairing(sgrid, v, g_const) == pytest.approx(0.0, abs=1e-12)
-    g = iq._traces(grad_scalar(sgrid, premerge_scalar_field(8, sgrid)))
+    g = inner_traces(grad_scalar(sgrid, premerge_scalar_field(8, sgrid)))
     assert _pairing(sgrid, np.zeros_like(v), g) == 0.0
 
 
@@ -361,7 +356,7 @@ def test_d_phi_slicing_equals_roll(sgrid):
     f = np.random.default_rng(4).standard_normal(sgrid.shape)
     h = 2.0 * math.pi / sgrid.phi.size
     rolled = (np.roll(f, -1, axis=2) - np.roll(f, 1, axis=2)) / (2.0 * h)
-    assert np.array_equal(iq._d_phi(sgrid, f), rolled)
+    assert np.array_equal(d_phi(sgrid, f), rolled)
 
 
 def test_d_axis_equals_per_axis_formula(sgrid):
@@ -377,8 +372,8 @@ def test_d_axis_equals_per_axis_formula(sgrid):
     d_theta[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2.0 * h)
     d_theta[:, 0] = (-3.0 * f[:, 0] + 4.0 * f[:, 1] - f[:, 2]) / (2.0 * h)
     d_theta[:, -1] = (3.0 * f[:, -1] - 4.0 * f[:, -2] + f[:, -3]) / (2.0 * h)
-    assert np.array_equal(iq._d_axis(sgrid, f, 0), d_r)
-    assert np.array_equal(iq._d_axis(sgrid, f, 1), d_theta)
+    assert np.array_equal(d_axis(sgrid, f, 0), d_r)
+    assert np.array_equal(d_axis(sgrid, f, 1), d_theta)
 
 
 def test_l6_norm_matches_sixth_power(sgrid):
@@ -398,12 +393,7 @@ def test_verify_inequalities_builds_each_tangent_field_once(tmp_path,
         calls.append(seed)
         return build(seed, grid, modes)
 
-    def forbidden(*args):
-        raise AssertionError("a seeded member went through the 3-D grid")
-
     monkeypatch.setattr(iq, "_tangent_modes", counted)
-    for name in ("gradient_squared", "curl", "divergence"):
-        monkeypatch.setattr(iq, name, forbidden)
     config = Path(__file__).parents[1] / "configs" / "quick.cfg"
     assert main(["verify-inequalities", "--config", str(config),
                  "--out", str(tmp_path), "--set", "ineqlab.n_fields=7"]) == 0
@@ -433,13 +423,13 @@ def test_factor_path_matches_the_grid_operators(nr, ntheta, nphi, r_inner,
     m = _tangent_member(seed, grid, modes)
     assert close(math.sqrt(m.grad_sq), grad_norm(v))
     assert close(math.sqrt(m.div_sq) + math.sqrt(m.curl_sq),
-                 iq._div_curl_norm(v))
-    assert close_traces(m.traces, iq._traces(v))
+                 div_curl_norm(v))
+    assert close_traces(m.traces, inner_traces(v))
 
     gf = grad_scalar(grid, premerge_scalar_field(seed, grid, modes))
     comps = _scalar_gradient(seed, grid, modes)
     assert close(math.sqrt(iq._vector_sq(grid, comps)[0]), l2_norm_vec(gf))
-    assert close_traces(_scalar_traces(comps), iq._traces(gf))
+    assert close_traces(_scalar_traces(comps), inner_traces(gf))
 
 
 def test_batched_pairings_match_each_pair(sgrid):

@@ -1,7 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsplab import (EvaluationDomainError, ParameterError, build_radial_grid,
                     check_subsuper, make_profile, profile_supersolution,
@@ -177,6 +181,48 @@ def test_monotone_bounds_and_certificates(shell16, gamma, amplitude):
     assert st.monotonicity_defect <= 1e-9
     assert np.all(st.rho_tilde.values >= 1.0 - 1e-8)
     assert np.all(st.rho_tilde.values <= 1.0 + 1.0 / shell16.r + 1e-8)
+
+
+def test_cli_steady_near_gamma_one(tmp_path):
+    # (gamma-1)/gamma to the power 1/(gamma-1) underflows below gamma of
+    # about 1.0033 while (Phi + c1) to that power overflows
+    from nsplab.cli import main
+    config = Path(__file__).parents[1] / "configs" / "quick.cfg"
+    assert main(["steady", "--config", str(config), "--out", str(tmp_path),
+                 "--set", "fluid.gamma=1.001"]) == 0
+    assert json.loads((tmp_path / "certificate.json").read_text())[
+        "all_pass"] is True
+
+
+def test_steady_state_is_continuous_at_gamma_one(shell16):
+    # rho_tilde(gamma) -> rho_tilde(1) at first order in gamma - 1
+    profile = make_profile("admissible_bump", 1.0, 0.5, shell16)
+
+    def rho(gamma):
+        return solve_steady_monotone(gamma, profile, shell16).rho_tilde.values
+
+    base = rho(1.0)
+    gaps = [np.max(np.abs(rho(1.0 + eps) - base)) for eps in (1e-4, 1e-3)]
+    assert 0.9 <= math.log10(gaps[1] / gaps[0]) <= 1.1
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(gamma=st.one_of(st.floats(1.0, 2.0),
+                       st.floats(1e-6, 1e-2).map(lambda eps: 1.0 + eps)),
+       c_star=st.floats(0.2, 3.0), amplitude=st.floats(0.0, 1.0),
+       kind=st.sampled_from(["admissible_bump", "general_gamma_envelope"]))
+def test_steady_solves_or_names_the_rule(shell16, gamma, c_star, amplitude,
+                                         kind):
+    # every admissible case certifies; the envelope needs gamma > 1
+    if kind == "general_gamma_envelope" and gamma == 1.0:
+        with pytest.raises(ParameterError, match="requires gamma > 1"):
+            make_profile(kind, c_star, amplitude, shell16, gamma=gamma)
+        return
+    profile = make_profile(kind, c_star, amplitude, shell16, gamma=gamma)
+    steady = solve_steady_monotone(gamma, profile, shell16)
+    assert steady.bounds_ok
+    assert steady.monotonicity_defect <= 1e-9
+    assert steady.limit_gap <= 1e-9
 
 
 def test_monotone_envelope_branch(shell16):
