@@ -3,8 +3,7 @@ gas in the exterior of a ball, with energy diagnostics and empirical checks of
 the functional inequalities the stability analysis rests on."""
 
 from .energy import (EnergySample, StabilityVerdict, TimeSeries,
-                     basic_energy_identity_residual, check_theorem_bound,
-                     mass)
+                     check_theorem_bound)
 from .errors import (ConfigError, DegenerateFieldError, EvaluationDomainError,
                      IterationError, MonotonicityError, NsplabError,
                      ParameterError, SimulationAbort, VacuumError)
@@ -31,12 +30,11 @@ __all__ = [
     "MonotonicityError", "NsplabError", "ParameterError", "PerturbationState",
     "PoissonSolution", "RadialField", "RadialGrid", "SimConfig",
     "SimulationAbort", "StabilityVerdict", "SteadyState", "Tendencies",
-    "TimeSeries", "VacuumError", "basic_energy_identity_residual",
-    "build_radial_grid", "check_subsuper", "check_theorem_bound",
-    "hessian_norm_radial", "init_perturbation", "integrate", "make_profile",
-    "mass", "profile_supersolution", "radial_derivative", "rho_from_phi",
-    "run_simulation", "sobolev_norm", "solve_poisson_neumann", "solve_shifted",
-    "solve_steady_monotone", "steady_regularity_report", "subsolution_phi",
-    "supersolution_phi", "vector_gradient_norm", "vector_sobolev_norm",
-    "weighted_l2_norm",
+    "TimeSeries", "VacuumError", "build_radial_grid", "check_subsuper",
+    "check_theorem_bound", "hessian_norm_radial", "init_perturbation",
+    "integrate", "make_profile", "profile_supersolution", "radial_derivative",
+    "rho_from_phi", "run_simulation", "sobolev_norm", "solve_poisson_neumann",
+    "solve_shifted", "solve_steady_monotone", "steady_regularity_report",
+    "subsolution_phi", "supersolution_phi", "vector_gradient_norm",
+    "vector_sobolev_norm", "weighted_l2_norm",
 ]

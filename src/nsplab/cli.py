@@ -162,9 +162,8 @@ def _simulate(cfg: AppConfig, grid, steady, outdir: Path, t0: float) -> dict:
         out["sup_ratio_quadratic_with_qtt"] = v.sup_ratio_quadratic_with_qtt
         out["margin"] = v.margin
         out["c_fit"] = v.c_fit
-        if len(series.samples) >= 3:
-            out["lemma_remainder_kappa"] = energy_mod.lemma_remainder_constant(
-                series)
+        if series.remainder_kappa is not None:
+            out["lemma_remainder_kappa"] = series.remainder_kappa
     out["wall_time_s"] = time.perf_counter() - t0
     return out
 

@@ -1,5 +1,5 @@
-"""Energy and dissipation functionals, the zero-order energy identity, mass,
-and the stability verdict.
+"""Energy and dissipation functionals, the zero-order energy identity and
+the stability verdict.
 
 The two headline functionals are sums of discrete Sobolev norms of the
 perturbation and its equation-evaluated time derivatives:
@@ -17,8 +17,10 @@ The zero-order identity diagnostic is
     d/dt [ 1/2 int ( rho_tilde u^2 + h'(rho_tilde) q^2 + |grad phi|^2 ) ]
         + (2 mu + lambda) ||grad u||^2  ~  0   up to a nonlinear remainder,
 
-evaluated with centered time differences over stored samples (the only place
-time differencing is allowed; the functionals themselves never use it).
+evaluated over the stored samples by ``SeriesRecorder.finish``, the run's one
+post-run pass: it takes one centered dE_basic/dt per run and derives the
+identity residual, the fitted viscous constant c_fit, the remainder constant
+kappa and the verdict from it.  The functionals never difference in time.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .grids import (RadialField, _wsq, differentiate, integrate,
-                    sobolev_terms)
+from .grids import _wsq, differentiate, integrate, sobolev_terms
 
 
 def _sample_norms(state, tendencies):
@@ -61,11 +62,6 @@ def _sample_norms(state, tendencies):
     d = (math.sqrt(sum(u_terms[1:])) + math.sqrt(sum(ut_terms[1:])) + q_h2
          + qt_h1 + qtt_l2)
     return e, d, d - qtt_l2, math.sqrt(u_terms[1]) ** 2, d1[6]
-
-
-def mass(q: RadialField) -> float:
-    """Discrete integral of q with the shell volume measure."""
-    return integrate(q)
 
 
 def basic_energy(state, phi_r: np.ndarray, rho_s: np.ndarray,
@@ -120,13 +116,10 @@ class TimeSeries:
     dt: float
     config_digest: str
     verdict: StabilityVerdict | None = None
+    remainder_kappa: float | None = None
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(s, name) for s in self.samples])
-
-    @property
-    def t(self) -> np.ndarray:
-        return self.column("t")
 
 
 class SeriesRecorder:
@@ -150,7 +143,7 @@ class SeriesRecorder:
             "E": e,
             "D": d,
             "D_no_qtt": d_no,
-            "mass": mass(state.q),
+            "mass": integrate(state.q),
             "E_basic": basic_energy(state, phi_r, self.rho_s, self.hp_s),
             "min_density": float(np.min(self.rho_s + state.q.values)),
         }
@@ -158,21 +151,33 @@ class SeriesRecorder:
         self.grad_u_sq.append(grad_u_sq)
 
     def finish(self, margin: float | None) -> TimeSeries:
-        """The series with the centered-difference residual of the zero-order
-        identity at each interior sample (zero at the endpoints, which have
-        no centered stencil) and, given a margin, the stability verdict."""
+        """The series after the run's one post-run pass.
+
+        With at least 3 samples, one centered dE_basic/dt gives the identity
+        residual at each interior sample (zero at the endpoints, which have
+        no centered stencil), c_fit and, for a positive E(0), the remainder
+        constant kappa; with fewer, c_fit is c_visc and kappa is None.  Given
+        a margin and a positive E(0), the stability verdict is attached.
+        """
         grad = np.array(self.grad_u_sq)
         resid = np.zeros(len(self.rows))
+        e0 = self.rows[0]["E"] if self.rows else 0.0
+        c_fit, kappa = self.c_visc, None
         if len(self.rows) >= 3:
-            t = np.array([r["t"] for r in self.rows])
-            eb = np.array([r["E_basic"] for r in self.rows])
-            resid[1:-1] = _centered_rate(t, eb) + self.c_visc * grad[1:-1]
+            t, eb, d = (np.array([r[k] for r in self.rows])
+                        for k in ("t", "E_basic", "D"))
+            dedt = _centered_rate(t, eb)
+            resid[1:-1] = dedt + self.c_visc * grad[1:-1]
+            c_fit = _fit_viscous_constant(dedt, grad[1:-1], self.c_visc)
+            if e0 > 0.0:
+                kappa = _remainder_constant(resid[1:-1], d[1:-1], e0)
         samples = [EnergySample(identity_residual=float(resid[i]), **row)
                    for i, row in enumerate(self.rows)]
         series = TimeSeries(samples=samples, grad_u_sq=grad, c_visc=self.c_visc,
-                            dt=self.dt, config_digest=self.digest)
-        if margin is not None and samples and samples[0].E > 0.0:
-            series.verdict = check_theorem_bound(series, margin=margin)
+                            dt=self.dt, config_digest=self.digest,
+                            remainder_kappa=kappa)
+        if margin is not None and e0 > 0.0:
+            series.verdict = check_theorem_bound(series, margin, c_fit)
         return series
 
 
@@ -185,77 +190,45 @@ def _centered_rate(t: np.ndarray, e: np.ndarray) -> np.ndarray:
             + e[1:-1] * (hp**2 - hm**2)) / (hm * hp * (hm + hp))
 
 
-def basic_energy_identity_residual(series: TimeSeries,
-                                   index: int | None = None):
-    """Residual rho_i = (dE_basic/dt)|centered + c_visc ||grad u||^2 at one
-    interior sample, or the array over all interior samples, as stored in
-    the series' identity_residual column."""
-    if len(series.samples) < 3:
-        raise ParameterError("identity residual needs at least 3 samples")
-    resid = series.column("identity_residual")
-    if index is None:
-        return resid[1:-1]
-    if not (1 <= index <= len(series.samples) - 2):
-        raise ParameterError("index must point at an interior sample")
-    return float(resid[index])
-
-
-def lemma_remainder_constant(series: TimeSeries) -> float:
+def _remainder_constant(resid: np.ndarray, d: np.ndarray, e0: float) -> float:
     """Measured constant kappa in the zero-order remainder bound
-    rho_i <= kappa * E(0) * D_i^2 over interior samples.
+    rho_i <= kappa * E(0) * D_i^2 over the interior samples.
 
     Reported, never asserted: the initial energy stands in for the smallness
     parameter, and kappa * E(0) should scale roughly linearly in the
     perturbation amplitude.
     """
-    if len(series.samples) < 3:
-        raise ParameterError("remainder constant needs at least 3 samples")
-    e0 = series.samples[0].E
-    if e0 <= 0.0:
-        return 0.0
-    resid = basic_energy_identity_residual(series)
-    d = series.column("D")[1:-1]
     mask = d > 0.0
     if not np.any(mask):
         return 0.0
     return float(np.max(resid[mask] / d[mask] ** 2)) / e0
 
 
-def measure_viscous_constant(series: TimeSeries) -> float:
-    """Least-squares fit of -dE_basic/dt against ||grad u||^2 over interior
-    samples; falls back to the configured viscous coefficient when the run
-    carries no usable signal."""
-    if len(series.samples) < 3:
-        return series.c_visc
-    dedt = _centered_rate(series.t, series.column("E_basic"))
-    g = series.grad_u_sq[1:-1]
+def _fit_viscous_constant(dedt: np.ndarray, g: np.ndarray,
+                          c_visc: float) -> float:
+    """Least-squares fit of -dE_basic/dt against ||grad u||^2 over the
+    interior samples; falls back to c_visc when the run carries no usable
+    signal."""
     denom = float(np.dot(g, g))
     if denom <= 0.0 or not math.isfinite(denom):
-        return series.c_visc
+        return c_visc
     c = -float(np.dot(dedt, g)) / denom
     if not math.isfinite(c) or c <= 0.0:
-        return series.c_visc
+        return c_visc
     return c
 
 
-def check_theorem_bound(series: TimeSeries, margin: float = 2.0,
-                        c_fit: float | None = None) -> StabilityVerdict:
+def check_theorem_bound(series: TimeSeries, margin: float,
+                        c_fit: float) -> StabilityVerdict:
     """Stability verdict: sup E(t)/E(0) <= margin and
-    (E(t)^2 + c_fit int_0^t D_no_qtt^2) / E(0)^2 <= margin^2 for all t.
-
-    c_fit defaults to the viscous constant measured from the run itself.
-    """
+    (E(t)^2 + c_fit int_0^t D_no_qtt^2) / E(0)^2 <= margin^2 for all t."""
     if not series.samples:
         raise ParameterError("empty series")
     e0 = series.samples[0].E
     if e0 <= 0.0:
         raise ParameterError("E(0) must be positive for the ratio check")
-    if c_fit is None:
-        c_fit = measure_viscous_constant(series)
-    t = series.t
+    t = series.column("t")
     e = series.column("E")
-    d_no = series.column("D_no_qtt")
-    d_full = series.column("D")
 
     def quad_ratio(d: np.ndarray) -> float:
         integral = np.concatenate(
@@ -263,8 +236,8 @@ def check_theorem_bound(series: TimeSeries, margin: float = 2.0,
         return float(np.max((e**2 + c_fit * integral) / e0**2))
 
     sup_e = float(np.max(e)) / e0
-    ratio_no = quad_ratio(d_no)
-    ratio_full = quad_ratio(d_full)
+    ratio_no = quad_ratio(series.column("D_no_qtt"))
+    ratio_full = quad_ratio(series.column("D"))
     # a float power raises OverflowError on a huge finite margin
     passed = sup_e <= margin and ratio_no <= margin * margin
     return StabilityVerdict(passed=passed, margin=margin, sup_ratio_E=sup_e,

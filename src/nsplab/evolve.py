@@ -322,8 +322,12 @@ def init_perturbation(kind: str, delta: float, grid: RadialGrid,
 
     def energy_of(a: float) -> float:
         st = state_at(a)
-        return energy_mod._sample_norms(
-            st, _tendencies(ws, st, ws.rhs(*_arrays(st))))[0]
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            e = energy_mod._sample_norms(
+                st, _tendencies(ws, st, ws.rhs(*_arrays(st))))[0]
+        if not 0.0 < e < math.inf:
+            raise IterationError("could not scale initial data to the target energy")
+        return e
 
     probe = 1e-6
     amp = delta * probe / energy_of(probe)

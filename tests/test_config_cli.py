@@ -316,17 +316,63 @@ def test_cli_simulate_vacuum_abort(tmp_path):
 
 
 def test_cli_simulate_unscalable_initial_data_aborts(tmp_path):
-    # no amplitude brings the initial energy to delta = 2000
+    # no amplitude brings the initial energy to delta = 2000; at delta =
+    # 1e-200 it underflows to zero and at mu = 1e200 it overflows
     cfg = write_cfg(tmp_path)
+    for override in ("evolve.delta=2000", "evolve.delta=1e-200",
+                     "fluid.mu=1e200"):
+        out = tmp_path / override
+        code = main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--set", override])
+        assert code == 4
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["verdict"] == "ABORTED"
+        assert summary["failure_time"] == 0.0
+        assert "could not scale" in summary["reason"]
+        assert not (out / "series.csv").exists()
+
+
+def test_cli_simulate_two_samples_fall_back_to_c_visc(tmp_path):
+    # stride 83 keeps only the endpoints of the 83-step run: no centered
+    # difference, so c_fit is the configured constant and there is no kappa
     out = tmp_path / "out"
-    code = main(["simulate", "--config", str(cfg), "--out", str(out),
-                 "--set", "evolve.delta=2000"])
-    assert code == 4
+    code = main(["simulate", "--config", str(CONFIGS / "quick.cfg"),
+                 "--out", str(out), "--set", "evolve.output_stride=83"])
+    assert code == 3
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["verdict"] == "ABORTED"
-    assert summary["failure_time"] == 0.0
-    assert "could not scale" in summary["reason"]
-    assert not (out / "series.csv").exists()
+    assert summary["n_samples"] == 2
+    assert summary["c_fit"] == summary["c_visc"]
+    assert "lemma_remainder_kappa" not in summary
+    # with every step sampled the fit and the constant are measured
+    assert main(["simulate", "--config", str(CONFIGS / "quick.cfg"),
+                 "--out", str(out), "--set", "evolve.output_stride=1"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["c_fit"] != summary["c_visc"]
+    assert "lemma_remainder_kappa" in summary
+
+
+def test_cli_simulate_huge_margin_does_not_overflow(tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(CONFIGS / "quick.cfg"),
+                 "--out", str(out), "--set", "evolve.margin=1e200"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdict"] == "PASS"
+    assert summary["margin"] == 1e200
+
+
+@pytest.mark.parametrize("command, args, named", [
+    ("verify-inequalities", ["--seed", "-1"], "[output]"),
+    ("verify-inequalities", ["--set", "ineqlab.trace_outer_factor=1e100"],
+     "trace_outer_factor"),
+    ("steady", ["--set", "domain.stretch=1e308"], "[domain]"),
+    ("steady", ["--set", "domain.stretch=40"], "stretch"),
+])
+def test_cli_rejects_at_parse_time(tmp_path, capsys, command, args, named):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(CONFIGS / "quick.cfg"),
+                 "--out", str(out), *args]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_simulate_mid_run_abort_writes_partial_series(tmp_path):
@@ -354,8 +400,10 @@ def test_cli_simulate_checkpoints(tmp_path):
     assert code == 0
     files = sorted((out / "checkpoints").glob("state_*.txt"))
     assert files and files[0].name == "state_00000000.txt"
-    header = files[0].read_text().splitlines()[1]
-    assert header == "r q u phi"
+    lines = files[0].read_text().splitlines()
+    assert lines[:2] == ["# t 0", "r q u phi"]
+    assert len(lines[2:]) == 321
+    assert all(len(row.split()) == 4 for row in lines[2:])
 
 
 def test_cli_simulate_sponge_rate_beyond_heun_limit(tmp_path):
@@ -504,23 +552,25 @@ def test_cli_sweep_keeps_rows_when_one_aborts(tmp_path, capsys):
 def test_cli_sweep_keeps_rows_when_one_cannot_scale_its_initial_data(
         tmp_path, capsys):
     cfg = write_cfg(tmp_path)
-    out = tmp_path / "out"
-    code = main(["sweep", "--config", str(cfg), "--out", str(out),
-                 "--set", "sweep.delta=1e-3,2000",
-                 "--set", "evolve.t_end=0.2"])
-    assert code == 4
-    assert ("aborted: row_001: could not scale initial data"
-            in capsys.readouterr().err)
-    lines = (out / "sweep.csv").read_text().strip().splitlines()
-    header = lines[0].split(",")
-    rows = [dict(zip(header, [float(x) for x in line.split(",")]))
-            for line in lines[1:]]
-    assert [r["delta"] for r in rows] == [1e-3, 2000.0]
-    assert rows[0]["verdict_pass"] == 1.0
-    assert rows[1]["verdict_pass"] == 0.0
-    assert all(rows[1][k] == 0.0 for k in ("E0", "sup_ratio_E",
-                                           "sup_ratio_quadratic", "c_fit",
-                                           "mass_drift"))
+    # 1e-200: the initial energy underflows to zero
+    for bad in (2000.0, 1e-200):
+        out = tmp_path / str(bad)
+        code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--set", f"sweep.delta=1e-3,{bad!r}",
+                     "--set", "evolve.t_end=0.2"])
+        assert code == 4
+        assert ("aborted: row_001: could not scale initial data"
+                in capsys.readouterr().err)
+        lines = (out / "sweep.csv").read_text().strip().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, [float(x) for x in line.split(",")]))
+                for line in lines[1:]]
+        assert [r["delta"] for r in rows] == [1e-3, bad]
+        assert rows[0]["verdict_pass"] == 1.0
+        assert rows[1]["verdict_pass"] == 0.0
+        assert all(rows[1][k] == 0.0 for k in ("E0", "sup_ratio_E",
+                                               "sup_ratio_quadratic", "c_fit",
+                                               "mass_drift"))
 
 
 def test_cli_sweep_keeps_rows_when_one_steady_solve_fails(tmp_path):

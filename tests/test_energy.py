@@ -5,13 +5,12 @@ import pytest
 
 from nsplab import (ParameterError, PerturbationState, SimConfig, Tendencies,
                     build_radial_grid, check_theorem_bound,
-                    init_perturbation, mass, radial_derivative,
+                    init_perturbation, integrate, radial_derivative,
                     run_simulation, sobolev_norm, vector_gradient_norm,
                     vector_sobolev_norm, weighted_l2_norm)
 from nsplab import grids
 from nsplab.energy import (EnergySample, SeriesRecorder, TimeSeries,
-                           _sample_norms, basic_energy_identity_residual,
-                           measure_viscous_constant)
+                           _sample_norms)
 from nsplab.evolve import _Stepper, _Workspace
 from nsplab.grids import RadialField
 
@@ -163,9 +162,10 @@ def test_u_h3_against_dense_oracle():
 
 
 def test_mass_examples(shell12):
-    assert mass(shell12.zeros()) == 0.0
+    # the mass column is the shell-volume integral of q
+    assert integrate(shell12.zeros()) == 0.0
     q = shell12.field(1.0 / shell12.r**2)
-    assert mass(q) == pytest.approx(4.0 * math.pi, rel=1e-4)
+    assert integrate(q) == pytest.approx(4.0 * math.pi, rel=1e-4)
 
 
 def test_qtt_consistent_with_time_differences(shell16, steady_bump_gamma2,
@@ -245,15 +245,20 @@ def test_theorem_bound_rejects_zero_initial_energy(shell16):
     series = TimeSeries(samples=samples, grad_u_sq=np.zeros(1), c_visc=1.0,
                         dt=0.1, config_digest="x")
     with pytest.raises(ParameterError):
-        check_theorem_bound(series)
+        check_theorem_bound(series, margin=2.0, c_fit=1.0)
 
 
-def test_identity_residual_needs_three_samples():
-    series = _synthetic_series()
-    series.samples = series.samples[:2]
-    series.grad_u_sq = series.grad_u_sq[:2]
-    with pytest.raises(ParameterError):
-        basic_energy_identity_residual(series)
+def test_identity_residual_needs_three_samples(shell16, steady_bump_gamma2,
+                                               params_gamma2):
+    # two samples have no centered stencil: no residual, no fit, no kappa
+    cfg = SimConfig(params=params_gamma2, grid=shell16,
+                    steady=steady_bump_gamma2, delta=1e-3, t_end=0.2,
+                    output_stride=10**6)
+    series = run_simulation(cfg)
+    assert len(series.samples) == 2
+    assert np.all(series.column("identity_residual") == 0.0)
+    assert series.verdict.c_fit == series.c_visc
+    assert series.remainder_kappa is None
 
 
 def test_identity_residual_zero_perturbation(shell16, steady_bump_gamma2,
@@ -262,7 +267,8 @@ def test_identity_residual_zero_perturbation(shell16, steady_bump_gamma2,
                     steady=steady_bump_gamma2, delta=0.0, t_end=0.2,
                     output_stride=5)
     series = run_simulation(cfg)
-    assert np.max(np.abs(basic_energy_identity_residual(series))) == 0.0
+    assert np.max(np.abs(series.column("identity_residual")[1:-1])) == 0.0
+    assert series.verdict is None and series.remainder_kappa is None
 
 
 def test_identity_residual_reads_the_recorded_column(shell16,
@@ -272,11 +278,19 @@ def test_identity_residual_reads_the_recorded_column(shell16,
                     steady=steady_bump_gamma2, delta=1e-3, t_end=0.2,
                     output_stride=5)
     series = run_simulation(cfg)
-    resid = basic_energy_identity_residual(series)
-    assert np.any(resid != 0.0)
-    assert np.array_equal(resid, series.column("identity_residual")[1:-1])
-    assert (basic_energy_identity_residual(series, 2)
-            == series.samples[2].identity_residual)
+    resid = series.column("identity_residual")
+    assert resid[0] == resid[-1] == 0.0
+    assert np.any(resid[1:-1] != 0.0)
+    # the three-point centered dE_basic/dt on the non-uniform sample times
+    t, eb = series.column("t"), series.column("E_basic")
+    for i in range(1, len(t) - 1):
+        hm, hp = t[i] - t[i - 1], t[i + 1] - t[i]
+        dedt = (hm / (hp * (hm + hp)) * eb[i + 1]
+                - hp / (hm * (hm + hp)) * eb[i - 1]
+                + (hp - hm) / (hm * hp) * eb[i])
+        assert resid[i] == pytest.approx(
+            dedt + series.c_visc * series.grad_u_sq[i], rel=1e-9,
+            abs=1e-12 * abs(dedt))
 
 
 def test_remainder_constant_scales_with_amplitude(params_gamma2,
@@ -285,14 +299,13 @@ def test_remainder_constant_scales_with_amplitude(params_gamma2,
     # the zero-order remainder per unit D^2 grows ~linearly with amplitude
     # once it clears the (amplitude-quadratic) discretization floor, which at
     # this resolution happens around delta ~ 3e-2
-    from nsplab.energy import lemma_remainder_constant
     kappa_delta = {}
     for delta in (3e-2, 1e-1):
         cfg = SimConfig(params=params_gamma2, grid=shell16,
                         steady=steady_bump_gamma2, delta=delta, t_end=1.0,
                         output_stride=1, mode="nonlinear", sponge_rate=0.0)
         series = run_simulation(cfg)
-        kappa_delta[delta] = lemma_remainder_constant(series) * delta
+        kappa_delta[delta] = series.remainder_kappa * delta
     ratio = kappa_delta[1e-1] / kappa_delta[3e-2]
     assert 1.6 < ratio < 23.0  # between linear/2 and quadratic*2 in delta
 
@@ -303,5 +316,5 @@ def test_measured_viscous_constant_matches_coefficient(
                     steady=steady_bump_gamma2, delta=1e-4, t_end=1.0,
                     output_stride=5, mode="linear", sponge_rate=0.0)
     series = run_simulation(cfg)
-    c = measure_viscous_constant(series)
+    c = series.verdict.c_fit
     assert c == pytest.approx(params_gamma2.longitudinal_viscosity, rel=0.05)

@@ -17,9 +17,13 @@ ROOT = Path(__file__).parents[1]
 MOVED = ("VectorField3", "_d_axis", "_d_phi", "grad_scalar", "divergence",
          "curl", "gradient_squared", "l2_norm", "l2_norm_vec", "grad_norm",
          "_div_curl_norm", "_traces")
-# one-shot wrappers of the run workspace and of the E/D sample
+# one-shot wrappers of the run workspace and of the E/D sample, and the
+# readers of the sampled columns that SeriesRecorder.finish replaced
 DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
-           ("energy", "energy_E"), ("energy", "dissipation_D"))
+           ("energy", "energy_E"), ("energy", "dissipation_D"),
+           ("energy", "measure_viscous_constant"),
+           ("energy", "lemma_remainder_constant"),
+           ("energy", "basic_energy_identity_residual"), ("energy", "mass"))
 
 
 def test_star_import_binds_exactly_all():
@@ -77,3 +81,7 @@ def test_moved_oracle_names_are_gone_from_the_package(name):
 def test_deleted_wrappers_are_gone(module, name):
     assert not hasattr(nsplab, name)
     assert not hasattr(importlib.import_module(f"nsplab.{module}"), name)
+
+
+def test_time_series_reads_times_through_column():
+    assert not hasattr(nsplab.TimeSeries, "t")
