@@ -2,8 +2,7 @@
 gas in the exterior of a ball, with energy diagnostics and empirical checks of
 the functional inequalities the stability analysis rests on."""
 
-from .energy import (EnergySample, StabilityVerdict, TimeSeries,
-                     check_theorem_bound)
+from .energy import StabilityVerdict, TimeSeries, check_theorem_bound
 from .errors import (ConfigError, DegenerateFieldError, EvaluationDomainError,
                      IterationError, MonotonicityError, NsplabError,
                      ParameterError, SimulationAbort, VacuumError)
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 # the public surface; the submodules hold the rest
 __all__ = [
     "BackgroundProfile", "CertReport", "ConfigError", "DegenerateFieldError",
-    "EnergySample", "EvaluationDomainError", "FluidParams", "IterationError",
+    "EvaluationDomainError", "FluidParams", "IterationError",
     "MonotonicityError", "NsplabError", "ParameterError", "PerturbationState",
     "PoissonSolution", "RadialField", "RadialGrid", "SimConfig",
     "SimulationAbort", "StabilityVerdict", "SteadyState", "Tendencies",

@@ -46,9 +46,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _series_csv(path: Path, series: energy_mod.TimeSeries) -> None:
-    lines = [",".join(CSV_COLUMNS)]
-    for s in series.samples:
-        lines.append(",".join(_fmt(getattr(s, c)) for c in CSV_COLUMNS))
+    rows = zip(*(series.column(c).tolist() for c in CSV_COLUMNS))
+    lines = [",".join(CSV_COLUMNS), *(",".join(map(_fmt, r)) for r in rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -119,9 +118,7 @@ def _sim_config(cfg: AppConfig, grid, steady, outdir: Path) -> SimConfig:
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
         checkpoint_dir = str(checkpoint_dir)
     return SimConfig(params=cfg.fluid, grid=grid, steady=steady, **settings,
-                     checkpoint_dir=checkpoint_dir,
-                     digest_extra=hashlib.sha256(
-                         cfg.canonical.encode()).hexdigest())
+                     checkpoint_dir=checkpoint_dir)
 
 
 def _simulate(cfg: AppConfig, grid, steady, outdir: Path, t0: float) -> dict:
@@ -137,16 +134,15 @@ def _simulate(cfg: AppConfig, grid, steady, outdir: Path, t0: float) -> dict:
     out = {"seed": cfg.seed}
     if series is not None:
         _series_csv(outdir / "series.csv", series)
-        samples = series.samples
-        mass0 = samples[0].mass if samples else 0.0
+        e, mass = series.column("E"), series.column("mass")
+        n = e.size
         out.update({
-            "config_digest": series.config_digest,
+            "config_digest": hashlib.sha256(cfg.canonical.encode()).hexdigest(),
             "dt": series.dt,
-            "n_samples": len(samples),
+            "n_samples": n,
             "c_visc": series.c_visc,
-            "E0": samples[0].E if samples else 0.0,
-            "mass_drift": max((abs(s.mass - mass0) for s in samples),
-                              default=0.0),
+            "E0": float(e[0]) if n else 0.0,
+            "mass_drift": float(abs(mass - mass[0]).max()) if n else 0.0,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         })
     if failure is not None:
@@ -174,6 +170,8 @@ def cmd_simulate(cfg: AppConfig, outdir: Path) -> int:
     _, steady = _build_steady(cfg, grid)
     summary = _simulate(cfg, grid, steady, outdir, t0)
     _write_json(outdir / "summary.json", summary)
+    if summary["verdict"] == "ABORTED":
+        print(f"aborted: {summary['reason']}", file=sys.stderr)
     return {"ABORTED": EXIT_RUNTIME, "FAIL": EXIT_VERDICT}.get(
         summary["verdict"], EXIT_OK)
 

@@ -75,20 +75,6 @@ def basic_energy(state, phi_r: np.ndarray, rho_s: np.ndarray,
 
 
 @dataclass(frozen=True)
-class EnergySample:
-    """One sampled instant of a simulation."""
-
-    t: float
-    E: float
-    D: float
-    D_no_qtt: float
-    mass: float
-    E_basic: float
-    identity_residual: float
-    min_density: float
-
-
-@dataclass(frozen=True)
 class StabilityVerdict:
     """Outcome of the boundedness check against the initial energy.
 
@@ -106,49 +92,46 @@ class StabilityVerdict:
     c_fit: float
 
 
+# the quantities SeriesRecorder.add records per sample, in order
+SAMPLED = ("t", "E", "D", "D_no_qtt", "mass", "E_basic", "min_density",
+           "grad_u_sq")
+
+
 @dataclass
 class TimeSeries:
-    """Ordered samples plus the auxiliary data the diagnostics need."""
+    """A run's sampled table, one float array per column: t, E, D, D_no_qtt,
+    mass, E_basic, min_density, grad_u_sq (||grad u||^2) and
+    identity_residual (zero at the first and last sample)."""
 
-    samples: list
-    grad_u_sq: np.ndarray
+    columns: dict[str, np.ndarray]
     c_visc: float
     dt: float
-    config_digest: str
     verdict: StabilityVerdict | None = None
     remainder_kappa: float | None = None
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(s, name) for s in self.samples])
+        return self.columns[name]
 
 
 class SeriesRecorder:
-    """Accumulates samples during a run and assembles the TimeSeries;
-    hp_s is h'(rho_tilde), the run's enthalpy weight."""
+    """Appends each sampled quantity (t, E, D, D_no_qtt, mass, E_basic,
+    min_density, grad_u_sq) to its own list during a run and assembles the
+    TimeSeries; hp_s is h'(rho_tilde), the run's enthalpy weight."""
 
-    def __init__(self, config, c_visc: float, dt: float, digest: str,
-                 hp_s: np.ndarray):
+    def __init__(self, config, c_visc: float, dt: float, hp_s: np.ndarray):
         self.rho_s = config.steady.rho_tilde.values
         self.hp_s = hp_s
         self.c_visc = c_visc
         self.dt = dt
-        self.digest = digest
-        self.rows = []
-        self.grad_u_sq = []
+        self.columns = {name: [] for name in SAMPLED}
 
     def add(self, state, tendencies) -> None:
         e, d, d_no, grad_u_sq, phi_r = _sample_norms(state, tendencies)
-        row = {
-            "t": state.t,
-            "E": e,
-            "D": d,
-            "D_no_qtt": d_no,
-            "mass": integrate(state.q),
-            "E_basic": basic_energy(state, phi_r, self.rho_s, self.hp_s),
-            "min_density": float(np.min(self.rho_s + state.q.values)),
-        }
-        self.rows.append(row)
-        self.grad_u_sq.append(grad_u_sq)
+        values = (state.t, e, d, d_no, integrate(state.q),
+                  basic_energy(state, phi_r, self.rho_s, self.hp_s),
+                  float(np.min(self.rho_s + state.q.values)), grad_u_sq)
+        for name, value in zip(SAMPLED, values):
+            self.columns[name].append(value)
 
     def finish(self, margin: float | None) -> TimeSeries:
         """The series after the run's one post-run pass.
@@ -159,22 +142,19 @@ class SeriesRecorder:
         constant kappa; with fewer, c_fit is c_visc and kappa is None.  Given
         a margin and a positive E(0), the stability verdict is attached.
         """
-        grad = np.array(self.grad_u_sq)
-        resid = np.zeros(len(self.rows))
-        e0 = self.rows[0]["E"] if self.rows else 0.0
+        cols = {name: np.array(v, dtype=float)
+                for name, v in self.columns.items()}
+        t, grad = cols["t"], cols["grad_u_sq"]
+        resid = cols["identity_residual"] = np.zeros(t.size)
+        e0 = float(cols["E"][0]) if t.size else 0.0
         c_fit, kappa = self.c_visc, None
-        if len(self.rows) >= 3:
-            t, eb, d = (np.array([r[k] for r in self.rows])
-                        for k in ("t", "E_basic", "D"))
-            dedt = _centered_rate(t, eb)
+        if t.size >= 3:
+            dedt = _centered_rate(t, cols["E_basic"])
             resid[1:-1] = dedt + self.c_visc * grad[1:-1]
             c_fit = _fit_viscous_constant(dedt, grad[1:-1], self.c_visc)
             if e0 > 0.0:
-                kappa = _remainder_constant(resid[1:-1], d[1:-1], e0)
-        samples = [EnergySample(identity_residual=float(resid[i]), **row)
-                   for i, row in enumerate(self.rows)]
-        series = TimeSeries(samples=samples, grad_u_sq=grad, c_visc=self.c_visc,
-                            dt=self.dt, config_digest=self.digest,
+                kappa = _remainder_constant(resid[1:-1], cols["D"][1:-1], e0)
+        series = TimeSeries(columns=cols, c_visc=self.c_visc, dt=self.dt,
                             remainder_kappa=kappa)
         if margin is not None and e0 > 0.0:
             series.verdict = check_theorem_bound(series, margin, c_fit)
@@ -222,13 +202,12 @@ def check_theorem_bound(series: TimeSeries, margin: float,
                         c_fit: float) -> StabilityVerdict:
     """Stability verdict: sup E(t)/E(0) <= margin and
     (E(t)^2 + c_fit int_0^t D_no_qtt^2) / E(0)^2 <= margin^2 for all t."""
-    if not series.samples:
+    t, e = series.column("t"), series.column("E")
+    if not t.size:
         raise ParameterError("empty series")
-    e0 = series.samples[0].E
+    e0 = float(e[0])
     if e0 <= 0.0:
         raise ParameterError("E(0) must be positive for the ratio check")
-    t = series.column("t")
-    e = series.column("E")
 
     def quad_ratio(d: np.ndarray) -> float:
         integral = np.concatenate(

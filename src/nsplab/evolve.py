@@ -37,7 +37,6 @@ Discretization notes:
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -129,7 +128,6 @@ class SimConfig:
     margin: float = 2.0
     vacuum_floor: float = 0.1
     checkpoint_dir: str | None = None
-    digest_extra: str = ""
 
     def __post_init__(self):
         check_run_settings(self.delta, self.t_end, self.dt,
@@ -427,18 +425,6 @@ def _fields(grid: RadialGrid, q, u, phi, t: float) -> PerturbationState:
                              phi=RadialField(phi, grid), t=t)
 
 
-def _default_digest(config: SimConfig) -> str:
-    p = config.params
-    g = config.grid
-    text = "|".join(str(x) for x in (
-        p.gamma, p.mu, p.lambda_, p.alpha, p.c_star,
-        g.r_inner, g.r_outer, g.n_nodes, config.delta, config.t_end,
-        config.dt, config.sponge_width, config.sponge_rate,
-        config.output_stride, config.init_kind, config.mode,
-        config.digest_extra))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def run_simulation(config: SimConfig) -> "energy_mod.TimeSeries":
     """Advance to t_end, sampling the energy functionals every output_stride
     steps; returns the series with the stability verdict attached.
@@ -464,7 +450,6 @@ def run_simulation(config: SimConfig) -> "energy_mod.TimeSeries":
     stepper = _Stepper(ws, dt)
 
     recorder = energy_mod.SeriesRecorder(config, c_visc=ws.c_visc, dt=dt,
-                                         digest=_default_digest(config),
                                          hp_s=ws.hp_s)
 
     def sample(st: PerturbationState, f, step: int):

@@ -140,7 +140,7 @@ def test_criterion_05_equilibrium_preservation(grid2000):
     cfg = SimConfig(params=PARAMS, grid=grid2000, steady=steady, delta=0.0,
                     t_end=10.0, output_stride=100)
     series = run_simulation(cfg)
-    emax = max(s.E for s in series.samples)
+    emax = float(np.max(series.column("E")))
     _report(5, emax < 1e-9,
             f"delta=0 over t in [0,10]: max E(t) = {emax:.2e} < 1e-9")
 
@@ -165,8 +165,8 @@ def test_criterion_06_stability_bound(stability_runs):
 def test_criterion_07_mass_conservation(stability_runs):
     series = stability_runs["r16"]["series"]
     bound = 1e-10 * stability_runs["r16"]["q0_norm"]
-    m0 = series.samples[0].mass
-    drift = max(abs(s.mass - m0) for s in series.samples)
+    mass = series.column("mass")
+    drift = float(np.max(np.abs(mass - mass[0])))
     _report(7, drift <= bound,
             f"|mass(t) - mass(0)| = {drift:.2e} <= 1e-10 ||q0|| = {bound:.2e}")
 
@@ -181,7 +181,7 @@ def test_criterion_08_zero_order_energy_identity(grid2000):
                     sponge_rate=0.0)
     series = run_simulation(cfg)
     resid = np.abs(series.column("identity_residual")[1:-1])
-    scale = float(np.max(series.c_visc * series.grad_u_sq[1:-1]))
+    scale = float(np.max(series.c_visc * series.column("grad_u_sq")[1:-1]))
     h = grid2000.min_spacing
     tol = 5.0 * (h**2 + series.dt**2) * scale
     linear_ok = bool(np.max(resid) <= tol)

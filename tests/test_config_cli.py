@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsplab import cli, run_simulation
 from nsplab.cli import main
 from nsplab.config import parse_config
 from nsplab.errors import ConfigError
@@ -302,7 +303,7 @@ def test_cli_simulate_rejects_a_per_term_switch(tmp_path):
                  "--set", "evolve.viscosity=off"]) == 2
 
 
-def test_cli_simulate_vacuum_abort(tmp_path):
+def test_cli_simulate_vacuum_abort(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
     code = main(["simulate", "--config", str(cfg), "--out", str(out),
@@ -313,9 +314,10 @@ def test_cli_simulate_vacuum_abort(tmp_path):
     assert summary["verdict"] == "ABORTED"
     assert summary["failure_time"] == 0.0
     assert "vacuum guard" in summary["reason"]
+    assert capsys.readouterr().err == f"aborted: {summary['reason']}\n"
 
 
-def test_cli_simulate_unscalable_initial_data_aborts(tmp_path):
+def test_cli_simulate_unscalable_initial_data_aborts(tmp_path, capsys):
     # no amplitude brings the initial energy to delta = 2000; at delta =
     # 1e-200 it underflows to zero and at mu = 1e200 it overflows
     cfg = write_cfg(tmp_path)
@@ -330,6 +332,7 @@ def test_cli_simulate_unscalable_initial_data_aborts(tmp_path):
         assert summary["failure_time"] == 0.0
         assert "could not scale" in summary["reason"]
         assert not (out / "series.csv").exists()
+        assert capsys.readouterr().err == f"aborted: {summary['reason']}\n"
 
 
 def test_cli_simulate_two_samples_fall_back_to_c_visc(tmp_path):
@@ -375,7 +378,7 @@ def test_cli_rejects_at_parse_time(tmp_path, capsys, command, args, named):
     assert not out.exists()
 
 
-def test_cli_simulate_mid_run_abort_writes_partial_series(tmp_path):
+def test_cli_simulate_mid_run_abort_writes_partial_series(tmp_path, capsys):
     # the velocity bump piles up density until it crosses the vacuum guard
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
@@ -389,6 +392,25 @@ def test_cli_simulate_mid_run_abort_writes_partial_series(tmp_path):
     assert "vacuum guard" in summary["reason"]
     lines = (out / "series.csv").read_text().strip().splitlines()
     assert len(lines) == summary["n_samples"] + 1 > 2
+    assert capsys.readouterr().err == f"aborted: {summary['reason']}\n"
+
+
+def test_series_csv_is_the_series(tmp_path):
+    # every CSV column of the run's TimeSeries, bit for bit
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(CONFIGS / "quick.cfg"),
+                 "--out", str(out)]) == 0
+    cfg = parse_config((CONFIGS / "quick.cfg").read_text(encoding="utf-8"))
+    grid = cli._build_grid(cfg)
+    _, steady = cli._build_steady(cfg, grid)
+    series = run_simulation(cli._sim_config(cfg, grid, steady, tmp_path))
+    header = (out / "series.csv").read_text().splitlines()[0]
+    assert tuple(header.split(",")) == cli.CSV_COLUMNS
+    table = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1,
+                       ndmin=2)
+    assert table.shape == (series.column("t").size, len(cli.CSV_COLUMNS))
+    for i, name in enumerate(cli.CSV_COLUMNS):
+        assert table[:, i].tobytes() == series.column(name).tobytes(), name
 
 
 def test_cli_simulate_checkpoints(tmp_path):

@@ -9,8 +9,7 @@ from nsplab import (ParameterError, PerturbationState, SimConfig, Tendencies,
                     run_simulation, sobolev_norm, vector_gradient_norm,
                     vector_sobolev_norm, weighted_l2_norm)
 from nsplab import grids
-from nsplab.energy import (EnergySample, SeriesRecorder, TimeSeries,
-                           _sample_norms)
+from nsplab.energy import SeriesRecorder, TimeSeries, _sample_norms
 from nsplab.evolve import _Stepper, _Workspace
 from nsplab.grids import RadialField
 
@@ -102,7 +101,7 @@ def test_sample_computes_each_derivative_once(shell16, bundle,
     monkeypatch.setattr(grids, "differentiate", counted)
     monkeypatch.setattr("nsplab.energy.differentiate", counted)
     hp_s = params_gamma2.enthalpy_weight(steady_bump_gamma2.rho_tilde.values)
-    recorder = SeriesRecorder(cfg, c_visc=1.0, dt=0.1, digest="x", hp_s=hp_s)
+    recorder = SeriesRecorder(cfg, c_visc=1.0, dt=0.1, hp_s=hp_s)
     recorder.add(state, tend)
     monkeypatch.undo()
     # one stacked apply per order
@@ -124,7 +123,8 @@ def test_sample_computes_each_derivative_once(shell16, bundle,
         assert len(hits) == 1
         expected = radial_derivative(shell16.field(f), order).values
         assert np.array_equal(hits[0], expected)
-    assert recorder.grad_u_sq == [vector_gradient_norm(state.u) ** 2]
+    assert recorder.columns["grad_u_sq"] == [
+        vector_gradient_norm(state.u) ** 2]
 
 
 def test_homogeneity_exact(shell16, bundle):
@@ -207,12 +207,11 @@ def test_qtt_consistent_with_time_differences(shell16, steady_bump_gamma2,
 def _synthetic_series(decay=True):
     t = np.linspace(0.0, 5.0, 201)
     e = np.exp(-t) if decay else np.exp(t)
-    samples = [EnergySample(t=float(tt), E=float(ee), D=float(ee),
-                            D_no_qtt=float(ee), mass=0.0, E_basic=float(ee),
-                            identity_residual=0.0, min_density=1.0)
-               for tt, ee in zip(t, e)]
-    return TimeSeries(samples=samples, grad_u_sq=e**2, c_visc=1.0, dt=0.025,
-                      config_digest="synthetic")
+    zero = np.zeros_like(t)
+    columns = {"t": t, "E": e, "D": e, "D_no_qtt": e, "mass": zero,
+               "E_basic": e, "identity_residual": zero,
+               "min_density": np.ones_like(t), "grad_u_sq": e**2}
+    return TimeSeries(columns=columns, c_visc=1.0, dt=0.025)
 
 
 def test_theorem_bound_synthetic_decay_passes():
@@ -239,11 +238,11 @@ def test_theorem_bound_huge_margin_does_not_overflow():
 
 
 def test_theorem_bound_rejects_zero_initial_energy(shell16):
-    samples = [EnergySample(t=0.0, E=0.0, D=0.0, D_no_qtt=0.0, mass=0.0,
-                            E_basic=0.0, identity_residual=0.0,
-                            min_density=1.0)]
-    series = TimeSeries(samples=samples, grad_u_sq=np.zeros(1), c_visc=1.0,
-                        dt=0.1, config_digest="x")
+    columns = {name: np.zeros(1) for name in (
+        "t", "E", "D", "D_no_qtt", "mass", "E_basic", "identity_residual",
+        "grad_u_sq")}
+    columns["min_density"] = np.ones(1)
+    series = TimeSeries(columns=columns, c_visc=1.0, dt=0.1)
     with pytest.raises(ParameterError):
         check_theorem_bound(series, margin=2.0, c_fit=1.0)
 
@@ -255,7 +254,7 @@ def test_identity_residual_needs_three_samples(shell16, steady_bump_gamma2,
                     steady=steady_bump_gamma2, delta=1e-3, t_end=0.2,
                     output_stride=10**6)
     series = run_simulation(cfg)
-    assert len(series.samples) == 2
+    assert series.column("t").size == 2
     assert np.all(series.column("identity_residual") == 0.0)
     assert series.verdict.c_fit == series.c_visc
     assert series.remainder_kappa is None
@@ -289,7 +288,7 @@ def test_identity_residual_reads_the_recorded_column(shell16,
                 - hp / (hm * (hm + hp)) * eb[i - 1]
                 + (hp - hm) / (hm * hp) * eb[i])
         assert resid[i] == pytest.approx(
-            dedt + series.c_visc * series.grad_u_sq[i], rel=1e-9,
+            dedt + series.c_visc * series.column("grad_u_sq")[i], rel=1e-9,
             abs=1e-12 * abs(dedt))
 
 

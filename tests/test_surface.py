@@ -2,6 +2,7 @@
 package that rely on it."""
 
 import ast
+import dataclasses
 import importlib
 import re
 import types
@@ -17,13 +18,15 @@ ROOT = Path(__file__).parents[1]
 MOVED = ("VectorField3", "_d_axis", "_d_phi", "grad_scalar", "divergence",
          "curl", "gradient_squared", "l2_norm", "l2_norm_vec", "grad_norm",
          "_div_curl_norm", "_traces")
-# one-shot wrappers of the run workspace and of the E/D sample, and the
-# readers of the sampled columns that SeriesRecorder.finish replaced
+# one-shot wrappers of the run workspace and of the E/D sample, the
+# readers of the sampled columns that SeriesRecorder.finish replaced, the
+# per-sample record and the library-side run digest
 DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
            ("energy", "energy_E"), ("energy", "dissipation_D"),
            ("energy", "measure_viscous_constant"),
            ("energy", "lemma_remainder_constant"),
-           ("energy", "basic_energy_identity_residual"), ("energy", "mass"))
+           ("energy", "basic_energy_identity_residual"), ("energy", "mass"),
+           ("energy", "EnergySample"), ("evolve", "_default_digest"))
 
 
 def test_star_import_binds_exactly_all():
@@ -84,4 +87,14 @@ def test_deleted_wrappers_are_gone(module, name):
 
 
 def test_time_series_reads_times_through_column():
-    assert not hasattr(nsplab.TimeSeries, "t")
+    # an instance, since a dataclass field without a default is no class
+    # attribute
+    assert not hasattr(nsplab.TimeSeries(columns={}, c_visc=1.0, dt=0.1), "t")
+
+
+def test_sampled_values_are_columns_and_the_run_has_no_digest():
+    series = nsplab.TimeSeries(columns={}, c_visc=1.0, dt=0.1)
+    for name in ("samples", "grad_u_sq", "config_digest"):
+        assert not hasattr(series, name)
+    assert "digest_extra" not in {f.name for f in
+                                  dataclasses.fields(nsplab.SimConfig)}
