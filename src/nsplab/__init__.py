@@ -6,8 +6,8 @@ from .energy import StabilityVerdict, TimeSeries, check_theorem_bound
 from .errors import (ConfigError, DegenerateFieldError, EvaluationDomainError,
                      IterationError, MonotonicityError, NsplabError,
                      ParameterError, SimulationAbort, VacuumError)
-from .evolve import (PerturbationState, SimConfig, Tendencies,
-                     init_perturbation, run_simulation)
+from .evolve import (PerturbationState, SimConfig, init_perturbation,
+                     run_simulation)
 from .grids import (FluidParams, RadialField, RadialGrid, build_radial_grid,
                     integrate, radial_derivative, sobolev_norm,
                     vector_gradient_norm, vector_sobolev_norm,
@@ -28,8 +28,8 @@ __all__ = [
     "EvaluationDomainError", "FluidParams", "IterationError",
     "MonotonicityError", "NsplabError", "ParameterError", "PerturbationState",
     "PoissonSolution", "RadialField", "RadialGrid", "SimConfig",
-    "SimulationAbort", "StabilityVerdict", "SteadyState", "Tendencies",
-    "TimeSeries", "VacuumError", "build_radial_grid", "check_subsuper",
+    "SimulationAbort", "StabilityVerdict", "SteadyState", "TimeSeries",
+    "VacuumError", "build_radial_grid", "check_subsuper",
     "check_theorem_bound", "hessian_norm_radial", "init_perturbation",
     "integrate", "make_profile", "profile_supersolution", "radial_derivative",
     "rho_from_phi", "run_simulation", "sobolev_norm", "solve_poisson_neumann",

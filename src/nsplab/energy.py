@@ -31,21 +31,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .grids import _wsq, differentiate, integrate, sobolev_terms
+from .grids import _wsq, differentiate, sobolev_terms
 
 
-def _sample_norms(state, tendencies):
-    """E, D, D without its ||q_tt|| term, ||grad u||^2 and phi' of one sample.
+def _sample_norms(grid, q, u, phi, tend):
+    """E, D, D without its ||q_tt|| term, ||grad u||^2 and phi' of the sample
+    (q, u, phi) with tendencies tend = (q_t, u_t, phi_t, q_tt), all arrays.
 
     The radial derivatives are one stacked apply per order, each computed
     once and shared by the functionals through ``sobolev_terms``.
     """
-    grid = state.u.grid
-    u, u_t = state.u.values, tendencies.u_t.values
+    q_t, u_t, phi_t, q_tt = tend
     # order 2 differentiates the first four rows
-    f = np.stack((u, u / grid.r, u_t, state.q.values, u_t / grid.r,
-                  tendencies.q_t.values, state.phi.values,
-                  tendencies.phi_t.values))
+    f = np.stack((u, u / grid.r, u_t, q, u_t / grid.r, q_t, phi, phi_t))
     d1 = differentiate(grid, f, 1)
     d2 = differentiate(grid, f[:4], 2)
     # u and u_t carry the angular channels u/r and u_t/r; see grids
@@ -58,19 +56,18 @@ def _sample_norms(state, tendencies):
     ut_h1 = math.sqrt(ut_terms[0] + ut_terms[1])
     e = (u_h3 + q_h2 + math.sqrt(qt_h1**2 + ut_h1**2)
          + math.sqrt(_wsq(grid, d1[6])) + math.sqrt(_wsq(grid, d1[7])))
-    qtt_l2 = math.sqrt(_wsq(grid, tendencies.q_tt.values))
+    qtt_l2 = math.sqrt(_wsq(grid, q_tt))
     d = (math.sqrt(sum(u_terms[1:])) + math.sqrt(sum(ut_terms[1:])) + q_h2
          + qt_h1 + qtt_l2)
     return e, d, d - qtt_l2, math.sqrt(u_terms[1]) ** 2, d1[6]
 
 
-def basic_energy(state, phi_r: np.ndarray, rho_s: np.ndarray,
-                 hp: np.ndarray) -> float:
+def basic_energy(grid, q: np.ndarray, u: np.ndarray, phi_r: np.ndarray,
+                 rho_s: np.ndarray, hp: np.ndarray) -> float:
     """Zero-order quadratic energy 1/2 int (rho_tilde u^2 + h' q^2 + |grad phi|^2),
-    with phi_r the radial derivative of state.phi, rho_s = rho_tilde and
+    with phi_r the radial derivative of phi, rho_s = rho_tilde and
     hp = h'(rho_tilde)."""
-    grid = state.q.grid
-    dens = rho_s * state.u.values**2 + hp * state.q.values**2 + phi_r**2
+    dens = rho_s * u**2 + hp * q**2 + phi_r**2
     return 0.5 * float(np.dot(grid.weights, dens))
 
 
@@ -116,20 +113,27 @@ class TimeSeries:
 class SeriesRecorder:
     """Appends each sampled quantity (t, E, D, D_no_qtt, mass, E_basic,
     min_density, grad_u_sq) to its own list during a run and assembles the
-    TimeSeries; hp_s is h'(rho_tilde), the run's enthalpy weight."""
+    TimeSeries; rho_s is rho_tilde and hp_s h'(rho_tilde), the run's
+    enthalpy weight."""
 
-    def __init__(self, config, c_visc: float, dt: float, hp_s: np.ndarray):
-        self.rho_s = config.steady.rho_tilde.values
+    def __init__(self, grid, rho_s: np.ndarray, hp_s: np.ndarray,
+                 c_visc: float, dt: float):
+        self.grid = grid
+        self.rho_s = rho_s
         self.hp_s = hp_s
         self.c_visc = c_visc
         self.dt = dt
         self.columns = {name: [] for name in SAMPLED}
 
-    def add(self, state, tendencies) -> None:
-        e, d, d_no, grad_u_sq, phi_r = _sample_norms(state, tendencies)
-        values = (state.t, e, d, d_no, integrate(state.q),
-                  basic_energy(state, phi_r, self.rho_s, self.hp_s),
-                  float(np.min(self.rho_s + state.q.values)), grad_u_sq)
+    def add(self, t: float, q: np.ndarray, u: np.ndarray, phi: np.ndarray,
+            tend) -> None:
+        """Record the sample (q, u, phi) at t with its tendencies tend =
+        (q_t, u_t, phi_t, q_tt)."""
+        grid = self.grid
+        e, d, d_no, grad_u_sq, phi_r = _sample_norms(grid, q, u, phi, tend)
+        values = (t, e, d, d_no, float(np.dot(grid.weights, q)),
+                  basic_energy(grid, q, u, phi_r, self.rho_s, self.hp_s),
+                  float(np.min(self.rho_s + q)), grad_u_sq)
         for name, value in zip(SAMPLED, values):
             self.columns[name].append(value)
 

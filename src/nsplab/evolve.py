@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import energy as energy_mod
-from .elliptic import (Tridiagonal, laplacian, solve_poisson_neumann,
-                       solve_poisson_values)
+from .elliptic import Tridiagonal, laplacian, solve_poisson_values
 from .errors import (IterationError, ParameterError, SimulationAbort,
                      VacuumError)
 from .grids import (FluidParams, RadialField, RadialGrid, differentiate,
@@ -94,20 +94,6 @@ class PerturbationState:
     u: RadialField
     phi: RadialField
     t: float
-
-
-@dataclass(frozen=True)
-class Tendencies:
-    """Equation-evaluated time derivatives (never finite differences in t).
-
-    q_t comes from the continuity equation, phi_t from Lap(phi_t) = q_t, and
-    q_tt from differentiating continuity:  q_tt = -div(q_t u + rho u_t).
-    """
-
-    q_t: RadialField
-    u_t: RadialField
-    phi_t: RadialField
-    q_tt: RadialField
 
 
 @dataclass(frozen=True)
@@ -255,25 +241,21 @@ def _viscous_operator(grid: RadialGrid) -> Tridiagonal:
     return Tridiagonal(*diagonals)
 
 
-def _arrays(state: PerturbationState):
-    return state.q.values, state.u.values, state.phi.values
+def _tendencies(ws: _Workspace, q: np.ndarray, u: np.ndarray, f):
+    """Equation-evaluated time derivatives (q_t, u_t, phi_t, q_tt) of the
+    state (q, u), given f = ws.rhs of it; never finite differences in t.
 
-
-def _tendencies(ws: _Workspace, state: PerturbationState, f) -> Tendencies:
-    """The tendency bundle of state, given f = ws.rhs of its arrays."""
-    q, u = state.q.values, state.u.values
+    q_t and u_t are those of f, phi_t solves Lap(phi_t) = q_t, and q_tt
+    differentiates continuity:  q_tt = -div(q_t u + rho u_t).
+    """
     q_t, u_t, _ = f
-    grid = ws.grid
-    phi_t = solve_poisson_values(grid, q_t)
+    phi_t = solve_poisson_values(ws.grid, q_t)
     if ws.nonlinear:
         rho = ws.rho_s + q
         g = ws.r2 * (q_t * u + rho * u_t)
     else:
         g = ws.r2 * (ws.rho_s * u_t)
-    q_tt = -ws.flux_divergence(g)
-    return Tendencies(q_t=RadialField(q_t, grid), u_t=RadialField(u_t, grid),
-                      phi_t=RadialField(phi_t, grid),
-                      q_tt=RadialField(q_tt, grid))
+    return q_t, u_t, phi_t, -ws.flux_divergence(g)
 
 
 def init_perturbation(kind: str, delta: float, grid: RadialGrid,
@@ -309,20 +291,21 @@ def init_perturbation(kind: str, delta: float, grid: RadialGrid,
         cu, wu = _BUMP_GEOMETRY["u"]
         u_shape = _smooth_bump(r, loc(cu), wu * length)
 
+    def arrays(a: float):
+        q = a * q_shape
+        return q, a * u_shape, solve_poisson_values(grid, q)
+
     def state_at(a: float) -> PerturbationState:
-        q = RadialField(a * q_shape, grid)
-        u = RadialField(a * u_shape, grid)
-        phi = solve_poisson_neumann(q).phi
-        return PerturbationState(q=q, u=u, phi=phi, t=0.0)
+        return PerturbationState(*map(grid.field, arrays(a)), t=0.0)
 
     if delta == 0.0:
         return state_at(0.0)
 
     def energy_of(a: float) -> float:
-        st = state_at(a)
+        q, u, phi = arrays(a)
         with np.errstate(over="ignore"):  # an overflow is rejected below
             e = energy_mod._sample_norms(
-                st, _tendencies(ws, st, ws.rhs(*_arrays(st))))[0]
+                grid, q, u, phi, _tendencies(ws, q, u, ws.rhs(q, u, phi)))[0]
         if not 0.0 < e < math.inf:
             raise IterationError("could not scale initial data to the target energy")
         return e
@@ -420,11 +403,6 @@ class _Stepper:
         return _finite(q2), u2, phi2
 
 
-def _fields(grid: RadialGrid, q, u, phi, t: float) -> PerturbationState:
-    return PerturbationState(q=RadialField(q, grid), u=RadialField(u, grid),
-                             phi=RadialField(phi, grid), t=t)
-
-
 def run_simulation(config: SimConfig) -> "energy_mod.TimeSeries":
     """Advance to t_end, sampling the energy functionals every output_stride
     steps; returns the series with the stability verdict attached.
@@ -434,8 +412,8 @@ def run_simulation(config: SimConfig) -> "energy_mod.TimeSeries":
     built (vacuum, or an amplitude that cannot reach delta) has t_fail = 0
     and no series.  The loop carries raw arrays and evaluates the explicit
     tendencies once per state: that evaluation is the next step's stage 0
-    and, on a sampled step, the sample's tendencies.  Fields are built only
-    for the samples.
+    and, on a sampled step, the sample's tendencies, which must be finite.
+    Samples read the loop's arrays; no field is built per sample.
     """
     ws = _Workspace(config)
     try:
@@ -449,38 +427,38 @@ def run_simulation(config: SimConfig) -> "energy_mod.TimeSeries":
     dt = config.t_end / n_steps
     stepper = _Stepper(ws, dt)
 
-    recorder = energy_mod.SeriesRecorder(config, c_visc=ws.c_visc, dt=dt,
-                                         hp_s=ws.hp_s)
+    recorder = energy_mod.SeriesRecorder(config.grid, ws.rho_s, ws.hp_s,
+                                         ws.c_visc, dt)
 
-    def sample(st: PerturbationState, f, step: int):
-        recorder.add(st, _tendencies(ws, st, f))
+    def sample(step: int, t: float, q, u, phi, f):
+        # checked before use, so no warning precedes the abort
+        q_t, u_t, phi_t, q_tt = _tendencies(ws, q, u, tuple(map(_finite, f)))
+        recorder.add(t, q, u, phi, (q_t, u_t, _finite(phi_t), _finite(q_tt)))
         if config.checkpoint_dir is not None:
-            from pathlib import Path
             path = Path(config.checkpoint_dir) / f"state_{step:08d}.txt"
-            write_checkpoint(st, path)
+            write_checkpoint(config.grid, t, q, u, phi, path)
 
-    q, u, phi, t = *_arrays(state), state.t
+    q, u, phi, t = state.q.values, state.u.values, state.phi.values, state.t
     try:
         f = ws.rhs(q, u, phi)
-        sample(state, f, 0)
+        sample(0, t, q, u, phi, f)
         for step in range(1, n_steps + 1):
             q, u, phi = stepper.advance(q, u, phi, f)
             t = t + dt
             f = ws.rhs(q, u, phi)
             if step % config.output_stride == 0 or step == n_steps:
-                sample(_fields(config.grid, q, u, phi, t), f, step)
+                sample(step, t, q, u, phi, f)
     except VacuumError as exc:
         raise SimulationAbort(str(exc), t_fail=t,
                               series=recorder.finish(margin=None)) from exc
     return recorder.finish(margin=config.margin)
 
 
-def write_checkpoint(state: PerturbationState, path) -> None:
+def write_checkpoint(grid: RadialGrid, t: float, q: np.ndarray,
+                     u: np.ndarray, phi: np.ndarray, path) -> None:
     """Columnar text checkpoint: comment with t, header row, then r q u phi."""
-    grid = state.q.grid
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# t {state.t:.17g}\n")
+        fh.write(f"# t {t:.17g}\n")
         fh.write("r q u phi\n")
-        for r, q, u, p in zip(grid.r, state.q.values, state.u.values,
-                              state.phi.values):
-            fh.write(f"{r:.17g} {q:.17g} {u:.17g} {p:.17g}\n")
+        for row in zip(grid.r, q, u, phi):
+            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")

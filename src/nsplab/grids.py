@@ -92,6 +92,7 @@ class RadialGrid:
     r: np.ndarray
     weights: np.ndarray
     uniform: bool
+    stretch: float = 0.0  # as given to build_radial_grid
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -212,7 +213,7 @@ def build_radial_grid(r_inner: float, r_outer: float, n_cells: int,
 
     w = volume_weights(r)
     w *= FOUR_PI
-    return RadialGrid(r=r, weights=w, uniform=uniform)
+    return RadialGrid(r=r, weights=w, uniform=uniform, stretch=stretch)
 
 
 def smoothstep(x: np.ndarray) -> np.ndarray:

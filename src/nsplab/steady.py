@@ -379,7 +379,7 @@ def steady_regularity_report(steady: SteadyState,
                              grid: RadialGrid) -> RegularityReport:
     """Report the L2 norms of the first three gradients of rho and Phi and
     check they stay within a factor 2 under one grid refinement and one
-    doubling of the truncation radius."""
+    doubling of the truncation radius, both at the grid's stretch."""
     base = _derivative_norms(steady)
     prof = steady.profile
     n_cells = grid.n_nodes - 1
@@ -391,10 +391,10 @@ def steady_regularity_report(steady: SteadyState,
                          gamma=steady.gamma)
         return solve_steady_monotone(steady.gamma, p, new_grid)
 
-    fine = resolve(build_radial_grid(grid.r_inner, grid.r_outer, 2 * n_cells))
-    wide = resolve(build_radial_grid(grid.r_inner,
-                                     grid.r_inner + 2.0 * (grid.r_outer - grid.r_inner),
-                                     2 * n_cells))
+    r0, r1, stretch = grid.r_inner, grid.r_outer, grid.stretch
+    fine = resolve(build_radial_grid(r0, r1, 2 * n_cells, stretch))
+    wide = resolve(build_radial_grid(r0, r0 + 2.0 * (r1 - r0), 2 * n_cells,
+                                     stretch))
     fine_norms = _derivative_norms(fine)
     wide_norms = _derivative_norms(wide)
 

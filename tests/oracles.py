@@ -8,7 +8,7 @@ exception is the 3-D spherical operators at the end: they apply the
 package's one-axis stencils and quadrature to whole 3-D arrays, an
 independent evaluation path for the mode-factored ensembles.  The module
 also holds ``tendencies``, the suite's one way to evaluate a single state's
-tendencies through a run workspace.
+tendencies through a run workspace, and ``sample_norms``, its E/D sample.
 """
 
 import math
@@ -20,6 +20,7 @@ from numpy.polynomial import Polynomial
 from scipy.linalg import solve_banded
 
 from nsplab.elliptic import laplacian
+from nsplab.energy import _sample_norms
 from nsplab.errors import ParameterError
 from nsplab.evolve import SimConfig, _tendencies, _Workspace
 from nsplab.grids import cutoff
@@ -118,12 +119,20 @@ def radial_vector_h3_norm_dense(u_funcs, r_inner, r_outer, n=40001):
 
 
 def tendencies(state, steady, params, mode="nonlinear"):
-    """The tendency bundle of one state, evaluated afresh by a run workspace
-    of its own, as a run evaluates the state it samples."""
+    """The tendencies (q_t, u_t, phi_t, q_tt) of one state, as arrays,
+    evaluated afresh by a run workspace of its own, as a run evaluates the
+    state it samples."""
     ws = _Workspace(SimConfig(params=params, grid=state.q.grid, steady=steady,
                               mode=mode))
-    return _tendencies(ws, state, ws.rhs(state.q.values, state.u.values,
-                                         state.phi.values))
+    q, u, phi = state.q.values, state.u.values, state.phi.values
+    return _tendencies(ws, q, u, ws.rhs(q, u, phi))
+
+
+def sample_norms(state, tend):
+    """The E/D sample of one state and its tendencies tend (see
+    ``tendencies``)."""
+    return _sample_norms(state.q.grid, state.q.values, state.u.values,
+                         state.phi.values, tend)
 
 
 # the terms of the perturbation equations a manufactured forcing can scale

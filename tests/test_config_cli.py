@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsplab import cli, run_simulation
+from nsplab import cli, evolve, run_simulation
 from nsplab.cli import main
 from nsplab.config import parse_config
 from nsplab.errors import ConfigError
@@ -392,6 +392,44 @@ def test_cli_simulate_mid_run_abort_writes_partial_series(tmp_path, capsys):
     assert "vacuum guard" in summary["reason"]
     lines = (out / "series.csv").read_text().strip().splitlines()
     assert len(lines) == summary["n_samples"] + 1 > 2
+    assert capsys.readouterr().err == f"aborted: {summary['reason']}\n"
+
+
+def test_cli_simulate_non_finite_sampled_tendency_aborts(tmp_path, capsys,
+                                                        monkeypatch):
+    # an evaluation of the explicit tendencies that is not finite at the
+    # state after step 10, a sampled state at stride 10, aborts the run
+    # there with its partial series
+    calls = []
+    real_rhs, real_init = evolve._Workspace.rhs, evolve.init_perturbation
+
+    def init(*args, **kwargs):
+        # count only the run loop's evaluations
+        state = real_init(*args, **kwargs)
+        calls.clear()
+        return state
+
+    def rhs(self, q, u, phi):
+        q_t, u_t, lap_u = real_rhs(self, q, u, phi)
+        calls.append(None)
+        # the initial state's evaluation, then two per step
+        if len(calls) == 1 + 2 * 10:
+            u_t = np.full_like(u_t, np.inf)
+        return q_t, u_t, lap_u
+
+    monkeypatch.setattr(evolve, "init_perturbation", init)
+    monkeypatch.setattr(evolve._Workspace, "rhs", rhs)
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(write_cfg(tmp_path)),
+                 "--out", str(out)])
+    assert code == 4
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdict"] == "ABORTED"
+    assert summary["n_samples"] == 1
+    assert summary["failure_time"] == pytest.approx(10 * summary["dt"])
+    assert summary["reason"] == "non-finite values produced during time step"
+    lines = (out / "series.csv").read_text().strip().splitlines()
+    assert len(lines) == 2
     assert capsys.readouterr().err == f"aborted: {summary['reason']}\n"
 
 

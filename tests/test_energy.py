@@ -3,24 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from nsplab import (ParameterError, PerturbationState, SimConfig, Tendencies,
+from nsplab import (ParameterError, PerturbationState, SimConfig,
                     build_radial_grid, check_theorem_bound,
                     init_perturbation, integrate, radial_derivative,
                     run_simulation, sobolev_norm, vector_gradient_norm,
                     vector_sobolev_norm, weighted_l2_norm)
 from nsplab import grids
-from nsplab.energy import SeriesRecorder, TimeSeries, _sample_norms
+from nsplab.energy import SeriesRecorder, TimeSeries
 from nsplab.evolve import _Stepper, _Workspace
 from nsplab.grids import RadialField
 
-from oracles import radial_vector_h3_norm_dense, tendencies
+from oracles import radial_vector_h3_norm_dense, sample_norms, tendencies
 
 
 def _zero_bundle(grid):
     z = grid.zeros()
     state = PerturbationState(q=z, u=z, phi=z, t=0.0)
-    tend = Tendencies(q_t=z, u_t=z, phi_t=z, q_tt=z)
-    return state, tend
+    return state, (z.values,) * 4
 
 
 def _scaled(state, tend, lam, grid):
@@ -28,11 +27,7 @@ def _scaled(state, tend, lam, grid):
                           u=RadialField(lam * state.u.values, grid),
                           phi=RadialField(lam * state.phi.values, grid),
                           t=state.t)
-    t = Tendencies(q_t=RadialField(lam * tend.q_t.values, grid),
-                   u_t=RadialField(lam * tend.u_t.values, grid),
-                   phi_t=RadialField(lam * tend.phi_t.values, grid),
-                   q_tt=RadialField(lam * tend.q_tt.values, grid))
-    return s, t
+    return s, tuple(lam * f for f in tend)
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +40,7 @@ def bundle(shell16, steady_bump_gamma2, params_gamma2):
 
 def test_zero_state_energy(shell16):
     state, tend = _zero_bundle(shell16)
-    assert _sample_norms(state, tend)[:3] == (0.0, 0.0, 0.0)
+    assert sample_norms(state, tend)[:3] == (0.0, 0.0, 0.0)
 
 
 def _grad_sobolev_sq(u, k):
@@ -63,22 +58,23 @@ def _grad_sobolev_sq(u, k):
 
 def test_components_sum_to_total(bundle):
     state, tend = bundle
+    q_t, u_t, phi_t, q_tt = map(state.q.grid.field, tend)
     parts = [vector_sobolev_norm(state.u, 3), sobolev_norm(state.q, 2),
-             math.sqrt(sobolev_norm(tend.q_t, 1) ** 2
-                       + vector_sobolev_norm(tend.u_t, 1) ** 2),
+             math.sqrt(sobolev_norm(q_t, 1) ** 2
+                       + vector_sobolev_norm(u_t, 1) ** 2),
              weighted_l2_norm(radial_derivative(state.phi, 1)),
-             weighted_l2_norm(radial_derivative(tend.phi_t, 1))]
+             weighted_l2_norm(radial_derivative(phi_t, 1))]
     assert all(p > 0.0 for p in parts)
     total = parts[0]
     for p in parts[1:]:
         total += p
-    e, d, d_no = _sample_norms(state, tend)[:3]
+    e, d, d_no = sample_norms(state, tend)[:3]
     assert e == total
 
-    qtt = weighted_l2_norm(tend.q_tt)
+    qtt = weighted_l2_norm(q_tt)
     d_parts = [math.sqrt(_grad_sobolev_sq(state.u, 2)),
-               math.sqrt(_grad_sobolev_sq(tend.u_t, 1)),
-               sobolev_norm(state.q, 2), sobolev_norm(tend.q_t, 1)]
+               math.sqrt(_grad_sobolev_sq(u_t, 1)),
+               sobolev_norm(state.q, 2), sobolev_norm(q_t, 1)]
     assert all(p > 0.0 for p in d_parts) and qtt > 0.0
     assert d == pytest.approx(sum(d_parts) + qtt, rel=1e-14)
     assert d_no == pytest.approx(sum(d_parts), rel=1e-14)
@@ -88,8 +84,6 @@ def test_sample_computes_each_derivative_once(shell16, bundle,
                                               steady_bump_gamma2,
                                               params_gamma2, monkeypatch):
     state, tend = bundle
-    cfg = SimConfig(params=params_gamma2, grid=shell16,
-                    steady=steady_bump_gamma2)
     applied = []
     real = grids.differentiate
 
@@ -100,9 +94,11 @@ def test_sample_computes_each_derivative_once(shell16, bundle,
 
     monkeypatch.setattr(grids, "differentiate", counted)
     monkeypatch.setattr("nsplab.energy.differentiate", counted)
-    hp_s = params_gamma2.enthalpy_weight(steady_bump_gamma2.rho_tilde.values)
-    recorder = SeriesRecorder(cfg, c_visc=1.0, dt=0.1, hp_s=hp_s)
-    recorder.add(state, tend)
+    rho_s = steady_bump_gamma2.rho_tilde.values
+    recorder = SeriesRecorder(shell16, rho_s,
+                              params_gamma2.enthalpy_weight(rho_s), 1.0, 0.1)
+    recorder.add(state.t, state.q.values, state.u.values, state.phi.values,
+                 tend)
     monkeypatch.undo()
     # one stacked apply per order
     assert len(applied) <= 3
@@ -111,10 +107,11 @@ def test_sample_computes_each_derivative_once(shell16, bundle,
     # the 14 derivatives a sample needs, phi' twice (E and E_basic): each
     # is one applied row, equal to the single-field derivative
     r = shell16.r
-    u, u_t, q = state.u.values, tend.u_t.values, state.q.values
+    u, q = state.u.values, state.q.values
+    q_t, u_t, phi_t, _ = tend
     wanted = [(1, u), (1, u / r), (1, u_t), (1, u_t / r), (1, q),
-              (1, tend.q_t.values), (1, state.phi.values),
-              (1, tend.phi_t.values), (1, state.phi.values),
+              (1, q_t), (1, state.phi.values),
+              (1, phi_t), (1, state.phi.values),
               (2, u), (2, u / r), (2, u_t), (2, q), (3, u)]
     assert len(rows) == 13
     for order, f in wanted:
@@ -129,9 +126,9 @@ def test_sample_computes_each_derivative_once(shell16, bundle,
 
 def test_homogeneity_exact(shell16, bundle):
     state, tend = bundle
-    e1, d1, d1n = _sample_norms(state, tend)[:3]
+    e1, d1, d1n = sample_norms(state, tend)[:3]
     for lam in (2.0, 3.0):
-        e2, d2, d2n = _sample_norms(*_scaled(state, tend, lam, shell16))[:3]
+        e2, d2, d2n = sample_norms(*_scaled(state, tend, lam, shell16))[:3]
         assert e2 == pytest.approx(lam * e1, rel=1e-12)
         assert d2 == pytest.approx(lam * d1, rel=1e-12)
         assert d2n == pytest.approx(lam * d1n, rel=1e-12)
@@ -139,7 +136,7 @@ def test_homogeneity_exact(shell16, bundle):
 
 def test_d_no_qtt_bounded_by_d(shell16, bundle):
     state, tend = bundle
-    d, d_no = _sample_norms(state, tend)[1:3]
+    d, d_no = sample_norms(state, tend)[1:3]
     assert d_no <= d
 
 
@@ -195,8 +192,9 @@ def test_qtt_consistent_with_time_differences(shell16, steady_bump_gamma2,
         s2 = advance(s1, dt, 16)
         tend_mid = tendencies(s1, steady_bump_gamma2, params_gamma2)
         fd = (s2.q.values - 2.0 * s1.q.values + state.q.values) / dt**2
-        scale = np.max(np.abs(tend_mid.q_tt.values))
-        diffs.append(np.max(np.abs(fd - tend_mid.q_tt.values)) / scale)
+        q_tt = tend_mid[3]
+        scale = np.max(np.abs(q_tt))
+        diffs.append(np.max(np.abs(fd - q_tt)) / scale)
     # fast near-grid-scale components keep the observed rate below the clean
     # O(dt^2) of the smooth part; require monotone convergence and smallness
     assert diffs[0] > diffs[1] > diffs[2]

@@ -11,12 +11,13 @@ from nsplab import (FluidParams, ParameterError, PerturbationState,
                     run_simulation, solve_steady_monotone, weighted_l2_norm)
 from nsplab import SteadyState, evolve
 from nsplab.elliptic import Tridiagonal, solve_poisson_values
-from nsplab.energy import SeriesRecorder, _sample_norms, basic_energy
+from nsplab.energy import SAMPLED, SeriesRecorder, basic_energy
 from nsplab.evolve import (_Stepper, _viscous_operator, _Workspace,
                            write_checkpoint)
 from nsplab.grids import RadialField, differentiate
 
-from oracles import MMS_TERMS, Manufactured, background_density, tendencies
+from oracles import (MMS_TERMS, Manufactured, background_density,
+                     sample_norms, tendencies)
 
 
 def cfl_dt(params, steady, grid, factor=0.4):
@@ -46,15 +47,15 @@ def test_init_energy_equals_delta(shell16, steady_bump_gamma2, params_gamma2):
         st = init_perturbation("standard", delta, shell16, steady_bump_gamma2,
                                params_gamma2)
         tend = tendencies(st, steady_bump_gamma2, params_gamma2)
-        e = _sample_norms(st, tend)[0]
+        e = sample_norms(st, tend)[0]
         assert e == pytest.approx(delta, rel=1e-9)
     # doubling delta doubles E(0) (well within the 2% near-linearity budget)
     st1 = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
                             params_gamma2)
     st2 = init_perturbation("standard", 2e-3, shell16, steady_bump_gamma2,
                             params_gamma2)
-    e1, e2 = (_sample_norms(st, tendencies(st, steady_bump_gamma2,
-                                           params_gamma2))[0]
+    e1, e2 = (sample_norms(st, tendencies(st, steady_bump_gamma2,
+                                          params_gamma2))[0]
               for st in (st1, st2))
     assert e2 / e1 == pytest.approx(2.0, rel=0.02)
 
@@ -84,9 +85,8 @@ def test_equilibrium_tendencies_vanish(shell16, steady_bump_gamma2,
                                        params_gamma2):
     st = init_perturbation("standard", 0.0, shell16, steady_bump_gamma2,
                            params_gamma2)
-    tend = tendencies(st, steady_bump_gamma2, params_gamma2)
-    for f in (tend.q_t, tend.u_t, tend.phi_t, tend.q_tt):
-        assert np.max(np.abs(f.values)) == 0.0
+    for f in tendencies(st, steady_bump_gamma2, params_gamma2):
+        assert np.max(np.abs(f)) == 0.0
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
@@ -100,9 +100,8 @@ def test_zero_perturbation_tendencies_vanish(gamma, amplitude, n_cells,
         gamma, make_profile("admissible_bump", 1.0, amplitude, g), g)
     params = FluidParams(gamma=gamma, mu=0.5, lambda_=0.0)
     zero = PerturbationState(q=g.zeros(), u=g.zeros(), phi=g.zeros(), t=0.0)
-    tend = tendencies(zero, steady, params)
-    for f in (tend.q_t, tend.u_t, tend.phi_t, tend.q_tt):
-        assert np.max(np.abs(f.values)) <= 1e-13
+    for f in tendencies(zero, steady, params):
+        assert np.max(np.abs(f)) <= 1e-13
 
 
 def test_continuity_matches_analytic_divergence(params_gamma2):
@@ -125,8 +124,8 @@ def test_continuity_matches_analytic_divergence(params_gamma2):
         state = PerturbationState(
             q=RadialField(q, g), u=RadialField(u, g),
             phi=g.zeros(), t=0.0)
-        tend = tendencies(state, steady, params_gamma2)
-        errs.append(np.max(np.abs(tend.q_t.values - q_t_exact)))
+        q_t = tendencies(state, steady, params_gamma2)[0]
+        errs.append(np.max(np.abs(q_t - q_t_exact)))
     assert errs[0] / errs[1] > 3.0
 
 
@@ -170,10 +169,10 @@ def test_tendency_scaling_exponent(shell16, steady_bump_gamma2,
             q=RadialField(2 * scale * base.q.values, shell16),
             u=RadialField(2 * scale * base.u.values, shell16),
             phi=RadialField(2 * scale * base.phi.values, shell16), t=0.0)
-        t1 = tendencies(st1, steady_bump_gamma2, params_gamma2)
-        t2 = tendencies(st2, steady_bump_gamma2, params_gamma2)
-        defect = (np.max(np.abs(t2.u_t.values - 2 * t1.u_t.values))
-                  + np.max(np.abs(t2.q_t.values - 2 * t1.q_t.values)))
+        q_t1, u_t1 = tendencies(st1, steady_bump_gamma2, params_gamma2)[:2]
+        q_t2, u_t2 = tendencies(st2, steady_bump_gamma2, params_gamma2)[:2]
+        defect = (np.max(np.abs(u_t2 - 2 * u_t1))
+                  + np.max(np.abs(q_t2 - 2 * q_t1)))
         defects.append(defect)
     slope = np.polyfit(np.log10(deltas), np.log10(defects), 1)[0]
     assert 1.8 < slope < 2.2
@@ -219,9 +218,8 @@ def _linear_run_basic_energy(params, n_cells, kind, dt_factor, n_steps):
     q, u, phi = state.q.values, state.u.values, state.phi.values
 
     def e_basic():
-        st = PerturbationState(q=g.field(q), u=g.field(u), phi=g.field(phi),
-                               t=0.0)
-        return basic_energy(st, differentiate(g, phi, 1), ws.rho_s, ws.hp_s)
+        return basic_energy(g, q, u, differentiate(g, phi, 1), ws.rho_s,
+                            ws.hp_s)
 
     energies = [e_basic()]
     for _ in range(n_steps):
@@ -335,13 +333,13 @@ def test_checkpoint_roundtrip(tmp_path, shell16, steady_bump_gamma2,
                               params_gamma2):
     st = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
                            params_gamma2)
-    st = PerturbationState(
-        q=st.q, u=st.u, phi=st.phi, t=1.25)
+    t = 1.25
     path = tmp_path / "state_00000001.txt"
-    write_checkpoint(st, path)
+    write_checkpoint(shell16, t, st.q.values, st.u.values, st.phi.values,
+                     path)
     first, header = path.read_text().splitlines()[:2]
     assert first.split()[:2] == ["#", "t"] and header == "r q u phi"
-    assert float(first.split()[2]) == st.t
+    assert float(first.split()[2]) == t
     r, q, u, phi = np.loadtxt(path, skiprows=2).T
     assert np.array_equal(r, shell16.r)
     assert np.array_equal(q, st.q.values)
@@ -400,24 +398,30 @@ def _reference_run(cfg: SimConfig, dt: float):
     tendencies for each step's stage 0 and for each sample, where the run
     shares one evaluation per state.  Returns the series, or the failure
     time, the message and the partial series of a vacuum abort."""
-    params, steady = cfg.params, cfg.steady
-    state = init_perturbation(cfg.init_kind, cfg.delta, cfg.grid, steady,
+    params, steady, g = cfg.params, cfg.steady, cfg.grid
+    state = init_perturbation(cfg.init_kind, cfg.delta, g, steady,
                               params, mode=cfg.mode)
-    recorder = SeriesRecorder(
-        cfg, c_visc=params.longitudinal_viscosity, dt=dt,
-        hp_s=params.enthalpy_weight(steady.rho_tilde.values))
+    rho_s = steady.rho_tilde.values
+    recorder = SeriesRecorder(g, rho_s, params.enthalpy_weight(rho_s),
+                              params.longitudinal_viscosity, dt)
     n_steps = round(cfg.t_end / dt)
     ws = _Workspace(cfg)
     stepper = _Stepper(ws, dt)
     q, u, phi = state.q.values, state.u.values, state.phi.values
+
+    def record(state):
+        recorder.add(state.t, state.q.values, state.u.values,
+                     state.phi.values,
+                     tendencies(state, steady, params, cfg.mode))
+
     try:
-        recorder.add(state, tendencies(state, steady, params, cfg.mode))
+        record(state)
         for step in range(1, n_steps + 1):
             q, u, phi = stepper.advance(q, u, phi, ws.rhs(q, u, phi))
-            state = evolve._fields(cfg.grid, q, u, phi, state.t + dt)
+            state = PerturbationState(q=g.field(q), u=g.field(u),
+                                      phi=g.field(phi), t=state.t + dt)
             if step % cfg.output_stride == 0 or step == n_steps:
-                recorder.add(state, tendencies(state, steady, params,
-                                               cfg.mode))
+                record(state)
     except VacuumError as exc:
         return state.t, str(exc), recorder.finish(margin=None)
     return recorder.finish(margin=cfg.margin)
@@ -538,6 +542,68 @@ def test_run_evaluates_rhs_once_per_state(cells16, stride, monkeypatch):
     assert counts["rhs"] == 2 * n + 1
     # and each evaluation, one per stage, applies visc once
     assert counts["visc"] == counts["rhs"]
+
+
+@pytest.mark.parametrize("k", [4, 5], ids=["sampled", "unsampled"])
+def test_non_finite_tendency_at_a_state_aborts_with_the_partial_series(
+        cells16, k, monkeypatch):
+    # an evaluation that is not finite at the state after k steps ends the
+    # run at that state's time: the sample's finiteness check catches it at
+    # a sampled state, the next step's at an unsampled one
+    g, steady, params = cells16
+    cfg = SimConfig(params=params, grid=g, steady=steady, delta=1e-3,
+                    t_end=4.0, output_stride=2)
+    clean = run_simulation(cfg)
+    stepper = _Stepper(_Workspace(cfg), clean.dt)
+    state = init_perturbation("standard", 1e-3, g, steady, params)
+    q_k, u, phi, t_k = state.q.values, state.u.values, state.phi.values, 0.0
+    for _ in range(k):
+        q_k, u, phi = stepper.advance(q_k, u, phi, stepper.ws.rhs(q_k, u, phi))
+        t_k = t_k + clean.dt
+    real_rhs = _Workspace.rhs
+
+    def rhs(self, q, u, phi):
+        q_t, u_t, lap_u = real_rhs(self, q, u, phi)
+        if np.array_equal(q, q_k):
+            u_t = np.full_like(u_t, np.inf)
+        return q_t, u_t, lap_u
+
+    monkeypatch.setattr(_Workspace, "rhs", rhs)
+    with pytest.raises(SimulationAbort) as info:
+        run_simulation(cfg)
+    abort = info.value
+    assert abort.t_fail == t_k
+    assert str(abort) == "non-finite values produced during time step"
+    partial = abort.series
+    assert partial.verdict is None
+    n = 1 + (k - 1) // 2
+    assert partial.column("t").size == n
+    for name in SAMPLED:
+        assert (partial.column(name).tobytes()
+                == clean.column(name)[:n].tobytes()), name
+
+
+def test_run_builds_no_field_per_sample(cells16, monkeypatch):
+    # samples read the loop's arrays: how often a run samples does not
+    # change how many fields it builds
+    g, steady, params = cells16
+    built = []
+    real = RadialField.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(RadialField, "__post_init__", counted)
+    counts = {}
+    for stride in (1, 50):
+        built.clear()
+        series = run_simulation(SimConfig(
+            params=params, grid=g, steady=steady, delta=1e-3, t_end=4.0,
+            output_stride=stride))
+        counts[stride] = (len(built), series.column("t").size)
+    assert counts[1][1] > counts[50][1] == 2
+    assert counts[1][0] == counts[50][0]
 
 
 # ------------------------------------------------------ manufactured solution

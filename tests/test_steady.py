@@ -206,20 +206,44 @@ def test_steady_state_is_continuous_at_gamma_one(shell16):
     assert 0.9 <= math.log10(gaps[1] / gaps[0]) <= 1.1
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(gamma=st.one_of(st.floats(1.0, 2.0),
+# the documented rules a steady problem can break, each with the cases it
+# covers: the envelope needs gamma > 1, the explicit supersolution gamma <= 2,
+# and the ghost-node Laplacian a grid spacing below the inner radius
+STEADY_RULES = {
+    "requires gamma > 1":
+        lambda kind, gamma, grid: kind == "general_gamma_envelope"
+        and gamma == 1.0,
+    "explicit supersolution needs gamma in [1, 2]":
+        lambda kind, gamma, grid: kind != "general_gamma_envelope"
+        and gamma > 2.0,
+    "grid spacing must stay below the inner radius":
+        lambda kind, gamma, grid: np.max(np.diff(grid.r)[1:])
+        >= np.min(grid.r[1:-1]),
+}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(gamma=st.one_of(st.floats(1.0, 3.0),
                        st.floats(1e-6, 1e-2).map(lambda eps: 1.0 + eps)),
        c_star=st.floats(0.2, 3.0), amplitude=st.floats(0.0, 1.0),
-       kind=st.sampled_from(["admissible_bump", "general_gamma_envelope"]))
-def test_steady_solves_or_names_the_rule(shell16, gamma, c_star, amplitude,
-                                         kind):
-    # every admissible case certifies; the envelope needs gamma > 1
-    if kind == "general_gamma_envelope" and gamma == 1.0:
-        with pytest.raises(ParameterError, match="requires gamma > 1"):
-            make_profile(kind, c_star, amplitude, shell16, gamma=gamma)
+       kind=st.sampled_from(["constant", "admissible_bump",
+                             "general_gamma_envelope"]),
+       r_outer=st.floats(4.0, 64.0), n_cells=st.integers(16, 400),
+       stretch=st.floats(0.0, 3.0))
+def test_steady_solves_or_names_the_rule(gamma, c_star, amplitude, kind,
+                                         r_outer, n_cells, stretch):
+    # a case that breaks no rule certifies; one that breaks a rule raises a
+    # ParameterError naming a rule it breaks
+    grid = build_radial_grid(1.0, r_outer, n_cells, stretch)
+    broken = [rule for rule, applies in STEADY_RULES.items()
+              if applies(kind, gamma, grid)]
+    try:
+        profile = make_profile(kind, c_star, amplitude, grid, gamma=gamma)
+        steady = solve_steady_monotone(gamma, profile, grid)
+    except ParameterError as exc:
+        assert any(rule in str(exc) for rule in broken), str(exc)
         return
-    profile = make_profile(kind, c_star, amplitude, shell16, gamma=gamma)
-    steady = solve_steady_monotone(gamma, profile, shell16)
+    assert not broken
     assert steady.bounds_ok
     assert steady.monotonicity_defect <= 1e-9
     assert steady.limit_gap <= 1e-9
@@ -311,3 +335,20 @@ def test_regularity_report_bump(steady_bump_gamma2, shell16):
     assert report.stable_under_refinement
     assert report.stable_under_widening
     assert all(np.isfinite(v) and v > 0.0 for v in report.norms.values())
+
+
+@pytest.mark.parametrize("stretch", [0.0, 3.0])
+def test_regularity_report_keeps_the_grid_stretch(stretch):
+    # the refined (2n cells) and widened (2n cells on a doubled shell) grids
+    # are built with the grid's own stretch
+    grid = build_radial_grid(1.0, 16.0, 64, stretch)
+    assert grid.stretch == stretch
+    profile = make_profile("admissible_bump", 1.0, 0.5, grid)
+    report = steady_regularity_report(
+        solve_steady_monotone(2.0, profile, grid), grid)
+    for norms, r_outer in ((report.refined_norms, 16.0),
+                           (report.widened_norms, 31.0)):
+        other = build_radial_grid(1.0, r_outer, 128, stretch)
+        steady = solve_steady_monotone(
+            2.0, make_profile("admissible_bump", 1.0, 0.5, other), other)
+        assert norms == steady_regularity_report(steady, other).norms

@@ -20,13 +20,16 @@ MOVED = ("VectorField3", "_d_axis", "_d_phi", "grad_scalar", "divergence",
          "_div_curl_norm", "_traces")
 # one-shot wrappers of the run workspace and of the E/D sample, the
 # readers of the sampled columns that SeriesRecorder.finish replaced, the
-# per-sample record and the library-side run digest
+# per-sample record, the library-side run digest, and the per-sample
+# field wrapping (samples read the run loop's arrays)
 DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
            ("energy", "energy_E"), ("energy", "dissipation_D"),
            ("energy", "measure_viscous_constant"),
            ("energy", "lemma_remainder_constant"),
            ("energy", "basic_energy_identity_residual"), ("energy", "mass"),
-           ("energy", "EnergySample"), ("evolve", "_default_digest"))
+           ("energy", "EnergySample"), ("evolve", "_default_digest"),
+           ("evolve", "Tendencies"), ("evolve", "_fields"),
+           ("evolve", "_arrays"))
 
 
 def test_star_import_binds_exactly_all():
