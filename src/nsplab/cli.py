@@ -1,9 +1,9 @@
 """Command-line entry point: steady, simulate, verify-inequalities, sweep.
 
-Exit codes: 0 success, 2 config/parameter error, 3 certificate or verdict
-failure, 4 runtime abort (vacuum / non-finite values).  All randomness flows
-from the single seed recorded in the outputs; CSV values are written with
-full round-trip precision so reruns are byte-identical.
+Exit codes: 0 success, 2 config/parameter error or unwritable output, 3
+certificate or verdict failure, 4 runtime abort (vacuum / non-finite values).
+All randomness flows from the single seed recorded in the outputs; CSV values
+are written with full round-trip precision so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _build_grid(cfg: AppConfig):
 
 def _build_steady(cfg: AppConfig, grid):
     profile = cfg.background(grid)
-    return profile, solve_steady_monotone(cfg.fluid.gamma, profile, grid,
+    return profile, solve_steady_monotone(cfg.fluid.gamma, profile,
                                           tol=cfg.steady["tol"],
                                           max_iter=cfg.steady["max_iter"])
 
@@ -68,12 +68,12 @@ def cmd_steady(cfg: AppConfig, outdir: Path) -> int:
     gamma = cfg.fluid.gamma
     profile, steady = _build_steady(cfg, grid)
 
-    sub_cert = check_subsuper(subsolution_phi(gamma, grid), "sub", gamma,
-                              profile, tol=1e-8)
+    sub_cert = check_subsuper(subsolution_phi(grid), "sub", gamma, profile,
+                              tol=1e-8)
     super_cert = check_subsuper(profile_supersolution(profile, gamma), "super",
                                 gamma, profile, tol=1e-8)
 
-    report = steady_regularity_report(steady, grid)
+    report = steady_regularity_report(steady)
     residual_pass = steady.residual_elliptic <= 1e-6
 
     write_profile(steady.rho_tilde, outdir / "rho_tilde.txt")
@@ -108,7 +108,7 @@ def cmd_steady(cfg: AppConfig, outdir: Path) -> int:
     return EXIT_OK if ok else EXIT_VERDICT
 
 
-def _sim_config(cfg: AppConfig, grid, steady, outdir: Path) -> SimConfig:
+def _sim_config(cfg: AppConfig, steady, outdir: Path) -> SimConfig:
     """The run settings of cfg; with evolve.checkpoints on, checkpoints go
     to outdir/checkpoints, which is created here."""
     settings = dict(cfg.evolve)
@@ -117,18 +117,18 @@ def _sim_config(cfg: AppConfig, grid, steady, outdir: Path) -> SimConfig:
         checkpoint_dir = outdir / "checkpoints"
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
         checkpoint_dir = str(checkpoint_dir)
-    return SimConfig(params=cfg.fluid, grid=grid, steady=steady, **settings,
+    return SimConfig(params=cfg.fluid, steady=steady, **settings,
                      checkpoint_dir=checkpoint_dir)
 
 
-def _simulate(cfg: AppConfig, grid, steady, outdir: Path, t0: float) -> dict:
+def _simulate(cfg: AppConfig, steady, outdir: Path, t0: float) -> dict:
     """Run the simulation of cfg, write outdir/series.csv (the partial series
     of an aborted run too) and return the summary: the verdict (PASS, FAIL,
     ABORTED or SKIPPED), the measured ratios and, for an abort, the failure
     time and its reason."""
     failure = None
     try:
-        series = run_simulation(_sim_config(cfg, grid, steady, outdir))
+        series = run_simulation(_sim_config(cfg, steady, outdir))
     except SimulationAbort as exc:
         failure, series = exc, exc.series
     out = {"seed": cfg.seed}
@@ -166,9 +166,8 @@ def _simulate(cfg: AppConfig, grid, steady, outdir: Path, t0: float) -> dict:
 
 def cmd_simulate(cfg: AppConfig, outdir: Path) -> int:
     t0 = time.perf_counter()
-    grid = _build_grid(cfg)
-    _, steady = _build_steady(cfg, grid)
-    summary = _simulate(cfg, grid, steady, outdir, t0)
+    _, steady = _build_steady(cfg, _build_grid(cfg))
+    summary = _simulate(cfg, steady, outdir, t0)
     _write_json(outdir / "summary.json", summary)
     if summary["verdict"] == "ABORTED":
         print(f"aborted: {summary['reason']}", file=sys.stderr)
@@ -198,8 +197,8 @@ def cmd_verify_inequalities(cfg: AppConfig, outdir: Path) -> int:
         "sobolev_l6": ineqlab.sobolev_l6_report(sgrid, iq["n_fields"], seed,
                                                 iq["modes"]),
         "lame_gradient_case": ineqlab.lame_report(
-            rgrid, iq["n_lame"], seed, mu=cfg.fluid.mu,
-            lambda_=cfg.fluid.lambda_),
+            rgrid, iq["n_lame"], seed,
+            longitudinal_viscosity=cfg.fluid.longitudinal_viscosity),
         "poisson_regularity": ineqlab.poisson_regularity_report(
             rgrid, iq["n_fields"], seed),
     }
@@ -232,16 +231,15 @@ def _sweep_row(cfg: AppConfig, row_dir: Path) -> dict:
            "E0": 0.0, "sup_ratio_E": 0.0, "sup_ratio_quadratic": 0.0,
            "c_fit": 0.0, "mass_drift": 0.0, "verdict_pass": 0.0,
            "aborted": False}
-    grid = _build_grid(cfg)
     try:
-        _, steady = _build_steady(cfg, grid)
+        _, steady = _build_steady(cfg, _build_grid(cfg))
     except IterationError as exc:
         print(f"failed: {row_dir.name}: {exc}", file=sys.stderr)
         return row
     row["steady_residual"] = steady.residual_elliptic
     row["steady_compat_residual"] = compatibility_residual(steady)
     try:
-        summary = _simulate(cfg, grid, steady, row_dir, time.perf_counter())
+        summary = _simulate(cfg, steady, row_dir, time.perf_counter())
     except ParameterError as exc:
         print(f"failed: {row_dir.name}: {exc}", file=sys.stderr)
         return row
@@ -317,6 +315,9 @@ def main(argv=None) -> int:
         return cmd_sweep(cfg, outdir, text, args.set)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # a command's OSError comes from writing outputs
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SimulationAbort, VacuumError) as exc:
         print(f"aborted: {exc}", file=sys.stderr)

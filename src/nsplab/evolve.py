@@ -98,10 +98,10 @@ class PerturbationState:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything a run needs; dt, sponge width and rate accept 'auto'."""
+    """Everything a run needs; dt, sponge width and rate accept 'auto'.  The
+    run is on the steady state's grid, at the steady gamma and c_star."""
 
     params: FluidParams
-    grid: RadialGrid
     steady: SteadyState
     delta: float = 1e-3
     t_end: float = 10.0
@@ -120,6 +120,11 @@ class SimConfig:
                            self.sponge_width, self.sponge_rate,
                            self.output_stride, self.init_kind, self.mode,
                            self.vacuum_floor, self.margin)
+        given = (self.params.gamma, self.params.c_star)
+        steady = (self.steady.gamma, self.steady.profile.c_star)
+        if given != steady:
+            raise ParameterError(f"params (gamma, c_star) = {given} disagree "
+                                 f"with the steady state's {steady}")
 
 
 def _smooth_bump(r: np.ndarray, center: float, width: float) -> np.ndarray:
@@ -145,7 +150,7 @@ class _Workspace:
     """Per-run precomputation: operators, steady coefficients, sponge mask."""
 
     def __init__(self, config: SimConfig):
-        grid = config.grid
+        grid = config.steady.rho_tilde.grid
         params = config.params
         self.grid = grid
         self.params = params
@@ -267,9 +272,10 @@ def init_perturbation(kind: str, delta: float, grid: RadialGrid,
     The density part is a positive bump plus a matched negative shell; the
     matching constant is computed against the discrete quadrature, so the two
     sums cancel exactly.  Both parts and the velocity bump vanish identically
-    near the walls.
+    near the walls.  grid must have the steady state's nodes.
     """
-    ws = _Workspace(SimConfig(params=params, grid=grid, steady=steady,
+    grid.require_same(steady.rho_tilde.grid, "grid and the steady state")
+    ws = _Workspace(SimConfig(params=params, steady=steady,
                               delta=delta, init_kind=kind, mode=mode,
                               sponge_rate=0.0, sponge_width=0.0))
     r = grid.r
@@ -327,7 +333,7 @@ def _resolve_dt(config: SimConfig, state: PerturbationState,
                 ws: _Workspace) -> float:
     rho = ws.rho_s + state.q.values
     speed = ws.params.sound_speed(rho) + np.abs(state.u.values)
-    limit = config.grid.min_spacing / float(np.max(speed))
+    limit = ws.grid.min_spacing / float(np.max(speed))
     if config.dt == "auto":
         dt = CFL_SAFETY * limit
     else:
@@ -417,7 +423,7 @@ def run_simulation(config: SimConfig) -> "energy_mod.TimeSeries":
     """
     ws = _Workspace(config)
     try:
-        state = init_perturbation(config.init_kind, config.delta, config.grid,
+        state = init_perturbation(config.init_kind, config.delta, ws.grid,
                                   config.steady, config.params,
                                   mode=config.mode)
     except (VacuumError, IterationError) as exc:
@@ -427,7 +433,7 @@ def run_simulation(config: SimConfig) -> "energy_mod.TimeSeries":
     dt = config.t_end / n_steps
     stepper = _Stepper(ws, dt)
 
-    recorder = energy_mod.SeriesRecorder(config.grid, ws.rho_s, ws.hp_s,
+    recorder = energy_mod.SeriesRecorder(ws.grid, ws.rho_s, ws.hp_s,
                                          ws.c_visc, dt)
 
     def sample(step: int, t: float, q, u, phi, f):
@@ -436,7 +442,7 @@ def run_simulation(config: SimConfig) -> "energy_mod.TimeSeries":
         recorder.add(t, q, u, phi, (q_t, u_t, _finite(phi_t), _finite(q_tt)))
         if config.checkpoint_dir is not None:
             path = Path(config.checkpoint_dir) / f"state_{step:08d}.txt"
-            write_checkpoint(config.grid, t, q, u, phi, path)
+            write_checkpoint(ws.grid, t, q, u, phi, path)
 
     q, u, phi, t = state.q.values, state.u.values, state.phi.values, state.t
     try:

@@ -130,6 +130,11 @@ class RadialGrid:
     def field(self, values) -> "RadialField":
         return RadialField(values, self)
 
+    def require_same(self, other: "RadialGrid", what: str) -> None:
+        """Raise ParameterError unless other has the nodes of this grid."""
+        if other is not self and not np.array_equal(other.r, self.r):
+            raise ParameterError(f"{what} are on different grid nodes")
+
     def zeros(self) -> "RadialField":
         return RadialField(np.zeros(self.n_nodes), self)
 

@@ -534,15 +534,15 @@ def sobolev_l6_report(grid: SphericalGrid, n_samples: int = 100, seed: int = 0,
     return _ensemble_report("sobolev_l6", ratios)
 
 
-def verify_lame_gradient_case(psi: RadialField, mu: float,
-                              lambda_: float) -> IneqReport:
+def verify_lame_gradient_case(psi: RadialField,
+                              longitudinal_viscosity: float) -> IneqReport:
     """Curl-free elastostatic estimate on a radial potential: with u = grad
-    psi and g = -(2 mu + lambda) d_r(Lap psi), report
-    C_emp = ||grad^2 u|| / (||g|| + ||grad u||)."""
+    psi and g = -(2 mu + lambda) d_r(Lap psi), 2 mu + lambda being the
+    longitudinal viscosity, report C_emp = ||grad^2 u|| / (||g|| + ||grad u||)."""
     grid = psi.grid
     u = radial_derivative(psi, 1)
     lap = differentiate(grid, psi.values, 2) + 2.0 * u.values / grid.r
-    g = RadialField(-(2.0 * mu + lambda_) * differentiate(grid, lap, 1), grid)
+    g = RadialField(-longitudinal_viscosity * differentiate(grid, lap, 1), grid)
     hess_u = vector_hessian_norm(u)
     denom = weighted_l2_norm(g) + vector_gradient_norm(u)
     if denom < 1e-14 * max(1.0, hess_u):
@@ -574,14 +574,14 @@ def _random_radial_source(seed: int, grid: RadialGrid) -> RadialField:
 
 
 def lame_report(grid: RadialGrid, n_samples: int = 20, seed: int = 0,
-                mu: float = 1.0, lambda_: float = 1.0) -> IneqReport:
+                longitudinal_viscosity: float = 3.0) -> IneqReport:
     """Ensemble version of the curl-free elastostatic check: potentials come
     from Neumann-Poisson solves of seeded sources."""
     ratios = []
     for i in range(n_samples):
         q = _random_radial_source(seed + i, grid)
         psi = solve_poisson_neumann(q).phi
-        rep = verify_lame_gradient_case(psi, mu, lambda_)
+        rep = verify_lame_gradient_case(psi, longitudinal_viscosity)
         ratios.append(rep.max_ratio)
     return _ensemble_report("lame_gradient_case", ratios)
 

@@ -179,29 +179,18 @@ def profile_upper_bound(profile: BackgroundProfile, gamma: float) -> np.ndarray:
     return profile.c_star + 1.0 / r
 
 
-def subsolution_phi(gamma: float, grid: RadialGrid) -> RadialField:
+def subsolution_phi(grid: RadialGrid) -> RadialField:
     """The zero potential; a subsolution whenever b >= c_star."""
-    if gamma < 1.0:
-        raise ParameterError(f"gamma must be >= 1, got {gamma}")
     return grid.zeros()
 
 
-def supersolution_phi(gamma: float, c_star: float, grid: RadialGrid,
-                      envelope_c0: float | None = None,
-                      envelope_eps: float | None = None) -> RadialField:
-    """Explicit supersolution for the branch.
-
-    gamma in (1, 2] uses the closed power-law form, gamma = 1 the log form.
-    Passing (envelope_c0, envelope_eps) selects the power-law envelope
-    c0 * r**(-eps), valid for any gamma > 1.
-    """
+def supersolution_phi(gamma: float, c_star: float,
+                      grid: RadialGrid) -> RadialField:
+    """Explicit supersolution for the branch: the closed power-law form for
+    gamma in (1, 2], the log form at gamma = 1."""
     if gamma < 1.0:
         raise ParameterError(f"gamma must be >= 1, got {gamma}")
     r = grid.r
-    if envelope_c0 is not None:
-        if gamma <= 1.0:
-            raise ParameterError("envelope supersolution requires gamma > 1")
-        return RadialField(envelope_c0 * r ** (-envelope_eps), grid)
     if gamma == 1.0:
         return RadialField(np.log(1.0 + 1.0 / (c_star * r)), grid)
     if gamma > 2.0:
@@ -215,14 +204,14 @@ def supersolution_phi(gamma: float, c_star: float, grid: RadialGrid,
 def profile_supersolution(profile: BackgroundProfile,
                           gamma: float) -> RadialField:
     """The explicit supersolution that brackets the steady problem for this
-    background: the envelope form for the envelope profile, the closed form
-    (gamma in [1, 2] only) otherwise."""
+    background: the envelope c0 * r**(-eps) (any gamma > 1) for the envelope
+    profile, the closed form (gamma in [1, 2] only) otherwise."""
     grid = profile.values.grid
-    if profile.kind == "general_gamma_envelope":
-        return supersolution_phi(gamma, profile.c_star, grid,
-                                 envelope_c0=profile.envelope_c0,
-                                 envelope_eps=profile.envelope_eps)
-    return supersolution_phi(gamma, profile.c_star, grid)
+    if profile.kind != "general_gamma_envelope":
+        return supersolution_phi(gamma, profile.c_star, grid)
+    if gamma <= 1.0:
+        raise ParameterError("envelope supersolution requires gamma > 1")
+    return grid.field(profile.envelope_c0 * grid.r ** (-profile.envelope_eps))
 
 
 def rho_from_phi(phi: RadialField, gamma: float, c_star: float) -> RadialField:
@@ -242,6 +231,7 @@ def check_subsuper(phi: RadialField, role: str, gamma: float,
     """
     if role not in ("sub", "super"):
         raise ParameterError(f"role must be 'sub' or 'super', got {role!r}")
+    phi.grid.require_same(profile.values.grid, "phi and the background profile")
     branch = _Branch(gamma, profile.c_star)
     lap = laplacian(phi.grid) @ phi.values
     residual = lap - branch.F(phi.values) + profile.values.values
@@ -286,10 +276,11 @@ def check_tol(tol: float) -> None:
         raise ParameterError(f"tol must be finite and > 0, got {tol}")
 
 
-def solve_steady_monotone(gamma: float, profile: BackgroundProfile,
-                          grid: RadialGrid, tol: float = 1e-10,
+def solve_steady_monotone(gamma: float, profile: BackgroundProfile, *,
+                          tol: float = 1e-10,
                           max_iter: int = 200) -> SteadyState:
-    """Solve the semilinear steady problem by bracketing monotone iteration.
+    """Solve the semilinear steady problem by bracketing monotone iteration
+    on the profile's grid.
 
     Runs from the supersolution (nonincreasing) and the subsolution
     (nondecreasing); the shift M = 1.1 * sup F' over the bracket keeps both
@@ -298,10 +289,11 @@ def solve_steady_monotone(gamma: float, profile: BackgroundProfile,
     certificate; the returned potential is their average.
     """
     check_tol(tol)
+    grid = profile.values.grid
     c_star = profile.c_star
     branch = _Branch(gamma, c_star)
     phi_super = profile_supersolution(profile, gamma)
-    phi_sub = subsolution_phi(gamma, grid)
+    phi_sub = subsolution_phi(grid)
 
     fp_max = float(np.max(branch.Fprime(phi_super.values)))
     fp_zero = float(np.max(branch.Fprime(np.zeros(1))))
@@ -375,21 +367,21 @@ def _derivative_norms(state: SteadyState) -> dict:
     return out
 
 
-def steady_regularity_report(steady: SteadyState,
-                             grid: RadialGrid) -> RegularityReport:
+def steady_regularity_report(steady: SteadyState) -> RegularityReport:
     """Report the L2 norms of the first three gradients of rho and Phi and
-    check they stay within a factor 2 under one grid refinement and one
-    doubling of the truncation radius, both at the grid's stretch."""
+    check they stay within a factor 2 under one refinement of the steady
+    state's grid and one doubling of its truncation radius, both at the
+    grid's stretch."""
     base = _derivative_norms(steady)
     prof = steady.profile
+    grid = prof.values.grid
     n_cells = grid.n_nodes - 1
 
     def resolve(new_grid):
         p = make_profile(prof.kind, prof.c_star, prof.amplitude, new_grid,
-                         envelope_c0=prof.envelope_c0 or 1.0,
-                         envelope_eps=prof.envelope_eps or 0.5,
-                         gamma=steady.gamma)
-        return solve_steady_monotone(steady.gamma, p, new_grid)
+                         envelope_c0=prof.envelope_c0,
+                         envelope_eps=prof.envelope_eps, gamma=steady.gamma)
+        return solve_steady_monotone(steady.gamma, p)
 
     r0, r1, stretch = grid.r_inner, grid.r_outer, grid.stretch
     fine = resolve(build_radial_grid(r0, r1, 2 * n_cells, stretch))

@@ -27,10 +27,10 @@ def params_gamma2():
 @pytest.fixture(scope="session")
 def steady_bump_gamma2(shell16):
     profile = make_profile("admissible_bump", 1.0, 0.5, shell16)
-    return solve_steady_monotone(2.0, profile, shell16)
+    return solve_steady_monotone(2.0, profile)
 
 
 @pytest.fixture(scope="session")
 def steady_flat_gamma2(shell16):
     profile = make_profile("constant", 1.0, 0.0, shell16)
-    return solve_steady_monotone(2.0, profile, shell16)
+    return solve_steady_monotone(2.0, profile)

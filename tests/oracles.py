@@ -122,7 +122,7 @@ def tendencies(state, steady, params, mode="nonlinear"):
     """The tendencies (q_t, u_t, phi_t, q_tt) of one state, as arrays,
     evaluated afresh by a run workspace of its own, as a run evaluates the
     state it samples."""
-    ws = _Workspace(SimConfig(params=params, grid=state.q.grid, steady=steady,
+    ws = _Workspace(SimConfig(params=params, steady=steady,
                               mode=mode))
     q, u, phi = state.q.values, state.u.values, state.phi.values
     return _tendencies(ws, q, u, ws.rhs(q, u, phi))

@@ -44,8 +44,8 @@ def stability_runs(grid2000):
     for label, r_max, n in (("r16", 16.0, 2000), ("r32", 32.0, 4000)):
         grid = grid2000 if label == "r16" else build_radial_grid(1.0, r_max, n)
         profile = make_profile("admissible_bump", 1.0, 0.5, grid)
-        steady = solve_steady_monotone(2.0, profile, grid)
-        cfg = SimConfig(params=PARAMS, grid=grid, steady=steady, delta=1e-3,
+        steady = solve_steady_monotone(2.0, profile)
+        cfg = SimConfig(params=PARAMS, steady=steady, delta=1e-3,
                         t_end=10.0, output_stride=50)
         t0 = time.perf_counter()
         series = run_simulation(cfg)
@@ -63,7 +63,7 @@ def test_criterion_01_steady_bounds(grid2000):
         for amplitude in (0.0, 0.5, 1.0):
             t0 = time.perf_counter()
             profile = make_profile("admissible_bump", 1.0, amplitude, grid2000)
-            st = solve_steady_monotone(gamma, profile, grid2000, tol=1e-10,
+            st = solve_steady_monotone(gamma, profile, tol=1e-10,
                                        max_iter=200)
             wall = time.perf_counter() - t0
             rho = st.rho_tilde.values
@@ -98,7 +98,7 @@ def test_criterion_02_subsuper_certificates(grid2000):
 
 def test_criterion_03_newton_oracle_agreement(grid2000):
     profile = make_profile("admissible_bump", 1.0, 0.5, grid2000)
-    st = solve_steady_monotone(2.0, profile, grid2000, tol=1e-10)
+    st = solve_steady_monotone(2.0, profile, tol=1e-10)
     phi_newton = newton_steady(2.0, profile, grid2000)
     gap = float(np.max(np.abs(st.phi_tilde.values - phi_newton)))
     _report(3, gap < 1e-9,
@@ -111,7 +111,7 @@ def test_criterion_04_spatial_convergence():
     for n in (500, 1000, 2000):
         g = build_radial_grid(1.0, 16.0, n)
         profile = make_profile("admissible_bump", 1.0, 0.5, g)
-        phis[n] = solve_steady_monotone(2.0, profile, g).phi_tilde.values
+        phis[n] = solve_steady_monotone(2.0, profile).phi_tilde.values
     e1 = np.max(np.abs(phis[500] - phis[1000][::2]))
     e2 = np.max(np.abs(phis[1000] - phis[2000][::2]))
     steady_ratio = e1 / e2
@@ -136,8 +136,8 @@ def test_criterion_04_spatial_convergence():
 
 def test_criterion_05_equilibrium_preservation(grid2000):
     profile = make_profile("admissible_bump", 1.0, 0.5, grid2000)
-    steady = solve_steady_monotone(2.0, profile, grid2000)
-    cfg = SimConfig(params=PARAMS, grid=grid2000, steady=steady, delta=0.0,
+    steady = solve_steady_monotone(2.0, profile)
+    cfg = SimConfig(params=PARAMS, steady=steady, delta=0.0,
                     t_end=10.0, output_stride=100)
     series = run_simulation(cfg)
     emax = float(np.max(series.column("E")))
@@ -173,10 +173,10 @@ def test_criterion_07_mass_conservation(stability_runs):
 
 def test_criterion_08_zero_order_energy_identity(grid2000):
     profile = make_profile("admissible_bump", 1.0, 0.5, grid2000)
-    steady = solve_steady_monotone(2.0, profile, grid2000)
+    steady = solve_steady_monotone(2.0, profile)
     cs = float(np.max(PARAMS.sound_speed(steady.rho_tilde.values)))
     dt = 0.1 * grid2000.min_spacing / cs
-    cfg = SimConfig(params=PARAMS, grid=grid2000, steady=steady, delta=1e-3,
+    cfg = SimConfig(params=PARAMS, steady=steady, delta=1e-3,
                     t_end=2.0, dt=dt, output_stride=1, mode="linear",
                     sponge_rate=0.0)
     series = run_simulation(cfg)
@@ -189,9 +189,9 @@ def test_criterion_08_zero_order_energy_identity(grid2000):
     remainders = {}
     g1000 = build_radial_grid(1.0, 16.0, 1000)
     profile_c = make_profile("admissible_bump", 1.0, 0.5, g1000)
-    steady_c = solve_steady_monotone(2.0, profile_c, g1000)
+    steady_c = solve_steady_monotone(2.0, profile_c)
     for delta in (1e-4, 1e-3):
-        cfg_nl = SimConfig(params=PARAMS, grid=g1000, steady=steady_c,
+        cfg_nl = SimConfig(params=PARAMS, steady=steady_c,
                            delta=delta, t_end=2.0, output_stride=1,
                            mode="nonlinear", sponge_rate=0.0)
         s = run_simulation(cfg_nl)

@@ -439,9 +439,8 @@ def test_series_csv_is_the_series(tmp_path):
     assert main(["simulate", "--config", str(CONFIGS / "quick.cfg"),
                  "--out", str(out)]) == 0
     cfg = parse_config((CONFIGS / "quick.cfg").read_text(encoding="utf-8"))
-    grid = cli._build_grid(cfg)
-    _, steady = cli._build_steady(cfg, grid)
-    series = run_simulation(cli._sim_config(cfg, grid, steady, tmp_path))
+    _, steady = cli._build_steady(cfg, cli._build_grid(cfg))
+    series = run_simulation(cli._sim_config(cfg, steady, tmp_path))
     header = (out / "series.csv").read_text().splitlines()[0]
     assert tuple(header.split(",")) == cli.CSV_COLUMNS
     table = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1,
@@ -704,6 +703,30 @@ def test_cli_sweep_rejects_row_too_coarse_for_the_laplacian(tmp_path, capsys):
 def test_cli_unreadable_config(tmp_path):
     assert main(["steady", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("command, out, blocker, sets", [
+    ("steady", "afile", "afile", ()),
+    ("steady", "afile/sub", "afile", ()),
+    ("simulate", "out", "out/checkpoints", ("evolve.checkpoints=on",)),
+    ("sweep", "out", "out/row_000/checkpoints", ("evolve.checkpoints=on",)),
+])
+def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys, command,
+                                                out, blocker, sets):
+    # a file where the command needs a directory exits 2 with an error
+    # line, as an unreadable config does, and the file is left alone
+    blocked = tmp_path / blocker
+    blocked.parent.mkdir(parents=True, exist_ok=True)
+    blocked.write_text("a file\n", encoding="utf-8")
+    argv = [command, "--config", str(write_cfg(tmp_path)),
+            "--out", str(tmp_path / out), "--set", "evolve.t_end=0.1"]
+    for item in sets:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and "\n" == err[-1]
+    assert err.count("\n") == 1
+    assert blocked.read_text(encoding="utf-8") == "a file\n"
 
 
 def test_cli_sweep_amplitude_robustness_and_convergence(tmp_path):

@@ -134,7 +134,7 @@ def test_homogeneity_exact(shell16, bundle):
         assert d2n == pytest.approx(lam * d1n, rel=1e-12)
 
 
-def test_d_no_qtt_bounded_by_d(shell16, bundle):
+def test_d_no_qtt_bounded_by_d(bundle):
     state, tend = bundle
     d, d_no = sample_norms(state, tend)[1:3]
     assert d_no <= d
@@ -169,7 +169,7 @@ def test_qtt_consistent_with_time_differences(shell16, steady_bump_gamma2,
                                               params_gamma2):
     # centered second difference of q along a finely substepped trajectory
     # converges at O(dt^2) to the equation-evaluated q_tt
-    ws = _Workspace(SimConfig(params=params_gamma2, grid=shell16,
+    ws = _Workspace(SimConfig(params=params_gamma2,
                               steady=steady_bump_gamma2, sponge_rate=0.0))
     state = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
                               params_gamma2)
@@ -235,7 +235,7 @@ def test_theorem_bound_huge_margin_does_not_overflow():
     assert verdict.margin == 1e200
 
 
-def test_theorem_bound_rejects_zero_initial_energy(shell16):
+def test_theorem_bound_rejects_zero_initial_energy():
     columns = {name: np.zeros(1) for name in (
         "t", "E", "D", "D_no_qtt", "mass", "E_basic", "identity_residual",
         "grad_u_sq")}
@@ -245,10 +245,10 @@ def test_theorem_bound_rejects_zero_initial_energy(shell16):
         check_theorem_bound(series, margin=2.0, c_fit=1.0)
 
 
-def test_identity_residual_needs_three_samples(shell16, steady_bump_gamma2,
+def test_identity_residual_needs_three_samples(steady_bump_gamma2,
                                                params_gamma2):
     # two samples have no centered stencil: no residual, no fit, no kappa
-    cfg = SimConfig(params=params_gamma2, grid=shell16,
+    cfg = SimConfig(params=params_gamma2,
                     steady=steady_bump_gamma2, delta=1e-3, t_end=0.2,
                     output_stride=10**6)
     series = run_simulation(cfg)
@@ -258,9 +258,9 @@ def test_identity_residual_needs_three_samples(shell16, steady_bump_gamma2,
     assert series.remainder_kappa is None
 
 
-def test_identity_residual_zero_perturbation(shell16, steady_bump_gamma2,
+def test_identity_residual_zero_perturbation(steady_bump_gamma2,
                                              params_gamma2):
-    cfg = SimConfig(params=params_gamma2, grid=shell16,
+    cfg = SimConfig(params=params_gamma2,
                     steady=steady_bump_gamma2, delta=0.0, t_end=0.2,
                     output_stride=5)
     series = run_simulation(cfg)
@@ -268,10 +268,9 @@ def test_identity_residual_zero_perturbation(shell16, steady_bump_gamma2,
     assert series.verdict is None and series.remainder_kappa is None
 
 
-def test_identity_residual_reads_the_recorded_column(shell16,
-                                                     steady_bump_gamma2,
+def test_identity_residual_reads_the_recorded_column(steady_bump_gamma2,
                                                      params_gamma2):
-    cfg = SimConfig(params=params_gamma2, grid=shell16,
+    cfg = SimConfig(params=params_gamma2,
                     steady=steady_bump_gamma2, delta=1e-3, t_end=0.2,
                     output_stride=5)
     series = run_simulation(cfg)
@@ -291,14 +290,13 @@ def test_identity_residual_reads_the_recorded_column(shell16,
 
 
 def test_remainder_constant_scales_with_amplitude(params_gamma2,
-                                                  steady_bump_gamma2,
-                                                  shell16):
+                                                  steady_bump_gamma2):
     # the zero-order remainder per unit D^2 grows ~linearly with amplitude
     # once it clears the (amplitude-quadratic) discretization floor, which at
     # this resolution happens around delta ~ 3e-2
     kappa_delta = {}
     for delta in (3e-2, 1e-1):
-        cfg = SimConfig(params=params_gamma2, grid=shell16,
+        cfg = SimConfig(params=params_gamma2,
                         steady=steady_bump_gamma2, delta=delta, t_end=1.0,
                         output_stride=1, mode="nonlinear", sponge_rate=0.0)
         series = run_simulation(cfg)
@@ -307,9 +305,9 @@ def test_remainder_constant_scales_with_amplitude(params_gamma2,
     assert 1.6 < ratio < 23.0  # between linear/2 and quadratic*2 in delta
 
 
-def test_measured_viscous_constant_matches_coefficient(
-        params_gamma2, steady_bump_gamma2, shell16):
-    cfg = SimConfig(params=params_gamma2, grid=shell16,
+def test_measured_viscous_constant_matches_coefficient(params_gamma2,
+                                                       steady_bump_gamma2):
+    cfg = SimConfig(params=params_gamma2,
                     steady=steady_bump_gamma2, delta=1e-4, t_end=1.0,
                     output_stride=5, mode="linear", sponge_rate=0.0)
     series = run_simulation(cfg)

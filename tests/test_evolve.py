@@ -27,6 +27,34 @@ def cfl_dt(params, steady, grid, factor=0.4):
 
 # ------------------------------------------------------------ initial data
 
+@pytest.fixture(scope="module")
+def steady320():
+    """A gamma = 2 bump steady state on a uniform 320-cell shell."""
+    grid = build_radial_grid(1.0, 16.0, 320)
+    return solve_steady_monotone(
+        2.0, make_profile("admissible_bump", 1.0, 0.5, grid))
+
+
+def test_init_rejects_a_grid_other_than_the_steady_state(steady320,
+                                                         params_gamma2):
+    other = build_radial_grid(1.0, 16.0, 320, stretch=3.0)
+    with pytest.raises(ParameterError, match="different grid nodes"):
+        init_perturbation("standard", 1e-3, other, steady320, params_gamma2)
+    same = build_radial_grid(1.0, 16.0, 320)
+    state = init_perturbation("standard", 1e-3, same, steady320,
+                              params_gamma2)
+    assert np.array_equal(state.q.grid.r, steady320.rho_tilde.grid.r)
+
+
+@pytest.mark.parametrize("change", [{"gamma": 1.5}, {"c_star": 3.0}])
+def test_sim_config_rejects_params_other_than_the_steady_state(steady320,
+                                                               change):
+    params = FluidParams(**{"gamma": 2.0, "mu": 0.5, "lambda_": 0.0,
+                            "c_star": 1.0, **change})
+    with pytest.raises(ParameterError, match="disagree with the steady"):
+        SimConfig(params=params, steady=steady320)
+
+
 def test_init_zero_delta(shell16, steady_bump_gamma2, params_gamma2):
     st = init_perturbation("standard", 0.0, shell16, steady_bump_gamma2,
                            params_gamma2)
@@ -97,7 +125,7 @@ def test_zero_perturbation_tendencies_vanish(gamma, amplitude, n_cells,
     # the steady state is a discrete equilibrium for every admissible setup
     g = build_radial_grid(1.0, 16.0, n_cells, stretch)
     steady = solve_steady_monotone(
-        gamma, make_profile("admissible_bump", 1.0, amplitude, g), g)
+        gamma, make_profile("admissible_bump", 1.0, amplitude, g))
     params = FluidParams(gamma=gamma, mu=0.5, lambda_=0.0)
     zero = PerturbationState(q=g.zeros(), u=g.zeros(), phi=g.zeros(), t=0.0)
     for f in tendencies(zero, steady, params):
@@ -109,7 +137,7 @@ def test_continuity_matches_analytic_divergence(params_gamma2):
     for n in (400, 800):
         g = build_radial_grid(1.0, 16.0, n)
         profile = make_profile("constant", 1.0, 0.0, g)
-        steady = solve_steady_monotone(2.0, profile, g)
+        steady = solve_steady_monotone(2.0, profile)
         r = g.r
         env = np.exp(-((r - 5.0) ** 2))
         q = 1e-2 * env
@@ -132,9 +160,8 @@ def test_continuity_matches_analytic_divergence(params_gamma2):
 @pytest.fixture(scope="module", params=[0.0, 3.0], ids=["uniform", "stretched"])
 def flux_workspace(request, params_gamma2):
     g = build_radial_grid(1.0, 16.0, 64, request.param)
-    steady = solve_steady_monotone(2.0, make_profile("constant", 1.0, 0.0, g),
-                                   g)
-    return _Workspace(SimConfig(params=params_gamma2, grid=g, steady=steady))
+    steady = solve_steady_monotone(2.0, make_profile("constant", 1.0, 0.0, g))
+    return _Workspace(SimConfig(params=params_gamma2, steady=steady))
 
 
 _WALL = st.one_of(st.floats(0.1, 1.0), st.floats(-1.0, -0.1))
@@ -181,7 +208,7 @@ def test_tendency_scaling_exponent(shell16, steady_bump_gamma2,
 # ------------------------------------------------------------------ steps
 
 def test_step_global_second_order(shell16, steady_bump_gamma2, params_gamma2):
-    ws = _Workspace(SimConfig(params=params_gamma2, grid=shell16,
+    ws = _Workspace(SimConfig(params=params_gamma2,
                               steady=steady_bump_gamma2, sponge_rate=0.0))
     state = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
                               params_gamma2)
@@ -209,8 +236,8 @@ def _linear_run_basic_energy(params, n_cells, kind, dt_factor, n_steps):
     driven through the run's own workspace and stepper."""
     g = build_radial_grid(1.0, 16.0, n_cells)
     profile = make_profile("constant", 1.0, 0.0, g)
-    steady = solve_steady_monotone(params.gamma, profile, g)
-    cfg = SimConfig(params=params, grid=g, steady=steady, mode="linear",
+    steady = solve_steady_monotone(params.gamma, profile)
+    cfg = SimConfig(params=params, steady=steady, mode="linear",
                     sponge_rate=0.0)
     ws = _Workspace(cfg)
     stepper = _Stepper(ws, cfl_dt(params, steady, g, factor=dt_factor))
@@ -268,8 +295,7 @@ def test_viscous_rows_match_direct_stencil(n_cells, stretch):
 
 def test_stepper_non_finite_is_vacuum_error(shell16, steady_bump_gamma2,
                                             params_gamma2):
-    cfg = SimConfig(params=params_gamma2, grid=shell16,
-                    steady=steady_bump_gamma2)
+    cfg = SimConfig(params=params_gamma2, steady=steady_bump_gamma2)
     st = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
                            params_gamma2)
     q = st.q.values.copy()
@@ -283,9 +309,8 @@ def test_stepper_non_finite_is_vacuum_error(shell16, steady_bump_gamma2,
 
 # ------------------------------------------------------------------- runs
 
-def test_run_zero_delta_stays_zero(shell16, steady_bump_gamma2,
-                                   params_gamma2):
-    cfg = SimConfig(params=params_gamma2, grid=shell16,
+def test_run_zero_delta_stays_zero(steady_bump_gamma2, params_gamma2):
+    cfg = SimConfig(params=params_gamma2,
                     steady=steady_bump_gamma2, delta=0.0, t_end=0.5,
                     output_stride=20)
     series = run_simulation(cfg)
@@ -296,7 +321,7 @@ def test_run_zero_delta_stays_zero(shell16, steady_bump_gamma2,
 
 def test_run_mass_conservation_with_sponge(shell16, steady_bump_gamma2,
                                            params_gamma2):
-    cfg = SimConfig(params=params_gamma2, grid=shell16,
+    cfg = SimConfig(params=params_gamma2,
                     steady=steady_bump_gamma2, delta=1e-3, t_end=2.0,
                     output_stride=10)
     series = run_simulation(cfg)
@@ -310,8 +335,8 @@ def test_run_mass_conservation_with_sponge(shell16, steady_bump_gamma2,
 def test_run_is_deterministic(params_gamma2):
     g = build_radial_grid(1.0, 16.0, 200)
     profile = make_profile("admissible_bump", 1.0, 0.5, g)
-    steady = solve_steady_monotone(2.0, profile, g)
-    cfg = SimConfig(params=params_gamma2, grid=g, steady=steady, delta=1e-3,
+    steady = solve_steady_monotone(2.0, profile)
+    cfg = SimConfig(params=params_gamma2, steady=steady, delta=1e-3,
                     t_end=0.5, output_stride=10)
     a = run_simulation(cfg)
     b = run_simulation(cfg)
@@ -322,7 +347,7 @@ def test_run_is_deterministic(params_gamma2):
 
 def test_cfl_validation(shell16, steady_bump_gamma2, params_gamma2):
     big_dt = 10.0 * cfl_dt(params_gamma2, steady_bump_gamma2, shell16)
-    cfg = SimConfig(params=params_gamma2, grid=shell16,
+    cfg = SimConfig(params=params_gamma2,
                     steady=steady_bump_gamma2, delta=1e-3, t_end=1.0,
                     dt=big_dt)
     with pytest.raises(ParameterError):
@@ -347,9 +372,9 @@ def test_checkpoint_roundtrip(tmp_path, shell16, steady_bump_gamma2,
     assert np.array_equal(phi, st.phi.values)
 
 
-def test_run_abort_while_building_initial_data(shell16, steady_bump_gamma2,
+def test_run_abort_while_building_initial_data(steady_bump_gamma2,
                                                params_gamma2):
-    cfg = SimConfig(params=params_gamma2, grid=shell16,
+    cfg = SimConfig(params=params_gamma2,
                     steady=steady_bump_gamma2, delta=1e7, t_end=0.5)
     with pytest.raises(SimulationAbort) as info:
         run_simulation(cfg)
@@ -368,7 +393,7 @@ def cells16(request):
     g = build_radial_grid(1.0, 16.0, 16)
     gamma = request.param
     steady = solve_steady_monotone(
-        gamma, make_profile("admissible_bump", 1.0, 0.5, g), g)
+        gamma, make_profile("admissible_bump", 1.0, 0.5, g))
     return g, steady, FluidParams(gamma=gamma, mu=0.5, lambda_=0.0)
 
 
@@ -384,7 +409,7 @@ def test_hoisted_run_constants_keep_the_inline_arithmetic(cells16):
     dh = params.enthalpy_increment_about(rho_s)(q)
     assert dh.tobytes() == inline.tobytes()
 
-    ws = _Workspace(SimConfig(params=params, grid=g, steady=steady))
+    ws = _Workspace(SimConfig(params=params, steady=steady))
     assert ws.sponge_on
     s, u = ws.sponge_mask, 1e-3 * np.cos(g.r)
     mean = float(np.dot(g.weights, s * q)) / ws.sponge_wsum
@@ -398,7 +423,8 @@ def _reference_run(cfg: SimConfig, dt: float):
     tendencies for each step's stage 0 and for each sample, where the run
     shares one evaluation per state.  Returns the series, or the failure
     time, the message and the partial series of a vacuum abort."""
-    params, steady, g = cfg.params, cfg.steady, cfg.grid
+    params, steady = cfg.params, cfg.steady
+    g = steady.rho_tilde.grid
     state = init_perturbation(cfg.init_kind, cfg.delta, g, steady,
                               params, mode=cfg.mode)
     rho_s = steady.rho_tilde.values
@@ -442,7 +468,7 @@ def _assert_same_series(a, b):
                          ids=["sponge", "no_sponge"])
 def test_run_samples_equal_the_public_step_loop(cells16, mode, sponge_rate):
     g, steady, params = cells16
-    cfg = SimConfig(params=params, grid=g, steady=steady, delta=1e-3,
+    cfg = SimConfig(params=params, steady=steady, delta=1e-3,
                     t_end=4.0, output_stride=3, mode=mode,
                     sponge_rate=sponge_rate)
     series = run_simulation(cfg)
@@ -454,7 +480,7 @@ def test_run_samples_equal_the_public_step_loop(cells16, mode, sponge_rate):
 def test_run_vacuum_abort_equals_the_public_step_loop(cells16, stride):
     # the velocity bump piles up density until it crosses a guard at 0.8
     g, steady, params = cells16
-    cfg = SimConfig(params=params, grid=g, steady=steady, delta=100.0,
+    cfg = SimConfig(params=params, steady=steady, delta=100.0,
                     t_end=4.0, output_stride=stride,
                     init_kind="velocity_only", vacuum_floor=0.8)
     with pytest.raises(SimulationAbort) as info:
@@ -473,7 +499,7 @@ def test_run_abort_at_a_state_equals_the_public_step_loop(cells16, k,
     # a guard that trips at the state after k steps, not inside a step:
     # the failure time is that state's
     g, steady, params = cells16
-    cfg = SimConfig(params=params, grid=g, steady=steady, delta=1e-3,
+    cfg = SimConfig(params=params, steady=steady, delta=1e-3,
                     t_end=4.0, output_stride=2)
     dt = run_simulation(cfg).dt
     ws = _Workspace(cfg)
@@ -532,7 +558,7 @@ def test_run_evaluates_rhs_once_per_state(cells16, stride, monkeypatch):
     monkeypatch.setattr(Tridiagonal, "__matmul__", matmul)
     monkeypatch.setattr(evolve, "_viscous_operator", viscous_operator)
     monkeypatch.setattr(evolve, "init_perturbation", init)
-    cfg = SimConfig(params=params, grid=g, steady=steady, delta=1e-3,
+    cfg = SimConfig(params=params, steady=steady, delta=1e-3,
                     t_end=4.0, output_stride=stride)
     series = run_simulation(cfg)
     n = round(cfg.t_end / series.dt)
@@ -551,7 +577,7 @@ def test_non_finite_tendency_at_a_state_aborts_with_the_partial_series(
     # run at that state's time: the sample's finiteness check catches it at
     # a sampled state, the next step's at an unsampled one
     g, steady, params = cells16
-    cfg = SimConfig(params=params, grid=g, steady=steady, delta=1e-3,
+    cfg = SimConfig(params=params, steady=steady, delta=1e-3,
                     t_end=4.0, output_stride=2)
     clean = run_simulation(cfg)
     stepper = _Stepper(_Workspace(cfg), clean.dt)
@@ -599,7 +625,7 @@ def test_run_builds_no_field_per_sample(cells16, monkeypatch):
     for stride in (1, 50):
         built.clear()
         series = run_simulation(SimConfig(
-            params=params, grid=g, steady=steady, delta=1e-3, t_end=4.0,
+            params=params, steady=steady, delta=1e-3, t_end=4.0,
             output_stride=stride))
         counts[stride] = (len(built), series.column("t").size)
     assert counts[1][1] > counts[50][1] == 2
@@ -642,10 +668,11 @@ def _mms_errors(gamma, mode, n, scale=None):
     # the perturbation equations use the background only as a coefficient
     steady = SteadyState(
         rho_tilde=RadialField(background_density(grid.r)[0], grid),
-        phi_tilde=grid.zeros(), gamma=gamma, profile=None,
+        phi_tilde=grid.zeros(), gamma=gamma,
+        profile=make_profile("constant", params.c_star, 0.0, grid),
         residual_elliptic=0.0, bounds_ok=True, iterations_super=0,
         iterations_sub=0, limit_gap=0.0, monotonicity_defect=0.0)
-    ws = _ForcedWorkspace(SimConfig(params=params, grid=grid, steady=steady,
+    ws = _ForcedWorkspace(SimConfig(params=params, steady=steady,
                                     mode=mode, sponge_rate=0.0,
                                     sponge_width=0.0), mms.forcing)
     dt = 5.0 / n

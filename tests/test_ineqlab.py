@@ -248,13 +248,13 @@ def test_sobolev_l6_ratio_properties(sgrid, monkeypatch):
 def test_lame_trivial_and_homogeneous():
     g = build_radial_grid(1.0, 2.0, 256)
     const = g.field(np.full(g.n_nodes, 3.0))
-    rep = verify_lame_gradient_case(const, 1.0, 1.0)
+    rep = verify_lame_gradient_case(const, 3.0)
     assert rep.passed
     bump = np.exp(-(((g.r - 1.4) / 0.15) ** 2))
     psi = solve_poisson_neumann(g.field(bump)).phi
-    r1 = verify_lame_gradient_case(psi, 1.0, 1.0)
+    r1 = verify_lame_gradient_case(psi, 3.0)
     psi2 = g.field(2.0 * psi.values)
-    r2 = verify_lame_gradient_case(psi2, 1.0, 1.0)
+    r2 = verify_lame_gradient_case(psi2, 3.0)
     assert r2.max_ratio == pytest.approx(r1.max_ratio, rel=1e-12)
 
 

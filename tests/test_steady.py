@@ -62,8 +62,7 @@ def test_envelope_profile_bounds(shell16):
 # ------------------------------------------------------- explicit brackets
 
 def test_subsolution_is_zero(shell16):
-    for gamma in (1.0, 2.0):
-        assert np.all(subsolution_phi(gamma, shell16).values == 0.0)
+    assert np.all(subsolution_phi(shell16).values == 0.0)
 
 
 def test_supersolution_gamma2_values(shell16):
@@ -93,12 +92,14 @@ def test_profile_supersolution_picks_the_bracket(shell16):
                        envelope_c0=0.5, envelope_eps=0.4, gamma=3.0)
     assert np.array_equal(profile_supersolution(env, 3.0).values,
                           0.5 * shell16.r ** -0.4)
+    with pytest.raises(ParameterError, match="requires gamma > 1"):
+        profile_supersolution(env, 1.0)
     # gamma > 2 has no closed-form bracket for the bump class
     bump3 = make_profile("admissible_bump", 1.0, 0.5, shell16, gamma=3.0)
     with pytest.raises(ParameterError):
         profile_supersolution(bump3, 3.0)
     with pytest.raises(ParameterError):
-        solve_steady_monotone(3.0, bump3, shell16)
+        solve_steady_monotone(3.0, bump3)
 
 
 def test_branch_limit_gamma_to_one(shell16):
@@ -128,14 +129,14 @@ def test_subsuper_certificates_gamma1(shell16):
 
 def test_zero_is_not_super_for_nonflat_background(shell16):
     profile = make_profile("admissible_bump", 1.0, 0.5, shell16)
-    cert = check_subsuper(subsolution_phi(2.0, shell16), "super", 2.0,
+    cert = check_subsuper(subsolution_phi(shell16), "super", 2.0,
                           profile, tol=1e-10)
     assert not cert.passed  # residual b - c_star > 0 somewhere
 
 
 def test_zero_is_sub_for_admissible_background(shell16):
     profile = make_profile("admissible_bump", 1.0, 0.5, shell16)
-    cert = check_subsuper(subsolution_phi(2.0, shell16), "sub", 2.0, profile,
+    cert = check_subsuper(subsolution_phi(shell16), "sub", 2.0, profile,
                           tol=1e-12)
     assert cert.passed
 
@@ -162,11 +163,43 @@ def test_rho_from_phi_domain_error(shell16):
         rho_from_phi(bad, 2.0, 1.0)
 
 
+# ------------------------------------------- one grid per steady problem
+
+@pytest.fixture(scope="module")
+def two_shells():
+    """Two 320-cell shells with different nodes, and a bump profile on the
+    first."""
+    a = build_radial_grid(1.0, 16.0, 320)
+    b = build_radial_grid(1.0, 16.0, 320, stretch=3.0)
+    return a, b, make_profile("admissible_bump", 1.0, 0.5, a)
+
+
+def test_solver_takes_its_grid_from_the_profile(two_shells):
+    a, b, profile = two_shells
+    # the old (gamma, profile, grid) call cannot bind the grid to tol
+    with pytest.raises(TypeError, match="positional argument"):
+        solve_steady_monotone(2.0, profile, b)
+    steady = solve_steady_monotone(2.0, profile)
+    assert steady.rho_tilde.grid is a and steady.phi_tilde.grid is a
+
+
+def test_certificate_rejects_a_candidate_on_other_nodes(two_shells):
+    a, b, profile = two_shells
+    for phi, role in ((supersolution_phi(2.0, 1.0, b), "super"),
+                      (subsolution_phi(b), "sub")):
+        with pytest.raises(ParameterError, match="different grid nodes"):
+            check_subsuper(phi, role, 2.0, profile)
+    # the same nodes built again are the same grid
+    same = build_radial_grid(1.0, 16.0, 320)
+    assert check_subsuper(supersolution_phi(2.0, 1.0, same), "super", 2.0,
+                          profile).passed
+
+
 # -------------------------------------------------------- monotone solver
 
 def test_flat_background_fixed_point(shell16):
     profile = make_profile("constant", 1.0, 0.0, shell16)
-    st = solve_steady_monotone(2.0, profile, shell16)
+    st = solve_steady_monotone(2.0, profile)
     assert np.max(np.abs(st.rho_tilde.values - 1.0)) < 1e-9
     assert st.iterations_sub == 1  # zero is the exact fixed point
 
@@ -175,7 +208,7 @@ def test_flat_background_fixed_point(shell16):
 @pytest.mark.parametrize("amplitude", [0.5, 1.0])
 def test_monotone_bounds_and_certificates(shell16, gamma, amplitude):
     profile = make_profile("admissible_bump", 1.0, amplitude, shell16)
-    st = solve_steady_monotone(gamma, profile, shell16)
+    st = solve_steady_monotone(gamma, profile)
     assert st.bounds_ok
     assert st.limit_gap <= 1e-9
     assert st.monotonicity_defect <= 1e-9
@@ -199,7 +232,7 @@ def test_steady_state_is_continuous_at_gamma_one(shell16):
     profile = make_profile("admissible_bump", 1.0, 0.5, shell16)
 
     def rho(gamma):
-        return solve_steady_monotone(gamma, profile, shell16).rho_tilde.values
+        return solve_steady_monotone(gamma, profile).rho_tilde.values
 
     base = rho(1.0)
     gaps = [np.max(np.abs(rho(1.0 + eps) - base)) for eps in (1e-4, 1e-3)]
@@ -239,7 +272,7 @@ def test_steady_solves_or_names_the_rule(gamma, c_star, amplitude, kind,
               if applies(kind, gamma, grid)]
     try:
         profile = make_profile(kind, c_star, amplitude, grid, gamma=gamma)
-        steady = solve_steady_monotone(gamma, profile, grid)
+        steady = solve_steady_monotone(gamma, profile)
     except ParameterError as exc:
         assert any(rule in str(exc) for rule in broken), str(exc)
         return
@@ -252,7 +285,7 @@ def test_steady_solves_or_names_the_rule(gamma, c_star, amplitude, kind,
 def test_monotone_envelope_branch(shell16):
     profile = make_profile("general_gamma_envelope", 1.0, 0.8, shell16,
                            envelope_c0=0.5, envelope_eps=0.5, gamma=3.0)
-    st = solve_steady_monotone(3.0, profile, shell16)
+    st = solve_steady_monotone(3.0, profile)
     assert st.bounds_ok
     ceiling = profile_upper_bound(profile, 3.0)
     assert np.all(st.rho_tilde.values <= ceiling + 1e-8)
@@ -260,7 +293,7 @@ def test_monotone_envelope_branch(shell16):
 
 def test_monotone_agrees_with_newton(shell16):
     profile = make_profile("admissible_bump", 1.0, 0.5, shell16)
-    st = solve_steady_monotone(2.0, profile, shell16, tol=1e-10)
+    st = solve_steady_monotone(2.0, profile, tol=1e-10)
     phi_newton = newton_steady(2.0, profile, shell16)
     assert np.max(np.abs(st.phi_tilde.values - phi_newton)) < 1e-9
 
@@ -277,7 +310,7 @@ def test_steady_compatibility_converges_at_second_order():
     for n in (400, 800):
         g = build_radial_grid(1.0, 16.0, n)
         profile = make_profile("admissible_bump", 1.0, 0.5, g)
-        st = solve_steady_monotone(1.5, profile, g)
+        st = solve_steady_monotone(1.5, profile)
         residuals.append(compatibility_residual(st))
     assert residuals[0] / residuals[1] > 3.0
 
@@ -312,7 +345,7 @@ def test_iteration_budget_error(shell16):
     from nsplab import IterationError
     profile = make_profile("admissible_bump", 1.0, 0.5, shell16)
     with pytest.raises(IterationError):
-        solve_steady_monotone(2.0, profile, shell16, tol=1e-10, max_iter=2)
+        solve_steady_monotone(2.0, profile, tol=1e-10, max_iter=2)
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
@@ -320,18 +353,18 @@ def test_solver_rejects_a_tolerance_that_is_not_finite_and_positive(shell16,
                                                                      tol):
     profile = make_profile("admissible_bump", 1.0, 0.5, shell16)
     with pytest.raises(ParameterError):
-        solve_steady_monotone(2.0, profile, shell16, tol=tol)
+        solve_steady_monotone(2.0, profile, tol=tol)
 
 
 def test_regularity_report_flat_background(shell16):
     profile = make_profile("constant", 1.0, 0.0, shell16)
-    st = solve_steady_monotone(2.0, profile, shell16)
-    report = steady_regularity_report(st, shell16)
+    st = solve_steady_monotone(2.0, profile)
+    report = steady_regularity_report(st)
     assert all(v < 1e-8 for v in report.norms.values())
 
 
-def test_regularity_report_bump(steady_bump_gamma2, shell16):
-    report = steady_regularity_report(steady_bump_gamma2, shell16)
+def test_regularity_report_bump(steady_bump_gamma2):
+    report = steady_regularity_report(steady_bump_gamma2)
     assert report.stable_under_refinement
     assert report.stable_under_widening
     assert all(np.isfinite(v) and v > 0.0 for v in report.norms.values())
@@ -345,10 +378,10 @@ def test_regularity_report_keeps_the_grid_stretch(stretch):
     assert grid.stretch == stretch
     profile = make_profile("admissible_bump", 1.0, 0.5, grid)
     report = steady_regularity_report(
-        solve_steady_monotone(2.0, profile, grid), grid)
+        solve_steady_monotone(2.0, profile))
     for norms, r_outer in ((report.refined_norms, 16.0),
                            (report.widened_norms, 31.0)):
         other = build_radial_grid(1.0, r_outer, 128, stretch)
         steady = solve_steady_monotone(
-            2.0, make_profile("admissible_bump", 1.0, 0.5, other), other)
-        assert norms == steady_regularity_report(steady, other).norms
+            2.0, make_profile("admissible_bump", 1.0, 0.5, other))
+        assert norms == steady_regularity_report(steady).norms

@@ -44,17 +44,30 @@ def test_star_import_binds_exactly_all():
     assert public == set(nsplab.__all__)
 
 
+def _readme_sketch() -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.search(r"## Library sketch.*?```python\n(.*?)```", readme,
+                     re.S).group(1)
+
+
 def test_readme_library_sketch_names_are_exported():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    sketch = re.search(r"## Library sketch.*?```python\n(.*?)```", readme,
-                       re.S).group(1)
-    names = set(re.findall(r"\bnl\.(\w+)", sketch))
+    names = set(re.findall(r"\bnl\.(\w+)", _readme_sketch()))
     assert {"build_radial_grid", "run_simulation"} <= names
     assert names <= set(nsplab.__all__)
     # the README lists the surface it declares
     listed = re.search(r"binds exactly these names:\n(.*?)\n\n", readme,
                        re.S).group(1)
     assert set(re.findall(r"`(\w+)`", listed)) == set(nsplab.__all__)
+
+
+def test_readme_library_sketch_runs(capsys):
+    # the documented calls, verbatim, so they cannot drift behind the API
+    namespace = {}
+    exec(_readme_sketch(), namespace)
+    verdict = namespace["series"].verdict
+    assert verdict.passed
+    assert capsys.readouterr().out == f"{verdict}\n"
 
 
 def test_benchmark_child_imports_resolve():
