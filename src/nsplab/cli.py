@@ -57,21 +57,18 @@ def _build_grid(cfg: AppConfig):
 
 def _build_steady(cfg: AppConfig, grid):
     profile = cfg.background(grid)
-    return profile, solve_steady_monotone(cfg.fluid.gamma, profile,
-                                          tol=cfg.steady["tol"],
+    return profile, solve_steady_monotone(profile, tol=cfg.steady["tol"],
                                           max_iter=cfg.steady["max_iter"])
 
 
 def cmd_steady(cfg: AppConfig, outdir: Path) -> int:
     t0 = time.perf_counter()
     grid = _build_grid(cfg)
-    gamma = cfg.fluid.gamma
     profile, steady = _build_steady(cfg, grid)
 
-    sub_cert = check_subsuper(subsolution_phi(grid), "sub", gamma, profile,
-                              tol=1e-8)
-    super_cert = check_subsuper(profile_supersolution(profile, gamma), "super",
-                                gamma, profile, tol=1e-8)
+    sub_cert = check_subsuper(subsolution_phi(grid), "sub", profile, tol=1e-8)
+    super_cert = check_subsuper(profile_supersolution(profile), "super",
+                                profile, tol=1e-8)
 
     report = steady_regularity_report(steady)
     residual_pass = steady.residual_elliptic <= 1e-6
@@ -83,7 +80,7 @@ def cmd_steady(cfg: AppConfig, outdir: Path) -> int:
           and super_cert.passed and report.stable_under_refinement
           and report.stable_under_widening)
     payload = {
-        "gamma": gamma,
+        "gamma": profile.fluid.gamma,
         "profile": profile.kind,
         "amplitude": profile.amplitude,
         "bounds_ok": steady.bounds_ok,
@@ -117,8 +114,7 @@ def _sim_config(cfg: AppConfig, steady, outdir: Path) -> SimConfig:
         checkpoint_dir = outdir / "checkpoints"
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
         checkpoint_dir = str(checkpoint_dir)
-    return SimConfig(params=cfg.fluid, steady=steady, **settings,
-                     checkpoint_dir=checkpoint_dir)
+    return SimConfig(steady=steady, **settings, checkpoint_dir=checkpoint_dir)
 
 
 def _simulate(cfg: AppConfig, steady, outdir: Path, t0: float) -> dict:

@@ -61,7 +61,6 @@ _SCHEMA = {
         "gamma": (float, 2.0),
         "mu": (float, 0.5),
         "lambda": (float, 0.0),
-        "alpha": (float, 0.0),
         "c_star": (float, 1.0),
     },
     "domain": {
@@ -137,10 +136,9 @@ class AppConfig:
 
     def background(self, grid):
         st = self.steady
-        return make_profile(st["profile"], self.fluid.c_star, st["amplitude"],
-                            grid, envelope_c0=st["envelope_c0"],
-                            envelope_eps=st["envelope_eps"],
-                            gamma=self.fluid.gamma)
+        return make_profile(st["profile"], self.fluid, st["amplitude"], grid,
+                            envelope_c0=st["envelope_c0"],
+                            envelope_eps=st["envelope_eps"])
 
     def spherical_grid(self):
         d, iq = self.domain, self.ineqlab
@@ -242,7 +240,7 @@ def parse_config(text: str, overrides: list[str] | None = None,
     fl = typed["fluid"]
     fluid = _owned("fluid", lambda: FluidParams(
         gamma=fl["gamma"], mu=fl["mu"], lambda_=fl["lambda"],
-        alpha=fl["alpha"], c_star=fl["c_star"]))
+        c_star=fl["c_star"]))
     use_seed = typed["output"]["seed"] if seed is None else int(seed)
     if use_seed < 0:  # numpy seeds its generators from non-negative integers
         raise ConfigError(
@@ -263,8 +261,7 @@ def parse_config(text: str, overrides: list[str] | None = None,
     grid = _owned("domain", cfg.radial_grid)
     _owned("domain", lambda: laplacian(grid))  # the spacing rule
     _owned("steady", lambda: check_tol(cfg.steady["tol"]))
-    _owned("steady", lambda: profile_supersolution(cfg.background(grid),
-                                                   fluid.gamma))
+    _owned("steady", lambda: profile_supersolution(cfg.background(grid)))
     ev = cfg.evolve
     _owned("evolve", lambda: check_run_settings(
         ev["delta"], ev["t_end"], ev["dt"], ev["sponge_width"],

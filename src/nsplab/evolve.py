@@ -99,9 +99,9 @@ class PerturbationState:
 @dataclass(frozen=True)
 class SimConfig:
     """Everything a run needs; dt, sponge width and rate accept 'auto'.  The
-    run is on the steady state's grid, at the steady gamma and c_star."""
+    run is on the steady state's grid, for the gas of its profile
+    (steady.profile.fluid)."""
 
-    params: FluidParams
     steady: SteadyState
     delta: float = 1e-3
     t_end: float = 10.0
@@ -120,11 +120,6 @@ class SimConfig:
                            self.sponge_width, self.sponge_rate,
                            self.output_stride, self.init_kind, self.mode,
                            self.vacuum_floor, self.margin)
-        given = (self.params.gamma, self.params.c_star)
-        steady = (self.steady.gamma, self.steady.profile.c_star)
-        if given != steady:
-            raise ParameterError(f"params (gamma, c_star) = {given} disagree "
-                                 f"with the steady state's {steady}")
 
 
 def _smooth_bump(r: np.ndarray, center: float, width: float) -> np.ndarray:
@@ -151,7 +146,7 @@ class _Workspace:
 
     def __init__(self, config: SimConfig):
         grid = config.steady.rho_tilde.grid
-        params = config.params
+        params = config.steady.profile.fluid
         self.grid = grid
         self.params = params
         self.r = grid.r
@@ -272,12 +267,15 @@ def init_perturbation(kind: str, delta: float, grid: RadialGrid,
     The density part is a positive bump plus a matched negative shell; the
     matching constant is computed against the discrete quadrature, so the two
     sums cancel exactly.  Both parts and the velocity bump vanish identically
-    near the walls.  grid must have the steady state's nodes.
+    near the walls.  grid must have the steady state's nodes and params must
+    be the gas of its profile.
     """
     grid.require_same(steady.rho_tilde.grid, "grid and the steady state")
-    ws = _Workspace(SimConfig(params=params, steady=steady,
-                              delta=delta, init_kind=kind, mode=mode,
-                              sponge_rate=0.0, sponge_width=0.0))
+    if params != steady.profile.fluid:
+        raise ParameterError(f"params {params} are not the steady state's "
+                             f"gas {steady.profile.fluid}")
+    ws = _Workspace(SimConfig(steady=steady, delta=delta, init_kind=kind,
+                              mode=mode, sponge_rate=0.0, sponge_width=0.0))
     r = grid.r
     length = effective_length(grid.r_inner, grid.r_outer)
 
@@ -424,8 +422,7 @@ def run_simulation(config: SimConfig) -> "energy_mod.TimeSeries":
     ws = _Workspace(config)
     try:
         state = init_perturbation(config.init_kind, config.delta, ws.grid,
-                                  config.steady, config.params,
-                                  mode=config.mode)
+                                  config.steady, ws.params, mode=config.mode)
     except (VacuumError, IterationError) as exc:
         raise SimulationAbort(str(exc), t_fail=0.0) from exc
     dt = _resolve_dt(config, state, ws)

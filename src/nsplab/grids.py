@@ -24,24 +24,22 @@ FOUR_PI = 4.0 * math.pi
 
 @dataclass(frozen=True)
 class FluidParams:
-    """Physical constants of the gas: adiabatic exponent, viscosities, slip
-    friction, and the far-field density the flow relaxes to.
+    """Physical constants of the gas: adiabatic exponent, viscosities, and
+    the far-field density the flow relaxes to.  A background profile carries
+    the gas it was built for, and its steady state and every run about it
+    read gamma and c_star from there.
 
     ``lambda_`` is the second viscosity; ``mu > 0`` and
-    ``lambda_ + 2*mu/3 >= 0`` are required.  ``alpha`` is the boundary slip
-    friction; it does not enter the radial dynamics (a radial velocity field
-    has no tangential component at the inner sphere) and is recorded only so
-    configurations are complete.
+    ``lambda_ + 2*mu/3 >= 0`` are required.
     """
 
     gamma: float
     mu: float
     lambda_: float
-    alpha: float = 0.0
     c_star: float = 1.0
 
     def __post_init__(self):
-        vals = (self.gamma, self.mu, self.lambda_, self.alpha, self.c_star)
+        vals = (self.gamma, self.mu, self.lambda_, self.c_star)
         if not all(math.isfinite(v) for v in vals):
             raise ParameterError("fluid parameters must be finite")
         if self.gamma < 1.0:

@@ -27,6 +27,11 @@ The solver runs the shifted fixed-point iteration
 from both brackets; the discrete comparison principle makes the two sequences
 monotone and keeps them ordered, and agreement of the limits is the
 uniqueness certificate.
+
+The background profile carries the gas (FluidParams) it was built for, so
+the solver, the brackets, the certificates and the steady state read gamma
+and c_star from profile.fluid; only the functions of the constants alone
+(supersolution_phi, rho_from_phi) take them as arguments.
 """
 
 from __future__ import annotations
@@ -35,11 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import laplacian, solve_shifted
+from .elliptic import hessian_norm_radial, laplacian, solve_shifted
 from .errors import (EvaluationDomainError, IterationError, MonotonicityError,
                      ParameterError)
-from .grids import (RadialField, RadialGrid, build_radial_grid, cutoff,
-                    differentiate, radial_derivative, vector_gradient_norm,
+from .grids import (FluidParams, RadialField, RadialGrid, build_radial_grid,
+                    cutoff, differentiate, radial_derivative,
                     vector_hessian_norm, weighted_l2_norm)
 
 PROFILE_KINDS = ("constant", "admissible_bump", "general_gamma_envelope")
@@ -58,10 +63,12 @@ def effective_length(r_inner: float, r_outer: float) -> float:
 
 @dataclass(frozen=True)
 class BackgroundProfile:
-    """Prescribed background charge density b(r) with its admissibility data."""
+    """Prescribed background charge density b(r) with its admissibility data
+    and the gas it was built for: the steady problem of this background is
+    solved at fluid.gamma and fluid.c_star."""
 
     kind: str
-    c_star: float
+    fluid: FluidParams
     amplitude: float
     values: RadialField
     envelope_c0: float | None = None
@@ -86,7 +93,6 @@ class SteadyState:
 
     rho_tilde: RadialField
     phi_tilde: RadialField
-    gamma: float
     profile: BackgroundProfile
     residual_elliptic: float
     bounds_ok: bool
@@ -129,10 +135,10 @@ class _Branch:
         return self._scaled(phi) ** expo / self.gamma
 
 
-def make_profile(kind: str, c_star: float, amplitude: float, grid: RadialGrid,
-                 envelope_c0: float = 1.0, envelope_eps: float = 0.5,
-                 gamma: float | None = None) -> BackgroundProfile:
-    """Build a background profile of the requested kind.
+def make_profile(kind: str, fluid: FluidParams, amplitude: float,
+                 grid: RadialGrid, envelope_c0: float = 1.0,
+                 envelope_eps: float = 0.5) -> BackgroundProfile:
+    """Build a background profile of the requested kind for the gas fluid.
 
     constant:               b == c_star
     admissible_bump:        b = c_star + amplitude * s(r) / r, smooth mask s
@@ -143,40 +149,39 @@ def make_profile(kind: str, c_star: float, amplitude: float, grid: RadialGrid,
         raise ParameterError(f"unknown profile kind {kind!r}")
     if not (0.0 <= amplitude <= 1.0):
         raise ParameterError(f"amplitude must lie in [0, 1], got {amplitude}")
-    if c_star <= 0.0:
-        raise ParameterError(f"c_star must be > 0, got {c_star}")
 
+    c_star = fluid.c_star
     r = grid.r
     mask = cutoff(r, grid.r_inner, effective_length(grid.r_inner, grid.r_outer))
     if kind == "constant":
         vals = np.full_like(r, c_star)
-        return BackgroundProfile(kind, c_star, amplitude, RadialField(vals, grid))
+        return BackgroundProfile(kind, fluid, amplitude, RadialField(vals, grid))
     if kind == "admissible_bump":
         vals = c_star + amplitude * mask / r
-        return BackgroundProfile(kind, c_star, amplitude, RadialField(vals, grid))
+        return BackgroundProfile(kind, fluid, amplitude, RadialField(vals, grid))
 
     # envelope: b = F(amplitude * c0 * r**(-eps) * s(r)) for the gamma branch
-    if gamma is None or gamma <= 1.0:
+    if fluid.gamma <= 1.0:
         raise ParameterError("general_gamma_envelope requires gamma > 1")
     if not (0.0 < envelope_eps < 1.0):
         raise ParameterError(f"envelope_eps must lie in (0, 1), got {envelope_eps}")
     if envelope_c0 <= 0.0:
         raise ParameterError(f"envelope_c0 must be > 0, got {envelope_c0}")
-    branch = _Branch(gamma, c_star)
+    branch = _Branch(fluid.gamma, c_star)
     phi_env = amplitude * envelope_c0 * r ** (-envelope_eps) * mask
     vals = branch.F(phi_env)
-    return BackgroundProfile(kind, c_star, amplitude, RadialField(vals, grid),
+    return BackgroundProfile(kind, fluid, amplitude, RadialField(vals, grid),
                              envelope_c0=envelope_c0, envelope_eps=envelope_eps)
 
 
-def profile_upper_bound(profile: BackgroundProfile, gamma: float) -> np.ndarray:
+def profile_upper_bound(profile: BackgroundProfile) -> np.ndarray:
     """Pointwise admissible ceiling for both b and the steady density."""
-    grid = profile.values.grid
-    r = grid.r
+    fluid = profile.fluid
+    r = profile.values.grid.r
     if profile.kind == "general_gamma_envelope":
-        branch = _Branch(gamma, profile.c_star)
+        branch = _Branch(fluid.gamma, fluid.c_star)
         return branch.F(profile.envelope_c0 * r ** (-profile.envelope_eps))
-    return profile.c_star + 1.0 / r
+    return fluid.c_star + 1.0 / r
 
 
 def subsolution_phi(grid: RadialGrid) -> RadialField:
@@ -201,14 +206,14 @@ def supersolution_phi(gamma: float, c_star: float,
     return RadialField(vals, grid)
 
 
-def profile_supersolution(profile: BackgroundProfile,
-                          gamma: float) -> RadialField:
+def profile_supersolution(profile: BackgroundProfile) -> RadialField:
     """The explicit supersolution that brackets the steady problem for this
     background: the envelope c0 * r**(-eps) (any gamma > 1) for the envelope
     profile, the closed form (gamma in [1, 2] only) otherwise."""
     grid = profile.values.grid
+    gamma = profile.fluid.gamma
     if profile.kind != "general_gamma_envelope":
-        return supersolution_phi(gamma, profile.c_star, grid)
+        return supersolution_phi(gamma, profile.fluid.c_star, grid)
     if gamma <= 1.0:
         raise ParameterError("envelope supersolution requires gamma > 1")
     return grid.field(profile.envelope_c0 * grid.r ** (-profile.envelope_eps))
@@ -220,8 +225,8 @@ def rho_from_phi(phi: RadialField, gamma: float, c_star: float) -> RadialField:
     return RadialField(branch.F(phi.values), phi.grid)
 
 
-def check_subsuper(phi: RadialField, role: str, gamma: float,
-                   profile: BackgroundProfile, tol: float = 1e-8) -> CertReport:
+def check_subsuper(phi: RadialField, role: str, profile: BackgroundProfile, *,
+                   tol: float = 1e-8) -> CertReport:
     """Evaluate the pointwise residual Lap(phi) - F(phi) + b on interior nodes
     and the inner normal derivative (n points toward the origin, so
     d/dn = -d/dr).
@@ -232,7 +237,7 @@ def check_subsuper(phi: RadialField, role: str, gamma: float,
     if role not in ("sub", "super"):
         raise ParameterError(f"role must be 'sub' or 'super', got {role!r}")
     phi.grid.require_same(profile.values.grid, "phi and the background profile")
-    branch = _Branch(gamma, profile.c_star)
+    branch = _Branch(profile.fluid.gamma, profile.fluid.c_star)
     lap = laplacian(phi.grid) @ phi.values
     residual = lap - branch.F(phi.values) + profile.values.values
     interior = residual[1:-1]
@@ -276,11 +281,10 @@ def check_tol(tol: float) -> None:
         raise ParameterError(f"tol must be finite and > 0, got {tol}")
 
 
-def solve_steady_monotone(gamma: float, profile: BackgroundProfile, *,
-                          tol: float = 1e-10,
+def solve_steady_monotone(profile: BackgroundProfile, *, tol: float = 1e-10,
                           max_iter: int = 200) -> SteadyState:
     """Solve the semilinear steady problem by bracketing monotone iteration
-    on the profile's grid.
+    on the profile's grid, for the profile's gas.
 
     Runs from the supersolution (nonincreasing) and the subsolution
     (nondecreasing); the shift M = 1.1 * sup F' over the bracket keeps both
@@ -290,9 +294,9 @@ def solve_steady_monotone(gamma: float, profile: BackgroundProfile, *,
     """
     check_tol(tol)
     grid = profile.values.grid
-    c_star = profile.c_star
+    gamma, c_star = profile.fluid.gamma, profile.fluid.c_star
     branch = _Branch(gamma, c_star)
-    phi_super = profile_supersolution(profile, gamma)
+    phi_super = profile_supersolution(profile)
     phi_sub = subsolution_phi(grid)
 
     fp_max = float(np.max(branch.Fprime(phi_super.values)))
@@ -324,12 +328,12 @@ def solve_steady_monotone(gamma: float, profile: BackgroundProfile, *,
                                               - profile.values.values)
     residual_norm = weighted_l2_norm(RadialField(residual, grid))
 
-    ceiling = profile_upper_bound(profile, gamma)
+    ceiling = profile_upper_bound(profile)
     slack = 100.0 * tol
     bounds_ok = bool(np.all(rho_tilde.values >= c_star - slack)
                      and np.all(rho_tilde.values <= ceiling + slack))
 
-    return SteadyState(rho_tilde=rho_tilde, phi_tilde=phi_tilde, gamma=gamma,
+    return SteadyState(rho_tilde=rho_tilde, phi_tilde=phi_tilde,
                        profile=profile, residual_elliptic=residual_norm,
                        bounds_ok=bounds_ok, iterations_super=it_super,
                        iterations_sub=it_sub, limit_gap=gap,
@@ -342,7 +346,7 @@ def compatibility_residual(steady: SteadyState) -> float:
     rho = steady.rho_tilde
     dphi, drho = differentiate(rho.grid, np.stack((steady.phi_tilde.values,
                                                    rho.values)), 1)
-    rhs = steady.gamma * rho.values ** (steady.gamma - 2.0) * drho
+    rhs = steady.profile.fluid.enthalpy_weight(rho.values) * drho
     return float(np.max(np.abs(dphi - rhs)))
 
 
@@ -362,7 +366,7 @@ def _derivative_norms(state: SteadyState) -> dict:
     for name, fld in (("rho", state.rho_tilde), ("phi", state.phi_tilde)):
         d1 = radial_derivative(fld, 1)
         out[f"grad_{name}"] = weighted_l2_norm(d1)
-        out[f"hess_{name}"] = vector_gradient_norm(d1)
+        out[f"hess_{name}"] = hessian_norm_radial(fld)
         out[f"third_{name}"] = vector_hessian_norm(d1)
     return out
 
@@ -378,10 +382,9 @@ def steady_regularity_report(steady: SteadyState) -> RegularityReport:
     n_cells = grid.n_nodes - 1
 
     def resolve(new_grid):
-        p = make_profile(prof.kind, prof.c_star, prof.amplitude, new_grid,
-                         envelope_c0=prof.envelope_c0,
-                         envelope_eps=prof.envelope_eps, gamma=steady.gamma)
-        return solve_steady_monotone(steady.gamma, p)
+        return solve_steady_monotone(make_profile(
+            prof.kind, prof.fluid, prof.amplitude, new_grid,
+            envelope_c0=prof.envelope_c0, envelope_eps=prof.envelope_eps))
 
     r0, r1, stretch = grid.r_inner, grid.r_outer, grid.stretch
     fine = resolve(build_radial_grid(r0, r1, 2 * n_cells, stretch))

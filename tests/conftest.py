@@ -5,8 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from nsplab import (FluidParams, build_radial_grid, make_profile,
-                    solve_steady_monotone)
+from nsplab import build_radial_grid, make_profile, solve_steady_monotone
+from oracles import gas
 
 
 @pytest.fixture(scope="session")
@@ -21,16 +21,16 @@ def shell16():
 
 @pytest.fixture(scope="session")
 def params_gamma2():
-    return FluidParams(gamma=2.0, mu=0.5, lambda_=0.0, c_star=1.0)
+    return gas(2.0)
 
 
 @pytest.fixture(scope="session")
-def steady_bump_gamma2(shell16):
-    profile = make_profile("admissible_bump", 1.0, 0.5, shell16)
-    return solve_steady_monotone(2.0, profile)
+def steady_bump_gamma2(shell16, params_gamma2):
+    profile = make_profile("admissible_bump", params_gamma2, 0.5, shell16)
+    return solve_steady_monotone(profile)
 
 
 @pytest.fixture(scope="session")
-def steady_flat_gamma2(shell16):
-    profile = make_profile("constant", 1.0, 0.0, shell16)
-    return solve_steady_monotone(2.0, profile)
+def steady_flat_gamma2(shell16, params_gamma2):
+    profile = make_profile("constant", params_gamma2, 0.0, shell16)
+    return solve_steady_monotone(profile)

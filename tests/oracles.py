@@ -8,7 +8,8 @@ exception is the 3-D spherical operators at the end: they apply the
 package's one-axis stencils and quadrature to whole 3-D arrays, an
 independent evaluation path for the mode-factored ensembles.  The module
 also holds ``tendencies``, the suite's one way to evaluate a single state's
-tendencies through a run workspace, and ``sample_norms``, its E/D sample.
+tendencies through a run workspace, ``sample_norms``, its E/D sample, and
+``gas``, the suite's FluidParams.
 """
 
 import math
@@ -23,7 +24,7 @@ from nsplab.elliptic import laplacian
 from nsplab.energy import _sample_norms
 from nsplab.errors import ParameterError
 from nsplab.evolve import SimConfig, _tendencies, _Workspace
-from nsplab.grids import cutoff
+from nsplab.grids import FluidParams, cutoff
 from nsplab.ineqlab import SphericalGrid, _periodic, _three_point
 from nsplab.steady import _Branch
 
@@ -57,11 +58,17 @@ def banded_layout(sub, diag, sup):
     return np.array([np.r_[0.0, sup[:-1]], diag, np.r_[sub[1:], 0.0]])
 
 
-def newton_steady(gamma, profile, grid, tol=2e-11, max_iter=60):
+def gas(gamma, c_star=1.0, mu=0.5):
+    """FluidParams with lambda = 0: the gas every test problem is built for."""
+    return FluidParams(gamma=gamma, mu=mu, lambda_=0.0, c_star=c_star)
+
+
+def newton_steady(profile, tol=2e-11, max_iter=60):
     """Damped Newton on the discrete semilinear system
-    L_h Phi - F(Phi) + b = 0 (same operator as the production solver,
-    independent iteration)."""
-    branch = _Branch(gamma, profile.c_star)
+    L_h Phi - F(Phi) + b = 0 of the profile's gas and grid (same operator
+    as the production solver, independent iteration)."""
+    grid = profile.values.grid
+    branch = _Branch(profile.fluid.gamma, profile.fluid.c_star)
     lap = laplacian(grid)
     b = profile.values.values
     phi = np.zeros(grid.n_nodes)
@@ -118,12 +125,11 @@ def radial_vector_h3_norm_dense(u_funcs, r_inner, r_outer, n=40001):
     return np.sqrt(total)
 
 
-def tendencies(state, steady, params, mode="nonlinear"):
+def tendencies(state, steady, mode="nonlinear"):
     """The tendencies (q_t, u_t, phi_t, q_tt) of one state, as arrays,
     evaluated afresh by a run workspace of its own, as a run evaluates the
     state it samples."""
-    ws = _Workspace(SimConfig(params=params, steady=steady,
-                              mode=mode))
+    ws = _Workspace(SimConfig(steady=steady, mode=mode))
     q, u, phi = state.q.values, state.u.values, state.phi.values
     return _tendencies(ws, q, u, ws.rhs(q, u, phi))
 

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from nsplab import (FluidParams, SimConfig, build_radial_grid, check_subsuper,
+from nsplab import (SimConfig, build_radial_grid, check_subsuper,
                     init_perturbation, make_profile, run_simulation,
                     solve_poisson_neumann, solve_steady_monotone,
                     subsolution_phi, supersolution_phi, weighted_l2_norm)
@@ -18,9 +18,9 @@ from nsplab.cli import main
 from nsplab.steady import BackgroundProfile
 from nsplab.grids import RadialField
 
-from oracles import newton_steady
+from oracles import gas, newton_steady
 
-PARAMS = FluidParams(gamma=2.0, mu=0.5, lambda_=0.0, c_star=1.0)
+PARAMS = gas(2.0)
 
 
 def _report(num, ok, detail):
@@ -43,10 +43,10 @@ def stability_runs(grid2000):
     out = {}
     for label, r_max, n in (("r16", 16.0, 2000), ("r32", 32.0, 4000)):
         grid = grid2000 if label == "r16" else build_radial_grid(1.0, r_max, n)
-        profile = make_profile("admissible_bump", 1.0, 0.5, grid)
-        steady = solve_steady_monotone(2.0, profile)
-        cfg = SimConfig(params=PARAMS, steady=steady, delta=1e-3,
-                        t_end=10.0, output_stride=50)
+        profile = make_profile("admissible_bump", PARAMS, 0.5, grid)
+        steady = solve_steady_monotone(profile)
+        cfg = SimConfig(steady=steady, delta=1e-3, t_end=10.0,
+                        output_stride=50)
         t0 = time.perf_counter()
         series = run_simulation(cfg)
         wall = time.perf_counter() - t0
@@ -62,9 +62,9 @@ def test_criterion_01_steady_bounds(grid2000):
     for gamma in (1.0, 1.5, 2.0):
         for amplitude in (0.0, 0.5, 1.0):
             t0 = time.perf_counter()
-            profile = make_profile("admissible_bump", 1.0, amplitude, grid2000)
-            st = solve_steady_monotone(gamma, profile, tol=1e-10,
-                                       max_iter=200)
+            profile = make_profile("admissible_bump", gas(gamma), amplitude,
+                                   grid2000)
+            st = solve_steady_monotone(profile, tol=1e-10, max_iter=200)
             wall = time.perf_counter() - t0
             rho = st.rho_tilde.values
             lo = float(np.min(rho - (1.0 - 1e-8)))
@@ -79,14 +79,14 @@ def test_criterion_01_steady_bounds(grid2000):
 
 
 def test_criterion_02_subsuper_certificates(grid2000):
-    saturating = BackgroundProfile(
-        "admissible_bump", 1.0, 1.0,
-        RadialField(1.0 + 1.0 / grid2000.r, grid2000))
+    def saturating(gamma):
+        return BackgroundProfile("admissible_bump", gas(gamma), 1.0,
+                                 RadialField(1.0 + 1.0 / grid2000.r, grid2000))
     cert2 = check_subsuper(supersolution_phi(2.0, 1.0, grid2000), "super",
-                           2.0, saturating, tol=1e-10)
+                           saturating(2.0), tol=1e-10)
     resid2 = max(abs(cert2.max_residual), abs(cert2.min_residual))
     cert4 = check_subsuper(supersolution_phi(1.0, 1.0, grid2000), "super",
-                           1.0, saturating, tol=1e-8)
+                           saturating(1.0), tol=1e-8)
     ok = (cert2.passed and resid2 < 1e-10
           and cert2.boundary_normal_derivative > 0.0
           and abs(cert2.boundary_normal_derivative - 2.0) < 1e-2
@@ -97,9 +97,9 @@ def test_criterion_02_subsuper_certificates(grid2000):
 
 
 def test_criterion_03_newton_oracle_agreement(grid2000):
-    profile = make_profile("admissible_bump", 1.0, 0.5, grid2000)
-    st = solve_steady_monotone(2.0, profile, tol=1e-10)
-    phi_newton = newton_steady(2.0, profile, grid2000)
+    profile = make_profile("admissible_bump", PARAMS, 0.5, grid2000)
+    st = solve_steady_monotone(profile, tol=1e-10)
+    phi_newton = newton_steady(profile)
     gap = float(np.max(np.abs(st.phi_tilde.values - phi_newton)))
     _report(3, gap < 1e-9,
             f"monotone vs damped-Newton max gap {gap:.2e} < 1e-9")
@@ -110,8 +110,8 @@ def test_criterion_04_spatial_convergence():
     phis = {}
     for n in (500, 1000, 2000):
         g = build_radial_grid(1.0, 16.0, n)
-        profile = make_profile("admissible_bump", 1.0, 0.5, g)
-        phis[n] = solve_steady_monotone(2.0, profile).phi_tilde.values
+        profile = make_profile("admissible_bump", PARAMS, 0.5, g)
+        phis[n] = solve_steady_monotone(profile).phi_tilde.values
     e1 = np.max(np.abs(phis[500] - phis[1000][::2]))
     e2 = np.max(np.abs(phis[1000] - phis[2000][::2]))
     steady_ratio = e1 / e2
@@ -135,10 +135,9 @@ def test_criterion_04_spatial_convergence():
 
 
 def test_criterion_05_equilibrium_preservation(grid2000):
-    profile = make_profile("admissible_bump", 1.0, 0.5, grid2000)
-    steady = solve_steady_monotone(2.0, profile)
-    cfg = SimConfig(params=PARAMS, steady=steady, delta=0.0,
-                    t_end=10.0, output_stride=100)
+    profile = make_profile("admissible_bump", PARAMS, 0.5, grid2000)
+    steady = solve_steady_monotone(profile)
+    cfg = SimConfig(steady=steady, delta=0.0, t_end=10.0, output_stride=100)
     series = run_simulation(cfg)
     emax = float(np.max(series.column("E")))
     _report(5, emax < 1e-9,
@@ -172,13 +171,12 @@ def test_criterion_07_mass_conservation(stability_runs):
 
 
 def test_criterion_08_zero_order_energy_identity(grid2000):
-    profile = make_profile("admissible_bump", 1.0, 0.5, grid2000)
-    steady = solve_steady_monotone(2.0, profile)
+    profile = make_profile("admissible_bump", PARAMS, 0.5, grid2000)
+    steady = solve_steady_monotone(profile)
     cs = float(np.max(PARAMS.sound_speed(steady.rho_tilde.values)))
     dt = 0.1 * grid2000.min_spacing / cs
-    cfg = SimConfig(params=PARAMS, steady=steady, delta=1e-3,
-                    t_end=2.0, dt=dt, output_stride=1, mode="linear",
-                    sponge_rate=0.0)
+    cfg = SimConfig(steady=steady, delta=1e-3, t_end=2.0, dt=dt,
+                    output_stride=1, mode="linear", sponge_rate=0.0)
     series = run_simulation(cfg)
     resid = np.abs(series.column("identity_residual")[1:-1])
     scale = float(np.max(series.c_visc * series.column("grad_u_sq")[1:-1]))
@@ -188,12 +186,11 @@ def test_criterion_08_zero_order_energy_identity(grid2000):
 
     remainders = {}
     g1000 = build_radial_grid(1.0, 16.0, 1000)
-    profile_c = make_profile("admissible_bump", 1.0, 0.5, g1000)
-    steady_c = solve_steady_monotone(2.0, profile_c)
+    profile_c = make_profile("admissible_bump", PARAMS, 0.5, g1000)
+    steady_c = solve_steady_monotone(profile_c)
     for delta in (1e-4, 1e-3):
-        cfg_nl = SimConfig(params=PARAMS, steady=steady_c,
-                           delta=delta, t_end=2.0, output_stride=1,
-                           mode="nonlinear", sponge_rate=0.0)
+        cfg_nl = SimConfig(steady=steady_c, delta=delta, t_end=2.0,
+                           output_stride=1, mode="nonlinear", sponge_rate=0.0)
         s = run_simulation(cfg_nl)
         remainders[delta] = float(np.max(np.abs(
             s.column("identity_residual")[1:-1])))

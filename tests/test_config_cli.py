@@ -68,12 +68,17 @@ def test_parse_rejects_gamma_below_one():
         parse_config(QUICK.replace("gamma = 2.0", "gamma = 0.5"))
 
 
-def test_parse_rejects_unknown_key():
+def test_parse_rejects_unknown_key(tmp_path):
     bad = QUICK.replace("mu = 0.5", "mu = 0.5\nturbo = on")
     with pytest.raises(ConfigError) as err:
         parse_config(bad)
     assert "turbo" in str(err.value)
     assert "line" in str(err.value)
+    # the slip friction alpha never entered the radial dynamics: no key
+    with pytest.raises(ConfigError, match="'alpha'"):
+        parse_config(QUICK.replace("mu = 0.5", "mu = 0.5\nalpha = 0.0"))
+    assert main(["steady", "--config", str(CONFIGS / "quick.cfg"),
+                 "--out", str(tmp_path), "--set", "fluid.alpha=0"]) == 2
 
 
 @pytest.mark.parametrize("key", ["pressure", "coupling", "viscosity"])

@@ -34,7 +34,7 @@ def _scaled(state, tend, lam, grid):
 def bundle(shell16, steady_bump_gamma2, params_gamma2):
     state = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
                               params_gamma2)
-    tend = tendencies(state, steady_bump_gamma2, params_gamma2)
+    tend = tendencies(state, steady_bump_gamma2)
     return state, tend
 
 
@@ -169,8 +169,7 @@ def test_qtt_consistent_with_time_differences(shell16, steady_bump_gamma2,
                                               params_gamma2):
     # centered second difference of q along a finely substepped trajectory
     # converges at O(dt^2) to the equation-evaluated q_tt
-    ws = _Workspace(SimConfig(params=params_gamma2,
-                              steady=steady_bump_gamma2, sponge_rate=0.0))
+    ws = _Workspace(SimConfig(steady=steady_bump_gamma2, sponge_rate=0.0))
     state = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
                               params_gamma2)
     cs = float(np.max(params_gamma2.sound_speed(
@@ -190,7 +189,7 @@ def test_qtt_consistent_with_time_differences(shell16, steady_bump_gamma2,
                0.1 * shell16.min_spacing / cs):
         s1 = advance(state, dt, 16)
         s2 = advance(s1, dt, 16)
-        tend_mid = tendencies(s1, steady_bump_gamma2, params_gamma2)
+        tend_mid = tendencies(s1, steady_bump_gamma2)
         fd = (s2.q.values - 2.0 * s1.q.values + state.q.values) / dt**2
         q_tt = tend_mid[3]
         scale = np.max(np.abs(q_tt))
@@ -245,11 +244,9 @@ def test_theorem_bound_rejects_zero_initial_energy():
         check_theorem_bound(series, margin=2.0, c_fit=1.0)
 
 
-def test_identity_residual_needs_three_samples(steady_bump_gamma2,
-                                               params_gamma2):
+def test_identity_residual_needs_three_samples(steady_bump_gamma2):
     # two samples have no centered stencil: no residual, no fit, no kappa
-    cfg = SimConfig(params=params_gamma2,
-                    steady=steady_bump_gamma2, delta=1e-3, t_end=0.2,
+    cfg = SimConfig(steady=steady_bump_gamma2, delta=1e-3, t_end=0.2,
                     output_stride=10**6)
     series = run_simulation(cfg)
     assert series.column("t").size == 2
@@ -258,20 +255,16 @@ def test_identity_residual_needs_three_samples(steady_bump_gamma2,
     assert series.remainder_kappa is None
 
 
-def test_identity_residual_zero_perturbation(steady_bump_gamma2,
-                                             params_gamma2):
-    cfg = SimConfig(params=params_gamma2,
-                    steady=steady_bump_gamma2, delta=0.0, t_end=0.2,
+def test_identity_residual_zero_perturbation(steady_bump_gamma2):
+    cfg = SimConfig(steady=steady_bump_gamma2, delta=0.0, t_end=0.2,
                     output_stride=5)
     series = run_simulation(cfg)
     assert np.max(np.abs(series.column("identity_residual")[1:-1])) == 0.0
     assert series.verdict is None and series.remainder_kappa is None
 
 
-def test_identity_residual_reads_the_recorded_column(steady_bump_gamma2,
-                                                     params_gamma2):
-    cfg = SimConfig(params=params_gamma2,
-                    steady=steady_bump_gamma2, delta=1e-3, t_end=0.2,
+def test_identity_residual_reads_the_recorded_column(steady_bump_gamma2):
+    cfg = SimConfig(steady=steady_bump_gamma2, delta=1e-3, t_end=0.2,
                     output_stride=5)
     series = run_simulation(cfg)
     resid = series.column("identity_residual")
@@ -289,15 +282,13 @@ def test_identity_residual_reads_the_recorded_column(steady_bump_gamma2,
             abs=1e-12 * abs(dedt))
 
 
-def test_remainder_constant_scales_with_amplitude(params_gamma2,
-                                                  steady_bump_gamma2):
+def test_remainder_constant_scales_with_amplitude(steady_bump_gamma2):
     # the zero-order remainder per unit D^2 grows ~linearly with amplitude
     # once it clears the (amplitude-quadratic) discretization floor, which at
     # this resolution happens around delta ~ 3e-2
     kappa_delta = {}
     for delta in (3e-2, 1e-1):
-        cfg = SimConfig(params=params_gamma2,
-                        steady=steady_bump_gamma2, delta=delta, t_end=1.0,
+        cfg = SimConfig(steady=steady_bump_gamma2, delta=delta, t_end=1.0,
                         output_stride=1, mode="nonlinear", sponge_rate=0.0)
         series = run_simulation(cfg)
         kappa_delta[delta] = series.remainder_kappa * delta
@@ -307,8 +298,7 @@ def test_remainder_constant_scales_with_amplitude(params_gamma2,
 
 def test_measured_viscous_constant_matches_coefficient(params_gamma2,
                                                        steady_bump_gamma2):
-    cfg = SimConfig(params=params_gamma2,
-                    steady=steady_bump_gamma2, delta=1e-4, t_end=1.0,
+    cfg = SimConfig(steady=steady_bump_gamma2, delta=1e-4, t_end=1.0,
                     output_stride=5, mode="linear", sponge_rate=0.0)
     series = run_simulation(cfg)
     c = series.verdict.c_fit

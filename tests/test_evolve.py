@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsplab import (FluidParams, ParameterError, PerturbationState,
+from nsplab import (ParameterError, PerturbationState,
                     SimConfig, SimulationAbort, VacuumError,
                     build_radial_grid, init_perturbation, make_profile,
                     run_simulation, solve_steady_monotone, weighted_l2_norm)
@@ -16,7 +16,7 @@ from nsplab.evolve import (_Stepper, _viscous_operator, _Workspace,
                            write_checkpoint)
 from nsplab.grids import RadialField, differentiate
 
-from oracles import (MMS_TERMS, Manufactured, background_density,
+from oracles import (MMS_TERMS, Manufactured, background_density, gas,
                      sample_norms, tendencies)
 
 
@@ -32,7 +32,7 @@ def steady320():
     """A gamma = 2 bump steady state on a uniform 320-cell shell."""
     grid = build_radial_grid(1.0, 16.0, 320)
     return solve_steady_monotone(
-        2.0, make_profile("admissible_bump", 1.0, 0.5, grid))
+        make_profile("admissible_bump", gas(2.0), 0.5, grid))
 
 
 def test_init_rejects_a_grid_other_than_the_steady_state(steady320,
@@ -46,13 +46,13 @@ def test_init_rejects_a_grid_other_than_the_steady_state(steady320,
     assert np.array_equal(state.q.grid.r, steady320.rho_tilde.grid.r)
 
 
-@pytest.mark.parametrize("change", [{"gamma": 1.5}, {"c_star": 3.0}])
-def test_sim_config_rejects_params_other_than_the_steady_state(steady320,
-                                                               change):
-    params = FluidParams(**{"gamma": 2.0, "mu": 0.5, "lambda_": 0.0,
-                            "c_star": 1.0, **change})
-    with pytest.raises(ParameterError, match="disagree with the steady"):
-        SimConfig(params=params, steady=steady320)
+@pytest.mark.parametrize("params", [gas(1.5), gas(2.0, c_star=3.0),
+                                    gas(2.0, mu=0.1)],
+                         ids=["gamma", "c_star", "mu"])
+def test_init_rejects_params_other_than_the_steady_state(steady320, params):
+    with pytest.raises(ParameterError, match="not the steady state's gas"):
+        init_perturbation("standard", 1e-3, steady320.rho_tilde.grid,
+                          steady320, params)
 
 
 def test_init_zero_delta(shell16, steady_bump_gamma2, params_gamma2):
@@ -74,7 +74,7 @@ def test_init_energy_equals_delta(shell16, steady_bump_gamma2, params_gamma2):
     for delta in (1e-4, 1e-3):
         st = init_perturbation("standard", delta, shell16, steady_bump_gamma2,
                                params_gamma2)
-        tend = tendencies(st, steady_bump_gamma2, params_gamma2)
+        tend = tendencies(st, steady_bump_gamma2)
         e = sample_norms(st, tend)[0]
         assert e == pytest.approx(delta, rel=1e-9)
     # doubling delta doubles E(0) (well within the 2% near-linearity budget)
@@ -82,8 +82,7 @@ def test_init_energy_equals_delta(shell16, steady_bump_gamma2, params_gamma2):
                             params_gamma2)
     st2 = init_perturbation("standard", 2e-3, shell16, steady_bump_gamma2,
                             params_gamma2)
-    e1, e2 = (sample_norms(st, tendencies(st, steady_bump_gamma2,
-                                          params_gamma2))[0]
+    e1, e2 = (sample_norms(st, tendencies(st, steady_bump_gamma2))[0]
               for st in (st1, st2))
     assert e2 / e1 == pytest.approx(2.0, rel=0.02)
 
@@ -113,7 +112,7 @@ def test_equilibrium_tendencies_vanish(shell16, steady_bump_gamma2,
                                        params_gamma2):
     st = init_perturbation("standard", 0.0, shell16, steady_bump_gamma2,
                            params_gamma2)
-    for f in tendencies(st, steady_bump_gamma2, params_gamma2):
+    for f in tendencies(st, steady_bump_gamma2):
         assert np.max(np.abs(f)) == 0.0
 
 
@@ -125,10 +124,9 @@ def test_zero_perturbation_tendencies_vanish(gamma, amplitude, n_cells,
     # the steady state is a discrete equilibrium for every admissible setup
     g = build_radial_grid(1.0, 16.0, n_cells, stretch)
     steady = solve_steady_monotone(
-        gamma, make_profile("admissible_bump", 1.0, amplitude, g))
-    params = FluidParams(gamma=gamma, mu=0.5, lambda_=0.0)
+        make_profile("admissible_bump", gas(gamma), amplitude, g))
     zero = PerturbationState(q=g.zeros(), u=g.zeros(), phi=g.zeros(), t=0.0)
-    for f in tendencies(zero, steady, params):
+    for f in tendencies(zero, steady):
         assert np.max(np.abs(f)) <= 1e-13
 
 
@@ -136,8 +134,8 @@ def test_continuity_matches_analytic_divergence(params_gamma2):
     errs = []
     for n in (400, 800):
         g = build_radial_grid(1.0, 16.0, n)
-        profile = make_profile("constant", 1.0, 0.0, g)
-        steady = solve_steady_monotone(2.0, profile)
+        profile = make_profile("constant", params_gamma2, 0.0, g)
+        steady = solve_steady_monotone(profile)
         r = g.r
         env = np.exp(-((r - 5.0) ** 2))
         q = 1e-2 * env
@@ -152,7 +150,7 @@ def test_continuity_matches_analytic_divergence(params_gamma2):
         state = PerturbationState(
             q=RadialField(q, g), u=RadialField(u, g),
             phi=g.zeros(), t=0.0)
-        q_t = tendencies(state, steady, params_gamma2)[0]
+        q_t = tendencies(state, steady)[0]
         errs.append(np.max(np.abs(q_t - q_t_exact)))
     assert errs[0] / errs[1] > 3.0
 
@@ -160,8 +158,9 @@ def test_continuity_matches_analytic_divergence(params_gamma2):
 @pytest.fixture(scope="module", params=[0.0, 3.0], ids=["uniform", "stretched"])
 def flux_workspace(request, params_gamma2):
     g = build_radial_grid(1.0, 16.0, 64, request.param)
-    steady = solve_steady_monotone(2.0, make_profile("constant", 1.0, 0.0, g))
-    return _Workspace(SimConfig(params=params_gamma2, steady=steady))
+    steady = solve_steady_monotone(
+        make_profile("constant", params_gamma2, 0.0, g))
+    return _Workspace(SimConfig(steady=steady))
 
 
 _WALL = st.one_of(st.floats(0.1, 1.0), st.floats(-1.0, -0.1))
@@ -196,8 +195,8 @@ def test_tendency_scaling_exponent(shell16, steady_bump_gamma2,
             q=RadialField(2 * scale * base.q.values, shell16),
             u=RadialField(2 * scale * base.u.values, shell16),
             phi=RadialField(2 * scale * base.phi.values, shell16), t=0.0)
-        q_t1, u_t1 = tendencies(st1, steady_bump_gamma2, params_gamma2)[:2]
-        q_t2, u_t2 = tendencies(st2, steady_bump_gamma2, params_gamma2)[:2]
+        q_t1, u_t1 = tendencies(st1, steady_bump_gamma2)[:2]
+        q_t2, u_t2 = tendencies(st2, steady_bump_gamma2)[:2]
         defect = (np.max(np.abs(u_t2 - 2 * u_t1))
                   + np.max(np.abs(q_t2 - 2 * q_t1)))
         defects.append(defect)
@@ -208,8 +207,7 @@ def test_tendency_scaling_exponent(shell16, steady_bump_gamma2,
 # ------------------------------------------------------------------ steps
 
 def test_step_global_second_order(shell16, steady_bump_gamma2, params_gamma2):
-    ws = _Workspace(SimConfig(params=params_gamma2,
-                              steady=steady_bump_gamma2, sponge_rate=0.0))
+    ws = _Workspace(SimConfig(steady=steady_bump_gamma2, sponge_rate=0.0))
     state = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
                               params_gamma2)
     dt0 = cfl_dt(params_gamma2, steady_bump_gamma2, shell16)
@@ -235,10 +233,8 @@ def _linear_run_basic_energy(params, n_cells, kind, dt_factor, n_steps):
     state of a linear run about a flat background on [1, 16], sponge off,
     driven through the run's own workspace and stepper."""
     g = build_radial_grid(1.0, 16.0, n_cells)
-    profile = make_profile("constant", 1.0, 0.0, g)
-    steady = solve_steady_monotone(params.gamma, profile)
-    cfg = SimConfig(params=params, steady=steady, mode="linear",
-                    sponge_rate=0.0)
+    steady = solve_steady_monotone(make_profile("constant", params, 0.0, g))
+    cfg = SimConfig(steady=steady, mode="linear", sponge_rate=0.0)
     ws = _Workspace(cfg)
     stepper = _Stepper(ws, cfl_dt(params, steady, g, factor=dt_factor))
     state = init_perturbation(kind, 1e-3, g, steady, params, mode="linear")
@@ -267,7 +263,7 @@ def test_linear_run_basic_energy_is_nonincreasing(params_gamma2):
 def test_inviscid_linear_run_conserves_zero_order_energy():
     # pressure and field forces exchange energy but, without viscosity, do
     # not dissipate it; a scheme off in either term drifts
-    params = FluidParams(gamma=1.0, mu=1e-12, lambda_=0.0, c_star=1.0)
+    params = gas(1.0, mu=1e-12)
     e = _linear_run_basic_energy(params, 400, "standard", 0.25, 1000)
     assert abs(e[-1] - e[0]) / e[0] < 1e-3
 
@@ -295,7 +291,7 @@ def test_viscous_rows_match_direct_stencil(n_cells, stretch):
 
 def test_stepper_non_finite_is_vacuum_error(shell16, steady_bump_gamma2,
                                             params_gamma2):
-    cfg = SimConfig(params=params_gamma2, steady=steady_bump_gamma2)
+    cfg = SimConfig(steady=steady_bump_gamma2)
     st = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
                            params_gamma2)
     q = st.q.values.copy()
@@ -309,9 +305,8 @@ def test_stepper_non_finite_is_vacuum_error(shell16, steady_bump_gamma2,
 
 # ------------------------------------------------------------------- runs
 
-def test_run_zero_delta_stays_zero(steady_bump_gamma2, params_gamma2):
-    cfg = SimConfig(params=params_gamma2,
-                    steady=steady_bump_gamma2, delta=0.0, t_end=0.5,
+def test_run_zero_delta_stays_zero(steady_bump_gamma2):
+    cfg = SimConfig(steady=steady_bump_gamma2, delta=0.0, t_end=0.5,
                     output_stride=20)
     series = run_simulation(cfg)
     assert np.max(series.column("E")) == 0.0
@@ -321,8 +316,7 @@ def test_run_zero_delta_stays_zero(steady_bump_gamma2, params_gamma2):
 
 def test_run_mass_conservation_with_sponge(shell16, steady_bump_gamma2,
                                            params_gamma2):
-    cfg = SimConfig(params=params_gamma2,
-                    steady=steady_bump_gamma2, delta=1e-3, t_end=2.0,
+    cfg = SimConfig(steady=steady_bump_gamma2, delta=1e-3, t_end=2.0,
                     output_stride=10)
     series = run_simulation(cfg)
     st0 = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
@@ -334,10 +328,9 @@ def test_run_mass_conservation_with_sponge(shell16, steady_bump_gamma2,
 
 def test_run_is_deterministic(params_gamma2):
     g = build_radial_grid(1.0, 16.0, 200)
-    profile = make_profile("admissible_bump", 1.0, 0.5, g)
-    steady = solve_steady_monotone(2.0, profile)
-    cfg = SimConfig(params=params_gamma2, steady=steady, delta=1e-3,
-                    t_end=0.5, output_stride=10)
+    profile = make_profile("admissible_bump", params_gamma2, 0.5, g)
+    steady = solve_steady_monotone(profile)
+    cfg = SimConfig(steady=steady, delta=1e-3, t_end=0.5, output_stride=10)
     a = run_simulation(cfg)
     b = run_simulation(cfg)
     assert a.columns.keys() == b.columns.keys()
@@ -347,8 +340,7 @@ def test_run_is_deterministic(params_gamma2):
 
 def test_cfl_validation(shell16, steady_bump_gamma2, params_gamma2):
     big_dt = 10.0 * cfl_dt(params_gamma2, steady_bump_gamma2, shell16)
-    cfg = SimConfig(params=params_gamma2,
-                    steady=steady_bump_gamma2, delta=1e-3, t_end=1.0,
+    cfg = SimConfig(steady=steady_bump_gamma2, delta=1e-3, t_end=1.0,
                     dt=big_dt)
     with pytest.raises(ParameterError):
         run_simulation(cfg)
@@ -372,10 +364,8 @@ def test_checkpoint_roundtrip(tmp_path, shell16, steady_bump_gamma2,
     assert np.array_equal(phi, st.phi.values)
 
 
-def test_run_abort_while_building_initial_data(steady_bump_gamma2,
-                                               params_gamma2):
-    cfg = SimConfig(params=params_gamma2,
-                    steady=steady_bump_gamma2, delta=1e7, t_end=0.5)
+def test_run_abort_while_building_initial_data(steady_bump_gamma2):
+    cfg = SimConfig(steady=steady_bump_gamma2, delta=1e7, t_end=0.5)
     with pytest.raises(SimulationAbort) as info:
         run_simulation(cfg)
     assert info.value.t_fail == 0.0
@@ -392,9 +382,10 @@ def cells16(request):
     prefactor branch."""
     g = build_radial_grid(1.0, 16.0, 16)
     gamma = request.param
+    params = gas(gamma)
     steady = solve_steady_monotone(
-        gamma, make_profile("admissible_bump", 1.0, 0.5, g))
-    return g, steady, FluidParams(gamma=gamma, mu=0.5, lambda_=0.0)
+        make_profile("admissible_bump", params, 0.5, g))
+    return g, steady, params
 
 
 def test_hoisted_run_constants_keep_the_inline_arithmetic(cells16):
@@ -409,7 +400,7 @@ def test_hoisted_run_constants_keep_the_inline_arithmetic(cells16):
     dh = params.enthalpy_increment_about(rho_s)(q)
     assert dh.tobytes() == inline.tobytes()
 
-    ws = _Workspace(SimConfig(params=params, steady=steady))
+    ws = _Workspace(SimConfig(steady=steady))
     assert ws.sponge_on
     s, u = ws.sponge_mask, 1e-3 * np.cos(g.r)
     mean = float(np.dot(g.weights, s * q)) / ws.sponge_wsum
@@ -423,7 +414,8 @@ def _reference_run(cfg: SimConfig, dt: float):
     tendencies for each step's stage 0 and for each sample, where the run
     shares one evaluation per state.  Returns the series, or the failure
     time, the message and the partial series of a vacuum abort."""
-    params, steady = cfg.params, cfg.steady
+    steady = cfg.steady
+    params = steady.profile.fluid
     g = steady.rho_tilde.grid
     state = init_perturbation(cfg.init_kind, cfg.delta, g, steady,
                               params, mode=cfg.mode)
@@ -438,7 +430,7 @@ def _reference_run(cfg: SimConfig, dt: float):
     def record(state):
         recorder.add(state.t, state.q.values, state.u.values,
                      state.phi.values,
-                     tendencies(state, steady, params, cfg.mode))
+                     tendencies(state, steady, cfg.mode))
 
     try:
         record(state)
@@ -468,9 +460,8 @@ def _assert_same_series(a, b):
                          ids=["sponge", "no_sponge"])
 def test_run_samples_equal_the_public_step_loop(cells16, mode, sponge_rate):
     g, steady, params = cells16
-    cfg = SimConfig(params=params, steady=steady, delta=1e-3,
-                    t_end=4.0, output_stride=3, mode=mode,
-                    sponge_rate=sponge_rate)
+    cfg = SimConfig(steady=steady, delta=1e-3, t_end=4.0, output_stride=3,
+                    mode=mode, sponge_rate=sponge_rate)
     series = run_simulation(cfg)
     assert series.verdict is not None
     _assert_same_series(series, _reference_run(cfg, series.dt))
@@ -480,9 +471,9 @@ def test_run_samples_equal_the_public_step_loop(cells16, mode, sponge_rate):
 def test_run_vacuum_abort_equals_the_public_step_loop(cells16, stride):
     # the velocity bump piles up density until it crosses a guard at 0.8
     g, steady, params = cells16
-    cfg = SimConfig(params=params, steady=steady, delta=100.0,
-                    t_end=4.0, output_stride=stride,
-                    init_kind="velocity_only", vacuum_floor=0.8)
+    cfg = SimConfig(steady=steady, delta=100.0, t_end=4.0,
+                    output_stride=stride, init_kind="velocity_only",
+                    vacuum_floor=0.8)
     with pytest.raises(SimulationAbort) as info:
         run_simulation(cfg)
     abort = info.value
@@ -499,8 +490,7 @@ def test_run_abort_at_a_state_equals_the_public_step_loop(cells16, k,
     # a guard that trips at the state after k steps, not inside a step:
     # the failure time is that state's
     g, steady, params = cells16
-    cfg = SimConfig(params=params, steady=steady, delta=1e-3,
-                    t_end=4.0, output_stride=2)
+    cfg = SimConfig(steady=steady, delta=1e-3, t_end=4.0, output_stride=2)
     dt = run_simulation(cfg).dt
     ws = _Workspace(cfg)
     stepper = _Stepper(ws, dt)
@@ -558,8 +548,8 @@ def test_run_evaluates_rhs_once_per_state(cells16, stride, monkeypatch):
     monkeypatch.setattr(Tridiagonal, "__matmul__", matmul)
     monkeypatch.setattr(evolve, "_viscous_operator", viscous_operator)
     monkeypatch.setattr(evolve, "init_perturbation", init)
-    cfg = SimConfig(params=params, steady=steady, delta=1e-3,
-                    t_end=4.0, output_stride=stride)
+    cfg = SimConfig(steady=steady, delta=1e-3, t_end=4.0,
+                    output_stride=stride)
     series = run_simulation(cfg)
     n = round(cfg.t_end / series.dt)
     assert n > 3
@@ -577,8 +567,7 @@ def test_non_finite_tendency_at_a_state_aborts_with_the_partial_series(
     # run at that state's time: the sample's finiteness check catches it at
     # a sampled state, the next step's at an unsampled one
     g, steady, params = cells16
-    cfg = SimConfig(params=params, steady=steady, delta=1e-3,
-                    t_end=4.0, output_stride=2)
+    cfg = SimConfig(steady=steady, delta=1e-3, t_end=4.0, output_stride=2)
     clean = run_simulation(cfg)
     stepper = _Stepper(_Workspace(cfg), clean.dt)
     state = init_perturbation("standard", 1e-3, g, steady, params)
@@ -624,9 +613,8 @@ def test_run_builds_no_field_per_sample(cells16, monkeypatch):
     counts = {}
     for stride in (1, 50):
         built.clear()
-        series = run_simulation(SimConfig(
-            params=params, steady=steady, delta=1e-3, t_end=4.0,
-            output_stride=stride))
+        series = run_simulation(SimConfig(steady=steady, delta=1e-3,
+                                          t_end=4.0, output_stride=stride))
         counts[stride] = (len(built), series.column("t").size)
     assert counts[1][1] > counts[50][1] == 2
     assert counts[1][0] == counts[50][0]
@@ -661,20 +649,20 @@ def _mms_errors(gamma, mode, n, scale=None):
     solution; the stage at t_n takes the forcing at t_n, the stage at
     t_n + dt the forcing at t_n + dt."""
     grid = build_radial_grid(1.0, 16.0, n)
-    params = FluidParams(gamma=gamma, mu=0.5, lambda_=0.0)
+    params = gas(gamma)
     mms = Manufactured(grid.r, gamma, params.longitudinal_viscosity,
                        MMS_AMPLITUDE, nonlinear=mode == "nonlinear",
                        scale=scale)
     # the perturbation equations use the background only as a coefficient
     steady = SteadyState(
         rho_tilde=RadialField(background_density(grid.r)[0], grid),
-        phi_tilde=grid.zeros(), gamma=gamma,
-        profile=make_profile("constant", params.c_star, 0.0, grid),
+        phi_tilde=grid.zeros(),
+        profile=make_profile("constant", params, 0.0, grid),
         residual_elliptic=0.0, bounds_ok=True, iterations_super=0,
         iterations_sub=0, limit_gap=0.0, monotonicity_defect=0.0)
-    ws = _ForcedWorkspace(SimConfig(params=params, steady=steady,
-                                    mode=mode, sponge_rate=0.0,
-                                    sponge_width=0.0), mms.forcing)
+    ws = _ForcedWorkspace(SimConfig(steady=steady, mode=mode,
+                                    sponge_rate=0.0, sponge_width=0.0),
+                          mms.forcing)
     dt = 5.0 / n
     stepper = _Stepper(ws, dt)
     q, u = mms.exact(0.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -12,29 +13,30 @@ from nsplab import (EvaluationDomainError, ParameterError, build_radial_grid,
                     rho_from_phi, solve_steady_monotone,
                     steady_regularity_report, subsolution_phi,
                     supersolution_phi)
-from nsplab.elliptic import solve_shifted
+from nsplab.elliptic import hessian_norm_radial, solve_shifted
 from nsplab.grids import RadialField
 from nsplab.steady import (BackgroundProfile, _Branch, compatibility_residual,
                            profile_upper_bound)
 
-from oracles import newton_steady
+from oracles import gas, newton_steady
 
 
-def exact_saturating_profile(grid, c_star=1.0):
-    """b = c_star + 1/r everywhere (the bound of the admissible class)."""
-    return BackgroundProfile("admissible_bump", c_star, 1.0,
-                             RadialField(c_star + 1.0 / grid.r, grid))
+def exact_saturating_profile(grid, gamma):
+    """b = 1 + 1/r everywhere (the bound of the admissible class at
+    c_star = 1)."""
+    return BackgroundProfile("admissible_bump", gas(gamma), 1.0,
+                             RadialField(1.0 + 1.0 / grid.r, grid))
 
 
 # ---------------------------------------------------------------- profiles
 
 def test_constant_profile(shell16):
-    p = make_profile("constant", 1.0, 0.0, shell16)
+    p = make_profile("constant", gas(2.0), 0.0, shell16)
     assert np.all(p.values.values == 1.0)
 
 
 def test_bump_profile_bounds(shell16):
-    p = make_profile("admissible_bump", 1.0, 1.0, shell16)
+    p = make_profile("admissible_bump", gas(2.0), 1.0, shell16)
     b = p.values.values
     assert np.all(b >= 1.0 - 1e-15)
     assert np.all(b <= 1.0 + 1.0 / shell16.r + 1e-15)
@@ -44,17 +46,17 @@ def test_bump_profile_bounds(shell16):
 
 def test_bump_amplitude_validation(shell16):
     with pytest.raises(ParameterError):
-        make_profile("admissible_bump", 1.0, 1.5, shell16)
+        make_profile("admissible_bump", gas(2.0), 1.5, shell16)
     with pytest.raises(ParameterError):
-        make_profile("admissible_bump", 1.0, -0.1, shell16)
+        make_profile("admissible_bump", gas(2.0), -0.1, shell16)
     with pytest.raises(ParameterError):
-        make_profile("no_such_kind", 1.0, 0.5, shell16)
+        make_profile("no_such_kind", gas(2.0), 0.5, shell16)
 
 
 def test_envelope_profile_bounds(shell16):
-    p = make_profile("general_gamma_envelope", 1.0, 1.0, shell16,
-                     envelope_c0=1.0, envelope_eps=0.5, gamma=3.0)
-    ceiling = profile_upper_bound(p, 3.0)
+    p = make_profile("general_gamma_envelope", gas(3.0), 1.0, shell16,
+                     envelope_c0=1.0, envelope_eps=0.5)
+    ceiling = profile_upper_bound(p)
     assert np.all(p.values.values <= ceiling + 1e-12)
     assert np.all(p.values.values >= 1.0 - 1e-12)
 
@@ -85,21 +87,23 @@ def test_supersolution_gamma_below_one_rejected(shell16):
 
 
 def test_profile_supersolution_picks_the_bracket(shell16):
-    bump = make_profile("admissible_bump", 1.0, 0.5, shell16)
-    assert np.array_equal(profile_supersolution(bump, 1.5).values,
+    bump = make_profile("admissible_bump", gas(1.5), 0.5, shell16)
+    assert np.array_equal(profile_supersolution(bump).values,
                           supersolution_phi(1.5, 1.0, shell16).values)
-    env = make_profile("general_gamma_envelope", 1.0, 0.8, shell16,
-                       envelope_c0=0.5, envelope_eps=0.4, gamma=3.0)
-    assert np.array_equal(profile_supersolution(env, 3.0).values,
+    env = make_profile("general_gamma_envelope", gas(3.0), 0.8, shell16,
+                       envelope_c0=0.5, envelope_eps=0.4)
+    assert np.array_equal(profile_supersolution(env).values,
                           0.5 * shell16.r ** -0.4)
     with pytest.raises(ParameterError, match="requires gamma > 1"):
-        profile_supersolution(env, 1.0)
+        make_profile("general_gamma_envelope", gas(1.0), 0.8, shell16)
+    with pytest.raises(ParameterError, match="requires gamma > 1"):
+        profile_supersolution(dataclasses.replace(env, fluid=gas(1.0)))
     # gamma > 2 has no closed-form bracket for the bump class
-    bump3 = make_profile("admissible_bump", 1.0, 0.5, shell16, gamma=3.0)
+    bump3 = make_profile("admissible_bump", gas(3.0), 0.5, shell16)
     with pytest.raises(ParameterError):
-        profile_supersolution(bump3, 3.0)
+        profile_supersolution(bump3)
     with pytest.raises(ParameterError):
-        solve_steady_monotone(3.0, bump3)
+        solve_steady_monotone(bump3)
 
 
 def test_branch_limit_gamma_to_one(shell16):
@@ -110,8 +114,8 @@ def test_branch_limit_gamma_to_one(shell16):
 
 
 def test_subsuper_certificates_gamma2_equality_case(shell16):
-    profile = exact_saturating_profile(shell16)
-    cert = check_subsuper(supersolution_phi(2.0, 1.0, shell16), "super", 2.0,
+    profile = exact_saturating_profile(shell16, 2.0)
+    cert = check_subsuper(supersolution_phi(2.0, 1.0, shell16), "super",
                           profile, tol=1e-10)
     assert cert.passed
     assert abs(cert.max_residual) < 1e-10
@@ -120,23 +124,23 @@ def test_subsuper_certificates_gamma2_equality_case(shell16):
 
 
 def test_subsuper_certificates_gamma1(shell16):
-    profile = exact_saturating_profile(shell16)
-    cert = check_subsuper(supersolution_phi(1.0, 1.0, shell16), "super", 1.0,
+    profile = exact_saturating_profile(shell16, 1.0)
+    cert = check_subsuper(supersolution_phi(1.0, 1.0, shell16), "super",
                           profile, tol=1e-8)
     assert cert.passed
     assert cert.max_residual <= 1e-8
 
 
 def test_zero_is_not_super_for_nonflat_background(shell16):
-    profile = make_profile("admissible_bump", 1.0, 0.5, shell16)
-    cert = check_subsuper(subsolution_phi(shell16), "super", 2.0,
-                          profile, tol=1e-10)
+    profile = make_profile("admissible_bump", gas(2.0), 0.5, shell16)
+    cert = check_subsuper(subsolution_phi(shell16), "super", profile,
+                          tol=1e-10)
     assert not cert.passed  # residual b - c_star > 0 somewhere
 
 
 def test_zero_is_sub_for_admissible_background(shell16):
-    profile = make_profile("admissible_bump", 1.0, 0.5, shell16)
-    cert = check_subsuper(subsolution_phi(shell16), "sub", 2.0, profile,
+    profile = make_profile("admissible_bump", gas(2.0), 0.5, shell16)
+    cert = check_subsuper(subsolution_phi(shell16), "sub", profile,
                           tol=1e-12)
     assert cert.passed
 
@@ -171,15 +175,15 @@ def two_shells():
     first."""
     a = build_radial_grid(1.0, 16.0, 320)
     b = build_radial_grid(1.0, 16.0, 320, stretch=3.0)
-    return a, b, make_profile("admissible_bump", 1.0, 0.5, a)
+    return a, b, make_profile("admissible_bump", gas(2.0), 0.5, a)
 
 
 def test_solver_takes_its_grid_from_the_profile(two_shells):
     a, b, profile = two_shells
     # the old (gamma, profile, grid) call cannot bind the grid to tol
     with pytest.raises(TypeError, match="positional argument"):
-        solve_steady_monotone(2.0, profile, b)
-    steady = solve_steady_monotone(2.0, profile)
+        solve_steady_monotone(profile, b)
+    steady = solve_steady_monotone(profile)
     assert steady.rho_tilde.grid is a and steady.phi_tilde.grid is a
 
 
@@ -188,18 +192,21 @@ def test_certificate_rejects_a_candidate_on_other_nodes(two_shells):
     for phi, role in ((supersolution_phi(2.0, 1.0, b), "super"),
                       (subsolution_phi(b), "sub")):
         with pytest.raises(ParameterError, match="different grid nodes"):
-            check_subsuper(phi, role, 2.0, profile)
+            check_subsuper(phi, role, profile)
     # the same nodes built again are the same grid
     same = build_radial_grid(1.0, 16.0, 320)
-    assert check_subsuper(supersolution_phi(2.0, 1.0, same), "super", 2.0,
+    assert check_subsuper(supersolution_phi(2.0, 1.0, same), "super",
                           profile).passed
+    # tol is keyword-only: an old (phi, role, gamma, profile) call fails
+    with pytest.raises(TypeError, match="positional argument"):
+        check_subsuper(subsolution_phi(a), "sub", profile, 1e-8)
 
 
 # -------------------------------------------------------- monotone solver
 
 def test_flat_background_fixed_point(shell16):
-    profile = make_profile("constant", 1.0, 0.0, shell16)
-    st = solve_steady_monotone(2.0, profile)
+    profile = make_profile("constant", gas(2.0), 0.0, shell16)
+    st = solve_steady_monotone(profile)
     assert np.max(np.abs(st.rho_tilde.values - 1.0)) < 1e-9
     assert st.iterations_sub == 1  # zero is the exact fixed point
 
@@ -207,8 +214,8 @@ def test_flat_background_fixed_point(shell16):
 @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0])
 @pytest.mark.parametrize("amplitude", [0.5, 1.0])
 def test_monotone_bounds_and_certificates(shell16, gamma, amplitude):
-    profile = make_profile("admissible_bump", 1.0, amplitude, shell16)
-    st = solve_steady_monotone(gamma, profile)
+    profile = make_profile("admissible_bump", gas(gamma), amplitude, shell16)
+    st = solve_steady_monotone(profile)
     assert st.bounds_ok
     assert st.limit_gap <= 1e-9
     assert st.monotonicity_defect <= 1e-9
@@ -229,10 +236,9 @@ def test_cli_steady_near_gamma_one(tmp_path):
 
 def test_steady_state_is_continuous_at_gamma_one(shell16):
     # rho_tilde(gamma) -> rho_tilde(1) at first order in gamma - 1
-    profile = make_profile("admissible_bump", 1.0, 0.5, shell16)
-
     def rho(gamma):
-        return solve_steady_monotone(gamma, profile).rho_tilde.values
+        return solve_steady_monotone(make_profile(
+            "admissible_bump", gas(gamma), 0.5, shell16)).rho_tilde.values
 
     base = rho(1.0)
     gaps = [np.max(np.abs(rho(1.0 + eps) - base)) for eps in (1e-4, 1e-3)]
@@ -271,8 +277,8 @@ def test_steady_solves_or_names_the_rule(gamma, c_star, amplitude, kind,
     broken = [rule for rule, applies in STEADY_RULES.items()
               if applies(kind, gamma, grid)]
     try:
-        profile = make_profile(kind, c_star, amplitude, grid, gamma=gamma)
-        steady = solve_steady_monotone(gamma, profile)
+        profile = make_profile(kind, gas(gamma, c_star), amplitude, grid)
+        steady = solve_steady_monotone(profile)
     except ParameterError as exc:
         assert any(rule in str(exc) for rule in broken), str(exc)
         return
@@ -283,18 +289,30 @@ def test_steady_solves_or_names_the_rule(gamma, c_star, amplitude, kind,
 
 
 def test_monotone_envelope_branch(shell16):
-    profile = make_profile("general_gamma_envelope", 1.0, 0.8, shell16,
-                           envelope_c0=0.5, envelope_eps=0.5, gamma=3.0)
-    st = solve_steady_monotone(3.0, profile)
+    profile = make_profile("general_gamma_envelope", gas(3.0), 0.8, shell16,
+                           envelope_c0=0.5, envelope_eps=0.5)
+    st = solve_steady_monotone(profile)
     assert st.bounds_ok
-    ceiling = profile_upper_bound(profile, 3.0)
+    ceiling = profile_upper_bound(profile)
     assert np.all(st.rho_tilde.values <= ceiling + 1e-8)
 
 
+def test_envelope_profile_solves_at_the_gamma_it_was_built_for(shell16):
+    # the density map, the brackets and the ceiling all read the profile's
+    # gas: an envelope built at gamma = 2.5 is solved at gamma = 2.5
+    profile = make_profile("general_gamma_envelope", gas(2.5), 1.0, shell16)
+    st = solve_steady_monotone(profile)
+    assert st.profile.fluid.gamma == 2.5
+    assert st.bounds_ok
+    assert np.array_equal(st.rho_tilde.values,
+                          rho_from_phi(st.phi_tilde, 2.5, 1.0).values)
+    assert np.max(np.abs(st.phi_tilde.values - newton_steady(profile))) < 1e-9
+
+
 def test_monotone_agrees_with_newton(shell16):
-    profile = make_profile("admissible_bump", 1.0, 0.5, shell16)
-    st = solve_steady_monotone(2.0, profile, tol=1e-10)
-    phi_newton = newton_steady(2.0, profile, shell16)
+    profile = make_profile("admissible_bump", gas(2.0), 0.5, shell16)
+    st = solve_steady_monotone(profile, tol=1e-10)
+    phi_newton = newton_steady(profile)
     assert np.max(np.abs(st.phi_tilde.values - phi_newton)) < 1e-9
 
 
@@ -309,8 +327,8 @@ def test_steady_compatibility_converges_at_second_order():
     residuals = []
     for n in (400, 800):
         g = build_radial_grid(1.0, 16.0, n)
-        profile = make_profile("admissible_bump", 1.0, 0.5, g)
-        st = solve_steady_monotone(1.5, profile)
+        profile = make_profile("admissible_bump", gas(1.5), 0.5, g)
+        st = solve_steady_monotone(profile)
         residuals.append(compatibility_residual(st))
     assert residuals[0] / residuals[1] > 3.0
 
@@ -318,7 +336,7 @@ def test_steady_compatibility_converges_at_second_order():
 def test_monotone_sandwich_and_direction(shell16):
     # instrumented rerun of the two bracketing sequences
     from nsplab.steady import _iterate
-    profile = make_profile("admissible_bump", 1.0, 0.5, shell16)
+    profile = make_profile("admissible_bump", gas(2.0), 0.5, shell16)
     branch = _Branch(2.0, 1.0)
     phi_super = supersolution_phi(2.0, 1.0, shell16)
     shift = 1.1 * float(np.max(branch.Fprime(phi_super.values)))
@@ -343,22 +361,22 @@ def test_steady_residual_below_tolerance(steady_bump_gamma2):
 
 def test_iteration_budget_error(shell16):
     from nsplab import IterationError
-    profile = make_profile("admissible_bump", 1.0, 0.5, shell16)
+    profile = make_profile("admissible_bump", gas(2.0), 0.5, shell16)
     with pytest.raises(IterationError):
-        solve_steady_monotone(2.0, profile, tol=1e-10, max_iter=2)
+        solve_steady_monotone(profile, tol=1e-10, max_iter=2)
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
 def test_solver_rejects_a_tolerance_that_is_not_finite_and_positive(shell16,
                                                                      tol):
-    profile = make_profile("admissible_bump", 1.0, 0.5, shell16)
+    profile = make_profile("admissible_bump", gas(2.0), 0.5, shell16)
     with pytest.raises(ParameterError):
-        solve_steady_monotone(2.0, profile, tol=tol)
+        solve_steady_monotone(profile, tol=tol)
 
 
 def test_regularity_report_flat_background(shell16):
-    profile = make_profile("constant", 1.0, 0.0, shell16)
-    st = solve_steady_monotone(2.0, profile)
+    profile = make_profile("constant", gas(2.0), 0.0, shell16)
+    st = solve_steady_monotone(profile)
     report = steady_regularity_report(st)
     assert all(v < 1e-8 for v in report.norms.values())
 
@@ -370,18 +388,27 @@ def test_regularity_report_bump(steady_bump_gamma2):
     assert all(np.isfinite(v) and v > 0.0 for v in report.norms.values())
 
 
+def test_regularity_hessian_norm_is_the_radial_hessian_norm():
+    # one Hessian norm of a radial scalar: the d2 stencil criterion 12 reads
+    grid = build_radial_grid(1.0, 16.0, 64)
+    st = solve_steady_monotone(make_profile("admissible_bump", gas(2.0), 0.5,
+                                            grid))
+    norms = steady_regularity_report(st).norms
+    assert norms["hess_phi"] == hessian_norm_radial(st.phi_tilde)
+    assert norms["hess_rho"] == hessian_norm_radial(st.rho_tilde)
+
+
 @pytest.mark.parametrize("stretch", [0.0, 3.0])
 def test_regularity_report_keeps_the_grid_stretch(stretch):
     # the refined (2n cells) and widened (2n cells on a doubled shell) grids
     # are built with the grid's own stretch
     grid = build_radial_grid(1.0, 16.0, 64, stretch)
     assert grid.stretch == stretch
-    profile = make_profile("admissible_bump", 1.0, 0.5, grid)
-    report = steady_regularity_report(
-        solve_steady_monotone(2.0, profile))
+    profile = make_profile("admissible_bump", gas(2.0), 0.5, grid)
+    report = steady_regularity_report(solve_steady_monotone(profile))
     for norms, r_outer in ((report.refined_norms, 16.0),
                            (report.widened_norms, 31.0)):
         other = build_radial_grid(1.0, r_outer, 128, stretch)
         steady = solve_steady_monotone(
-            2.0, make_profile("admissible_bump", 1.0, 0.5, other))
+            make_profile("admissible_bump", gas(2.0), 0.5, other))
         assert norms == steady_regularity_report(steady).norms

@@ -4,6 +4,8 @@ package that rely on it."""
 import ast
 import dataclasses
 import importlib
+import importlib.util
+import math
 import re
 import types
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import nsplab
+from nsplab.config import parse_config
 
 ROOT = Path(__file__).parents[1]
 
@@ -88,6 +91,20 @@ def test_benchmark_child_imports_resolve():
         owner = importlib.import_module(module)
         assert hasattr(owner, name) or importlib.import_module(
             f"{module}.{name}"), (module, name)
+
+
+def test_benchmark_child_runs_its_q0_step():
+    # the benchmark's own call path (cli._build_grid, cli._build_steady,
+    # init_perturbation), so a signature change fails here and not only in
+    # every benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_child", ROOT / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    cfg = parse_config((ROOT / "configs" / "quick.cfg").read_text(
+        encoding="utf-8"))
+    q0_norm = child._q0_norm(cfg)
+    assert math.isfinite(q0_norm) and q0_norm > 0.0
 
 
 @pytest.mark.parametrize("name", MOVED)
