@@ -16,9 +16,8 @@ from .elliptic import (PoissonSolution, hessian_norm_radial,
                        solve_poisson_neumann, solve_shifted)
 from .steady import (BackgroundProfile, CertReport, SteadyState,
                      check_subsuper, make_profile, profile_supersolution,
-                     rho_from_phi, solve_steady_monotone,
-                     steady_regularity_report, subsolution_phi,
-                     supersolution_phi)
+                     solve_steady_monotone, steady_regularity_report,
+                     subsolution_phi, supersolution_phi)
 
 __version__ = "0.1.0"
 
@@ -32,8 +31,8 @@ __all__ = [
     "VacuumError", "build_radial_grid", "check_subsuper",
     "check_theorem_bound", "hessian_norm_radial", "init_perturbation",
     "integrate", "make_profile", "profile_supersolution", "radial_derivative",
-    "rho_from_phi", "run_simulation", "sobolev_norm", "solve_poisson_neumann",
-    "solve_shifted", "solve_steady_monotone", "steady_regularity_report",
-    "subsolution_phi", "supersolution_phi", "vector_gradient_norm",
-    "vector_sobolev_norm", "weighted_l2_norm",
+    "run_simulation", "sobolev_norm", "solve_poisson_neumann", "solve_shifted",
+    "solve_steady_monotone", "steady_regularity_report", "subsolution_phi",
+    "supersolution_phi", "vector_gradient_norm", "vector_sobolev_norm",
+    "weighted_l2_norm",
 ]

@@ -105,16 +105,14 @@ def cmd_steady(cfg: AppConfig, outdir: Path) -> int:
     return EXIT_OK if ok else EXIT_VERDICT
 
 
-def _sim_config(cfg: AppConfig, steady, outdir: Path) -> SimConfig:
+def _sim_config(cfg: AppConfig, outdir: Path) -> SimConfig:
     """The run settings of cfg; with evolve.checkpoints on, checkpoints go
     to outdir/checkpoints, which is created here."""
-    settings = dict(cfg.evolve)
-    checkpoint_dir = None
-    if settings.pop("checkpoints"):
-        checkpoint_dir = outdir / "checkpoints"
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        checkpoint_dir = str(checkpoint_dir)
-    return SimConfig(steady=steady, **settings, checkpoint_dir=checkpoint_dir)
+    if not cfg.evolve["checkpoints"]:
+        return cfg.run_settings()
+    checkpoint_dir = outdir / "checkpoints"
+    checkpoint_dir.mkdir(parents=True, exist_ok=True)
+    return cfg.run_settings(checkpoint_dir=str(checkpoint_dir))
 
 
 def _simulate(cfg: AppConfig, steady, outdir: Path, t0: float) -> dict:
@@ -124,7 +122,7 @@ def _simulate(cfg: AppConfig, steady, outdir: Path, t0: float) -> dict:
     time and its reason."""
     failure = None
     try:
-        series = run_simulation(_sim_config(cfg, steady, outdir))
+        series = run_simulation(steady, _sim_config(cfg, outdir))
     except SimulationAbort as exc:
         failure, series = exc, exc.series
     out = {"seed": cfg.seed}

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .elliptic import laplacian
 from .errors import ConfigError, ParameterError
-from .evolve import INIT_KINDS, MODES, check_run_settings
+from .evolve import INIT_KINDS, MODES, SimConfig
 from .grids import FluidParams, build_radial_grid
 from .ineqlab import (build_spherical_grid, check_allowance,
                       check_outer_factor, trace_radii)
@@ -140,6 +140,12 @@ class AppConfig:
                             envelope_c0=st["envelope_c0"],
                             envelope_eps=st["envelope_eps"])
 
+    def run_settings(self, checkpoint_dir=None):
+        """The [evolve] settings as a SimConfig; evolve.checkpoints only
+        says whether the caller gives a checkpoint_dir."""
+        settings = {k: v for k, v in self.evolve.items() if k != "checkpoints"}
+        return SimConfig(**settings, checkpoint_dir=checkpoint_dir)
+
     def spherical_grid(self):
         d, iq = self.domain, self.ineqlab
         return build_spherical_grid(d["r_inner"], d["r_outer"], iq["nr"],
@@ -207,9 +213,9 @@ def parse_config(text: str, overrides: list[str] | None = None,
     """Parse config text (plus optional overrides) into a typed AppConfig.
 
     Every section is validated by constructing what it describes (fluid
-    constants, radial grid, background profile and its supersolution,
-    spherical grid) or by the run-settings check SimConfig also applies, so
-    misconfiguration fails before any run starts.
+    constants, radial grid, background profile and its supersolution, run
+    settings, spherical grid), so misconfiguration fails before any run
+    starts.
     """
     entries, present = _tokenize(text)
     for section in REQUIRED_SECTIONS:
@@ -262,11 +268,7 @@ def parse_config(text: str, overrides: list[str] | None = None,
     _owned("domain", lambda: laplacian(grid))  # the spacing rule
     _owned("steady", lambda: check_tol(cfg.steady["tol"]))
     _owned("steady", lambda: profile_supersolution(cfg.background(grid)))
-    ev = cfg.evolve
-    _owned("evolve", lambda: check_run_settings(
-        ev["delta"], ev["t_end"], ev["dt"], ev["sponge_width"],
-        ev["sponge_rate"], ev["output_stride"], ev["init_kind"], ev["mode"],
-        ev["vacuum_floor"], ev["margin"]))
+    _owned("evolve", cfg.run_settings)
     iq = cfg.ineqlab
     _owned("ineqlab", cfg.spherical_grid)
     _owned("ineqlab", lambda: check_allowance(iq["allowance"]))

@@ -60,32 +60,6 @@ CFL_LIMIT = 0.5
 HEUN_LIMIT = 2.0
 
 
-def check_run_settings(delta: float, t_end: float, dt: float | str,
-                       sponge_width: float | str, sponge_rate: float | str,
-                       output_stride: int, init_kind: str, mode: str,
-                       vacuum_floor: float, margin: float) -> None:
-    """Range checks of the scalar run settings; SimConfig runs them on
-    construction and the config parser before any run starts."""
-    if init_kind not in INIT_KINDS:
-        raise ParameterError(f"unknown init_kind {init_kind!r}")
-    if not (math.isfinite(delta) and delta >= 0.0):
-        raise ParameterError(f"delta must be finite and >= 0, got {delta}")
-    for name, value in (("t_end", t_end), ("dt", dt), ("margin", margin)):
-        if value != "auto" and not (math.isfinite(value) and value > 0.0):
-            raise ParameterError(f"{name} must be finite and > 0, got {value}")
-    for name, value in (("sponge_width", sponge_width),
-                        ("sponge_rate", sponge_rate)):
-        if value != "auto" and not (math.isfinite(value) and value >= 0.0):
-            raise ParameterError(f"{name} must be 'auto' or a finite value "
-                                 f">= 0, got {value}")
-    if output_stride < 1:
-        raise ParameterError("output_stride must be >= 1")
-    if mode not in MODES:
-        raise ParameterError(f"mode must be one of {MODES}")
-    if not (0.0 < vacuum_floor < 1.0):
-        raise ParameterError("vacuum_floor must lie in (0, 1)")
-
-
 @dataclass(frozen=True)
 class PerturbationState:
     """Perturbation unknowns at one instant; u vanishes at both walls."""
@@ -98,11 +72,10 @@ class PerturbationState:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything a run needs; dt, sponge width and rate accept 'auto'.  The
-    run is on the steady state's grid, for the gas of its profile
-    (steady.profile.fluid)."""
+    """How to run, range-checked on construction; dt, sponge width and rate
+    accept 'auto'.  What to run about is run_simulation's steady argument,
+    whose grid and gas (steady.profile.fluid) the run reads."""
 
-    steady: SteadyState
     delta: float = 1e-3
     t_end: float = 10.0
     dt: float | str = "auto"
@@ -116,10 +89,27 @@ class SimConfig:
     checkpoint_dir: str | None = None
 
     def __post_init__(self):
-        check_run_settings(self.delta, self.t_end, self.dt,
-                           self.sponge_width, self.sponge_rate,
-                           self.output_stride, self.init_kind, self.mode,
-                           self.vacuum_floor, self.margin)
+        if self.init_kind not in INIT_KINDS:
+            raise ParameterError(f"unknown init_kind {self.init_kind!r}")
+        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+            raise ParameterError(
+                f"delta must be finite and >= 0, got {self.delta}")
+        for name in ("t_end", "dt", "margin"):
+            value = getattr(self, name)
+            if value != "auto" and not (math.isfinite(value) and value > 0.0):
+                raise ParameterError(
+                    f"{name} must be finite and > 0, got {value}")
+        for name in ("sponge_width", "sponge_rate"):
+            value = getattr(self, name)
+            if value != "auto" and not (math.isfinite(value) and value >= 0.0):
+                raise ParameterError(f"{name} must be 'auto' or a finite "
+                                     f"value >= 0, got {value}")
+        if self.output_stride < 1:
+            raise ParameterError("output_stride must be >= 1")
+        if self.mode not in MODES:
+            raise ParameterError(f"mode must be one of {MODES}")
+        if not (0.0 < self.vacuum_floor < 1.0):
+            raise ParameterError("vacuum_floor must lie in (0, 1)")
 
 
 def _smooth_bump(r: np.ndarray, center: float, width: float) -> np.ndarray:
@@ -144,15 +134,15 @@ _BUMP_GEOMETRY = {
 class _Workspace:
     """Per-run precomputation: operators, steady coefficients, sponge mask."""
 
-    def __init__(self, config: SimConfig):
-        grid = config.steady.rho_tilde.grid
-        params = config.steady.profile.fluid
+    def __init__(self, steady: SteadyState, config: SimConfig):
+        grid = steady.rho_tilde.grid
+        params = steady.profile.fluid
         self.grid = grid
         self.params = params
         self.r = grid.r
         self.r2 = grid.r**2
         self.cv = grid.weights / (4.0 * math.pi)  # dual-cell volumes / 4pi
-        self.rho_s = config.steady.rho_tilde.values
+        self.rho_s = steady.rho_tilde.values
         self.hp_s = params.enthalpy_weight(self.rho_s)
         self.dh = params.enthalpy_increment_about(self.rho_s)
         self.c_visc = params.longitudinal_viscosity
@@ -161,9 +151,10 @@ class _Workspace:
         self.nonlinear = config.mode == "nonlinear"
         self.vacuum_min = config.vacuum_floor * params.c_star
 
+        shell = grid.r_outer - grid.r_inner
         width = config.sponge_width
         if width == "auto":
-            width = 0.2 * (grid.r_outer - grid.r_inner)
+            width = 0.2 * shell
         rate = config.sponge_rate
         if rate == "auto":
             # inverse acoustic crossing time of the layer; a grid-scale rate
@@ -171,6 +162,9 @@ class _Workspace:
             cs_max = float(np.max(params.sound_speed(self.rho_s)))
             rate = cs_max / width if width > 0.0 else 0.0
         self.sponge_rate = float(rate)
+        if self.sponge_rate > 0.0 and width > shell:
+            raise ParameterError(
+                f"sponge_width = {width:g} exceeds the shell width {shell:g}")
         if self.sponge_rate > 0.0 and width > 0.0:
             edge = grid.r_outer - width
             self.sponge_mask = smoothstep((self.r - edge) / width)
@@ -274,8 +268,8 @@ def init_perturbation(kind: str, delta: float, grid: RadialGrid,
     if params != steady.profile.fluid:
         raise ParameterError(f"params {params} are not the steady state's "
                              f"gas {steady.profile.fluid}")
-    ws = _Workspace(SimConfig(steady=steady, delta=delta, init_kind=kind,
-                              mode=mode, sponge_rate=0.0, sponge_width=0.0))
+    ws = _Workspace(steady, SimConfig(delta=delta, init_kind=kind, mode=mode,
+                                      sponge_rate=0.0, sponge_width=0.0))
     r = grid.r
     length = effective_length(grid.r_inner, grid.r_outer)
 
@@ -407,9 +401,12 @@ class _Stepper:
         return _finite(q2), u2, phi2
 
 
-def run_simulation(config: SimConfig) -> "energy_mod.TimeSeries":
-    """Advance to t_end, sampling the energy functionals every output_stride
-    steps; returns the series with the stability verdict attached.
+def run_simulation(steady: SteadyState,
+                   config: SimConfig) -> "energy_mod.TimeSeries":
+    """Advance a perturbation of steady to t_end, sampling the energy
+    functionals every output_stride steps; returns the series with the
+    stability verdict attached.  A sponge wider than the shell raises
+    ParameterError, as a dt beyond the CFL bound does.
 
     Aborts (vacuum or non-finite values) raise SimulationAbort carrying the
     failure time and the partial series; an abort while the initial data is
@@ -419,10 +416,10 @@ def run_simulation(config: SimConfig) -> "energy_mod.TimeSeries":
     and, on a sampled step, the sample's tendencies, which must be finite.
     Samples read the loop's arrays; no field is built per sample.
     """
-    ws = _Workspace(config)
+    ws = _Workspace(steady, config)
     try:
         state = init_perturbation(config.init_kind, config.delta, ws.grid,
-                                  config.steady, ws.params, mode=config.mode)
+                                  steady, ws.params, mode=config.mode)
     except (VacuumError, IterationError) as exc:
         raise SimulationAbort(str(exc), t_fail=0.0) from exc
     dt = _resolve_dt(config, state, ws)

@@ -17,17 +17,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import EvaluationDomainError, ParameterError
 
 FOUR_PI = 4.0 * math.pi
 
 
 @dataclass(frozen=True)
 class FluidParams:
-    """Physical constants of the gas: adiabatic exponent, viscosities, and
-    the far-field density the flow relaxes to.  A background profile carries
-    the gas it was built for, and its steady state and every run about it
-    read gamma and c_star from there.
+    """The gas: adiabatic exponent, viscosities, far-field density, and both
+    directions of its gas law (h' and the enthalpy increment for a
+    perturbation, F and F' for a steady potential).  A background profile
+    carries the gas it was built for; its steady state and runs read it there.
 
     ``lambda_`` is the second viscosity; ``mu > 0`` and
     ``lambda_ + 2*mu/3 >= 0`` are required.
@@ -77,6 +77,36 @@ class FluidParams:
         prefactor = (g / (g - 1.0)) * np.power(rho_base, g - 1.0)
         return lambda q: prefactor * np.expm1((g - 1.0)
                                               * np.log1p(q / rho_base))
+
+    def _c1(self) -> float:
+        """c1 = gamma/(gamma-1) * c_star**(gamma-1), so F(0) = c_star."""
+        g = self.gamma
+        return g / (g - 1.0) * self.c_star ** (g - 1.0)
+
+    def _scaled(self, phi):
+        """(gamma-1)/gamma * (Phi + c1), which stays near c_star**(gamma-1)
+        as gamma -> 1.  F and F' raise it to a power as one product: near
+        gamma = 1 the split form ((gamma-1)/gamma)**(1/(gamma-1)) *
+        (Phi + c1)**(1/(gamma-1)) is 0 * inf."""
+        base = phi + self._c1()
+        if np.any(base <= 0.0):
+            raise EvaluationDomainError("Phi + c1 must stay positive for gamma > 1")
+        return (self.gamma - 1.0) / self.gamma * base
+
+    def density(self, phi):
+        """F(Phi) = ((gamma-1)/gamma * (Phi + c1))**(1/(gamma-1)), the
+        density whose enthalpy exceeds that of c_star by Phi; c_star *
+        exp(Phi) at gamma = 1."""
+        if self.gamma == 1.0:
+            return self.c_star * np.exp(phi)
+        return self._scaled(phi) ** (1.0 / (self.gamma - 1.0))
+
+    def density_slope(self, phi):
+        """F'(Phi) = 1 / h'(F(Phi))."""
+        if self.gamma == 1.0:
+            return self.c_star * np.exp(phi)
+        expo = (2.0 - self.gamma) / (self.gamma - 1.0)
+        return self._scaled(phi) ** expo / self.gamma
 
 
 @dataclass(frozen=True, eq=False)

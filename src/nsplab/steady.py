@@ -28,10 +28,10 @@ from both brackets; the discrete comparison principle makes the two sequences
 monotone and keeps them ordered, and agreement of the limits is the
 uniqueness certificate.
 
-The background profile carries the gas (FluidParams) it was built for, so
-the solver, the brackets, the certificates and the steady state read gamma
-and c_star from profile.fluid; only the functions of the constants alone
-(supersolution_phi, rho_from_phi) take them as arguments.
+The background profile carries the gas (FluidParams) it was built for, and
+the gas owns F and F' (FluidParams.density, FluidParams.density_slope), so
+the solver, the brackets, the certificates and the steady state read them
+from profile.fluid.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import hessian_norm_radial, laplacian, solve_shifted
-from .errors import (EvaluationDomainError, IterationError, MonotonicityError,
-                     ParameterError)
+from .errors import IterationError, MonotonicityError, ParameterError
 from .grids import (FluidParams, RadialField, RadialGrid, build_radial_grid,
                     cutoff, differentiate, radial_derivative,
                     vector_hessian_norm, weighted_l2_norm)
@@ -102,39 +101,6 @@ class SteadyState:
     monotonicity_defect: float
 
 
-class _Branch:
-    """Nonlinearity F, its derivative, and the density map for one gamma."""
-
-    def __init__(self, gamma: float, c_star: float):
-        if gamma < 1.0:
-            raise ParameterError(f"gamma must be >= 1, got {gamma}")
-        self.gamma = gamma
-        self.c_star = c_star
-        self.c1 = (gamma / (gamma - 1.0) * c_star ** (gamma - 1.0)
-                   if gamma > 1.0 else None)
-
-    def _scaled(self, phi: np.ndarray) -> np.ndarray:
-        """(gamma-1)/gamma * (Phi + c1), which stays near c_star**(gamma-1)
-        as gamma -> 1.  F and F' raise it to a power as one product: near
-        gamma = 1 the split form ((gamma-1)/gamma)**(1/(gamma-1)) *
-        (Phi + c1)**(1/(gamma-1)) is 0 * inf."""
-        base = phi + self.c1
-        if np.any(base <= 0.0):
-            raise EvaluationDomainError("Phi + c1 must stay positive for gamma > 1")
-        return (self.gamma - 1.0) / self.gamma * base
-
-    def F(self, phi: np.ndarray) -> np.ndarray:
-        if self.gamma == 1.0:
-            return self.c_star * np.exp(phi)
-        return self._scaled(phi) ** (1.0 / (self.gamma - 1.0))
-
-    def Fprime(self, phi: np.ndarray) -> np.ndarray:
-        if self.gamma == 1.0:
-            return self.c_star * np.exp(phi)
-        expo = (2.0 - self.gamma) / (self.gamma - 1.0)
-        return self._scaled(phi) ** expo / self.gamma
-
-
 def make_profile(kind: str, fluid: FluidParams, amplitude: float,
                  grid: RadialGrid, envelope_c0: float = 1.0,
                  envelope_eps: float = 0.5) -> BackgroundProfile:
@@ -167,9 +133,8 @@ def make_profile(kind: str, fluid: FluidParams, amplitude: float,
         raise ParameterError(f"envelope_eps must lie in (0, 1), got {envelope_eps}")
     if envelope_c0 <= 0.0:
         raise ParameterError(f"envelope_c0 must be > 0, got {envelope_c0}")
-    branch = _Branch(fluid.gamma, c_star)
     phi_env = amplitude * envelope_c0 * r ** (-envelope_eps) * mask
-    vals = branch.F(phi_env)
+    vals = fluid.density(phi_env)
     return BackgroundProfile(kind, fluid, amplitude, RadialField(vals, grid),
                              envelope_c0=envelope_c0, envelope_eps=envelope_eps)
 
@@ -179,8 +144,7 @@ def profile_upper_bound(profile: BackgroundProfile) -> np.ndarray:
     fluid = profile.fluid
     r = profile.values.grid.r
     if profile.kind == "general_gamma_envelope":
-        branch = _Branch(fluid.gamma, fluid.c_star)
-        return branch.F(profile.envelope_c0 * r ** (-profile.envelope_eps))
+        return fluid.density(profile.envelope_c0 * r ** (-profile.envelope_eps))
     return fluid.c_star + 1.0 / r
 
 
@@ -189,20 +153,18 @@ def subsolution_phi(grid: RadialGrid) -> RadialField:
     return grid.zeros()
 
 
-def supersolution_phi(gamma: float, c_star: float,
-                      grid: RadialGrid) -> RadialField:
-    """Explicit supersolution for the branch: the closed power-law form for
+def supersolution_phi(fluid: FluidParams, grid: RadialGrid) -> RadialField:
+    """Explicit supersolution for the gas: the closed power-law form for
     gamma in (1, 2], the log form at gamma = 1."""
-    if gamma < 1.0:
-        raise ParameterError(f"gamma must be >= 1, got {gamma}")
+    gamma, c_star = fluid.gamma, fluid.c_star
     r = grid.r
     if gamma == 1.0:
         return RadialField(np.log(1.0 + 1.0 / (c_star * r)), grid)
     if gamma > 2.0:
         raise ParameterError(
             "explicit supersolution needs gamma in [1, 2]; use the envelope form")
-    branch = _Branch(gamma, c_star)
-    vals = gamma / (gamma - 1.0) * (c_star + 1.0 / r) ** (gamma - 1.0) - branch.c1
+    vals = (gamma / (gamma - 1.0) * (c_star + 1.0 / r) ** (gamma - 1.0)
+            - fluid._c1())
     return RadialField(vals, grid)
 
 
@@ -211,18 +173,11 @@ def profile_supersolution(profile: BackgroundProfile) -> RadialField:
     background: the envelope c0 * r**(-eps) (any gamma > 1) for the envelope
     profile, the closed form (gamma in [1, 2] only) otherwise."""
     grid = profile.values.grid
-    gamma = profile.fluid.gamma
     if profile.kind != "general_gamma_envelope":
-        return supersolution_phi(gamma, profile.fluid.c_star, grid)
-    if gamma <= 1.0:
+        return supersolution_phi(profile.fluid, grid)
+    if profile.fluid.gamma <= 1.0:
         raise ParameterError("envelope supersolution requires gamma > 1")
     return grid.field(profile.envelope_c0 * grid.r ** (-profile.envelope_eps))
-
-
-def rho_from_phi(phi: RadialField, gamma: float, c_star: float) -> RadialField:
-    """Density from potential: the F map (c_star * exp(Phi) at gamma = 1)."""
-    branch = _Branch(gamma, c_star)
-    return RadialField(branch.F(phi.values), phi.grid)
 
 
 def check_subsuper(phi: RadialField, role: str, profile: BackgroundProfile, *,
@@ -237,9 +192,8 @@ def check_subsuper(phi: RadialField, role: str, profile: BackgroundProfile, *,
     if role not in ("sub", "super"):
         raise ParameterError(f"role must be 'sub' or 'super', got {role!r}")
     phi.grid.require_same(profile.values.grid, "phi and the background profile")
-    branch = _Branch(profile.fluid.gamma, profile.fluid.c_star)
     lap = laplacian(phi.grid) @ phi.values
-    residual = lap - branch.F(phi.values) + profile.values.values
+    residual = lap - profile.fluid.density(phi.values) + profile.values.values
     interior = residual[1:-1]
     normal = -float(differentiate(phi.grid, phi.values, 1)[0])
     if role == "super":
@@ -252,18 +206,20 @@ def check_subsuper(phi: RadialField, role: str, profile: BackgroundProfile, *,
                       boundary_normal_derivative=normal, tol=tol)
 
 
-def _iterate(branch: _Branch, b: np.ndarray, grid: RadialGrid, start: np.ndarray,
-             shift: float, direction: int, tol: float, max_iter: int):
-    """Run the shifted fixed-point iteration from one bracket.
+def _iterate(profile: BackgroundProfile, start: np.ndarray, shift: float,
+             direction: int, tol: float, max_iter: int):
+    """Run the shifted fixed-point iteration from one bracket of the
+    profile's problem.
 
     direction +1 expects a nondecreasing sequence (subsolution start), -1 a
     nonincreasing one.  Monotonicity defects are tracked, not fatal: they stay
     at roundoff size (comparison-principle slack) for admissible data.
     """
+    fluid, b, grid = profile.fluid, profile.values.values, profile.values.grid
     phi = start.copy()
     defect = 0.0
     for it in range(1, max_iter + 1):
-        rhs = branch.F(phi) - b - shift * phi
+        rhs = fluid.density(phi) - b - shift * phi
         nxt = solve_shifted(shift, RadialField(rhs, grid)).values
         step = nxt - phi
         defect = max(defect, float(np.max(-direction * step)))
@@ -293,20 +249,18 @@ def solve_steady_monotone(profile: BackgroundProfile, *, tol: float = 1e-10,
     certificate; the returned potential is their average.
     """
     check_tol(tol)
-    grid = profile.values.grid
-    gamma, c_star = profile.fluid.gamma, profile.fluid.c_star
-    branch = _Branch(gamma, c_star)
+    grid, fluid = profile.values.grid, profile.fluid
     phi_super = profile_supersolution(profile)
     phi_sub = subsolution_phi(grid)
 
-    fp_max = float(np.max(branch.Fprime(phi_super.values)))
-    fp_zero = float(np.max(branch.Fprime(np.zeros(1))))
+    fp_max = float(np.max(fluid.density_slope(phi_super.values)))
+    fp_zero = float(np.max(fluid.density_slope(np.zeros(1))))
     shift = 1.1 * max(fp_max, fp_zero)
 
-    upper, it_super, defect_s = _iterate(branch, profile.values.values, grid,
-                                         phi_super.values, shift, -1, tol, max_iter)
-    lower, it_sub, defect_b = _iterate(branch, profile.values.values, grid,
-                                       phi_sub.values, shift, +1, tol, max_iter)
+    upper, it_super, defect_s = _iterate(profile, phi_super.values, shift, -1,
+                                         tol, max_iter)
+    lower, it_sub, defect_b = _iterate(profile, phi_sub.values, shift, +1,
+                                       tol, max_iter)
 
     scale = max(1.0, float(np.max(np.abs(phi_super.values))))
     crossing = float(np.max(lower - upper))
@@ -322,7 +276,7 @@ def solve_steady_monotone(profile: BackgroundProfile, *, tol: float = 1e-10,
 
     phi_vals = 0.5 * (upper + lower)
     phi_tilde = RadialField(phi_vals, grid)
-    rho_tilde = rho_from_phi(phi_tilde, gamma, c_star)
+    rho_tilde = RadialField(fluid.density(phi_vals), grid)
 
     residual = laplacian(grid) @ phi_vals - (rho_tilde.values
                                               - profile.values.values)
@@ -330,7 +284,7 @@ def solve_steady_monotone(profile: BackgroundProfile, *, tol: float = 1e-10,
 
     ceiling = profile_upper_bound(profile)
     slack = 100.0 * tol
-    bounds_ok = bool(np.all(rho_tilde.values >= c_star - slack)
+    bounds_ok = bool(np.all(rho_tilde.values >= fluid.c_star - slack)
                      and np.all(rho_tilde.values <= ceiling + slack))
 
     return SteadyState(rho_tilde=rho_tilde, phi_tilde=phi_tilde,

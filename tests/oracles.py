@@ -26,7 +26,6 @@ from nsplab.errors import ParameterError
 from nsplab.evolve import SimConfig, _tendencies, _Workspace
 from nsplab.grids import FluidParams, cutoff
 from nsplab.ineqlab import SphericalGrid, _periodic, _three_point
-from nsplab.steady import _Branch
 
 FOUR_PI = 4.0 * np.pi
 
@@ -68,20 +67,21 @@ def newton_steady(profile, tol=2e-11, max_iter=60):
     L_h Phi - F(Phi) + b = 0 of the profile's gas and grid (same operator
     as the production solver, independent iteration)."""
     grid = profile.values.grid
-    branch = _Branch(profile.fluid.gamma, profile.fluid.c_star)
+    fluid = profile.fluid
     lap = laplacian(grid)
     b = profile.values.values
     phi = np.zeros(grid.n_nodes)
 
     def residual(p):
-        return lap @ p - branch.F(p) + b
+        return lap @ p - fluid.density(p) + b
 
     g = residual(phi)
     for _ in range(max_iter):
         norm = np.max(np.abs(g))
         if norm < tol:
             return phi
-        jac = banded_layout(lap.sub, lap.diag - branch.Fprime(phi), lap.sup)
+        jac = banded_layout(lap.sub, lap.diag - fluid.density_slope(phi),
+                            lap.sup)
         step = solve_banded((1, 1), jac, -g)
         lam = 1.0
         while lam > 1e-6:
@@ -129,7 +129,7 @@ def tendencies(state, steady, mode="nonlinear"):
     """The tendencies (q_t, u_t, phi_t, q_tt) of one state, as arrays,
     evaluated afresh by a run workspace of its own, as a run evaluates the
     state it samples."""
-    ws = _Workspace(SimConfig(steady=steady, mode=mode))
+    ws = _Workspace(steady, SimConfig(mode=mode))
     q, u, phi = state.q.values, state.u.values, state.phi.values
     return _tendencies(ws, q, u, ws.rhs(q, u, phi))
 

@@ -45,10 +45,9 @@ def stability_runs(grid2000):
         grid = grid2000 if label == "r16" else build_radial_grid(1.0, r_max, n)
         profile = make_profile("admissible_bump", PARAMS, 0.5, grid)
         steady = solve_steady_monotone(profile)
-        cfg = SimConfig(steady=steady, delta=1e-3, t_end=10.0,
-                        output_stride=50)
+        cfg = SimConfig(delta=1e-3, t_end=10.0, output_stride=50)
         t0 = time.perf_counter()
-        series = run_simulation(cfg)
+        series = run_simulation(steady, cfg)
         wall = time.perf_counter() - t0
         q0 = init_perturbation("standard", 1e-3, grid, steady, PARAMS).q
         out[label] = dict(series=series, wall=wall, steady=steady, grid=grid,
@@ -82,10 +81,10 @@ def test_criterion_02_subsuper_certificates(grid2000):
     def saturating(gamma):
         return BackgroundProfile("admissible_bump", gas(gamma), 1.0,
                                  RadialField(1.0 + 1.0 / grid2000.r, grid2000))
-    cert2 = check_subsuper(supersolution_phi(2.0, 1.0, grid2000), "super",
+    cert2 = check_subsuper(supersolution_phi(gas(2.0), grid2000), "super",
                            saturating(2.0), tol=1e-10)
     resid2 = max(abs(cert2.max_residual), abs(cert2.min_residual))
-    cert4 = check_subsuper(supersolution_phi(1.0, 1.0, grid2000), "super",
+    cert4 = check_subsuper(supersolution_phi(gas(1.0), grid2000), "super",
                            saturating(1.0), tol=1e-8)
     ok = (cert2.passed and resid2 < 1e-10
           and cert2.boundary_normal_derivative > 0.0
@@ -137,8 +136,8 @@ def test_criterion_04_spatial_convergence():
 def test_criterion_05_equilibrium_preservation(grid2000):
     profile = make_profile("admissible_bump", PARAMS, 0.5, grid2000)
     steady = solve_steady_monotone(profile)
-    cfg = SimConfig(steady=steady, delta=0.0, t_end=10.0, output_stride=100)
-    series = run_simulation(cfg)
+    cfg = SimConfig(delta=0.0, t_end=10.0, output_stride=100)
+    series = run_simulation(steady, cfg)
     emax = float(np.max(series.column("E")))
     _report(5, emax < 1e-9,
             f"delta=0 over t in [0,10]: max E(t) = {emax:.2e} < 1e-9")
@@ -175,9 +174,9 @@ def test_criterion_08_zero_order_energy_identity(grid2000):
     steady = solve_steady_monotone(profile)
     cs = float(np.max(PARAMS.sound_speed(steady.rho_tilde.values)))
     dt = 0.1 * grid2000.min_spacing / cs
-    cfg = SimConfig(steady=steady, delta=1e-3, t_end=2.0, dt=dt,
-                    output_stride=1, mode="linear", sponge_rate=0.0)
-    series = run_simulation(cfg)
+    cfg = SimConfig(delta=1e-3, t_end=2.0, dt=dt, output_stride=1,
+                    mode="linear", sponge_rate=0.0)
+    series = run_simulation(steady, cfg)
     resid = np.abs(series.column("identity_residual")[1:-1])
     scale = float(np.max(series.c_visc * series.column("grad_u_sq")[1:-1]))
     h = grid2000.min_spacing
@@ -189,9 +188,9 @@ def test_criterion_08_zero_order_energy_identity(grid2000):
     profile_c = make_profile("admissible_bump", PARAMS, 0.5, g1000)
     steady_c = solve_steady_monotone(profile_c)
     for delta in (1e-4, 1e-3):
-        cfg_nl = SimConfig(steady=steady_c, delta=delta, t_end=2.0,
-                           output_stride=1, mode="nonlinear", sponge_rate=0.0)
-        s = run_simulation(cfg_nl)
+        cfg_nl = SimConfig(delta=delta, t_end=2.0, output_stride=1,
+                           mode="nonlinear", sponge_rate=0.0)
+        s = run_simulation(steady_c, cfg_nl)
         remainders[delta] = float(np.max(np.abs(
             s.column("identity_residual")[1:-1])))
     slope = math.log10(remainders[1e-3] / remainders[1e-4])

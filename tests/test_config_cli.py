@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -6,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsplab import cli, evolve, run_simulation
+from nsplab import SimConfig, cli, evolve, run_simulation
 from nsplab.cli import main
-from nsplab.config import parse_config
-from nsplab.errors import ConfigError
+from nsplab.config import _SCHEMA, parse_config
+from nsplab.errors import ConfigError, ParameterError
 
 CONFIGS = Path(__file__).parents[1] / "configs"
 
@@ -195,6 +197,53 @@ def test_parse_owner_checks_name_the_section(override, section):
     # or the spacing of the too-wide one
     if override.startswith("ineqlab.trace_outer_factor"):
         assert "trace_outer_factor" in str(err.value)
+
+
+# [evolve] values the type parser reads but SimConfig refuses
+BAD_RUN_SETTINGS = [
+    ("delta", -1e-3), ("delta", math.inf), ("delta", math.nan),
+    ("t_end", 0.0), ("t_end", math.inf), ("t_end", math.nan),
+    ("dt", -0.1), ("dt", 0.0), ("dt", math.nan),
+    ("sponge_width", -2.0), ("sponge_width", math.inf),
+    ("sponge_rate", -5.0), ("sponge_rate", math.nan),
+    ("output_stride", 0), ("output_stride", -3),
+    ("margin", -1.0), ("margin", math.nan),
+    ("vacuum_floor", 0.0), ("vacuum_floor", 1.0), ("vacuum_floor", 2.0),
+]
+
+
+@pytest.mark.parametrize("key, bad", BAD_RUN_SETTINGS)
+def test_run_settings_have_one_check(key, bad):
+    # the parser validates [evolve] by building the SimConfig, so both
+    # paths refuse a value with the same message
+    with pytest.raises(ParameterError) as direct:
+        SimConfig(**{key: bad})
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(QUICK, overrides=[f"evolve.{key}={bad!r}"])
+    assert str(parsed.value) == f"invalid [evolve] parameters: {direct.value}"
+
+
+@pytest.mark.parametrize("key", ["init_kind", "mode"])
+def test_run_setting_names_are_refused_by_both_paths(key):
+    # an unknown name stops at the type parser, before any SimConfig
+    with pytest.raises(ParameterError):
+        SimConfig(**{key: "bogus"})
+    with pytest.raises(ConfigError, match=f"evolve.{key}"):
+        parse_config(QUICK, overrides=[f"evolve.{key}=bogus"])
+
+
+def test_evolve_schema_is_the_sim_config():
+    # the same settings with the same defaults; evolve.checkpoints (off)
+    # says whether the command gives a checkpoint_dir (None)
+    schema = {("checkpoint_dir" if key == "checkpoints" else key): default
+              for key, (_, default) in _SCHEMA["evolve"].items()}
+    fields = {f.name: f.default for f in dataclasses.fields(SimConfig)}
+    assert schema.keys() == fields.keys()
+    assert schema.pop("checkpoint_dir") is False
+    assert fields.pop("checkpoint_dir") is None
+    assert schema == fields
+    assert parse_config(QUICK).run_settings() == SimConfig(
+        delta=1e-3, t_end=0.5, output_stride=10)
 
 
 _VALUES = st.one_of(
@@ -445,7 +494,7 @@ def test_series_csv_is_the_series(tmp_path):
                  "--out", str(out)]) == 0
     cfg = parse_config((CONFIGS / "quick.cfg").read_text(encoding="utf-8"))
     _, steady = cli._build_steady(cfg, cli._build_grid(cfg))
-    series = run_simulation(cli._sim_config(cfg, steady, tmp_path))
+    series = run_simulation(steady, cli._sim_config(cfg, tmp_path))
     header = (out / "series.csv").read_text().splitlines()[0]
     assert tuple(header.split(",")) == cli.CSV_COLUMNS
     table = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1,
@@ -480,6 +529,25 @@ def test_cli_simulate_sponge_rate_beyond_heun_limit(tmp_path):
     assert not (out / "series.csv").exists()
     assert main(["simulate", "--config", str(cfg), "--out", str(out),
                  "--set", "evolve.sponge_rate=150"]) == 0
+
+
+def test_cli_simulate_sponge_wider_than_the_shell(tmp_path, capsys):
+    # a 100-wide sponge on the 15-wide shell would damp the inner sphere
+    # (mask 0.996 there); it is refused unless the sponge is off
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--set", "evolve.sponge_width=100"]) == 2
+    assert ("error: sponge_width = 100 exceeds the shell width 15"
+            in capsys.readouterr().err)
+    assert not (out / "series.csv").exists()
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--set", "evolve.sponge_width=15",
+                 "--set", "evolve.t_end=0.2"]) == 0
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--set", "evolve.sponge_width=100",
+                 "--set", "evolve.sponge_rate=0", "--set",
+                 "evolve.t_end=0.2"]) == 0
 
 
 def test_cli_verify_inequalities(tmp_path):
@@ -680,6 +748,29 @@ def test_cli_sweep_keeps_rows_when_one_fails_its_dt_check(tmp_path, capsys):
                                            "sup_ratio_quadratic", "c_fit",
                                            "mass_drift"))
     assert (out / "row_000" / "series.csv").exists()
+    assert not (out / "row_001" / "series.csv").exists()
+
+
+def test_cli_sweep_keeps_rows_when_one_has_a_sponge_wider_than_its_shell(
+        tmp_path, capsys):
+    # a 10-wide sponge fits the 15-wide shell of r_max = 16, not the 3-wide
+    # shell of r_max = 4
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--set", "sweep.r_max=16,4",
+                 "--set", "evolve.sponge_width=10",
+                 "--set", "evolve.t_end=0.2"])
+    assert code == 3
+    assert ("failed: row_001: sponge_width = 10 exceeds the shell width 3"
+            in capsys.readouterr().err)
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, [float(x) for x in line.split(",")]))
+            for line in lines[1:]]
+    assert [r["r_max"] for r in rows] == [16.0, 4.0]
+    assert rows[0]["verdict_pass"] == 1.0
+    assert rows[1]["verdict_pass"] == 0.0
     assert not (out / "row_001" / "series.csv").exists()
 
 

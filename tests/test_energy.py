@@ -169,7 +169,7 @@ def test_qtt_consistent_with_time_differences(shell16, steady_bump_gamma2,
                                               params_gamma2):
     # centered second difference of q along a finely substepped trajectory
     # converges at O(dt^2) to the equation-evaluated q_tt
-    ws = _Workspace(SimConfig(steady=steady_bump_gamma2, sponge_rate=0.0))
+    ws = _Workspace(steady_bump_gamma2, SimConfig(sponge_rate=0.0))
     state = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
                               params_gamma2)
     cs = float(np.max(params_gamma2.sound_speed(
@@ -246,9 +246,8 @@ def test_theorem_bound_rejects_zero_initial_energy():
 
 def test_identity_residual_needs_three_samples(steady_bump_gamma2):
     # two samples have no centered stencil: no residual, no fit, no kappa
-    cfg = SimConfig(steady=steady_bump_gamma2, delta=1e-3, t_end=0.2,
-                    output_stride=10**6)
-    series = run_simulation(cfg)
+    cfg = SimConfig(delta=1e-3, t_end=0.2, output_stride=10**6)
+    series = run_simulation(steady_bump_gamma2, cfg)
     assert series.column("t").size == 2
     assert np.all(series.column("identity_residual") == 0.0)
     assert series.verdict.c_fit == series.c_visc
@@ -256,17 +255,15 @@ def test_identity_residual_needs_three_samples(steady_bump_gamma2):
 
 
 def test_identity_residual_zero_perturbation(steady_bump_gamma2):
-    cfg = SimConfig(steady=steady_bump_gamma2, delta=0.0, t_end=0.2,
-                    output_stride=5)
-    series = run_simulation(cfg)
+    cfg = SimConfig(delta=0.0, t_end=0.2, output_stride=5)
+    series = run_simulation(steady_bump_gamma2, cfg)
     assert np.max(np.abs(series.column("identity_residual")[1:-1])) == 0.0
     assert series.verdict is None and series.remainder_kappa is None
 
 
 def test_identity_residual_reads_the_recorded_column(steady_bump_gamma2):
-    cfg = SimConfig(steady=steady_bump_gamma2, delta=1e-3, t_end=0.2,
-                    output_stride=5)
-    series = run_simulation(cfg)
+    cfg = SimConfig(delta=1e-3, t_end=0.2, output_stride=5)
+    series = run_simulation(steady_bump_gamma2, cfg)
     resid = series.column("identity_residual")
     assert resid[0] == resid[-1] == 0.0
     assert np.any(resid[1:-1] != 0.0)
@@ -288,9 +285,9 @@ def test_remainder_constant_scales_with_amplitude(steady_bump_gamma2):
     # this resolution happens around delta ~ 3e-2
     kappa_delta = {}
     for delta in (3e-2, 1e-1):
-        cfg = SimConfig(steady=steady_bump_gamma2, delta=delta, t_end=1.0,
+        cfg = SimConfig(delta=delta, t_end=1.0,
                         output_stride=1, mode="nonlinear", sponge_rate=0.0)
-        series = run_simulation(cfg)
+        series = run_simulation(steady_bump_gamma2, cfg)
         kappa_delta[delta] = series.remainder_kappa * delta
     ratio = kappa_delta[1e-1] / kappa_delta[3e-2]
     assert 1.6 < ratio < 23.0  # between linear/2 and quadratic*2 in delta
@@ -298,8 +295,8 @@ def test_remainder_constant_scales_with_amplitude(steady_bump_gamma2):
 
 def test_measured_viscous_constant_matches_coefficient(params_gamma2,
                                                        steady_bump_gamma2):
-    cfg = SimConfig(steady=steady_bump_gamma2, delta=1e-4, t_end=1.0,
+    cfg = SimConfig(delta=1e-4, t_end=1.0,
                     output_stride=5, mode="linear", sponge_rate=0.0)
-    series = run_simulation(cfg)
+    series = run_simulation(steady_bump_gamma2, cfg)
     c = series.verdict.c_fit
     assert c == pytest.approx(params_gamma2.longitudinal_viscosity, rel=0.05)

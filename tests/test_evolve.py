@@ -160,7 +160,7 @@ def flux_workspace(request, params_gamma2):
     g = build_radial_grid(1.0, 16.0, 64, request.param)
     steady = solve_steady_monotone(
         make_profile("constant", params_gamma2, 0.0, g))
-    return _Workspace(SimConfig(steady=steady))
+    return _Workspace(steady, SimConfig())
 
 
 _WALL = st.one_of(st.floats(0.1, 1.0), st.floats(-1.0, -0.1))
@@ -207,7 +207,7 @@ def test_tendency_scaling_exponent(shell16, steady_bump_gamma2,
 # ------------------------------------------------------------------ steps
 
 def test_step_global_second_order(shell16, steady_bump_gamma2, params_gamma2):
-    ws = _Workspace(SimConfig(steady=steady_bump_gamma2, sponge_rate=0.0))
+    ws = _Workspace(steady_bump_gamma2, SimConfig(sponge_rate=0.0))
     state = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
                               params_gamma2)
     dt0 = cfl_dt(params_gamma2, steady_bump_gamma2, shell16)
@@ -234,8 +234,8 @@ def _linear_run_basic_energy(params, n_cells, kind, dt_factor, n_steps):
     driven through the run's own workspace and stepper."""
     g = build_radial_grid(1.0, 16.0, n_cells)
     steady = solve_steady_monotone(make_profile("constant", params, 0.0, g))
-    cfg = SimConfig(steady=steady, mode="linear", sponge_rate=0.0)
-    ws = _Workspace(cfg)
+    cfg = SimConfig(mode="linear", sponge_rate=0.0)
+    ws = _Workspace(steady, cfg)
     stepper = _Stepper(ws, cfl_dt(params, steady, g, factor=dt_factor))
     state = init_perturbation(kind, 1e-3, g, steady, params, mode="linear")
     q, u, phi = state.q.values, state.u.values, state.phi.values
@@ -291,12 +291,11 @@ def test_viscous_rows_match_direct_stencil(n_cells, stretch):
 
 def test_stepper_non_finite_is_vacuum_error(shell16, steady_bump_gamma2,
                                             params_gamma2):
-    cfg = SimConfig(steady=steady_bump_gamma2)
     st = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
                            params_gamma2)
     q = st.q.values.copy()
     q[shell16.n_nodes // 3] = np.nan
-    ws = _Workspace(cfg)
+    ws = _Workspace(steady_bump_gamma2, SimConfig())
     stepper = _Stepper(ws, cfl_dt(params_gamma2, steady_bump_gamma2, shell16))
     with pytest.raises(VacuumError):
         stepper.advance(q, st.u.values, st.phi.values,
@@ -306,9 +305,8 @@ def test_stepper_non_finite_is_vacuum_error(shell16, steady_bump_gamma2,
 # ------------------------------------------------------------------- runs
 
 def test_run_zero_delta_stays_zero(steady_bump_gamma2):
-    cfg = SimConfig(steady=steady_bump_gamma2, delta=0.0, t_end=0.5,
-                    output_stride=20)
-    series = run_simulation(cfg)
+    cfg = SimConfig(delta=0.0, t_end=0.5, output_stride=20)
+    series = run_simulation(steady_bump_gamma2, cfg)
     assert np.max(series.column("E")) == 0.0
     assert np.max(np.abs(series.column("mass"))) == 0.0
     assert series.verdict is None
@@ -316,9 +314,8 @@ def test_run_zero_delta_stays_zero(steady_bump_gamma2):
 
 def test_run_mass_conservation_with_sponge(shell16, steady_bump_gamma2,
                                            params_gamma2):
-    cfg = SimConfig(steady=steady_bump_gamma2, delta=1e-3, t_end=2.0,
-                    output_stride=10)
-    series = run_simulation(cfg)
+    cfg = SimConfig(delta=1e-3, t_end=2.0, output_stride=10)
+    series = run_simulation(steady_bump_gamma2, cfg)
     st0 = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
                             params_gamma2)
     bound = 1e-10 * weighted_l2_norm(st0.q)
@@ -330,9 +327,9 @@ def test_run_is_deterministic(params_gamma2):
     g = build_radial_grid(1.0, 16.0, 200)
     profile = make_profile("admissible_bump", params_gamma2, 0.5, g)
     steady = solve_steady_monotone(profile)
-    cfg = SimConfig(steady=steady, delta=1e-3, t_end=0.5, output_stride=10)
-    a = run_simulation(cfg)
-    b = run_simulation(cfg)
+    cfg = SimConfig(delta=1e-3, t_end=0.5, output_stride=10)
+    a = run_simulation(steady, cfg)
+    b = run_simulation(steady, cfg)
     assert a.columns.keys() == b.columns.keys()
     for name in a.columns:
         assert np.array_equal(a.column(name), b.column(name))
@@ -340,10 +337,22 @@ def test_run_is_deterministic(params_gamma2):
 
 def test_cfl_validation(shell16, steady_bump_gamma2, params_gamma2):
     big_dt = 10.0 * cfl_dt(params_gamma2, steady_bump_gamma2, shell16)
-    cfg = SimConfig(steady=steady_bump_gamma2, delta=1e-3, t_end=1.0,
-                    dt=big_dt)
+    cfg = SimConfig(delta=1e-3, t_end=1.0, dt=big_dt)
     with pytest.raises(ParameterError):
-        run_simulation(cfg)
+        run_simulation(steady_bump_gamma2, cfg)
+
+
+def test_sponge_wider_than_the_shell_is_refused(steady_bump_gamma2):
+    # the sponge may span the 15-wide shell but not more; an off sponge
+    # (rate 0) may have any width
+    ws = _Workspace(steady_bump_gamma2, SimConfig(sponge_width=15.0))
+    assert ws.sponge_on and ws.sponge_mask[0] == 0.0
+    for rate in ("auto", 1.0):
+        with pytest.raises(ParameterError, match="exceeds the shell width"):
+            run_simulation(steady_bump_gamma2, SimConfig(
+                t_end=0.1, sponge_width=15.5, sponge_rate=rate))
+    off = SimConfig(sponge_width=100.0, sponge_rate=0.0)
+    assert not _Workspace(steady_bump_gamma2, off).sponge_on
 
 
 def test_checkpoint_roundtrip(tmp_path, shell16, steady_bump_gamma2,
@@ -365,9 +374,9 @@ def test_checkpoint_roundtrip(tmp_path, shell16, steady_bump_gamma2,
 
 
 def test_run_abort_while_building_initial_data(steady_bump_gamma2):
-    cfg = SimConfig(steady=steady_bump_gamma2, delta=1e7, t_end=0.5)
+    cfg = SimConfig(delta=1e7, t_end=0.5)
     with pytest.raises(SimulationAbort) as info:
-        run_simulation(cfg)
+        run_simulation(steady_bump_gamma2, cfg)
     assert info.value.t_fail == 0.0
     assert info.value.series is None
 
@@ -400,7 +409,7 @@ def test_hoisted_run_constants_keep_the_inline_arithmetic(cells16):
     dh = params.enthalpy_increment_about(rho_s)(q)
     assert dh.tobytes() == inline.tobytes()
 
-    ws = _Workspace(SimConfig(steady=steady))
+    ws = _Workspace(steady, SimConfig())
     assert ws.sponge_on
     s, u = ws.sponge_mask, 1e-3 * np.cos(g.r)
     mean = float(np.dot(g.weights, s * q)) / ws.sponge_wsum
@@ -409,12 +418,11 @@ def test_hoisted_run_constants_keep_the_inline_arithmetic(cells16):
     assert du.tobytes() == (-ws.sponge_rate * s * u).tobytes()
 
 
-def _reference_run(cfg: SimConfig, dt: float):
-    """The sampled run rebuilt step by step: a fresh evaluation of the
-    tendencies for each step's stage 0 and for each sample, where the run
-    shares one evaluation per state.  Returns the series, or the failure
+def _reference_run(steady, cfg: SimConfig, dt: float):
+    """The sampled run about steady rebuilt step by step: a fresh evaluation
+    of the tendencies for each step's stage 0 and for each sample, where the
+    run shares one evaluation per state.  Returns the series, or the failure
     time, the message and the partial series of a vacuum abort."""
-    steady = cfg.steady
     params = steady.profile.fluid
     g = steady.rho_tilde.grid
     state = init_perturbation(cfg.init_kind, cfg.delta, g, steady,
@@ -423,7 +431,7 @@ def _reference_run(cfg: SimConfig, dt: float):
     recorder = SeriesRecorder(g, rho_s, params.enthalpy_weight(rho_s),
                               params.longitudinal_viscosity, dt)
     n_steps = round(cfg.t_end / dt)
-    ws = _Workspace(cfg)
+    ws = _Workspace(steady, cfg)
     stepper = _Stepper(ws, dt)
     q, u, phi = state.q.values, state.u.values, state.phi.values
 
@@ -460,24 +468,25 @@ def _assert_same_series(a, b):
                          ids=["sponge", "no_sponge"])
 def test_run_samples_equal_the_public_step_loop(cells16, mode, sponge_rate):
     g, steady, params = cells16
-    cfg = SimConfig(steady=steady, delta=1e-3, t_end=4.0, output_stride=3,
+    cfg = SimConfig(delta=1e-3, t_end=4.0, output_stride=3,
                     mode=mode, sponge_rate=sponge_rate)
-    series = run_simulation(cfg)
+    series = run_simulation(steady, cfg)
     assert series.verdict is not None
-    _assert_same_series(series, _reference_run(cfg, series.dt))
+    _assert_same_series(series, _reference_run(steady, cfg, series.dt))
 
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_run_vacuum_abort_equals_the_public_step_loop(cells16, stride):
     # the velocity bump piles up density until it crosses a guard at 0.8
     g, steady, params = cells16
-    cfg = SimConfig(steady=steady, delta=100.0, t_end=4.0,
+    cfg = SimConfig(delta=100.0, t_end=4.0,
                     output_stride=stride, init_kind="velocity_only",
                     vacuum_floor=0.8)
     with pytest.raises(SimulationAbort) as info:
-        run_simulation(cfg)
+        run_simulation(steady, cfg)
     abort = info.value
-    t_fail, message, partial = _reference_run(cfg, abort.series.dt)
+    t_fail, message, partial = _reference_run(steady, cfg,
+                                                abort.series.dt)
     assert 0.0 < abort.t_fail == t_fail
     assert str(abort) == message
     assert abort.series.verdict is None
@@ -490,9 +499,9 @@ def test_run_abort_at_a_state_equals_the_public_step_loop(cells16, k,
     # a guard that trips at the state after k steps, not inside a step:
     # the failure time is that state's
     g, steady, params = cells16
-    cfg = SimConfig(steady=steady, delta=1e-3, t_end=4.0, output_stride=2)
-    dt = run_simulation(cfg).dt
-    ws = _Workspace(cfg)
+    cfg = SimConfig(delta=1e-3, t_end=4.0, output_stride=2)
+    dt = run_simulation(steady, cfg).dt
+    ws = _Workspace(steady, cfg)
     stepper = _Stepper(ws, dt)
     state = init_perturbation("standard", 1e-3, g, steady, params)
     q_k, u, phi, t_k = state.q.values, state.u.values, state.phi.values, 0.0
@@ -508,8 +517,8 @@ def test_run_abort_at_a_state_equals_the_public_step_loop(cells16, k,
 
     monkeypatch.setattr(_Workspace, "rhs", rhs)
     with pytest.raises(SimulationAbort) as info:
-        run_simulation(cfg)
-    t_fail, message, partial = _reference_run(cfg, dt)
+        run_simulation(steady, cfg)
+    t_fail, message, partial = _reference_run(steady, cfg, dt)
     assert info.value.t_fail == t_fail == t_k
     assert str(info.value) == message == "tripped"
     _assert_same_series(info.value.series, partial)
@@ -548,9 +557,8 @@ def test_run_evaluates_rhs_once_per_state(cells16, stride, monkeypatch):
     monkeypatch.setattr(Tridiagonal, "__matmul__", matmul)
     monkeypatch.setattr(evolve, "_viscous_operator", viscous_operator)
     monkeypatch.setattr(evolve, "init_perturbation", init)
-    cfg = SimConfig(steady=steady, delta=1e-3, t_end=4.0,
-                    output_stride=stride)
-    series = run_simulation(cfg)
+    cfg = SimConfig(delta=1e-3, t_end=4.0, output_stride=stride)
+    series = run_simulation(steady, cfg)
     n = round(cfg.t_end / series.dt)
     assert n > 3
     # one evaluation per state: the initial one, then two stages a step
@@ -567,9 +575,9 @@ def test_non_finite_tendency_at_a_state_aborts_with_the_partial_series(
     # run at that state's time: the sample's finiteness check catches it at
     # a sampled state, the next step's at an unsampled one
     g, steady, params = cells16
-    cfg = SimConfig(steady=steady, delta=1e-3, t_end=4.0, output_stride=2)
-    clean = run_simulation(cfg)
-    stepper = _Stepper(_Workspace(cfg), clean.dt)
+    cfg = SimConfig(delta=1e-3, t_end=4.0, output_stride=2)
+    clean = run_simulation(steady, cfg)
+    stepper = _Stepper(_Workspace(steady, cfg), clean.dt)
     state = init_perturbation("standard", 1e-3, g, steady, params)
     q_k, u, phi, t_k = state.q.values, state.u.values, state.phi.values, 0.0
     for _ in range(k):
@@ -585,7 +593,7 @@ def test_non_finite_tendency_at_a_state_aborts_with_the_partial_series(
 
     monkeypatch.setattr(_Workspace, "rhs", rhs)
     with pytest.raises(SimulationAbort) as info:
-        run_simulation(cfg)
+        run_simulation(steady, cfg)
     abort = info.value
     assert abort.t_fail == t_k
     assert str(abort) == "non-finite values produced during time step"
@@ -613,8 +621,8 @@ def test_run_builds_no_field_per_sample(cells16, monkeypatch):
     counts = {}
     for stride in (1, 50):
         built.clear()
-        series = run_simulation(SimConfig(steady=steady, delta=1e-3,
-                                          t_end=4.0, output_stride=stride))
+        series = run_simulation(steady, SimConfig(
+            delta=1e-3, t_end=4.0, output_stride=stride))
         counts[stride] = (len(built), series.column("t").size)
     assert counts[1][1] > counts[50][1] == 2
     assert counts[1][0] == counts[50][0]
@@ -632,8 +640,8 @@ class _ForcedWorkspace(_Workspace):
     """The run workspace with the forcing at time ``t`` added to the
     tendencies of every evaluation."""
 
-    def __init__(self, config, forcing):
-        super().__init__(config)
+    def __init__(self, steady, config, forcing):
+        super().__init__(steady, config)
         self.forcing = forcing
         self.t = 0.0
 
@@ -660,9 +668,8 @@ def _mms_errors(gamma, mode, n, scale=None):
         profile=make_profile("constant", params, 0.0, grid),
         residual_elliptic=0.0, bounds_ok=True, iterations_super=0,
         iterations_sub=0, limit_gap=0.0, monotonicity_defect=0.0)
-    ws = _ForcedWorkspace(SimConfig(steady=steady, mode=mode,
-                                    sponge_rate=0.0, sponge_width=0.0),
-                          mms.forcing)
+    ws = _ForcedWorkspace(steady, SimConfig(mode=mode, sponge_rate=0.0,
+                                            sponge_width=0.0), mms.forcing)
     dt = 5.0 / n
     stepper = _Stepper(ws, dt)
     q, u = mms.exact(0.0)

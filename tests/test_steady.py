@@ -5,17 +5,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsplab import (EvaluationDomainError, ParameterError, build_radial_grid,
                     check_subsuper, make_profile, profile_supersolution,
-                    rho_from_phi, solve_steady_monotone,
-                    steady_regularity_report, subsolution_phi,
-                    supersolution_phi)
+                    solve_steady_monotone, steady_regularity_report,
+                    subsolution_phi, supersolution_phi)
 from nsplab.elliptic import hessian_norm_radial, solve_shifted
 from nsplab.grids import RadialField
-from nsplab.steady import (BackgroundProfile, _Branch, compatibility_residual,
+from nsplab.steady import (BackgroundProfile, compatibility_residual,
                            profile_upper_bound)
 
 from oracles import gas, newton_steady
@@ -68,28 +67,28 @@ def test_subsolution_is_zero(shell16):
 
 
 def test_supersolution_gamma2_values(shell16):
-    phi = supersolution_phi(2.0, 1.0, shell16)
+    phi = supersolution_phi(gas(2.0), shell16)
     assert phi.values[0] == pytest.approx(2.0, rel=1e-14)
     # 2/r at the outer edge
     assert phi.values[-1] == pytest.approx(2.0 / 16.0, rel=1e-14)
 
 
 def test_supersolution_gamma1_value(shell16):
-    phi = supersolution_phi(1.0, 1.0, shell16)
+    phi = supersolution_phi(gas(1.0), shell16)
     assert phi.values[0] == pytest.approx(math.log(2.0), rel=1e-14)
 
 
 def test_supersolution_gamma_below_one_rejected(shell16):
+    with pytest.raises(ParameterError):  # the gas itself refuses gamma < 1
+        supersolution_phi(gas(0.5), shell16)
     with pytest.raises(ParameterError):
-        supersolution_phi(0.5, 1.0, shell16)
-    with pytest.raises(ParameterError):
-        supersolution_phi(3.0, 1.0, shell16)  # explicit form needs the envelope
+        supersolution_phi(gas(3.0), shell16)  # explicit form needs the envelope
 
 
 def test_profile_supersolution_picks_the_bracket(shell16):
     bump = make_profile("admissible_bump", gas(1.5), 0.5, shell16)
     assert np.array_equal(profile_supersolution(bump).values,
-                          supersolution_phi(1.5, 1.0, shell16).values)
+                          supersolution_phi(gas(1.5), shell16).values)
     env = make_profile("general_gamma_envelope", gas(3.0), 0.8, shell16,
                        envelope_c0=0.5, envelope_eps=0.4)
     assert np.array_equal(profile_supersolution(env).values,
@@ -108,14 +107,14 @@ def test_profile_supersolution_picks_the_bracket(shell16):
 
 def test_branch_limit_gamma_to_one(shell16):
     # gamma -> 1+ limit of the power-law bracket approaches the log bracket
-    phi_1 = supersolution_phi(1.0, 1.0, shell16).values
-    phi_101 = supersolution_phi(1.01, 1.0, shell16).values
+    phi_1 = supersolution_phi(gas(1.0), shell16).values
+    phi_101 = supersolution_phi(gas(1.01), shell16).values
     assert np.max(np.abs(phi_101 - phi_1)) / np.max(phi_1) < 0.05
 
 
 def test_subsuper_certificates_gamma2_equality_case(shell16):
     profile = exact_saturating_profile(shell16, 2.0)
-    cert = check_subsuper(supersolution_phi(2.0, 1.0, shell16), "super",
+    cert = check_subsuper(supersolution_phi(gas(2.0), shell16), "super",
                           profile, tol=1e-10)
     assert cert.passed
     assert abs(cert.max_residual) < 1e-10
@@ -125,7 +124,7 @@ def test_subsuper_certificates_gamma2_equality_case(shell16):
 
 def test_subsuper_certificates_gamma1(shell16):
     profile = exact_saturating_profile(shell16, 1.0)
-    cert = check_subsuper(supersolution_phi(1.0, 1.0, shell16), "super",
+    cert = check_subsuper(supersolution_phi(gas(1.0), shell16), "super",
                           profile, tol=1e-8)
     assert cert.passed
     assert cert.max_residual <= 1e-8
@@ -147,24 +146,47 @@ def test_zero_is_sub_for_admissible_background(shell16):
 
 # ------------------------------------------------------------ density map
 
-def test_rho_from_phi_normalization(shell16):
-    zero = shell16.zeros()
+def test_density_normalization(shell16):
+    zero = shell16.zeros().values
     for gamma in (1.0, 1.5, 2.0):
-        rho = rho_from_phi(zero, gamma, 1.0)
-        assert np.max(np.abs(rho.values - 1.0)) < 1e-14
+        rho = gas(gamma).density(zero)
+        assert np.max(np.abs(rho - 1.0)) < 1e-14
 
 
-def test_rho_from_phi_examples(shell16):
-    two = shell16.field(np.full(shell16.n_nodes, 2.0))
-    assert rho_from_phi(two, 2.0, 1.0).values[0] == pytest.approx(2.0)
-    ln2 = shell16.field(np.full(shell16.n_nodes, math.log(2.0)))
-    assert rho_from_phi(ln2, 1.0, 1.0).values[0] == pytest.approx(2.0)
+def test_density_examples(shell16):
+    two = np.full(shell16.n_nodes, 2.0)
+    assert gas(2.0).density(two)[0] == pytest.approx(2.0)
+    ln2 = np.full(shell16.n_nodes, math.log(2.0))
+    assert gas(1.0).density(ln2)[0] == pytest.approx(2.0)
 
 
-def test_rho_from_phi_domain_error(shell16):
-    bad = shell16.field(np.full(shell16.n_nodes, -100.0))
+def test_density_domain_error(shell16):
+    bad = np.full(shell16.n_nodes, -100.0)
     with pytest.raises(EvaluationDomainError):
-        rho_from_phi(bad, 2.0, 1.0)
+        gas(2.0).density(bad)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(gamma=st.floats(1.0, 3.0), c_star=st.floats(0.5, 2.0),
+       phi=st.lists(st.floats(-0.25, 1.0), min_size=1, max_size=8),
+       q_frac=st.lists(st.floats(-0.5, 1.0), min_size=1, max_size=8))
+@example(gamma=1.0, c_star=1.3, phi=[-0.25, 0.0, 1.0], q_frac=[-0.5, 1.0])
+@example(gamma=1.001, c_star=0.7, phi=[-0.25, 0.0, 1.0], q_frac=[-0.5, 1.0])
+def test_the_two_directions_of_the_gas_law_agree(gamma, c_star, phi, q_frac):
+    # F inverts the enthalpy relation: F(0) = c_star, F' = 1/h'(F), and F of
+    # the enthalpy increment h(c_star + q) - h(c_star) gives back c_star + q
+    fluid = gas(gamma, c_star)
+    phi, q = np.array(phi), c_star * np.array(q_frac)
+    zero = float(fluid.density(np.zeros(1))[0])
+    if gamma == 1.0:
+        assert zero == c_star
+    else:  # c1 and its inverse scale round, then the 1/(gamma-1) power
+        assert zero == pytest.approx(c_star, rel=1e-12)
+    product = (fluid.enthalpy_weight(fluid.density(phi))
+               * fluid.density_slope(phi))
+    np.testing.assert_allclose(product, 1.0, rtol=1e-12, atol=0.0)
+    back = fluid.density(fluid.enthalpy_increment_about(c_star)(q))
+    np.testing.assert_allclose(back, c_star + q, rtol=1e-12, atol=0.0)
 
 
 # ------------------------------------------- one grid per steady problem
@@ -189,13 +211,13 @@ def test_solver_takes_its_grid_from_the_profile(two_shells):
 
 def test_certificate_rejects_a_candidate_on_other_nodes(two_shells):
     a, b, profile = two_shells
-    for phi, role in ((supersolution_phi(2.0, 1.0, b), "super"),
+    for phi, role in ((supersolution_phi(gas(2.0), b), "super"),
                       (subsolution_phi(b), "sub")):
         with pytest.raises(ParameterError, match="different grid nodes"):
             check_subsuper(phi, role, profile)
     # the same nodes built again are the same grid
     same = build_radial_grid(1.0, 16.0, 320)
-    assert check_subsuper(supersolution_phi(2.0, 1.0, same), "super",
+    assert check_subsuper(supersolution_phi(gas(2.0), same), "super",
                           profile).passed
     # tol is keyword-only: an old (phi, role, gamma, profile) call fails
     with pytest.raises(TypeError, match="positional argument"):
@@ -305,7 +327,7 @@ def test_envelope_profile_solves_at_the_gamma_it_was_built_for(shell16):
     assert st.profile.fluid.gamma == 2.5
     assert st.bounds_ok
     assert np.array_equal(st.rho_tilde.values,
-                          rho_from_phi(st.phi_tilde, 2.5, 1.0).values)
+                          gas(2.5).density(st.phi_tilde.values))
     assert np.max(np.abs(st.phi_tilde.values - newton_steady(profile))) < 1e-9
 
 
@@ -335,20 +357,19 @@ def test_steady_compatibility_converges_at_second_order():
 
 def test_monotone_sandwich_and_direction(shell16):
     # instrumented rerun of the two bracketing sequences
-    from nsplab.steady import _iterate
-    profile = make_profile("admissible_bump", gas(2.0), 0.5, shell16)
-    branch = _Branch(2.0, 1.0)
-    phi_super = supersolution_phi(2.0, 1.0, shell16)
-    shift = 1.1 * float(np.max(branch.Fprime(phi_super.values)))
+    fluid = gas(2.0)
+    profile = make_profile("admissible_bump", fluid, 0.5, shell16)
+    phi_super = supersolution_phi(fluid, shell16)
+    shift = 1.1 * float(np.max(fluid.density_slope(phi_super.values)))
     b = profile.values.values
 
     upper = phi_super.values.copy()
     lower = np.zeros_like(upper)
     for _ in range(12):
         up_next = solve_shifted(shift, RadialField(
-            branch.F(upper) - b - shift * upper, shell16)).values
+            fluid.density(upper) - b - shift * upper, shell16)).values
         lo_next = solve_shifted(shift, RadialField(
-            branch.F(lower) - b - shift * lower, shell16)).values
+            fluid.density(lower) - b - shift * lower, shell16)).values
         assert np.max(up_next - upper) <= 1e-10   # nonincreasing
         assert np.min(lo_next - lower) >= -1e-10  # nondecreasing
         assert np.max(lo_next - up_next) <= 1e-10  # ordered

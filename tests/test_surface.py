@@ -23,8 +23,10 @@ MOVED = ("VectorField3", "_d_axis", "_d_phi", "grad_scalar", "divergence",
          "_div_curl_norm", "_traces")
 # one-shot wrappers of the run workspace and of the E/D sample, the
 # readers of the sampled columns that SeriesRecorder.finish replaced, the
-# per-sample record, the library-side run digest, and the per-sample
-# field wrapping (samples read the run loop's arrays)
+# per-sample record, the library-side run digest, the per-sample field
+# wrapping (samples read the run loop's arrays), and the second spellings
+# of the gas law (FluidParams owns F and F') and of the run settings
+# (SimConfig checks its own)
 DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
            ("energy", "energy_E"), ("energy", "dissipation_D"),
            ("energy", "measure_viscous_constant"),
@@ -32,7 +34,8 @@ DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
            ("energy", "basic_energy_identity_residual"), ("energy", "mass"),
            ("energy", "EnergySample"), ("evolve", "_default_digest"),
            ("evolve", "Tendencies"), ("evolve", "_fields"),
-           ("evolve", "_arrays"))
+           ("evolve", "_arrays"), ("steady", "_Branch"),
+           ("steady", "rho_from_phi"), ("evolve", "check_run_settings"))
 
 
 def test_star_import_binds_exactly_all():
