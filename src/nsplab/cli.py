@@ -106,13 +106,10 @@ def cmd_steady(cfg: AppConfig, outdir: Path) -> int:
 
 
 def _sim_config(cfg: AppConfig, outdir: Path) -> SimConfig:
-    """The run settings of cfg; with evolve.checkpoints on, checkpoints go
-    to outdir/checkpoints, which is created here."""
-    if not cfg.evolve["checkpoints"]:
-        return cfg.run_settings()
-    checkpoint_dir = outdir / "checkpoints"
-    checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    return cfg.run_settings(checkpoint_dir=str(checkpoint_dir))
+    """The run settings of cfg; with evolve.checkpoints on, the run writes
+    its checkpoints to outdir/checkpoints (run_simulation creates it)."""
+    on = cfg.evolve["checkpoints"]
+    return cfg.run_settings(str(outdir / "checkpoints") if on else None)
 
 
 def _simulate(cfg: AppConfig, steady, outdir: Path, t0: float) -> dict:

@@ -135,13 +135,6 @@ def laplacian(grid: RadialGrid, shift: float = 0.0) -> Tridiagonal:
     return op
 
 
-def solve_poisson_values(grid: RadialGrid, q: np.ndarray) -> np.ndarray:
-    """phi values with Lap(phi) = q on raw arrays: the same refined solve as
-    solve_poisson_neumann, without the residual certificate and without a
-    finiteness check (non-finite data gives non-finite phi)."""
-    return laplacian(grid).solve_refined(q)
-
-
 def solve_poisson_neumann(q: RadialField) -> PoissonSolution:
     """Solve phi'' + (2/r) phi' = q with phi'(R) = 0 and the decay-matching
     Robin closure at R_max; returns phi with a residual certificate.

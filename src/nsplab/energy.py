@@ -112,16 +112,16 @@ class TimeSeries:
 
 class SeriesRecorder:
     """Appends each sampled quantity (t, E, D, D_no_qtt, mass, E_basic,
-    min_density, grad_u_sq) to its own list during a run and assembles the
-    TimeSeries; rho_s is rho_tilde and hp_s h'(rho_tilde), the run's
-    enthalpy weight."""
+    min_density, grad_u_sq) to its own list during a run of step dt about
+    steady and assembles the TimeSeries; the grid, rho_tilde, h'(rho_tilde)
+    and c_visc come from steady and its gas, as in the run's workspace."""
 
-    def __init__(self, grid, rho_s: np.ndarray, hp_s: np.ndarray,
-                 c_visc: float, dt: float):
-        self.grid = grid
-        self.rho_s = rho_s
-        self.hp_s = hp_s
-        self.c_visc = c_visc
+    def __init__(self, steady, dt: float):
+        fluid = steady.profile.fluid
+        self.grid = steady.rho_tilde.grid
+        self.rho_s = steady.rho_tilde.values
+        self.hp_s = fluid.enthalpy_weight(self.rho_s)
+        self.c_visc = fluid.longitudinal_viscosity
         self.dt = dt
         self.columns = {name: [] for name in SAMPLED}
 

@@ -38,13 +38,14 @@ Discretization notes:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import energy as energy_mod
-from .elliptic import Tridiagonal, laplacian, solve_poisson_values
+from .elliptic import Tridiagonal, laplacian
 from .errors import (IterationError, ParameterError, SimulationAbort,
                      VacuumError)
 from .grids import (FluidParams, RadialField, RadialGrid, differentiate,
@@ -70,11 +71,15 @@ class PerturbationState:
     t: float
 
 
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """How to run, range-checked on construction; dt, sponge width and rate
-    accept 'auto'.  What to run about is run_simulation's steady argument,
-    whose grid and gas (steady.profile.fluid) the run reads."""
+    """How to run, range-checked on construction; only dt, sponge width and
+    rate accept 'auto'.  What to run about is run_simulation's steady
+    argument, whose grid and gas (steady.profile.fluid) the run reads."""
 
     delta: float = 1e-3
     t_end: float = 10.0
@@ -91,24 +96,28 @@ class SimConfig:
     def __post_init__(self):
         if self.init_kind not in INIT_KINDS:
             raise ParameterError(f"unknown init_kind {self.init_kind!r}")
-        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+        if not (_real(self.delta) and self.delta >= 0.0):
             raise ParameterError(
                 f"delta must be finite and >= 0, got {self.delta}")
         for name in ("t_end", "dt", "margin"):
             value = getattr(self, name)
-            if value != "auto" and not (math.isfinite(value) and value > 0.0):
+            if not (name == "dt" and value == "auto"
+                    or _real(value) and value > 0.0):
                 raise ParameterError(
                     f"{name} must be finite and > 0, got {value}")
         for name in ("sponge_width", "sponge_rate"):
             value = getattr(self, name)
-            if value != "auto" and not (math.isfinite(value) and value >= 0.0):
+            if value != "auto" and not (_real(value) and value >= 0.0):
                 raise ParameterError(f"{name} must be 'auto' or a finite "
                                      f"value >= 0, got {value}")
+        if not isinstance(self.output_stride, numbers.Integral):
+            raise ParameterError(
+                f"output_stride must be an integer, got {self.output_stride}")
         if self.output_stride < 1:
             raise ParameterError("output_stride must be >= 1")
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}")
-        if not (0.0 < self.vacuum_floor < 1.0):
+        if not (_real(self.vacuum_floor) and 0.0 < self.vacuum_floor < 1.0):
             raise ParameterError("vacuum_floor must lie in (0, 1)")
 
 
@@ -132,13 +141,12 @@ _BUMP_GEOMETRY = {
 
 
 class _Workspace:
-    """Per-run precomputation: operators, steady coefficients, sponge mask."""
+    """Per-run precomputation: operators, steady coefficients, sponge mask;
+    every Poisson solve of the run is ``lap.solve_refined``."""
 
     def __init__(self, steady: SteadyState, config: SimConfig):
-        grid = steady.rho_tilde.grid
-        params = steady.profile.fluid
-        self.grid = grid
-        self.params = params
+        self.grid = grid = steady.rho_tilde.grid
+        self.params = params = steady.profile.fluid
         self.r = grid.r
         self.r2 = grid.r**2
         self.cv = grid.weights / (4.0 * math.pi)  # dual-cell volumes / 4pi
@@ -147,6 +155,7 @@ class _Workspace:
         self.dh = params.enthalpy_increment_about(self.rho_s)
         self.c_visc = params.longitudinal_viscosity
         self.nu_s = self.c_visc / self.rho_s
+        self.lap = laplacian(grid)
         self.visc = _viscous_operator(grid)
         self.nonlinear = config.mode == "nonlinear"
         self.vacuum_min = config.vacuum_floor * params.c_star
@@ -243,7 +252,7 @@ def _tendencies(ws: _Workspace, q: np.ndarray, u: np.ndarray, f):
     differentiates continuity:  q_tt = -div(q_t u + rho u_t).
     """
     q_t, u_t, _ = f
-    phi_t = solve_poisson_values(ws.grid, q_t)
+    phi_t = ws.lap.solve_refined(q_t)
     if ws.nonlinear:
         rho = ws.rho_s + q
         g = ws.r2 * (q_t * u + rho * u_t)
@@ -252,32 +261,24 @@ def _tendencies(ws: _Workspace, q: np.ndarray, u: np.ndarray, f):
     return q_t, u_t, phi_t, -ws.flux_divergence(g)
 
 
-def init_perturbation(kind: str, delta: float, grid: RadialGrid,
-                      steady: SteadyState, params: FluidParams,
-                      mode: str = "nonlinear") -> PerturbationState:
-    """Smooth, compactly supported initial data with exactly zero discrete
-    mass and amplitude scaled so the energy functional at t = 0 equals delta.
+def _initial_arrays(ws: _Workspace, kind: str, delta: float):
+    """Smooth, compactly supported initial (q, u, phi) arrays with exactly
+    zero discrete mass and amplitude scaled so the energy functional at
+    t = 0, evaluated on the run's workspace ws (its mode and vacuum guard),
+    equals delta.
 
     The density part is a positive bump plus a matched negative shell; the
     matching constant is computed against the discrete quadrature, so the two
     sums cancel exactly.  Both parts and the velocity bump vanish identically
-    near the walls.  grid must have the steady state's nodes and params must
-    be the gas of its profile.
+    near the walls.
     """
-    grid.require_same(steady.rho_tilde.grid, "grid and the steady state")
-    if params != steady.profile.fluid:
-        raise ParameterError(f"params {params} are not the steady state's "
-                             f"gas {steady.profile.fluid}")
-    ws = _Workspace(steady, SimConfig(delta=delta, init_kind=kind, mode=mode,
-                                      sponge_rate=0.0, sponge_width=0.0))
-    r = grid.r
+    grid, r = ws.grid, ws.r
     length = effective_length(grid.r_inner, grid.r_outer)
 
     def loc(frac):
         return grid.r_inner + frac * length
 
-    q_shape = np.zeros_like(r)
-    u_shape = np.zeros_like(r)
+    q_shape = u_shape = np.zeros_like(r)
     if kind in ("standard", "density_only"):
         cp, wp = _BUMP_GEOMETRY["q_pos"]
         cn, wn = _BUMP_GEOMETRY["q_neg"]
@@ -291,13 +292,10 @@ def init_perturbation(kind: str, delta: float, grid: RadialGrid,
 
     def arrays(a: float):
         q = a * q_shape
-        return q, a * u_shape, solve_poisson_values(grid, q)
-
-    def state_at(a: float) -> PerturbationState:
-        return PerturbationState(*map(grid.field, arrays(a)), t=0.0)
+        return q, a * u_shape, ws.lap.solve_refined(q)
 
     if delta == 0.0:
-        return state_at(0.0)
+        return arrays(0.0)
 
     def energy_of(a: float) -> float:
         q, u, phi = arrays(a)
@@ -308,8 +306,7 @@ def init_perturbation(kind: str, delta: float, grid: RadialGrid,
             raise IterationError("could not scale initial data to the target energy")
         return e
 
-    probe = 1e-6
-    amp = delta * probe / energy_of(probe)
+    amp = delta * 1e-6 / energy_of(1e-6)  # scaled from a small probe
     for _ in range(40):
         e = energy_of(amp)
         if abs(e - delta) <= 1e-12 * delta:
@@ -318,13 +315,27 @@ def init_perturbation(kind: str, delta: float, grid: RadialGrid,
     else:
         if abs(energy_of(amp) - delta) > 1e-9 * delta:
             raise IterationError("could not scale initial data to the target energy")
-    return state_at(amp)
+    return arrays(amp)
 
 
-def _resolve_dt(config: SimConfig, state: PerturbationState,
+def init_perturbation(kind: str, delta: float, grid: RadialGrid,
+                      steady: SteadyState, params: FluidParams,
+                      mode: str = "nonlinear") -> PerturbationState:
+    """_initial_arrays of a run about steady with the default vacuum guard,
+    as fields at t = 0; grid must have the steady state's nodes and params
+    must be the gas of its profile."""
+    grid.require_same(steady.rho_tilde.grid, "grid and the steady state")
+    if params != steady.profile.fluid:
+        raise ParameterError(f"params {params} are not the steady state's "
+                             f"gas {steady.profile.fluid}")
+    ws = _Workspace(steady, SimConfig(delta=delta, init_kind=kind, mode=mode))
+    arrays = _initial_arrays(ws, kind, delta)
+    return PerturbationState(*map(grid.field, arrays), t=0.0)
+
+
+def _resolve_dt(config: SimConfig, q: np.ndarray, u: np.ndarray,
                 ws: _Workspace) -> float:
-    rho = ws.rho_s + state.q.values
-    speed = ws.params.sound_speed(rho) + np.abs(state.u.values)
+    speed = ws.params.sound_speed(ws.rho_s + q) + np.abs(u)
     limit = ws.grid.min_spacing / float(np.max(speed))
     if config.dt == "auto":
         dt = CFL_SAFETY * limit
@@ -380,24 +391,21 @@ class _Stepper:
         rhs[-1] = 0.0
         return _finite(self.cn.solve(rhs))
 
-    def _potential(self, q: np.ndarray) -> np.ndarray:
-        return _finite(solve_poisson_values(self.ws.grid, q))
-
     def advance(self, q0: np.ndarray, u0: np.ndarray, phi0: np.ndarray,
                 f0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (q, u, phi) one step later, given f0 = ws.rhs(q0, u0,
         phi0) as stage 0; raises VacuumError when the density hits the
         vacuum guard or a stage produces non-finite values."""
-        dt = self.dt
+        dt, ws = self.dt, self.ws
         eq0, eu0, vu0 = self._explicit(q0, u0, f0)
         u1 = self._solve_u(u0 + dt * eu0 + 0.5 * dt * vu0)
         q1 = q0 + dt * eq0
-        phi1 = self._potential(q1)
+        phi1 = _finite(ws.lap.solve_refined(q1))
 
-        eq1, eu1, _ = self._explicit(q1, u1, self.ws.rhs(q1, u1, phi1))
+        eq1, eu1, _ = self._explicit(q1, u1, ws.rhs(q1, u1, phi1))
         q2 = q0 + 0.5 * dt * (eq0 + eq1)
         u2 = self._solve_u(u0 + 0.5 * dt * (eu0 + eu1) + 0.5 * dt * vu0)
-        phi2 = self._potential(q2)
+        phi2 = _finite(ws.lap.solve_refined(q2))
         return _finite(q2), u2, phi2
 
 
@@ -406,7 +414,9 @@ def run_simulation(steady: SteadyState,
     """Advance a perturbation of steady to t_end, sampling the energy
     functionals every output_stride steps; returns the series with the
     stability verdict attached.  A sponge wider than the shell raises
-    ParameterError, as a dt beyond the CFL bound does.
+    ParameterError, as a dt beyond the CFL bound does, before checkpoint_dir
+    is created.  One workspace serves the initial data (whose scaling so
+    honours the run's mode and vacuum_floor), the stages and the samples.
 
     Aborts (vacuum or non-finite values) raise SimulationAbort carrying the
     failure time and the partial series; an abort while the initial data is
@@ -418,17 +428,16 @@ def run_simulation(steady: SteadyState,
     """
     ws = _Workspace(steady, config)
     try:
-        state = init_perturbation(config.init_kind, config.delta, ws.grid,
-                                  steady, ws.params, mode=config.mode)
+        q, u, phi = _initial_arrays(ws, config.init_kind, config.delta)
     except (VacuumError, IterationError) as exc:
         raise SimulationAbort(str(exc), t_fail=0.0) from exc
-    dt = _resolve_dt(config, state, ws)
+    dt = _resolve_dt(config, q, u, ws)
     n_steps = max(1, math.ceil(config.t_end / dt - 1e-12))
     dt = config.t_end / n_steps
     stepper = _Stepper(ws, dt)
-
-    recorder = energy_mod.SeriesRecorder(ws.grid, ws.rho_s, ws.hp_s,
-                                         ws.c_visc, dt)
+    recorder = energy_mod.SeriesRecorder(steady, dt)
+    if config.checkpoint_dir is not None:
+        Path(config.checkpoint_dir).mkdir(parents=True, exist_ok=True)
 
     def sample(step: int, t: float, q, u, phi, f):
         # checked before use, so no warning precedes the abort
@@ -438,7 +447,7 @@ def run_simulation(steady: SteadyState,
             path = Path(config.checkpoint_dir) / f"state_{step:08d}.txt"
             write_checkpoint(ws.grid, t, q, u, phi, path)
 
-    q, u, phi, t = state.q.values, state.u.values, state.phi.values, state.t
+    t = 0.0
     try:
         f = ws.rhs(q, u, phi)
         sample(0, t, q, u, phi, f)

@@ -455,13 +455,13 @@ def test_cli_simulate_non_finite_sampled_tendency_aborts(tmp_path, capsys,
     # state after step 10, a sampled state at stride 10, aborts the run
     # there with its partial series
     calls = []
-    real_rhs, real_init = evolve._Workspace.rhs, evolve.init_perturbation
+    real_rhs, real_init = evolve._Workspace.rhs, evolve._initial_arrays
 
     def init(*args, **kwargs):
         # count only the run loop's evaluations
-        state = real_init(*args, **kwargs)
+        arrays = real_init(*args, **kwargs)
         calls.clear()
-        return state
+        return arrays
 
     def rhs(self, q, u, phi):
         q_t, u_t, lap_u = real_rhs(self, q, u, phi)
@@ -471,7 +471,7 @@ def test_cli_simulate_non_finite_sampled_tendency_aborts(tmp_path, capsys,
             u_t = np.full_like(u_t, np.inf)
         return q_t, u_t, lap_u
 
-    monkeypatch.setattr(evolve, "init_perturbation", init)
+    monkeypatch.setattr(evolve, "_initial_arrays", init)
     monkeypatch.setattr(evolve._Workspace, "rhs", rhs)
     out = tmp_path / "out"
     code = main(["simulate", "--config", str(write_cfg(tmp_path)),
@@ -517,6 +517,41 @@ def test_cli_simulate_checkpoints(tmp_path):
     assert lines[:2] == ["# t 0", "r q u phi"]
     assert len(lines[2:]) == 321
     assert all(len(row.split()) == 4 for row in lines[2:])
+
+
+@pytest.mark.parametrize("refusal", ["evolve.sponge_width=100",
+                                     "evolve.dt=1"], ids=["sponge", "dt"])
+def test_cli_refused_run_leaves_no_checkpoint_dir(tmp_path, refusal):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(write_cfg(tmp_path)),
+                 "--out", str(out), "--set", "evolve.checkpoints=on",
+                 "--set", refusal]) == 2
+    assert out.is_dir() and not (out / "checkpoints").exists()
+
+
+def test_cli_initial_data_honours_the_run_vacuum_floor(tmp_path, capsys):
+    # density_only data at delta = 900 dips to 0.083, above a guard of
+    # 0.01; at delta = 300 a guard of 0.8 stops the scaling itself, which
+    # leaves no series
+    def simulate(out, *sets):
+        argv = ["simulate", "--config", str(CONFIGS / "quick.cfg"),
+                "--out", str(out), "--set", "evolve.init_kind=density_only"]
+        for item in sets:
+            argv += ["--set", item]
+        code = main(argv)
+        return code, json.loads((out / "summary.json").read_text())
+
+    code, summary = simulate(tmp_path / "low", "evolve.delta=900",
+                             "evolve.vacuum_floor=0.01", "evolve.t_end=0.02")
+    assert code == 0 and summary["verdict"] == "PASS"
+    assert capsys.readouterr().err == ""
+    code, summary = simulate(tmp_path / "high", "evolve.delta=300",
+                             "evolve.vacuum_floor=0.8")
+    assert code == 4 and summary["failure_time"] == 0.0
+    assert "below the vacuum guard" in summary["reason"]
+    assert "n_samples" not in summary
+    assert not (tmp_path / "high" / "series.csv").exists()
+    assert capsys.readouterr().err == f"aborted: {summary['reason']}\n"
 
 
 def test_cli_simulate_sponge_rate_beyond_heun_limit(tmp_path):

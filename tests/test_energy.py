@@ -82,7 +82,7 @@ def test_components_sum_to_total(bundle):
 
 def test_sample_computes_each_derivative_once(shell16, bundle,
                                               steady_bump_gamma2,
-                                              params_gamma2, monkeypatch):
+                                              monkeypatch):
     state, tend = bundle
     applied = []
     real = grids.differentiate
@@ -94,9 +94,7 @@ def test_sample_computes_each_derivative_once(shell16, bundle,
 
     monkeypatch.setattr(grids, "differentiate", counted)
     monkeypatch.setattr("nsplab.energy.differentiate", counted)
-    rho_s = steady_bump_gamma2.rho_tilde.values
-    recorder = SeriesRecorder(shell16, rho_s,
-                              params_gamma2.enthalpy_weight(rho_s), 1.0, 0.1)
+    recorder = SeriesRecorder(steady_bump_gamma2, 0.1)
     recorder.add(state.t, state.q.values, state.u.values, state.phi.values,
                  tend)
     monkeypatch.undo()

@@ -10,7 +10,7 @@ from nsplab import (ParameterError, PerturbationState,
                     build_radial_grid, init_perturbation, make_profile,
                     run_simulation, solve_steady_monotone, weighted_l2_norm)
 from nsplab import SteadyState, evolve
-from nsplab.elliptic import Tridiagonal, solve_poisson_values
+from nsplab.elliptic import Tridiagonal
 from nsplab.energy import SAMPLED, SeriesRecorder, basic_energy
 from nsplab.evolve import (_Stepper, _viscous_operator, _Workspace,
                            write_checkpoint)
@@ -381,6 +381,80 @@ def test_run_abort_while_building_initial_data(steady_bump_gamma2):
     assert info.value.series is None
 
 
+def test_run_creates_its_checkpoint_dir_after_its_checks(tmp_path,
+                                                         steady320):
+    # a library run names a directory that need not exist; a run refused
+    # by its dt check leaves none behind
+    target = tmp_path / "a" / "b"
+    series = run_simulation(steady320, SimConfig(
+        t_end=0.1, output_stride=2, checkpoint_dir=str(target)))
+    files = sorted(target.glob("state_*.txt"))
+    assert len(files) == series.column("t").size > 2
+    refused = tmp_path / "refused"
+    with pytest.raises(ParameterError, match="CFL"):
+        run_simulation(steady320, SimConfig(t_end=0.1, dt=1.0,
+                                            checkpoint_dir=str(refused)))
+    assert not refused.exists()
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"t_end": "auto"}, "t_end must be finite and > 0, got auto"),
+    ({"margin": "auto"}, "margin must be finite and > 0, got auto"),
+    ({"output_stride": 2.5}, "output_stride must be an integer, got 2.5"),
+], ids=["t_end", "margin", "stride"])
+def test_sim_config_refuses_what_no_run_resolves(fields, message):
+    # only dt and the sponge width and rate are resolved by the run; a
+    # fractional stride would sample off its stated steps
+    with pytest.raises(ParameterError) as err:
+        SimConfig(**fields)
+    assert str(err.value) == message
+    SimConfig(dt="auto", sponge_width="auto", sponge_rate="auto",
+              output_stride=np.int64(3))
+
+
+# --------------------------------------------------- one workspace per run
+
+def test_run_builds_one_workspace(steady320, monkeypatch):
+    # the initial data, the stages and the samples share it
+    built = []
+    real = _Workspace.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Workspace, "__init__", counted)
+    run_simulation(steady320, SimConfig(t_end=0.1))
+    assert len(built) == 1
+    assert not hasattr(_Stepper, "_potential")
+
+
+def test_initial_data_honours_the_run_vacuum_floor(steady320):
+    # the scaled density_only data dips to 0.083 at delta = 900: below the
+    # default guard of 0.1, above this run's 0.01
+    cfg = SimConfig(delta=900.0, init_kind="density_only",
+                    vacuum_floor=0.01, t_end=0.02)
+    series = run_simulation(steady320, cfg)
+    assert series.verdict is not None and series.verdict.passed
+    assert 0.01 < series.column("min_density")[0] < 0.1
+    # the public init_perturbation keeps the default guard
+    with pytest.raises(VacuumError, match="below the vacuum guard"):
+        init_perturbation("density_only", 900.0, steady320.rho_tilde.grid,
+                          steady320, steady320.profile.fluid)
+
+
+def test_initial_data_stops_at_the_run_vacuum_floor(steady320):
+    # the mirror case: a guard of 0.8 stops the scaling itself, so the run
+    # aborts while its initial data is built, at t = 0 and with no series
+    cfg = SimConfig(delta=300.0, init_kind="density_only",
+                    vacuum_floor=0.8, t_end=0.5)
+    with pytest.raises(SimulationAbort,
+                       match="below the vacuum guard") as info:
+        run_simulation(steady320, cfg)
+    assert info.value.t_fail == 0.0
+    assert info.value.series is None
+
+
 # ------------------------------------------- one explicit evaluation per state
 
 @pytest.fixture(scope="module", params=[1.0, 1.5, 2.0],
@@ -427,9 +501,7 @@ def _reference_run(steady, cfg: SimConfig, dt: float):
     g = steady.rho_tilde.grid
     state = init_perturbation(cfg.init_kind, cfg.delta, g, steady,
                               params, mode=cfg.mode)
-    rho_s = steady.rho_tilde.values
-    recorder = SeriesRecorder(g, rho_s, params.enthalpy_weight(rho_s),
-                              params.longitudinal_viscosity, dt)
+    recorder = SeriesRecorder(steady, dt)
     n_steps = round(cfg.t_end / dt)
     ws = _Workspace(steady, cfg)
     stepper = _Stepper(ws, dt)
@@ -533,7 +605,7 @@ def test_run_evaluates_rhs_once_per_state(cells16, stride, monkeypatch):
     real_rhs = _Workspace.rhs
     real_matmul = Tridiagonal.__matmul__
     real_visc = evolve._viscous_operator
-    real_init = evolve.init_perturbation
+    real_init = evolve._initial_arrays
 
     def rhs(self, q, u, phi):
         counts["rhs"] += 1
@@ -549,14 +621,14 @@ def test_run_evaluates_rhs_once_per_state(cells16, stride, monkeypatch):
 
     def init(*args, **kwargs):
         # count only the run loop's evaluations
-        state = real_init(*args, **kwargs)
+        arrays = real_init(*args, **kwargs)
         counts.update(rhs=0, visc=0)
-        return state
+        return arrays
 
     monkeypatch.setattr(_Workspace, "rhs", rhs)
     monkeypatch.setattr(Tridiagonal, "__matmul__", matmul)
     monkeypatch.setattr(evolve, "_viscous_operator", viscous_operator)
-    monkeypatch.setattr(evolve, "init_perturbation", init)
+    monkeypatch.setattr(evolve, "_initial_arrays", init)
     cfg = SimConfig(delta=1e-3, t_end=4.0, output_stride=stride)
     series = run_simulation(steady, cfg)
     n = round(cfg.t_end / series.dt)
@@ -673,7 +745,7 @@ def _mms_errors(gamma, mode, n, scale=None):
     dt = 5.0 / n
     stepper = _Stepper(ws, dt)
     q, u = mms.exact(0.0)
-    phi = solve_poisson_values(grid, q)
+    phi = ws.lap.solve_refined(q)
     for step in range(n // 5):
         ws.t = step * dt
         f = ws.rhs(q, u, phi)

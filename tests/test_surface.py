@@ -24,9 +24,10 @@ MOVED = ("VectorField3", "_d_axis", "_d_phi", "grad_scalar", "divergence",
 # one-shot wrappers of the run workspace and of the E/D sample, the
 # readers of the sampled columns that SeriesRecorder.finish replaced, the
 # per-sample record, the library-side run digest, the per-sample field
-# wrapping (samples read the run loop's arrays), and the second spellings
+# wrapping (samples read the run loop's arrays), the second spellings
 # of the gas law (FluidParams owns F and F') and of the run settings
-# (SimConfig checks its own)
+# (SimConfig checks its own), and the run's second door to the Poisson
+# solve (the run workspace holds the Laplacian)
 DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
            ("energy", "energy_E"), ("energy", "dissipation_D"),
            ("energy", "measure_viscous_constant"),
@@ -35,7 +36,8 @@ DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
            ("energy", "EnergySample"), ("evolve", "_default_digest"),
            ("evolve", "Tendencies"), ("evolve", "_fields"),
            ("evolve", "_arrays"), ("steady", "_Branch"),
-           ("steady", "rho_from_phi"), ("evolve", "check_run_settings"))
+           ("steady", "rho_from_phi"), ("evolve", "check_run_settings"),
+           ("elliptic", "solve_poisson_values"))
 
 
 def test_star_import_binds_exactly_all():
