@@ -24,15 +24,15 @@ reports read one TangentEnsemble.
 
 Each seeded member is a short sum of separable terms R(r) T(theta) P(phi),
 the difference stencils act along one axis and the quadrature is a tensor
-product.  So the ensembles take every quadratic quantity from the 1-D
-factors, with the grid stencils applied to the factors: ||grad v||,
-||div v||, ||curl v||, ||grad f|| and the inner-sphere traces of v and
-grad f (div-curl, trace scaling, boundary pairing, and the Sobolev
-denominator).  An ensemble stacks the 1-D factors of all its members on a
-leading batch axis, so one batched pass evaluates every member, through the
-same code that serves a batch of one.  Only the L6 norm, which is not
-quadratic, is taken on the 3-D grid: each member is multiplied out by one
-(nr x modes) @ (modes x ntheta*nphi) product, one member at a time.
+product.  So every reported quantity comes from the 1-D factors, with the
+grid stencils applied to the factors, and no report builds a 3-D field:
+||grad v||, ||div v||, ||curl v|| and ||grad f|| are Gram integrals over
+the shell; |v|^2 on the inner sphere and the pairings int_{r=R} v . grad f
+are Gram integrals over the sphere, with the radial factors taken at r = R;
+and ||f||_L6^6 is the Gram integral of f^3, itself a separable sum (one term
+per multiset of three modes).  An ensemble stacks the 1-D factors of all its
+members on a leading batch axis, so one batched pass evaluates every member,
+through the same code that serves a batch of one.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -74,10 +75,6 @@ class SphericalGrid:
     @property
     def r_outer(self) -> float:
         return float(self.r[-1])
-
-    def integrate(self, f: np.ndarray) -> float:
-        w = np.repeat(self.w_theta, self.phi.size)  # (theta, phi) row-major
-        return float(self.w_r @ (f.reshape(self.r.size, -1) @ w) * self.w_phi)
 
     @cached_property
     def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,26 +150,6 @@ def _periodic(f: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def l6_norm(grid: SphericalGrid, f: np.ndarray) -> float:
-    f2 = f * f  # f**6 would go through pow(), several times slower
-    f6 = f2 * f2
-    f6 *= f2
-    return grid.integrate(f6) ** (1.0 / 6.0)
-
-
-def _boundary_integral(grid: SphericalGrid, f: np.ndarray) -> np.ndarray:
-    """Integrals over the inner sphere r = R of fields sampled on (theta,
-    phi), the last two axes of f."""
-    return (np.einsum("j,...jk->...", grid.w_theta, f) * grid.w_phi
-            * grid.r_inner**2)
-
-
-def _boundary_l2_sq(grid: SphericalGrid, traces: np.ndarray) -> float:
-    """|v|^2 integrated over the inner sphere, from the traces of v, shape
-    (3, ntheta, nphi)."""
-    return float(_boundary_integral(grid, np.sum(traces**2, axis=0)))
-
-
 @dataclass(frozen=True, eq=False)
 class _ModeSum:
     """n_comp sums of the same seeded separable terms, kept as 1-D factors:
@@ -186,12 +163,6 @@ class _ModeSum:
     cos_theta: np.ndarray   # ([n,] modes, ntheta)
     taper: np.ndarray       # (ntheta,): sin^2(theta)
     azimuthal: np.ndarray   # ([n,] modes, nphi)
-
-    def __getitem__(self, i: int) -> _ModeSum:
-        """Member i of a batch."""
-        return replace(self, amps=self.amps[i], radial=self.radial[i],
-                       cos_theta=self.cos_theta[i],
-                       azimuthal=self.azimuthal[i])
 
     def radial_stack(self, c: int) -> np.ndarray:
         """The radial factors of component c, amplitudes included."""
@@ -260,25 +231,37 @@ def _radial_lift(grid: SphericalGrid) -> np.ndarray:
 # P_t(phi), held as its three (..., terms, n) factor stacks; the leading
 # axes, if any, index the members of a batch.  The stencils act along one
 # axis, so they act on one factor of each term, and the quadrature is a
-# tensor product, so the integral of the square of a sum of pieces is a
-# sum over term pairs of products of 1-D weighted inner products.  A batch
+# tensor product, so the integral of the product of two sums of pieces is
+# a sum over term pairs of products of 1-D weighted inner products.  A batch
 # of one and a batch of n go through the same operations, member by
 # member.
 
 
-def _gram(grid: SphericalGrid, *pieces) -> np.ndarray:
-    """Integral over the shell of the square of the sum of the pieces, one
-    per member."""
-    rad, pol, azi = (np.concatenate(f, axis=-2) for f in zip(*pieces))
-    g = (((rad * grid.w_r) @ rad.mT) * ((pol * grid.w_theta) @ pol.mT)
-         * (azi @ azi.mT))
+def _gram(grid: SphericalGrid, left: list,
+          right: list | None = None) -> np.ndarray:
+    """Integral over the grid of the product of the sum of the pieces in
+    left and the sum of those in right (by default left again: the
+    square), one per member; the batch axes of left and right broadcast."""
+    def stack(pieces):
+        return [np.concatenate(f, axis=-2) for f in zip(*pieces)]
+
+    rad, pol, azi = stack(left)
+    rad2, pol2, azi2 = (rad, pol, azi) if right is None else stack(right)
+    g = (((rad * grid.w_r) @ rad2.mT) * ((pol * grid.w_theta) @ pol2.mT)
+         * (azi @ azi2.mT))
     return g.reshape(g.shape[:-2] + (-1,)).sum(axis=-1) * grid.w_phi
 
 
-def _trace(piece, out: np.ndarray | None = None) -> np.ndarray:
-    """A piece on the inner sphere r = R, shape (..., ntheta, nphi)."""
+def _inner_sphere(grid: SphericalGrid) -> SphericalGrid:
+    """The inner sphere r = R as a grid of one radial node of weight R^2:
+    over it _gram integrates pieces whose radial factors are taken at R."""
+    return replace(grid, r=grid.r[:1], w_r=np.array([grid.r_inner**2]))
+
+
+def _at_inner(piece) -> tuple:
+    """A piece with its radial factors taken at r = R."""
     rad, pol, azi = piece
-    return np.matmul((rad[..., :1] * pol).mT, azi, out=out)
+    return rad[..., :1], pol, azi
 
 
 class _Stencils:
@@ -319,7 +302,7 @@ def _tangent_quadratics(ms: _ModeSum):
     pol_cot = pol * s.cot
     vr, vt, vp = (_tangent_radial(ms, c) for c in range(3))
     a, b, c = vr / r, vt / r, vp / r
-    grad_sq = sum(_gram(grid, *comp) for comp in (
+    grad_sq = sum(_gram(grid, comp) for comp in (
         [(s.d_r(vr), pol, azi)],
         [(a, d_pol, azi), (-b, pol, azi)],
         [(a, pol_sin, d_azi), (-c, pol, azi)],
@@ -330,13 +313,13 @@ def _tangent_quadratics(ms: _ModeSum):
         [(c, d_pol, azi)],
         [(c, pol_sin, d_azi), (a, pol, azi), (b, pol_cot, azi)]))
     d_sin = _three_point(sin * pol, s.h_theta) / sin
-    div_sq = _gram(grid, (s.d_r(r**2 * vr) / r**2, pol, azi),
-                   (b, d_sin, azi), (c, pol_sin, d_azi))
-    curl_sq = (_gram(grid, (c, d_sin, azi), (-b, pol_sin, d_azi))
-               + _gram(grid, (a, pol_sin, d_azi),
-                       (-s.d_r(r * vp) / r, pol, azi))
-               + _gram(grid, (s.d_r(r * vt) / r, pol, azi),
-                       (-a, d_pol, azi)))
+    div_sq = _gram(grid, [(s.d_r(r**2 * vr) / r**2, pol, azi),
+                          (b, d_sin, azi), (c, pol_sin, d_azi)])
+    curl_sq = (_gram(grid, [(c, d_sin, azi), (-b, pol_sin, d_azi)])
+               + _gram(grid, [(a, pol_sin, d_azi),
+                              (-s.d_r(r * vp) / r, pol, azi)])
+               + _gram(grid, [(s.d_r(r * vt) / r, pol, azi),
+                              (-a, d_pol, azi)]))
     return grad_sq, div_sq, curl_sq
 
 
@@ -344,8 +327,9 @@ def _tangent_quadratics(ms: _ModeSum):
 class TangentEnsemble:
     """What the div-curl, trace-scaling and boundary-pairing reports need of
     the seeded tangent fields seed, seed + 1, ..., seed + n - 1: per member
-    ||grad v||^2, ||div v||^2 and ||curl v||^2, shape (n,), and the
-    inner-sphere traces, shape (n, 3, ntheta, nphi)."""
+    ||grad v||^2, ||div v||^2 and ||curl v||^2, shape (n,), and the three
+    components on the inner sphere, as pieces whose radial factors are
+    taken at r = R (shape (n, modes, 1))."""
 
     grid: SphericalGrid
     seed: int
@@ -353,7 +337,7 @@ class TangentEnsemble:
     grad_sq: np.ndarray
     div_sq: np.ndarray
     curl_sq: np.ndarray
-    traces: np.ndarray
+    inner: tuple
 
 
 def tangent_ensemble(grid: SphericalGrid, n_fields: int, seed: int = 0,
@@ -361,14 +345,11 @@ def tangent_ensemble(grid: SphericalGrid, n_fields: int, seed: int = 0,
     """One batched pass over the factors of every member."""
     ms = _batch(_tangent_modes, seed, n_fields, grid, modes)
     grad_sq, div_sq, curl_sq = _tangent_quadratics(ms)
-    # allocated once the temporaries of the quadratic terms are gone, and
-    # filled component by component
-    traces = np.empty((n_fields, 3) + grid.shape[1:])
     pol = ms.cos_theta * ms.taper
-    for c in range(3):
-        _trace((_tangent_radial(ms, c), pol, ms.azimuthal), out=traces[:, c])
+    inner = tuple(_at_inner((_tangent_radial(ms, c), pol, ms.azimuthal))
+                  for c in range(3))
     return TangentEnsemble(grid=grid, seed=seed, modes=modes, grad_sq=grad_sq,
-                           div_sq=div_sq, curl_sq=curl_sq, traces=traces)
+                           div_sq=div_sq, curl_sq=curl_sq, inner=inner)
 
 
 def _scalar_gradient(ms: _ModeSum) -> list:
@@ -382,7 +363,7 @@ def _scalar_gradient(ms: _ModeSum) -> list:
 
 def _vector_sq(grid: SphericalGrid, comps) -> np.ndarray:
     """||v||^2 per member of a vector field whose components are pieces."""
-    return sum(_gram(grid, comp) for comp in comps)
+    return sum(_gram(grid, [comp]) for comp in comps)
 
 
 def _ensemble_report(inequality: str, ratios) -> IneqReport:
@@ -447,7 +428,7 @@ def verify_trace_scaling(r_values=trace_radii(1.0), outer_factor: float = 4.0,
     for r_in in r_values:
         grid = build_spherical_grid(r_in, outer_factor * r_in, nr, ntheta, nphi)
         ens = tangent_ensemble(grid, 1, seed, modes)
-        ratios.append(_boundary_l2_sq(grid, ens.traces[0])
+        ratios.append(_vector_sq(_inner_sphere(grid), ens.inner)[0]
                       / (r_in * ens.grad_sq[0]))
     spread = (max(ratios) - min(ratios)) / max(ratios)
     return IneqReport(inequality="trace_scaling", n_samples=len(ratios),
@@ -459,15 +440,14 @@ def verify_trace_scaling(r_values=trace_radii(1.0), outer_factor: float = 4.0,
                                "r_values": [float(x) for x in r_values]})
 
 
-def _boundary_pairings(grid: SphericalGrid, v_traces: np.ndarray,
-                       g_traces: np.ndarray) -> np.ndarray:
-    """int_{r=R} v . g for every pair of traces from the stacks v_traces
-    (n_v, 3, ntheta, nphi) and g_traces (n_g, 3, ntheta, nphi); shape
-    (n_v, n_g).  One weighted contraction over (component, theta, phi),
-    summed in a fixed order (no BLAS), so reruns agree bit for bit."""
-    weighted = g_traces * (grid.w_theta[:, None] * grid.w_phi
-                           * grid.r_inner**2)
-    return np.einsum("vcjk,gcjk->vg", v_traces, weighted)
+def _pairings(grid: SphericalGrid, v_inner, g_inner) -> np.ndarray:
+    """int_{r=R} v . g for every member v of one batch against every member
+    g of another, shape (n_v, n_g), from their components on the inner
+    sphere as pieces (see TangentEnsemble.inner)."""
+    sphere = _inner_sphere(grid)
+    return sum(_gram(sphere, [tuple(f[:, None] for f in v)],
+                     [tuple(f[None] for f in g)])
+               for v, g in zip(v_inner, g_inner))
 
 
 def check_allowance(allowance: float) -> None:
@@ -483,17 +463,14 @@ def boundary_pairing_report(ens: TangentEnsemble, n_scalars: int = 20,
     the ensemble times n_scalars seeded scalars; the claimed constant is
     exactly 1 and the measured excess over 1 is the quadrature allowance.
     The scalar gradients are one batched pass over their factors, and the
-    pairings one contraction of the tangent traces against the
-    scalar-gradient traces."""
+    pairings one Gram over the sphere of the tangent pieces at r = R
+    against the scalar-gradient pieces at r = R."""
     check_allowance(allowance)
     grid = ens.grid
     comps = _scalar_gradient(_batch(_scalar_modes, ens.seed + 1000,
                                     n_scalars, grid, ens.modes))
     g_norms = np.sqrt(_vector_sq(grid, comps))
-    g_traces = np.empty((n_scalars, 3) + grid.shape[1:])
-    for c, comp in enumerate(comps):
-        _trace(comp, out=g_traces[:, c])
-    lhs = np.abs(_boundary_pairings(grid, ens.traces, g_traces))
+    lhs = np.abs(_pairings(grid, ens.inner, [_at_inner(c) for c in comps]))
     rhs = np.sqrt(ens.grad_sq)[:, None] * g_norms[None, :]
     kept = rhs > 0.0
     ratios = lhs[kept] / rhs[kept]
@@ -507,29 +484,30 @@ def boundary_pairing_report(ens: TangentEnsemble, n_scalars: int = 20,
                       details={"allowance_budget": allowance})
 
 
-def _l6_norms(ms: _ModeSum) -> np.ndarray:
-    """||f||_L6 of each member of a batch of scalar mode sums.  The L6 norm
-    is not quadratic, so each member is multiplied out on the 3-D grid, by
-    one (nr x modes) @ (modes x ntheta*nphi) product, and goes through
-    l6_norm; one member at a time keeps one 3-D field alive."""
-    grid = ms.grid
-    norms = []
-    for i in range(ms.amps.shape[0]):
-        one = ms[i]
-        angular = ((one.cos_theta * one.taper)[:, :, None]
-                   * one.azimuthal[:, None, :]).reshape(one.amps.shape[0], -1)
-        f = one.radial_stack(0).T @ angular
-        norms.append(l6_norm(grid, f.reshape(grid.shape)))
-    return np.array(norms)
+def _cube(ms: _ModeSum) -> tuple:
+    """f^3 of each member of a batch of scalar mode sums, as one piece: a
+    term per multiset {a <= b <= c} of modes, with the factors A_a A_b A_c,
+    B_a B_b B_c and C_a C_b C_c and the number of orderings of the multiset
+    (1, 3 or 6) as its weight.  Its Gram costs C(modes + 2, 3)^2 (nr +
+    ntheta + nphi) per member."""
+    terms = list(combinations_with_replacement(range(ms.amps.shape[-2]), 3))
+    a, b, c = np.array(terms).T
+    weights = np.array([len(set(permutations(t))) for t in terms], float)
+
+    def cube(f):
+        return f[..., a, :] * f[..., b, :] * f[..., c, :]
+
+    return (weights[:, None] * cube(ms.radial_stack(0)),
+            cube(ms.cos_theta * ms.taper), cube(ms.azimuthal))
 
 
 def sobolev_l6_report(grid: SphericalGrid, n_samples: int = 100, seed: int = 0,
                       modes: int = 3) -> IneqReport:
-    """||grad f|| of every member comes from one batched pass over the
-    factors, ||f||_L6 from one product per member (_l6_norms)."""
+    """||grad f|| and ||f||_L6 = (int (f^3)^2)^(1/6) of every member come
+    from one batched pass over the factors."""
     ms = _batch(_scalar_modes, seed, n_samples, grid, modes)
     denoms = np.sqrt(_vector_sq(grid, _scalar_gradient(ms)))
-    ratios = _guarded_ratios(_l6_norms(ms), denoms,
+    ratios = _guarded_ratios(_gram(grid, [_cube(ms)]) ** (1.0 / 6.0), denoms,
                              "gradient vanishes; ratio undefined")
     return _ensemble_report("sobolev_l6", ratios)
 

@@ -5,8 +5,9 @@ machinery: integrals come from dense plain trapezoid sums over analytic
 callables, and the steady-state oracle is a damped Newton iteration on the
 discrete system (same operator, independent solution path).  The one
 exception is the 3-D spherical operators at the end: they apply the
-package's one-axis stencils and quadrature to whole 3-D arrays, an
-independent evaluation path for the mode-factored ensembles.  The module
+package's one-axis stencils and the spherical grid's weights to whole 3-D
+arrays and inner-sphere traces, an independent evaluation path for the
+mode-factored ensembles.  The module
 also holds ``tendencies``, the suite's one way to evaluate a single state's
 tendencies through a run workspace, ``sample_norms``, its E/D sample, and
 ``gas``, the suite's FluidParams.
@@ -349,9 +350,9 @@ def premerge_scalar_field(seed, grid, modes=3):
     return out
 
 
-# The per-field operators on the 3-D spherical grid: the oracle of the
-# mode-factored ensembles in nsplab.ineqlab, which form a 3-D field only
-# for the L6 norm.
+# The per-field operators on the 3-D spherical grid and on its inner
+# sphere: the oracle of the mode-factored ensembles in nsplab.ineqlab,
+# which form no 3-D field.
 
 @dataclass(frozen=True, eq=False)
 class VectorField3:
@@ -426,16 +427,29 @@ def gradient_squared(v):
     return total
 
 
+def integrate(grid, f):
+    """Integral over the shell of a field sampled on the grid."""
+    w = np.repeat(grid.w_theta, grid.phi.size)  # (theta, phi) row-major
+    return float(grid.w_r @ (f.reshape(grid.r.size, -1) @ w) * grid.w_phi)
+
+
 def l2_norm(grid, f):
-    return math.sqrt(grid.integrate(f**2))
+    return math.sqrt(integrate(grid, f**2))
 
 
 def l2_norm_vec(v):
-    return math.sqrt(v.grid.integrate(v.vr**2 + v.vtheta**2 + v.vphi**2))
+    return math.sqrt(integrate(v.grid, v.vr**2 + v.vtheta**2 + v.vphi**2))
 
 
 def grad_norm(v):
-    return math.sqrt(v.grid.integrate(gradient_squared(v)))
+    return math.sqrt(integrate(v.grid, gradient_squared(v)))
+
+
+def l6_norm(grid, f):
+    f2 = f * f  # f**6 would go through pow(), several times slower
+    f6 = f2 * f2
+    f6 *= f2
+    return integrate(grid, f6) ** (1.0 / 6.0)
 
 
 def div_curl_norm(v):
@@ -445,6 +459,36 @@ def div_curl_norm(v):
 def inner_traces(v):
     """The three components on the inner sphere, shape (3, ntheta, nphi)."""
     return np.stack((v.vr[0], v.vtheta[0], v.vphi[0]))
+
+
+def sphere_traces(inner):
+    """Components given as pieces whose radial factors are taken at r = R
+    (ineqlab.TangentEnsemble.inner), multiplied out on the inner sphere:
+    shape (..., 3, ntheta, nphi)."""
+    return np.stack([(rad * pol).mT @ azi for rad, pol, azi in inner],
+                    axis=-3)
+
+
+def boundary_integral(grid, f):
+    """Integrals over the inner sphere r = R of fields sampled on (theta,
+    phi), the last two axes of f."""
+    return (np.einsum("j,...jk->...", grid.w_theta, f) * grid.w_phi
+            * grid.r_inner**2)
+
+
+def boundary_l2_sq(grid, traces):
+    """|v|^2 integrated over the inner sphere, from the traces of v, shape
+    (3, ntheta, nphi)."""
+    return float(boundary_integral(grid, np.sum(traces**2, axis=0)))
+
+
+def boundary_pairings(grid, v_traces, g_traces):
+    """int_{r=R} v . g for every pair of traces from the stacks v_traces
+    (n_v, 3, ntheta, nphi) and g_traces (n_g, 3, ntheta, nphi); shape
+    (n_v, n_g)."""
+    weighted = g_traces * (grid.w_theta[:, None] * grid.w_phi
+                           * grid.r_inner**2)
+    return np.einsum("vcjk,gcjk->vg", v_traces, weighted)
 
 
 def tangent_field(seed, grid, modes=3):

@@ -18,12 +18,13 @@ from nsplab.ineqlab import (TangentEnsemble, boundary_pairing_report,
                             sobolev_l6_report, tangent_ensemble,
                             verify_lame_gradient_case, verify_trace_scaling)
 
-from oracles import (VectorField3, curl, d_axis, d_phi, div_curl_norm,
+from oracles import (VectorField3, boundary_integral, boundary_l2_sq,
+                     boundary_pairings, curl, d_axis, d_phi, div_curl_norm,
                      divergence, grad_norm, grad_scalar, inner_traces,
-                     l2_norm, l2_norm_vec, premerge_scalar_field,
-                     tangent_field)
+                     integrate, l2_norm, l2_norm_vec, l6_norm,
+                     premerge_scalar_field, sphere_traces, tangent_field)
 
-MEMBER_FIELDS = ("grad_sq", "div_sq", "curl_sq", "traces")
+MEMBER_FIELDS = ("grad_sq", "div_sq", "curl_sq")
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,7 @@ def sgrid():
 
 
 def test_grid_volume_exact_and_weights_positive(sgrid):
-    vol = sgrid.integrate(np.ones(sgrid.shape))
+    vol = integrate(sgrid, np.ones(sgrid.shape))
     exact = 4.0 * math.pi * (2.0**3 - 1.0) / 3.0
     assert vol == pytest.approx(exact, rel=1e-13)
     assert np.all(sgrid.w_r > 0.0)
@@ -50,7 +51,7 @@ def test_integrate_equals_the_explicit_triple_sum(nr, ntheta, extra_phi,
     g = build_spherical_grid(1.0, 3.0, nr, ntheta, ntheta + extra_phi)
     f = np.random.default_rng(seed).standard_normal(g.shape)
     terms = (g.w_r[:, None, None] * g.w_theta[None, :, None] * g.w_phi) * f
-    assert abs(g.integrate(f) - terms.sum()) <= 1e-12 * np.abs(terms).sum()
+    assert abs(integrate(g, f) - terms.sum()) <= 1e-12 * np.abs(terms).sum()
 
 
 def test_gradient_squared_agrees_with_radial_reduction():
@@ -89,7 +90,7 @@ def test_grid_quadrature_refinement():
         g = build_spherical_grid(1.0, 2.0, nr, nt, np_)
         f = np.sin(g.r)[:, None, None] / (g.r**2)[:, None, None] \
             * np.ones(g.shape)
-        return abs(g.integrate(f) - exact)
+        return abs(integrate(g, f) - exact)
 
     assert err(16, 8, 8) / err(32, 16, 16) > 2.0
 
@@ -153,10 +154,13 @@ def test_curl_of_gradient_is_roundoff():
 def test_tangent_field_boundary_and_determinism(sgrid):
     ens = tangent_ensemble(sgrid, 2, seed=42)  # seeds 42 and 43
     again = tangent_ensemble(sgrid, 2, seed=42)
-    assert np.max(np.abs(ens.traces[:, 0])) == 0.0  # v_r(R) = 0
+    # v_r(R) = 0: the radial factors of v_r, taken at R
+    assert np.max(np.abs(ens.inner[0][0])) == 0.0
     for name in MEMBER_FIELDS:
         assert np.array_equal(getattr(ens, name), getattr(again, name))
-    assert not np.array_equal(ens.traces[0], ens.traces[1])
+    assert _same_pieces(ens.inner, again.inner)
+    traces = sphere_traces(ens.inner)
+    assert not np.array_equal(traces[0], traces[1])
     assert ens.grad_sq[0] != ens.grad_sq[1]
 
 
@@ -184,7 +188,7 @@ def test_div_curl_rejects_zero_field(sgrid):
     zero = np.zeros(3)
     degenerate = TangentEnsemble(grid=sgrid, seed=0, modes=3,
                                  grad_sq=ens.grad_sq, div_sq=zero,
-                                 curl_sq=zero, traces=ens.traces)
+                                 curl_sq=zero, inner=ens.inner)
     with pytest.raises(DegenerateFieldError, match="div and curl"):
         div_curl_report(degenerate)
 
@@ -217,11 +221,25 @@ def test_trace_scaling_rejects_unresolved_shells():
 
 
 def test_boundary_pairing_trivial_cases(sgrid):
-    v = inner_traces(tangent_field(7, sgrid))
+    v = tangent_ensemble(sgrid, 1, seed=7).inner
+    # the constant scalar 2.5 as a one-term mode sum, and its gradient
+    taper = np.sin(sgrid.theta) ** 2
+    const = iq._ModeSum(grid=sgrid, amps=np.full((1, 1, 1), 2.5),
+                        radial=np.ones((1, 1, sgrid.r.size)),
+                        cos_theta=(1.0 / taper)[None, None], taper=taper,
+                        azimuthal=np.ones((1, 1, sgrid.phi.size)))
+    g_const = _inner(iq._scalar_gradient(const))
+    assert float(iq._pairings(sgrid, v, g_const)[0, 0]) == pytest.approx(
+        0.0, abs=1e-12)
+    g = _inner(_scalar_gradient(8, sgrid, 3))
+    zero = [(0.0 * rad, pol, azi) for rad, pol, azi in v]
+    assert float(iq._pairings(sgrid, zero, g)[0, 0]) == 0.0
+    # the same cases on the traces multiplied out on the grid
+    traces = inner_traces(tangent_field(7, sgrid))
     g_const = inner_traces(grad_scalar(sgrid, np.full(sgrid.shape, 2.5)))
-    assert _pairing(sgrid, v, g_const) == pytest.approx(0.0, abs=1e-12)
+    assert _pairing(sgrid, traces, g_const) == pytest.approx(0.0, abs=1e-12)
     g = inner_traces(grad_scalar(sgrid, premerge_scalar_field(8, sgrid)))
-    assert _pairing(sgrid, np.zeros_like(v), g) == 0.0
+    assert _pairing(sgrid, np.zeros_like(traces), g) == 0.0
 
 
 def test_boundary_pairing_small_ensemble(sgrid):
@@ -234,7 +252,7 @@ def test_boundary_pairing_small_ensemble(sgrid):
 
 def test_sobolev_l6_ratio_properties(sgrid, monkeypatch):
     def ratio(f):
-        return iq.l6_norm(sgrid, f) / l2_norm_vec(grad_scalar(sgrid, f))
+        return l6_norm(sgrid, f) / l2_norm_vec(grad_scalar(sgrid, f))
 
     f = premerge_scalar_field(11, sgrid)
     assert ratio(2.0 * f) == pytest.approx(ratio(f), rel=1e-12)
@@ -289,10 +307,11 @@ def test_empty_ensembles_are_parameter_errors(sgrid, call):
 
 
 def _tangent_member(seed, grid, modes):
-    """The factor-path quantities of one tangent field: a batch of one."""
+    """The factor-path quantities of one tangent field: a batch of one (the
+    inner-sphere pieces keep their batch axis)."""
     ens = tangent_ensemble(grid, 1, seed, modes)
-    return SimpleNamespace(**{name: getattr(ens, name)[0]
-                              for name in MEMBER_FIELDS})
+    return SimpleNamespace(inner=ens.inner, **{
+        name: getattr(ens, name)[0] for name in MEMBER_FIELDS})
 
 
 def _scalar_gradient(seed, grid, modes):
@@ -301,13 +320,29 @@ def _scalar_gradient(seed, grid, modes):
                                          modes))
 
 
-def _scalar_traces(comps):
-    return np.stack([iq._trace(c)[0] for c in comps])
+def _inner(comps):
+    """The pieces of a vector field with their radial factors at r = R."""
+    return [iq._at_inner(c) for c in comps]
+
+
+def _same_pieces(a, b):
+    return all(np.array_equal(x, y)
+               for pa, pb in zip(a, b) for x, y in zip(pa, pb))
+
+
+def _member_pieces(inner, i):
+    """Member i of a batch of inner-sphere pieces, as a batch of one."""
+    return [tuple(f[i:i + 1] for f in piece) for piece in inner]
 
 
 def _pairing(grid, v_traces, g_traces):
-    return abs(float(iq._boundary_pairings(grid, v_traces[None],
-                                           g_traces[None])[0, 0]))
+    return abs(float(boundary_pairings(grid, v_traces[None],
+                                       g_traces[None])[0, 0]))
+
+
+def _sphere_sq(grid, inner):
+    """|v|^2 on the inner sphere per member, from the factor pieces."""
+    return iq._vector_sq(iq._inner_sphere(grid), inner)
 
 
 def test_streamed_reports_equal_per_field_loop(sgrid):
@@ -316,13 +351,13 @@ def test_streamed_reports_equal_per_field_loop(sgrid):
                for i in range(n_fields)]
     scalars = [_scalar_gradient(seed + 1000 + j, sgrid, modes)
                for j in range(n_scalars)]
-    g_traces = [_scalar_traces(comps) for comps in scalars]
     g_norms = [math.sqrt(iq._vector_sq(sgrid, comps)[0]) for comps in scalars]
     div_curl = [math.sqrt(m.grad_sq) / (math.sqrt(m.div_sq)
                                         + math.sqrt(m.curl_sq))
                 for m in members]
-    pairing = [_pairing(sgrid, m.traces, tg) / (math.sqrt(m.grad_sq) * gn)
-               for m in members for tg, gn in zip(g_traces, g_norms)]
+    pairing = [abs(float(iq._pairings(sgrid, m.inner, _inner(comps))[0, 0]))
+               / (math.sqrt(m.grad_sq) * gn)
+               for m in members for comps, gn in zip(scalars, g_norms)]
 
     ens = tangent_ensemble(sgrid, n_fields, seed, modes)
     rep = div_curl_report(ens)
@@ -336,8 +371,8 @@ def test_streamed_reports_equal_per_field_loop(sgrid):
 
 def test_shared_ensemble_gives_the_same_reports(sgrid):
     ens = tangent_ensemble(sgrid, 5, seed=2)
-    assert ens.traces.shape == (5, 3) + sgrid.shape[1:]
-    assert np.all(ens.traces[:, 0] == 0.0)  # v_r(R) = 0
+    assert sphere_traces(ens.inner).shape == (5, 3) + sgrid.shape[1:]
+    assert np.all(ens.inner[0][0] == 0.0)  # v_r(R) = 0
     again = tangent_ensemble(sgrid, 5, seed=2)
     assert div_curl_report(ens) == div_curl_report(again)
     assert boundary_pairing_report(ens, 3) == boundary_pairing_report(again, 3)
@@ -379,8 +414,8 @@ def test_d_axis_equals_per_axis_formula(sgrid):
 def test_l6_norm_matches_sixth_power(sgrid):
     for seed in range(4):
         f = premerge_scalar_field(seed, sgrid)
-        ref = sgrid.integrate(f**6) ** (1.0 / 6.0)
-        assert abs(iq.l6_norm(sgrid, f) - ref) <= 1e-15 * ref
+        ref = integrate(sgrid, f**6) ** (1.0 / 6.0)
+        assert abs(l6_norm(sgrid, f) - ref) <= 1e-15 * ref
 
 
 def test_verify_inequalities_builds_each_tangent_field_once(tmp_path,
@@ -424,22 +459,37 @@ def test_factor_path_matches_the_grid_operators(nr, ntheta, nphi, r_inner,
     assert close(math.sqrt(m.grad_sq), grad_norm(v))
     assert close(math.sqrt(m.div_sq) + math.sqrt(m.curl_sq),
                  div_curl_norm(v))
-    assert close_traces(m.traces, inner_traces(v))
+    assert close_traces(sphere_traces(m.inner)[0], inner_traces(v))
+    v_sq = boundary_l2_sq(grid, inner_traces(v))
+    assert close(_sphere_sq(grid, m.inner)[0], v_sq)
 
-    gf = grad_scalar(grid, premerge_scalar_field(seed, grid, modes))
-    comps = _scalar_gradient(seed, grid, modes)
+    f = premerge_scalar_field(seed, grid, modes)
+    scalar = iq._batch(iq._scalar_modes, seed, 1, grid, modes)
+    assert close(iq._gram(grid, [iq._cube(scalar)])[0] ** (1.0 / 6.0),
+                 l6_norm(grid, f))
+    gf = grad_scalar(grid, f)
+    comps = iq._scalar_gradient(scalar)
     assert close(math.sqrt(iq._vector_sq(grid, comps)[0]), l2_norm_vec(gf))
-    assert close_traces(_scalar_traces(comps), inner_traces(gf))
+    assert close_traces(sphere_traces(_inner(comps))[0], inner_traces(gf))
+    # a pairing can vanish (members of different azimuthal orders), so it
+    # is held to 1e-12 of its Cauchy-Schwarz bound on the sphere
+    pairing = iq._pairings(grid, m.inner, _inner(comps))[0, 0]
+    want = boundary_pairings(grid, inner_traces(v)[None],
+                             inner_traces(gf)[None])[0, 0]
+    scale = math.sqrt(v_sq * boundary_l2_sq(grid, inner_traces(gf)))
+    assert abs(pairing - want) <= 1e-12 * scale
 
 
 def test_batched_pairings_match_each_pair(sgrid):
+    # the Gram over the sphere of the factor pieces against the traces
+    # multiplied out on (theta, phi) and integrated pair by pair
     ens = tangent_ensemble(sgrid, 4, seed=5)
-    g = np.stack([_scalar_traces(_scalar_gradient(s, sgrid, 3))
-                  for s in range(3)])
-    pairs = iq._boundary_pairings(sgrid, ens.traces, g)
-    for i, tv in enumerate(ens.traces):
+    scalars = iq._scalar_gradient(iq._batch(iq._scalar_modes, 0, 3, sgrid, 3))
+    pairs = iq._pairings(sgrid, ens.inner, _inner(scalars))
+    g = sphere_traces(_inner(scalars))
+    for i, tv in enumerate(sphere_traces(ens.inner)):
         for j, tg in enumerate(g):
-            direct = float(iq._boundary_integral(sgrid, np.sum(tv * tg, 0)))
+            direct = float(boundary_integral(sgrid, np.sum(tv * tg, 0)))
             assert pairs[i, j] == pytest.approx(direct, rel=1e-13, abs=1e-15)
 
 
@@ -453,7 +503,7 @@ def test_div_curl_boundary_identity_converges_at_second_order():
         for n in (128, 256, 512):
             grid = build_spherical_grid(1.0, 4.0, n, n // 2, n // 2)
             m = _tangent_member(seed, grid, 3)
-            boundary = iq._boundary_l2_sq(grid, m.traces) / grid.r_inner
+            boundary = _sphere_sq(grid, m.inner)[0] / grid.r_inner
             errors.append((m.grad_sq - m.div_sq - m.curl_sq) / boundary - 1.0)
         assert abs(errors[-1]) < 2e-3
         order = math.log2(errors[-2] / errors[-1])
@@ -474,10 +524,10 @@ def test_batch_members_equal_batches_of_one(nr, ntheta, nphi, r_inner, outer,
     scalars = iq._batch(iq._scalar_modes, seed, n, grid, modes)
     comps = iq._scalar_gradient(scalars)
     g_sq = iq._vector_sq(grid, comps)
-    g_traces = [iq._trace(c) for c in comps]
+    g_inner = _inner(comps)
     # every member has v_r(R) = 0, vanishes beyond the cut-off, and
     # differs from the member of the next seed
-    assert np.all(batch.traces[:, 0] == 0.0)
+    assert np.all(batch.inner[0][0] == 0.0)
     far = grid.r >= grid.r_inner + CUT_END * (grid.r_outer - grid.r_inner)
     assert far.any()
     tangents = iq._batch(iq._tangent_modes, seed, n, grid, modes)
@@ -489,10 +539,10 @@ def test_batch_members_equal_batches_of_one(nr, ntheta, nphi, r_inner, outer,
         one = _tangent_member(seed + i, grid, modes)
         for name in MEMBER_FIELDS:
             assert np.array_equal(getattr(batch, name)[i], getattr(one, name))
+        assert _same_pieces(_member_pieces(batch.inner, i), one.inner)
         one = _scalar_gradient(seed + i, grid, modes)
         assert g_sq[i] == iq._vector_sq(grid, one)[0]
-        assert np.array_equal(np.stack([t[i] for t in g_traces]),
-                              _scalar_traces(one))
+        assert _same_pieces(_member_pieces(g_inner, i), _inner(one))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -505,21 +555,41 @@ def test_l6_numerator_product_matches_the_grid_field(nr, ntheta, nphi,
                                                      seed, n):
     # 1e-12 is the inequality-ratio tolerance of the benchmark gate
     grid = build_spherical_grid(r_inner, outer * r_inner, nr, ntheta, nphi)
-    norms = iq._l6_norms(iq._batch(iq._scalar_modes, seed, n, grid, modes))
+    cube = iq._cube(iq._batch(iq._scalar_modes, seed, n, grid, modes))
+    norms = iq._gram(grid, [cube]) ** (1.0 / 6.0)
     for i, got in enumerate(norms):
-        want = iq.l6_norm(grid, premerge_scalar_field(seed + i, grid, modes))
+        want = l6_norm(grid, premerge_scalar_field(seed + i, grid, modes))
         assert abs(got - want) <= 1e-12 * want
 
 
 def test_tangent_ensemble_allocates_little_besides_its_traces():
-    # the traces are written in place: stacking per-component slabs, or
-    # keeping the temporaries of the quadratic terms alive next to the
-    # traces, raises the traced peak by several MB
-    grid = build_spherical_grid(1.0, 16.0, 64, 32, 64)
+    # the ensemble keeps its traces as pieces at r = R: the whole pass
+    # peaks below the (n, 3, ntheta, nphi) trace stack that it once held,
+    # which multiplied-out traces would alone reach
+    n, grid = 100, build_spherical_grid(1.0, 16.0, 64, 32, 64)
     tracemalloc.start()
     try:
-        ens = tangent_ensemble(grid, 100)
+        tangent_ensemble(grid, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= ens.traces.nbytes + 2**20
+    assert peak < 8 * n * 3 * grid.theta.size * grid.phi.size
+
+
+def test_ensemble_reports_allocate_no_3d_field():
+    # every seeded report works on 1-D factors: at 256x128x256 one 3-D
+    # field takes 8 nr ntheta nphi bytes (about 64 MB), and no report comes
+    # near that
+    shape = (256, 128, 256)
+    grid = build_spherical_grid(1.0, 16.0, *shape)
+    tracemalloc.start()
+    try:
+        ens = tangent_ensemble(grid, 5)
+        div_curl_report(ens)
+        boundary_pairing_report(ens, 5)
+        sobolev_l6_report(grid, 5)
+        verify_trace_scaling(nr=shape[0], ntheta=shape[1], nphi=shape[2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.r.size * grid.theta.size * grid.phi.size

@@ -17,17 +17,20 @@ from nsplab.config import parse_config
 
 ROOT = Path(__file__).parents[1]
 
-# the 3-D per-field operators live in tests/oracles.py
+# the 3-D per-field operators, and the 3-D L6 norm and inner-sphere
+# contractions, live in tests/oracles.py
 MOVED = ("VectorField3", "_d_axis", "_d_phi", "grad_scalar", "divergence",
          "curl", "gradient_squared", "l2_norm", "l2_norm_vec", "grad_norm",
-         "_div_curl_norm", "_traces")
+         "_div_curl_norm", "_traces", "l6_norm", "_trace",
+         "_boundary_integral", "_boundary_l2_sq", "_boundary_pairings")
 # one-shot wrappers of the run workspace and of the E/D sample, the
 # readers of the sampled columns that SeriesRecorder.finish replaced, the
 # per-sample record, the library-side run digest, the per-sample field
 # wrapping (samples read the run loop's arrays), the second spellings
 # of the gas law (FluidParams owns F and F') and of the run settings
 # (SimConfig checks its own), and the run's second door to the Poisson
-# solve (the run workspace holds the Laplacian)
+# solve (the run workspace holds the Laplacian), and the per-member 3-D
+# L6 numerator (the L6 norm is the Gram of f^3 on the factors)
 DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
            ("energy", "energy_E"), ("energy", "dissipation_D"),
            ("energy", "measure_viscous_constant"),
@@ -37,7 +40,7 @@ DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
            ("evolve", "Tendencies"), ("evolve", "_fields"),
            ("evolve", "_arrays"), ("steady", "_Branch"),
            ("steady", "rho_from_phi"), ("evolve", "check_run_settings"),
-           ("elliptic", "solve_poisson_values"))
+           ("elliptic", "solve_poisson_values"), ("ineqlab", "_l6_norms"))
 
 
 def test_star_import_binds_exactly_all():
@@ -122,6 +125,12 @@ def test_moved_oracle_names_are_gone_from_the_package(name):
 def test_deleted_wrappers_are_gone(module, name):
     assert not hasattr(nsplab, name)
     assert not hasattr(importlib.import_module(f"nsplab.{module}"), name)
+
+
+def test_spherical_grid_has_no_3d_quadrature():
+    # nothing in the package integrates a 3-D field; the oracle does
+    grid_type = importlib.import_module("nsplab.ineqlab").SphericalGrid
+    assert not hasattr(grid_type, "integrate")
 
 
 def test_time_series_reads_times_through_column():
