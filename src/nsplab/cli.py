@@ -179,10 +179,7 @@ def cmd_verify_inequalities(cfg: AppConfig, outdir: Path) -> int:
     reports = {
         "div_curl": ineqlab.div_curl_report(tangents),
         "trace_scaling": ineqlab.verify_trace_scaling(
-            r_values=ineqlab.trace_radii(d["r_inner"]),
-            outer_factor=iq["trace_outer_factor"], nr=iq["nr"],
-            ntheta=iq["ntheta"], nphi=iq["nphi"], seed=seed,
-            modes=iq["modes"]),
+            sgrid, iq["trace_outer_factor"], seed, iq["modes"]),
         "boundary_pairing": ineqlab.boundary_pairing_report(
             tangents, iq["n_scalars"], iq["allowance"]),
         "sobolev_l6": ineqlab.sobolev_l6_report(sgrid, iq["n_fields"], seed,

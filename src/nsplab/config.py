@@ -8,14 +8,14 @@ blank lines, full-line # comments, [section] headers, and key = value pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .elliptic import laplacian
 from .errors import ConfigError, ParameterError
-from .evolve import INIT_KINDS, MODES, SimConfig
+from .evolve import SimConfig
 from .grids import FluidParams, build_radial_grid
 from .ineqlab import (build_spherical_grid, check_allowance,
-                      check_outer_factor, trace_radii)
+                      check_outer_factor)
 from .steady import (PROFILE_KINDS, check_tol, make_profile,
                      profile_supersolution)
 
@@ -77,17 +77,11 @@ _SCHEMA = {
         "envelope_c0": (float, 1.0),
         "envelope_eps": (float, 0.5),
     },
+    # the SimConfig settings, typed as their defaults; SimConfig checks them
     "evolve": {
-        "delta": (float, 1e-3),
-        "t_end": (float, 10.0),
-        "dt": (_float_or_auto, "auto"),
-        "sponge_width": (_float_or_auto, "auto"),
-        "sponge_rate": (_float_or_auto, "auto"),
-        "output_stride": (int, 50),
-        "init_kind": (_enum(*INIT_KINDS), "standard"),
-        "mode": (_enum(*MODES), "nonlinear"),
-        "margin": (float, 2.0),
-        "vacuum_floor": (float, 0.1),
+        **{f.name: (_float_or_auto if f.default == "auto" else type(f.default),
+                    f.default)
+           for f in fields(SimConfig) if f.name != "checkpoint_dir"},
         "checkpoints": (_bool, False),
     },
     "ineqlab": {
@@ -270,9 +264,8 @@ def parse_config(text: str, overrides: list[str] | None = None,
     _owned("steady", lambda: profile_supersolution(cfg.background(grid)))
     _owned("evolve", cfg.run_settings)
     iq = cfg.ineqlab
-    _owned("ineqlab", cfg.spherical_grid)
+    sgrid = _owned("ineqlab", cfg.spherical_grid)
     _owned("ineqlab", lambda: check_allowance(iq["allowance"]))
-    _owned("ineqlab", lambda: check_outer_factor(
-        iq["trace_outer_factor"], max(trace_radii(cfg.domain["r_inner"])),
-        iq["nr"]))
+    _owned("ineqlab", lambda: check_outer_factor(iq["trace_outer_factor"],
+                                                 sgrid))
     return cfg

@@ -1,11 +1,11 @@
 """Time integration of radial perturbations about the steady state.
 
-State variables are the density perturbation q = rho - rho_tilde, the radial
-velocity component u (the field is u(r)*rhat), and the potential perturbation
-phi with Lap(phi) = q.  The steady pair enters only through its density
-profile: the steady potential cancels against the background enthalpy
-gradient, so the flat state (q, u) = (0, 0) is an exact equilibrium of the
-discrete system, not just an approximate one.
+The state is the density perturbation q = rho - rho_tilde and the radial
+velocity u (the field is u(r)*rhat); each tendency evaluation solves the
+potential perturbation phi from Lap(phi) = q.  The steady pair enters only
+through its density profile: the steady potential cancels against the
+background enthalpy gradient, so the flat state (q, u) = (0, 0) is an exact
+equilibrium of the discrete system, not just an approximate one.
 
 Dynamics, written with the linearization about rho_tilde on the left:
 
@@ -116,7 +116,7 @@ class SimConfig:
         if self.output_stride < 1:
             raise ParameterError("output_stride must be >= 1")
         if self.mode not in MODES:
-            raise ParameterError(f"mode must be one of {MODES}")
+            raise ParameterError(f"unknown mode {self.mode!r}")
         if not (_real(self.vacuum_floor) and 0.0 < self.vacuum_floor < 1.0):
             raise ParameterError("vacuum_floor must lie in (0, 1)")
 
@@ -202,10 +202,11 @@ class _Workspace:
         out[-1] = (g[-1] - mid[-1]) / self.cv[-1]
         return out
 
-    def rhs(self, q: np.ndarray, u: np.ndarray, phi: np.ndarray):
-        """Continuity and momentum tendencies (sponge not included) and
-        the viscous apply visc @ u they used."""
+    def rhs(self, q: np.ndarray, u: np.ndarray):
+        """Continuity and momentum tendencies (sponge not included), the
+        viscous apply visc @ u they used, and phi solved from q."""
         nonlinear = self.nonlinear
+        phi = _finite(self.lap.solve_refined(q))
         rho = self.rho(q)  # vacuum guard in both modes
         carrier = rho if nonlinear else self.rho_s
         q_t = -self.flux_divergence(self.r2 * carrier * u)
@@ -223,7 +224,7 @@ class _Workspace:
             u_t -= u * u_r
         u_t[0] = 0.0
         u_t[-1] = 0.0
-        return q_t, u_t, lap_u
+        return q_t, u_t, lap_u, phi
 
     def sponge(self, q: np.ndarray, u: np.ndarray):
         """Mass-neutral relaxation tendencies in the outer layer; only
@@ -251,7 +252,7 @@ def _tendencies(ws: _Workspace, q: np.ndarray, u: np.ndarray, f):
     q_t and u_t are those of f, phi_t solves Lap(phi_t) = q_t, and q_tt
     differentiates continuity:  q_tt = -div(q_t u + rho u_t).
     """
-    q_t, u_t, _ = f
+    q_t, u_t = f[:2]
     phi_t = ws.lap.solve_refined(q_t)
     if ws.nonlinear:
         rho = ws.rho_s + q
@@ -262,7 +263,7 @@ def _tendencies(ws: _Workspace, q: np.ndarray, u: np.ndarray, f):
 
 
 def _initial_arrays(ws: _Workspace, kind: str, delta: float):
-    """Smooth, compactly supported initial (q, u, phi) arrays with exactly
+    """Smooth, compactly supported initial (q, u) arrays with exactly
     zero discrete mass and amplitude scaled so the energy functional at
     t = 0, evaluated on the run's workspace ws (its mode and vacuum guard),
     equals delta.
@@ -291,17 +292,17 @@ def _initial_arrays(ws: _Workspace, kind: str, delta: float):
         u_shape = _smooth_bump(r, loc(cu), wu * length)
 
     def arrays(a: float):
-        q = a * q_shape
-        return q, a * u_shape, ws.lap.solve_refined(q)
+        return a * q_shape, a * u_shape
 
     if delta == 0.0:
         return arrays(0.0)
 
     def energy_of(a: float) -> float:
-        q, u, phi = arrays(a)
+        q, u = arrays(a)
         with np.errstate(over="ignore"):  # an overflow is rejected below
-            e = energy_mod._sample_norms(
-                grid, q, u, phi, _tendencies(ws, q, u, ws.rhs(q, u, phi)))[0]
+            f = ws.rhs(q, u)
+            e = energy_mod._sample_norms(grid, q, u, f[3],
+                                         _tendencies(ws, q, u, f))[0]
         if not 0.0 < e < math.inf:
             raise IterationError("could not scale initial data to the target energy")
         return e
@@ -321,16 +322,16 @@ def _initial_arrays(ws: _Workspace, kind: str, delta: float):
 def init_perturbation(kind: str, delta: float, grid: RadialGrid,
                       steady: SteadyState, params: FluidParams,
                       mode: str = "nonlinear") -> PerturbationState:
-    """_initial_arrays of a run about steady with the default vacuum guard,
-    as fields at t = 0; grid must have the steady state's nodes and params
-    must be the gas of its profile."""
+    """_initial_arrays of a run about steady with the default vacuum guard
+    and the phi of the workspace's rhs, as fields at t = 0; grid must have
+    the steady state's nodes and params must be the gas of its profile."""
     grid.require_same(steady.rho_tilde.grid, "grid and the steady state")
     if params != steady.profile.fluid:
         raise ParameterError(f"params {params} are not the steady state's "
                              f"gas {steady.profile.fluid}")
     ws = _Workspace(steady, SimConfig(delta=delta, init_kind=kind, mode=mode))
-    arrays = _initial_arrays(ws, kind, delta)
-    return PerturbationState(*map(grid.field, arrays), t=0.0)
+    q, u = _initial_arrays(ws, kind, delta)
+    return PerturbationState(*map(grid.field, (q, u, ws.rhs(q, u)[3])), t=0.0)
 
 
 def _resolve_dt(config: SimConfig, q: np.ndarray, u: np.ndarray,
@@ -358,8 +359,8 @@ def _finite(x: np.ndarray) -> np.ndarray:
 
 
 class _Stepper:
-    """One Heun/Crank-Nicolson IMEX step of fixed dt on raw (q, u, phi)
-    arrays; the Crank-Nicolson operator I - (dt/2) nu(rho_tilde) L is built
+    """One Heun/Crank-Nicolson IMEX step of fixed dt on raw (q, u) arrays;
+    the Crank-Nicolson operator I - (dt/2) nu(rho_tilde) L is built
     (and factored on its first solve) once per stepper.  Its wall rows are
     identity rows, since L has zero rows there."""
 
@@ -372,10 +373,10 @@ class _Stepper:
                               -f * visc.sup)
 
     def _explicit(self, q, u, f):
-        """Tendencies f = ws.rhs(q, u, phi) plus the sponge (if on), minus
-        the implicitly treated part of the viscous term, and that part."""
+        """Tendencies f = ws.rhs(q, u) plus the sponge (if on), minus the
+        implicitly treated part of the viscous term, and that part."""
         ws = self.ws
-        q_t, u_t, lap_u = f
+        q_t, u_t, lap_u, _ = f
         vu = ws.nu_s * lap_u
         u_t = u_t - vu
         u_t[0] = 0.0
@@ -391,22 +392,19 @@ class _Stepper:
         rhs[-1] = 0.0
         return _finite(self.cn.solve(rhs))
 
-    def advance(self, q0: np.ndarray, u0: np.ndarray, phi0: np.ndarray,
-                f0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return (q, u, phi) one step later, given f0 = ws.rhs(q0, u0,
-        phi0) as stage 0; raises VacuumError when the density hits the
-        vacuum guard or a stage produces non-finite values."""
+    def advance(self, q0: np.ndarray, u0: np.ndarray, f0):
+        """Return (q, u) one step later, given f0 = ws.rhs(q0, u0) as stage
+        0; raises VacuumError when the density hits the vacuum guard or a
+        stage produces non-finite values."""
         dt, ws = self.dt, self.ws
         eq0, eu0, vu0 = self._explicit(q0, u0, f0)
         u1 = self._solve_u(u0 + dt * eu0 + 0.5 * dt * vu0)
         q1 = q0 + dt * eq0
-        phi1 = _finite(ws.lap.solve_refined(q1))
 
-        eq1, eu1, _ = self._explicit(q1, u1, ws.rhs(q1, u1, phi1))
+        eq1, eu1, _ = self._explicit(q1, u1, ws.rhs(q1, u1))
         q2 = q0 + 0.5 * dt * (eq0 + eq1)
         u2 = self._solve_u(u0 + 0.5 * dt * (eu0 + eu1) + 0.5 * dt * vu0)
-        phi2 = _finite(ws.lap.solve_refined(q2))
-        return _finite(q2), u2, phi2
+        return _finite(q2), u2
 
 
 def run_simulation(steady: SteadyState,
@@ -421,14 +419,14 @@ def run_simulation(steady: SteadyState,
     Aborts (vacuum or non-finite values) raise SimulationAbort carrying the
     failure time and the partial series; an abort while the initial data is
     built (vacuum, or an amplitude that cannot reach delta) has t_fail = 0
-    and no series.  The loop carries raw arrays and evaluates the explicit
-    tendencies once per state: that evaluation is the next step's stage 0
-    and, on a sampled step, the sample's tendencies, which must be finite.
-    Samples read the loop's arrays; no field is built per sample.
+    and no series.  The loop carries the state (q, u) as raw arrays and
+    evaluates it once: ws.rhs(q, u), which solves phi from q, is the next
+    step's stage 0 and, on a sampled step, the sample's tendencies and phi,
+    which must be finite.  Samples read the loop's arrays, no field.
     """
     ws = _Workspace(steady, config)
     try:
-        q, u, phi = _initial_arrays(ws, config.init_kind, config.delta)
+        q, u = _initial_arrays(ws, config.init_kind, config.delta)
     except (VacuumError, IterationError) as exc:
         raise SimulationAbort(str(exc), t_fail=0.0) from exc
     dt = _resolve_dt(config, q, u, ws)
@@ -439,24 +437,24 @@ def run_simulation(steady: SteadyState,
     if config.checkpoint_dir is not None:
         Path(config.checkpoint_dir).mkdir(parents=True, exist_ok=True)
 
-    def sample(step: int, t: float, q, u, phi, f):
+    def sample(step: int, t: float, q, u, f):
         # checked before use, so no warning precedes the abort
         q_t, u_t, phi_t, q_tt = _tendencies(ws, q, u, tuple(map(_finite, f)))
-        recorder.add(t, q, u, phi, (q_t, u_t, _finite(phi_t), _finite(q_tt)))
+        recorder.add(t, q, u, f[3], (q_t, u_t, _finite(phi_t), _finite(q_tt)))
         if config.checkpoint_dir is not None:
             path = Path(config.checkpoint_dir) / f"state_{step:08d}.txt"
-            write_checkpoint(ws.grid, t, q, u, phi, path)
+            write_checkpoint(ws.grid, t, q, u, f[3], path)
 
     t = 0.0
     try:
-        f = ws.rhs(q, u, phi)
-        sample(0, t, q, u, phi, f)
+        f = ws.rhs(q, u)
+        sample(0, t, q, u, f)
         for step in range(1, n_steps + 1):
-            q, u, phi = stepper.advance(q, u, phi, f)
+            q, u = stepper.advance(q, u, f)
             t = t + dt
-            f = ws.rhs(q, u, phi)
+            f = ws.rhs(q, u)
             if step % config.output_stride == 0 or step == n_steps:
-                sample(step, t, q, u, phi, f)
+                sample(step, t, q, u, f)
     except VacuumError as exc:
         raise SimulationAbort(str(exc), t_fail=t,
                               series=recorder.finish(margin=None)) from exc

@@ -392,11 +392,19 @@ def div_curl_report(ens: TangentEnsemble) -> IneqReport:
     return _ensemble_report("div_curl", ratios)
 
 
-def check_outer_factor(outer_factor: float, r_inner: float, nr: int) -> None:
-    """The trace-scaling shell from r_inner to outer_factor * r_inner is a
-    valid radial shell, and its nr cells are narrower than r_inner (the
-    spacing rule elliptic.laplacian applies to [domain]): outer_factor < nr
-    + 1.  Callers pass the inner radius of the largest shell."""
+# the trace-scaling shells start at R0, 2 R0 and 4 R0, R0 the grid's inner
+# radius, and pass when their ratios spread by less than 30 %
+TRACE_FACTORS = (1.0, 2.0, 4.0)
+TRACE_SPREAD_TOL = 0.30
+
+
+def check_outer_factor(outer_factor: float, grid: SphericalGrid) -> None:
+    """The trace-scaling shells of grid, R = TRACE_FACTORS * R0 to
+    outer_factor * R in grid's nr cells, are valid radial shells whose cells
+    are narrower than R (the spacing rule elliptic.laplacian applies to
+    [domain]): outer_factor < nr + 1."""
+    nr = grid.r.size - 1
+    r_inner = TRACE_FACTORS[-1] * grid.r_inner  # of the largest shell
     if not (math.isfinite(outer_factor) and outer_factor > 1.0):
         raise ParameterError(f"trace_outer_factor must be finite and > 1, "
                              f"got {outer_factor}")
@@ -412,32 +420,28 @@ def check_outer_factor(outer_factor: float, r_inner: float, nr: int) -> None:
                              f"valid shell at R = {r_inner:g}: {exc}") from exc
 
 
-def trace_radii(r_inner: float) -> tuple[float, float, float]:
-    """Inner radii of the trace-scaling shells: R, 2R and 4R."""
-    return (r_inner, 2.0 * r_inner, 4.0 * r_inner)
-
-
-def verify_trace_scaling(r_values=trace_radii(1.0), outer_factor: float = 4.0,
-                         nr: int = 32, ntheta: int = 16, nphi: int = 32,
-                         seed: int = 0, modes: int = 3,
-                         rel_tol: float = 0.30) -> IneqReport:
+def verify_trace_scaling(grid: SphericalGrid, outer_factor: float = 4.0,
+                         seed: int = 0, modes: int = 3) -> IneqReport:
     """Boundary-trace ratio |v|^2_{r=R} / (R ||grad v||^2) for one field shape
-    rescaled across inner radii; the ratio should be R-independent."""
-    check_outer_factor(outer_factor, max(r_values), nr)
+    on the shells of check_outer_factor at grid's resolution; the ratio
+    should be R-independent."""
+    check_outer_factor(outer_factor, grid)
+    r_values = [k * grid.r_inner for k in TRACE_FACTORS]
+    cells = (grid.r.size - 1, grid.theta.size, grid.phi.size)
     ratios = []
     for r_in in r_values:
-        grid = build_spherical_grid(r_in, outer_factor * r_in, nr, ntheta, nphi)
-        ens = tangent_ensemble(grid, 1, seed, modes)
-        ratios.append(_vector_sq(_inner_sphere(grid), ens.inner)[0]
+        shell = build_spherical_grid(r_in, outer_factor * r_in, *cells)
+        ens = tangent_ensemble(shell, 1, seed, modes)
+        ratios.append(_vector_sq(_inner_sphere(shell), ens.inner)[0]
                       / (r_in * ens.grad_sq[0]))
     spread = (max(ratios) - min(ratios)) / max(ratios)
     return IneqReport(inequality="trace_scaling", n_samples=len(ratios),
                       max_ratio=float(max(ratios)),
                       mean_ratio=float(np.mean(ratios)),
-                      passed=bool(spread < rel_tol),
+                      passed=bool(spread < TRACE_SPREAD_TOL),
                       details={"ratios": [float(x) for x in ratios],
                                "relative_spread": float(spread),
-                               "r_values": [float(x) for x in r_values]})
+                               "r_values": r_values})
 
 
 def _pairings(grid: SphericalGrid, v_inner, g_inner) -> np.ndarray:
@@ -501,13 +505,20 @@ def _cube(ms: _ModeSum) -> tuple:
             cube(ms.cos_theta * ms.taper), cube(ms.azimuthal))
 
 
+_L6_PASS_FLOATS = 2**22  # in the (members, terms, terms) products of a pass
+
+
 def sobolev_l6_report(grid: SphericalGrid, n_samples: int = 100, seed: int = 0,
                       modes: int = 3) -> IneqReport:
-    """||grad f|| and ||f||_L6 = (int (f^3)^2)^(1/6) of every member come
-    from one batched pass over the factors."""
+    """||grad f|| and ||f||_L6 = (int (f^3)^2)^(1/6) of every member, from
+    the factors; the Gram of f^3 in passes of _L6_PASS_FLOATS products."""
     ms = _batch(_scalar_modes, seed, n_samples, grid, modes)
     denoms = np.sqrt(_vector_sq(grid, _scalar_gradient(ms)))
-    ratios = _guarded_ratios(_gram(grid, [_cube(ms)]) ** (1.0 / 6.0), denoms,
+    cube = _cube(ms)
+    step = max(1, _L6_PASS_FLOATS // cube[0].shape[-2] ** 2)
+    sixth = np.concatenate([_gram(grid, [tuple(f[i:i + step] for f in cube)])
+                            for i in range(0, n_samples, step)])
+    ratios = _guarded_ratios(sixth ** (1.0 / 6.0), denoms,
                              "gradient vanishes; ratio undefined")
     return _ensemble_report("sobolev_l6", ratios)
 

@@ -131,8 +131,8 @@ def tendencies(state, steady, mode="nonlinear"):
     evaluated afresh by a run workspace of its own, as a run evaluates the
     state it samples."""
     ws = _Workspace(steady, SimConfig(mode=mode))
-    q, u, phi = state.q.values, state.u.values, state.phi.values
-    return _tendencies(ws, q, u, ws.rhs(q, u, phi))
+    q, u = state.q.values, state.u.values
+    return _tendencies(ws, q, u, ws.rhs(q, u))
 
 
 def sample_norms(state, tend):

@@ -234,12 +234,13 @@ def test_criterion_10_div_curl_ensemble(spherical_grids):
 
 
 def test_criterion_11_trace_scaling():
-    rep = iq.verify_trace_scaling(r_values=(1.0, 2.0, 4.0), nr=32, ntheta=16,
-                                  nphi=32, seed=0, rel_tol=0.30)
+    assert iq.TRACE_SPREAD_TOL == 0.30  # the criterion's bound
+    grid = iq.build_spherical_grid(1.0, 4.0, 32, 16, 32)
+    rep = iq.verify_trace_scaling(grid, seed=0)
     spread = rep.details["relative_spread"]
     _report(11, rep.passed,
             f"boundary-trace ratio spread across R in {{1,2,4}} = "
-            f"{spread*100:.2f}% < 30%")
+            f"{spread*100:.2f}% < {iq.TRACE_SPREAD_TOL*100:.0f}%")
 
 
 def test_criterion_12_poisson_regularity(grid2000):

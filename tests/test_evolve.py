@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -215,9 +216,9 @@ def test_step_global_second_order(shell16, steady_bump_gamma2, params_gamma2):
 
     def advance(dt):
         stepper = _Stepper(ws, dt)
-        q, u, phi = state.q.values, state.u.values, state.phi.values
+        q, u = state.q.values, state.u.values
         for _ in range(round(horizon / dt)):
-            q, u, phi = stepper.advance(q, u, phi, ws.rhs(q, u, phi))
+            q, u = stepper.advance(q, u, ws.rhs(q, u))
         return q, u
 
     ref_q, ref_u = advance(dt0 / 8)
@@ -238,15 +239,17 @@ def _linear_run_basic_energy(params, n_cells, kind, dt_factor, n_steps):
     ws = _Workspace(steady, cfg)
     stepper = _Stepper(ws, cfl_dt(params, steady, g, factor=dt_factor))
     state = init_perturbation(kind, 1e-3, g, steady, params, mode="linear")
-    q, u, phi = state.q.values, state.u.values, state.phi.values
+    q, u = state.q.values, state.u.values
+    f = ws.rhs(q, u)
 
     def e_basic():
-        return basic_energy(g, q, u, differentiate(g, phi, 1), ws.rho_s,
+        return basic_energy(g, q, u, differentiate(g, f[3], 1), ws.rho_s,
                             ws.hp_s)
 
     energies = [e_basic()]
     for _ in range(n_steps):
-        q, u, phi = stepper.advance(q, u, phi, ws.rhs(q, u, phi))
+        q, u = stepper.advance(q, u, f)
+        f = ws.rhs(q, u)
         energies.append(e_basic())
     return np.array(energies)
 
@@ -297,9 +300,9 @@ def test_stepper_non_finite_is_vacuum_error(shell16, steady_bump_gamma2,
     q[shell16.n_nodes // 3] = np.nan
     ws = _Workspace(steady_bump_gamma2, SimConfig())
     stepper = _Stepper(ws, cfl_dt(params_gamma2, steady_bump_gamma2, shell16))
+    f = ws.rhs(st.q.values, st.u.values)
     with pytest.raises(VacuumError):
-        stepper.advance(q, st.u.values, st.phi.values,
-                        ws.rhs(q, st.u.values, st.phi.values))
+        stepper.advance(q, st.u.values, f)
 
 
 # ------------------------------------------------------------------- runs
@@ -505,7 +508,7 @@ def _reference_run(steady, cfg: SimConfig, dt: float):
     n_steps = round(cfg.t_end / dt)
     ws = _Workspace(steady, cfg)
     stepper = _Stepper(ws, dt)
-    q, u, phi = state.q.values, state.u.values, state.phi.values
+    q, u = state.q.values, state.u.values
 
     def record(state):
         recorder.add(state.t, state.q.values, state.u.values,
@@ -515,7 +518,8 @@ def _reference_run(steady, cfg: SimConfig, dt: float):
     try:
         record(state)
         for step in range(1, n_steps + 1):
-            q, u, phi = stepper.advance(q, u, phi, ws.rhs(q, u, phi))
+            q, u = stepper.advance(q, u, ws.rhs(q, u))
+            phi = ws.lap.solve_refined(q)
             state = PerturbationState(q=g.field(q), u=g.field(u),
                                       phi=g.field(phi), t=state.t + dt)
             if step % cfg.output_stride == 0 or step == n_steps:
@@ -576,16 +580,16 @@ def test_run_abort_at_a_state_equals_the_public_step_loop(cells16, k,
     ws = _Workspace(steady, cfg)
     stepper = _Stepper(ws, dt)
     state = init_perturbation("standard", 1e-3, g, steady, params)
-    q_k, u, phi, t_k = state.q.values, state.u.values, state.phi.values, 0.0
+    q_k, u, t_k = state.q.values, state.u.values, 0.0
     for _ in range(k):
-        q_k, u, phi = stepper.advance(q_k, u, phi, ws.rhs(q_k, u, phi))
+        q_k, u = stepper.advance(q_k, u, ws.rhs(q_k, u))
         t_k = t_k + dt
     real_rhs = _Workspace.rhs
 
-    def rhs(self, q, u, phi):
+    def rhs(self, q, u):
         if np.array_equal(q, q_k):
             raise VacuumError("tripped")
-        return real_rhs(self, q, u, phi)
+        return real_rhs(self, q, u)
 
     monkeypatch.setattr(_Workspace, "rhs", rhs)
     with pytest.raises(SimulationAbort) as info:
@@ -602,14 +606,20 @@ def test_run_evaluates_rhs_once_per_state(cells16, stride, monkeypatch):
     g, steady, params = cells16
     counts = {"rhs": 0, "visc": 0}
     viscs = []
+    solvers = []  # the callers of each Poisson solve
     real_rhs = _Workspace.rhs
+    real_solve = Tridiagonal.solve_refined
     real_matmul = Tridiagonal.__matmul__
     real_visc = evolve._viscous_operator
     real_init = evolve._initial_arrays
 
-    def rhs(self, q, u, phi):
+    def rhs(self, q, u):
         counts["rhs"] += 1
-        return real_rhs(self, q, u, phi)
+        return real_rhs(self, q, u)
+
+    def solve_refined(self, b):
+        solvers.append(sys._getframe(1).f_code.co_name)
+        return real_solve(self, b)
 
     def matmul(self, x):
         counts["visc"] += any(self is v for v in viscs)
@@ -623,9 +633,11 @@ def test_run_evaluates_rhs_once_per_state(cells16, stride, monkeypatch):
         # count only the run loop's evaluations
         arrays = real_init(*args, **kwargs)
         counts.update(rhs=0, visc=0)
+        solvers.clear()
         return arrays
 
     monkeypatch.setattr(_Workspace, "rhs", rhs)
+    monkeypatch.setattr(Tridiagonal, "solve_refined", solve_refined)
     monkeypatch.setattr(Tridiagonal, "__matmul__", matmul)
     monkeypatch.setattr(evolve, "_viscous_operator", viscous_operator)
     monkeypatch.setattr(evolve, "_initial_arrays", init)
@@ -638,6 +650,25 @@ def test_run_evaluates_rhs_once_per_state(cells16, stride, monkeypatch):
     assert counts["rhs"] == 2 * n + 1
     # and each evaluation, one per stage, applies visc once
     assert counts["visc"] == counts["rhs"]
+    # the state is (q, u): each evaluation solves phi from q, and each of
+    # the k samples solves phi_t; nothing else solves
+    k = series.column("t").size
+    assert solvers.count("rhs") == 2 * n + 1
+    assert solvers.count("_tendencies") == k
+    assert len(solvers) == 2 * n + 1 + k
+
+
+def test_rhs_solves_phi_from_q(cells16):
+    # phi is the Poisson solve of q, bit for bit; init_perturbation reports
+    # the same phi
+    g, steady, params = cells16
+    ws = _Workspace(steady, SimConfig())
+    q, u = evolve._initial_arrays(ws, "standard", 1e-3)
+    phi = ws.rhs(q, u)[3]
+    assert phi.tobytes() == ws.lap.solve_refined(q).tobytes()
+    st = init_perturbation("standard", 1e-3, g, steady, params)
+    assert st.q.values.tobytes() == q.tobytes()
+    assert st.phi.values.tobytes() == phi.tobytes()
 
 
 @pytest.mark.parametrize("k", [4, 5], ids=["sampled", "unsampled"])
@@ -651,17 +682,17 @@ def test_non_finite_tendency_at_a_state_aborts_with_the_partial_series(
     clean = run_simulation(steady, cfg)
     stepper = _Stepper(_Workspace(steady, cfg), clean.dt)
     state = init_perturbation("standard", 1e-3, g, steady, params)
-    q_k, u, phi, t_k = state.q.values, state.u.values, state.phi.values, 0.0
+    q_k, u, t_k = state.q.values, state.u.values, 0.0
     for _ in range(k):
-        q_k, u, phi = stepper.advance(q_k, u, phi, stepper.ws.rhs(q_k, u, phi))
+        q_k, u = stepper.advance(q_k, u, stepper.ws.rhs(q_k, u))
         t_k = t_k + clean.dt
     real_rhs = _Workspace.rhs
 
-    def rhs(self, q, u, phi):
-        q_t, u_t, lap_u = real_rhs(self, q, u, phi)
+    def rhs(self, q, u):
+        q_t, u_t, lap_u, phi = real_rhs(self, q, u)
         if np.array_equal(q, q_k):
             u_t = np.full_like(u_t, np.inf)
-        return q_t, u_t, lap_u
+        return q_t, u_t, lap_u, phi
 
     monkeypatch.setattr(_Workspace, "rhs", rhs)
     with pytest.raises(SimulationAbort) as info:
@@ -717,10 +748,10 @@ class _ForcedWorkspace(_Workspace):
         self.forcing = forcing
         self.t = 0.0
 
-    def rhs(self, q, u, phi):
-        q_t, u_t, lap_u = super().rhs(q, u, phi)
+    def rhs(self, q, u):
+        q_t, u_t, lap_u, phi = super().rhs(q, u)
         s_q, s_u = self.forcing(self.t)
-        return q_t + s_q, u_t + s_u, lap_u
+        return q_t + s_q, u_t + s_u, lap_u, phi
 
 
 def _mms_errors(gamma, mode, n, scale=None):
@@ -745,12 +776,11 @@ def _mms_errors(gamma, mode, n, scale=None):
     dt = 5.0 / n
     stepper = _Stepper(ws, dt)
     q, u = mms.exact(0.0)
-    phi = ws.lap.solve_refined(q)
     for step in range(n // 5):
         ws.t = step * dt
-        f = ws.rhs(q, u, phi)
+        f = ws.rhs(q, u)
         ws.t = (step + 1) * dt
-        q, u, phi = stepper.advance(q, u, phi, f)
+        q, u = stepper.advance(q, u, f)
     q_m, u_m = mms.exact(1.0)
     return float(np.max(np.abs(q - q_m))), float(np.max(np.abs(u - u_m)))
 

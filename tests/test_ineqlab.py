@@ -201,9 +201,8 @@ def test_div_curl_ensemble_stable_under_refinement():
     assert abs(r2.max_ratio - r1.max_ratio) / r1.max_ratio < 0.25
 
 
-def test_trace_scaling_invariance():
-    rep = verify_trace_scaling(r_values=(1.0, 2.0, 4.0), nr=24, ntheta=12,
-                               nphi=16, seed=2)
+def test_trace_scaling_invariance(sgrid):
+    rep = verify_trace_scaling(sgrid, seed=2)
     assert rep.passed
     ratios = rep.details["ratios"]
     # pure rescaling: the discrete computation is scale-equivariant
@@ -212,12 +211,23 @@ def test_trace_scaling_invariance():
 
 def test_trace_scaling_rejects_unresolved_shells():
     # spacing (f - 1) R / nr must stay below R: f < nr + 1
-    iq.check_outer_factor(16.99, 4.0, 16)
+    grid = build_spherical_grid(1.0, 2.0, 16, 8, 8)
+    iq.check_outer_factor(16.99, grid)
     for factor in (17.0, 1e100):
         with pytest.raises(ParameterError, match="trace_outer_factor"):
-            iq.check_outer_factor(factor, 4.0, 16)
+            iq.check_outer_factor(factor, grid)
     with pytest.raises(ParameterError, match="trace_outer_factor"):
-        verify_trace_scaling(outer_factor=1e100, nr=16, ntheta=8, nphi=8)
+        verify_trace_scaling(grid, outer_factor=1e100)
+
+
+def test_trace_scaling_shells_come_from_the_grid():
+    # the shells start at R0, 2 R0 and 4 R0 of the grid's inner radius and
+    # have its resolution
+    grid = build_spherical_grid(1.5, 3.0, 16, 8, 8)
+    rep = verify_trace_scaling(grid)
+    assert rep.details["r_values"] == [1.5, 3.0, 6.0]
+    assert rep.passed == (rep.details["relative_spread"]
+                          < iq.TRACE_SPREAD_TOL)
 
 
 def test_boundary_pairing_trivial_cases(sgrid):
@@ -588,8 +598,32 @@ def test_ensemble_reports_allocate_no_3d_field():
         div_curl_report(ens)
         boundary_pairing_report(ens, 5)
         sobolev_l6_report(grid, 5)
-        verify_trace_scaling(nr=shape[0], ntheta=shape[1], nphi=shape[2])
+        verify_trace_scaling(grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * grid.r.size * grid.theta.size * grid.phi.size
+
+
+def test_l6_gram_runs_in_bounded_passes():
+    # the (members, terms, terms) products of the Gram of f^3 grow as
+    # C(modes + 2, 3)^2 per member: at modes = 12 one pass over 100
+    # members traced a 252 MiB peak; bounded passes give the values of a
+    # member-by-member loop
+    grid = build_spherical_grid(1.0, 16.0, 32, 16, 32)
+    n, modes = 100, 12
+    tracemalloc.start()
+    try:
+        rep = sobolev_l6_report(grid, n, 0, modes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+    ratios = []
+    for i in range(n):
+        ms = iq._batch(iq._scalar_modes, i, 1, grid, modes)
+        l6 = iq._gram(grid, [iq._cube(ms)])[0] ** (1.0 / 6.0)
+        grad = math.sqrt(iq._vector_sq(grid, iq._scalar_gradient(ms))[0])
+        ratios.append(l6 / grad)
+    assert rep.max_ratio == pytest.approx(max(ratios), rel=1e-12)
+    assert rep.mean_ratio == pytest.approx(np.mean(ratios), rel=1e-12)

@@ -30,7 +30,8 @@ MOVED = ("VectorField3", "_d_axis", "_d_phi", "grad_scalar", "divergence",
 # of the gas law (FluidParams owns F and F') and of the run settings
 # (SimConfig checks its own), and the run's second door to the Poisson
 # solve (the run workspace holds the Laplacian), and the per-member 3-D
-# L6 numerator (the L6 norm is the Gram of f^3 on the factors)
+# L6 numerator (the L6 norm is the Gram of f^3 on the factors), and the
+# trace-scaling radii (the report reads them from its spherical grid)
 DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
            ("energy", "energy_E"), ("energy", "dissipation_D"),
            ("energy", "measure_viscous_constant"),
@@ -40,7 +41,8 @@ DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
            ("evolve", "Tendencies"), ("evolve", "_fields"),
            ("evolve", "_arrays"), ("steady", "_Branch"),
            ("steady", "rho_from_phi"), ("evolve", "check_run_settings"),
-           ("elliptic", "solve_poisson_values"), ("ineqlab", "_l6_norms"))
+           ("elliptic", "solve_poisson_values"), ("ineqlab", "_l6_norms"),
+           ("ineqlab", "trace_radii"))
 
 
 def test_star_import_binds_exactly_all():
