@@ -9,15 +9,12 @@ from .errors import (ConfigError, DegenerateFieldError, EvaluationDomainError,
 from .evolve import (PerturbationState, SimConfig, init_perturbation,
                      run_simulation)
 from .grids import (FluidParams, RadialField, RadialGrid, build_radial_grid,
-                    integrate, radial_derivative, sobolev_norm,
-                    vector_gradient_norm, vector_sobolev_norm,
-                    weighted_l2_norm)
-from .elliptic import (PoissonSolution, hessian_norm_radial,
-                       solve_poisson_neumann, solve_shifted)
+                    vector_gradient_norm, weighted_l2_norm)
+from .elliptic import hessian_norm_radial
 from .steady import (BackgroundProfile, CertReport, SteadyState,
                      check_subsuper, make_profile, profile_supersolution,
                      solve_steady_monotone, steady_regularity_report,
-                     subsolution_phi, supersolution_phi)
+                     subsolution_phi)
 
 __version__ = "0.1.0"
 
@@ -26,13 +23,11 @@ __all__ = [
     "BackgroundProfile", "CertReport", "ConfigError", "DegenerateFieldError",
     "EvaluationDomainError", "FluidParams", "IterationError",
     "MonotonicityError", "NsplabError", "ParameterError", "PerturbationState",
-    "PoissonSolution", "RadialField", "RadialGrid", "SimConfig",
-    "SimulationAbort", "StabilityVerdict", "SteadyState", "TimeSeries",
-    "VacuumError", "build_radial_grid", "check_subsuper",
-    "check_theorem_bound", "hessian_norm_radial", "init_perturbation",
-    "integrate", "make_profile", "profile_supersolution", "radial_derivative",
-    "run_simulation", "sobolev_norm", "solve_poisson_neumann", "solve_shifted",
-    "solve_steady_monotone", "steady_regularity_report", "subsolution_phi",
-    "supersolution_phi", "vector_gradient_norm", "vector_sobolev_norm",
+    "RadialField", "RadialGrid", "SimConfig", "SimulationAbort",
+    "StabilityVerdict", "SteadyState", "TimeSeries", "VacuumError",
+    "build_radial_grid", "check_subsuper", "check_theorem_bound",
+    "hessian_norm_radial", "init_perturbation", "make_profile",
+    "profile_supersolution", "run_simulation", "solve_steady_monotone",
+    "steady_regularity_report", "subsolution_phi", "vector_gradient_norm",
     "weighted_l2_norm",
 ]

@@ -14,7 +14,7 @@ from .elliptic import laplacian
 from .errors import ConfigError, ParameterError
 from .evolve import SimConfig
 from .grids import FluidParams, build_radial_grid
-from .ineqlab import (build_spherical_grid, check_allowance,
+from .ineqlab import (build_spherical_grid, check_allowance, check_modes,
                       check_outer_factor)
 from .steady import (PROFILE_KINDS, check_tol, make_profile,
                      profile_supersolution)
@@ -266,6 +266,7 @@ def parse_config(text: str, overrides: list[str] | None = None,
     iq = cfg.ineqlab
     sgrid = _owned("ineqlab", cfg.spherical_grid)
     _owned("ineqlab", lambda: check_allowance(iq["allowance"]))
+    _owned("ineqlab", lambda: check_modes(iq["modes"]))
     _owned("ineqlab", lambda: check_outer_factor(iq["trace_outer_factor"],
                                                  sgrid))
     return cfg

@@ -378,17 +378,6 @@ def differentiate(grid: RadialGrid, values: np.ndarray,
     return out
 
 
-def radial_derivative(f: RadialField, order: int) -> RadialField:
-    """Finite-difference derivative of formal order 2 of a field (see
-    ``differentiate``)."""
-    return RadialField(differentiate(f.grid, f.values, order), f.grid)
-
-
-def integrate(f: RadialField) -> float:
-    """Discrete integral of f over the shell with the 4*pi*r^2 measure."""
-    return float(np.dot(f.grid.weights, f.values))
-
-
 def weighted_l2_norm(f: RadialField) -> float:
     """Discrete L2 norm sqrt(sum w_i f_i^2)."""
     return math.sqrt(float(np.dot(f.grid.weights, f.values**2)))
@@ -407,36 +396,6 @@ def sobolev_terms(grid: RadialGrid, derivs, channels=()) -> list:
     for j, c in enumerate(channels, 1):
         terms[j] += 2.0 * _wsq(grid, c)
     return terms
-
-
-def sobolev_norm(f: RadialField, k: int) -> float:
-    """Discrete H^k norm of a scalar profile: sqrt of the summed squared L2
-    norms of the radial derivatives of orders 0..k."""
-    if k not in (0, 1, 2, 3):
-        raise ParameterError(f"Sobolev order must be in 0..3, got {k}")
-    derivs = [differentiate(f.grid, f.values, j) if j else f.values
-              for j in range(k + 1)]
-    return math.sqrt(sum(sobolev_terms(f.grid, derivs)))
-
-
-def vector_sobolev_norm(u: RadialField, k: int) -> float:
-    """Discrete H^k norm of the radial vector field u(r)*rhat, including the
-    angular metric contributions (|grad u|^2 = u'^2 + 2 (u/r)^2 and its
-    radial derivatives).
-
-    The gradient of a radial vector field has the two scalar channels u' and
-    u/r (the latter with multiplicity two); higher derivatives differentiate
-    each channel radially.
-    """
-    if k not in (0, 1, 2, 3):
-        raise ParameterError(f"Sobolev order must be in 0..3, got {k}")
-    grid = u.grid
-    over_r = u.values / grid.r
-    derivs = [differentiate(grid, u.values, j) if j else u.values
-              for j in range(k + 1)]
-    channels = [differentiate(grid, over_r, j) if j else over_r
-                for j in range(k)]
-    return math.sqrt(sum(sobolev_terms(grid, derivs, channels)))
 
 
 def vector_gradient_norm(u: RadialField) -> float:

@@ -44,11 +44,11 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .elliptic import hessian_norm_radial, solve_poisson_neumann
+from .elliptic import hessian_norm_radial, laplacian
 from .errors import DegenerateFieldError, ParameterError
 from .grids import (RadialField, RadialGrid, build_radial_grid, cutoff,
-                    differentiate, radial_derivative, vector_gradient_norm,
-                    vector_hessian_norm, volume_weights, weighted_l2_norm)
+                    differentiate, vector_gradient_norm, vector_hessian_norm,
+                    volume_weights, weighted_l2_norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,13 +169,29 @@ class _ModeSum:
         return self.amps[..., c, None] * self.radial
 
 
+_L6_PASS_FLOATS = 2**22  # in the (members, terms, terms) products of a pass
+
+
+def check_modes(modes: int) -> None:
+    """A mode sum has at least one term, and the Gram of one member's f^3,
+    C(modes + 2, 3)^2 products (see _cube), fits in one L6 pass of
+    _L6_PASS_FLOATS: 1 <= modes <= 22."""
+    if modes < 1:
+        raise ParameterError("modes must be >= 1")
+    terms = math.comb(modes + 2, 3)
+    if terms * terms > _L6_PASS_FLOATS:
+        raise ParameterError(
+            f"modes = {modes} gives {terms} cube terms per member, whose Gram "
+            f"of {terms * terms} products exceeds the L6 pass of "
+            f"{_L6_PASS_FLOATS}")
+
+
 def _mode_sum(rng: np.random.Generator, grid: SphericalGrid, modes: int,
               n_comp: int, n_phases: int) -> _ModeSum:
     """n_comp sums of the same `modes` seeded separable terms, one amplitude
     per component: a trig pattern in (theta, phi) with a sin^2(theta) pole
     taper times a cut-off radial envelope in x = (r - R)/(R_max - R)."""
-    if modes < 1:
-        raise ParameterError("modes must be >= 1")
+    check_modes(modes)
     x = (grid.r - grid.r_inner) / (grid.r_outer - grid.r_inner)
     cut = cutoff(grid.r, grid.r_inner, grid.r_outer - grid.r_inner)
     amps = np.empty((modes, n_comp))
@@ -505,9 +521,6 @@ def _cube(ms: _ModeSum) -> tuple:
             cube(ms.cos_theta * ms.taper), cube(ms.azimuthal))
 
 
-_L6_PASS_FLOATS = 2**22  # in the (members, terms, terms) products of a pass
-
-
 def sobolev_l6_report(grid: SphericalGrid, n_samples: int = 100, seed: int = 0,
                       modes: int = 3) -> IneqReport:
     """||grad f|| and ||f||_L6 = (int (f^3)^2)^(1/6) of every member, from
@@ -515,7 +528,7 @@ def sobolev_l6_report(grid: SphericalGrid, n_samples: int = 100, seed: int = 0,
     ms = _batch(_scalar_modes, seed, n_samples, grid, modes)
     denoms = np.sqrt(_vector_sq(grid, _scalar_gradient(ms)))
     cube = _cube(ms)
-    step = max(1, _L6_PASS_FLOATS // cube[0].shape[-2] ** 2)
+    step = _L6_PASS_FLOATS // cube[0].shape[-2] ** 2  # >= 1 by check_modes
     sixth = np.concatenate([_gram(grid, [tuple(f[i:i + step] for f in cube)])
                             for i in range(0, n_samples, step)])
     ratios = _guarded_ratios(sixth ** (1.0 / 6.0), denoms,
@@ -529,7 +542,7 @@ def verify_lame_gradient_case(psi: RadialField,
     psi and g = -(2 mu + lambda) d_r(Lap psi), 2 mu + lambda being the
     longitudinal viscosity, report C_emp = ||grad^2 u|| / (||g|| + ||grad u||)."""
     grid = psi.grid
-    u = radial_derivative(psi, 1)
+    u = grid.field(differentiate(grid, psi.values, 1))
     lap = differentiate(grid, psi.values, 2) + 2.0 * u.values / grid.r
     g = RadialField(-longitudinal_viscosity * differentiate(grid, lap, 1), grid)
     hess_u = vector_hessian_norm(u)
@@ -566,10 +579,10 @@ def lame_report(grid: RadialGrid, n_samples: int = 20, seed: int = 0,
                 longitudinal_viscosity: float = 3.0) -> IneqReport:
     """Ensemble version of the curl-free elastostatic check: potentials come
     from Neumann-Poisson solves of seeded sources."""
-    ratios = []
+    lap, ratios = laplacian(grid), []
     for i in range(n_samples):
         q = _random_radial_source(seed + i, grid)
-        psi = solve_poisson_neumann(q).phi
+        psi = grid.field(lap.solve_refined(q.values))
         rep = verify_lame_gradient_case(psi, longitudinal_viscosity)
         ratios.append(rep.max_ratio)
     return _ensemble_report("lame_gradient_case", ratios)
@@ -578,9 +591,9 @@ def lame_report(grid: RadialGrid, n_samples: int = 20, seed: int = 0,
 def poisson_regularity_report(grid: RadialGrid, n_samples: int = 100,
                               seed: int = 0) -> IneqReport:
     """Measured constant in ||grad^2 phi|| <= C ||q|| over seeded sources."""
-    ratios = []
+    lap, ratios = laplacian(grid), []
     for i in range(n_samples):
         q = _random_radial_source(seed + i, grid)
-        sol = solve_poisson_neumann(q)
-        ratios.append(hessian_norm_radial(sol.phi) / weighted_l2_norm(q))
+        phi = grid.field(lap.solve_refined(q.values))
+        ratios.append(hessian_norm_radial(phi) / weighted_l2_norm(q))
     return _ensemble_report("poisson_regularity", ratios)

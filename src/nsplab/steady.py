@@ -40,11 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import hessian_norm_radial, laplacian, solve_shifted
+from .elliptic import hessian_norm_radial, laplacian
 from .errors import IterationError, MonotonicityError, ParameterError
 from .grids import (FluidParams, RadialField, RadialGrid, build_radial_grid,
-                    cutoff, differentiate, radial_derivative,
-                    vector_hessian_norm, weighted_l2_norm)
+                    cutoff, differentiate, vector_hessian_norm,
+                    weighted_l2_norm)
 
 PROFILE_KINDS = ("constant", "admissible_bump", "general_gamma_envelope")
 
@@ -153,31 +153,24 @@ def subsolution_phi(grid: RadialGrid) -> RadialField:
     return grid.zeros()
 
 
-def supersolution_phi(fluid: FluidParams, grid: RadialGrid) -> RadialField:
-    """Explicit supersolution for the gas: the closed power-law form for
-    gamma in (1, 2], the log form at gamma = 1."""
-    gamma, c_star = fluid.gamma, fluid.c_star
-    r = grid.r
-    if gamma == 1.0:
-        return RadialField(np.log(1.0 + 1.0 / (c_star * r)), grid)
-    if gamma > 2.0:
-        raise ParameterError(
-            "explicit supersolution needs gamma in [1, 2]; use the envelope form")
-    vals = (gamma / (gamma - 1.0) * (c_star + 1.0 / r) ** (gamma - 1.0)
-            - fluid._c1())
-    return RadialField(vals, grid)
-
-
 def profile_supersolution(profile: BackgroundProfile) -> RadialField:
     """The explicit supersolution that brackets the steady problem for this
     background: the envelope c0 * r**(-eps) (any gamma > 1) for the envelope
-    profile, the closed form (gamma in [1, 2] only) otherwise."""
-    grid = profile.values.grid
-    if profile.kind != "general_gamma_envelope":
-        return supersolution_phi(profile.fluid, grid)
-    if profile.fluid.gamma <= 1.0:
-        raise ParameterError("envelope supersolution requires gamma > 1")
-    return grid.field(profile.envelope_c0 * grid.r ** (-profile.envelope_eps))
+    profile; otherwise the closed form of the gas, the power law for gamma
+    in (1, 2] and the log form at gamma = 1."""
+    grid, fluid = profile.values.grid, profile.fluid
+    gamma, r = fluid.gamma, grid.r
+    if profile.kind == "general_gamma_envelope":
+        if gamma <= 1.0:
+            raise ParameterError("envelope supersolution requires gamma > 1")
+        return grid.field(profile.envelope_c0 * r ** (-profile.envelope_eps))
+    if gamma == 1.0:
+        return grid.field(np.log(1.0 + 1.0 / (fluid.c_star * r)))
+    if gamma > 2.0:
+        raise ParameterError(
+            "explicit supersolution needs gamma in [1, 2]; use the envelope form")
+    return grid.field(gamma / (gamma - 1.0) * (fluid.c_star + 1.0 / r)
+                      ** (gamma - 1.0) - fluid._c1())
 
 
 def check_subsuper(phi: RadialField, role: str, profile: BackgroundProfile, *,
@@ -215,12 +208,14 @@ def _iterate(profile: BackgroundProfile, start: np.ndarray, shift: float,
     nonincreasing one.  Monotonicity defects are tracked, not fatal: they stay
     at roundoff size (comparison-principle slack) for admissible data.
     """
-    fluid, b, grid = profile.fluid, profile.values.values, profile.values.grid
+    fluid, b = profile.fluid, profile.values.values
+    op = laplacian(profile.values.grid, shift)
     phi = start.copy()
     defect = 0.0
     for it in range(1, max_iter + 1):
-        rhs = fluid.density(phi) - b - shift * phi
-        nxt = solve_shifted(shift, RadialField(rhs, grid)).values
+        nxt = op.solve_refined(fluid.density(phi) - b - shift * phi)
+        if not np.all(np.isfinite(nxt)):
+            raise ParameterError("elliptic solve produced non-finite values")
         step = nxt - phi
         defect = max(defect, float(np.max(-direction * step)))
         increment = float(np.max(np.abs(step)))
@@ -318,7 +313,7 @@ class RegularityReport:
 def _derivative_norms(state: SteadyState) -> dict:
     out = {}
     for name, fld in (("rho", state.rho_tilde), ("phi", state.phi_tilde)):
-        d1 = radial_derivative(fld, 1)
+        d1 = fld.grid.field(differentiate(fld.grid, fld.values, 1))
         out[f"grad_{name}"] = weighted_l2_norm(d1)
         out[f"hess_{name}"] = hessian_norm_radial(fld)
         out[f"third_{name}"] = vector_hessian_norm(d1)

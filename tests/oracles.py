@@ -3,12 +3,12 @@
 Everything here deliberately avoids the package's quadrature and derivative
 machinery: integrals come from dense plain trapezoid sums over analytic
 callables, and the steady-state oracle is a damped Newton iteration on the
-discrete system (same operator, independent solution path).  The one
-exception is the 3-D spherical operators at the end: they apply the
-package's one-axis stencils and the spherical grid's weights to whole 3-D
-arrays and inner-sphere traces, an independent evaluation path for the
-mode-factored ensembles.  The module
-also holds ``tendencies``, the suite's one way to evaluate a single state's
+discrete system (same operator, independent solution path).  There are two
+exceptions.  The radial grid norms are the package's own formulas, which
+only tests call.  The 3-D spherical operators at the end apply the package's
+one-axis stencils and the spherical grid's weights to whole 3-D arrays and
+inner-sphere traces, an independent evaluation path for the mode-factored
+ensembles.  The module also holds ``tendencies``, the suite's one way to evaluate a single state's
 tendencies through a run workspace, ``sample_norms``, its E/D sample, and
 ``gas``, the suite's FluidParams.
 """
@@ -25,7 +25,7 @@ from nsplab.elliptic import laplacian
 from nsplab.energy import _sample_norms
 from nsplab.errors import ParameterError
 from nsplab.evolve import SimConfig, _tendencies, _Workspace
-from nsplab.grids import FluidParams, cutoff
+from nsplab.grids import FluidParams, cutoff, differentiate, sobolev_terms
 from nsplab.ineqlab import SphericalGrid, _periodic, _three_point
 
 FOUR_PI = 4.0 * np.pi
@@ -124,6 +124,42 @@ def radial_vector_h3_norm_dense(u_funcs, r_inner, r_outer, n=40001):
     total += integral(u2) + 2.0 * integral(over1)
     total += integral(u3) + 2.0 * integral(over2)
     return np.sqrt(total)
+
+
+# The grid norms below are the package's own discrete formulas (its radial
+# stencils, weights and H^k terms), kept here for the tests that pin those
+# formulas and compare the E/D functionals with their parts; nothing in the
+# package calls them.
+
+def radial_integral(f):
+    """Discrete integral of the field f over the shell with the 4 pi r^2
+    measure."""
+    return float(np.dot(f.grid.weights, f.values))
+
+
+def sobolev_norm(f, k):
+    """Discrete H^k norm of a scalar profile: sqrt of the summed squared L2
+    norms of the radial derivatives of orders 0..k."""
+    if k not in (0, 1, 2, 3):
+        raise ParameterError(f"Sobolev order must be in 0..3, got {k}")
+    derivs = [differentiate(f.grid, f.values, j) if j else f.values
+              for j in range(k + 1)]
+    return math.sqrt(sum(sobolev_terms(f.grid, derivs)))
+
+
+def vector_sobolev_norm(u, k):
+    """Discrete H^k norm of the radial vector field u(r)*rhat: the channels
+    u' and u/r (multiplicity two) of its gradient, each differentiated
+    radially."""
+    if k not in (0, 1, 2, 3):
+        raise ParameterError(f"Sobolev order must be in 0..3, got {k}")
+    grid = u.grid
+    over_r = u.values / grid.r
+    derivs = [differentiate(grid, u.values, j) if j else u.values
+              for j in range(k + 1)]
+    channels = [differentiate(grid, over_r, j) if j else over_r
+                for j in range(k)]
+    return math.sqrt(sum(sobolev_terms(grid, derivs, channels)))
 
 
 def tendencies(state, steady, mode="nonlinear"):

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from nsplab import (SimConfig, build_radial_grid, check_subsuper,
-                    init_perturbation, make_profile, run_simulation,
-                    solve_poisson_neumann, solve_steady_monotone,
-                    subsolution_phi, supersolution_phi, weighted_l2_norm)
+                    init_perturbation, make_profile, profile_supersolution,
+                    run_simulation, solve_steady_monotone, subsolution_phi,
+                    weighted_l2_norm)
 from nsplab import ineqlab as iq
 from nsplab.cli import main
+from nsplab.elliptic import laplacian
 from nsplab.steady import BackgroundProfile
 from nsplab.grids import RadialField
 
@@ -81,11 +82,12 @@ def test_criterion_02_subsuper_certificates(grid2000):
     def saturating(gamma):
         return BackgroundProfile("admissible_bump", gas(gamma), 1.0,
                                  RadialField(1.0 + 1.0 / grid2000.r, grid2000))
-    cert2 = check_subsuper(supersolution_phi(gas(2.0), grid2000), "super",
-                           saturating(2.0), tol=1e-10)
+    bump2, bump1 = saturating(2.0), saturating(1.0)
+    cert2 = check_subsuper(profile_supersolution(bump2), "super", bump2,
+                           tol=1e-10)
     resid2 = max(abs(cert2.max_residual), abs(cert2.min_residual))
-    cert4 = check_subsuper(supersolution_phi(gas(1.0), grid2000), "super",
-                           saturating(1.0), tol=1e-8)
+    cert4 = check_subsuper(profile_supersolution(bump1), "super", bump1,
+                           tol=1e-8)
     ok = (cert2.passed and resid2 < 1e-10
           and cert2.boundary_normal_derivative > 0.0
           and abs(cert2.boundary_normal_derivative - 2.0) < 1e-2
@@ -122,8 +124,7 @@ def test_criterion_04_spatial_convergence():
         phi_m = np.exp(-((r - 1.0) ** 2))
         q = (4.0 * (r - 1.0) ** 2 - 2.0) * phi_m \
             + 2.0 / r * (-2.0 * (r - 1.0) * phi_m)
-        sol = solve_poisson_neumann(g.field(q))
-        errs.append(np.max(np.abs(sol.phi.values - phi_m)))
+        errs.append(np.max(np.abs(laplacian(g).solve_refined(q) - phi_m)))
     p_ratios = (errs[0] / errs[1], errs[1] / errs[2])
     wall = time.perf_counter() - t0
     ok = (3.5 < steady_ratio < 4.5
@@ -255,8 +256,7 @@ def test_criterion_12_poisson_regularity(grid2000):
         phi_m = np.exp(-((r - 1.0) ** 2))
         q = (4.0 * (r - 1.0) ** 2 - 2.0) * phi_m \
             + 2.0 / r * (-2.0 * (r - 1.0) * phi_m)
-        errs.append(np.max(np.abs(
-            solve_poisson_neumann(g.field(q)).phi.values - phi_m)))
+        errs.append(np.max(np.abs(laplacian(g).solve_refined(q) - phi_m)))
     ratios = (errs[0] / errs[1], errs[1] / errs[2])
     ok = (change < 0.20 and all(3.5 < r < 4.5 for r in ratios))
     _report(12, ok, f"C_emp = {rep_c.max_ratio:.4f}, refinement change "

@@ -199,6 +199,18 @@ def test_parse_owner_checks_name_the_section(override, section):
         assert "trace_outer_factor" in str(err.value)
 
 
+def test_modes_bounded_by_one_l6_pass():
+    # one member's f^3 has C(modes + 2, 3) terms and its Gram their square:
+    # 2024^2 products fit in the 2^22 of one L6 pass at modes = 22, 2300^2
+    # do not at 23, and modes = 60 would need about 11 GB per product.  The
+    # parser only counts; it allocates no ensemble
+    cfg = parse_config(QUICK, overrides=["ineqlab.modes=22"])
+    assert cfg.ineqlab["modes"] == 22
+    for modes in (23, 60):
+        with pytest.raises(ConfigError, match=r"\[ineqlab\].*modes = "):
+            parse_config(QUICK, overrides=[f"ineqlab.modes={modes}"])
+
+
 # [evolve] values the type parser reads but SimConfig refuses
 BAD_RUN_SETTINGS = [
     ("delta", -1e-3), ("delta", math.inf), ("delta", math.nan),

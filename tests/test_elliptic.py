@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from nsplab import (ParameterError, build_radial_grid, hessian_norm_radial,
-                    solve_poisson_neumann, solve_shifted, weighted_l2_norm)
+                    weighted_l2_norm)
 from nsplab.elliptic import laplacian
-from nsplab.grids import RadialField
+from nsplab.grids import differentiate
 from oracles import banded_layout
 
 
@@ -22,15 +22,17 @@ def manufactured(grid):
 
 
 def test_poisson_zero_source(shell16):
-    sol = solve_poisson_neumann(shell16.zeros())
-    assert np.max(np.abs(sol.phi.values)) == 0.0
+    phi = laplacian(shell16).solve_refined(np.zeros(shell16.n_nodes))
+    assert np.max(np.abs(phi)) == 0.0
 
 
 def test_poisson_residual_certificate(shell16):
     rng = np.random.default_rng(3)
     q = shell16.field(rng.standard_normal(shell16.n_nodes))
-    sol = solve_poisson_neumann(q)
-    assert sol.residual_norm <= 1e-10 * weighted_l2_norm(q)
+    op = laplacian(shell16)
+    phi = op.solve_refined(q.values)
+    residual = weighted_l2_norm(shell16.field(q.values - op @ phi))
+    assert residual <= 1e-10 * weighted_l2_norm(q)
 
 
 def test_poisson_manufactured_second_order():
@@ -38,8 +40,8 @@ def test_poisson_manufactured_second_order():
     for n in (250, 500, 1000):
         g = build_radial_grid(1.0, 16.0, n)
         phi_m, q = manufactured(g)
-        sol = solve_poisson_neumann(g.field(q))
-        errs.append(np.max(np.abs(sol.phi.values - phi_m)))
+        phi = laplacian(g).solve_refined(q)
+        errs.append(np.max(np.abs(phi - phi_m)))
     assert 3.5 < errs[0] / errs[1] < 4.5
     assert 3.5 < errs[1] / errs[2] < 4.5
 
@@ -47,9 +49,8 @@ def test_poisson_manufactured_second_order():
 def test_poisson_neumann_condition_discrete():
     g = build_radial_grid(1.0, 16.0, 1000)
     phi_m, q = manufactured(g)
-    sol = solve_poisson_neumann(g.field(q))
-    from nsplab import radial_derivative
-    one_sided = radial_derivative(sol.phi, 1).values[0]
+    phi = laplacian(g).solve_refined(q)
+    one_sided = differentiate(g, phi, 1)[0]
     assert abs(one_sided) < 5e-4  # analytic value is 0; O(h^2) residual
 
 
@@ -62,8 +63,7 @@ def test_poisson_zero_net_charge_outer_decay():
         bump = np.exp(-((r - 2.0) ** 2) * 4.0) - np.exp(-((r - 3.0) ** 2) * 4.0)
         q = bump - np.dot(g.weights, bump) / np.dot(g.weights,
                                                     np.ones_like(bump))
-        sol = solve_poisson_neumann(g.field(q))
-        values[r_max] = abs(sol.phi.values[-1])
+        values[r_max] = abs(laplacian(g).solve_refined(q)[-1])
     # bounded by C / r_max^2 with a modest constant
     for r_max, v in values.items():
         assert v <= 1.0 / r_max**2
@@ -74,27 +74,27 @@ def test_poisson_linearity(shell16):
     q1 = rng.standard_normal(shell16.n_nodes)
     q2 = rng.standard_normal(shell16.n_nodes)
     a, b = 2.5, -1.25
-    s1 = solve_poisson_neumann(shell16.field(q1)).phi.values
-    s2 = solve_poisson_neumann(shell16.field(q2)).phi.values
-    s12 = solve_poisson_neumann(shell16.field(a * q1 + b * q2)).phi.values
+    op = laplacian(shell16)
+    s1, s2, s12 = (op.solve_refined(q) for q in (q1, q2, a * q1 + b * q2))
     scale = np.max(np.abs(s12)) + 1.0
     assert np.max(np.abs(s12 - (a * s1 + b * s2))) < 1e-12 * scale
 
 
 def test_shifted_zero_rhs(shell16):
-    w = solve_shifted(1.0, shell16.zeros())
-    assert np.max(np.abs(w.values)) == 0.0
+    w = laplacian(shell16, 1.0).solve_refined(np.zeros(shell16.n_nodes))
+    assert np.max(np.abs(w)) == 0.0
 
 
 def test_shifted_rejects_negative_shift(shell16):
-    with pytest.raises(ParameterError):
-        solve_shifted(-1.0, shell16.zeros())
+    for shift in (-1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="shift must be finite"):
+            laplacian(shell16, shift)
 
 
 def test_shifted_constant_balance():
     g = build_radial_grid(1.0, 21.0, 2000)
-    w = solve_shifted(1.0, g.field(-np.ones(g.n_nodes)))
-    plateau = w.values[g.r <= 6.0]
+    w = laplacian(g, 1.0).solve_refined(-np.ones(g.n_nodes))
+    plateau = w[g.r <= 6.0]
     assert np.max(np.abs(plateau - 1.0)) < 1e-6
 
 
@@ -104,8 +104,8 @@ def test_shifted_manufactured_recovery():
         g = build_radial_grid(1.0, 16.0, n)
         w_m, lap = manufactured(g)
         rhs = lap - 1.0 * w_m
-        w = solve_shifted(1.0, g.field(rhs))
-        errs.append(np.max(np.abs(w.values - w_m)))
+        w = laplacian(g, 1.0).solve_refined(rhs)
+        errs.append(np.max(np.abs(w - w_m)))
     assert errs[0] / errs[1] > 3.0
 
 
@@ -114,8 +114,8 @@ def test_comparison_principle(shell16):
     rng = np.random.default_rng(21)
     for _ in range(20):
         rhs = -np.abs(rng.standard_normal(shell16.n_nodes))
-        w = solve_shifted(0.7, shell16.field(rhs))
-        assert np.min(w.values) >= -1e-13
+        w = laplacian(shell16, 0.7).solve_refined(rhs)
+        assert np.min(w) >= -1e-13
 
 
 def test_apply_laplacian_annihilates_monopole(shell16):
@@ -147,8 +147,8 @@ def test_poisson_regularity_constant_is_one(shell16):
         vals = b1 - b2 * float(np.dot(shell16.weights, b1)
                                / np.dot(shell16.weights, b2))
         q = shell16.field(vals)
-        sol = solve_poisson_neumann(q)
-        ratios.append(hessian_norm_radial(sol.phi) / weighted_l2_norm(q))
+        phi = shell16.field(laplacian(shell16).solve_refined(vals))
+        ratios.append(hessian_norm_radial(phi) / weighted_l2_norm(q))
     assert max(ratios) < 1.0 + 1e-3
     assert min(ratios) > 0.999
 
@@ -192,13 +192,13 @@ def test_solves_reuse_cached_factors(monkeypatch):
 
     monkeypatch.setattr(lapack, "dgttrf", counting)
     g = build_radial_grid(1.0, 16.0, 300)
-    q = g.field(np.exp(-((g.r - 3.0) ** 2)))
-    first = solve_poisson_neumann(q)
-    second = solve_poisson_neumann(q)
+    q = np.exp(-((g.r - 3.0) ** 2))
+    first = laplacian(g).solve_refined(q)
+    second = laplacian(g).solve_refined(q)
     assert len(calls) == 1
-    assert np.array_equal(first.phi.values, second.phi.values)
-    solve_shifted(1.5, q)
-    solve_shifted(1.5, q)
+    assert np.array_equal(first, second)
+    laplacian(g, 1.5).solve_refined(q)
+    laplacian(g, 1.5).solve_refined(q)
     assert len(calls) == 2
 
 
@@ -218,9 +218,6 @@ def test_solve_is_solve_banded_with_certified_residual(n_cells, stretch,
     ab = banded_layout(op.sub, op.diag, op.sup)
     assert np.array_equal(op.solve(rhs.values),
                           solve_banded((1, 1), ab, rhs.values))
-    if shift == 0.0:
-        residual = solve_poisson_neumann(rhs).residual_norm
-    else:
-        w = solve_shifted(shift, rhs)
-        residual = weighted_l2_norm(g.field(rhs.values - op @ w.values))
+    w = op.solve_refined(rhs.values)
+    residual = weighted_l2_norm(g.field(rhs.values - op @ w))
     assert residual <= 1e-10 * weighted_l2_norm(rhs)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from nsplab import DegenerateFieldError, ParameterError, build_radial_grid
 from nsplab import ineqlab as iq
-from nsplab.elliptic import solve_poisson_neumann
-from nsplab.grids import CUT_END
+from nsplab.elliptic import laplacian
+from nsplab.grids import CUT_END, differentiate
 from nsplab.ineqlab import (TangentEnsemble, boundary_pairing_report,
                             build_spherical_grid, div_curl_report,
                             lame_report, poisson_regularity_report,
@@ -73,12 +73,12 @@ def test_gradient_squared_agrees_with_radial_reduction():
 
 
 def test_scalar_gradient_agrees_with_radial_reduction():
-    from nsplab import build_radial_grid, radial_derivative, weighted_l2_norm
+    from nsplab import weighted_l2_norm
     g3 = build_spherical_grid(1.0, 2.0, 48, 12, 16)
     prof = np.sin(2.0 * g3.r)
     f = prof[:, None, None] * np.ones(g3.shape)
     g1 = build_radial_grid(1.0, 2.0, 48)
-    ref = weighted_l2_norm(radial_derivative(g1.field(prof), 1))
+    ref = weighted_l2_norm(g1.field(differentiate(g1, prof, 1)))
     ours = l2_norm_vec(grad_scalar(g3, f))
     assert ours == pytest.approx(ref, rel=1e-3)
 
@@ -172,9 +172,7 @@ def test_div_curl_constructed_curl_free_member(sgrid):
     # v = grad(psi) with psi from a radial Neumann solve, lifted to 3-D
     rg = build_radial_grid(1.0, 2.0, sgrid.r.size - 1)
     bump = np.exp(-(((rg.r - 1.4) / 0.15) ** 2))
-    psi = solve_poisson_neumann(rg.field(bump)).phi
-    from nsplab import radial_derivative
-    dpsi = radial_derivative(psi, 1).values
+    dpsi = differentiate(rg, laplacian(rg).solve_refined(bump), 1)
     v = VectorField3(vr=dpsi[:, None, None] * np.ones(sgrid.shape),
                      vtheta=np.zeros(sgrid.shape),
                      vphi=np.zeros(sgrid.shape), grid=sgrid)
@@ -279,7 +277,7 @@ def test_lame_trivial_and_homogeneous():
     rep = verify_lame_gradient_case(const, 3.0)
     assert rep.passed
     bump = np.exp(-(((g.r - 1.4) / 0.15) ** 2))
-    psi = solve_poisson_neumann(g.field(bump)).phi
+    psi = g.field(laplacian(g).solve_refined(bump))
     r1 = verify_lame_gradient_case(psi, 3.0)
     psi2 = g.field(2.0 * psi.values)
     r2 = verify_lame_gradient_case(psi2, 3.0)

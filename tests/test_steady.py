@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from nsplab import (EvaluationDomainError, ParameterError, build_radial_grid,
                     check_subsuper, make_profile, profile_supersolution,
                     solve_steady_monotone, steady_regularity_report,
-                    subsolution_phi, supersolution_phi)
-from nsplab.elliptic import hessian_norm_radial, solve_shifted
+                    subsolution_phi)
+from nsplab.elliptic import hessian_norm_radial, laplacian
 from nsplab.grids import RadialField
 from nsplab.steady import (BackgroundProfile, compatibility_residual,
                            profile_upper_bound)
@@ -25,6 +25,12 @@ def exact_saturating_profile(grid, gamma):
     c_star = 1)."""
     return BackgroundProfile("admissible_bump", gas(gamma), 1.0,
                              RadialField(1.0 + 1.0 / grid.r, grid))
+
+
+def closed_form(grid, gamma):
+    """The closed-form supersolution of the gas, as a bump background
+    brackets it."""
+    return profile_supersolution(exact_saturating_profile(grid, gamma))
 
 
 # ---------------------------------------------------------------- profiles
@@ -67,28 +73,29 @@ def test_subsolution_is_zero(shell16):
 
 
 def test_supersolution_gamma2_values(shell16):
-    phi = supersolution_phi(gas(2.0), shell16)
+    phi = closed_form(shell16, 2.0)
     assert phi.values[0] == pytest.approx(2.0, rel=1e-14)
     # 2/r at the outer edge
     assert phi.values[-1] == pytest.approx(2.0 / 16.0, rel=1e-14)
 
 
 def test_supersolution_gamma1_value(shell16):
-    phi = supersolution_phi(gas(1.0), shell16)
+    phi = closed_form(shell16, 1.0)
     assert phi.values[0] == pytest.approx(math.log(2.0), rel=1e-14)
 
 
 def test_supersolution_gamma_below_one_rejected(shell16):
     with pytest.raises(ParameterError):  # the gas itself refuses gamma < 1
-        supersolution_phi(gas(0.5), shell16)
+        closed_form(shell16, 0.5)
     with pytest.raises(ParameterError):
-        supersolution_phi(gas(3.0), shell16)  # explicit form needs the envelope
+        closed_form(shell16, 3.0)  # explicit form needs the envelope
 
 
 def test_profile_supersolution_picks_the_bracket(shell16):
     bump = make_profile("admissible_bump", gas(1.5), 0.5, shell16)
+    # gamma/(gamma-1) (c* + 1/r)^(gamma-1) - c1 with c1 = gamma/(gamma-1) c*
     assert np.array_equal(profile_supersolution(bump).values,
-                          supersolution_phi(gas(1.5), shell16).values)
+                          3.0 * (1.0 + 1.0 / shell16.r) ** 0.5 - 3.0)
     env = make_profile("general_gamma_envelope", gas(3.0), 0.8, shell16,
                        envelope_c0=0.5, envelope_eps=0.4)
     assert np.array_equal(profile_supersolution(env).values,
@@ -107,14 +114,14 @@ def test_profile_supersolution_picks_the_bracket(shell16):
 
 def test_branch_limit_gamma_to_one(shell16):
     # gamma -> 1+ limit of the power-law bracket approaches the log bracket
-    phi_1 = supersolution_phi(gas(1.0), shell16).values
-    phi_101 = supersolution_phi(gas(1.01), shell16).values
+    phi_1 = closed_form(shell16, 1.0).values
+    phi_101 = closed_form(shell16, 1.01).values
     assert np.max(np.abs(phi_101 - phi_1)) / np.max(phi_1) < 0.05
 
 
 def test_subsuper_certificates_gamma2_equality_case(shell16):
     profile = exact_saturating_profile(shell16, 2.0)
-    cert = check_subsuper(supersolution_phi(gas(2.0), shell16), "super",
+    cert = check_subsuper(closed_form(shell16, 2.0), "super",
                           profile, tol=1e-10)
     assert cert.passed
     assert abs(cert.max_residual) < 1e-10
@@ -124,7 +131,7 @@ def test_subsuper_certificates_gamma2_equality_case(shell16):
 
 def test_subsuper_certificates_gamma1(shell16):
     profile = exact_saturating_profile(shell16, 1.0)
-    cert = check_subsuper(supersolution_phi(gas(1.0), shell16), "super",
+    cert = check_subsuper(closed_form(shell16, 1.0), "super",
                           profile, tol=1e-8)
     assert cert.passed
     assert cert.max_residual <= 1e-8
@@ -211,13 +218,13 @@ def test_solver_takes_its_grid_from_the_profile(two_shells):
 
 def test_certificate_rejects_a_candidate_on_other_nodes(two_shells):
     a, b, profile = two_shells
-    for phi, role in ((supersolution_phi(gas(2.0), b), "super"),
+    for phi, role in ((closed_form(b, 2.0), "super"),
                       (subsolution_phi(b), "sub")):
         with pytest.raises(ParameterError, match="different grid nodes"):
             check_subsuper(phi, role, profile)
     # the same nodes built again are the same grid
     same = build_radial_grid(1.0, 16.0, 320)
-    assert check_subsuper(supersolution_phi(gas(2.0), same), "super",
+    assert check_subsuper(closed_form(same, 2.0), "super",
                           profile).passed
     # tol is keyword-only: an old (phi, role, gamma, profile) call fails
     with pytest.raises(TypeError, match="positional argument"):
@@ -359,17 +366,16 @@ def test_monotone_sandwich_and_direction(shell16):
     # instrumented rerun of the two bracketing sequences
     fluid = gas(2.0)
     profile = make_profile("admissible_bump", fluid, 0.5, shell16)
-    phi_super = supersolution_phi(fluid, shell16)
+    phi_super = profile_supersolution(profile)
     shift = 1.1 * float(np.max(fluid.density_slope(phi_super.values)))
     b = profile.values.values
 
     upper = phi_super.values.copy()
     lower = np.zeros_like(upper)
+    op = laplacian(shell16, shift)
     for _ in range(12):
-        up_next = solve_shifted(shift, RadialField(
-            fluid.density(upper) - b - shift * upper, shell16)).values
-        lo_next = solve_shifted(shift, RadialField(
-            fluid.density(lower) - b - shift * lower, shell16)).values
+        up_next = op.solve_refined(fluid.density(upper) - b - shift * upper)
+        lo_next = op.solve_refined(fluid.density(lower) - b - shift * lower)
         assert np.max(up_next - upper) <= 1e-10   # nonincreasing
         assert np.min(lo_next - lower) >= -1e-10  # nondecreasing
         assert np.max(lo_next - up_next) <= 1e-10  # ordered

@@ -17,12 +17,14 @@ from nsplab.config import parse_config
 
 ROOT = Path(__file__).parents[1]
 
-# the 3-D per-field operators, and the 3-D L6 norm and inner-sphere
-# contractions, live in tests/oracles.py
+# the 3-D per-field operators, the 3-D L6 norm and inner-sphere
+# contractions, and the radial grid norms that only tests call live in
+# tests/oracles.py (grids.integrate as radial_integral)
 MOVED = ("VectorField3", "_d_axis", "_d_phi", "grad_scalar", "divergence",
          "curl", "gradient_squared", "l2_norm", "l2_norm_vec", "grad_norm",
          "_div_curl_norm", "_traces", "l6_norm", "_trace",
-         "_boundary_integral", "_boundary_l2_sq", "_boundary_pairings")
+         "_boundary_integral", "_boundary_l2_sq", "_boundary_pairings",
+         "integrate", "sobolev_norm", "vector_sobolev_norm")
 # one-shot wrappers of the run workspace and of the E/D sample, the
 # readers of the sampled columns that SeriesRecorder.finish replaced, the
 # per-sample record, the library-side run digest, the per-sample field
@@ -30,8 +32,11 @@ MOVED = ("VectorField3", "_d_axis", "_d_phi", "grad_scalar", "divergence",
 # of the gas law (FluidParams owns F and F') and of the run settings
 # (SimConfig checks its own), and the run's second door to the Poisson
 # solve (the run workspace holds the Laplacian), and the per-member 3-D
-# L6 numerator (the L6 norm is the Gram of f^3 on the factors), and the
-# trace-scaling radii (the report reads them from its spherical grid)
+# L6 numerator (the L6 norm is the Gram of f^3 on the factors), the
+# trace-scaling radii (the report reads them from its spherical grid), the
+# Laplacian solve wrappers (every solve is laplacian(grid, shift)
+# .solve_refined), the field wrapper of differentiate, and the gas-only
+# supersolution (profile_supersolution reads the gas from the profile)
 DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
            ("energy", "energy_E"), ("energy", "dissipation_D"),
            ("energy", "measure_viscous_constant"),
@@ -42,7 +47,10 @@ DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
            ("evolve", "_arrays"), ("steady", "_Branch"),
            ("steady", "rho_from_phi"), ("evolve", "check_run_settings"),
            ("elliptic", "solve_poisson_values"), ("ineqlab", "_l6_norms"),
-           ("ineqlab", "trace_radii"))
+           ("ineqlab", "trace_radii"), ("elliptic", "solve_shifted"),
+           ("elliptic", "solve_poisson_neumann"),
+           ("elliptic", "PoissonSolution"), ("grids", "radial_derivative"),
+           ("steady", "supersolution_phi"))
 
 
 def test_star_import_binds_exactly_all():
@@ -120,7 +128,8 @@ def test_benchmark_child_runs_its_q0_step():
 @pytest.mark.parametrize("name", MOVED)
 def test_moved_oracle_names_are_gone_from_the_package(name):
     assert not hasattr(nsplab, name)
-    assert not hasattr(importlib.import_module("nsplab.ineqlab"), name)
+    for module in ("grids", "ineqlab"):
+        assert not hasattr(importlib.import_module(f"nsplab.{module}"), name)
 
 
 @pytest.mark.parametrize("module, name", DELETED)
