@@ -17,10 +17,12 @@ The zero-order identity diagnostic is
     d/dt [ 1/2 int ( rho_tilde u^2 + h'(rho_tilde) q^2 + |grad phi|^2 ) ]
         + (2 mu + lambda) ||grad u||^2  ~  0   up to a nonlinear remainder,
 
-evaluated over the stored samples by ``SeriesRecorder.finish``, the run's one
-post-run pass: it takes one centered dE_basic/dt per run and derives the
-identity residual, the fitted viscous constant c_fit, the remainder constant
-kappa and the verdict from it.  The functionals never difference in time.
+A run turns each sampled state into its row with ``_sample_row`` and appends
+``(t, *row)``; ``_series_from_rows``, the run's one post-run pass, turns the
+rows into the TimeSeries: it takes one centered dE_basic/dt per run and
+derives the identity residual, the fitted viscous constant c_fit, the
+remainder constant kappa and the verdict from it.  The functionals never
+difference in time.
 """
 
 from __future__ import annotations
@@ -34,13 +36,17 @@ from .errors import ParameterError
 from .grids import _wsq, differentiate, sobolev_terms
 
 
-def _sample_norms(grid, q, u, phi, tend):
-    """E, D, D without its ||q_tt|| term, ||grad u||^2 and phi' of the sample
-    (q, u, phi) with tendencies tend = (q_t, u_t, phi_t, q_tt), all arrays.
+def _sample_row(ws, q, u, phi, tend) -> tuple:
+    """The row of the sample (q, u, phi) with tendencies tend = (q_t, u_t,
+    phi_t, q_tt), all arrays: its SAMPLED values after t, with E_basic =
+    1/2 int (rho_tilde u^2 + h' q^2 + |grad phi|^2).  The grid, rho_tilde
+    and h'(rho_tilde) are those of the run's workspace ws (ws.grid, ws.rho_s,
+    ws.hp_s).
 
     The radial derivatives are one stacked apply per order, each computed
     once and shared by the functionals through ``sobolev_terms``.
     """
+    grid = ws.grid
     q_t, u_t, phi_t, q_tt = tend
     # order 2 differentiates the first four rows
     f = np.stack((u, u / grid.r, u_t, q, u_t / grid.r, q_t, phi, phi_t))
@@ -59,16 +65,10 @@ def _sample_norms(grid, q, u, phi, tend):
     qtt_l2 = math.sqrt(_wsq(grid, q_tt))
     d = (math.sqrt(sum(u_terms[1:])) + math.sqrt(sum(ut_terms[1:])) + q_h2
          + qt_h1 + qtt_l2)
-    return e, d, d - qtt_l2, math.sqrt(u_terms[1]) ** 2, d1[6]
-
-
-def basic_energy(grid, q: np.ndarray, u: np.ndarray, phi_r: np.ndarray,
-                 rho_s: np.ndarray, hp: np.ndarray) -> float:
-    """Zero-order quadratic energy 1/2 int (rho_tilde u^2 + h' q^2 + |grad phi|^2),
-    with phi_r the radial derivative of phi, rho_s = rho_tilde and
-    hp = h'(rho_tilde)."""
-    dens = rho_s * u**2 + hp * q**2 + phi_r**2
-    return 0.5 * float(np.dot(grid.weights, dens))
+    dens = ws.rho_s * u**2 + ws.hp_s * q**2 + d1[6]**2
+    return (e, d, d - qtt_l2, float(np.dot(grid.weights, q)),
+            0.5 * float(np.dot(grid.weights, dens)),
+            float(np.min(ws.rho_s + q)), math.sqrt(u_terms[1]) ** 2)
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class StabilityVerdict:
     c_fit: float
 
 
-# the quantities SeriesRecorder.add records per sample, in order
+# the columns of a sample's row (t, *_sample_row(...)), in order
 SAMPLED = ("t", "E", "D", "D_no_qtt", "mass", "E_basic", "min_density",
            "grad_u_sq")
 
@@ -110,59 +110,34 @@ class TimeSeries:
         return self.columns[name]
 
 
-class SeriesRecorder:
-    """Appends each sampled quantity (t, E, D, D_no_qtt, mass, E_basic,
-    min_density, grad_u_sq) to its own list during a run of step dt about
-    steady and assembles the TimeSeries; the grid, rho_tilde, h'(rho_tilde)
-    and c_visc come from steady and its gas, as in the run's workspace."""
+def _series_from_rows(rows, c_visc: float, dt: float,
+                      margin: float | None) -> TimeSeries:
+    """The TimeSeries of a run of step dt from its rows (one SAMPLED tuple
+    per sample), after the run's one post-run pass.
 
-    def __init__(self, steady, dt: float):
-        fluid = steady.profile.fluid
-        self.grid = steady.rho_tilde.grid
-        self.rho_s = steady.rho_tilde.values
-        self.hp_s = fluid.enthalpy_weight(self.rho_s)
-        self.c_visc = fluid.longitudinal_viscosity
-        self.dt = dt
-        self.columns = {name: [] for name in SAMPLED}
-
-    def add(self, t: float, q: np.ndarray, u: np.ndarray, phi: np.ndarray,
-            tend) -> None:
-        """Record the sample (q, u, phi) at t with its tendencies tend =
-        (q_t, u_t, phi_t, q_tt)."""
-        grid = self.grid
-        e, d, d_no, grad_u_sq, phi_r = _sample_norms(grid, q, u, phi, tend)
-        values = (t, e, d, d_no, float(np.dot(grid.weights, q)),
-                  basic_energy(grid, q, u, phi_r, self.rho_s, self.hp_s),
-                  float(np.min(self.rho_s + q)), grad_u_sq)
-        for name, value in zip(SAMPLED, values):
-            self.columns[name].append(value)
-
-    def finish(self, margin: float | None) -> TimeSeries:
-        """The series after the run's one post-run pass.
-
-        With at least 3 samples, one centered dE_basic/dt gives the identity
-        residual at each interior sample (zero at the endpoints, which have
-        no centered stencil), c_fit and, for a positive E(0), the remainder
-        constant kappa; with fewer, c_fit is c_visc and kappa is None.  Given
-        a margin and a positive E(0), the stability verdict is attached.
-        """
-        cols = {name: np.array(v, dtype=float)
-                for name, v in self.columns.items()}
-        t, grad = cols["t"], cols["grad_u_sq"]
-        resid = cols["identity_residual"] = np.zeros(t.size)
-        e0 = float(cols["E"][0]) if t.size else 0.0
-        c_fit, kappa = self.c_visc, None
-        if t.size >= 3:
-            dedt = _centered_rate(t, cols["E_basic"])
-            resid[1:-1] = dedt + self.c_visc * grad[1:-1]
-            c_fit = _fit_viscous_constant(dedt, grad[1:-1], self.c_visc)
-            if e0 > 0.0:
-                kappa = _remainder_constant(resid[1:-1], cols["D"][1:-1], e0)
-        series = TimeSeries(columns=cols, c_visc=self.c_visc, dt=self.dt,
-                            remainder_kappa=kappa)
-        if margin is not None and e0 > 0.0:
-            series.verdict = check_theorem_bound(series, margin, c_fit)
-        return series
+    With at least 3 samples, one centered dE_basic/dt gives the identity
+    residual at each interior sample (zero at the endpoints, which have
+    no centered stencil), c_fit and, for a positive E(0), the remainder
+    constant kappa; with fewer, c_fit is c_visc and kappa is None.  Given
+    a margin and a positive E(0), the stability verdict is attached.
+    """
+    cols = {name: np.array([row[i] for row in rows], dtype=float)
+            for i, name in enumerate(SAMPLED)}
+    t, grad = cols["t"], cols["grad_u_sq"]
+    resid = cols["identity_residual"] = np.zeros(t.size)
+    e0 = float(cols["E"][0]) if t.size else 0.0
+    c_fit, kappa = c_visc, None
+    if t.size >= 3:
+        dedt = _centered_rate(t, cols["E_basic"])
+        resid[1:-1] = dedt + c_visc * grad[1:-1]
+        c_fit = _fit_viscous_constant(dedt, grad[1:-1], c_visc)
+        if e0 > 0.0:
+            kappa = _remainder_constant(resid[1:-1], cols["D"][1:-1], e0)
+    series = TimeSeries(columns=cols, c_visc=c_visc, dt=dt,
+                        remainder_kappa=kappa)
+    if margin is not None and e0 > 0.0:
+        series.verdict = check_theorem_bound(series, margin, c_fit)
+    return series
 
 
 def _centered_rate(t: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -301,8 +301,8 @@ def _initial_arrays(ws: _Workspace, kind: str, delta: float):
         q, u = arrays(a)
         with np.errstate(over="ignore"):  # an overflow is rejected below
             f = ws.rhs(q, u)
-            e = energy_mod._sample_norms(grid, q, u, f[3],
-                                         _tendencies(ws, q, u, f))[0]
+            e = energy_mod._sample_row(ws, q, u, f[3],
+                                       _tendencies(ws, q, u, f))[0]
         if not 0.0 < e < math.inf:
             raise IterationError("could not scale initial data to the target energy")
         return e
@@ -422,7 +422,9 @@ def run_simulation(steady: SteadyState,
     and no series.  The loop carries the state (q, u) as raw arrays and
     evaluates it once: ws.rhs(q, u), which solves phi from q, is the next
     step's stage 0 and, on a sampled step, the sample's tendencies and phi,
-    which must be finite.  Samples read the loop's arrays, no field.
+    which must be finite.  Samples read the loop's arrays, no field: each
+    appends its row (t, *energy._sample_row(ws, ...)), and one post-run
+    pass turns the rows into the series, the partial one of an abort too.
     """
     ws = _Workspace(steady, config)
     try:
@@ -433,14 +435,15 @@ def run_simulation(steady: SteadyState,
     n_steps = max(1, math.ceil(config.t_end / dt - 1e-12))
     dt = config.t_end / n_steps
     stepper = _Stepper(ws, dt)
-    recorder = energy_mod.SeriesRecorder(steady, dt)
+    rows = []
     if config.checkpoint_dir is not None:
         Path(config.checkpoint_dir).mkdir(parents=True, exist_ok=True)
 
     def sample(step: int, t: float, q, u, f):
         # checked before use, so no warning precedes the abort
         q_t, u_t, phi_t, q_tt = _tendencies(ws, q, u, tuple(map(_finite, f)))
-        recorder.add(t, q, u, f[3], (q_t, u_t, _finite(phi_t), _finite(q_tt)))
+        rows.append((t, *energy_mod._sample_row(
+            ws, q, u, f[3], (q_t, u_t, _finite(phi_t), _finite(q_tt)))))
         if config.checkpoint_dir is not None:
             path = Path(config.checkpoint_dir) / f"state_{step:08d}.txt"
             write_checkpoint(ws.grid, t, q, u, f[3], path)
@@ -456,9 +459,9 @@ def run_simulation(steady: SteadyState,
             if step % config.output_stride == 0 or step == n_steps:
                 sample(step, t, q, u, f)
     except VacuumError as exc:
-        raise SimulationAbort(str(exc), t_fail=t,
-                              series=recorder.finish(margin=None)) from exc
-    return recorder.finish(margin=config.margin)
+        partial = energy_mod._series_from_rows(rows, ws.c_visc, dt, None)
+        raise SimulationAbort(str(exc), t_fail=t, series=partial) from exc
+    return energy_mod._series_from_rows(rows, ws.c_visc, dt, config.margin)
 
 
 def write_checkpoint(grid: RadialGrid, t: float, q: np.ndarray,

@@ -9,7 +9,7 @@ only tests call.  The 3-D spherical operators at the end apply the package's
 one-axis stencils and the spherical grid's weights to whole 3-D arrays and
 inner-sphere traces, an independent evaluation path for the mode-factored
 ensembles.  The module also holds ``tendencies``, the suite's one way to evaluate a single state's
-tendencies through a run workspace, ``sample_norms``, its E/D sample, and
+tendencies through a run workspace, ``sample_row``, its sampled row, and
 ``gas``, the suite's FluidParams.
 """
 
@@ -22,7 +22,7 @@ from numpy.polynomial import Polynomial
 from scipy.linalg import solve_banded
 
 from nsplab.elliptic import laplacian
-from nsplab.energy import _sample_norms
+from nsplab.energy import _sample_row
 from nsplab.errors import ParameterError
 from nsplab.evolve import SimConfig, _tendencies, _Workspace
 from nsplab.grids import FluidParams, cutoff, differentiate, sobolev_terms
@@ -171,11 +171,13 @@ def tendencies(state, steady, mode="nonlinear"):
     return _tendencies(ws, q, u, ws.rhs(q, u))
 
 
-def sample_norms(state, tend):
-    """The E/D sample of one state and its tendencies tend (see
-    ``tendencies``)."""
-    return _sample_norms(state.q.grid, state.q.values, state.u.values,
-                         state.phi.values, tend)
+def sample_row(state, tend, steady):
+    """The sampled row (E, D, D_no_qtt, mass, E_basic, min_density,
+    grad_u_sq) of one state about steady and its tendencies tend (see
+    ``tendencies``), on a run workspace of its own."""
+    ws = _Workspace(steady, SimConfig())
+    return _sample_row(ws, state.q.values, state.u.values, state.phi.values,
+                       tend)
 
 
 # the terms of the perturbation equations a manufactured forcing can scale

@@ -1,20 +1,35 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nsplab import cli
 from nsplab import (ParameterError, PerturbationState, SimConfig,
                     build_radial_grid, check_theorem_bound,
                     init_perturbation, run_simulation, vector_gradient_norm,
                     weighted_l2_norm)
 from nsplab import grids
-from nsplab.energy import SeriesRecorder, TimeSeries
+from nsplab.config import parse_config
+from nsplab.energy import SAMPLED, TimeSeries, _sample_row
 from nsplab.evolve import _Stepper, _Workspace
 from nsplab.grids import RadialField, differentiate
 
 from oracles import (radial_integral, radial_vector_h3_norm_dense,
-                     sample_norms, sobolev_norm, tendencies,
+                     sample_row, sobolev_norm, tendencies,
                      vector_sobolev_norm)
+
+QUICK = Path(__file__).parents[1] / "configs" / "quick.cfg"
+
+
+def _quick_run(overrides=(), **settings):
+    """The run of quick.cfg under the --set overrides, with settings
+    replacing its run settings."""
+    cfg = parse_config(QUICK.read_text(encoding="utf-8"), list(overrides))
+    _, steady = cli._build_steady(cfg, cli._build_grid(cfg))
+    return run_simulation(
+        steady, dataclasses.replace(cfg.run_settings(None), **settings))
 
 
 def _zero_bundle(grid):
@@ -39,9 +54,9 @@ def bundle(shell16, steady_bump_gamma2, params_gamma2):
     return state, tend
 
 
-def test_zero_state_energy(shell16):
+def test_zero_state_energy(shell16, steady_bump_gamma2):
     state, tend = _zero_bundle(shell16)
-    assert sample_norms(state, tend)[:3] == (0.0, 0.0, 0.0)
+    assert sample_row(state, tend, steady_bump_gamma2)[:3] == (0.0, 0.0, 0.0)
 
 
 def _grad_sobolev_sq(u, k):
@@ -57,7 +72,7 @@ def _grad_sobolev_sq(u, k):
     return total
 
 
-def test_components_sum_to_total(bundle):
+def test_components_sum_to_total(bundle, steady_bump_gamma2):
     state, tend = bundle
     g = state.q.grid
     q_t, u_t, phi_t, q_tt = map(g.field, tend)
@@ -70,7 +85,7 @@ def test_components_sum_to_total(bundle):
     total = parts[0]
     for p in parts[1:]:
         total += p
-    e, d, d_no = sample_norms(state, tend)[:3]
+    e, d, d_no = sample_row(state, tend, steady_bump_gamma2)[:3]
     assert e == total
 
     qtt = weighted_l2_norm(q_tt)
@@ -94,11 +109,11 @@ def test_sample_computes_each_derivative_once(shell16, bundle,
         applied.append((order, np.atleast_2d(values), np.atleast_2d(out)))
         return out
 
+    ws = _Workspace(steady_bump_gamma2, SimConfig())
     monkeypatch.setattr(grids, "differentiate", counted)
     monkeypatch.setattr("nsplab.energy.differentiate", counted)
-    recorder = SeriesRecorder(steady_bump_gamma2, 0.1)
-    recorder.add(state.t, state.q.values, state.u.values, state.phi.values,
-                 tend)
+    row = _sample_row(ws, state.q.values, state.u.values, state.phi.values,
+                      tend)
     monkeypatch.undo()
     # one stacked apply per order
     assert len(applied) <= 3
@@ -120,23 +135,24 @@ def test_sample_computes_each_derivative_once(shell16, bundle,
         assert len(hits) == 1
         expected = real(shell16, f, order)
         assert np.array_equal(hits[0], expected)
-    assert recorder.columns["grad_u_sq"] == [
-        vector_gradient_norm(state.u) ** 2]
+    assert dict(zip(SAMPLED[1:], row))["grad_u_sq"] == (
+        vector_gradient_norm(state.u) ** 2)
 
 
-def test_homogeneity_exact(shell16, bundle):
+def test_homogeneity_exact(shell16, bundle, steady_bump_gamma2):
     state, tend = bundle
-    e1, d1, d1n = sample_norms(state, tend)[:3]
+    e1, d1, d1n = sample_row(state, tend, steady_bump_gamma2)[:3]
     for lam in (2.0, 3.0):
-        e2, d2, d2n = sample_norms(*_scaled(state, tend, lam, shell16))[:3]
+        e2, d2, d2n = sample_row(*_scaled(state, tend, lam, shell16),
+                                 steady_bump_gamma2)[:3]
         assert e2 == pytest.approx(lam * e1, rel=1e-12)
         assert d2 == pytest.approx(lam * d1, rel=1e-12)
         assert d2n == pytest.approx(lam * d1n, rel=1e-12)
 
 
-def test_d_no_qtt_bounded_by_d(bundle):
+def test_d_no_qtt_bounded_by_d(bundle, steady_bump_gamma2):
     state, tend = bundle
-    d, d_no = sample_norms(state, tend)[1:3]
+    d, d_no = sample_row(state, tend, steady_bump_gamma2)[1:3]
     assert d_no <= d
 
 
@@ -264,6 +280,50 @@ def test_theorem_bound_rejects_zero_initial_energy():
     series = TimeSeries(columns=columns, c_visc=1.0, dt=0.1)
     with pytest.raises(ParameterError):
         check_theorem_bound(series, margin=2.0, c_fit=1.0)
+
+
+@pytest.fixture(scope="module")
+def quick_strides():
+    """quick.cfg's one 83-step trajectory sampled at strides 1, 20 and 40."""
+    return {stride: _quick_run(output_stride=stride) for stride in (1, 20, 40)}
+
+
+def test_strides_sample_one_trajectory(quick_strides):
+    # a sample's row is its state's, whatever else the run samples; only
+    # the identity residual, whose centered stencil reaches the neighbouring
+    # samples, depends on the stride
+    fine = quick_strides[1]
+    assert fine.column("t").size == 84
+    for stride in (20, 40):
+        coarse = quick_strides[stride]
+        steps = sorted({*range(0, 84, stride), 83})
+        assert coarse.column("t").size == len(steps)
+        for name in coarse.columns.keys() - {"identity_residual"}:
+            assert (coarse.column(name).tobytes()
+                    == fine.column(name)[steps].tobytes()), (stride, name)
+
+
+def test_verdict_reads_the_samples_of_its_stride(quick_strides):
+    # what holds today: the trapezoid of D^2 over the stored samples
+    # overestimates the integral at coarse strides, so the verdict on one
+    # trajectory moves with the stride
+    ratios = {s: series.verdict.sup_ratio_quadratic
+              for s, series in quick_strides.items()}
+    assert ratios[1] == 1.0
+    assert ratios[20] == pytest.approx(2.678, abs=5e-4)
+    assert ratios[40] == pytest.approx(4.642, abs=5e-4)
+    assert [quick_strides[s].verdict.passed for s in (1, 20, 40)] == [
+        True, True, False]
+
+
+@pytest.mark.parametrize("n_cells", [40, 80, 160])
+def test_linear_bump_energy_does_not_grow(n_cells):
+    # the run's bump on the quick.cfg shell, linear, sponge off, every step
+    # sampled: E(t) stays at E(0) (measured sup ratio 1.0 at n = 40 to 320)
+    series = _quick_run([f"domain.n_cells={n_cells}", "evolve.mode=linear",
+                         "evolve.sponge_rate=0", "evolve.t_end=1",
+                         "evolve.output_stride=1"])
+    assert series.verdict.sup_ratio_E <= 1.001
 
 
 def test_identity_residual_needs_three_samples(steady_bump_gamma2):

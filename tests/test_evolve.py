@@ -12,13 +12,13 @@ from nsplab import (ParameterError, PerturbationState,
                     run_simulation, solve_steady_monotone, weighted_l2_norm)
 from nsplab import SteadyState, evolve
 from nsplab.elliptic import Tridiagonal
-from nsplab.energy import SAMPLED, SeriesRecorder, basic_energy
-from nsplab.evolve import (_Stepper, _viscous_operator, _Workspace,
-                           write_checkpoint)
-from nsplab.grids import RadialField, differentiate
+from nsplab.energy import SAMPLED, _sample_row, _series_from_rows
+from nsplab.evolve import (_Stepper, _tendencies, _viscous_operator,
+                           _Workspace, write_checkpoint)
+from nsplab.grids import RadialField
 
 from oracles import (MMS_TERMS, Manufactured, background_density, gas,
-                     sample_norms, tendencies)
+                     sample_row, tendencies)
 
 
 def cfl_dt(params, steady, grid, factor=0.4):
@@ -76,15 +76,15 @@ def test_init_energy_equals_delta(shell16, steady_bump_gamma2, params_gamma2):
         st = init_perturbation("standard", delta, shell16, steady_bump_gamma2,
                                params_gamma2)
         tend = tendencies(st, steady_bump_gamma2)
-        e = sample_norms(st, tend)[0]
+        e = sample_row(st, tend, steady_bump_gamma2)[0]
         assert e == pytest.approx(delta, rel=1e-9)
     # doubling delta doubles E(0) (well within the 2% near-linearity budget)
     st1 = init_perturbation("standard", 1e-3, shell16, steady_bump_gamma2,
                             params_gamma2)
     st2 = init_perturbation("standard", 2e-3, shell16, steady_bump_gamma2,
                             params_gamma2)
-    e1, e2 = (sample_norms(st, tendencies(st, steady_bump_gamma2))[0]
-              for st in (st1, st2))
+    e1, e2 = (sample_row(st, tendencies(st, steady_bump_gamma2),
+                         steady_bump_gamma2)[0] for st in (st1, st2))
     assert e2 / e1 == pytest.approx(2.0, rel=0.02)
 
 
@@ -230,9 +230,10 @@ def test_step_global_second_order(shell16, steady_bump_gamma2, params_gamma2):
 
 
 def _linear_run_basic_energy(params, n_cells, kind, dt_factor, n_steps):
-    """E_basic = 1/2 int (rho_tilde u^2 + h' q^2 + |grad phi|^2) at every
-    state of a linear run about a flat background on [1, 16], sponge off,
-    driven through the run's own workspace and stepper."""
+    """E_basic = 1/2 int (rho_tilde u^2 + h' q^2 + |grad phi|^2), the row's
+    column, at every state of a linear run about a flat background on
+    [1, 16], sponge off, driven through the run's own workspace and
+    stepper."""
     g = build_radial_grid(1.0, 16.0, n_cells)
     steady = solve_steady_monotone(make_profile("constant", params, 0.0, g))
     cfg = SimConfig(mode="linear", sponge_rate=0.0)
@@ -243,8 +244,8 @@ def _linear_run_basic_energy(params, n_cells, kind, dt_factor, n_steps):
     f = ws.rhs(q, u)
 
     def e_basic():
-        return basic_energy(g, q, u, differentiate(g, f[3], 1), ws.rho_s,
-                            ws.hp_s)
+        row = _sample_row(ws, q, u, f[3], _tendencies(ws, q, u, f))
+        return dict(zip(SAMPLED[1:], row))["E_basic"]
 
     energies = [e_basic()]
     for _ in range(n_steps):
@@ -504,16 +505,16 @@ def _reference_run(steady, cfg: SimConfig, dt: float):
     g = steady.rho_tilde.grid
     state = init_perturbation(cfg.init_kind, cfg.delta, g, steady,
                               params, mode=cfg.mode)
-    recorder = SeriesRecorder(steady, dt)
+    rows = []
     n_steps = round(cfg.t_end / dt)
     ws = _Workspace(steady, cfg)
     stepper = _Stepper(ws, dt)
     q, u = state.q.values, state.u.values
 
     def record(state):
-        recorder.add(state.t, state.q.values, state.u.values,
-                     state.phi.values,
-                     tendencies(state, steady, cfg.mode))
+        rows.append((state.t, *_sample_row(
+            ws, state.q.values, state.u.values, state.phi.values,
+            tendencies(state, steady, cfg.mode))))
 
     try:
         record(state)
@@ -525,8 +526,9 @@ def _reference_run(steady, cfg: SimConfig, dt: float):
             if step % cfg.output_stride == 0 or step == n_steps:
                 record(state)
     except VacuumError as exc:
-        return state.t, str(exc), recorder.finish(margin=None)
-    return recorder.finish(margin=cfg.margin)
+        return state.t, str(exc), _series_from_rows(rows, ws.c_visc, dt,
+                                                    None)
+    return _series_from_rows(rows, ws.c_visc, dt, cfg.margin)
 
 
 def _assert_same_series(a, b):

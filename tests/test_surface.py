@@ -26,8 +26,9 @@ MOVED = ("VectorField3", "_d_axis", "_d_phi", "grad_scalar", "divergence",
          "_boundary_integral", "_boundary_l2_sq", "_boundary_pairings",
          "integrate", "sobolev_norm", "vector_sobolev_norm")
 # one-shot wrappers of the run workspace and of the E/D sample, the
-# readers of the sampled columns that SeriesRecorder.finish replaced, the
-# per-sample record, the library-side run digest, the per-sample field
+# readers of the sampled columns that the post-run pass replaced, the
+# per-sample record and its recorder (a sample is its row) and the E_basic
+# helper (the row computes it), the library-side run digest, the per-sample field
 # wrapping (samples read the run loop's arrays), the second spellings
 # of the gas law (FluidParams owns F and F') and of the run settings
 # (SimConfig checks its own), and the run's second door to the Poisson
@@ -50,7 +51,8 @@ DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
            ("ineqlab", "trace_radii"), ("elliptic", "solve_shifted"),
            ("elliptic", "solve_poisson_neumann"),
            ("elliptic", "PoissonSolution"), ("grids", "radial_derivative"),
-           ("steady", "supersolution_phi"))
+           ("steady", "supersolution_phi"), ("energy", "SeriesRecorder"),
+           ("energy", "basic_energy"))
 
 
 def test_star_import_binds_exactly_all():
