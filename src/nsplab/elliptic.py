@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ParameterError
-from .grids import RadialField, RadialGrid, differentiate
+from .grids import RadialField, RadialGrid, _row_integrals, differentiate
 
 
 class Tridiagonal:
@@ -51,13 +51,16 @@ class Tridiagonal:
         self._factors = None
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """A x, of a vector (n,) or of each row of a stack (k, n)."""
         y = self.diag * x
-        y[:-1] += self.sup[:-1] * x[1:]
-        y[1:] += self.sub[1:] * x[:-1]
+        y[..., :-1] += self.sup[:-1] * x[..., 1:]
+        y[..., 1:] += self.sub[1:] * x[..., :-1]
         return y
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """LAPACK ``gttrs`` with the cached ``gttrf`` factors.
+        """LAPACK ``gttrs`` with the cached ``gttrf`` factors, of a vector
+        (n,) or of each row of a stack (k, n): the k rows are the k columns
+        of one ``gttrs`` call, and each gets the bits of its own solve.
 
         No finiteness check: a non-finite right-hand side gives a non-finite
         solution, which the caller tests for."""
@@ -68,8 +71,8 @@ class Tridiagonal:
                 raise ParameterError(
                     f"singular tridiagonal operator (gttrf info {info})")
             self._factors = factors
-        x, _ = lapack.dgttrs(*self._factors, rhs)
-        return x
+        x, _ = lapack.dgttrs(*self._factors, rhs.T)
+        return x.T
 
     def solve_refined(self, rhs: np.ndarray) -> np.ndarray:
         """Solve plus one unconditional iterative-refinement pass.
@@ -133,10 +136,15 @@ def laplacian(grid: RadialGrid, shift: float = 0.0) -> Tridiagonal:
     return op
 
 
+def _hessian_norms(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
+    """Discrete L2 norm of the second gradient of a radial scalar,
+    sqrt(||phi''||^2 + 2 ||phi'/r||^2), of each row of a stack (k, n)."""
+    d1, d2 = (differentiate(grid, phi, k) for k in (1, 2))
+    dens = d2**2 + 2.0 * (d1 / grid.r) ** 2
+    return np.sqrt(_row_integrals(grid, dens))
+
+
 def hessian_norm_radial(phi: RadialField) -> float:
     """Discrete L2 norm of the second gradient of a radial scalar:
     sqrt(||phi''||^2 + 2 ||phi'/r||^2)."""
-    grid = phi.grid
-    d1, d2 = (differentiate(grid, phi.values, k) for k in (1, 2))
-    dens = d2**2 + 2.0 * (d1 / grid.r) ** 2
-    return math.sqrt(float(np.dot(grid.weights, dens)))
+    return float(_hessian_norms(phi.grid, phi.values[None])[0])

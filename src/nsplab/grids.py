@@ -5,8 +5,10 @@ Everything downstream works on scalar profiles f(r) over a truncated shell
 trapezoid rule in the volume coordinate r^3/3, which integrates constants
 exactly and is second-order for smooth integrands.  Radial vector fields
 u(r)*rhat are stored as their scalar radial component; the angular metric
-terms (the 2*(u/r)^2 family) are added in one routine, ``sobolev_terms``,
-never stored.
+terms (the 2*(u/r)^2 family) are added where a norm is formed
+(``sobolev_terms`` and the vector-field norms), never stored.  The norms of
+the inequality ensembles take stacks of profiles, one per row, and sum each
+row as a single profile would be summed.
 """
 
 from __future__ import annotations
@@ -398,24 +400,47 @@ def sobolev_terms(grid: RadialGrid, derivs, channels=()) -> list:
     return terms
 
 
-def vector_gradient_norm(u: RadialField) -> float:
-    """L2 norm of grad(u(r)*rhat): sqrt(int (u'^2 + 2 (u/r)^2))."""
-    grid = u.grid
-    _, grad = sobolev_terms(grid, (u.values, differentiate(grid, u.values, 1)),
-                            (u.values / grid.r,))
-    return math.sqrt(grad)
+def _row_integrals(grid: RadialGrid, dens: np.ndarray) -> np.ndarray:
+    """The quadrature sum_i w_i dens[k, i] of each row k of a stack, one
+    np.dot per row, so that each row has the bits of a single profile's
+    sum (``dens @ w`` sums in another order)."""
+    return np.array([np.dot(grid.weights, row) for row in dens])
 
 
-def vector_hessian_norm(u: RadialField) -> float:
-    """L2 norm of the full second gradient of the radial vector field u(r)*rhat.
+def _vector_gradient_norms(grid: RadialGrid, u: np.ndarray,
+                           du: np.ndarray) -> np.ndarray:
+    """L2 norm of grad(u(r)*rhat), sqrt(int (u'^2 + 2 (u/r)^2)), of each row
+    of a stack u (k, n) with its first derivatives du."""
+    return np.sqrt(_row_integrals(grid, du**2)
+                   + 2.0 * _row_integrals(grid, (u / grid.r) ** 2))
+
+
+def _vector_hessian_norms(grid: RadialGrid, u: np.ndarray,
+                          du: np.ndarray) -> np.ndarray:
+    """L2 norm of the full second gradient of u(r)*rhat, of each row of a
+    stack u (k, n) with its first derivatives du.
 
     With a = u' - u/r and b = u/r, the nine-index contraction reduces to
     |grad^2 u|^2 = a'^2 + 4 (a/r)^2 + 3 b'^2 + 2 a' b'.
     """
-    grid = u.grid
     r = grid.r
-    b = u.values / r
-    a = differentiate(grid, u.values, 1) - b
+    b = u / r
+    a = du - b
     ap, bp = differentiate(grid, np.stack((a, b)), 1)
     dens = ap**2 + 4.0 * (a / r) ** 2 + 3.0 * bp**2 + 2.0 * ap * bp
-    return math.sqrt(float(np.dot(grid.weights, dens)))
+    return np.sqrt(_row_integrals(grid, dens))
+
+
+def vector_gradient_norm(u: RadialField) -> float:
+    """L2 norm of grad(u(r)*rhat): sqrt(int (u'^2 + 2 (u/r)^2))."""
+    grid, vals = u.grid, u.values[None]
+    return float(_vector_gradient_norms(grid, vals,
+                                        differentiate(grid, vals, 1))[0])
+
+
+def vector_hessian_norm(u: RadialField) -> float:
+    """L2 norm of the full second gradient of the radial vector field
+    u(r)*rhat (see _vector_hessian_norms)."""
+    grid, vals = u.grid, u.values[None]
+    return float(_vector_hessian_norms(grid, vals,
+                                       differentiate(grid, vals, 1))[0])

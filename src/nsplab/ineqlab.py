@@ -17,22 +17,18 @@ constants are reported, never asserted against an abstract bound):
                    ||grad^2 u|| <= C (||g|| + ||grad u||);
 * Neumann-Poisson regularity: ||grad^2 phi|| <= C ||q|| for the radial solver.
 
-One seeded mode sum (_mode_sum) is the only generator of the tangent and
-the scalar members, with low azimuthal orders and a sin^2(theta) taper so the
-pole-free midpoint grid sees only smooth data; the div-curl and pairing
-reports read one TangentEnsemble.
-
-Each seeded member is a short sum of separable terms R(r) T(theta) P(phi),
-the difference stencils act along one axis and the quadrature is a tensor
-product.  So every reported quantity comes from the 1-D factors, with the
-grid stencils applied to the factors, and no report builds a 3-D field:
-||grad v||, ||div v||, ||curl v|| and ||grad f|| are Gram integrals over
-the shell; |v|^2 on the inner sphere and the pairings int_{r=R} v . grad f
-are Gram integrals over the sphere, with the radial factors taken at r = R;
-and ||f||_L6^6 is the Gram integral of f^3, itself a separable sum (one term
-per multiset of three modes).  An ensemble stacks the 1-D factors of all its
-members on a leading batch axis, so one batched pass evaluates every member,
-through the same code that serves a batch of one.
+The tangent and scalar members are seeded mode sums (_batch): short
+sums of separable terms R(r) T(theta) P(phi) with low orders and a
+sin^2(theta) taper, so the pole-free midpoint grid sees only smooth data.
+The stencils act along one axis and the quadrature is a tensor product, so
+every reported quantity is a Gram integral of 1-D factors and no report
+builds a 3-D field: ||grad v||, ||div v||, ||curl v|| and ||grad f|| over
+the shell, |v|^2 and the pairings int_{r=R} v . grad f over the inner
+sphere (radial factors at r = R), and ||f||_L6^6 as the Gram of f^3 (one
+term per multiset of three modes).  An ensemble stacks its members' factors
+on a leading batch axis, and the radial ensembles stack their members'
+profiles as rows, solved and differentiated in passes; either way a batch
+of one goes through the same code, and each member keeps its bits.
 """
 
 from __future__ import annotations
@@ -44,11 +40,11 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .elliptic import hessian_norm_radial, laplacian
+from .elliptic import _hessian_norms, laplacian
 from .errors import DegenerateFieldError, ParameterError
-from .grids import (RadialField, RadialGrid, build_radial_grid, cutoff,
-                    differentiate, vector_gradient_norm, vector_hessian_norm,
-                    volume_weights, weighted_l2_norm)
+from .grids import (RadialField, RadialGrid, _row_integrals,
+                    _vector_gradient_norms, _vector_hessian_norms,
+                    build_radial_grid, cutoff, differentiate, volume_weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,14 +150,13 @@ def _periodic(f: np.ndarray, h: float) -> np.ndarray:
 class _ModeSum:
     """n_comp sums of the same seeded separable terms, kept as 1-D factors:
     component c is the sum over modes m of amps[m, c] * radial[m](r) *
-    cos_theta[m](theta) * taper(theta) * azimuthal[m](phi).  A batch of
-    members stacks the factors on a leading axis."""
+    polar[m](theta) * azimuthal[m](phi).  A batch of members stacks the
+    factors on a leading axis."""
 
     grid: SphericalGrid
     amps: np.ndarray        # ([n,] modes, n_comp)
     radial: np.ndarray      # ([n,] modes, nr): cut-off envelopes
-    cos_theta: np.ndarray   # ([n,] modes, ntheta)
-    taper: np.ndarray       # (ntheta,): sin^2(theta)
+    polar: np.ndarray       # ([n,] modes, ntheta): tapered by sin^2(theta)
     azimuthal: np.ndarray   # ([n,] modes, nphi)
 
     def radial_stack(self, c: int) -> np.ndarray:
@@ -186,38 +181,38 @@ def check_modes(modes: int) -> None:
             f"{_L6_PASS_FLOATS}")
 
 
-def _mode_sum(rng: np.random.Generator, grid: SphericalGrid, modes: int,
-              n_comp: int, n_phases: int) -> _ModeSum:
-    """n_comp sums of the same `modes` seeded separable terms, one amplitude
-    per component: a trig pattern in (theta, phi) with a sin^2(theta) pole
-    taper times a cut-off radial envelope in x = (r - R)/(R_max - R)."""
-    check_modes(modes)
-    x = (grid.r - grid.r_inner) / (grid.r_outer - grid.r_inner)
-    cut = cutoff(grid.r, grid.r_inner, grid.r_outer - grid.r_inner)
-    amps = np.empty((modes, n_comp))
-    radial = np.empty((modes, grid.r.size))
-    cos_theta = np.empty((modes, grid.theta.size))
-    azimuthal = np.empty((modes, grid.phi.size))
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """rng.uniform(lo, hi): the same value from the same stream, without
+    its per-call argument handling."""
+    return lo + (hi - lo) * rng.random()
+
+
+def _sign(rng: np.random.Generator) -> float:
+    """rng.choice([-1.0, 1.0]): the same value from the same stream."""
+    return (-1.0, 1.0)[rng.integers(0, 2)]
+
+
+def _mode_draws(rng: np.random.Generator, modes: int, n_comp: int,
+                n_phases: int) -> tuple[np.ndarray, ...]:
+    """One member's seeded draws, mode by mode: the orders l_phi, l_theta
+    and k_r, then n_phases phases and n_comp amplitudes as draws u on
+    [0, 1).  Returns the orders, the u of the first three phases (the ones
+    used) and the u of the amplitudes, each (modes, .)."""
+    orders = np.empty((modes, 3))
+    uniform = np.empty((modes, n_phases + n_comp))
     for m in range(modes):
-        l_phi = rng.integers(0, 5)
-        l_theta = rng.integers(1, 4)
-        k_r = rng.integers(1, 3)
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=n_phases)
-        amps[m] = rng.uniform(-1.0, 1.0, size=n_comp)
-        azimuthal[m] = np.cos(l_phi * grid.phi + phases[0])
-        cos_theta[m] = np.cos(l_theta * grid.theta + phases[1])
-        radial[m] = cut * (0.5 + 0.5 * np.cos(k_r * math.pi * x + phases[2]))
-    return _ModeSum(grid=grid, amps=amps, radial=radial, cos_theta=cos_theta,
-                    taper=np.sin(grid.theta) ** 2, azimuthal=azimuthal)
+        orders[m] = rng.integers(0, 5), rng.integers(1, 4), rng.integers(1, 3)
+        rng.random(out=uniform[m])
+    return orders, uniform[:, :3], uniform[:, n_phases:]
 
 
-def _tangent_modes(seed: int, grid: SphericalGrid, modes: int) -> _ModeSum:
+def _tangent_modes(seed: int, modes: int) -> tuple[np.ndarray, ...]:
     # draws 4 phases, uses 3: keeps the seeded streams (perfbench reference)
-    return _mode_sum(np.random.default_rng([seed, 3]), grid, modes, 3, 4)
+    return _mode_draws(np.random.default_rng([seed, 3]), modes, 3, 4)
 
 
-def _scalar_modes(seed: int, grid: SphericalGrid, modes: int) -> _ModeSum:
-    return _mode_sum(np.random.default_rng([seed, 7]), grid, modes, 1, 3)
+def _scalar_modes(seed: int, modes: int) -> tuple[np.ndarray, ...]:
+    return _mode_draws(np.random.default_rng([seed, 7]), modes, 1, 3)
 
 
 def _check_ensemble_size(n: int) -> None:
@@ -227,14 +222,26 @@ def _check_ensemble_size(n: int) -> None:
 
 def _batch(build, seed: int, n: int, grid: SphericalGrid,
            modes: int) -> _ModeSum:
-    """The factors of build(seed + i, grid, modes) for i < n, stacked on a
-    leading batch axis; each member still draws from its own seeded
-    stream."""
+    """The mode sums of the draws build(seed + i, modes) for i < n, each
+    member from its own seeded stream, as factors stacked on a leading batch
+    axis: a trig pattern in (theta, phi) with a sin^2(theta) pole taper
+    times a cut-off radial envelope in x = (r - R)/(R_max - R).  Each factor
+    family is one cos over all members and modes, and the phases and
+    amplitudes scale their draws u as rng.uniform does, lo + (hi - lo) u."""
     _check_ensemble_size(n)
-    members = [build(seed + i, grid, modes) for i in range(n)]
-    return _ModeSum(grid=grid, taper=members[0].taper, **{
-        name: np.stack([getattr(m, name) for m in members])
-        for name in ("amps", "radial", "cos_theta", "azimuthal")})
+    check_modes(modes)
+    orders, phases, amps = (np.stack(d) for d in
+                            zip(*(build(seed + i, modes) for i in range(n))))
+    l_phi, l_theta, k_r = np.moveaxis(orders, -1, 0)[..., None]
+    phase = np.moveaxis(0.0 + 2.0 * math.pi * phases, -1, 0)[..., None]
+    length = grid.r_outer - grid.r_inner
+    x = (grid.r - grid.r_inner) / length
+    envelope = 0.5 + 0.5 * np.cos(k_r * math.pi * x + phase[2])
+    taper = np.sin(grid.theta) ** 2
+    return _ModeSum(grid=grid, amps=-1.0 + 2.0 * amps,
+                    radial=cutoff(grid.r, grid.r_inner, length) * envelope,
+                    polar=np.cos(l_theta * grid.theta + phase[1]) * taper,
+                    azimuthal=np.cos(l_phi * grid.phi + phase[0]))
 
 
 def _radial_lift(grid: SphericalGrid) -> np.ndarray:
@@ -288,7 +295,7 @@ class _Stencils:
         grid = ms.grid
         self.r, self.sin, self.cot = (g.ravel() for g in grid.geometry)
         self.h_r, self.h_theta, h_phi = grid.steps
-        self.pol, self.azi = ms.cos_theta * ms.taper, ms.azimuthal
+        self.pol, self.azi = ms.polar, ms.azimuthal
         self.d_pol = _three_point(self.pol, self.h_theta)
         self.pol_sin = self.pol / self.sin
         self.d_azi = _periodic(self.azi, h_phi)
@@ -361,8 +368,7 @@ def tangent_ensemble(grid: SphericalGrid, n_fields: int, seed: int = 0,
     """One batched pass over the factors of every member."""
     ms = _batch(_tangent_modes, seed, n_fields, grid, modes)
     grad_sq, div_sq, curl_sq = _tangent_quadratics(ms)
-    pol = ms.cos_theta * ms.taper
-    inner = tuple(_at_inner((_tangent_radial(ms, c), pol, ms.azimuthal))
+    inner = tuple(_at_inner((_tangent_radial(ms, c), ms.polar, ms.azimuthal))
                   for c in range(3))
     return TangentEnsemble(grid=grid, seed=seed, modes=modes, grad_sq=grad_sq,
                            div_sq=div_sq, curl_sq=curl_sq, inner=inner)
@@ -518,7 +524,7 @@ def _cube(ms: _ModeSum) -> tuple:
         return f[..., a, :] * f[..., b, :] * f[..., c, :]
 
     return (weights[:, None] * cube(ms.radial_stack(0)),
-            cube(ms.cos_theta * ms.taper), cube(ms.azimuthal))
+            cube(ms.polar), cube(ms.azimuthal))
 
 
 def sobolev_l6_report(grid: SphericalGrid, n_samples: int = 100, seed: int = 0,
@@ -536,64 +542,84 @@ def sobolev_l6_report(grid: SphericalGrid, n_samples: int = 100, seed: int = 0,
     return _ensemble_report("sobolev_l6", ratios)
 
 
+def _lame_ratios(grid: RadialGrid, psi: np.ndarray,
+                 longitudinal_viscosity: float):
+    """C_emp of verify_lame_gradient_case for each row of a stack of
+    potentials psi (k, n), and whether its denominator vanishes (C_emp 0)."""
+    u = differentiate(grid, psi, 1)
+    du = differentiate(grid, u, 1)
+    lap = differentiate(grid, psi, 2) + 2.0 * u / grid.r
+    g = -longitudinal_viscosity * differentiate(grid, lap, 1)
+    hess_u = _vector_hessian_norms(grid, u, du)
+    denom = (np.sqrt(_row_integrals(grid, g**2))
+             + _vector_gradient_norms(grid, u, du))
+    trivial = denom < 1e-14 * np.fmax(1.0, hess_u)
+    return np.divide(hess_u, denom, out=np.zeros_like(denom),
+                     where=~trivial), trivial
+
+
 def verify_lame_gradient_case(psi: RadialField,
                               longitudinal_viscosity: float) -> IneqReport:
     """Curl-free elastostatic estimate on a radial potential: with u = grad
     psi and g = -(2 mu + lambda) d_r(Lap psi), 2 mu + lambda being the
     longitudinal viscosity, report C_emp = ||grad^2 u|| / (||g|| + ||grad u||)."""
-    grid = psi.grid
-    u = grid.field(differentiate(grid, psi.values, 1))
-    lap = differentiate(grid, psi.values, 2) + 2.0 * u.values / grid.r
-    g = RadialField(-longitudinal_viscosity * differentiate(grid, lap, 1), grid)
-    hess_u = vector_hessian_norm(u)
-    denom = weighted_l2_norm(g) + vector_gradient_norm(u)
-    if denom < 1e-14 * max(1.0, hess_u):
-        return IneqReport(inequality="lame_gradient_case", n_samples=1,
-                          max_ratio=0.0, mean_ratio=0.0, passed=True,
-                          details={"trivial": True})
-    c_emp = hess_u / denom
+    (c_emp,), (trivial,) = _lame_ratios(psi.grid, psi.values[None],
+                                        longitudinal_viscosity)
     return IneqReport(inequality="lame_gradient_case", n_samples=1,
-                      max_ratio=c_emp, mean_ratio=c_emp,
-                      passed=bool(math.isfinite(c_emp)))
+                      max_ratio=float(c_emp), mean_ratio=float(c_emp),
+                      passed=bool(trivial or np.isfinite(c_emp)),
+                      details={"trivial": True} if trivial else {})
 
 
-def _random_radial_source(seed: int, grid: RadialGrid) -> RadialField:
-    """Smooth seeded source: a few Gaussian bumps, supported inside the shell.
+_RADIAL_PASS_FLOATS = 2**14  # in the (members, nodes) stacks of a pass
 
-    The parameters are drawn once from the seed, so the same seed on a
-    refined grid samples the same underlying function.
-    """
-    rng = np.random.default_rng([seed, 13])
-    r = grid.r
-    length = grid.r_outer - grid.r_inner
-    vals = np.zeros_like(r)
-    for _ in range(3):
-        center = grid.r_inner + rng.uniform(0.1, 0.7) * length
-        width = rng.uniform(0.05, 0.2) * length
-        amp = rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0])
-        vals += amp * np.exp(-(((r - center) / width) ** 2))
-    return RadialField(vals, grid)
+
+def _radial_sources(seeds: range, grid: RadialGrid) -> np.ndarray:
+    """Smooth seeded sources, one row per seed: three Gaussian bumps inside
+    the shell.  The parameters are drawn once from the seed, so the same
+    seed on a refined grid samples the same underlying function."""
+    draws = np.empty((len(seeds), 3, 3))  # seed, bump, (center, width, amp)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng([seed, 13])
+        for k in range(3):
+            draws[i, k] = (_uniform(rng, 0.1, 0.7), _uniform(rng, 0.05, 0.2),
+                           _uniform(rng, 0.5, 1.0) * _sign(rng))
+    r, length = grid.r, grid.r_outer - grid.r_inner
+    vals = np.zeros((len(seeds), r.size))
+    for x, w, amp in draws.transpose(1, 2, 0)[..., None]:
+        center = grid.r_inner + x * length
+        vals += amp * np.exp(-(((r - center) / (w * length)) ** 2))
+    return vals
+
+
+def _radial_report(inequality: str, grid: RadialGrid, n_samples: int,
+                   seed: int, ratios) -> IneqReport:
+    """The ensemble report of ratios(q, phi) over the sources q of seeds
+    seed, ..., seed + n_samples - 1 and their Neumann-Poisson potentials
+    phi, in passes of about _RADIAL_PASS_FLOATS: one stack of sources, one
+    multi-column solve and one stack of ratios per pass."""
+    _check_ensemble_size(n_samples)
+    lap, step = laplacian(grid), max(1, _RADIAL_PASS_FLOATS // grid.n_nodes)
+    stop, out = seed + n_samples, []
+    for i in range(seed, stop, step):
+        q = _radial_sources(range(i, min(i + step, stop)), grid)
+        out.append(ratios(q, lap.solve_refined(q)))
+    return _ensemble_report(inequality, np.concatenate(out))
 
 
 def lame_report(grid: RadialGrid, n_samples: int = 20, seed: int = 0,
                 longitudinal_viscosity: float = 3.0) -> IneqReport:
     """Ensemble version of the curl-free elastostatic check: potentials come
     from Neumann-Poisson solves of seeded sources."""
-    lap, ratios = laplacian(grid), []
-    for i in range(n_samples):
-        q = _random_radial_source(seed + i, grid)
-        psi = grid.field(lap.solve_refined(q.values))
-        rep = verify_lame_gradient_case(psi, longitudinal_viscosity)
-        ratios.append(rep.max_ratio)
-    return _ensemble_report("lame_gradient_case", ratios)
+    return _radial_report(
+        "lame_gradient_case", grid, n_samples, seed,
+        lambda q, psi: _lame_ratios(grid, psi, longitudinal_viscosity)[0])
 
 
 def poisson_regularity_report(grid: RadialGrid, n_samples: int = 100,
                               seed: int = 0) -> IneqReport:
     """Measured constant in ||grad^2 phi|| <= C ||q|| over seeded sources."""
-    lap, ratios = laplacian(grid), []
-    for i in range(n_samples):
-        q = _random_radial_source(seed + i, grid)
-        phi = grid.field(lap.solve_refined(q.values))
-        ratios.append(hessian_norm_radial(phi) / weighted_l2_norm(q))
-    return _ensemble_report("poisson_regularity", ratios)
+    return _radial_report(
+        "poisson_regularity", grid, n_samples, seed,
+        lambda q, phi: (_hessian_norms(grid, phi)
+                        / np.sqrt(_row_integrals(grid, q**2))))

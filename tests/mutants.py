@@ -62,4 +62,29 @@ MUTANTS = (
            "        g = ws.r2 * (rho * u_t)\n",
            ("tests/test_energy.py::"
             "test_qtt_is_the_flow_derivative_of_q_t_nonlinear",)),
+    # the Poisson-regularity density ||phi''||^2 + 2 ||phi'/r||^2 with its
+    # angular term halved
+    Mutant("poisson_density_angular_term_halved", "src/nsplab/elliptic.py",
+           "    dens = d2**2 + 2.0 * (d1 / grid.r) ** 2\n",
+           "    dens = d2**2 + 1.0 * (d1 / grid.r) ** 2\n",
+           ("tests/test_elliptic.py::test_hessian_norm_examples",
+            "tests/test_elliptic.py::"
+            "test_poisson_regularity_constant_is_one",
+            "tests/test_ineqlab.py::test_poisson_regularity_ensemble",
+            "tests/test_ineqlab.py::test_seeded_reports_are_pinned",
+            "tests/test_ineqlab.py::"
+            "test_radial_passes_equal_the_member_loops")),
+    # the polar and azimuthal orders of the seeded mode sums swapped
+    Mutant("mode_sum_orders_swapped", "src/nsplab/ineqlab.py",
+           "    l_phi, l_theta, k_r = np.moveaxis(orders, -1, 0)[..., None]\n",
+           "    l_theta, l_phi, k_r = np.moveaxis(orders, -1, 0)[..., None]\n",
+           ("tests/test_ineqlab.py::"
+            "test_factor_path_matches_the_grid_operators",
+            "tests/test_ineqlab.py::"
+            "test_div_curl_boundary_identity_converges_at_second_order",
+            "tests/test_ineqlab.py::"
+            "test_l6_numerator_product_matches_the_grid_field",
+            "tests/test_ineqlab.py::test_seeded_reports_are_pinned",
+            "tests/test_ineqlab.py::"
+            "test_mode_sum_factors_equal_the_mode_by_mode_build")),
 )

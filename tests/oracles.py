@@ -8,9 +8,11 @@ exceptions.  The radial grid norms are the package's own formulas, which
 only tests call.  The 3-D spherical operators at the end apply the package's
 one-axis stencils and the spherical grid's weights to whole 3-D arrays and
 inner-sphere traces, an independent evaluation path for the mode-factored
-ensembles.  The module also holds ``tendencies``, the suite's one way to evaluate a single state's
-tendencies through a run workspace, ``sample_row``, its sampled row, and
-``gas``, the suite's FluidParams.
+ensembles.  The seeded ensembles member by member, with numpy's own
+draws and one-column solves, are the oracle of the stacked ensembles.  The
+module also holds ``tendencies``, the suite's one way to evaluate a single
+state's tendencies through a run workspace, ``sample_row``, its sampled row,
+and ``gas``, the suite's FluidParams.
 """
 
 import math
@@ -532,3 +534,87 @@ def boundary_pairings(grid, v_traces, g_traces):
 def tangent_field(seed, grid, modes=3):
     """The seeded tangent field on the 3-D grid, from the seeded draws."""
     return VectorField3(*premerge_tangent_field(seed, grid, modes), grid=grid)
+
+
+# The seeded ensembles member by member, with the draws of rng.uniform and
+# rng.choice and a one-column solve per member: the oracle of ineqlab's
+# draw helpers, of its mode-sum factors, one cos per mode and family, and
+# of its radial ensembles, which draw, solve and differentiate their
+# members as the rows of stacks.
+
+def mode_sum_factors(rng, grid, modes, n_comp, n_phases):
+    """(amps, radial, polar, azimuthal) of ineqlab._mode_sum, built mode by
+    mode."""
+    x = (grid.r - grid.r_inner) / (grid.r_outer - grid.r_inner)
+    cut = cutoff(grid.r, grid.r_inner, grid.r_outer - grid.r_inner)
+    taper = np.sin(grid.theta) ** 2
+    amps = np.empty((modes, n_comp))
+    radial = np.empty((modes, grid.r.size))
+    polar = np.empty((modes, grid.theta.size))
+    azimuthal = np.empty((modes, grid.phi.size))
+    for m in range(modes):
+        l_phi = rng.integers(0, 5)
+        l_theta = rng.integers(1, 4)
+        k_r = rng.integers(1, 3)
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=n_phases)
+        amps[m] = rng.uniform(-1.0, 1.0, size=n_comp)
+        azimuthal[m] = np.cos(l_phi * grid.phi + phases[0])
+        polar[m] = np.cos(l_theta * grid.theta + phases[1]) * taper
+        radial[m] = cut * (0.5 + 0.5 * np.cos(k_r * math.pi * x + phases[2]))
+    return amps, radial, polar, azimuthal
+
+
+def radial_source(seed, grid):
+    """The seeded source of the radial ensembles: three Gaussian bumps."""
+    rng = np.random.default_rng([seed, 13])
+    r = grid.r
+    length = grid.r_outer - grid.r_inner
+    vals = np.zeros_like(r)
+    for _ in range(3):
+        center = grid.r_inner + rng.uniform(0.1, 0.7) * length
+        width = rng.uniform(0.05, 0.2) * length
+        amp = rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0])
+        vals += amp * np.exp(-(((r - center) / width) ** 2))
+    return vals
+
+
+def _weighted_sq(grid, f):
+    return float(np.dot(grid.weights, f**2))
+
+
+def poisson_regularity_ratios(grid, n_samples, seed):
+    """||grad^2 phi|| / ||q|| per member of the Poisson-regularity
+    ensemble, one source and one solve at a time."""
+    lap, r, ratios = laplacian(grid), grid.r, []
+    for i in range(n_samples):
+        q = radial_source(seed + i, grid)
+        phi = lap.solve_refined(q)
+        d1, d2 = (differentiate(grid, phi, k) for k in (1, 2))
+        hess = math.sqrt(float(np.dot(grid.weights,
+                                      d2**2 + 2.0 * (d1 / r) ** 2)))
+        ratios.append(hess / math.sqrt(_weighted_sq(grid, q)))
+    return ratios
+
+
+def lame_ratios(grid, n_samples, seed, longitudinal_viscosity):
+    """C_emp = ||grad^2 u|| / (||g|| + ||grad u||) per member of the Lame
+    ensemble (0 where the denominator vanishes), one source and one solve
+    at a time."""
+    lap, r, ratios = laplacian(grid), grid.r, []
+    for i in range(n_samples):
+        psi = lap.solve_refined(radial_source(seed + i, grid))
+        u = differentiate(grid, psi, 1)
+        lap_psi = differentiate(grid, psi, 2) + 2.0 * u / r
+        g = -longitudinal_viscosity * differentiate(grid, lap_psi, 1)
+        b = u / r
+        a = differentiate(grid, u, 1) - b
+        ap, bp = differentiate(grid, np.stack((a, b)), 1)
+        hess_u = math.sqrt(float(np.dot(
+            grid.weights,
+            ap**2 + 4.0 * (a / r) ** 2 + 3.0 * bp**2 + 2.0 * ap * bp)))
+        grad_u = math.sqrt(_weighted_sq(grid, differentiate(grid, u, 1))
+                           + 2.0 * _weighted_sq(grid, u / r))
+        denom = math.sqrt(_weighted_sq(grid, g)) + grad_u
+        ratios.append(0.0 if denom < 1e-14 * max(1.0, hess_u)
+                      else hess_u / denom)
+    return ratios

@@ -221,3 +221,18 @@ def test_solve_is_solve_banded_with_certified_residual(n_cells, stretch,
     w = op.solve_refined(rhs.values)
     residual = weighted_l2_norm(g.field(rhs.values - op @ w))
     assert residual <= 1e-10 * weighted_l2_norm(rhs)
+
+
+@pytest.mark.parametrize("stretch, shift", [(0.0, 0.0), (3.0, 0.0),
+                                            (0.0, 2.5)])
+def test_tridiagonal_takes_row_stacks(stretch, shift):
+    # the k rows of a stack are the k columns of one gttrs call, and each
+    # has the bits of its own solve, apply and refined solve
+    g = build_radial_grid(1.0, 16.0, 2000, stretch)
+    op = laplacian(g, shift)
+    rhs = np.random.default_rng(3).standard_normal((100, g.n_nodes))
+    x, y, refined = op.solve(rhs), op @ rhs, op.solve_refined(rhs)
+    for i, row in enumerate(rhs):
+        assert np.array_equal(x[i], op.solve(row))
+        assert np.array_equal(y[i], op @ row)
+        assert np.array_equal(refined[i], op.solve_refined(row))

@@ -36,8 +36,10 @@ MOVED = ("VectorField3", "_d_axis", "_d_phi", "grad_scalar", "divergence",
 # L6 numerator (the L6 norm is the Gram of f^3 on the factors), the
 # trace-scaling radii (the report reads them from its spherical grid), the
 # Laplacian solve wrappers (every solve is laplacian(grid, shift)
-# .solve_refined), the field wrapper of differentiate, and the gas-only
-# supersolution (profile_supersolution reads the gas from the profile)
+# .solve_refined), the field wrapper of differentiate, the gas-only
+# supersolution (profile_supersolution reads the gas from the profile), and
+# the per-member mode-sum factors and radial source (a member only draws;
+# its batch or pass builds the factors and the sources)
 DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
            ("energy", "energy_E"), ("energy", "dissipation_D"),
            ("energy", "measure_viscous_constant"),
@@ -52,7 +54,8 @@ DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
            ("elliptic", "solve_poisson_neumann"),
            ("elliptic", "PoissonSolution"), ("grids", "radial_derivative"),
            ("steady", "supersolution_phi"), ("energy", "SeriesRecorder"),
-           ("energy", "basic_energy"))
+           ("energy", "basic_energy"), ("ineqlab", "_mode_sum"),
+           ("ineqlab", "_random_radial_source"))
 
 
 def test_star_import_binds_exactly_all():
