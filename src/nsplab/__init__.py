@@ -9,8 +9,7 @@ from .errors import (ConfigError, DegenerateFieldError, EvaluationDomainError,
 from .evolve import (PerturbationState, SimConfig, init_perturbation,
                      run_simulation)
 from .grids import (FluidParams, RadialField, RadialGrid, build_radial_grid,
-                    vector_gradient_norm, weighted_l2_norm)
-from .elliptic import hessian_norm_radial
+                    weighted_l2_norm)
 from .steady import (BackgroundProfile, CertReport, SteadyState,
                      check_subsuper, make_profile, profile_supersolution,
                      solve_steady_monotone, steady_regularity_report,
@@ -26,8 +25,7 @@ __all__ = [
     "RadialField", "RadialGrid", "SimConfig", "SimulationAbort",
     "StabilityVerdict", "SteadyState", "TimeSeries", "VacuumError",
     "build_radial_grid", "check_subsuper", "check_theorem_bound",
-    "hessian_norm_radial", "init_perturbation", "make_profile",
-    "profile_supersolution", "run_simulation", "solve_steady_monotone",
-    "steady_regularity_report", "subsolution_phi", "vector_gradient_norm",
-    "weighted_l2_norm",
+    "init_perturbation", "make_profile", "profile_supersolution",
+    "run_simulation", "solve_steady_monotone", "steady_regularity_report",
+    "subsolution_phi", "weighted_l2_norm",
 ]

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ParameterError
-from .grids import RadialField, RadialGrid, _row_integrals, differentiate
+from .grids import RadialGrid, _row_integrals, differentiate
 
 
 class Tridiagonal:
@@ -142,9 +142,3 @@ def _hessian_norms(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
     d1, d2 = (differentiate(grid, phi, k) for k in (1, 2))
     dens = d2**2 + 2.0 * (d1 / grid.r) ** 2
     return np.sqrt(_row_integrals(grid, dens))
-
-
-def hessian_norm_radial(phi: RadialField) -> float:
-    """Discrete L2 norm of the second gradient of a radial scalar:
-    sqrt(||phi''||^2 + 2 ||phi'/r||^2)."""
-    return float(_hessian_norms(phi.grid, phi.values[None])[0])

@@ -7,8 +7,8 @@ exactly and is second-order for smooth integrands.  Radial vector fields
 u(r)*rhat are stored as their scalar radial component; the angular metric
 terms (the 2*(u/r)^2 family) are added where a norm is formed
 (``sobolev_terms`` and the vector-field norms), never stored.  The norms of
-the inequality ensembles take stacks of profiles, one per row, and sum each
-row as a single profile would be summed.
+the steady regularity report and of the inequality ensembles take stacks of
+profiles, one per row, and sum each row as a single profile would be summed.
 """
 
 from __future__ import annotations
@@ -429,18 +429,3 @@ def _vector_hessian_norms(grid: RadialGrid, u: np.ndarray,
     ap, bp = differentiate(grid, np.stack((a, b)), 1)
     dens = ap**2 + 4.0 * (a / r) ** 2 + 3.0 * bp**2 + 2.0 * ap * bp
     return np.sqrt(_row_integrals(grid, dens))
-
-
-def vector_gradient_norm(u: RadialField) -> float:
-    """L2 norm of grad(u(r)*rhat): sqrt(int (u'^2 + 2 (u/r)^2))."""
-    grid, vals = u.grid, u.values[None]
-    return float(_vector_gradient_norms(grid, vals,
-                                        differentiate(grid, vals, 1))[0])
-
-
-def vector_hessian_norm(u: RadialField) -> float:
-    """L2 norm of the full second gradient of the radial vector field
-    u(r)*rhat (see _vector_hessian_norms)."""
-    grid, vals = u.grid, u.values[None]
-    return float(_vector_hessian_norms(grid, vals,
-                                       differentiate(grid, vals, 1))[0])

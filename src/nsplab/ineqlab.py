@@ -42,9 +42,9 @@ import numpy as np
 
 from .elliptic import _hessian_norms, laplacian
 from .errors import DegenerateFieldError, ParameterError
-from .grids import (RadialField, RadialGrid, _row_integrals,
-                    _vector_gradient_norms, _vector_hessian_norms,
-                    build_radial_grid, cutoff, differentiate, volume_weights)
+from .grids import (RadialGrid, _row_integrals, _vector_gradient_norms,
+                    _vector_hessian_norms, build_radial_grid, cutoff,
+                    differentiate, volume_weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -544,8 +544,10 @@ def sobolev_l6_report(grid: SphericalGrid, n_samples: int = 100, seed: int = 0,
 
 def _lame_ratios(grid: RadialGrid, psi: np.ndarray,
                  longitudinal_viscosity: float):
-    """C_emp of verify_lame_gradient_case for each row of a stack of
-    potentials psi (k, n), and whether its denominator vanishes (C_emp 0)."""
+    """C_emp = ||grad^2 u|| / (||g|| + ||grad u||) of the curl-free
+    elastostatic estimate, 2 mu + lambda being the longitudinal viscosity,
+    for each row of a stack of potentials psi (k, n), and whether its
+    denominator vanishes (C_emp 0)."""
     u = differentiate(grid, psi, 1)
     du = differentiate(grid, u, 1)
     lap = differentiate(grid, psi, 2) + 2.0 * u / grid.r
@@ -556,19 +558,6 @@ def _lame_ratios(grid: RadialGrid, psi: np.ndarray,
     trivial = denom < 1e-14 * np.fmax(1.0, hess_u)
     return np.divide(hess_u, denom, out=np.zeros_like(denom),
                      where=~trivial), trivial
-
-
-def verify_lame_gradient_case(psi: RadialField,
-                              longitudinal_viscosity: float) -> IneqReport:
-    """Curl-free elastostatic estimate on a radial potential: with u = grad
-    psi and g = -(2 mu + lambda) d_r(Lap psi), 2 mu + lambda being the
-    longitudinal viscosity, report C_emp = ||grad^2 u|| / (||g|| + ||grad u||)."""
-    (c_emp,), (trivial,) = _lame_ratios(psi.grid, psi.values[None],
-                                        longitudinal_viscosity)
-    return IneqReport(inequality="lame_gradient_case", n_samples=1,
-                      max_ratio=float(c_emp), mean_ratio=float(c_emp),
-                      passed=bool(trivial or np.isfinite(c_emp)),
-                      details={"trivial": True} if trivial else {})
 
 
 _RADIAL_PASS_FLOATS = 2**14  # in the (members, nodes) stacks of a pass

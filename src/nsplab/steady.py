@@ -40,11 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import hessian_norm_radial, laplacian
+from .elliptic import _hessian_norms, laplacian
 from .errors import IterationError, MonotonicityError, ParameterError
-from .grids import (FluidParams, RadialField, RadialGrid, build_radial_grid,
-                    cutoff, differentiate, vector_hessian_norm,
-                    weighted_l2_norm)
+from .grids import (FluidParams, RadialField, RadialGrid, _row_integrals,
+                    _vector_hessian_norms, build_radial_grid, cutoff,
+                    differentiate, weighted_l2_norm)
 
 PROFILE_KINDS = ("constant", "admissible_bump", "general_gamma_envelope")
 
@@ -311,13 +311,18 @@ class RegularityReport:
 
 
 def _derivative_norms(state: SteadyState) -> dict:
-    out = {}
-    for name, fld in (("rho", state.rho_tilde), ("phi", state.phi_tilde)):
-        d1 = fld.grid.field(differentiate(fld.grid, fld.values, 1))
-        out[f"grad_{name}"] = weighted_l2_norm(d1)
-        out[f"hess_{name}"] = hessian_norm_radial(fld)
-        out[f"third_{name}"] = vector_hessian_norm(d1)
-    return out
+    """||f'||, the Hessian norm of f and the second-gradient norm of
+    f'(r)*rhat for f = rho and Phi, from one (2, n) stack of the pair."""
+    grid = state.rho_tilde.grid
+    f = np.stack((state.rho_tilde.values, state.phi_tilde.values))
+    d1 = differentiate(grid, f, 1)
+    norms = {"grad": np.sqrt(_row_integrals(grid, d1**2)),
+             "hess": _hessian_norms(grid, f),
+             "third": _vector_hessian_norms(grid, d1,
+                                            differentiate(grid, d1, 1))}
+    return {f"{kind}_{name}": float(vals[i])
+            for i, name in enumerate(("rho", "phi"))
+            for kind, vals in norms.items()}
 
 
 def steady_regularity_report(steady: SteadyState) -> RegularityReport:

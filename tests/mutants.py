@@ -87,4 +87,119 @@ MUTANTS = (
             "tests/test_ineqlab.py::test_seeded_reports_are_pinned",
             "tests/test_ineqlab.py::"
             "test_mode_sum_factors_equal_the_mode_by_mode_build")),
+    # the pressure force -d_r(h(rho) - h(rho_tilde)) scaled by 1.05
+    Mutant("pressure_force_scaled", "src/nsplab/evolve.py",
+           "        u_t -= dh_r\n",
+           "        u_t -= 1.05 * dh_r\n",
+           ("tests/test_acceptance.py::"
+            "test_criterion_08_zero_order_energy_identity",
+            "tests/test_energy.py::"
+            "test_remainder_constant_scales_with_amplitude",
+            "tests/test_energy.py::"
+            "test_verdict_reads_the_samples_of_its_stride",
+            "tests/test_evolve.py::"
+            "test_initial_data_honours_the_run_vacuum_floor",
+            "tests/test_evolve.py::"
+            "test_inviscid_linear_run_conserves_zero_order_energy",
+            "tests/test_evolve.py::"
+            "test_manufactured_solution_converges_at_second_order",
+            "tests/test_evolve.py::"
+            "test_manufactured_solution_sees_a_wrong_term")),
+    # the field force d_r(phi) scaled by 1.05
+    Mutant("field_force_scaled", "src/nsplab/evolve.py",
+           "        u_t += phi_r\n",
+           "        u_t += 1.05 * phi_r\n",
+           ("tests/test_acceptance.py::"
+            "test_criterion_08_zero_order_energy_identity",
+            "tests/test_energy.py::"
+            "test_measured_viscous_constant_matches_coefficient",
+            "tests/test_energy.py::"
+            "test_remainder_constant_scales_with_amplitude",
+            "tests/test_energy.py::"
+            "test_verdict_reads_the_samples_of_its_stride",
+            "tests/test_evolve.py::"
+            "test_inviscid_linear_run_conserves_zero_order_energy",
+            "tests/test_evolve.py::"
+            "test_manufactured_solution_converges_at_second_order",
+            "tests/test_evolve.py::"
+            "test_manufactured_solution_sees_a_wrong_term")),
+    # the run's viscosity 2 mu + lambda scaled by 1.02
+    Mutant("run_viscosity_scaled", "src/nsplab/evolve.py",
+           "        self.c_visc = params.longitudinal_viscosity\n",
+           "        self.c_visc = 1.02 * params.longitudinal_viscosity\n",
+           ("tests/test_energy.py::"
+            "test_verdict_reads_the_samples_of_its_stride",
+            "tests/test_evolve.py::"
+            "test_manufactured_solution_converges_at_second_order")),
+    # the sponge relaxes q to 0 instead of to its layer mean
+    Mutant("sponge_not_mass_neutral", "src/nsplab/evolve.py",
+           "        return self.sponge_coef * (q - mean), "
+           "self.sponge_coef * u\n",
+           "        return self.sponge_coef * q, self.sponge_coef * u\n",
+           ("tests/test_acceptance.py::test_criterion_07_mass_conservation",
+            "tests/test_evolve.py::"
+            "test_hoisted_run_constants_keep_the_inline_arithmetic",
+            "tests/test_evolve.py::test_run_mass_conservation_with_sponge")),
+    # the momentum advection u u' dropped
+    Mutant("advection_dropped", "src/nsplab/evolve.py",
+           "            u_t -= u * u_r\n",
+           "            u_t -= 0.0 * u * u_r\n",
+           ("tests/test_energy.py::"
+            "test_remainder_constant_scales_with_amplitude",
+            "tests/test_evolve.py::"
+            "test_manufactured_solution_converges_at_second_order")),
+    # the q update of the Heun step made forward Euler
+    Mutant("q_update_forward_euler", "src/nsplab/evolve.py",
+           "        q2 = q0 + 0.5 * dt * (eq0 + eq1)\n",
+           "        q2 = q0 + dt * eq0\n",
+           ("tests/test_acceptance.py::"
+            "test_criterion_08_zero_order_energy_identity",
+            "tests/test_energy.py::test_qtt_consistent_with_time_differences",
+            "tests/test_evolve.py::"
+            "test_inviscid_linear_run_conserves_zero_order_energy",
+            "tests/test_evolve.py::"
+            "test_manufactured_solution_converges_at_second_order",
+            "tests/test_evolve.py::"
+            "test_non_finite_tendency_at_a_state_aborts_with_the_partial_"
+            "series",
+            "tests/test_evolve.py::"
+            "test_run_abort_at_a_state_equals_the_public_step_loop",
+            "tests/test_evolve.py::test_step_global_second_order")),
+    # every boundary pairing tripled
+    Mutant("pairings_tripled", "src/nsplab/ineqlab.py",
+           "    lhs = np.abs(_pairings(grid, ens.inner, "
+           "[_at_inner(c) for c in comps]))\n",
+           "    lhs = 3.0 * np.abs(_pairings(grid, ens.inner, "
+           "[_at_inner(c) for c in comps]))\n",
+           ("tests/test_ineqlab.py::test_seeded_reports_are_pinned",
+            "tests/test_ineqlab.py::"
+            "test_streamed_reports_equal_per_field_loop")),
+    # the inner-sphere trace integral multiplied by R^0.2
+    Mutant("trace_integral_times_r_power", "src/nsplab/ineqlab.py",
+           "        ratios.append(_vector_sq(_inner_sphere(shell), "
+           "ens.inner)[0]\n",
+           "        ratios.append(r_in**0.2 * "
+           "_vector_sq(_inner_sphere(shell), ens.inner)[0]\n",
+           ("tests/test_ineqlab.py::test_seeded_reports_are_pinned",
+            "tests/test_ineqlab.py::test_trace_scaling_invariance")),
+    # the Robin term of the outer ghost row, -2/(h r), halved
+    Mutant("robin_ghost_term_halved", "src/nsplab/elliptic.py",
+           "    diag[-1] = -2.0 / hN**2 - 2.0 / (hN * rN) - 2.0 / rN**2 "
+           "- shift\n",
+           "    diag[-1] = -2.0 / hN**2 - 1.0 / (hN * rN) - 2.0 / rN**2 "
+           "- shift\n",
+           ("tests/test_elliptic.py::test_poisson_linearity",
+            "tests/test_ineqlab.py::test_seeded_reports_are_pinned")),
+    # the steady report's third-gradient norm fed rho/Phi in place of
+    # their first derivatives
+    Mutant("third_gradient_of_the_pair", "src/nsplab/steady.py",
+           "             \"third\": _vector_hessian_norms(grid, d1,\n"
+           "                                            "
+           "differentiate(grid, d1, 1))}\n",
+           "             \"third\": _vector_hessian_norms(grid, f,\n"
+           "                                            "
+           "differentiate(grid, f, 1))}\n",
+           ("tests/test_steady.py::"
+            "test_regularity_norms_are_the_batch_of_one_norms",
+            "tests/test_steady.py::test_regularity_report_flat_background")),
 )

@@ -4,15 +4,16 @@ Everything here deliberately avoids the package's quadrature and derivative
 machinery: integrals come from dense plain trapezoid sums over analytic
 callables, and the steady-state oracle is a damped Newton iteration on the
 discrete system (same operator, independent solution path).  There are two
-exceptions.  The radial grid norms are the package's own formulas, which
-only tests call.  The 3-D spherical operators at the end apply the package's
-one-axis stencils and the spherical grid's weights to whole 3-D arrays and
-inner-sphere traces, an independent evaluation path for the mode-factored
-ensembles.  The seeded ensembles member by member, with numpy's own
-draws and one-column solves, are the oracle of the stacked ensembles.  The
-module also holds ``tendencies``, the suite's one way to evaluate a single
-state's tendencies through a run workspace, ``sample_row``, its sampled row,
-and ``gas``, the suite's FluidParams.
+exceptions.  The radial grid norms, and the batch-of-one forms of the
+package's stacked norms and Lame ratios, are the package's own formulas,
+which only tests call.  The 3-D spherical operators at the end apply the
+package's one-axis stencils and the spherical grid's weights to whole 3-D
+arrays and inner-sphere traces, an independent evaluation path for the
+mode-factored ensembles.  The seeded ensembles member by member, with
+numpy's own draws and one-column solves, are the oracle of the stacked
+ensembles.  The module also holds ``tendencies``, the suite's one way to
+evaluate a single state's tendencies through a run workspace,
+``sample_row``, its sampled row, and ``gas``, the suite's FluidParams.
 """
 
 import math
@@ -23,12 +24,15 @@ import scipy.sparse as sp
 from numpy.polynomial import Polynomial
 from scipy.linalg import solve_banded
 
-from nsplab.elliptic import laplacian
+from nsplab.elliptic import _hessian_norms, laplacian
 from nsplab.energy import _sample_row
 from nsplab.errors import ParameterError
 from nsplab.evolve import SimConfig, _tendencies, _Workspace
-from nsplab.grids import FluidParams, cutoff, differentiate, sobolev_terms
-from nsplab.ineqlab import SphericalGrid, _periodic, _three_point
+from nsplab.grids import (FluidParams, _vector_gradient_norms,
+                          _vector_hessian_norms, cutoff, differentiate,
+                          sobolev_terms)
+from nsplab.ineqlab import (IneqReport, SphericalGrid, _lame_ratios,
+                            _periodic, _three_point)
 
 FOUR_PI = 4.0 * np.pi
 
@@ -162,6 +166,44 @@ def vector_sobolev_norm(u, k):
     channels = [differentiate(grid, over_r, j) if j else over_r
                 for j in range(k)]
     return math.sqrt(sum(sobolev_terms(grid, derivs, channels)))
+
+
+# Batch-of-one wrappers of the package's stacked norms and of its Lame
+# ratios: the package only runs their stacks (the steady regularity report
+# and the inequality ensembles), and the tests pin the formulas one profile
+# at a time.
+
+def vector_gradient_norm(u):
+    """L2 norm of grad(u(r)*rhat): sqrt(int (u'^2 + 2 (u/r)^2))."""
+    grid, vals = u.grid, u.values[None]
+    return float(_vector_gradient_norms(grid, vals,
+                                        differentiate(grid, vals, 1))[0])
+
+
+def vector_hessian_norm(u):
+    """L2 norm of the full second gradient of the radial vector field
+    u(r)*rhat (see grids._vector_hessian_norms)."""
+    grid, vals = u.grid, u.values[None]
+    return float(_vector_hessian_norms(grid, vals,
+                                       differentiate(grid, vals, 1))[0])
+
+
+def hessian_norm_radial(phi):
+    """Discrete L2 norm of the second gradient of a radial scalar:
+    sqrt(||phi''||^2 + 2 ||phi'/r||^2)."""
+    return float(_hessian_norms(phi.grid, phi.values[None])[0])
+
+
+def verify_lame_gradient_case(psi, longitudinal_viscosity):
+    """Curl-free elastostatic estimate on one radial potential: with u = grad
+    psi and g = -(2 mu + lambda) d_r(Lap psi), 2 mu + lambda being the
+    longitudinal viscosity, report C_emp = ||grad^2 u|| / (||g|| + ||grad u||)."""
+    (c_emp,), (trivial,) = _lame_ratios(psi.grid, psi.values[None],
+                                        longitudinal_viscosity)
+    return IneqReport(inequality="lame_gradient_case", n_samples=1,
+                      max_ratio=float(c_emp), mean_ratio=float(c_emp),
+                      passed=bool(trivial or np.isfinite(c_emp)),
+                      details={"trivial": True} if trivial else {})
 
 
 def tendencies(state, steady, mode="nonlinear"):

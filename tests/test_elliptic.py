@@ -6,11 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from nsplab import (ParameterError, build_radial_grid, hessian_norm_radial,
-                    weighted_l2_norm)
+from nsplab import ParameterError, build_radial_grid, weighted_l2_norm
 from nsplab.elliptic import laplacian
 from nsplab.grids import differentiate
-from oracles import banded_layout
+from oracles import banded_layout, hessian_norm_radial
 
 
 def manufactured(grid):

@@ -8,8 +8,7 @@ import pytest
 from nsplab import cli
 from nsplab import (ParameterError, PerturbationState, SimConfig,
                     build_radial_grid, check_theorem_bound,
-                    init_perturbation, run_simulation, vector_gradient_norm,
-                    weighted_l2_norm)
+                    init_perturbation, run_simulation, weighted_l2_norm)
 from nsplab import grids
 from nsplab.config import parse_config
 from nsplab.energy import SAMPLED, TimeSeries, _sample_row
@@ -18,7 +17,7 @@ from nsplab.grids import RadialField, differentiate
 
 from oracles import (radial_integral, radial_vector_h3_norm_dense,
                      sample_row, sobolev_norm, tendencies,
-                     vector_sobolev_norm)
+                     vector_gradient_norm, vector_sobolev_norm)
 
 QUICK = Path(__file__).parents[1] / "configs" / "quick.cfg"
 

@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nsplab
-from nsplab import (ParameterError, build_radial_grid, vector_gradient_norm,
-                    weighted_l2_norm)
-from nsplab.grids import (RadialField, _stencil, differentiate,
-                          vector_hessian_norm)
+from nsplab import ParameterError, build_radial_grid, weighted_l2_norm
+from nsplab.grids import RadialField, _stencil, differentiate
 
 from oracles import (dense_l2_norm, derivative_csr, fornberg_weights,
                      geometric_nodes, radial_integral, sobolev_norm,
-                     stencil_window, vector_sobolev_norm)
+                     stencil_window, vector_gradient_norm,
+                     vector_hessian_norm, vector_sobolev_norm)
 
 
 def test_uniform_nodes():

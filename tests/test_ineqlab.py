@@ -17,7 +17,7 @@ from nsplab.ineqlab import (TangentEnsemble, boundary_pairing_report,
                             build_spherical_grid, div_curl_report,
                             lame_report, poisson_regularity_report,
                             sobolev_l6_report, tangent_ensemble,
-                            verify_lame_gradient_case, verify_trace_scaling)
+                            verify_trace_scaling)
 
 from oracles import (VectorField3, boundary_integral, boundary_l2_sq,
                      boundary_pairings, curl, d_axis, d_phi, div_curl_norm,
@@ -25,7 +25,8 @@ from oracles import (VectorField3, boundary_integral, boundary_l2_sq,
                      integrate, l2_norm, l2_norm_vec, l6_norm, lame_ratios,
                      mode_sum_factors, poisson_regularity_ratios,
                      premerge_scalar_field, radial_source, sphere_traces,
-                     tangent_field)
+                     tangent_field, vector_gradient_norm,
+                     verify_lame_gradient_case)
 
 MEMBER_FIELDS = ("grad_sq", "div_sq", "curl_sq")
 
@@ -61,7 +62,6 @@ def test_gradient_squared_agrees_with_radial_reduction():
     # the nine-component covariant gradient on the 3-D grid and the radial
     # module's closed-form |grad u|^2 = u'^2 + 2 (u/r)^2 are independent
     # implementations of the same quantity
-    from nsplab import build_radial_grid, vector_gradient_norm
     for nr in (32, 64):
         g3 = build_spherical_grid(1.0, 2.0, nr, 12, 16)
         prof = np.exp(-(((g3.r - 1.4) / 0.2) ** 2))

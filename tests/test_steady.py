@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from nsplab import (EvaluationDomainError, ParameterError, build_radial_grid,
                     check_subsuper, make_profile, profile_supersolution,
                     solve_steady_monotone, steady_regularity_report,
-                    subsolution_phi)
-from nsplab.elliptic import hessian_norm_radial, laplacian
-from nsplab.grids import RadialField
+                    subsolution_phi, weighted_l2_norm)
+from nsplab.elliptic import laplacian
+from nsplab.grids import RadialField, differentiate
 from nsplab.steady import (BackgroundProfile, compatibility_residual,
                            profile_upper_bound)
 
-from oracles import gas, newton_steady
+from oracles import (gas, hessian_norm_radial, newton_steady,
+                     vector_hessian_norm)
 
 
 def exact_saturating_profile(grid, gamma):
@@ -439,3 +440,37 @@ def test_regularity_report_keeps_the_grid_stretch(stretch):
         steady = solve_steady_monotone(
             make_profile("admissible_bump", gas(2.0), 0.5, other))
         assert norms == steady_regularity_report(steady).norms
+
+
+def _batch_of_one_norms(state):
+    """The six regularity norms of a steady pair, one profile at a time:
+    ||f'||, the radial Hessian norm of f and the second-gradient norm of
+    the vector field f'(r)*rhat, for f = rho_tilde and Phi_tilde."""
+    out = {}
+    for name, fld in (("rho", state.rho_tilde), ("phi", state.phi_tilde)):
+        d1 = fld.grid.field(differentiate(fld.grid, fld.values, 1))
+        out[f"grad_{name}"] = weighted_l2_norm(d1)
+        out[f"hess_{name}"] = hessian_norm_radial(fld)
+        out[f"third_{name}"] = vector_hessian_norm(d1)
+    return out
+
+
+@pytest.mark.parametrize("stretch", [0.0, 3.0])
+@pytest.mark.parametrize("kind, gamma", [
+    ("admissible_bump", 2.0), ("admissible_bump", 1.0),
+    ("admissible_bump", 1.5), ("general_gamma_envelope", 3.0)])
+def test_regularity_norms_are_the_batch_of_one_norms(kind, gamma, stretch):
+    # the report's stacked (rho, Phi) norms have the bits of each profile's
+    # own norms, on the grid and on its refined and widened grids
+    def steady_on(r_outer, n_cells):
+        grid = build_radial_grid(1.0, r_outer, n_cells, stretch)
+        return solve_steady_monotone(make_profile(kind, gas(gamma), 0.5,
+                                                  grid))
+
+    report = steady_regularity_report(steady_on(16.0, 64))
+    assert set(report.norms) == {f"{k}_{f}" for k in ("grad", "hess", "third")
+                                 for f in ("rho", "phi")}
+    for norms, r_outer, n_cells in ((report.norms, 16.0, 64),
+                                    (report.refined_norms, 16.0, 128),
+                                    (report.widened_norms, 31.0, 128)):
+        assert norms == _batch_of_one_norms(steady_on(r_outer, n_cells))

@@ -18,13 +18,16 @@ from nsplab.config import parse_config
 ROOT = Path(__file__).parents[1]
 
 # the 3-D per-field operators, the 3-D L6 norm and inner-sphere
-# contractions, and the radial grid norms that only tests call live in
+# contractions, the radial grid norms that only tests call, and the
+# batch-of-one forms of the stacked norms and of the Lame ratios live in
 # tests/oracles.py (grids.integrate as radial_integral)
 MOVED = ("VectorField3", "_d_axis", "_d_phi", "grad_scalar", "divergence",
          "curl", "gradient_squared", "l2_norm", "l2_norm_vec", "grad_norm",
          "_div_curl_norm", "_traces", "l6_norm", "_trace",
          "_boundary_integral", "_boundary_l2_sq", "_boundary_pairings",
-         "integrate", "sobolev_norm", "vector_sobolev_norm")
+         "integrate", "sobolev_norm", "vector_sobolev_norm",
+         "vector_gradient_norm", "vector_hessian_norm", "hessian_norm_radial",
+         "verify_lame_gradient_case")
 # one-shot wrappers of the run workspace and of the E/D sample, the
 # readers of the sampled columns that the post-run pass replaced, the
 # per-sample record and its recorder (a sample is its row) and the E_basic
@@ -133,7 +136,7 @@ def test_benchmark_child_runs_its_q0_step():
 @pytest.mark.parametrize("name", MOVED)
 def test_moved_oracle_names_are_gone_from_the_package(name):
     assert not hasattr(nsplab, name)
-    for module in ("grids", "ineqlab"):
+    for module in ("grids", "elliptic", "ineqlab"):
         assert not hasattr(importlib.import_module(f"nsplab.{module}"), name)
 
 
