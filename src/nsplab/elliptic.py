@@ -35,7 +35,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ParameterError
-from .grids import RadialGrid, _row_integrals, differentiate
+from .grids import RadialGrid
 
 
 class Tridiagonal:
@@ -135,10 +135,3 @@ def laplacian(grid: RadialGrid, shift: float = 0.0) -> Tridiagonal:
     op = grid._cache[key] = Tridiagonal(sub, diag, sup)
     return op
 
-
-def _hessian_norms(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
-    """Discrete L2 norm of the second gradient of a radial scalar,
-    sqrt(||phi''||^2 + 2 ||phi'/r||^2), of each row of a stack (k, n)."""
-    d1, d2 = (differentiate(grid, phi, k) for k in (1, 2))
-    dens = d2**2 + 2.0 * (d1 / grid.r) ** 2
-    return np.sqrt(_row_integrals(grid, dens))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .grids import _wsq, differentiate, sobolev_terms
+from .grids import _integrals, differentiate
 
 
 def _sample_row(ws, q, u, phi, tend) -> tuple:
@@ -43,8 +43,10 @@ def _sample_row(ws, q, u, phi, tend) -> tuple:
     and h'(rho_tilde) are those of the run's workspace ws (ws.grid, ws.rho_s,
     ws.hp_s).
 
-    The radial derivatives are one stacked apply per order, each computed
-    once and shared by the functionals through ``sobolev_terms``.
+    The radial derivatives are one stacked apply per order, and the 20
+    squared L2 norms of the functionals one stacked quadrature.  A vector
+    norm's term j >= 1 adds 2 ||d^(j-1) (u/r)||^2 to ||d^j u||^2, the
+    angular channels of grad u (see grids).
     """
     grid = ws.grid
     q_t, u_t, phi_t, q_tt = tend
@@ -52,22 +54,24 @@ def _sample_row(ws, q, u, phi, tend) -> tuple:
     f = np.stack((u, u / grid.r, u_t, q, u_t / grid.r, q_t, phi, phi_t))
     d1 = differentiate(grid, f, 1)
     d2 = differentiate(grid, f[:4], 2)
-    # u and u_t carry the angular channels u/r and u_t/r; see grids
-    u_terms = sobolev_terms(grid, (u, d1[0], d2[0], differentiate(grid, u, 3)),
-                            (f[1], d1[1], d2[1]))
-    ut_terms = sobolev_terms(grid, (u_t, d1[2], d2[2]), (f[4], d1[4]))
-    q_h2 = math.sqrt(sum(sobolev_terms(grid, (f[3], d1[3], d2[3]))))
-    qt_h1 = math.sqrt(sum(sobolev_terms(grid, (f[5], d1[5]))))
+    rows = np.vstack((f[:6], d1, d2, differentiate(grid, u, 3), q_tt))
+    # v = u/r and vt = u_t/r; the digit is the derivative order
+    (u0, v0, ut0, q0, vt0, qt0, u1, v1, ut1, q1, vt1, qt1, phi1, phit1,
+     u2, v2, ut2, q2, u3, qtt) = _integrals(grid, rows**2).tolist()
+    u_terms = (u0, u1 + 2.0 * v0, u2 + 2.0 * v1, u3 + 2.0 * v2)
+    ut_terms = (ut0, ut1 + 2.0 * vt0, ut2 + 2.0 * vt1)
+    q_h2 = math.sqrt(q0 + q1 + q2)
+    qt_h1 = math.sqrt(qt0 + qt1)
     u_h3 = math.sqrt(sum(u_terms))
     ut_h1 = math.sqrt(ut_terms[0] + ut_terms[1])
     e = (u_h3 + q_h2 + math.sqrt(qt_h1**2 + ut_h1**2)
-         + math.sqrt(_wsq(grid, d1[6])) + math.sqrt(_wsq(grid, d1[7])))
-    qtt_l2 = math.sqrt(_wsq(grid, q_tt))
+         + math.sqrt(phi1) + math.sqrt(phit1))
+    qtt_l2 = math.sqrt(qtt)
     d = (math.sqrt(sum(u_terms[1:])) + math.sqrt(sum(ut_terms[1:])) + q_h2
          + qt_h1 + qtt_l2)
     dens = ws.rho_s * u**2 + ws.hp_s * q**2 + d1[6]**2
-    return (e, d, d - qtt_l2, float(np.dot(grid.weights, q)),
-            0.5 * float(np.dot(grid.weights, dens)),
+    return (e, d, d - qtt_l2, _integrals(grid, q),
+            0.5 * _integrals(grid, dens),
             float(np.min(ws.rho_s + q)), math.sqrt(u_terms[1]) ** 2)
 
 

@@ -48,8 +48,8 @@ from . import energy as energy_mod
 from .elliptic import Tridiagonal, laplacian
 from .errors import (IterationError, ParameterError, SimulationAbort,
                      VacuumError)
-from .grids import (FluidParams, RadialField, RadialGrid, differentiate,
-                    smoothstep)
+from .grids import (FluidParams, RadialField, RadialGrid, _integrals,
+                    differentiate, smoothstep)
 from .steady import SteadyState, effective_length
 
 INIT_KINDS = ("standard", "density_only", "velocity_only")
@@ -180,7 +180,7 @@ class _Workspace:
         else:
             self.sponge_mask = np.zeros_like(self.r)
         self.sponge_on = self.sponge_rate > 0.0 and np.any(self.sponge_mask > 0.0)
-        self.sponge_wsum = float(np.dot(grid.weights, self.sponge_mask))
+        self.sponge_wsum = _integrals(grid, self.sponge_mask)
         self.sponge_coef = -self.sponge_rate * self.sponge_mask
 
     def rho(self, q: np.ndarray) -> np.ndarray:
@@ -230,7 +230,7 @@ class _Workspace:
         """Mass-neutral relaxation tendencies in the outer layer; only
         called when sponge_on."""
         s = self.sponge_mask
-        mean = float(np.dot(self.grid.weights, s * q)) / self.sponge_wsum
+        mean = _integrals(self.grid, s * q) / self.sponge_wsum
         return self.sponge_coef * (q - mean), self.sponge_coef * u
 
 
@@ -285,7 +285,7 @@ def _initial_arrays(ws: _Workspace, kind: str, delta: float):
         cn, wn = _BUMP_GEOMETRY["q_neg"]
         pos = _smooth_bump(r, loc(cp), wp * length)
         neg = _smooth_bump(r, loc(cn), wn * length)
-        match = float(np.dot(grid.weights, pos)) / float(np.dot(grid.weights, neg))
+        match = _integrals(grid, pos) / _integrals(grid, neg)
         q_shape = pos - match * neg
     if kind in ("standard", "velocity_only"):
         cu, wu = _BUMP_GEOMETRY["u"]

@@ -3,12 +3,13 @@
 Everything downstream works on scalar profiles f(r) over a truncated shell
 [R, R_max].  Volume integrals carry the 4*pi*r^2 measure; the quadrature is a
 trapezoid rule in the volume coordinate r^3/3, which integrates constants
-exactly and is second-order for smooth integrands.  Radial vector fields
-u(r)*rhat are stored as their scalar radial component; the angular metric
-terms (the 2*(u/r)^2 family) are added where a norm is formed
-(``sobolev_terms`` and the vector-field norms), never stored.  The norms of
-the steady regularity report and of the inequality ensembles take stacks of
-profiles, one per row, and sum each row as a single profile would be summed.
+exactly and is second-order for smooth integrands; ``_integrals`` is its one
+implementation.  Radial vector fields u(r)*rhat are stored as their scalar
+radial component; the angular metric terms (the 2*(u/r)^2 family) are added
+where a norm is formed (the E/D sample and the vector-field norms), never
+stored.  The norms of the steady regularity report and of the inequality
+ensembles take stacks of profiles, one per row, and sum each row as a single
+profile would be summed.
 """
 
 from __future__ import annotations
@@ -380,39 +381,36 @@ def differentiate(grid: RadialGrid, values: np.ndarray,
     return out
 
 
+def _integrals(grid: RadialGrid, dens: np.ndarray):
+    """The quadrature sum_i w_i dens[i] of a profile (n,), as a float, or of
+    each row of a stack (k, n), one np.dot per row, so that each row has the
+    bits of a single profile's sum (``dens @ w`` sums in another order).
+    Every radial integral in the package is taken here."""
+    w = grid.weights
+    if dens.ndim == 1:
+        return float(np.dot(w, dens))
+    return np.array([np.dot(w, row) for row in dens])
+
+
 def weighted_l2_norm(f: RadialField) -> float:
     """Discrete L2 norm sqrt(sum w_i f_i^2)."""
-    return math.sqrt(float(np.dot(f.grid.weights, f.values**2)))
+    return math.sqrt(_integrals(f.grid, f.values**2))
 
 
-def _wsq(grid: RadialGrid, values: np.ndarray) -> float:
-    return float(np.dot(grid.weights, values**2))
-
-
-def sobolev_terms(grid: RadialGrid, derivs, channels=()) -> list:
-    """Squared terms of a discrete H^k norm from the caller's derivatives
-    derivs[j] = d^j f: term j is ||d^j f||^2.  Given the channels
-    channels[i] = d^i (u/r) of a radial vector field u(r)*rhat, term j >= 1
-    also carries 2 ||d^(j-1) (u/r)||^2, so terms 1.. are those of grad u."""
-    terms = [_wsq(grid, d) for d in derivs]
-    for j, c in enumerate(channels, 1):
-        terms[j] += 2.0 * _wsq(grid, c)
-    return terms
-
-
-def _row_integrals(grid: RadialGrid, dens: np.ndarray) -> np.ndarray:
-    """The quadrature sum_i w_i dens[k, i] of each row k of a stack, one
-    np.dot per row, so that each row has the bits of a single profile's
-    sum (``dens @ w`` sums in another order)."""
-    return np.array([np.dot(grid.weights, row) for row in dens])
+def _hessian_norms(grid: RadialGrid, phi: np.ndarray) -> np.ndarray:
+    """Discrete L2 norm of the second gradient of a radial scalar,
+    sqrt(||phi''||^2 + 2 ||phi'/r||^2), of each row of a stack (k, n)."""
+    d1, d2 = (differentiate(grid, phi, k) for k in (1, 2))
+    dens = d2**2 + 2.0 * (d1 / grid.r) ** 2
+    return np.sqrt(_integrals(grid, dens))
 
 
 def _vector_gradient_norms(grid: RadialGrid, u: np.ndarray,
                            du: np.ndarray) -> np.ndarray:
     """L2 norm of grad(u(r)*rhat), sqrt(int (u'^2 + 2 (u/r)^2)), of each row
     of a stack u (k, n) with its first derivatives du."""
-    return np.sqrt(_row_integrals(grid, du**2)
-                   + 2.0 * _row_integrals(grid, (u / grid.r) ** 2))
+    return np.sqrt(_integrals(grid, du**2)
+                   + 2.0 * _integrals(grid, (u / grid.r) ** 2))
 
 
 def _vector_hessian_norms(grid: RadialGrid, u: np.ndarray,
@@ -428,4 +426,4 @@ def _vector_hessian_norms(grid: RadialGrid, u: np.ndarray,
     a = du - b
     ap, bp = differentiate(grid, np.stack((a, b)), 1)
     dens = ap**2 + 4.0 * (a / r) ** 2 + 3.0 * bp**2 + 2.0 * ap * bp
-    return np.sqrt(_row_integrals(grid, dens))
+    return np.sqrt(_integrals(grid, dens))

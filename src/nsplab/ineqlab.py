@@ -40,11 +40,11 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
-from .elliptic import _hessian_norms, laplacian
+from .elliptic import laplacian
 from .errors import DegenerateFieldError, ParameterError
-from .grids import (RadialGrid, _row_integrals, _vector_gradient_norms,
-                    _vector_hessian_norms, build_radial_grid, cutoff,
-                    differentiate, volume_weights)
+from .grids import (RadialGrid, _hessian_norms, _integrals,
+                    _vector_gradient_norms, _vector_hessian_norms,
+                    build_radial_grid, cutoff, differentiate, volume_weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -546,18 +546,17 @@ def _lame_ratios(grid: RadialGrid, psi: np.ndarray,
                  longitudinal_viscosity: float):
     """C_emp = ||grad^2 u|| / (||g|| + ||grad u||) of the curl-free
     elastostatic estimate, 2 mu + lambda being the longitudinal viscosity,
-    for each row of a stack of potentials psi (k, n), and whether its
-    denominator vanishes (C_emp 0)."""
+    for each row of a stack of potentials psi (k, n); 0 where the
+    denominator vanishes."""
     u = differentiate(grid, psi, 1)
     du = differentiate(grid, u, 1)
     lap = differentiate(grid, psi, 2) + 2.0 * u / grid.r
     g = -longitudinal_viscosity * differentiate(grid, lap, 1)
     hess_u = _vector_hessian_norms(grid, u, du)
-    denom = (np.sqrt(_row_integrals(grid, g**2))
+    denom = (np.sqrt(_integrals(grid, g**2))
              + _vector_gradient_norms(grid, u, du))
     trivial = denom < 1e-14 * np.fmax(1.0, hess_u)
-    return np.divide(hess_u, denom, out=np.zeros_like(denom),
-                     where=~trivial), trivial
+    return np.divide(hess_u, denom, out=np.zeros_like(denom), where=~trivial)
 
 
 _RADIAL_PASS_FLOATS = 2**14  # in the (members, nodes) stacks of a pass
@@ -602,7 +601,7 @@ def lame_report(grid: RadialGrid, n_samples: int = 20, seed: int = 0,
     from Neumann-Poisson solves of seeded sources."""
     return _radial_report(
         "lame_gradient_case", grid, n_samples, seed,
-        lambda q, psi: _lame_ratios(grid, psi, longitudinal_viscosity)[0])
+        lambda q, psi: _lame_ratios(grid, psi, longitudinal_viscosity))
 
 
 def poisson_regularity_report(grid: RadialGrid, n_samples: int = 100,
@@ -611,4 +610,4 @@ def poisson_regularity_report(grid: RadialGrid, n_samples: int = 100,
     return _radial_report(
         "poisson_regularity", grid, n_samples, seed,
         lambda q, phi: (_hessian_norms(grid, phi)
-                        / np.sqrt(_row_integrals(grid, q**2))))
+                        / np.sqrt(_integrals(grid, q**2))))

@@ -40,11 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import _hessian_norms, laplacian
+from .elliptic import laplacian
 from .errors import IterationError, MonotonicityError, ParameterError
-from .grids import (FluidParams, RadialField, RadialGrid, _row_integrals,
-                    _vector_hessian_norms, build_radial_grid, cutoff,
-                    differentiate, weighted_l2_norm)
+from .grids import (FluidParams, RadialField, RadialGrid, _hessian_norms,
+                    _integrals, _vector_hessian_norms, build_radial_grid,
+                    cutoff, differentiate, weighted_l2_norm)
 
 PROFILE_KINDS = ("constant", "admissible_bump", "general_gamma_envelope")
 
@@ -316,7 +316,7 @@ def _derivative_norms(state: SteadyState) -> dict:
     grid = state.rho_tilde.grid
     f = np.stack((state.rho_tilde.values, state.phi_tilde.values))
     d1 = differentiate(grid, f, 1)
-    norms = {"grad": np.sqrt(_row_integrals(grid, d1**2)),
+    norms = {"grad": np.sqrt(_integrals(grid, d1**2)),
              "hess": _hessian_norms(grid, f),
              "third": _vector_hessian_norms(grid, d1,
                                             differentiate(grid, d1, 1))}

@@ -37,6 +37,12 @@ MUTANTS = (
             "test_inviscid_linear_run_conserves_zero_order_energy",
             "tests/test_evolve.py::"
             "test_linear_run_basic_energy_is_nonincreasing")),
+    # an angular channel of the stacked sample row, 2 ||(u/r)'||^2 in
+    # ||u||_H3, with its multiplicity 2 made 1
+    Mutant("u_h3_angular_channel_single", "src/nsplab/energy.py",
+           "    u_terms = (u0, u1 + 2.0 * v0, u2 + 2.0 * v1, u3 + 2.0 * v2)\n",
+           "    u_terms = (u0, u1 + 2.0 * v0, u2 + 1.0 * v1, u3 + 2.0 * v2)\n",
+           ("tests/test_energy.py::test_components_sum_to_total",)),
     # E without ||q||_H2
     Mutant("e_without_q_h2", "src/nsplab/energy.py",
            "    e = (u_h3 + q_h2 + math.sqrt(qt_h1**2 + ut_h1**2)\n",
@@ -64,7 +70,7 @@ MUTANTS = (
             "test_qtt_is_the_flow_derivative_of_q_t_nonlinear",)),
     # the Poisson-regularity density ||phi''||^2 + 2 ||phi'/r||^2 with its
     # angular term halved
-    Mutant("poisson_density_angular_term_halved", "src/nsplab/elliptic.py",
+    Mutant("poisson_density_angular_term_halved", "src/nsplab/grids.py",
            "    dens = d2**2 + 2.0 * (d1 / grid.r) ** 2\n",
            "    dens = d2**2 + 1.0 * (d1 / grid.r) ** 2\n",
            ("tests/test_elliptic.py::test_hessian_norm_examples",
@@ -188,7 +194,9 @@ MUTANTS = (
            "- shift\n",
            "    diag[-1] = -2.0 / hN**2 - 1.0 / (hN * rN) - 2.0 / rN**2 "
            "- shift\n",
-           ("tests/test_elliptic.py::test_poisson_linearity",
+           ("tests/test_elliptic.py::"
+            "test_outer_robin_row_converges_on_the_monopole",
+            "tests/test_elliptic.py::test_poisson_linearity",
             "tests/test_ineqlab.py::test_seeded_reports_are_pinned")),
     # the steady report's third-gradient norm fed rho/Phi in place of
     # their first derivatives

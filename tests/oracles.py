@@ -24,13 +24,12 @@ import scipy.sparse as sp
 from numpy.polynomial import Polynomial
 from scipy.linalg import solve_banded
 
-from nsplab.elliptic import _hessian_norms, laplacian
+from nsplab.elliptic import laplacian
 from nsplab.energy import _sample_row
 from nsplab.errors import ParameterError
 from nsplab.evolve import SimConfig, _tendencies, _Workspace
-from nsplab.grids import (FluidParams, _vector_gradient_norms,
-                          _vector_hessian_norms, cutoff, differentiate,
-                          sobolev_terms)
+from nsplab.grids import (FluidParams, _hessian_norms, _vector_gradient_norms,
+                          _vector_hessian_norms, cutoff, differentiate)
 from nsplab.ineqlab import (IneqReport, SphericalGrid, _lame_ratios,
                             _periodic, _three_point)
 
@@ -143,6 +142,22 @@ def radial_integral(f):
     return float(np.dot(f.grid.weights, f.values))
 
 
+def _weighted_sq(grid, f):
+    return float(np.dot(grid.weights, f**2))
+
+
+def sobolev_terms(grid, derivs, channels=()):
+    """Squared terms of a discrete H^k norm from the caller's derivatives
+    derivs[j] = d^j f, one quadrature per term: term j is ||d^j f||^2.
+    Given the channels channels[i] = d^i (u/r) of a radial vector field
+    u(r)*rhat, term j >= 1 also carries 2 ||d^(j-1) (u/r)||^2, so terms 1..
+    are those of grad u."""
+    terms = [_weighted_sq(grid, d) for d in derivs]
+    for j, c in enumerate(channels, 1):
+        terms[j] += 2.0 * _weighted_sq(grid, c)
+    return terms
+
+
 def sobolev_norm(f, k):
     """Discrete H^k norm of a scalar profile: sqrt of the summed squared L2
     norms of the radial derivatives of orders 0..k."""
@@ -197,9 +212,12 @@ def hessian_norm_radial(phi):
 def verify_lame_gradient_case(psi, longitudinal_viscosity):
     """Curl-free elastostatic estimate on one radial potential: with u = grad
     psi and g = -(2 mu + lambda) d_r(Lap psi), 2 mu + lambda being the
-    longitudinal viscosity, report C_emp = ||grad^2 u|| / (||g|| + ||grad u||)."""
-    (c_emp,), (trivial,) = _lame_ratios(psi.grid, psi.values[None],
-                                        longitudinal_viscosity)
+    longitudinal viscosity, report C_emp = ||grad^2 u|| / (||g|| + ||grad u||).
+    It is trivial where the member loop's denominator vanishes."""
+    (c_emp,) = _lame_ratios(psi.grid, psi.values[None],
+                            longitudinal_viscosity)
+    hess_u, denom = _lame_parts(psi.grid, psi.values, longitudinal_viscosity)
+    trivial = denom < 1e-14 * max(1.0, hess_u)
     return IneqReport(inequality="lame_gradient_case", n_samples=1,
                       max_ratio=float(c_emp), mean_ratio=float(c_emp),
                       passed=bool(trivial or np.isfinite(c_emp)),
@@ -620,10 +638,6 @@ def radial_source(seed, grid):
     return vals
 
 
-def _weighted_sq(grid, f):
-    return float(np.dot(grid.weights, f**2))
-
-
 def poisson_regularity_ratios(grid, n_samples, seed):
     """||grad^2 phi|| / ||q|| per member of the Poisson-regularity
     ensemble, one source and one solve at a time."""
@@ -638,25 +652,32 @@ def poisson_regularity_ratios(grid, n_samples, seed):
     return ratios
 
 
+def _lame_parts(grid, psi, longitudinal_viscosity):
+    """The numerator ||grad^2 u|| and denominator ||g|| + ||grad u|| of
+    C_emp for one potential psi (n,)."""
+    r = grid.r
+    u = differentiate(grid, psi, 1)
+    lap_psi = differentiate(grid, psi, 2) + 2.0 * u / r
+    g = -longitudinal_viscosity * differentiate(grid, lap_psi, 1)
+    b = u / r
+    a = differentiate(grid, u, 1) - b
+    ap, bp = differentiate(grid, np.stack((a, b)), 1)
+    hess_u = math.sqrt(float(np.dot(
+        grid.weights,
+        ap**2 + 4.0 * (a / r) ** 2 + 3.0 * bp**2 + 2.0 * ap * bp)))
+    grad_u = math.sqrt(_weighted_sq(grid, differentiate(grid, u, 1))
+                       + 2.0 * _weighted_sq(grid, u / r))
+    return hess_u, math.sqrt(_weighted_sq(grid, g)) + grad_u
+
+
 def lame_ratios(grid, n_samples, seed, longitudinal_viscosity):
     """C_emp = ||grad^2 u|| / (||g|| + ||grad u||) per member of the Lame
     ensemble (0 where the denominator vanishes), one source and one solve
     at a time."""
-    lap, r, ratios = laplacian(grid), grid.r, []
+    lap, ratios = laplacian(grid), []
     for i in range(n_samples):
         psi = lap.solve_refined(radial_source(seed + i, grid))
-        u = differentiate(grid, psi, 1)
-        lap_psi = differentiate(grid, psi, 2) + 2.0 * u / r
-        g = -longitudinal_viscosity * differentiate(grid, lap_psi, 1)
-        b = u / r
-        a = differentiate(grid, u, 1) - b
-        ap, bp = differentiate(grid, np.stack((a, b)), 1)
-        hess_u = math.sqrt(float(np.dot(
-            grid.weights,
-            ap**2 + 4.0 * (a / r) ** 2 + 3.0 * bp**2 + 2.0 * ap * bp)))
-        grad_u = math.sqrt(_weighted_sq(grid, differentiate(grid, u, 1))
-                           + 2.0 * _weighted_sq(grid, u / r))
-        denom = math.sqrt(_weighted_sq(grid, g)) + grad_u
+        hess_u, denom = _lame_parts(grid, psi, longitudinal_viscosity)
         ratios.append(0.0 if denom < 1e-14 * max(1.0, hess_u)
                       else hess_u / denom)
     return ratios

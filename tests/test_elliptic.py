@@ -124,6 +124,20 @@ def test_apply_laplacian_annihilates_monopole(shell16):
     assert np.max(np.abs(lap)) < 1e-10
 
 
+def test_outer_robin_row_converges_on_the_monopole():
+    # 1/r satisfies phi' + phi/r = 0 at R_max, so the outer ghost row's
+    # residual on it is its truncation error: first order in h (measured
+    # 4.62e-6, 2.30e-6, 1.15e-6, 5.73e-7), while a wrong Robin term leaves
+    # an O(1/h) residual that grows under refinement
+    res = []
+    for n in (100, 200, 400, 800):
+        g = build_radial_grid(1.0, 16.0, n)
+        res.append(abs((laplacian(g) @ (1.0 / g.r))[-1]))
+    orders = np.log2(np.array(res[:-1]) / np.array(res[1:]))
+    assert np.all((orders > 0.9) & (orders < 1.1)), orders
+    assert res[-1] < 1e-6
+
+
 def test_hessian_norm_examples(shell12):
     const = shell12.field(np.full(shell12.n_nodes, 4.0))
     assert hessian_norm_radial(const) < 1e-9

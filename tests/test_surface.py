@@ -18,16 +18,17 @@ from nsplab.config import parse_config
 ROOT = Path(__file__).parents[1]
 
 # the 3-D per-field operators, the 3-D L6 norm and inner-sphere
-# contractions, the radial grid norms that only tests call, and the
-# batch-of-one forms of the stacked norms and of the Lame ratios live in
-# tests/oracles.py (grids.integrate as radial_integral)
+# contractions, the radial grid norms that only tests call, the per-term
+# Sobolev sums (the sample row takes its norms in one stacked quadrature),
+# and the batch-of-one forms of the stacked norms and of the Lame ratios
+# live in tests/oracles.py (grids.integrate as radial_integral)
 MOVED = ("VectorField3", "_d_axis", "_d_phi", "grad_scalar", "divergence",
          "curl", "gradient_squared", "l2_norm", "l2_norm_vec", "grad_norm",
          "_div_curl_norm", "_traces", "l6_norm", "_trace",
          "_boundary_integral", "_boundary_l2_sq", "_boundary_pairings",
          "integrate", "sobolev_norm", "vector_sobolev_norm",
          "vector_gradient_norm", "vector_hessian_norm", "hessian_norm_radial",
-         "verify_lame_gradient_case")
+         "verify_lame_gradient_case", "sobolev_terms")
 # one-shot wrappers of the run workspace and of the E/D sample, the
 # readers of the sampled columns that the post-run pass replaced, the
 # per-sample record and its recorder (a sample is its row) and the E_basic
@@ -42,7 +43,8 @@ MOVED = ("VectorField3", "_d_axis", "_d_phi", "grad_scalar", "divergence",
 # .solve_refined), the field wrapper of differentiate, the gas-only
 # supersolution (profile_supersolution reads the gas from the profile), and
 # the per-member mode-sum factors and radial source (a member only draws;
-# its batch or pass builds the factors and the sources)
+# its batch or pass builds the factors and the sources), and the second and
+# third spellings of the radial quadrature (grids._integrals is the one)
 DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
            ("energy", "energy_E"), ("energy", "dissipation_D"),
            ("energy", "measure_viscous_constant"),
@@ -58,7 +60,8 @@ DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
            ("elliptic", "PoissonSolution"), ("grids", "radial_derivative"),
            ("steady", "supersolution_phi"), ("energy", "SeriesRecorder"),
            ("energy", "basic_energy"), ("ineqlab", "_mode_sum"),
-           ("ineqlab", "_random_radial_source"))
+           ("ineqlab", "_random_radial_source"), ("grids", "_wsq"),
+           ("grids", "_row_integrals"))
 
 
 def test_star_import_binds_exactly_all():
@@ -144,6 +147,49 @@ def test_moved_oracle_names_are_gone_from_the_package(name):
 def test_deleted_wrappers_are_gone(module, name):
     assert not hasattr(nsplab, name)
     assert not hasattr(importlib.import_module(f"nsplab.{module}"), name)
+
+
+def _np_dot_calls(node, func=None):
+    """(enclosing function, call) of every np.dot call under node."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "dot"
+                and isinstance(child.func.value, ast.Name)
+                and child.func.value.id == "np"):
+            yield func, child
+        inner = child.name if isinstance(child, ast.FunctionDef) else func
+        yield from _np_dot_calls(child, inner)
+
+
+def test_radial_quadrature_has_one_home():
+    # every sum_i w_i f_i of the package is grids._integrals: no other
+    # module hands the weights to np.dot, and no other function of grids
+    # calls np.dot
+    for path in sorted((ROOT / "src" / "nsplab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func, call in _np_dot_calls(tree):
+            if path.name == "grids.py":
+                assert func == "_integrals", func
+                continue
+            names = {n.attr if isinstance(n, ast.Attribute) else n.id
+                     for arg in call.args for n in ast.walk(arg)
+                     if isinstance(n, (ast.Attribute, ast.Name))}
+            assert "weights" not in names, (path.name, func)
+
+
+def test_discrete_norms_live_in_grids():
+    grids = importlib.import_module("nsplab.grids")
+    for name in ("_hessian_norms", "_vector_gradient_norms",
+                 "_vector_hessian_norms", "_integrals"):
+        assert callable(getattr(grids, name))
+    # elliptic is the Laplacian and its tridiagonal type alone
+    tree = ast.parse((ROOT / "src" / "nsplab" / "elliptic.py").read_text(
+        encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not {name for name in imported
+                if "norm" in name or name == "_integrals"}
 
 
 def test_spherical_grid_has_no_3d_quadrature():
