@@ -8,8 +8,7 @@ from .errors import (ConfigError, DegenerateFieldError, EvaluationDomainError,
                      ParameterError, SimulationAbort, VacuumError)
 from .evolve import (PerturbationState, SimConfig, init_perturbation,
                      run_simulation)
-from .grids import (FluidParams, RadialField, RadialGrid, build_radial_grid,
-                    weighted_l2_norm)
+from .grids import FluidParams, RadialField, RadialGrid, weighted_l2_norm
 from .steady import (BackgroundProfile, CertReport, SteadyState,
                      check_subsuper, make_profile, profile_supersolution,
                      solve_steady_monotone, steady_regularity_report,
@@ -24,8 +23,8 @@ __all__ = [
     "MonotonicityError", "NsplabError", "ParameterError", "PerturbationState",
     "RadialField", "RadialGrid", "SimConfig", "SimulationAbort",
     "StabilityVerdict", "SteadyState", "TimeSeries", "VacuumError",
-    "build_radial_grid", "check_subsuper", "check_theorem_bound",
-    "init_perturbation", "make_profile", "profile_supersolution",
-    "run_simulation", "solve_steady_monotone", "steady_regularity_report",
-    "subsolution_phi", "weighted_l2_norm",
+    "check_subsuper", "check_theorem_bound", "init_perturbation",
+    "make_profile", "profile_supersolution", "run_simulation",
+    "solve_steady_monotone", "steady_regularity_report", "subsolution_phi",
+    "weighted_l2_norm",
 ]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from .elliptic import laplacian
 from .errors import ConfigError, ParameterError
 from .evolve import SimConfig
-from .grids import FluidParams, build_radial_grid
+from .grids import FluidParams, RadialGrid
 from .ineqlab import (build_spherical_grid, check_allowance, check_modes,
                       check_outer_factor)
 from .steady import (PROFILE_KINDS, check_tol, make_profile,
@@ -124,9 +124,7 @@ class AppConfig:
     canonical: str = field(repr=False, default="")
 
     def radial_grid(self):
-        d = self.domain
-        return build_radial_grid(d["r_inner"], d["r_outer"], d["n_cells"],
-                                 d["stretch"])
+        return RadialGrid(**self.domain)
 
     def background(self, grid):
         st = self.steady

@@ -379,8 +379,6 @@ class _Stepper:
         q_t, u_t, lap_u, _ = f
         vu = ws.nu_s * lap_u
         u_t = u_t - vu
-        u_t[0] = 0.0
-        u_t[-1] = 0.0
         if ws.sponge_on:
             sp_q, sp_u = ws.sponge(q, u)
             q_t, u_t = q_t + sp_q, u_t + sp_u

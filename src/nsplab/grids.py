@@ -114,45 +114,78 @@ class FluidParams:
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Nodes r_0 = R < ... < r_N = R_max with positive quadrature weights.
+    """Shell grid of n_cells intervals, nodes r_0 = r_inner < ... <
+    r_N = r_outer (N = n_cells), with positive quadrature weights.
 
-    ``weights[i]`` realizes the integral of f * 4*pi*r^2 dr; the rule is exact
-    for f == 1 (weights sum to the shell volume to machine precision).
+    ``stretch == 0`` gives uniform spacing.  ``stretch > 0`` gives a geometric
+    progression clustered near the inner radius: the cell widths grow by a
+    constant ratio chosen so that the last cell is exp(stretch) times wider
+    than the first.  ``weights[i]`` realizes the integral of f * 4*pi*r^2 dr;
+    the rule is exact for f == 1 (weights sum to the shell volume to machine
+    precision).  The nodes, the weights and the stencil flag ``uniform`` are
+    derived from the four build values, which are all a grid takes.
     """
 
-    r: np.ndarray
-    weights: np.ndarray
-    uniform: bool
-    stretch: float = 0.0  # as given to build_radial_grid
-    _cache: dict = field(default_factory=dict, repr=False)
+    r_inner: float
+    r_outer: float
+    n_cells: int
+    stretch: float = 0.0
+    r: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
+    uniform: bool = field(init=False, repr=False)
+    _cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        r = np.array(self.r, dtype=float)
-        w = np.array(self.weights, dtype=float)
-        if r.ndim != 1 or r.size < 3 or w.shape != r.shape:
-            raise ParameterError("grid needs matching 1-D node and weight arrays")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(w))):
-            raise ParameterError("grid nodes and weights must be finite")
+        r_inner, r_outer, stretch = self.r_inner, self.r_outer, self.stretch
+        # r_outer**3 is formed as a product: a Python float power would raise
+        cube = FOUR_PI * r_outer * r_outer * r_outer
+        for name, v in (("r_inner", r_inner), ("r_outer", r_outer),
+                        ("stretch", stretch), ("4 pi r_outer**3", cube)):
+            if not math.isfinite(v):
+                raise ParameterError(f"{name} must be finite")
+        if r_inner <= 0.0:
+            raise ParameterError(f"r_inner must be > 0, got {r_inner}")
+        if r_outer <= r_inner:
+            raise ParameterError(
+                f"r_outer must exceed r_inner, got [{r_inner}, {r_outer}]")
+        if self.n_cells < 8:
+            raise ParameterError(f"n_cells must be >= 8, got {self.n_cells}")
+        if stretch < 0.0:
+            raise ParameterError(f"stretch must be >= 0, got {stretch}")
+
+        n = int(self.n_cells)
+        try:
+            ratio = math.exp(stretch / (n - 1))
+            growth = ratio**n
+        except OverflowError:
+            raise ParameterError(
+                f"stretch = {stretch:g} is too large: the growth of the cell "
+                f"widths over {n} cells overflows double precision") from None
+        if ratio == 1.0:  # stretch == 0, or too small to show in doubles
+            r = np.linspace(r_inner, r_outer, n + 1)
+        else:
+            # first width from the geometric sum h0*(ratio^n - 1)/(ratio - 1)
+            h0 = (r_outer - r_inner) * (ratio - 1.0) / (growth - 1.0)
+            widths = h0 * ratio ** np.arange(n)
+            r = r_inner + np.concatenate(([0.0], np.cumsum(widths)))
+            r[-1] = r_outer
         if np.any(np.diff(r) <= 0.0):
-            raise ParameterError("grid nodes must be strictly increasing")
-        if np.any(w <= 0.0):
-            raise ParameterError("quadrature weights must be positive")
+            raise ParameterError(
+                f"stretch = {stretch:g} on [{r_inner:g}, {r_outer:g}]: cells "
+                "vanish in the roundoff of the radii, so the nodes are not "
+                "strictly increasing")
+        w = volume_weights(r)
+        w *= FOUR_PI
+        # equal spacing: the 3-point second derivative is second order
+        uniform = ratio == 1.0
         r.flags.writeable = False
         w.flags.writeable = False
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "weights", w)
+        for name, value in (("r", r), ("weights", w), ("uniform", uniform)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_nodes(self) -> int:
         return self.r.size
-
-    @property
-    def r_inner(self) -> float:
-        return float(self.r[0])
-
-    @property
-    def r_outer(self) -> float:
-        return float(self.r[-1])
 
     @property
     def min_spacing(self) -> float:
@@ -199,57 +232,6 @@ def volume_weights(r: np.ndarray) -> np.ndarray:
     w[0] = (cubes[1] - cubes[0]) / 6.0
     w[-1] = (cubes[-1] - cubes[-2]) / 6.0
     return w
-
-
-def build_radial_grid(r_inner: float, r_outer: float, n_cells: int,
-                      stretch: float = 0.0) -> RadialGrid:
-    """Build a shell grid with n_cells intervals (n_cells + 1 nodes).
-
-    ``stretch == 0`` gives uniform spacing.  ``stretch > 0`` gives a geometric
-    progression clustered near the inner radius: the cell widths grow by a
-    constant ratio chosen so that the last cell is exp(stretch) times wider
-    than the first.
-    """
-    # r_outer**3 is formed as a product: a Python float power would raise
-    for name, v in (("r_inner", r_inner), ("r_outer", r_outer), ("stretch", stretch),
-                    ("4 pi r_outer**3", FOUR_PI * r_outer * r_outer * r_outer)):
-        if not math.isfinite(v):
-            raise ParameterError(f"{name} must be finite")
-    if r_inner <= 0.0:
-        raise ParameterError(f"r_inner must be > 0, got {r_inner}")
-    if r_outer <= r_inner:
-        raise ParameterError(f"r_outer must exceed r_inner, got [{r_inner}, {r_outer}]")
-    if n_cells < 8:
-        raise ParameterError(f"n_cells must be >= 8, got {n_cells}")
-    if stretch < 0.0:
-        raise ParameterError(f"stretch must be >= 0, got {stretch}")
-
-    n = int(n_cells)
-    try:
-        ratio = math.exp(stretch / (n - 1))
-        growth = ratio**n
-    except OverflowError:
-        raise ParameterError(f"stretch = {stretch:g} is too large: the growth "
-                             f"of the cell widths over {n} cells overflows "
-                             "double precision") from None
-    if ratio == 1.0:  # stretch == 0, or too small to show in double precision
-        r = np.linspace(r_inner, r_outer, n + 1)
-        uniform = True
-    else:
-        # first width from the geometric-series sum h0*(ratio^n - 1)/(ratio - 1)
-        h0 = (r_outer - r_inner) * (ratio - 1.0) / (growth - 1.0)
-        widths = h0 * ratio ** np.arange(n)
-        r = r_inner + np.concatenate(([0.0], np.cumsum(widths)))
-        r[-1] = r_outer
-        if np.any(np.diff(r) <= 0.0):
-            raise ParameterError(f"stretch = {stretch:g} is too large: cells "
-                                 f"from the first width {h0:.3g} on vanish in "
-                                 f"the roundoff of r_inner = {r_inner:g}")
-        uniform = False
-
-    w = volume_weights(r)
-    w *= FOUR_PI
-    return RadialGrid(r=r, weights=w, uniform=uniform, stretch=stretch)
 
 
 def smoothstep(x: np.ndarray) -> np.ndarray:

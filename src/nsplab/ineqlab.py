@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
@@ -43,8 +42,8 @@ import numpy as np
 from .elliptic import laplacian
 from .errors import DegenerateFieldError, ParameterError
 from .grids import (RadialGrid, _hessian_norms, _integrals,
-                    _vector_gradient_norms, _vector_hessian_norms,
-                    build_radial_grid, cutoff, differentiate, volume_weights)
+                    _vector_gradient_norms, _vector_hessian_norms, cutoff,
+                    differentiate, volume_weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,25 +60,12 @@ class SphericalGrid:
     w_phi: float
 
     @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.r.size, self.theta.size, self.phi.size)
-
-    @property
     def r_inner(self) -> float:
         return float(self.r[0])
 
     @property
     def r_outer(self) -> float:
         return float(self.r[-1])
-
-    @cached_property
-    def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(r, sin theta, cot theta), shaped to broadcast over the grid;
-        computed once per grid."""
-        r = self.r[:, None, None]
-        sin = np.sin(self.theta)[None, :, None]
-        cot = (np.cos(self.theta) / np.sin(self.theta))[None, :, None]
-        return r, sin, cot
 
     @property
     def steps(self) -> tuple[float, float, float]:
@@ -110,7 +96,7 @@ def build_spherical_grid(r_inner: float, r_outer: float, nr: int, ntheta: int,
     nphi >= 8."""
     if nr < 16 or ntheta < 8 or nphi < 8:
         raise ParameterError("resolution too coarse: need nr>=16, ntheta>=8, nphi>=8")
-    r = build_radial_grid(r_inner, r_outer, nr).r
+    r = RadialGrid(r_inner, r_outer, nr).r
     dtheta = math.pi / ntheta
     theta = (np.arange(ntheta) + 0.5) * dtheta
     phi = np.arange(nphi) * (2.0 * math.pi / nphi)
@@ -123,16 +109,14 @@ def build_spherical_grid(r_inner: float, r_outer: float, nr: int, ntheta: int,
                          w_phi=w_phi)
 
 
-def _three_point(f: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
-    """Centered difference with step h along an axis (by default the last,
-    the node axis of a factor stack), one-sided second order at both
-    ends."""
-    g = np.moveaxis(f, axis, 0)
+def _three_point(f: np.ndarray, h: float) -> np.ndarray:
+    """Centered difference with step h along the last axis, the node axis
+    of a factor stack, one-sided second order at both ends."""
     out = np.empty_like(f)
-    d = np.moveaxis(out, axis, 0)
-    d[1:-1] = (g[2:] - g[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * h)
-    d[-1] = (3.0 * g[-1] - 4.0 * g[-2] + g[-3]) / (2.0 * h)
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
+    out[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * h)
+    out[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2]
+                    + f[..., -3]) / (2.0 * h)
     return out
 
 
@@ -288,12 +272,14 @@ def _at_inner(piece) -> tuple:
 
 
 class _Stencils:
-    """The geometry of a grid as 1-D arrays and the grid stencils applied
-    to the angular factors of a batch of mode sums."""
+    """The geometry of a grid as 1-D arrays (r, sin theta, cot theta) and
+    the grid stencils applied to the angular factors of a batch of mode
+    sums."""
 
     def __init__(self, ms: _ModeSum):
         grid = ms.grid
-        self.r, self.sin, self.cot = (g.ravel() for g in grid.geometry)
+        self.r, self.sin = grid.r, np.sin(grid.theta)
+        self.cot = np.cos(grid.theta) / self.sin
         self.h_r, self.h_theta, h_phi = grid.steps
         self.pol, self.azi = ms.polar, ms.azimuthal
         self.d_pol = _three_point(self.pol, self.h_theta)
@@ -436,7 +422,7 @@ def check_outer_factor(outer_factor: float, grid: SphericalGrid) -> None:
                              "cells have a spacing that reaches the inner "
                              "radius")
     try:
-        build_radial_grid(r_inner, outer_factor * r_inner, 8)
+        RadialGrid(r_inner, outer_factor * r_inner, 8)
     except ParameterError as exc:
         raise ParameterError(f"trace_outer_factor = {outer_factor:g} gives no "
                              f"valid shell at R = {r_inner:g}: {exc}") from exc

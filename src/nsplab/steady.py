@@ -36,15 +36,15 @@ from profile.fluid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .elliptic import laplacian
 from .errors import IterationError, MonotonicityError, ParameterError
 from .grids import (FluidParams, RadialField, RadialGrid, _hessian_norms,
-                    _integrals, _vector_hessian_norms, build_radial_grid,
-                    cutoff, differentiate, weighted_l2_norm)
+                    _integrals, _vector_hessian_norms, cutoff,
+                    differentiate, weighted_l2_norm)
 
 PROFILE_KINDS = ("constant", "admissible_bump", "general_gamma_envelope")
 
@@ -88,7 +88,8 @@ class CertReport:
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Converged steady pair with its certificates."""
+    """Converged steady pair with its certificates and the settings of the
+    monotone iteration that solved it."""
 
     rho_tilde: RadialField
     phi_tilde: RadialField
@@ -99,6 +100,8 @@ class SteadyState:
     iterations_sub: int
     limit_gap: float
     monotonicity_defect: float
+    tol: float
+    max_iter: int
 
 
 def make_profile(kind: str, fluid: FluidParams, amplitude: float,
@@ -199,26 +202,22 @@ def check_subsuper(phi: RadialField, role: str, profile: BackgroundProfile, *,
                       boundary_normal_derivative=normal, tol=tol)
 
 
-def _iterate(profile: BackgroundProfile, start: np.ndarray, shift: float,
-             direction: int, tol: float, max_iter: int):
-    """Run the shifted fixed-point iteration from one bracket of the
-    profile's problem.
+def _iterate(step, start: np.ndarray, direction: int, tol: float,
+             max_iter: int):
+    """Run the fixed-point step from one bracket until one step moves it
+    by less than tol.
 
     direction +1 expects a nondecreasing sequence (subsolution start), -1 a
     nonincreasing one.  Monotonicity defects are tracked, not fatal: they stay
     at roundoff size (comparison-principle slack) for admissible data.
     """
-    fluid, b = profile.fluid, profile.values.values
-    op = laplacian(profile.values.grid, shift)
     phi = start.copy()
     defect = 0.0
     for it in range(1, max_iter + 1):
-        nxt = op.solve_refined(fluid.density(phi) - b - shift * phi)
-        if not np.all(np.isfinite(nxt)):
-            raise ParameterError("elliptic solve produced non-finite values")
-        step = nxt - phi
-        defect = max(defect, float(np.max(-direction * step)))
-        increment = float(np.max(np.abs(step)))
+        nxt = step(phi)
+        diff = nxt - phi
+        defect = max(defect, float(np.max(-direction * diff)))
+        increment = float(np.max(np.abs(diff)))
         phi = nxt
         if increment < tol:
             return phi, it, defect
@@ -232,16 +231,20 @@ def check_tol(tol: float) -> None:
         raise ParameterError(f"tol must be finite and > 0, got {tol}")
 
 
-def solve_steady_monotone(profile: BackgroundProfile, *, tol: float = 1e-10,
-                          max_iter: int = 200) -> SteadyState:
+def solve_steady_monotone(profile: BackgroundProfile, *, tol: float,
+                          max_iter: int) -> SteadyState:
     """Solve the semilinear steady problem by bracketing monotone iteration
     on the profile's grid, for the profile's gas.
 
     Runs from the supersolution (nonincreasing) and the subsolution
     (nondecreasing); the shift M = 1.1 * sup F' over the bracket keeps both
-    sequences monotone under the discrete comparison principle.  The two
-    limits must agree within 10*tol, which doubles as a uniqueness
-    certificate; the returned potential is their average.
+    sequences monotone under the discrete comparison principle.  Each
+    sequence stops at its first step below tol; the two limits must then
+    agree within 10*tol, which doubles as a uniqueness certificate, and the
+    returned potential is their average.  A step below tol does not bound
+    the distance to the limit when the contraction is slow, so limits that
+    differ by more are stepped on together, each within max_iter steps,
+    until they agree.
     """
     check_tol(tol)
     grid, fluid = profile.values.grid, profile.fluid
@@ -252,10 +255,18 @@ def solve_steady_monotone(profile: BackgroundProfile, *, tol: float = 1e-10,
     fp_zero = float(np.max(fluid.density_slope(np.zeros(1))))
     shift = 1.1 * max(fp_max, fp_zero)
 
-    upper, it_super, defect_s = _iterate(profile, phi_super.values, shift, -1,
-                                         tol, max_iter)
-    lower, it_sub, defect_b = _iterate(profile, phi_sub.values, shift, +1,
-                                       tol, max_iter)
+    b, op = profile.values.values, laplacian(grid, shift)
+
+    def step(phi):
+        nxt = op.solve_refined(fluid.density(phi) - b - shift * phi)
+        if not np.all(np.isfinite(nxt)):
+            raise ParameterError("elliptic solve produced non-finite values")
+        return nxt
+
+    upper, it_super, defect_s = _iterate(step, phi_super.values, -1, tol,
+                                         max_iter)
+    lower, it_sub, defect_b = _iterate(step, phi_sub.values, +1, tol,
+                                       max_iter)
 
     scale = max(1.0, float(np.max(np.abs(phi_super.values))))
     crossing = float(np.max(lower - upper))
@@ -265,6 +276,13 @@ def solve_steady_monotone(profile: BackgroundProfile, *, tol: float = 1e-10,
             "discretization too coarse or shift too small")
 
     gap = float(np.max(np.abs(upper - lower)))
+    while gap > 10.0 * tol and max(it_super, it_sub) < max_iter:
+        nxt_upper, nxt_lower = step(upper), step(lower)
+        defect_s = max(defect_s, float(np.max(nxt_upper - upper)))
+        defect_b = max(defect_b, float(np.max(lower - nxt_lower)))
+        upper, lower = nxt_upper, nxt_lower
+        it_super, it_sub = it_super + 1, it_sub + 1
+        gap = float(np.max(np.abs(upper - lower)))
     if gap > 10.0 * tol:
         raise IterationError(
             f"bracket limits differ by {gap:.3e} (> 10*tol); no uniqueness certificate")
@@ -273,8 +291,7 @@ def solve_steady_monotone(profile: BackgroundProfile, *, tol: float = 1e-10,
     phi_tilde = RadialField(phi_vals, grid)
     rho_tilde = RadialField(fluid.density(phi_vals), grid)
 
-    residual = laplacian(grid) @ phi_vals - (rho_tilde.values
-                                              - profile.values.values)
+    residual = laplacian(grid) @ phi_vals - (rho_tilde.values - b)
     residual_norm = weighted_l2_norm(RadialField(residual, grid))
 
     ceiling = profile_upper_bound(profile)
@@ -286,7 +303,8 @@ def solve_steady_monotone(profile: BackgroundProfile, *, tol: float = 1e-10,
                        profile=profile, residual_elliptic=residual_norm,
                        bounds_ok=bounds_ok, iterations_super=it_super,
                        iterations_sub=it_sub, limit_gap=gap,
-                       monotonicity_defect=max(defect_s, defect_b))
+                       monotonicity_defect=max(defect_s, defect_b), tol=tol,
+                       max_iter=max_iter)
 
 
 def compatibility_residual(steady: SteadyState) -> float:
@@ -329,21 +347,20 @@ def steady_regularity_report(steady: SteadyState) -> RegularityReport:
     """Report the L2 norms of the first three gradients of rho and Phi and
     check they stay within a factor 2 under one refinement of the steady
     state's grid and one doubling of its truncation radius, both at the
-    grid's stretch."""
+    grid's stretch and solved with the steady state's tol and max_iter."""
     base = _derivative_norms(steady)
     prof = steady.profile
     grid = prof.values.grid
-    n_cells = grid.n_nodes - 1
 
-    def resolve(new_grid):
+    def resolve(**changes):
         return solve_steady_monotone(make_profile(
-            prof.kind, prof.fluid, prof.amplitude, new_grid,
-            envelope_c0=prof.envelope_c0, envelope_eps=prof.envelope_eps))
+            prof.kind, prof.fluid, prof.amplitude,
+            replace(grid, n_cells=2 * grid.n_cells, **changes),
+            envelope_c0=prof.envelope_c0, envelope_eps=prof.envelope_eps),
+            tol=steady.tol, max_iter=steady.max_iter)
 
-    r0, r1, stretch = grid.r_inner, grid.r_outer, grid.stretch
-    fine = resolve(build_radial_grid(r0, r1, 2 * n_cells, stretch))
-    wide = resolve(build_radial_grid(r0, r0 + 2.0 * (r1 - r0), 2 * n_cells,
-                                     stretch))
+    fine = resolve()
+    wide = resolve(r_outer=grid.r_inner + 2.0 * (grid.r_outer - grid.r_inner))
     fine_norms = _derivative_norms(fine)
     wide_norms = _derivative_norms(wide)
 

@@ -210,4 +210,22 @@ MUTANTS = (
            ("tests/test_steady.py::"
             "test_regularity_norms_are_the_batch_of_one_norms",
             "tests/test_steady.py::test_regularity_report_flat_background")),
+    # the stencil flag of equal spacing set on every grid, so stretched
+    # grids take the 3-point second derivative
+    Mutant("stencil_flag_always_uniform", "src/nsplab/grids.py",
+           "        uniform = ratio == 1.0\n",
+           "        uniform = True\n",
+           ("tests/test_grids.py::"
+            "test_replaced_build_value_gives_the_freshly_built_grid",
+            "tests/test_grids.py::"
+            "test_stretched_grid_second_derivative_is_exact_on_cubics")),
+    # the brackets' first stops taken as their limits: no stepping on
+    # until they agree within 10*tol
+    Mutant("brackets_not_stepped_to_agreement", "src/nsplab/steady.py",
+           "    while gap > 10.0 * tol and max(it_super, it_sub) < max_iter:\n",
+           "    while False:\n",
+           ("tests/test_steady.py::"
+            "test_slow_contraction_steps_both_brackets_until_they_agree",
+            "tests/test_steady.py::"
+            "test_cli_steady_certifies_slowly_contracting_problems")),
 )

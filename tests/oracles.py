@@ -18,12 +18,14 @@ evaluate a single state's tendencies through a run workspace,
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial import Polynomial
 from scipy.linalg import solve_banded
 
+from nsplab.config import _SCHEMA
 from nsplab.elliptic import laplacian
 from nsplab.energy import _sample_row
 from nsplab.errors import ParameterError
@@ -34,6 +36,9 @@ from nsplab.ineqlab import (IneqReport, SphericalGrid, _lame_ratios,
                             _periodic, _three_point)
 
 FOUR_PI = 4.0 * np.pi
+
+# the monotone iteration's settings at their [steady] defaults
+STEADY = {key: _SCHEMA["steady"][key][1] for key in ("tol", "max_iter")}
 
 
 def dense_volume_integral(func, r_inner, r_outer, n=20001):
@@ -410,7 +415,7 @@ def premerge_tangent_field(seed, grid, modes=3):
     w = 0.15 * (grid.r_outer - grid.r_inner)
     vr_factor = 1.0 - np.exp(-(((r - grid.r_inner) / w) ** 2))
 
-    comps = [np.zeros(grid.shape) for _ in range(3)]
+    comps = [np.zeros(grid_shape(grid)) for _ in range(3)]
     for _ in range(modes):
         l_phi = rng.integers(0, 5)
         l_theta = rng.integers(1, 4)
@@ -437,7 +442,7 @@ def premerge_scalar_field(seed, grid, modes=3):
     taper = np.sin(theta) ** 2
     cut = cutoff(grid.r, grid.r_inner,
                  grid.r_outer - grid.r_inner)[:, None, None]
-    out = np.zeros(grid.shape)
+    out = np.zeros(grid_shape(grid))
     for _ in range(modes):
         l_phi = rng.integers(0, 5)
         l_theta = rng.integers(1, 4)
@@ -454,6 +459,21 @@ def premerge_scalar_field(seed, grid, modes=3):
 # sphere: the oracle of the mode-factored ensembles in nsplab.ineqlab,
 # which form no 3-D field.
 
+def grid_shape(grid):
+    """(nr, ntheta, nphi): the shape of a 3-D field on the grid."""
+    return (grid.r.size, grid.theta.size, grid.phi.size)
+
+
+@cache
+def geometry(grid):
+    """(r, sin theta, cot theta), shaped to broadcast over the grid;
+    computed once per grid."""
+    r = grid.r[:, None, None]
+    sin = np.sin(grid.theta)[None, :, None]
+    cot = (np.cos(grid.theta) / np.sin(grid.theta))[None, :, None]
+    return r, sin, cot
+
+
 @dataclass(frozen=True, eq=False)
 class VectorField3:
     """Spherical components (v_r, v_theta, v_phi) on a SphericalGrid."""
@@ -465,7 +485,7 @@ class VectorField3:
 
     def __post_init__(self):
         for comp in (self.vr, self.vtheta, self.vphi):
-            if comp.shape != self.grid.shape:
+            if comp.shape != grid_shape(self.grid):
                 raise ParameterError("component shape does not match the grid")
             if not np.all(np.isfinite(comp)):
                 raise ParameterError("field components must be finite")
@@ -473,7 +493,8 @@ class VectorField3:
 
 def d_axis(grid, f, axis):
     """Centered difference along r (axis 0) or theta (axis 1)."""
-    return _three_point(f, grid.steps[axis], axis)
+    d = _three_point(np.moveaxis(f, axis, -1), grid.steps[axis])
+    return np.moveaxis(d, -1, axis)
 
 
 def d_phi(grid, f):
@@ -482,7 +503,7 @@ def d_phi(grid, f):
 
 
 def grad_scalar(grid, f):
-    r, sin, _ = grid.geometry
+    r, sin, _ = geometry(grid)
     return VectorField3(vr=d_axis(grid, f, 0),
                         vtheta=d_axis(grid, f, 1) / r,
                         vphi=d_phi(grid, f) / (r * sin),
@@ -491,7 +512,7 @@ def grad_scalar(grid, f):
 
 def divergence(v):
     grid = v.grid
-    r, sin, _ = grid.geometry
+    r, sin, _ = geometry(grid)
     return (d_axis(grid, r**2 * v.vr, 0) / r**2
             + d_axis(grid, sin * v.vtheta, 1) / (r * sin)
             + d_phi(grid, v.vphi) / (r * sin))
@@ -499,7 +520,7 @@ def divergence(v):
 
 def curl(v):
     grid = v.grid
-    r, sin, _ = grid.geometry
+    r, sin, _ = geometry(grid)
     cr = (d_axis(grid, sin * v.vphi, 1) - d_phi(grid, v.vtheta)) / (r * sin)
     ct = d_phi(grid, v.vr) / (r * sin) - d_axis(grid, r * v.vphi, 0) / r
     cp = (d_axis(grid, r * v.vtheta, 0) - d_axis(grid, v.vr, 1)) / r
@@ -509,7 +530,7 @@ def curl(v):
 def gradient_squared(v):
     """Pointwise |grad v|^2: all nine orthonormal covariant components."""
     grid = v.grid
-    r, sin, cot = grid.geometry
+    r, sin, cot = geometry(grid)
     comps = (
         d_axis(grid, v.vr, 0),
         d_axis(grid, v.vr, 1) / r - v.vtheta / r,
@@ -521,7 +542,7 @@ def gradient_squared(v):
         d_axis(grid, v.vphi, 1) / r,
         d_phi(grid, v.vphi) / (r * sin) + v.vr / r + cot * v.vtheta / r,
     )
-    total = np.zeros(grid.shape)
+    total = np.zeros(grid_shape(grid))
     for c in comps:
         total += c**2
     return total

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from nsplab import (SimConfig, build_radial_grid, check_subsuper,
+from nsplab import (RadialGrid, SimConfig, check_subsuper,
                     init_perturbation, make_profile, profile_supersolution,
                     run_simulation, solve_steady_monotone, subsolution_phi,
                     weighted_l2_norm)
@@ -19,7 +19,7 @@ from nsplab.elliptic import laplacian
 from nsplab.steady import BackgroundProfile
 from nsplab.grids import RadialField
 
-from oracles import gas, newton_steady
+from oracles import STEADY, gas, newton_steady
 
 PARAMS = gas(2.0)
 
@@ -34,7 +34,7 @@ def _report(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def grid2000():
-    return build_radial_grid(1.0, 16.0, 2000)
+    return RadialGrid(1.0, 16.0, 2000)
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +43,9 @@ def stability_runs(grid2000):
     spacing, both gamma = 2, delta = 1e-3, t_end = 10, sponge on."""
     out = {}
     for label, r_max, n in (("r16", 16.0, 2000), ("r32", 32.0, 4000)):
-        grid = grid2000 if label == "r16" else build_radial_grid(1.0, r_max, n)
+        grid = grid2000 if label == "r16" else RadialGrid(1.0, r_max, n)
         profile = make_profile("admissible_bump", PARAMS, 0.5, grid)
-        steady = solve_steady_monotone(profile)
+        steady = solve_steady_monotone(profile, **STEADY)
         cfg = SimConfig(delta=1e-3, t_end=10.0, output_stride=50)
         t0 = time.perf_counter()
         series = run_simulation(steady, cfg)
@@ -99,7 +99,7 @@ def test_criterion_02_subsuper_certificates(grid2000):
 
 def test_criterion_03_newton_oracle_agreement(grid2000):
     profile = make_profile("admissible_bump", PARAMS, 0.5, grid2000)
-    st = solve_steady_monotone(profile, tol=1e-10)
+    st = solve_steady_monotone(profile, tol=1e-10, max_iter=200)
     phi_newton = newton_steady(profile)
     gap = float(np.max(np.abs(st.phi_tilde.values - phi_newton)))
     _report(3, gap < 1e-9,
@@ -110,16 +110,16 @@ def test_criterion_04_spatial_convergence():
     t0 = time.perf_counter()
     phis = {}
     for n in (500, 1000, 2000):
-        g = build_radial_grid(1.0, 16.0, n)
+        g = RadialGrid(1.0, 16.0, n)
         profile = make_profile("admissible_bump", PARAMS, 0.5, g)
-        phis[n] = solve_steady_monotone(profile).phi_tilde.values
+        phis[n] = solve_steady_monotone(profile, **STEADY).phi_tilde.values
     e1 = np.max(np.abs(phis[500] - phis[1000][::2]))
     e2 = np.max(np.abs(phis[1000] - phis[2000][::2]))
     steady_ratio = e1 / e2
 
     errs = []
     for n in (500, 1000, 2000):
-        g = build_radial_grid(1.0, 16.0, n)
+        g = RadialGrid(1.0, 16.0, n)
         r = g.r
         phi_m = np.exp(-((r - 1.0) ** 2))
         q = (4.0 * (r - 1.0) ** 2 - 2.0) * phi_m \
@@ -136,7 +136,7 @@ def test_criterion_04_spatial_convergence():
 
 def test_criterion_05_equilibrium_preservation(grid2000):
     profile = make_profile("admissible_bump", PARAMS, 0.5, grid2000)
-    steady = solve_steady_monotone(profile)
+    steady = solve_steady_monotone(profile, **STEADY)
     cfg = SimConfig(delta=0.0, t_end=10.0, output_stride=100)
     series = run_simulation(steady, cfg)
     emax = float(np.max(series.column("E")))
@@ -172,7 +172,7 @@ def test_criterion_07_mass_conservation(stability_runs):
 
 def test_criterion_08_zero_order_energy_identity(grid2000):
     profile = make_profile("admissible_bump", PARAMS, 0.5, grid2000)
-    steady = solve_steady_monotone(profile)
+    steady = solve_steady_monotone(profile, **STEADY)
     cs = float(np.max(PARAMS.sound_speed(steady.rho_tilde.values)))
     dt = 0.1 * grid2000.min_spacing / cs
     cfg = SimConfig(delta=1e-3, t_end=2.0, dt=dt, output_stride=1,
@@ -185,9 +185,9 @@ def test_criterion_08_zero_order_energy_identity(grid2000):
     linear_ok = bool(np.max(resid) <= tol)
 
     remainders = {}
-    g1000 = build_radial_grid(1.0, 16.0, 1000)
+    g1000 = RadialGrid(1.0, 16.0, 1000)
     profile_c = make_profile("admissible_bump", PARAMS, 0.5, g1000)
-    steady_c = solve_steady_monotone(profile_c)
+    steady_c = solve_steady_monotone(profile_c, **STEADY)
     for delta in (1e-4, 1e-3):
         cfg_nl = SimConfig(delta=delta, t_end=2.0, output_stride=1,
                            mode="nonlinear", sponge_rate=0.0)
@@ -246,12 +246,12 @@ def test_criterion_11_trace_scaling():
 
 def test_criterion_12_poisson_regularity(grid2000):
     rep_c = iq.poisson_regularity_report(grid2000, 100, seed=0)
-    fine = build_radial_grid(1.0, 16.0, 4000)
+    fine = RadialGrid(1.0, 16.0, 4000)
     rep_f = iq.poisson_regularity_report(fine, 100, seed=0)
     change = abs(rep_f.max_ratio - rep_c.max_ratio) / rep_c.max_ratio
     errs = []
     for n in (500, 1000, 2000):
-        g = build_radial_grid(1.0, 16.0, n)
+        g = RadialGrid(1.0, 16.0, n)
         r = g.r
         phi_m = np.exp(-((r - 1.0) ** 2))
         q = (4.0 * (r - 1.0) ** 2 - 2.0) * phi_m \

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from nsplab import ParameterError, build_radial_grid, weighted_l2_norm
+from nsplab import ParameterError, RadialGrid, weighted_l2_norm
 from nsplab.elliptic import laplacian
 from nsplab.grids import differentiate
 from oracles import banded_layout, hessian_norm_radial
@@ -37,7 +37,7 @@ def test_poisson_residual_certificate(shell16):
 def test_poisson_manufactured_second_order():
     errs = []
     for n in (250, 500, 1000):
-        g = build_radial_grid(1.0, 16.0, n)
+        g = RadialGrid(1.0, 16.0, n)
         phi_m, q = manufactured(g)
         phi = laplacian(g).solve_refined(q)
         errs.append(np.max(np.abs(phi - phi_m)))
@@ -46,7 +46,7 @@ def test_poisson_manufactured_second_order():
 
 
 def test_poisson_neumann_condition_discrete():
-    g = build_radial_grid(1.0, 16.0, 1000)
+    g = RadialGrid(1.0, 16.0, 1000)
     phi_m, q = manufactured(g)
     phi = laplacian(g).solve_refined(q)
     one_sided = differentiate(g, phi, 1)[0]
@@ -57,7 +57,7 @@ def test_poisson_zero_net_charge_outer_decay():
     # compensated double bump: the potential outside the support vanishes
     values = {}
     for r_max in (8.0, 16.0):
-        g = build_radial_grid(1.0, r_max, int(200 * r_max))
+        g = RadialGrid(1.0, r_max, int(200 * r_max))
         r = g.r
         bump = np.exp(-((r - 2.0) ** 2) * 4.0) - np.exp(-((r - 3.0) ** 2) * 4.0)
         q = bump - np.dot(g.weights, bump) / np.dot(g.weights,
@@ -91,7 +91,7 @@ def test_shifted_rejects_negative_shift(shell16):
 
 
 def test_shifted_constant_balance():
-    g = build_radial_grid(1.0, 21.0, 2000)
+    g = RadialGrid(1.0, 21.0, 2000)
     w = laplacian(g, 1.0).solve_refined(-np.ones(g.n_nodes))
     plateau = w[g.r <= 6.0]
     assert np.max(np.abs(plateau - 1.0)) < 1e-6
@@ -100,7 +100,7 @@ def test_shifted_constant_balance():
 def test_shifted_manufactured_recovery():
     errs = []
     for n in (250, 500):
-        g = build_radial_grid(1.0, 16.0, n)
+        g = RadialGrid(1.0, 16.0, n)
         w_m, lap = manufactured(g)
         rhs = lap - 1.0 * w_m
         w = laplacian(g, 1.0).solve_refined(rhs)
@@ -131,7 +131,7 @@ def test_outer_robin_row_converges_on_the_monopole():
     # an O(1/h) residual that grows under refinement
     res = []
     for n in (100, 200, 400, 800):
-        g = build_radial_grid(1.0, 16.0, n)
+        g = RadialGrid(1.0, 16.0, n)
         res.append(abs((laplacian(g) @ (1.0 / g.r))[-1]))
     orders = np.log2(np.array(res[:-1]) / np.array(res[1:]))
     assert np.all((orders > 0.9) & (orders < 1.1)), orders
@@ -141,7 +141,7 @@ def test_outer_robin_row_converges_on_the_monopole():
 def test_hessian_norm_examples(shell12):
     const = shell12.field(np.full(shell12.n_nodes, 4.0))
     assert hessian_norm_radial(const) < 1e-9
-    g = build_radial_grid(1.0, 2.0, 512)
+    g = RadialGrid(1.0, 2.0, 512)
     f = g.field(1.0 / g.r)
     # phi'' = 2/r^3 and phi'/r = -1/r^3 give |hess|^2 = 6 / r^6
     assert hessian_norm_radial(f) == pytest.approx(math.sqrt(7.0 * math.pi),
@@ -183,7 +183,7 @@ def _cn_like(grid):
 @pytest.mark.parametrize("stretch", [0.0, 1.5])
 @pytest.mark.parametrize("operator", ["poisson", "shifted", "crank_nicolson"])
 def test_factored_solve_matches_solve_banded(n_cells, stretch, operator):
-    g = build_radial_grid(1.0, 4.0, n_cells, stretch)
+    g = RadialGrid(1.0, 4.0, n_cells, stretch)
     op = {"poisson": lambda: laplacian(g),
           "shifted": lambda: laplacian(g, 2.5),
           "crank_nicolson": lambda: _cn_like(g)}[operator]()
@@ -204,7 +204,7 @@ def test_solves_reuse_cached_factors(monkeypatch):
         return dgttrf(*args, **kwargs)
 
     monkeypatch.setattr(lapack, "dgttrf", counting)
-    g = build_radial_grid(1.0, 16.0, 300)
+    g = RadialGrid(1.0, 16.0, 300)
     q = np.exp(-((g.r - 3.0) ** 2))
     first = laplacian(g).solve_refined(q)
     second = laplacian(g).solve_refined(q)
@@ -222,7 +222,7 @@ def test_solves_reuse_cached_factors(monkeypatch):
        seed=st.integers(0, 2**32 - 1))
 def test_solve_is_solve_banded_with_certified_residual(n_cells, stretch,
                                                        r_outer, shift, seed):
-    g = build_radial_grid(1.0, r_outer, n_cells, stretch)
+    g = RadialGrid(1.0, r_outer, n_cells, stretch)
     try:
         op = laplacian(g, shift)
     except ParameterError:  # spacing not below the inner radius
@@ -241,7 +241,7 @@ def test_solve_is_solve_banded_with_certified_residual(n_cells, stretch,
 def test_tridiagonal_takes_row_stacks(stretch, shift):
     # the k rows of a stack are the k columns of one gttrs call, and each
     # has the bits of its own solve, apply and refined solve
-    g = build_radial_grid(1.0, 16.0, 2000, stretch)
+    g = RadialGrid(1.0, 16.0, 2000, stretch)
     op = laplacian(g, shift)
     rhs = np.random.default_rng(3).standard_normal((100, g.n_nodes))
     x, y, refined = op.solve(rhs), op @ rhs, op.solve_refined(rhs)

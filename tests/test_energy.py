@@ -7,7 +7,7 @@ import pytest
 
 from nsplab import cli
 from nsplab import (ParameterError, PerturbationState, SimConfig,
-                    build_radial_grid, check_theorem_bound,
+                    RadialGrid, check_theorem_bound,
                     init_perturbation, run_simulation, weighted_l2_norm)
 from nsplab import grids
 from nsplab.config import parse_config
@@ -156,7 +156,7 @@ def test_d_no_qtt_bounded_by_d(bundle, steady_bump_gamma2):
 
 
 def test_u_h3_against_dense_oracle():
-    g = build_radial_grid(1.0, 16.0, 8000)
+    g = RadialGrid(1.0, 16.0, 8000)
     s = g.r - 1.0
     u_funcs = {
         0: lambda r: np.exp(-((r - 1.0) ** 2)) * (r - 1.0) ** 2,

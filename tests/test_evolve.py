@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from nsplab import (ParameterError, PerturbationState,
                     SimConfig, SimulationAbort, VacuumError,
-                    build_radial_grid, init_perturbation, make_profile,
+                    RadialGrid, init_perturbation, make_profile,
                     run_simulation, solve_steady_monotone, weighted_l2_norm)
 from nsplab import SteadyState, evolve
 from nsplab.elliptic import Tridiagonal
@@ -17,7 +17,7 @@ from nsplab.evolve import (_Stepper, _tendencies, _viscous_operator,
                            _Workspace, write_checkpoint)
 from nsplab.grids import RadialField
 
-from oracles import (MMS_TERMS, Manufactured, background_density, gas,
+from oracles import (MMS_TERMS, STEADY, Manufactured, background_density, gas,
                      sample_row, tendencies)
 
 
@@ -31,17 +31,17 @@ def cfl_dt(params, steady, grid, factor=0.4):
 @pytest.fixture(scope="module")
 def steady320():
     """A gamma = 2 bump steady state on a uniform 320-cell shell."""
-    grid = build_radial_grid(1.0, 16.0, 320)
+    grid = RadialGrid(1.0, 16.0, 320)
     return solve_steady_monotone(
-        make_profile("admissible_bump", gas(2.0), 0.5, grid))
+        make_profile("admissible_bump", gas(2.0), 0.5, grid), **STEADY)
 
 
 def test_init_rejects_a_grid_other_than_the_steady_state(steady320,
                                                          params_gamma2):
-    other = build_radial_grid(1.0, 16.0, 320, stretch=3.0)
+    other = RadialGrid(1.0, 16.0, 320, stretch=3.0)
     with pytest.raises(ParameterError, match="different grid nodes"):
         init_perturbation("standard", 1e-3, other, steady320, params_gamma2)
-    same = build_radial_grid(1.0, 16.0, 320)
+    same = RadialGrid(1.0, 16.0, 320)
     state = init_perturbation("standard", 1e-3, same, steady320,
                               params_gamma2)
     assert np.array_equal(state.q.grid.r, steady320.rho_tilde.grid.r)
@@ -123,9 +123,9 @@ def test_equilibrium_tendencies_vanish(shell16, steady_bump_gamma2,
 def test_zero_perturbation_tendencies_vanish(gamma, amplitude, n_cells,
                                              stretch):
     # the steady state is a discrete equilibrium for every admissible setup
-    g = build_radial_grid(1.0, 16.0, n_cells, stretch)
+    g = RadialGrid(1.0, 16.0, n_cells, stretch)
     steady = solve_steady_monotone(
-        make_profile("admissible_bump", gas(gamma), amplitude, g))
+        make_profile("admissible_bump", gas(gamma), amplitude, g), **STEADY)
     zero = PerturbationState(q=g.zeros(), u=g.zeros(), phi=g.zeros(), t=0.0)
     for f in tendencies(zero, steady):
         assert np.max(np.abs(f)) <= 1e-13
@@ -134,9 +134,9 @@ def test_zero_perturbation_tendencies_vanish(gamma, amplitude, n_cells,
 def test_continuity_matches_analytic_divergence(params_gamma2):
     errs = []
     for n in (400, 800):
-        g = build_radial_grid(1.0, 16.0, n)
+        g = RadialGrid(1.0, 16.0, n)
         profile = make_profile("constant", params_gamma2, 0.0, g)
-        steady = solve_steady_monotone(profile)
+        steady = solve_steady_monotone(profile, **STEADY)
         r = g.r
         env = np.exp(-((r - 5.0) ** 2))
         q = 1e-2 * env
@@ -158,9 +158,9 @@ def test_continuity_matches_analytic_divergence(params_gamma2):
 
 @pytest.fixture(scope="module", params=[0.0, 3.0], ids=["uniform", "stretched"])
 def flux_workspace(request, params_gamma2):
-    g = build_radial_grid(1.0, 16.0, 64, request.param)
+    g = RadialGrid(1.0, 16.0, 64, request.param)
     steady = solve_steady_monotone(
-        make_profile("constant", params_gamma2, 0.0, g))
+        make_profile("constant", params_gamma2, 0.0, g), **STEADY)
     return _Workspace(steady, SimConfig())
 
 
@@ -234,8 +234,9 @@ def _linear_run_basic_energy(params, n_cells, kind, dt_factor, n_steps):
     column, at every state of a linear run about a flat background on
     [1, 16], sponge off, driven through the run's own workspace and
     stepper."""
-    g = build_radial_grid(1.0, 16.0, n_cells)
-    steady = solve_steady_monotone(make_profile("constant", params, 0.0, g))
+    g = RadialGrid(1.0, 16.0, n_cells)
+    steady = solve_steady_monotone(make_profile("constant", params, 0.0, g),
+                                   **STEADY)
     cfg = SimConfig(mode="linear", sponge_rate=0.0)
     ws = _Workspace(steady, cfg)
     stepper = _Stepper(ws, cfl_dt(params, steady, g, factor=dt_factor))
@@ -276,7 +277,7 @@ def test_inviscid_linear_run_conserves_zero_order_energy():
                                              (200, 0.5), (2000, 3.0)])
 def test_viscous_rows_match_direct_stencil(n_cells, stretch):
     # reference: the d_r(div u) stencil assembled on its own
-    g = build_radial_grid(1.0, 16.0, n_cells, stretch)
+    g = RadialGrid(1.0, 16.0, n_cells, stretch)
     r = g.r
     hm = r[1:-1] - r[:-2]
     hp = r[2:] - r[1:-1]
@@ -328,9 +329,9 @@ def test_run_mass_conservation_with_sponge(shell16, steady_bump_gamma2,
 
 
 def test_run_is_deterministic(params_gamma2):
-    g = build_radial_grid(1.0, 16.0, 200)
+    g = RadialGrid(1.0, 16.0, 200)
     profile = make_profile("admissible_bump", params_gamma2, 0.5, g)
-    steady = solve_steady_monotone(profile)
+    steady = solve_steady_monotone(profile, **STEADY)
     cfg = SimConfig(delta=1e-3, t_end=0.5, output_stride=10)
     a = run_simulation(steady, cfg)
     b = run_simulation(steady, cfg)
@@ -467,11 +468,11 @@ def cells16(request):
     """A 16-cell shell, its steady state and fluid at one gamma; gamma = 1
     takes the log branch of the enthalpy increment, the others the
     prefactor branch."""
-    g = build_radial_grid(1.0, 16.0, 16)
+    g = RadialGrid(1.0, 16.0, 16)
     gamma = request.param
     params = gas(gamma)
     steady = solve_steady_monotone(
-        make_profile("admissible_bump", params, 0.5, g))
+        make_profile("admissible_bump", params, 0.5, g), **STEADY)
     return g, steady, params
 
 
@@ -761,7 +762,7 @@ def _mms_errors(gamma, mode, n, scale=None):
     with n cells and dt = 5/n, sponge off, started from the manufactured
     solution; the stage at t_n takes the forcing at t_n, the stage at
     t_n + dt the forcing at t_n + dt."""
-    grid = build_radial_grid(1.0, 16.0, n)
+    grid = RadialGrid(1.0, 16.0, n)
     params = gas(gamma)
     mms = Manufactured(grid.r, gamma, params.longitudinal_viscosity,
                        MMS_AMPLITUDE, nonlinear=mode == "nonlinear",
@@ -772,7 +773,8 @@ def _mms_errors(gamma, mode, n, scale=None):
         phi_tilde=grid.zeros(),
         profile=make_profile("constant", params, 0.0, grid),
         residual_elliptic=0.0, bounds_ok=True, iterations_super=0,
-        iterations_sub=0, limit_gap=0.0, monotonicity_defect=0.0)
+        iterations_sub=0, limit_gap=0.0, monotonicity_defect=0.0,
+        tol=1e-10, max_iter=200)
     ws = _ForcedWorkspace(steady, SimConfig(mode=mode, sponge_rate=0.0,
                                             sponge_width=0.0), mms.forcing)
     dt = 5.0 / n

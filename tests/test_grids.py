@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nsplab
-from nsplab import ParameterError, build_radial_grid, weighted_l2_norm
+from nsplab import ParameterError, RadialGrid, weighted_l2_norm
 from nsplab.grids import RadialField, _stencil, differentiate
 
 from oracles import (dense_l2_norm, derivative_csr, fornberg_weights,
@@ -19,24 +21,61 @@ from oracles import (dense_l2_norm, derivative_csr, fornberg_weights,
 
 
 def test_uniform_nodes():
-    g = build_radial_grid(1.0, 2.0, 8)
+    g = RadialGrid(1.0, 2.0, 8)
     assert np.allclose(g.r, 1.0 + 0.125 * np.arange(9), atol=0.0)
     assert g.r[0] == 1.0 and g.r[-1] == 2.0
 
 
+def test_grid_takes_only_its_build_values():
+    # the nodes, the weights and the stencil flag are derived, never given
+    assert list(inspect.signature(RadialGrid).parameters) == [
+        "r_inner", "r_outer", "n_cells", "stretch"]
+    g = RadialGrid(1.0, 16.0, 64, 1.0)
+    for name in ("r", "weights", "uniform"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            RadialGrid(1.0, 16.0, 64, **{name: getattr(g, name)})
+        with pytest.raises(ValueError):
+            dataclasses.replace(g, **{name: getattr(g, name)})
+    # the build values are the end nodes, bit for bit
+    assert (g.r_inner, g.r_outer) == (g.r[0], g.r[-1])
+
+
+@pytest.mark.parametrize("stretch", [0.0, 2.0])
+def test_replaced_build_value_gives_the_freshly_built_grid(stretch):
+    g = RadialGrid(1.0, 16.0, 64, stretch)
+    differentiate(g, g.r, 2)  # fill the derivative cache of g
+    fine = dataclasses.replace(g, n_cells=2 * g.n_cells)
+    fresh = RadialGrid(1.0, 16.0, 128, stretch)
+    assert np.array_equal(fine.r, fresh.r)
+    assert np.array_equal(fine.weights, fresh.weights)
+    assert fine.uniform == fresh.uniform == (stretch == 0.0)
+    assert not fine._cache  # no stencil of g rides along
+    np.testing.assert_array_equal(differentiate(fine, fine.r**2, 2),
+                                  differentiate(fresh, fresh.r**2, 2))
+
+
+def test_stretched_grid_second_derivative_is_exact_on_cubics():
+    # a stretched grid takes the 4-point second derivative, exact on cubics;
+    # the 3-point one of equal spacing is off by (h_+ - h_-) f''' / 3
+    g = RadialGrid(1.0, 16.0, 64, 1.0)
+    assert not g.uniform
+    d2 = differentiate(g, g.r**3, 2)
+    assert np.max(np.abs(d2 - 6.0 * g.r)) < 1e-8 * 6.0 * g.r_outer
+
+
 def test_degenerate_shell_rejected():
     with pytest.raises(ParameterError):
-        build_radial_grid(1.0, 1.0, 8)
+        RadialGrid(1.0, 1.0, 8)
     with pytest.raises(ParameterError):
-        build_radial_grid(-1.0, 2.0, 8)
+        RadialGrid(-1.0, 2.0, 8)
     with pytest.raises(ParameterError):
-        build_radial_grid(1.0, 2.0, 4)
+        RadialGrid(1.0, 2.0, 4)
     with pytest.raises(ParameterError):
-        build_radial_grid(1.0, 2.0, 64, stretch=-0.5)
+        RadialGrid(1.0, 2.0, 64, stretch=-0.5)
 
 
 def test_geometric_stretch_matches_closed_form():
-    g = build_radial_grid(1.0, 16.0, 256, stretch=1.0)
+    g = RadialGrid(1.0, 16.0, 256, stretch=1.0)
     expected = geometric_nodes(1.0, 16.0, 256, 1.0)
     assert np.max(np.abs(g.r - expected)) < 1e-12 * 16.0
     widths = np.diff(g.r)
@@ -47,14 +86,14 @@ def test_geometric_stretch_matches_closed_form():
 def test_stretch_below_double_precision_gives_uniform_grid():
     # exp(stretch/(n-1)) rounds to 1: the geometric widths are all equal
     for stretch in (1e-308, 1e-15):
-        g = build_radial_grid(1.0, 16.0, 64, stretch=stretch)
+        g = RadialGrid(1.0, 16.0, 64, stretch=stretch)
         assert g.uniform
-        assert np.array_equal(g.r, build_radial_grid(1.0, 16.0, 64).r)
+        assert np.array_equal(g.r, RadialGrid(1.0, 16.0, 64).r)
 
 
 def test_weights_positive_and_volume_exact():
     for stretch in (0.0, 1.0):
-        g = build_radial_grid(1.0, 2.0, 64, stretch=stretch)
+        g = RadialGrid(1.0, 2.0, 64, stretch=stretch)
         assert np.all(g.weights > 0.0)
         vol = 4.0 * math.pi * (2.0**3 - 1.0) / 3.0
         assert abs(float(np.sum(g.weights)) - vol) < 1e-12 * vol
@@ -73,7 +112,7 @@ def test_l2_norm_inverse_radius(shell12):
 
 
 def test_l2_norm_matches_dense_oracle():
-    g = build_radial_grid(1.0, 2.0, 2000)
+    g = RadialGrid(1.0, 2.0, 2000)
     func = lambda r: np.sin(3.0 * r) * np.exp(-r) + 0.3 * r
     ours = weighted_l2_norm(g.field(func(g.r)))
     oracle = dense_l2_norm(func, 1.0, 2.0)
@@ -119,7 +158,7 @@ def test_differentiate_rejects_values_off_the_grid(shell12):
                                               (64, 1.0), (1000, 0.0),
                                               (1000, 3.0)])
 def test_vectorized_weights_equal_scalar_fornberg(n_cells, stretch):
-    g = build_radial_grid(1.0, 16.0, n_cells, stretch=stretch)
+    g = RadialGrid(1.0, 16.0, n_cells, stretch=stretch)
     n = g.n_nodes
     for order in (1, 2, 3):
         sten = _stencil(g, order)
@@ -136,7 +175,7 @@ def test_vectorized_weights_equal_scalar_fornberg(n_cells, stretch):
        stretch=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
        order=st.integers(1, 3))
 def test_apply_equals_csr_matvec(n_cells, stretch, order):
-    g = build_radial_grid(1.0, 16.0, n_cells, stretch=stretch)
+    g = RadialGrid(1.0, 16.0, n_cells, stretch=stretch)
     csr = derivative_csr(g, order)
     x = np.random.default_rng(n_cells).standard_normal((5, g.n_nodes))
     stacked = differentiate(g, x, order)
@@ -158,7 +197,7 @@ def test_cli_import_leaves_scipy_sparse_out():
 def test_derivative_second_order_convergence(order):
     errs = []
     for n in (200, 400):
-        g = build_radial_grid(1.0, 2.0, n)
+        g = RadialGrid(1.0, 2.0, n)
         f = np.exp(-((g.r - 1.0) ** 2))
         s = g.r - 1.0
         exact = {
@@ -173,7 +212,7 @@ def test_derivative_second_order_convergence(order):
 def test_stretched_grid_derivative_second_order():
     errs = []
     for n in (400, 800):
-        g = build_radial_grid(1.0, 2.0, n, stretch=1.0)
+        g = RadialGrid(1.0, 2.0, n, stretch=1.0)
         f = np.sin(2.0 * g.r)
         exact = -4.0 * np.sin(2.0 * g.r)
         errs.append(np.max(np.abs(differentiate(g, f, 2) - exact)))
@@ -192,7 +231,7 @@ def test_sobolev_k0_equals_l2(shell12):
 
 
 def test_sobolev_h1_inverse_radius():
-    g = build_radial_grid(1.0, 2.0, 2000)
+    g = RadialGrid(1.0, 2.0, 2000)
     f = g.field(1.0 / g.r)
     # ||f||^2 = 4 pi, ||f'||^2 = 2 pi
     assert sobolev_norm(f, 1) == pytest.approx(math.sqrt(6 * math.pi), rel=1e-4)
@@ -227,7 +266,7 @@ def test_integration_by_parts_compatibility():
     # int (f' g + f g' + 2 f g / r) dV telescopes to the wall term 4 pi r^2 f g
     residuals = []
     for n in (200, 400):
-        g = build_radial_grid(1.0, 2.0, n)
+        g = RadialGrid(1.0, 2.0, n)
         f = np.sin(2.0 * g.r)
         h = np.exp(-g.r)
         df, dh = differentiate(g, np.stack((f, h)), 1)
@@ -253,7 +292,7 @@ def test_vector_hessian_norm_linear_field_vanishes(shell12):
 
 def test_vector_hessian_norm_cubic_field():
     # for u = r^3 the direct Cartesian index sum gives |grad^2 u|^2 = 60 r^2
-    g = build_radial_grid(1.0, 2.0, 2000)
+    g = RadialGrid(1.0, 2.0, 2000)
     u = g.field(g.r**3)
     exact = math.sqrt(60.0 * 4.0 * math.pi * (2.0**5 - 1.0) / 5.0)
     assert vector_hessian_norm(u) == pytest.approx(exact, rel=1e-6)

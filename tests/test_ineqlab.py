@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsplab import DegenerateFieldError, ParameterError, build_radial_grid
+from nsplab import DegenerateFieldError, ParameterError, RadialGrid
 from nsplab import ineqlab as iq
 from nsplab.elliptic import laplacian
 from nsplab.grids import CUT_END, differentiate
@@ -21,12 +21,12 @@ from nsplab.ineqlab import (TangentEnsemble, boundary_pairing_report,
 
 from oracles import (VectorField3, boundary_integral, boundary_l2_sq,
                      boundary_pairings, curl, d_axis, d_phi, div_curl_norm,
-                     divergence, grad_norm, grad_scalar, inner_traces,
-                     integrate, l2_norm, l2_norm_vec, l6_norm, lame_ratios,
-                     mode_sum_factors, poisson_regularity_ratios,
-                     premerge_scalar_field, radial_source, sphere_traces,
-                     tangent_field, vector_gradient_norm,
-                     verify_lame_gradient_case)
+                     divergence, geometry, grad_norm, grad_scalar, grid_shape,
+                     inner_traces, integrate, l2_norm, l2_norm_vec, l6_norm,
+                     lame_ratios, mode_sum_factors,
+                     poisson_regularity_ratios, premerge_scalar_field,
+                     radial_source, sphere_traces, tangent_field,
+                     vector_gradient_norm, verify_lame_gradient_case)
 
 MEMBER_FIELDS = ("grad_sq", "div_sq", "curl_sq")
 
@@ -37,7 +37,7 @@ def sgrid():
 
 
 def test_grid_volume_exact_and_weights_positive(sgrid):
-    vol = integrate(sgrid, np.ones(sgrid.shape))
+    vol = integrate(sgrid, np.ones(grid_shape(sgrid)))
     exact = 4.0 * math.pi * (2.0**3 - 1.0) / 3.0
     assert vol == pytest.approx(exact, rel=1e-13)
     assert np.all(sgrid.w_r > 0.0)
@@ -53,7 +53,7 @@ def test_integrate_equals_the_explicit_triple_sum(nr, ntheta, extra_phi,
     # ntheta != nphi and a field that varies along every axis: weights
     # attached to the wrong angular axis cannot pass
     g = build_spherical_grid(1.0, 3.0, nr, ntheta, ntheta + extra_phi)
-    f = np.random.default_rng(seed).standard_normal(g.shape)
+    f = np.random.default_rng(seed).standard_normal(grid_shape(g))
     terms = (g.w_r[:, None, None] * g.w_theta[None, :, None] * g.w_phi) * f
     assert abs(integrate(g, f) - terms.sum()) <= 1e-12 * np.abs(terms).sum()
 
@@ -65,10 +65,10 @@ def test_gradient_squared_agrees_with_radial_reduction():
     for nr in (32, 64):
         g3 = build_spherical_grid(1.0, 2.0, nr, 12, 16)
         prof = np.exp(-(((g3.r - 1.4) / 0.2) ** 2))
-        v = VectorField3(vr=prof[:, None, None] * np.ones(g3.shape),
-                         vtheta=np.zeros(g3.shape),
-                         vphi=np.zeros(g3.shape), grid=g3)
-        g1 = build_radial_grid(1.0, 2.0, nr)
+        v = VectorField3(vr=prof[:, None, None] * np.ones(grid_shape(g3)),
+                         vtheta=np.zeros(grid_shape(g3)),
+                         vphi=np.zeros(grid_shape(g3)), grid=g3)
+        g1 = RadialGrid(1.0, 2.0, nr)
         ref = vector_gradient_norm(g1.field(prof))
         # same stencils and quadrature pattern in both reductions: the two
         # computations agree to roundoff, not just to O(h^2)
@@ -79,8 +79,8 @@ def test_scalar_gradient_agrees_with_radial_reduction():
     from nsplab import weighted_l2_norm
     g3 = build_spherical_grid(1.0, 2.0, 48, 12, 16)
     prof = np.sin(2.0 * g3.r)
-    f = prof[:, None, None] * np.ones(g3.shape)
-    g1 = build_radial_grid(1.0, 2.0, 48)
+    f = prof[:, None, None] * np.ones(grid_shape(g3))
+    g1 = RadialGrid(1.0, 2.0, 48)
     ref = weighted_l2_norm(g1.field(differentiate(g1, prof, 1)))
     ours = l2_norm_vec(grad_scalar(g3, f))
     assert ours == pytest.approx(ref, rel=1e-3)
@@ -92,7 +92,7 @@ def test_grid_quadrature_refinement():
     def err(nr, nt, np_):
         g = build_spherical_grid(1.0, 2.0, nr, nt, np_)
         f = np.sin(g.r)[:, None, None] / (g.r**2)[:, None, None] \
-            * np.ones(g.shape)
+            * np.ones(grid_shape(g))
         return abs(integrate(g, f) - exact)
 
     assert err(16, 8, 8) / err(32, 16, 16) > 2.0
@@ -100,7 +100,7 @@ def test_grid_quadrature_refinement():
 
 def test_radial_weights_shared_with_radial_grid():
     g = build_spherical_grid(1.0, 16.0, 32, 8, 8)
-    radial = build_radial_grid(1.0, 16.0, 32)
+    radial = RadialGrid(1.0, 16.0, 32)
     assert np.array_equal(g.r, radial.r)
     assert np.array_equal(4.0 * math.pi * g.w_r, radial.weights)
 
@@ -115,9 +115,9 @@ def test_grid_resolution_validation():
 
 
 def test_curl_of_radial_field_vanishes(sgrid):
-    f = (sgrid.r**2)[:, None, None] * np.ones(sgrid.shape)
-    v = VectorField3(vr=f, vtheta=np.zeros(sgrid.shape),
-                     vphi=np.zeros(sgrid.shape), grid=sgrid)
+    f = (sgrid.r**2)[:, None, None] * np.ones(grid_shape(sgrid))
+    v = VectorField3(vr=f, vtheta=np.zeros(grid_shape(sgrid)),
+                     vphi=np.zeros(grid_shape(sgrid)), grid=sgrid)
     c = curl(v)
     for comp in (c.vr, c.vtheta, c.vphi):
         assert np.max(np.abs(comp)) < 1e-10
@@ -127,10 +127,10 @@ def test_divergence_of_radial_field():
     errs = []
     for nr, nt, np_ in ((24, 12, 16), (48, 12, 16)):
         g = build_spherical_grid(1.0, 2.0, nr, nt, np_)
-        f = (g.r**2)[:, None, None] * np.ones(g.shape)
-        v = VectorField3(vr=f, vtheta=np.zeros(g.shape),
-                         vphi=np.zeros(g.shape), grid=g)
-        exact = 4.0 * g.r[:, None, None] * np.ones(g.shape)
+        f = (g.r**2)[:, None, None] * np.ones(grid_shape(g))
+        v = VectorField3(vr=f, vtheta=np.zeros(grid_shape(g)),
+                         vphi=np.zeros(grid_shape(g)), grid=g)
+        exact = 4.0 * g.r[:, None, None] * np.ones(grid_shape(g))
         errs.append(np.max(np.abs(divergence(v) - exact)))
     assert errs[0] / errs[1] > 3.0  # O(h^2) on the quartic flux
 
@@ -173,12 +173,12 @@ def test_tangent_ensemble_nondegenerate(sgrid):
 
 def test_div_curl_constructed_curl_free_member(sgrid):
     # v = grad(psi) with psi from a radial Neumann solve, lifted to 3-D
-    rg = build_radial_grid(1.0, 2.0, sgrid.r.size - 1)
+    rg = RadialGrid(1.0, 2.0, sgrid.r.size - 1)
     bump = np.exp(-(((rg.r - 1.4) / 0.15) ** 2))
     dpsi = differentiate(rg, laplacian(rg).solve_refined(bump), 1)
-    v = VectorField3(vr=dpsi[:, None, None] * np.ones(sgrid.shape),
-                     vtheta=np.zeros(sgrid.shape),
-                     vphi=np.zeros(sgrid.shape), grid=sgrid)
+    v = VectorField3(vr=dpsi[:, None, None] * np.ones(grid_shape(sgrid)),
+                     vtheta=np.zeros(grid_shape(sgrid)),
+                     vphi=np.zeros(grid_shape(sgrid)), grid=sgrid)
     ratio = grad_norm(v) / div_curl_norm(v)
     assert np.isfinite(ratio) and ratio > 0.0
 
@@ -246,7 +246,7 @@ def test_boundary_pairing_trivial_cases(sgrid):
     assert float(iq._pairings(sgrid, zero, g)[0, 0]) == 0.0
     # the same cases on the traces multiplied out on the grid
     traces = inner_traces(tangent_field(7, sgrid))
-    g_const = inner_traces(grad_scalar(sgrid, np.full(sgrid.shape, 2.5)))
+    g_const = inner_traces(grad_scalar(sgrid, np.full(grid_shape(sgrid), 2.5)))
     assert _pairing(sgrid, traces, g_const) == pytest.approx(0.0, abs=1e-12)
     g = inner_traces(grad_scalar(sgrid, premerge_scalar_field(8, sgrid)))
     assert _pairing(sgrid, np.zeros_like(traces), g) == 0.0
@@ -274,7 +274,7 @@ def test_sobolev_l6_ratio_properties(sgrid, monkeypatch):
 
 
 def test_lame_trivial_and_homogeneous():
-    g = build_radial_grid(1.0, 2.0, 256)
+    g = RadialGrid(1.0, 2.0, 256)
     const = g.field(np.full(g.n_nodes, 3.0))
     rep = verify_lame_gradient_case(const, 3.0)
     assert rep.passed
@@ -287,13 +287,13 @@ def test_lame_trivial_and_homogeneous():
 
 
 def test_lame_ensemble_stable_under_refinement():
-    r1 = lame_report(build_radial_grid(1.0, 16.0, 1000), 10, seed=0)
-    r2 = lame_report(build_radial_grid(1.0, 16.0, 2000), 10, seed=0)
+    r1 = lame_report(RadialGrid(1.0, 16.0, 1000), 10, seed=0)
+    r2 = lame_report(RadialGrid(1.0, 16.0, 2000), 10, seed=0)
     assert abs(r2.max_ratio - r1.max_ratio) / r1.max_ratio < 0.25
 
 
 def test_poisson_regularity_ensemble():
-    rep = poisson_regularity_report(build_radial_grid(1.0, 16.0, 1000), 20,
+    rep = poisson_regularity_report(RadialGrid(1.0, 16.0, 1000), 20,
                                     seed=0)
     assert rep.passed
     assert rep.max_ratio == pytest.approx(1.0, abs=0.02)
@@ -303,7 +303,7 @@ def test_poisson_regularity_ensemble():
                                   "boundary_pairing", "lame",
                                   "poisson_regularity"])
 def test_empty_ensembles_are_parameter_errors(sgrid, call):
-    rgrid = build_radial_grid(1.0, 16.0, 64)
+    rgrid = RadialGrid(1.0, 16.0, 64)
     run = {"tangent_ensemble": lambda: tangent_ensemble(sgrid, 0),
            "sobolev_l6": lambda: sobolev_l6_report(sgrid, 0),
            "boundary_pairing": lambda: boundary_pairing_report(
@@ -381,7 +381,7 @@ def test_streamed_reports_equal_per_field_loop(sgrid):
 
 def test_shared_ensemble_gives_the_same_reports(sgrid):
     ens = tangent_ensemble(sgrid, 5, seed=2)
-    assert sphere_traces(ens.inner).shape == (5, 3) + sgrid.shape[1:]
+    assert sphere_traces(ens.inner).shape == (5, 3) + grid_shape(sgrid)[1:]
     assert np.all(ens.inner[0][0] == 0.0)  # v_r(R) = 0
     again = tangent_ensemble(sgrid, 5, seed=2)
     assert div_curl_report(ens) == div_curl_report(again)
@@ -389,8 +389,8 @@ def test_shared_ensemble_gives_the_same_reports(sgrid):
 
 
 def test_geometry_computed_once_per_grid(sgrid):
-    r, sin, cot = sgrid.geometry
-    assert sgrid.geometry is sgrid.geometry
+    r, sin, cot = geometry(sgrid)
+    assert geometry(sgrid) is geometry(sgrid)
     assert np.array_equal(sin[0, :, 0], np.sin(sgrid.theta))
     assert np.array_equal(cot[0, :, 0],
                           np.cos(sgrid.theta) / np.sin(sgrid.theta))
@@ -398,7 +398,7 @@ def test_geometry_computed_once_per_grid(sgrid):
 
 
 def test_d_phi_slicing_equals_roll(sgrid):
-    f = np.random.default_rng(4).standard_normal(sgrid.shape)
+    f = np.random.default_rng(4).standard_normal(grid_shape(sgrid))
     h = 2.0 * math.pi / sgrid.phi.size
     rolled = (np.roll(f, -1, axis=2) - np.roll(f, 1, axis=2)) / (2.0 * h)
     assert np.array_equal(d_phi(sgrid, f), rolled)
@@ -406,7 +406,7 @@ def test_d_phi_slicing_equals_roll(sgrid):
 
 def test_d_axis_equals_per_axis_formula(sgrid):
     # the one r/theta helper keeps the three-point formula of each axis
-    f = np.random.default_rng(5).standard_normal(sgrid.shape)
+    f = np.random.default_rng(5).standard_normal(grid_shape(sgrid))
     h = sgrid.r[1] - sgrid.r[0]
     d_r = np.empty_like(f)
     d_r[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
@@ -710,7 +710,7 @@ def test_mode_sum_factors_equal_the_mode_by_mode_build(build, key, n_comp,
 
 
 def test_radial_sources_equal_the_member_draws():
-    grid = build_radial_grid(1.0, 16.0, 300, 2.0)
+    grid = RadialGrid(1.0, 16.0, 300, 2.0)
     stack = iq._radial_sources(range(4, 40), grid)
     for row, seed in zip(stack, range(4, 40)):
         assert np.array_equal(row, radial_source(seed, grid))
@@ -721,7 +721,7 @@ def test_radial_sources_equal_the_member_draws():
 def test_radial_passes_equal_the_member_loops(n_cells, stretch, monkeypatch):
     # the members of every pass, bit for bit, for ensembles that end
     # inside, at and just past a pass
-    grid = build_radial_grid(1.0, 16.0, n_cells, stretch)
+    grid = RadialGrid(1.0, 16.0, n_cells, stretch)
     step = iq._RADIAL_PASS_FLOATS // grid.n_nodes
     assert step > 2
     seed, visc = 5, 1.0
@@ -748,7 +748,7 @@ def test_radial_passes_equal_the_member_loops(n_cells, stretch, monkeypatch):
 def test_lame_rows_equal_batches_of_one():
     # a stack with a trivial row (a constant potential): every row is the
     # batch of one of its potential
-    g = build_radial_grid(1.0, 2.0, 256)
+    g = RadialGrid(1.0, 2.0, 256)
     psi = np.stack([laplacian(g).solve_refined(radial_source(s, g))
                     for s in range(3)] + [np.full(g.n_nodes, 3.0)])
     ratios = iq._lame_ratios(g, psi, 3.0)

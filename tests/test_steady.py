@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsplab import (EvaluationDomainError, ParameterError, build_radial_grid,
+from nsplab import (EvaluationDomainError, IterationError, ParameterError,
+                    RadialGrid,
                     check_subsuper, make_profile, profile_supersolution,
                     solve_steady_monotone, steady_regularity_report,
                     subsolution_phi, weighted_l2_norm)
@@ -17,7 +18,7 @@ from nsplab.grids import RadialField, differentiate
 from nsplab.steady import (BackgroundProfile, compatibility_residual,
                            profile_upper_bound)
 
-from oracles import (gas, hessian_norm_radial, newton_steady,
+from oracles import (STEADY, gas, hessian_norm_radial, newton_steady,
                      vector_hessian_norm)
 
 
@@ -110,7 +111,7 @@ def test_profile_supersolution_picks_the_bracket(shell16):
     with pytest.raises(ParameterError):
         profile_supersolution(bump3)
     with pytest.raises(ParameterError):
-        solve_steady_monotone(bump3)
+        solve_steady_monotone(bump3, **STEADY)
 
 
 def test_branch_limit_gamma_to_one(shell16):
@@ -203,8 +204,8 @@ def test_the_two_directions_of_the_gas_law_agree(gamma, c_star, phi, q_frac):
 def two_shells():
     """Two 320-cell shells with different nodes, and a bump profile on the
     first."""
-    a = build_radial_grid(1.0, 16.0, 320)
-    b = build_radial_grid(1.0, 16.0, 320, stretch=3.0)
+    a = RadialGrid(1.0, 16.0, 320)
+    b = RadialGrid(1.0, 16.0, 320, stretch=3.0)
     return a, b, make_profile("admissible_bump", gas(2.0), 0.5, a)
 
 
@@ -212,8 +213,8 @@ def test_solver_takes_its_grid_from_the_profile(two_shells):
     a, b, profile = two_shells
     # the old (gamma, profile, grid) call cannot bind the grid to tol
     with pytest.raises(TypeError, match="positional argument"):
-        solve_steady_monotone(profile, b)
-    steady = solve_steady_monotone(profile)
+        solve_steady_monotone(profile, b, **STEADY)
+    steady = solve_steady_monotone(profile, **STEADY)
     assert steady.rho_tilde.grid is a and steady.phi_tilde.grid is a
 
 
@@ -224,7 +225,7 @@ def test_certificate_rejects_a_candidate_on_other_nodes(two_shells):
         with pytest.raises(ParameterError, match="different grid nodes"):
             check_subsuper(phi, role, profile)
     # the same nodes built again are the same grid
-    same = build_radial_grid(1.0, 16.0, 320)
+    same = RadialGrid(1.0, 16.0, 320)
     assert check_subsuper(closed_form(same, 2.0), "super",
                           profile).passed
     # tol is keyword-only: an old (phi, role, gamma, profile) call fails
@@ -236,7 +237,7 @@ def test_certificate_rejects_a_candidate_on_other_nodes(two_shells):
 
 def test_flat_background_fixed_point(shell16):
     profile = make_profile("constant", gas(2.0), 0.0, shell16)
-    st = solve_steady_monotone(profile)
+    st = solve_steady_monotone(profile, **STEADY)
     assert np.max(np.abs(st.rho_tilde.values - 1.0)) < 1e-9
     assert st.iterations_sub == 1  # zero is the exact fixed point
 
@@ -245,12 +246,63 @@ def test_flat_background_fixed_point(shell16):
 @pytest.mark.parametrize("amplitude", [0.5, 1.0])
 def test_monotone_bounds_and_certificates(shell16, gamma, amplitude):
     profile = make_profile("admissible_bump", gas(gamma), amplitude, shell16)
-    st = solve_steady_monotone(profile)
+    st = solve_steady_monotone(profile, **STEADY)
     assert st.bounds_ok
     assert st.limit_gap <= 1e-9
     assert st.monotonicity_defect <= 1e-9
     assert np.all(st.rho_tilde.values >= 1.0 - 1e-8)
     assert np.all(st.rho_tilde.values <= 1.0 + 1.0 / shell16.r + 1e-8)
+
+
+@pytest.mark.parametrize("sets", [
+    ["fluid.c_star=0.2"], ["fluid.c_star=0.1", "steady.max_iter=1000"]])
+def test_cli_steady_certifies_slowly_contracting_problems(tmp_path, sets):
+    # at gamma = 1 and small c_star the brackets first stop more than 10*tol
+    # apart (1.009e-9 in the 640-cell re-solve at c_star = 0.2, 1.561e-9 at
+    # 0.1, whose re-solves also need the configured max_iter)
+    from nsplab.cli import main
+    config = Path(__file__).parents[1] / "configs" / "quick.cfg"
+    argv = ["steady", "--config", str(config), "--out", str(tmp_path),
+            "--set", "fluid.gamma=1"]
+    for s in sets:
+        argv += ["--set", s]
+    assert main(argv) == 0
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["all_pass"] is True
+    assert cert["limit_gap"] <= 10 * STEADY["tol"]
+
+
+def test_slow_contraction_steps_both_brackets_until_they_agree():
+    # c_star = 0.05 at gamma = 1: the brackets stop 2.6 * 10*tol apart at
+    # their first step below tol and are stepped on together from there
+    grid = RadialGrid(1.0, 16.0, 64)
+    profile = make_profile("admissible_bump", gas(1.0, 0.05), 0.5, grid)
+    tol = 1e-6
+    st = solve_steady_monotone(profile, tol=tol, max_iter=1000)
+    assert st.limit_gap <= 10 * tol
+    assert st.monotonicity_defect <= 1e-9
+    assert (st.tol, st.max_iter) == (tol, 1000)
+    assert np.max(np.abs(st.phi_tilde.values - newton_steady(profile))) < tol
+    # one step fewer in the budget leaves the limits apart
+    budget = max(st.iterations_super, st.iterations_sub) - 1
+    with pytest.raises(IterationError, match="bracket limits differ"):
+        solve_steady_monotone(profile, tol=tol, max_iter=budget)
+
+
+def test_regularity_report_solves_with_the_steady_settings():
+    # the refined and widened re-solves use the tol and max_iter of the
+    # steady state, not the [steady] defaults
+    def steady_on(r_outer, n_cells):
+        grid = RadialGrid(1.0, r_outer, n_cells)
+        return solve_steady_monotone(
+            make_profile("admissible_bump", gas(2.0), 0.5, grid), tol=1e-6,
+            max_iter=50)
+
+    report = steady_regularity_report(steady_on(16.0, 64))
+    for norms, r_outer in ((report.refined_norms, 16.0),
+                           (report.widened_norms, 31.0)):
+        assert norms == steady_regularity_report(
+            steady_on(r_outer, 128)).norms
 
 
 def test_cli_steady_near_gamma_one(tmp_path):
@@ -268,7 +320,8 @@ def test_steady_state_is_continuous_at_gamma_one(shell16):
     # rho_tilde(gamma) -> rho_tilde(1) at first order in gamma - 1
     def rho(gamma):
         return solve_steady_monotone(make_profile(
-            "admissible_bump", gas(gamma), 0.5, shell16)).rho_tilde.values
+            "admissible_bump", gas(gamma), 0.5, shell16),
+            **STEADY).rho_tilde.values
 
     base = rho(1.0)
     gaps = [np.max(np.abs(rho(1.0 + eps) - base)) for eps in (1e-4, 1e-3)]
@@ -299,16 +352,19 @@ STEADY_RULES = {
                              "general_gamma_envelope"]),
        r_outer=st.floats(4.0, 64.0), n_cells=st.integers(16, 400),
        stretch=st.floats(0.0, 3.0))
+# slow contraction: the brackets first stop 1.007 * 10*tol apart
+@example(gamma=1.0, c_star=0.2, amplitude=0.125, kind="admissible_bump",
+         r_outer=21.0, n_cells=16, stretch=0.0)
 def test_steady_solves_or_names_the_rule(gamma, c_star, amplitude, kind,
                                          r_outer, n_cells, stretch):
     # a case that breaks no rule certifies; one that breaks a rule raises a
     # ParameterError naming a rule it breaks
-    grid = build_radial_grid(1.0, r_outer, n_cells, stretch)
+    grid = RadialGrid(1.0, r_outer, n_cells, stretch)
     broken = [rule for rule, applies in STEADY_RULES.items()
               if applies(kind, gamma, grid)]
     try:
         profile = make_profile(kind, gas(gamma, c_star), amplitude, grid)
-        steady = solve_steady_monotone(profile)
+        steady = solve_steady_monotone(profile, **STEADY)
     except ParameterError as exc:
         assert any(rule in str(exc) for rule in broken), str(exc)
         return
@@ -321,7 +377,7 @@ def test_steady_solves_or_names_the_rule(gamma, c_star, amplitude, kind,
 def test_monotone_envelope_branch(shell16):
     profile = make_profile("general_gamma_envelope", gas(3.0), 0.8, shell16,
                            envelope_c0=0.5, envelope_eps=0.5)
-    st = solve_steady_monotone(profile)
+    st = solve_steady_monotone(profile, **STEADY)
     assert st.bounds_ok
     ceiling = profile_upper_bound(profile)
     assert np.all(st.rho_tilde.values <= ceiling + 1e-8)
@@ -331,7 +387,7 @@ def test_envelope_profile_solves_at_the_gamma_it_was_built_for(shell16):
     # the density map, the brackets and the ceiling all read the profile's
     # gas: an envelope built at gamma = 2.5 is solved at gamma = 2.5
     profile = make_profile("general_gamma_envelope", gas(2.5), 1.0, shell16)
-    st = solve_steady_monotone(profile)
+    st = solve_steady_monotone(profile, **STEADY)
     assert st.profile.fluid.gamma == 2.5
     assert st.bounds_ok
     assert np.array_equal(st.rho_tilde.values,
@@ -341,7 +397,7 @@ def test_envelope_profile_solves_at_the_gamma_it_was_built_for(shell16):
 
 def test_monotone_agrees_with_newton(shell16):
     profile = make_profile("admissible_bump", gas(2.0), 0.5, shell16)
-    st = solve_steady_monotone(profile, tol=1e-10)
+    st = solve_steady_monotone(profile, tol=1e-10, max_iter=200)
     phi_newton = newton_steady(profile)
     assert np.max(np.abs(st.phi_tilde.values - phi_newton)) < 1e-9
 
@@ -356,9 +412,9 @@ def test_steady_compatibility_converges_at_second_order():
     # gamma = 1.5 shows the genuine O(h^2) defect
     residuals = []
     for n in (400, 800):
-        g = build_radial_grid(1.0, 16.0, n)
+        g = RadialGrid(1.0, 16.0, n)
         profile = make_profile("admissible_bump", gas(1.5), 0.5, g)
-        st = solve_steady_monotone(profile)
+        st = solve_steady_monotone(profile, **STEADY)
         residuals.append(compatibility_residual(st))
     assert residuals[0] / residuals[1] > 3.0
 
@@ -399,12 +455,12 @@ def test_solver_rejects_a_tolerance_that_is_not_finite_and_positive(shell16,
                                                                      tol):
     profile = make_profile("admissible_bump", gas(2.0), 0.5, shell16)
     with pytest.raises(ParameterError):
-        solve_steady_monotone(profile, tol=tol)
+        solve_steady_monotone(profile, tol=tol, max_iter=200)
 
 
 def test_regularity_report_flat_background(shell16):
     profile = make_profile("constant", gas(2.0), 0.0, shell16)
-    st = solve_steady_monotone(profile)
+    st = solve_steady_monotone(profile, **STEADY)
     report = steady_regularity_report(st)
     assert all(v < 1e-8 for v in report.norms.values())
 
@@ -418,9 +474,9 @@ def test_regularity_report_bump(steady_bump_gamma2):
 
 def test_regularity_hessian_norm_is_the_radial_hessian_norm():
     # one Hessian norm of a radial scalar: the d2 stencil criterion 12 reads
-    grid = build_radial_grid(1.0, 16.0, 64)
+    grid = RadialGrid(1.0, 16.0, 64)
     st = solve_steady_monotone(make_profile("admissible_bump", gas(2.0), 0.5,
-                                            grid))
+                                            grid), **STEADY)
     norms = steady_regularity_report(st).norms
     assert norms["hess_phi"] == hessian_norm_radial(st.phi_tilde)
     assert norms["hess_rho"] == hessian_norm_radial(st.rho_tilde)
@@ -430,15 +486,15 @@ def test_regularity_hessian_norm_is_the_radial_hessian_norm():
 def test_regularity_report_keeps_the_grid_stretch(stretch):
     # the refined (2n cells) and widened (2n cells on a doubled shell) grids
     # are built with the grid's own stretch
-    grid = build_radial_grid(1.0, 16.0, 64, stretch)
+    grid = RadialGrid(1.0, 16.0, 64, stretch)
     assert grid.stretch == stretch
     profile = make_profile("admissible_bump", gas(2.0), 0.5, grid)
-    report = steady_regularity_report(solve_steady_monotone(profile))
+    report = steady_regularity_report(solve_steady_monotone(profile, **STEADY))
     for norms, r_outer in ((report.refined_norms, 16.0),
                            (report.widened_norms, 31.0)):
-        other = build_radial_grid(1.0, r_outer, 128, stretch)
+        other = RadialGrid(1.0, r_outer, 128, stretch)
         steady = solve_steady_monotone(
-            make_profile("admissible_bump", gas(2.0), 0.5, other))
+            make_profile("admissible_bump", gas(2.0), 0.5, other), **STEADY)
         assert norms == steady_regularity_report(steady).norms
 
 
@@ -463,9 +519,9 @@ def test_regularity_norms_are_the_batch_of_one_norms(kind, gamma, stretch):
     # the report's stacked (rho, Phi) norms have the bits of each profile's
     # own norms, on the grid and on its refined and widened grids
     def steady_on(r_outer, n_cells):
-        grid = build_radial_grid(1.0, r_outer, n_cells, stretch)
+        grid = RadialGrid(1.0, r_outer, n_cells, stretch)
         return solve_steady_monotone(make_profile(kind, gas(gamma), 0.5,
-                                                  grid))
+                                                  grid), **STEADY)
 
     report = steady_regularity_report(steady_on(16.0, 64))
     assert set(report.norms) == {f"{k}_{f}" for k in ("grad", "hess", "third")

@@ -44,7 +44,9 @@ MOVED = ("VectorField3", "_d_axis", "_d_phi", "grad_scalar", "divergence",
 # supersolution (profile_supersolution reads the gas from the profile), and
 # the per-member mode-sum factors and radial source (a member only draws;
 # its batch or pass builds the factors and the sources), and the second and
-# third spellings of the radial quadrature (grids._integrals is the one)
+# third spellings of the radial quadrature (grids._integrals is the one),
+# and the radial grid's builder function (RadialGrid builds itself from its
+# four build values)
 DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
            ("energy", "energy_E"), ("energy", "dissipation_D"),
            ("energy", "measure_viscous_constant"),
@@ -61,7 +63,7 @@ DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
            ("steady", "supersolution_phi"), ("energy", "SeriesRecorder"),
            ("energy", "basic_energy"), ("ineqlab", "_mode_sum"),
            ("ineqlab", "_random_radial_source"), ("grids", "_wsq"),
-           ("grids", "_row_integrals"))
+           ("grids", "_row_integrals"), ("grids", "build_radial_grid"))
 
 
 def test_star_import_binds_exactly_all():
@@ -85,7 +87,7 @@ def _readme_sketch() -> str:
 def test_readme_library_sketch_names_are_exported():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     names = set(re.findall(r"\bnl\.(\w+)", _readme_sketch()))
-    assert {"build_radial_grid", "run_simulation"} <= names
+    assert {"RadialGrid", "run_simulation"} <= names
     assert names <= set(nsplab.__all__)
     # the README lists the surface it declares
     listed = re.search(r"binds exactly these names:\n(.*?)\n\n", readme,
@@ -193,9 +195,11 @@ def test_discrete_norms_live_in_grids():
 
 
 def test_spherical_grid_has_no_3d_quadrature():
-    # nothing in the package integrates a 3-D field; the oracle does
+    # nothing in the package integrates a 3-D field or shapes its geometry
+    # for one; the oracles do
     grid_type = importlib.import_module("nsplab.ineqlab").SphericalGrid
-    assert not hasattr(grid_type, "integrate")
+    for name in ("integrate", "shape", "geometry"):
+        assert not hasattr(grid_type, name), name
 
 
 def test_time_series_reads_times_through_column():
