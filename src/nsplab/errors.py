@@ -22,7 +22,7 @@ class IterationError(NsplabError, RuntimeError):
 
 
 class MonotonicityError(IterationError):
-    """Bracketing iterates crossed; discretization too coarse or shift too small."""
+    """Bracketing iterates crossed or moved against their direction."""
 
 
 class VacuumError(NsplabError, RuntimeError):

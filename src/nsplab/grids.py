@@ -15,6 +15,7 @@ profile would be summed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -23,6 +24,11 @@ import numpy as np
 from .errors import EvaluationDomainError, ParameterError
 
 FOUR_PI = 4.0 * math.pi
+# F raises (gamma-1)/gamma * (Phi + c1) to the power 1/(gamma-1), which turns
+# the roundoff of Phi + c1 into a relative density error of about
+# 1.1e-16/(gamma-1): gamma = 1 takes the log branch, and a gamma > 1 must keep
+# at least this gap from it
+GAMMA_GAP_ABOVE_ONE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -47,6 +53,11 @@ class FluidParams:
             raise ParameterError("fluid parameters must be finite")
         if self.gamma < 1.0:
             raise ParameterError(f"gamma must be >= 1, got {self.gamma}")
+        if 1.0 < self.gamma < 1.0 + GAMMA_GAP_ABOVE_ONE:
+            raise ParameterError(
+                f"gamma must be 1 or at least 1 + {GAMMA_GAP_ABOVE_ONE:g}, "
+                f"got {self.gamma!r}: the power law loses the density to "
+                "roundoff closer to 1")
         if self.mu <= 0.0:
             raise ParameterError(f"mu must be > 0, got {self.mu}")
         if self.lambda_ + 2.0 * self.mu / 3.0 < 0.0:
@@ -112,6 +123,13 @@ class FluidParams:
         return self._scaled(phi) ** expo / self.gamma
 
 
+def _check_count(name: str, count) -> None:
+    """A grid count is an integer (not a bool): a float count would be
+    stored as given but built as int(count) cells or nodes."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {count!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Shell grid of n_cells intervals, nodes r_0 = r_inner < ... <
@@ -148,6 +166,7 @@ class RadialGrid:
         if r_outer <= r_inner:
             raise ParameterError(
                 f"r_outer must exceed r_inner, got [{r_inner}, {r_outer}]")
+        _check_count("n_cells", self.n_cells)
         if self.n_cells < 8:
             raise ParameterError(f"n_cells must be >= 8, got {self.n_cells}")
         if stretch < 0.0:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .elliptic import laplacian
 from .errors import DegenerateFieldError, ParameterError
-from .grids import (RadialGrid, _hessian_norms, _integrals,
+from .grids import (RadialGrid, _check_count, _hessian_norms, _integrals,
                     _vector_gradient_norms, _vector_hessian_norms, cutoff,
                     differentiate, volume_weights)
 
@@ -94,6 +94,8 @@ def build_spherical_grid(r_inner: float, r_outer: float, nr: int, ntheta: int,
     """The nodes of the uniform radial grid, midpoint theta nodes avoiding
     the poles, and a periodic azimuth; requires nr >= 16, ntheta >= 8,
     nphi >= 8."""
+    for name, count in (("nr", nr), ("ntheta", ntheta), ("nphi", nphi)):
+        _check_count(name, count)
     if nr < 16 or ntheta < 8 or nphi < 8:
         raise ParameterError("resolution too coarse: need nr>=16, ntheta>=8, nphi>=8")
     r = RadialGrid(r_inner, r_outer, nr).r

@@ -24,9 +24,10 @@ The solver runs the shifted fixed-point iteration
 
     (Lap - M) Phi_{k+1} = F(Phi_k) - b - M Phi_k,      M > sup F',
 
-from both brackets; the discrete comparison principle makes the two sequences
-monotone and keeps them ordered, and agreement of the limits is the
-uniqueness certificate.
+from both brackets in lockstep; the discrete comparison principle makes the
+two sequences monotone and keeps them ordered, so once they agree within tol
+their average is within tol/2 of the solution, which is the uniqueness
+certificate.
 
 The background profile carries the gas (FluidParams) it was built for, and
 the gas owns F and F' (FluidParams.density, FluidParams.density_slope), so
@@ -89,7 +90,8 @@ class CertReport:
 @dataclass(frozen=True)
 class SteadyState:
     """Converged steady pair with its certificates and the settings of the
-    monotone iteration that solved it."""
+    monotone iteration that solved it.  The brackets step in lockstep, so
+    iterations_super == iterations_sub."""
 
     rho_tilde: RadialField
     phi_tilde: RadialField
@@ -202,29 +204,6 @@ def check_subsuper(phi: RadialField, role: str, profile: BackgroundProfile, *,
                       boundary_normal_derivative=normal, tol=tol)
 
 
-def _iterate(step, start: np.ndarray, direction: int, tol: float,
-             max_iter: int):
-    """Run the fixed-point step from one bracket until one step moves it
-    by less than tol.
-
-    direction +1 expects a nondecreasing sequence (subsolution start), -1 a
-    nonincreasing one.  Monotonicity defects are tracked, not fatal: they stay
-    at roundoff size (comparison-principle slack) for admissible data.
-    """
-    phi = start.copy()
-    defect = 0.0
-    for it in range(1, max_iter + 1):
-        nxt = step(phi)
-        diff = nxt - phi
-        defect = max(defect, float(np.max(-direction * diff)))
-        increment = float(np.max(np.abs(diff)))
-        phi = nxt
-        if increment < tol:
-            return phi, it, defect
-    raise IterationError(
-        f"monotone iteration did not reach {tol:g} within {max_iter} iterations")
-
-
 def check_tol(tol: float) -> None:
     """The monotone iteration stops at a finite tolerance > 0."""
     if not (np.isfinite(tol) and tol > 0.0):
@@ -236,15 +215,13 @@ def solve_steady_monotone(profile: BackgroundProfile, *, tol: float,
     """Solve the semilinear steady problem by bracketing monotone iteration
     on the profile's grid, for the profile's gas.
 
-    Runs from the supersolution (nonincreasing) and the subsolution
-    (nondecreasing); the shift M = 1.1 * sup F' over the bracket keeps both
-    sequences monotone under the discrete comparison principle.  Each
-    sequence stops at its first step below tol; the two limits must then
-    agree within 10*tol, which doubles as a uniqueness certificate, and the
-    returned potential is their average.  A step below tol does not bound
-    the distance to the limit when the contraction is slow, so limits that
-    differ by more are stepped on together, each within max_iter steps,
-    until they agree.
+    Steps the supersolution (nonincreasing) and the subsolution
+    (nondecreasing) together, within max_iter steps, until they agree within
+    tol; the shift M = 1.1 * sup F' over the bracket keeps both sequences
+    monotone and ordered under the discrete comparison principle, so they
+    hold the solution between them and their average, the returned
+    potential, is within tol/2 of it.  A sequence that moved the wrong way,
+    or limits that crossed, by more than roundoff void that certificate.
     """
     check_tol(tol)
     grid, fluid = profile.values.grid, profile.fluid
@@ -263,29 +240,28 @@ def solve_steady_monotone(profile: BackgroundProfile, *, tol: float,
             raise ParameterError("elliptic solve produced non-finite values")
         return nxt
 
-    upper, it_super, defect_s = _iterate(step, phi_super.values, -1, tol,
-                                         max_iter)
-    lower, it_sub, defect_b = _iterate(step, phi_sub.values, +1, tol,
-                                       max_iter)
+    upper, lower, defect = phi_super.values, phi_sub.values, 0.0
+    gap = float(np.max(np.abs(upper - lower)))
+    for it in range(1, max_iter + 1):
+        nxt_upper, nxt_lower = step(upper), step(lower)
+        defect = max(defect, float(np.max(nxt_upper - upper)),
+                     float(np.max(lower - nxt_lower)))
+        upper, lower = nxt_upper, nxt_lower
+        gap = float(np.max(np.abs(upper - lower)))
+        if gap < tol:
+            break
+    else:
+        raise IterationError(
+            f"bracket limits differ by {gap:.3e} after {max_iter} iterations "
+            f"(tol {tol:g}); no uniqueness certificate")
 
     scale = max(1.0, float(np.max(np.abs(phi_super.values))))
     crossing = float(np.max(lower - upper))
-    if crossing > 1e-9 * scale:
+    if max(crossing, defect) > 1e-9 * scale:
         raise MonotonicityError(
-            f"bracketing sequences crossed by {crossing:.3e}; "
-            "discretization too coarse or shift too small")
-
-    gap = float(np.max(np.abs(upper - lower)))
-    while gap > 10.0 * tol and max(it_super, it_sub) < max_iter:
-        nxt_upper, nxt_lower = step(upper), step(lower)
-        defect_s = max(defect_s, float(np.max(nxt_upper - upper)))
-        defect_b = max(defect_b, float(np.max(lower - nxt_lower)))
-        upper, lower = nxt_upper, nxt_lower
-        it_super, it_sub = it_super + 1, it_sub + 1
-        gap = float(np.max(np.abs(upper - lower)))
-    if gap > 10.0 * tol:
-        raise IterationError(
-            f"bracket limits differ by {gap:.3e} (> 10*tol); no uniqueness certificate")
+            f"bracketing sequences not monotone and ordered: crossing "
+            f"{crossing:.3e}, monotonicity defect {defect:.3e}; discretization "
+            "too coarse, shift too small or background outside the bracket")
 
     phi_vals = 0.5 * (upper + lower)
     phi_tilde = RadialField(phi_vals, grid)
@@ -301,10 +277,9 @@ def solve_steady_monotone(profile: BackgroundProfile, *, tol: float,
 
     return SteadyState(rho_tilde=rho_tilde, phi_tilde=phi_tilde,
                        profile=profile, residual_elliptic=residual_norm,
-                       bounds_ok=bounds_ok, iterations_super=it_super,
-                       iterations_sub=it_sub, limit_gap=gap,
-                       monotonicity_defect=max(defect_s, defect_b), tol=tol,
-                       max_iter=max_iter)
+                       bounds_ok=bounds_ok, iterations_super=it,
+                       iterations_sub=it, limit_gap=gap,
+                       monotonicity_defect=defect, tol=tol, max_iter=max_iter)
 
 
 def compatibility_residual(steady: SteadyState) -> float:

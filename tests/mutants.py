@@ -219,13 +219,19 @@ MUTANTS = (
             "test_replaced_build_value_gives_the_freshly_built_grid",
             "tests/test_grids.py::"
             "test_stretched_grid_second_derivative_is_exact_on_cubics")),
-    # the brackets' first stops taken as their limits: no stepping on
-    # until they agree within 10*tol
-    Mutant("brackets_not_stepped_to_agreement", "src/nsplab/steady.py",
-           "    while gap > 10.0 * tol and max(it_super, it_sub) < max_iter:\n",
-           "    while False:\n",
+    # the brackets stop when they agree within 10*tol, not tol
+    Mutant("brackets_stop_at_ten_tol", "src/nsplab/steady.py",
+           "        if gap < tol:\n",
+           "        if gap < 10.0 * tol:\n",
            ("tests/test_steady.py::"
             "test_slow_contraction_steps_both_brackets_until_they_agree",
             "tests/test_steady.py::"
             "test_cli_steady_certifies_slowly_contracting_problems")),
+    # the certificate without the monotonicity defect: only a crossing of
+    # the brackets voids it
+    Mutant("certificate_ignores_monotonicity_defect", "src/nsplab/steady.py",
+           "    if max(crossing, defect) > 1e-9 * scale:\n",
+           "    if crossing > 1e-9 * scale:\n",
+           ("tests/test_steady.py::"
+            "test_background_outside_the_bracket_is_not_certified",)),
 )

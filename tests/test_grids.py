@@ -74,6 +74,17 @@ def test_degenerate_shell_rejected():
         RadialGrid(1.0, 2.0, 64, stretch=-0.5)
 
 
+@pytest.mark.parametrize("n_cells", [8.5, 16.0, True, "16", None])
+def test_cell_count_must_be_an_integer(n_cells):
+    # a float count was stored as given but built as int(n_cells) cells:
+    # 8.5 built 8, and its doubling for the regularity report's refinement 17
+    with pytest.raises(ParameterError, match="n_cells must be an integer"):
+        RadialGrid(1.0, 16.0, n_cells)
+    grid = RadialGrid(1.0, 16.0, np.int64(16))
+    assert grid.n_nodes == 17
+    assert dataclasses.replace(grid, n_cells=2 * grid.n_cells).n_nodes == 33
+
+
 def test_geometric_stretch_matches_closed_form():
     g = RadialGrid(1.0, 16.0, 256, stretch=1.0)
     expected = geometric_nodes(1.0, 16.0, 256, 1.0)

@@ -114,6 +114,16 @@ def test_grid_resolution_validation():
         build_spherical_grid(2.0, 1.0, 32, 16, 16)
 
 
+@pytest.mark.parametrize("counts, name", [
+    ((16.5, 8, 8), "nr"), ((16, 8.5, 8), "ntheta"), ((16, 8, 8.0), "nphi"),
+    ((16, True, 8), "ntheta")])
+def test_grid_counts_must_be_integers(counts, name):
+    # ntheta = 8.5 built 9 theta nodes, the last one on the pole
+    with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+        build_spherical_grid(1.0, 2.0, *counts)
+    assert build_spherical_grid(1.0, 2.0, *np.int64([16, 8, 8])).theta.size == 8
+
+
 def test_curl_of_radial_field_vanishes(sgrid):
     f = (sgrid.r**2)[:, None, None] * np.ones(grid_shape(sgrid))
     v = VectorField3(vr=f, vtheta=np.zeros(grid_shape(sgrid)),

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nsplab import (EvaluationDomainError, IterationError, ParameterError,
-                    RadialGrid,
+from nsplab import (EvaluationDomainError, IterationError, MonotonicityError,
+                    ParameterError, RadialGrid,
                     check_subsuper, make_profile, profile_supersolution,
                     solve_steady_monotone, steady_regularity_report,
                     subsolution_phi, weighted_l2_norm)
 from nsplab.elliptic import laplacian
-from nsplab.grids import RadialField, differentiate
+from nsplab.grids import GAMMA_GAP_ABOVE_ONE, RadialField, differentiate
 from nsplab.steady import (BackgroundProfile, compatibility_residual,
                            profile_upper_bound)
 
@@ -239,7 +239,10 @@ def test_flat_background_fixed_point(shell16):
     profile = make_profile("constant", gas(2.0), 0.0, shell16)
     st = solve_steady_monotone(profile, **STEADY)
     assert np.max(np.abs(st.rho_tilde.values - 1.0)) < 1e-9
-    assert st.iterations_sub == 1  # zero is the exact fixed point
+    # zero, the lower bracket, is the exact fixed point, so Phi_tilde is
+    # half the upper bracket, which stops within tol of it
+    assert np.max(np.abs(st.phi_tilde.values)) <= STEADY["tol"] / 2
+    assert st.iterations_sub == st.iterations_super
 
 
 @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0])
@@ -249,6 +252,7 @@ def test_monotone_bounds_and_certificates(shell16, gamma, amplitude):
     st = solve_steady_monotone(profile, **STEADY)
     assert st.bounds_ok
     assert st.limit_gap <= 1e-9
+    assert st.limit_gap < STEADY["tol"]
     assert st.monotonicity_defect <= 1e-9
     assert np.all(st.rho_tilde.values >= 1.0 - 1e-8)
     assert np.all(st.rho_tilde.values <= 1.0 + 1.0 / shell16.r + 1e-8)
@@ -257,9 +261,9 @@ def test_monotone_bounds_and_certificates(shell16, gamma, amplitude):
 @pytest.mark.parametrize("sets", [
     ["fluid.c_star=0.2"], ["fluid.c_star=0.1", "steady.max_iter=1000"]])
 def test_cli_steady_certifies_slowly_contracting_problems(tmp_path, sets):
-    # at gamma = 1 and small c_star the brackets first stop more than 10*tol
-    # apart (1.009e-9 in the 640-cell re-solve at c_star = 0.2, 1.561e-9 at
-    # 0.1, whose re-solves also need the configured max_iter)
+    # at gamma = 1 and small c_star the contraction is slow: a bracket's
+    # step falls below tol while the brackets are still more than 10*tol
+    # apart, and at c_star = 0.1 the re-solves need the configured max_iter
     from nsplab.cli import main
     config = Path(__file__).parents[1] / "configs" / "quick.cfg"
     argv = ["steady", "--config", str(config), "--out", str(tmp_path),
@@ -270,23 +274,40 @@ def test_cli_steady_certifies_slowly_contracting_problems(tmp_path, sets):
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert cert["all_pass"] is True
     assert cert["limit_gap"] <= 10 * STEADY["tol"]
+    assert cert["limit_gap"] < STEADY["tol"]
 
 
 def test_slow_contraction_steps_both_brackets_until_they_agree():
-    # c_star = 0.05 at gamma = 1: the brackets stop 2.6 * 10*tol apart at
-    # their first step below tol and are stepped on together from there
+    # c_star = 0.05 at gamma = 1: a bracket's first step below tol leaves
+    # the brackets 2.6 * 10*tol apart; they step on together until they
+    # agree within tol, so their average is within tol/2 of the solution
     grid = RadialGrid(1.0, 16.0, 64)
     profile = make_profile("admissible_bump", gas(1.0, 0.05), 0.5, grid)
     tol = 1e-6
     st = solve_steady_monotone(profile, tol=tol, max_iter=1000)
     assert st.limit_gap <= 10 * tol
+    assert st.limit_gap < tol
     assert st.monotonicity_defect <= 1e-9
     assert (st.tol, st.max_iter) == (tol, 1000)
     assert np.max(np.abs(st.phi_tilde.values - newton_steady(profile))) < tol
+    assert np.max(np.abs(st.phi_tilde.values
+                         - newton_steady(profile))) <= tol / 2
     # one step fewer in the budget leaves the limits apart
     budget = max(st.iterations_super, st.iterations_sub) - 1
     with pytest.raises(IterationError, match="bracket limits differ"):
         solve_steady_monotone(profile, tol=tol, max_iter=budget)
+
+
+def test_background_outside_the_bracket_is_not_certified():
+    # b = c_star + 2/r exceeds the ceiling c_star + 1/r of the admissible
+    # class, so the closed-form supersolution is not one: the upper sequence
+    # rises (by 0.443 here) before the brackets agree, and the state is
+    # refused even though its limits meet
+    grid = RadialGrid(1.0, 16.0, 320)
+    profile = BackgroundProfile("admissible_bump", gas(2.0), 1.0,
+                                RadialField(1.0 + 2.0 / grid.r, grid))
+    with pytest.raises(MonotonicityError, match="monotonicity defect 4.4"):
+        solve_steady_monotone(profile, **STEADY)
 
 
 def test_regularity_report_solves_with_the_steady_settings():
@@ -329,9 +350,12 @@ def test_steady_state_is_continuous_at_gamma_one(shell16):
 
 
 # the documented rules a steady problem can break, each with the cases it
-# covers: the envelope needs gamma > 1, the explicit supersolution gamma <= 2,
-# and the ghost-node Laplacian a grid spacing below the inner radius
+# covers: the power law needs gamma at least GAMMA_GAP_ABOVE_ONE above 1, the
+# envelope needs gamma > 1, the explicit supersolution gamma <= 2, and the
+# ghost-node Laplacian a grid spacing below the inner radius
 STEADY_RULES = {
+    f"gamma must be 1 or at least 1 + {GAMMA_GAP_ABOVE_ONE:g}":
+        lambda kind, gamma, grid: 1.0 < gamma < 1.0 + GAMMA_GAP_ABOVE_ONE,
     "requires gamma > 1":
         lambda kind, gamma, grid: kind == "general_gamma_envelope"
         and gamma == 1.0,
@@ -352,9 +376,13 @@ STEADY_RULES = {
                              "general_gamma_envelope"]),
        r_outer=st.floats(4.0, 64.0), n_cells=st.integers(16, 400),
        stretch=st.floats(0.0, 3.0))
-# slow contraction: the brackets first stop 1.007 * 10*tol apart
+# slow contraction: a bracket's first step below tol leaves the brackets
+# 1.007 * 10*tol apart
 @example(gamma=1.0, c_star=0.2, amplitude=0.125, kind="admissible_bump",
          r_outer=21.0, n_cells=16, stretch=0.0)
+# one ulp above 1 the power law's density is off by about 10 %
+@example(gamma=1.0000000000000002, c_star=2.5, amplitude=0.0,
+         kind="constant", r_outer=4.0, n_cells=16, stretch=0.0)
 def test_steady_solves_or_names_the_rule(gamma, c_star, amplitude, kind,
                                          r_outer, n_cells, stretch):
     # a case that breaks no rule certifies; one that breaks a rule raises a
@@ -372,6 +400,7 @@ def test_steady_solves_or_names_the_rule(gamma, c_star, amplitude, kind,
     assert steady.bounds_ok
     assert steady.monotonicity_defect <= 1e-9
     assert steady.limit_gap <= 1e-9
+    assert steady.limit_gap < STEADY["tol"]
 
 
 def test_monotone_envelope_branch(shell16):
