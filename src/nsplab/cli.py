@@ -169,7 +169,6 @@ def cmd_simulate(cfg: AppConfig, outdir: Path) -> int:
 def cmd_verify_inequalities(cfg: AppConfig, outdir: Path) -> int:
     t0 = time.perf_counter()
     iq = cfg.ineqlab
-    d = cfg.domain
     seed = cfg.seed
     sgrid = cfg.spherical_grid()
     rgrid = _build_grid(cfg)
@@ -193,9 +192,8 @@ def cmd_verify_inequalities(cfg: AppConfig, outdir: Path) -> int:
     ok = all(r.passed for r in reports.values())
     payload = {name: asdict(r) for name, r in reports.items()}
     payload["seed"] = seed
-    payload["grid"] = {"nr": iq["nr"], "ntheta": iq["ntheta"],
-                       "nphi": iq["nphi"], "r_inner": d["r_inner"],
-                       "r_outer": d["r_outer"]}
+    payload["grid"] = {name: getattr(sgrid, name) for name in
+                       ("nr", "ntheta", "nphi", "r_inner", "r_outer")}
     payload["all_pass"] = ok
     payload["wall_time_s"] = time.perf_counter() - t0
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())

@@ -14,7 +14,7 @@ from .elliptic import laplacian
 from .errors import ConfigError, ParameterError
 from .evolve import SimConfig
 from .grids import FluidParams, RadialGrid
-from .ineqlab import (build_spherical_grid, check_allowance, check_modes,
+from .ineqlab import (SphericalGrid, check_allowance, check_modes,
                       check_outer_factor)
 from .steady import (PROFILE_KINDS, check_tol, make_profile,
                      profile_supersolution)
@@ -140,8 +140,8 @@ class AppConfig:
 
     def spherical_grid(self):
         d, iq = self.domain, self.ineqlab
-        return build_spherical_grid(d["r_inner"], d["r_outer"], iq["nr"],
-                                    iq["ntheta"], iq["nphi"])
+        return SphericalGrid(d["r_inner"], d["r_outer"], iq["nr"],
+                             iq["ntheta"], iq["nphi"])
 
 
 def _tokenize(text: str) -> tuple[dict, set]:

@@ -48,8 +48,8 @@ from . import energy as energy_mod
 from .elliptic import Tridiagonal, laplacian
 from .errors import (IterationError, ParameterError, SimulationAbort,
                      VacuumError)
-from .grids import (FluidParams, RadialField, RadialGrid, _integrals,
-                    differentiate, smoothstep)
+from .grids import (FluidParams, RadialField, RadialGrid, _check_count,
+                    _integrals, differentiate, smoothstep)
 from .steady import SteadyState, effective_length
 
 INIT_KINDS = ("standard", "density_only", "velocity_only")
@@ -110,11 +110,7 @@ class SimConfig:
             if value != "auto" and not (_real(value) and value >= 0.0):
                 raise ParameterError(f"{name} must be 'auto' or a finite "
                                      f"value >= 0, got {value}")
-        if not isinstance(self.output_stride, numbers.Integral):
-            raise ParameterError(
-                f"output_stride must be an integer, got {self.output_stride}")
-        if self.output_stride < 1:
-            raise ParameterError("output_stride must be >= 1")
+        _check_count("output_stride", self.output_stride, 1)
         if self.mode not in MODES:
             raise ParameterError(f"unknown mode {self.mode!r}")
         if not (_real(self.vacuum_floor) and 0.0 < self.vacuum_floor < 1.0):

@@ -123,11 +123,14 @@ class FluidParams:
         return self._scaled(phi) ** expo / self.gamma
 
 
-def _check_count(name: str, count) -> None:
-    """A grid count is an integer (not a bool): a float count would be
-    stored as given but built as int(count) cells or nodes."""
+def _check_count(name: str, count, minimum: int) -> None:
+    """A count (of cells, nodes, members, iterations, ...) or a seed is an
+    integer, not a bool, of at least minimum: a float count would be stored
+    as given but used as int(count), or fail deep inside numpy."""
     if isinstance(count, bool) or not isinstance(count, numbers.Integral):
         raise ParameterError(f"{name} must be an integer, got {count!r}")
+    if count < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {count}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,9 +169,7 @@ class RadialGrid:
         if r_outer <= r_inner:
             raise ParameterError(
                 f"r_outer must exceed r_inner, got [{r_inner}, {r_outer}]")
-        _check_count("n_cells", self.n_cells)
-        if self.n_cells < 8:
-            raise ParameterError(f"n_cells must be >= 8, got {self.n_cells}")
+        _check_count("n_cells", self.n_cells, 8)
         if stretch < 0.0:
             raise ParameterError(f"stretch must be >= 0, got {stretch}")
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations_with_replacement, permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,24 +49,39 @@ from .grids import (RadialGrid, _check_count, _hessian_norms, _integrals,
 
 @dataclass(frozen=True, eq=False)
 class SphericalGrid:
-    """Tensor grid: radial nodes, pole-offset midpoint theta nodes, periodic
-    azimuth nodes, and separable quadrature weights whose product integrates
-    the shell volume exactly."""
+    """Tensor grid on the shell [r_inner, r_outer]: the nodes of the uniform
+    radial grid of nr cells, ntheta midpoint theta nodes avoiding the poles,
+    nphi periodic azimuth nodes, and separable quadrature weights whose
+    product integrates the shell volume exactly.  The nodes and weights are
+    derived from the five build values, which are all a grid takes;
+    nr >= 16, ntheta >= 8 and nphi >= 8 are required."""
 
-    r: np.ndarray
-    theta: np.ndarray
-    phi: np.ndarray
-    w_r: np.ndarray
-    w_theta: np.ndarray
-    w_phi: float
+    r_inner: float
+    r_outer: float
+    nr: int
+    ntheta: int
+    nphi: int
+    r: np.ndarray = field(init=False, repr=False)
+    theta: np.ndarray = field(init=False, repr=False)
+    phi: np.ndarray = field(init=False, repr=False)
+    w_r: np.ndarray = field(init=False, repr=False)
+    w_theta: np.ndarray = field(init=False, repr=False)
+    w_phi: float = field(init=False, repr=False)
 
-    @property
-    def r_inner(self) -> float:
-        return float(self.r[0])
-
-    @property
-    def r_outer(self) -> float:
-        return float(self.r[-1])
+    def __post_init__(self):
+        for name, minimum in (("nr", 16), ("ntheta", 8), ("nphi", 8)):
+            _check_count(name, getattr(self, name), minimum)
+        r = RadialGrid(self.r_inner, self.r_outer, self.nr).r
+        dtheta = math.pi / self.ntheta
+        theta = (np.arange(self.ntheta) + 0.5) * dtheta
+        # w_theta: the integral of sin over each theta cell, exactly
+        for name, value in (
+                ("r", r), ("theta", theta),
+                ("phi", np.arange(self.nphi) * (2.0 * math.pi / self.nphi)),
+                ("w_r", volume_weights(r)),
+                ("w_theta", 2.0 * math.sin(0.5 * dtheta) * np.sin(theta)),
+                ("w_phi", 2.0 * math.pi / self.nphi)):
+            object.__setattr__(self, name, value)
 
     @property
     def steps(self) -> tuple[float, float, float]:
@@ -87,28 +103,6 @@ class IneqReport:
     quadrature_allowance: float | None = None
     passed: bool | None = None
     details: dict = field(default_factory=dict)
-
-
-def build_spherical_grid(r_inner: float, r_outer: float, nr: int, ntheta: int,
-                         nphi: int) -> SphericalGrid:
-    """The nodes of the uniform radial grid, midpoint theta nodes avoiding
-    the poles, and a periodic azimuth; requires nr >= 16, ntheta >= 8,
-    nphi >= 8."""
-    for name, count in (("nr", nr), ("ntheta", ntheta), ("nphi", nphi)):
-        _check_count(name, count)
-    if nr < 16 or ntheta < 8 or nphi < 8:
-        raise ParameterError("resolution too coarse: need nr>=16, ntheta>=8, nphi>=8")
-    r = RadialGrid(r_inner, r_outer, nr).r
-    dtheta = math.pi / ntheta
-    theta = (np.arange(ntheta) + 0.5) * dtheta
-    phi = np.arange(nphi) * (2.0 * math.pi / nphi)
-
-    w_r = volume_weights(r)
-    # exact solid-angle cell weights: integral of sin over each theta cell
-    w_theta = 2.0 * math.sin(0.5 * dtheta) * np.sin(theta)
-    w_phi = 2.0 * math.pi / nphi
-    return SphericalGrid(r=r, theta=theta, phi=phi, w_r=w_r, w_theta=w_theta,
-                         w_phi=w_phi)
 
 
 def _three_point(f: np.ndarray, h: float) -> np.ndarray:
@@ -157,8 +151,7 @@ def check_modes(modes: int) -> None:
     """A mode sum has at least one term, and the Gram of one member's f^3,
     C(modes + 2, 3)^2 products (see _cube), fits in one L6 pass of
     _L6_PASS_FLOATS: 1 <= modes <= 22."""
-    if modes < 1:
-        raise ParameterError("modes must be >= 1")
+    _check_count("modes", modes, 1)
     terms = math.comb(modes + 2, 3)
     if terms * terms > _L6_PASS_FLOATS:
         raise ParameterError(
@@ -201,11 +194,6 @@ def _scalar_modes(seed: int, modes: int) -> tuple[np.ndarray, ...]:
     return _mode_draws(np.random.default_rng([seed, 7]), modes, 1, 3)
 
 
-def _check_ensemble_size(n: int) -> None:
-    if n < 1:
-        raise ParameterError(f"ensemble size must be >= 1, got {n}")
-
-
 def _batch(build, seed: int, n: int, grid: SphericalGrid,
            modes: int) -> _ModeSum:
     """The mode sums of the draws build(seed + i, modes) for i < n, each
@@ -214,7 +202,8 @@ def _batch(build, seed: int, n: int, grid: SphericalGrid,
     times a cut-off radial envelope in x = (r - R)/(R_max - R).  Each factor
     family is one cos over all members and modes, and the phases and
     amplitudes scale their draws u as rng.uniform does, lo + (hi - lo) u."""
-    _check_ensemble_size(n)
+    _check_count("seed", seed, 0)
+    _check_count("ensemble size", n, 1)
     check_modes(modes)
     orders, phases, amps = (np.stack(d) for d in
                             zip(*(build(seed + i, modes) for i in range(n))))
@@ -246,7 +235,15 @@ def _radial_lift(grid: SphericalGrid) -> np.ndarray:
 # member.
 
 
-def _gram(grid: SphericalGrid, left: list,
+class _Weights(NamedTuple):
+    """Separable quadrature weights, all that _gram reads of a grid."""
+
+    w_r: np.ndarray
+    w_theta: np.ndarray
+    w_phi: float
+
+
+def _gram(grid: SphericalGrid | _Weights, left: list,
           right: list | None = None) -> np.ndarray:
     """Integral over the grid of the product of the sum of the pieces in
     left and the sum of those in right (by default left again: the
@@ -261,10 +258,10 @@ def _gram(grid: SphericalGrid, left: list,
     return g.reshape(g.shape[:-2] + (-1,)).sum(axis=-1) * grid.w_phi
 
 
-def _inner_sphere(grid: SphericalGrid) -> SphericalGrid:
-    """The inner sphere r = R as a grid of one radial node of weight R^2:
-    over it _gram integrates pieces whose radial factors are taken at R."""
-    return replace(grid, r=grid.r[:1], w_r=np.array([grid.r_inner**2]))
+def _inner_sphere(grid: SphericalGrid) -> _Weights:
+    """The inner sphere r = R as one radial node of weight R^2 beside the
+    grid's angular weights: _gram's weights for pieces taken at r = R."""
+    return _Weights(np.array([grid.r_inner**2]), grid.w_theta, grid.w_phi)
 
 
 def _at_inner(piece) -> tuple:
@@ -378,7 +375,6 @@ def _vector_sq(grid: SphericalGrid, comps) -> np.ndarray:
 
 def _ensemble_report(inequality: str, ratios) -> IneqReport:
     """Max and mean of an ensemble's ratios; passed when all are finite."""
-    _check_ensemble_size(len(ratios))
     return IneqReport(inequality=inequality, n_samples=len(ratios),
                       max_ratio=float(np.max(ratios)),
                       mean_ratio=float(np.mean(ratios)),
@@ -413,7 +409,7 @@ def check_outer_factor(outer_factor: float, grid: SphericalGrid) -> None:
     outer_factor * R in grid's nr cells, are valid radial shells whose cells
     are narrower than R (the spacing rule elliptic.laplacian applies to
     [domain]): outer_factor < nr + 1."""
-    nr = grid.r.size - 1
+    nr = grid.nr
     r_inner = TRACE_FACTORS[-1] * grid.r_inner  # of the largest shell
     if not (math.isfinite(outer_factor) and outer_factor > 1.0):
         raise ParameterError(f"trace_outer_factor must be finite and > 1, "
@@ -424,7 +420,7 @@ def check_outer_factor(outer_factor: float, grid: SphericalGrid) -> None:
                              "cells have a spacing that reaches the inner "
                              "radius")
     try:
-        RadialGrid(r_inner, outer_factor * r_inner, 8)
+        replace(grid, r_inner=r_inner, r_outer=outer_factor * r_inner)
     except ParameterError as exc:
         raise ParameterError(f"trace_outer_factor = {outer_factor:g} gives no "
                              f"valid shell at R = {r_inner:g}: {exc}") from exc
@@ -437,10 +433,9 @@ def verify_trace_scaling(grid: SphericalGrid, outer_factor: float = 4.0,
     should be R-independent."""
     check_outer_factor(outer_factor, grid)
     r_values = [k * grid.r_inner for k in TRACE_FACTORS]
-    cells = (grid.r.size - 1, grid.theta.size, grid.phi.size)
     ratios = []
     for r_in in r_values:
-        shell = build_spherical_grid(r_in, outer_factor * r_in, *cells)
+        shell = replace(grid, r_inner=r_in, r_outer=outer_factor * r_in)
         ens = tangent_ensemble(shell, 1, seed, modes)
         ratios.append(_vector_sq(_inner_sphere(shell), ens.inner)[0]
                       / (r_in * ens.grad_sq[0]))
@@ -574,7 +569,8 @@ def _radial_report(inequality: str, grid: RadialGrid, n_samples: int,
     seed, ..., seed + n_samples - 1 and their Neumann-Poisson potentials
     phi, in passes of about _RADIAL_PASS_FLOATS: one stack of sources, one
     multi-column solve and one stack of ratios per pass."""
-    _check_ensemble_size(n_samples)
+    _check_count("seed", seed, 0)
+    _check_count("ensemble size", n_samples, 1)
     lap, step = laplacian(grid), max(1, _RADIAL_PASS_FLOATS // grid.n_nodes)
     stop, out = seed + n_samples, []
     for i in range(seed, stop, step):

@@ -43,9 +43,9 @@ import numpy as np
 
 from .elliptic import laplacian
 from .errors import IterationError, MonotonicityError, ParameterError
-from .grids import (FluidParams, RadialField, RadialGrid, _hessian_norms,
-                    _integrals, _vector_hessian_norms, cutoff,
-                    differentiate, weighted_l2_norm)
+from .grids import (FluidParams, RadialField, RadialGrid, _check_count,
+                    _hessian_norms, _integrals, _vector_hessian_norms,
+                    cutoff, differentiate, weighted_l2_norm)
 
 PROFILE_KINDS = ("constant", "admissible_bump", "general_gamma_envelope")
 
@@ -136,21 +136,13 @@ def make_profile(kind: str, fluid: FluidParams, amplitude: float,
         raise ParameterError("general_gamma_envelope requires gamma > 1")
     if not (0.0 < envelope_eps < 1.0):
         raise ParameterError(f"envelope_eps must lie in (0, 1), got {envelope_eps}")
-    if envelope_c0 <= 0.0:
-        raise ParameterError(f"envelope_c0 must be > 0, got {envelope_c0}")
+    if not (np.isfinite(envelope_c0) and envelope_c0 > 0.0):
+        raise ParameterError(
+            f"envelope_c0 must be finite and > 0, got {envelope_c0}")
     phi_env = amplitude * envelope_c0 * r ** (-envelope_eps) * mask
     vals = fluid.density(phi_env)
     return BackgroundProfile(kind, fluid, amplitude, RadialField(vals, grid),
                              envelope_c0=envelope_c0, envelope_eps=envelope_eps)
-
-
-def profile_upper_bound(profile: BackgroundProfile) -> np.ndarray:
-    """Pointwise admissible ceiling for both b and the steady density."""
-    fluid = profile.fluid
-    r = profile.values.grid.r
-    if profile.kind == "general_gamma_envelope":
-        return fluid.density(profile.envelope_c0 * r ** (-profile.envelope_eps))
-    return fluid.c_star + 1.0 / r
 
 
 def subsolution_phi(grid: RadialGrid) -> RadialField:
@@ -224,6 +216,7 @@ def solve_steady_monotone(profile: BackgroundProfile, *, tol: float,
     or limits that crossed, by more than roundoff void that certificate.
     """
     check_tol(tol)
+    _check_count("max_iter", max_iter, 1)
     grid, fluid = profile.values.grid, profile.fluid
     phi_super = profile_supersolution(profile)
     phi_sub = subsolution_phi(grid)
@@ -270,7 +263,7 @@ def solve_steady_monotone(profile: BackgroundProfile, *, tol: float,
     residual = laplacian(grid) @ phi_vals - (rho_tilde.values - b)
     residual_norm = weighted_l2_norm(RadialField(residual, grid))
 
-    ceiling = profile_upper_bound(profile)
+    ceiling = fluid.density(phi_super.values)
     slack = 100.0 * tol
     bounds_ok = bool(np.all(rho_tilde.values >= fluid.c_star - slack)
                      and np.all(rho_tilde.values <= ceiling + slack))

@@ -234,4 +234,22 @@ MUTANTS = (
            "    if crossing > 1e-9 * scale:\n",
            ("tests/test_steady.py::"
             "test_background_outside_the_bracket_is_not_certified",)),
+    # the steady density's ceiling taken from the subsolution, so every
+    # background above c_star fails its bounds
+    Mutant("bounds_ceiling_of_the_subsolution", "src/nsplab/steady.py",
+           "    ceiling = fluid.density(phi_super.values)\n",
+           "    ceiling = fluid.density(phi_sub.values)\n",
+           ("tests/test_steady.py::test_monotone_bounds_and_certificates",
+            "tests/test_config_cli.py::test_cli_steady_success")),
+    # the inner sphere's radial weight R^3 in place of R^2
+    Mutant("inner_sphere_weight_cubed", "src/nsplab/ineqlab.py",
+           "    return _Weights(np.array([grid.r_inner**2]), grid.w_theta, "
+           "grid.w_phi)\n",
+           "    return _Weights(np.array([grid.r_inner**3]), grid.w_theta, "
+           "grid.w_phi)\n",
+           ("tests/test_acceptance.py::test_criterion_11_trace_scaling",
+            "tests/test_ineqlab.py::"
+            "test_factor_path_matches_the_grid_operators",
+            "tests/test_ineqlab.py::test_spherical_grid_is_its_build_values",
+            "tests/test_ineqlab.py::test_trace_scaling_invariance")),
 )

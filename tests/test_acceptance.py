@@ -203,8 +203,8 @@ def test_criterion_08_zero_order_energy_identity(grid2000):
 
 @pytest.fixture(scope="module")
 def spherical_grids():
-    return (iq.build_spherical_grid(1.0, 16.0, 32, 16, 32),
-            iq.build_spherical_grid(1.0, 16.0, 64, 32, 64))
+    return (iq.SphericalGrid(1.0, 16.0, 32, 16, 32),
+            iq.SphericalGrid(1.0, 16.0, 64, 32, 64))
 
 
 def test_criterion_09_boundary_pairing_constant_one(spherical_grids):
@@ -236,7 +236,7 @@ def test_criterion_10_div_curl_ensemble(spherical_grids):
 
 def test_criterion_11_trace_scaling():
     assert iq.TRACE_SPREAD_TOL == 0.30  # the criterion's bound
-    grid = iq.build_spherical_grid(1.0, 4.0, 32, 16, 32)
+    grid = iq.SphericalGrid(1.0, 4.0, 32, 16, 32)
     rep = iq.verify_trace_scaling(grid, seed=0)
     spread = rep.details["relative_spread"]
     _report(11, rep.passed,

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +320,21 @@ def test_cli_steady_constant_profile(tmp_path):
     assert code == 0
     rho = np.loadtxt(out / "rho_tilde.txt")
     assert np.max(np.abs(rho[:, 1] - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("c0", ["inf", "nan"])
+def test_cli_non_finite_envelope_c0_names_the_key(tmp_path, capsys, c0):
+    cfg = write_cfg(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        code = main(["steady", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"),
+                     "--set", "steady.profile=general_gamma_envelope",
+                     "--set", "fluid.gamma=3",
+                     "--set", f"steady.envelope_c0={c0}"])
+    assert code == 2
+    assert (f"invalid [steady] parameters: envelope_c0 must be finite and "
+            f"> 0, got {c0}") in capsys.readouterr().err
 
 
 def test_cli_bad_amplitude_is_config_error(tmp_path):

@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nsplab
-from nsplab import ParameterError, RadialGrid, weighted_l2_norm
+from nsplab import (ParameterError, RadialGrid, SimConfig, make_profile,
+                    solve_steady_monotone, weighted_l2_norm)
 from nsplab.grids import RadialField, _stencil, differentiate
+from nsplab.ineqlab import SphericalGrid, lame_report, tangent_ensemble
 
-from oracles import (dense_l2_norm, derivative_csr, fornberg_weights,
+from oracles import (dense_l2_norm, derivative_csr, fornberg_weights, gas,
                      geometric_nodes, radial_integral, sobolev_norm,
                      stencil_window, vector_gradient_norm,
                      vector_hessian_norm, vector_sobolev_norm)
@@ -83,6 +85,54 @@ def test_cell_count_must_be_an_integer(n_cells):
     grid = RadialGrid(1.0, 16.0, np.int64(16))
     assert grid.n_nodes == 17
     assert dataclasses.replace(grid, n_cells=2 * grid.n_cells).n_nodes == 33
+
+
+_SHELL = RadialGrid(1.0, 4.0, 16)
+_SGRID = SphericalGrid(1.0, 2.0, 16, 8, 8)
+_FLAT = make_profile("constant", gas(2.0), 0.0, _SHELL)
+
+# the count each door checks, its minimum and a call handing it a value
+COUNT_DOORS = (
+    pytest.param("n_cells", 8, lambda v: RadialGrid(1.0, 2.0, v),
+                 id="RadialGrid"),
+    pytest.param("nr", 16, lambda v: SphericalGrid(1.0, 2.0, v, 8, 8),
+                 id="SphericalGrid.nr"),
+    pytest.param("ntheta", 8, lambda v: SphericalGrid(1.0, 2.0, 16, v, 8),
+                 id="SphericalGrid.ntheta"),
+    pytest.param("nphi", 8, lambda v: SphericalGrid(1.0, 2.0, 16, 8, v),
+                 id="SphericalGrid.nphi"),
+    pytest.param("output_stride", 1, lambda v: SimConfig(output_stride=v),
+                 id="SimConfig"),
+    pytest.param("max_iter", 1, lambda v: solve_steady_monotone(
+        _FLAT, tol=1e-10, max_iter=v), id="solve_steady_monotone"),
+    pytest.param("modes", 1, lambda v: tangent_ensemble(_SGRID, 1, modes=v),
+                 id="check_modes"),
+    pytest.param("ensemble size", 1, lambda v: tangent_ensemble(_SGRID, v),
+                 id="tangent_ensemble.n_fields"),
+    pytest.param("seed", 0, lambda v: tangent_ensemble(_SGRID, 1, v),
+                 id="tangent_ensemble.seed"),
+    pytest.param("ensemble size", 1, lambda v: lame_report(_SHELL, v),
+                 id="lame_report.n_samples"),
+    pytest.param("seed", 0, lambda v: lame_report(_SHELL, 1, v),
+                 id="lame_report.seed"),
+)
+
+
+@pytest.mark.parametrize("name, minimum, call", COUNT_DOORS)
+@pytest.mark.parametrize("kind", ["float", "bool", "below"])
+def test_every_count_is_checked_where_it_is_built(name, minimum, call, kind):
+    # unchecked, a float count raised TypeError inside numpy or range
+    # (max_iter, the ensemble sizes, modes), True ran as 1 (max_iter,
+    # output_stride) and a negative seed raised numpy's ValueError
+    value, message = {
+        "float": (minimum + 0.5,
+                  f"{name} must be an integer, got {minimum + 0.5}"),
+        "bool": (True, f"{name} must be an integer, got True"),
+        "below": (minimum - 1,
+                  f"{name} must be >= {minimum}, got {minimum - 1}")}[kind]
+    with pytest.raises(ParameterError) as err:
+        call(value)
+    assert str(err.value) == message
 
 
 def test_geometric_stretch_matches_closed_form():

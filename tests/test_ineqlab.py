@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import math
 import tracemalloc
@@ -13,8 +15,8 @@ from nsplab import DegenerateFieldError, ParameterError, RadialGrid
 from nsplab import ineqlab as iq
 from nsplab.elliptic import laplacian
 from nsplab.grids import CUT_END, differentiate
-from nsplab.ineqlab import (TangentEnsemble, boundary_pairing_report,
-                            build_spherical_grid, div_curl_report,
+from nsplab.ineqlab import (SphericalGrid, TangentEnsemble,
+                            boundary_pairing_report, div_curl_report,
                             lame_report, poisson_regularity_report,
                             sobolev_l6_report, tangent_ensemble,
                             verify_trace_scaling)
@@ -33,7 +35,7 @@ MEMBER_FIELDS = ("grad_sq", "div_sq", "curl_sq")
 
 @pytest.fixture(scope="module")
 def sgrid():
-    return build_spherical_grid(1.0, 2.0, 24, 12, 16)
+    return SphericalGrid(1.0, 2.0, 24, 12, 16)
 
 
 def test_grid_volume_exact_and_weights_positive(sgrid):
@@ -52,7 +54,7 @@ def test_integrate_equals_the_explicit_triple_sum(nr, ntheta, extra_phi,
                                                   seed):
     # ntheta != nphi and a field that varies along every axis: weights
     # attached to the wrong angular axis cannot pass
-    g = build_spherical_grid(1.0, 3.0, nr, ntheta, ntheta + extra_phi)
+    g = SphericalGrid(1.0, 3.0, nr, ntheta, ntheta + extra_phi)
     f = np.random.default_rng(seed).standard_normal(grid_shape(g))
     terms = (g.w_r[:, None, None] * g.w_theta[None, :, None] * g.w_phi) * f
     assert abs(integrate(g, f) - terms.sum()) <= 1e-12 * np.abs(terms).sum()
@@ -63,7 +65,7 @@ def test_gradient_squared_agrees_with_radial_reduction():
     # module's closed-form |grad u|^2 = u'^2 + 2 (u/r)^2 are independent
     # implementations of the same quantity
     for nr in (32, 64):
-        g3 = build_spherical_grid(1.0, 2.0, nr, 12, 16)
+        g3 = SphericalGrid(1.0, 2.0, nr, 12, 16)
         prof = np.exp(-(((g3.r - 1.4) / 0.2) ** 2))
         v = VectorField3(vr=prof[:, None, None] * np.ones(grid_shape(g3)),
                          vtheta=np.zeros(grid_shape(g3)),
@@ -77,7 +79,7 @@ def test_gradient_squared_agrees_with_radial_reduction():
 
 def test_scalar_gradient_agrees_with_radial_reduction():
     from nsplab import weighted_l2_norm
-    g3 = build_spherical_grid(1.0, 2.0, 48, 12, 16)
+    g3 = SphericalGrid(1.0, 2.0, 48, 12, 16)
     prof = np.sin(2.0 * g3.r)
     f = prof[:, None, None] * np.ones(grid_shape(g3))
     g1 = RadialGrid(1.0, 2.0, 48)
@@ -90,7 +92,7 @@ def test_grid_quadrature_refinement():
     exact = 4.0 * math.pi * (math.cos(1.0) - math.cos(2.0))
 
     def err(nr, nt, np_):
-        g = build_spherical_grid(1.0, 2.0, nr, nt, np_)
+        g = SphericalGrid(1.0, 2.0, nr, nt, np_)
         f = np.sin(g.r)[:, None, None] / (g.r**2)[:, None, None] \
             * np.ones(grid_shape(g))
         return abs(integrate(g, f) - exact)
@@ -99,19 +101,41 @@ def test_grid_quadrature_refinement():
 
 
 def test_radial_weights_shared_with_radial_grid():
-    g = build_spherical_grid(1.0, 16.0, 32, 8, 8)
+    g = SphericalGrid(1.0, 16.0, 32, 8, 8)
     radial = RadialGrid(1.0, 16.0, 32)
     assert np.array_equal(g.r, radial.r)
     assert np.array_equal(4.0 * math.pi * g.w_r, radial.weights)
 
 
+def test_spherical_grid_is_its_build_values():
+    # the nodes and weights are derived from the five build values, never
+    # given, and replacing a build value gives the grid built afresh
+    derived = ("r", "theta", "phi", "w_r", "w_theta", "w_phi")
+    assert list(inspect.signature(SphericalGrid).parameters) == [
+        "r_inner", "r_outer", "nr", "ntheta", "nphi"]
+    for name in derived:
+        with pytest.raises(TypeError):
+            SphericalGrid(1.0, 2.0, 16, 8, 8, **{name: 0.0})
+    moved = dataclasses.replace(SphericalGrid(1.0, 16.0, 24, 12, 16),
+                                r_inner=2.0, r_outer=8.0)
+    fresh = SphericalGrid(2.0, 8.0, 24, 12, 16)
+    assert (moved.nr, moved.ntheta, moved.nphi) == (24, 12, 16)
+    for name in derived:
+        assert np.array_equal(getattr(moved, name), getattr(fresh, name)), name
+    # the inner sphere is one radial weight R^2 and the angular weights
+    sphere = iq._inner_sphere(fresh)
+    assert not isinstance(sphere, SphericalGrid)
+    assert np.array_equal(sphere.w_r, [4.0])
+    assert sphere.w_theta is fresh.w_theta and sphere.w_phi == fresh.w_phi
+
+
 def test_grid_resolution_validation():
     with pytest.raises(ParameterError):
-        build_spherical_grid(1.0, 2.0, 32, 16, 4)
+        SphericalGrid(1.0, 2.0, 32, 16, 4)
     with pytest.raises(ParameterError):
-        build_spherical_grid(1.0, 2.0, 8, 16, 16)
+        SphericalGrid(1.0, 2.0, 8, 16, 16)
     with pytest.raises(ParameterError):
-        build_spherical_grid(2.0, 1.0, 32, 16, 16)
+        SphericalGrid(2.0, 1.0, 32, 16, 16)
 
 
 @pytest.mark.parametrize("counts, name", [
@@ -120,8 +144,8 @@ def test_grid_resolution_validation():
 def test_grid_counts_must_be_integers(counts, name):
     # ntheta = 8.5 built 9 theta nodes, the last one on the pole
     with pytest.raises(ParameterError, match=f"{name} must be an integer"):
-        build_spherical_grid(1.0, 2.0, *counts)
-    assert build_spherical_grid(1.0, 2.0, *np.int64([16, 8, 8])).theta.size == 8
+        SphericalGrid(1.0, 2.0, *counts)
+    assert SphericalGrid(1.0, 2.0, *np.int64([16, 8, 8])).theta.size == 8
 
 
 def test_curl_of_radial_field_vanishes(sgrid):
@@ -136,7 +160,7 @@ def test_curl_of_radial_field_vanishes(sgrid):
 def test_divergence_of_radial_field():
     errs = []
     for nr, nt, np_ in ((24, 12, 16), (48, 12, 16)):
-        g = build_spherical_grid(1.0, 2.0, nr, nt, np_)
+        g = SphericalGrid(1.0, 2.0, nr, nt, np_)
         f = (g.r**2)[:, None, None] * np.ones(grid_shape(g))
         v = VectorField3(vr=f, vtheta=np.zeros(grid_shape(g)),
                          vphi=np.zeros(grid_shape(g)), grid=g)
@@ -149,7 +173,7 @@ def test_div_of_curl_is_roundoff():
     # the tensor-product difference operators commute across axes, so the
     # discrete identity holds to roundoff at every resolution
     for nr, nt, np_ in ((16, 8, 8), (32, 16, 16)):
-        g = build_spherical_grid(1.0, 2.0, nr, nt, np_)
+        g = SphericalGrid(1.0, 2.0, nr, nt, np_)
         v = tangent_field(3, g)
         c = curl(v)
         assert l2_norm(g, divergence(c)) <= 1e-12 * max(l2_norm_vec(c), 1e-30)
@@ -157,7 +181,7 @@ def test_div_of_curl_is_roundoff():
 
 def test_curl_of_gradient_is_roundoff():
     for nr, nt, np_ in ((16, 8, 8), (32, 16, 16)):
-        g = build_spherical_grid(1.0, 2.0, nr, nt, np_)
+        g = SphericalGrid(1.0, 2.0, nr, nt, np_)
         f = premerge_scalar_field(5, g)
         gf = grad_scalar(g, f)
         c = curl(gf)
@@ -206,9 +230,9 @@ def test_div_curl_rejects_zero_field(sgrid):
 
 def test_div_curl_ensemble_stable_under_refinement():
     r1 = div_curl_report(tangent_ensemble(
-        build_spherical_grid(1.0, 2.0, 16, 8, 8), 10, seed=1))
+        SphericalGrid(1.0, 2.0, 16, 8, 8), 10, seed=1))
     r2 = div_curl_report(tangent_ensemble(
-        build_spherical_grid(1.0, 2.0, 32, 16, 16), 10, seed=1))
+        SphericalGrid(1.0, 2.0, 32, 16, 16), 10, seed=1))
     assert abs(r2.max_ratio - r1.max_ratio) / r1.max_ratio < 0.25
 
 
@@ -222,7 +246,7 @@ def test_trace_scaling_invariance(sgrid):
 
 def test_trace_scaling_rejects_unresolved_shells():
     # spacing (f - 1) R / nr must stay below R: f < nr + 1
-    grid = build_spherical_grid(1.0, 2.0, 16, 8, 8)
+    grid = SphericalGrid(1.0, 2.0, 16, 8, 8)
     iq.check_outer_factor(16.99, grid)
     for factor in (17.0, 1e100):
         with pytest.raises(ParameterError, match="trace_outer_factor"):
@@ -234,7 +258,7 @@ def test_trace_scaling_rejects_unresolved_shells():
 def test_trace_scaling_shells_come_from_the_grid():
     # the shells start at R0, 2 R0 and 4 R0 of the grid's inner radius and
     # have its resolution
-    grid = build_spherical_grid(1.5, 3.0, 16, 8, 8)
+    grid = SphericalGrid(1.5, 3.0, 16, 8, 8)
     rep = verify_trace_scaling(grid)
     assert rep.details["r_values"] == [1.5, 3.0, 6.0]
     assert rep.passed == (rep.details["relative_spread"]
@@ -466,7 +490,7 @@ def test_factor_path_matches_the_grid_operators(nr, ntheta, nphi, r_inner,
                                                 outer, modes, seed):
     # the per-field operators on the 3-D grid are the oracle of the factor
     # path; 1e-12 is the inequality-ratio tolerance of the benchmark gate
-    grid = build_spherical_grid(r_inner, outer * r_inner, nr, ntheta, nphi)
+    grid = SphericalGrid(r_inner, outer * r_inner, nr, ntheta, nphi)
 
     def close(got, want):
         return abs(got - want) <= 1e-12 * abs(want)
@@ -521,7 +545,7 @@ def test_div_curl_boundary_identity_converges_at_second_order():
     for seed in (1, 2, 3):
         errors = []
         for n in (128, 256, 512):
-            grid = build_spherical_grid(1.0, 4.0, n, n // 2, n // 2)
+            grid = SphericalGrid(1.0, 4.0, n, n // 2, n // 2)
             m = _tangent_member(seed, grid, 3)
             boundary = _sphere_sq(grid, m.inner)[0] / grid.r_inner
             errors.append((m.grad_sq - m.div_sq - m.curl_sq) / boundary - 1.0)
@@ -539,7 +563,7 @@ def test_batch_members_equal_batches_of_one(nr, ntheta, nphi, r_inner, outer,
                                             modes, seed, n):
     # member i of one batched evaluation is the batch of one of seed + i,
     # bit for bit: the reports do not depend on the ensemble size
-    grid = build_spherical_grid(r_inner, outer * r_inner, nr, ntheta, nphi)
+    grid = SphericalGrid(r_inner, outer * r_inner, nr, ntheta, nphi)
     batch = tangent_ensemble(grid, n, seed, modes)
     scalars = iq._batch(iq._scalar_modes, seed, n, grid, modes)
     comps = iq._scalar_gradient(scalars)
@@ -574,7 +598,7 @@ def test_l6_numerator_product_matches_the_grid_field(nr, ntheta, nphi,
                                                      r_inner, outer, modes,
                                                      seed, n):
     # 1e-12 is the inequality-ratio tolerance of the benchmark gate
-    grid = build_spherical_grid(r_inner, outer * r_inner, nr, ntheta, nphi)
+    grid = SphericalGrid(r_inner, outer * r_inner, nr, ntheta, nphi)
     cube = iq._cube(iq._batch(iq._scalar_modes, seed, n, grid, modes))
     norms = iq._gram(grid, [cube]) ** (1.0 / 6.0)
     for i, got in enumerate(norms):
@@ -586,7 +610,7 @@ def test_tangent_ensemble_allocates_little_besides_its_traces():
     # the ensemble keeps its traces as pieces at r = R: the whole pass
     # peaks below the (n, 3, ntheta, nphi) trace stack that it once held,
     # which multiplied-out traces would alone reach
-    n, grid = 100, build_spherical_grid(1.0, 16.0, 64, 32, 64)
+    n, grid = 100, SphericalGrid(1.0, 16.0, 64, 32, 64)
     tracemalloc.start()
     try:
         tangent_ensemble(grid, n)
@@ -601,7 +625,7 @@ def test_ensemble_reports_allocate_no_3d_field():
     # field takes 8 nr ntheta nphi bytes (about 64 MB), and no report comes
     # near that
     shape = (256, 128, 256)
-    grid = build_spherical_grid(1.0, 16.0, *shape)
+    grid = SphericalGrid(1.0, 16.0, *shape)
     tracemalloc.start()
     try:
         ens = tangent_ensemble(grid, 5)
@@ -620,7 +644,7 @@ def test_l6_gram_runs_in_bounded_passes():
     # C(modes + 2, 3)^2 per member: at modes = 12 one pass over 100
     # members traced a 252 MiB peak; bounded passes give the values of a
     # member-by-member loop
-    grid = build_spherical_grid(1.0, 16.0, 32, 16, 32)
+    grid = SphericalGrid(1.0, 16.0, 32, 16, 32)
     n, modes = 100, 12
     tracemalloc.start()
     try:
@@ -715,8 +739,8 @@ def test_mode_sum_factors_equal_the_mode_by_mode_build(build, key, n_comp,
     for cells in ((16, 8, 8), (32, 16, 32), (64, 32, 64)):
         for shell in ((1.0, 16.0), (0.5, 3.0)):
             for modes in (1, 3, 5):
-                check(build_spherical_grid(*shell, *cells), modes, 14)
-    check(build_spherical_grid(1.0, 16.0, 16, 8, 8), 3, 2000)
+                check(SphericalGrid(*shell, *cells), modes, 14)
+    check(SphericalGrid(1.0, 16.0, 16, 8, 8), 3, 2000)
 
 
 def test_radial_sources_equal_the_member_draws():

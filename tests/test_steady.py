@@ -15,8 +15,7 @@ from nsplab import (EvaluationDomainError, IterationError, MonotonicityError,
                     subsolution_phi, weighted_l2_norm)
 from nsplab.elliptic import laplacian
 from nsplab.grids import GAMMA_GAP_ABOVE_ONE, RadialField, differentiate
-from nsplab.steady import (BackgroundProfile, compatibility_residual,
-                           profile_upper_bound)
+from nsplab.steady import BackgroundProfile, compatibility_residual
 
 from oracles import (STEADY, gas, hessian_norm_radial, newton_steady,
                      vector_hessian_norm)
@@ -63,9 +62,19 @@ def test_bump_amplitude_validation(shell16):
 def test_envelope_profile_bounds(shell16):
     p = make_profile("general_gamma_envelope", gas(3.0), 1.0, shell16,
                      envelope_c0=1.0, envelope_eps=0.5)
-    ceiling = profile_upper_bound(p)
+    ceiling = p.fluid.density(profile_supersolution(p).values)
     assert np.all(p.values.values <= ceiling + 1e-12)
     assert np.all(p.values.values >= 1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("c0", [math.inf, math.nan, 0.0, -1.0])
+def test_envelope_c0_must_be_finite_and_positive(shell16, c0):
+    # inf and nan reached the profile values unchecked: numpy warned, and the
+    # error named no key ("field values must be finite")
+    with pytest.raises(ParameterError,
+                       match=f"envelope_c0 must be finite and > 0, got {c0}"):
+        make_profile("general_gamma_envelope", gas(3.0), 1.0, shell16,
+                     envelope_c0=c0)
 
 
 # ------------------------------------------------------- explicit brackets
@@ -408,7 +417,7 @@ def test_monotone_envelope_branch(shell16):
                            envelope_c0=0.5, envelope_eps=0.5)
     st = solve_steady_monotone(profile, **STEADY)
     assert st.bounds_ok
-    ceiling = profile_upper_bound(profile)
+    ceiling = profile.fluid.density(profile_supersolution(profile).values)
     assert np.all(st.rho_tilde.values <= ceiling + 1e-8)
 
 

@@ -46,7 +46,10 @@ MOVED = ("VectorField3", "_d_axis", "_d_phi", "grad_scalar", "divergence",
 # its batch or pass builds the factors and the sources), and the second and
 # third spellings of the radial quadrature (grids._integrals is the one),
 # and the radial grid's builder function (RadialGrid builds itself from its
-# four build values)
+# four build values), and the spherical grid's (SphericalGrid builds itself
+# from its five), the second spelling of the steady ceiling (it is the
+# density of the supersolution) and the ensemble-size check (grids.
+# _check_count checks every count)
 DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
            ("energy", "energy_E"), ("energy", "dissipation_D"),
            ("energy", "measure_viscous_constant"),
@@ -63,7 +66,10 @@ DELETED = (("evolve", "compute_rhs"), ("evolve", "step_imex"),
            ("steady", "supersolution_phi"), ("energy", "SeriesRecorder"),
            ("energy", "basic_energy"), ("ineqlab", "_mode_sum"),
            ("ineqlab", "_random_radial_source"), ("grids", "_wsq"),
-           ("grids", "_row_integrals"), ("grids", "build_radial_grid"))
+           ("grids", "_row_integrals"), ("grids", "build_radial_grid"),
+           ("ineqlab", "build_spherical_grid"),
+           ("steady", "profile_upper_bound"),
+           ("ineqlab", "_check_ensemble_size"))
 
 
 def test_star_import_binds_exactly_all():
