@@ -44,20 +44,22 @@ def _sample_row(ws, q, u, phi, tend) -> tuple:
     ws.hp_s).
 
     The radial derivatives are one stacked apply per order, and the 20
-    squared L2 norms of the functionals one stacked quadrature.  A vector
+    squared L2 norms one quadrature of each stack's squares.  A vector
     norm's term j >= 1 adds 2 ||d^(j-1) (u/r)||^2 to ||d^j u||^2, the
     angular channels of grad u (see grids).
     """
     grid = ws.grid
     q_t, u_t, phi_t, q_tt = tend
     # order 2 differentiates the first four rows
-    f = np.stack((u, u / grid.r, u_t, q, u_t / grid.r, q_t, phi, phi_t))
+    f = np.array((u, u / grid.r, u_t, q, u_t / grid.r, q_t, phi, phi_t))
     d1 = differentiate(grid, f, 1)
     d2 = differentiate(grid, f[:4], 2)
-    rows = np.vstack((f[:6], d1, d2, differentiate(grid, u, 3), q_tt))
     # v = u/r and vt = u_t/r; the digit is the derivative order
-    (u0, v0, ut0, q0, vt0, qt0, u1, v1, ut1, q1, vt1, qt1, phi1, phit1,
-     u2, v2, ut2, q2, u3, qtt) = _integrals(grid, rows**2).tolist()
+    u0, v0, ut0, q0, vt0, qt0 = _integrals(grid, f[:6]**2).tolist()
+    u1, v1, ut1, q1, vt1, qt1, phi1, phit1 = _integrals(grid, d1**2).tolist()
+    u2, v2, ut2, q2 = _integrals(grid, d2**2).tolist()
+    u3 = _integrals(grid, differentiate(grid, u, 3)**2)
+    qtt = _integrals(grid, q_tt**2)
     u_terms = (u0, u1 + 2.0 * v0, u2 + 2.0 * v1, u3 + 2.0 * v2)
     ut_terms = (ut0, ut1 + 2.0 * vt0, ut2 + 2.0 * vt1)
     q_h2 = math.sqrt(q0 + q1 + q2)

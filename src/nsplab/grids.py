@@ -309,32 +309,35 @@ def _fornberg_weights(z: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
 
 
 class _Stencil(NamedTuple):
-    """Derivative rows of one order: row i weighs x[lo[i]:lo[i] + k] by
-    w[i, :k], k its window size, with w zero-padded to the widest window.
-    The rows in ``inner`` share one centered window of ``width`` nodes and
-    are applied by slices; the few ``ends`` rows gather the nodes
-    ``end_nodes`` and weigh them by ``end_w``, all columns of w."""
+    """The derivative rows of one order, laid out for a stack read as one
+    flat array: ``tiles[j]`` weighs column j of the centered ``width``-node
+    window at each interior row of a block of whole profiles, and is NaN at
+    their end rows; the first k end rows of a piece (``n_ends`` a profile),
+    ``ends[:k]``, weigh the nodes ``end_nodes[:k]`` by ``end_w[:k]``."""
 
-    lo: np.ndarray
-    w: np.ndarray
-    inner: slice
     width: int
+    tiles: np.ndarray
+    n_ends: int
     ends: np.ndarray
     end_nodes: np.ndarray
     end_w: np.ndarray
 
 
-def _stencil(grid: RadialGrid, order: int) -> _Stencil:
-    """The derivative rows of one order on this grid, built once.
+# a block holds at most 2^12 floats and 16 profiles (at least one), so a
+# grid keeps under 0.5 MB of tiles and end rows; a piece of 8 stays in cache
+_BLOCK_FLOATS = 2**12
+_PIECE_BLOCKS = 8
+
+
+def _stencil_rows(grid: RadialGrid, order: int):
+    """The derivative rows (lo, w, size) of one order: row i weighs the
+    nodes lo[i], ..., lo[i] + size[i] - 1 by w[i, :size[i]], with w
+    zero-padded to the widest window.
 
     Interior stencils are centered; end stencils are one-sided with enough
     points for second-order accuracy (a one-sided second derivative needs
     four points, as does the second derivative on a non-uniform grid).
     """
-    key = ("stencil", order)
-    cached = grid._cache.get(key)
-    if cached is not None:
-        return cached
     if order not in (1, 2, 3):
         raise ParameterError(f"derivative order must be 1, 2 or 3, got {order}")
     r = grid.r
@@ -344,17 +347,35 @@ def _stencil(grid: RadialGrid, order: int) -> _Stencil:
     size = np.full(n, order + 2)
     if order == 2 and grid.uniform:
         size[1:-1] = 3
-    centered = np.arange(n) - size // 2
-    lo = np.clip(centered, 0, n - size)
-    w = np.zeros((n, int(size.max())), order="F")  # contiguous columns
+    lo = np.clip(np.arange(n) - size // 2, 0, n - size)
+    w = np.zeros((n, int(size.max())))
     for k in np.unique(size):
         rows = np.flatnonzero(size == k)
         window = r[lo[rows, None] + np.arange(k)]
         w[rows, :k] = _fornberg_weights(r[rows], window, order)
-    inner = np.flatnonzero(lo == centered)
-    ends = np.flatnonzero(lo != centered)
-    st = _Stencil(lo, w, slice(inner[0], inner[-1] + 1), int(size[inner[0]]),
-                  ends, lo[ends, None] + np.arange(w.shape[1]), w[ends])
+    return lo, w, size
+
+
+def _stencil(grid: RadialGrid, order: int) -> _Stencil:
+    """The flat layout of the derivative rows of one order on this grid,
+    built once."""
+    key = ("stencil", order)
+    cached = grid._cache.get(key)
+    if cached is not None:
+        return cached
+    lo, w, size = _stencil_rows(grid, order)
+    n = lo.size
+    inner = lo == np.arange(n) - size // 2
+    width = int(size[n // 2])  # the middle row is centered
+    rows = min(16, max(1, _BLOCK_FLOATS // n))
+    tiles = np.full((width, rows, n), np.nan)
+    tiles[:, :, inner] = w[inner, :width].T[:, None, :]
+    first = n * np.arange(_PIECE_BLOCKS * rows)[:, None]  # of each profile
+    ends = np.flatnonzero(~inner)
+    nodes = (first + lo[ends]).reshape(-1, 1) + np.arange(w.shape[1])
+    st = _Stencil(width, tiles.reshape(width, rows * n), ends.size,
+                  (first + ends).ravel(), nodes,
+                  np.tile(w[ends], (first.size, 1)))
     grid._cache[key] = st
     return st
 
@@ -364,22 +385,37 @@ def differentiate(grid: RadialGrid, values: np.ndarray,
     """Finite-difference derivative of formal order 2 of the profile
     ``values`` (shape (n,)) or of each row of a stack (shape (k, n)):
     centered in the interior, one-sided at both ends.  Each row sums its
-    weighted nodes from left to right."""
+    weighted nodes from left to right.
+
+    The stack is read flat, in pieces of up to _PIECE_BLOCKS whole blocks
+    and a last shorter one: each window column is one contiguous multiply-
+    add per block, quietly NaN at the end rows (a NaN weight raises no
+    floating-point warning), which the gathered end rows then replace."""
     if np.shape(values)[-1] != grid.n_nodes:
         raise ParameterError("values do not match the grid nodes")
     st = _stencil(grid, order)
-    out = np.empty_like(values, dtype=float)
-    a, b = st.inner.start, st.inner.stop
-    s = a - st.lo[a]
-    acc = st.w[a:b, 0] * values[..., a - s:b - s]
-    for j in range(1, st.width):
-        acc += st.w[a:b, j] * values[..., a - s + j:b - s + j]
-    out[..., a:b] = acc
-    terms = values[..., st.end_nodes] * st.end_w
-    acc = terms[..., 0] + terms[..., 1]
-    for j in range(2, terms.shape[-1]):
-        acc += terms[..., j]
-    out[..., st.ends] = acc
+    x = np.ascontiguousarray(values, dtype=float)
+    out = np.empty_like(x)
+    flat, res = x.reshape(-1), out.reshape(-1)
+    block, s = st.tiles.shape[1], st.width // 2
+    whole = x.size - x.size % block
+    edges = sorted({*range(0, whole, _PIECE_BLOCKS * block), whole, x.size})
+    for a, b in zip(edges, edges[1:]):
+        xp, op = flat[a:b], res[a:b]
+        xb, ob = (xp, op) if b - a <= block else (xp.reshape(-1, block),
+                                                  op.reshape(-1, block))
+        span = xb.shape[-1] - st.width + 1  # the whole windows
+        acc = ob[..., s:s + span]
+        np.multiply(st.tiles[0, s:s + span], xb[..., :span], out=acc)
+        for j in range(1, st.width):
+            acc += st.tiles[j, s:s + span] * xb[..., j:j + span]
+        k = (b - a) // grid.n_nodes * st.n_ends
+        terms = xp.take(st.end_nodes[:k])
+        terms *= st.end_w[:k]
+        acc = terms[:, 0] + terms[:, 1]
+        for j in range(2, terms.shape[1]):
+            acc += terms[:, j]
+        op[st.ends[:k]] = acc
     return out
 
 

@@ -219,6 +219,15 @@ MUTANTS = (
             "test_replaced_build_value_gives_the_freshly_built_grid",
             "tests/test_grids.py::"
             "test_stretched_grid_second_derivative_is_exact_on_cubics")),
+    # the end rows of the derivative stencil summed from their last column
+    Mutant("stencil_end_rows_summed_backwards", "src/nsplab/grids.py",
+           "        acc = terms[:, 0] + terms[:, 1]\n"
+           "        for j in range(2, terms.shape[1]):\n",
+           "        acc = terms[:, -1] + terms[:, -2]\n"
+           "        for j in range(terms.shape[1] - 3, -1, -1):\n",
+           ("tests/test_grids.py::test_apply_equals_csr_matvec",
+            "tests/test_grids.py::"
+            "test_block_pass_equals_csr_matvec_at_every_stack_height")),
     # the brackets stop when they agree within 10*tol, not tol
     Mutant("brackets_stop_at_ten_tol", "src/nsplab/steady.py",
            "        if gap < tol:\n",

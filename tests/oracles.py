@@ -11,7 +11,9 @@ package's one-axis stencils and the spherical grid's weights to whole 3-D
 arrays and inner-sphere traces, an independent evaluation path for the
 mode-factored ensembles.  The seeded ensembles member by member, with
 numpy's own draws and one-column solves, are the oracle of the stacked
-ensembles.  The module also holds ``tendencies``, the suite's one way to
+ensembles.  ``stencil_loop_differentiate`` applies the package's stencil
+rows column by column over a whole stack, the reference of the flat block
+pass.  The module also holds ``tendencies``, the suite's one way to
 evaluate a single state's tendencies through a run workspace,
 ``sample_row``, its sampled row, and ``gas``, the suite's FluidParams.
 """
@@ -30,8 +32,9 @@ from nsplab.elliptic import laplacian
 from nsplab.energy import _sample_row
 from nsplab.errors import ParameterError
 from nsplab.evolve import SimConfig, _tendencies, _Workspace
-from nsplab.grids import (FluidParams, _hessian_norms, _vector_gradient_norms,
-                          _vector_hessian_norms, cutoff, differentiate)
+from nsplab.grids import (FluidParams, _hessian_norms, _stencil_rows,
+                          _vector_gradient_norms, _vector_hessian_norms,
+                          cutoff, differentiate)
 from nsplab.ineqlab import (IneqReport, SphericalGrid, _lame_ratios,
                             _periodic, _three_point)
 
@@ -397,6 +400,31 @@ def derivative_csr(grid, order):
         cols.extend(range(lo, hi))
         vals.extend(fornberg_weights(grid.r[i], grid.r[lo:hi], order))
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def stencil_loop_differentiate(grid, values, order):
+    """differentiate as one broadcast multiply-add per window column over
+    the centered rows of the whole stack, then one gather of the end rows,
+    each row summed from its first product: the reference of the flat block
+    pass, its bits and its floating-point warnings.  Unlike csr @ row,
+    which sums from +0, it keeps a row whose products are all -0 at -0."""
+    lo, w, size = _stencil_rows(grid, order)
+    n = lo.size
+    inner = np.flatnonzero(lo == np.arange(n) - size // 2)
+    ends = np.flatnonzero(lo != np.arange(n) - size // 2)
+    a, b = inner[0], inner[-1] + 1
+    s = a - lo[a]
+    out = np.empty_like(values, dtype=float)
+    acc = w[a:b, 0] * values[..., a - s:b - s]
+    for j in range(1, size[a]):
+        acc += w[a:b, j] * values[..., a - s + j:b - s + j]
+    out[..., a:b] = acc
+    terms = values[..., lo[ends, None] + np.arange(w.shape[1])] * w[ends]
+    acc = terms[..., 0] + terms[..., 1]
+    for j in range(2, terms.shape[-1]):
+        acc += terms[..., j]
+    out[..., ends] = acc
+    return out
 
 
 def premerge_tangent_field(seed, grid, modes=3):

@@ -2,7 +2,6 @@
 pass/fail line each.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
-import json
 import math
 import time
 
@@ -11,8 +10,7 @@ import pytest
 
 from nsplab import (RadialGrid, SimConfig, check_subsuper,
                     init_perturbation, make_profile, profile_supersolution,
-                    run_simulation, solve_steady_monotone, subsolution_phi,
-                    weighted_l2_norm)
+                    run_simulation, solve_steady_monotone, weighted_l2_norm)
 from nsplab import ineqlab as iq
 from nsplab.cli import main
 from nsplab.elliptic import laplacian

@@ -434,6 +434,46 @@ def test_run_builds_one_workspace(steady320, monkeypatch):
     assert not hasattr(_Stepper, "_potential")
 
 
+@pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+def test_workspace_results_outlive_its_later_calls(steady_bump_gamma2, mode):
+    # rhs fills a stack it keeps: a run's calls in sequence give a fresh
+    # workspace's bits, and no returned array is a view of that stack
+    cfg = SimConfig(mode=mode)
+
+    def fresh():
+        return _Workspace(steady_bump_gamma2, cfg)
+
+    ws = fresh()
+    q, u = evolve._initial_arrays(ws, "standard", cfg.delta)
+    assert _same(evolve._initial_arrays(fresh(), "standard", cfg.delta),
+                 (q, u))
+    states = [(q, u), (1.5 * q, 0.5 * u), (0.5 * q, -u)]
+    kept = []
+    for k, (qk, uk) in enumerate(states):
+        f = ws.rhs(qk, uk)
+        assert _same(f, fresh().rhs(qk, uk))
+        kept.append((f, [a.copy() for a in f]))
+        if k < 2:  # two samples between the stage rhs and the last rhs
+            tend = _tendencies(ws, qk, uk, f)
+            ref = fresh()
+            ref_f = ref.rhs(qk, uk)
+            assert _same(tend, _tendencies(ref, qk, uk, ref_f))
+            kept.append((tend, [a.copy() for a in tend]))
+            row = _sample_row(ws, qk, uk, f[3], tend)
+            assert _same(row, _sample_row(ref, qk, uk, ref_f[3],
+                                          _tendencies(ref, qk, uk, ref_f)))
+    for returned, copies in kept:
+        assert _same(returned, copies)
+
+
+def _same(a, b):
+    """Every array or float of a equals b's bit for bit."""
+    return len(a) == len(b) and all(
+        np.array_equal(np.asarray(x, float).view(np.uint64),
+                       np.asarray(y, float).view(np.uint64))
+        for x, y in zip(a, b))
+
+
 def test_initial_data_honours_the_run_vacuum_floor(steady320):
     # the scaled density_only data dips to 0.083 at delta = 900: below the
     # default guard of 0.1, above this run's 0.01

@@ -3,6 +3,7 @@ import inspect
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +14,15 @@ from hypothesis import strategies as st
 import nsplab
 from nsplab import (ParameterError, RadialGrid, SimConfig, make_profile,
                     solve_steady_monotone, weighted_l2_norm)
-from nsplab.grids import RadialField, _stencil, differentiate
+from nsplab.grids import (_PIECE_BLOCKS, RadialField, _stencil, _stencil_rows,
+                          differentiate)
 from nsplab.ineqlab import SphericalGrid, lame_report, tangent_ensemble
 
 from oracles import (dense_l2_norm, derivative_csr, fornberg_weights, gas,
                      geometric_nodes, radial_integral, sobolev_norm,
-                     stencil_window, vector_gradient_norm,
-                     vector_hessian_norm, vector_sobolev_norm)
+                     stencil_loop_differentiate, stencil_window,
+                     vector_gradient_norm, vector_hessian_norm,
+                     vector_sobolev_norm)
 
 
 def test_uniform_nodes():
@@ -222,13 +225,13 @@ def test_vectorized_weights_equal_scalar_fornberg(n_cells, stretch):
     g = RadialGrid(1.0, 16.0, n_cells, stretch=stretch)
     n = g.n_nodes
     for order in (1, 2, 3):
-        sten = _stencil(g, order)
+        los, w, size = _stencil_rows(g, order)
         for i in range(n):
             lo, hi = stencil_window(i, n, order, g.uniform)
             ref = fornberg_weights(g.r[i], g.r[lo:hi], order)
-            assert sten.lo[i] == lo
-            assert np.array_equal(_bits(sten.w[i, :hi - lo]), _bits(ref))
-            assert not np.any(sten.w[i, hi - lo:])
+            assert los[i] == lo and size[i] == hi - lo
+            assert np.array_equal(_bits(w[i, :hi - lo]), _bits(ref))
+            assert not np.any(w[i, hi - lo:])
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -244,6 +247,86 @@ def test_apply_equals_csr_matvec(n_cells, stretch, order):
         ref = csr @ row
         assert np.array_equal(_bits(d), _bits(ref))
         assert np.array_equal(_bits(differentiate(g, row, order)), _bits(ref))
+
+
+def _stack_heights(g, order):
+    """Stack heights about the block of B profiles and the piece of
+    _PIECE_BLOCKS blocks of the flat pass, and 100."""
+    b = _stencil(g, order).tiles.shape[1] // g.n_nodes
+    p = _PIECE_BLOCKS * b
+    return sorted({1, max(b - 1, 1), b, b + 1, p, p + 1, 100})
+
+
+@pytest.mark.parametrize("n_cells, stretch", [(100, 0.0), (1000, 0.0),
+                                              (1000, 2.0), (5000, 1.0)])
+def test_block_pass_equals_csr_matvec_at_every_stack_height(n_cells,
+                                                            stretch):
+    g = RadialGrid(1.0, 16.0, n_cells, stretch=stretch)
+    rng = np.random.default_rng(n_cells)
+    for order in (1, 2, 3):
+        csr = derivative_csr(g, order)
+        for height in _stack_heights(g, order):
+            x = rng.standard_normal((height + 6, g.n_nodes))
+            x[2] = 0.0
+            x[3] = -0.0
+            x[4, ::3] = -0.0
+            for f in (x[:height], x[:4], x[1:height + 1], x[::2],
+                      x[:height, ::-1], x[0]):
+                d = differentiate(g, f, order)
+                assert d.shape == f.shape
+                for row, dr in zip(np.atleast_2d(f), np.atleast_2d(d)):
+                    assert np.array_equal(_bits(dr), _bits(csr @ row))
+
+
+@pytest.mark.parametrize("stretch", [0.0, 1.0])
+def test_block_pass_keeps_the_signed_zeros_of_the_stencil_loop(stretch):
+    # rows of zeros of both signs: each row sums from its first product, so
+    # an output whose products are all -0 stays -0 (csr @ row gives +0)
+    g = RadialGrid(1.0, 16.0, 1000, stretch=stretch)
+    rng = np.random.default_rng(7)
+    for order in (1, 2, 3):
+        for height in _stack_heights(g, order):
+            x = np.where(rng.random((height, g.n_nodes)) < 0.5, 0.0, -0.0)
+            d = differentiate(g, x, order)
+            ref = stencil_loop_differentiate(g, x, order)
+            assert np.array_equal(_bits(d), _bits(ref))
+            assert np.any(np.signbit(d))
+
+
+def _recorded(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, {(w.category, str(w.message)) for w in caught}
+
+
+@pytest.mark.parametrize("n_cells, stretch", [(17, 0.0), (18, 0.0),
+                                              (1000, 0.0), (1000, 2.0)])
+def test_non_finite_values_give_the_stencil_loop_bits(n_cells, stretch):
+    # the flat pass multiplies NaN weights at the end rows, where it reads
+    # across profiles: NaN * inf is quiet, so no warning (tier-1 turns them
+    # into errors) that the stencil loop would not raise
+    g = RadialGrid(1.0, 16.0, n_cells, stretch=stretch)
+    rng = np.random.default_rng(n_cells)
+    for order in (1, 2, 3):
+        for height in _stack_heights(g, order):
+            for bad in ((np.inf, -np.inf), (np.nan,), (np.inf, np.nan)):
+                x = rng.standard_normal((height, g.n_nodes))
+                for v in bad:
+                    x.reshape(-1)[rng.integers(0, x.size, 6)] = v
+                x[:, 0], x[:, -1] = bad[0], bad[-1]
+                d, raised = _recorded(differentiate, g, x, order)
+                ref, loop_raised = _recorded(stencil_loop_differentiate, g,
+                                             x, order)
+                assert raised <= loop_raised
+                if len(bad) == 2 and math.isnan(bad[1]):
+                    # inf - inf is a NaN of the other sign, and where two
+                    # NaNs meet numpy's add keeps either by the element's
+                    # place in its loop: np.full(17, -nan) + np.full(17, nan)
+                    # ends in +nan.  Only the values are the loop's here.
+                    np.testing.assert_array_equal(d, ref)
+                else:
+                    assert np.array_equal(_bits(d), _bits(ref))
 
 
 def test_cli_import_leaves_scipy_sparse_out():
