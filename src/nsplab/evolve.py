@@ -155,7 +155,6 @@ class _Workspace:
         self.visc = _viscous_operator(grid)
         self.nonlinear = config.mode == "nonlinear"
         self.vacuum_min = config.vacuum_floor * params.c_star
-        self.stack = np.empty((3, self.r.size))  # rhs's (dh, phi, u)
 
         shell = grid.r_outer - grid.r_inner
         width = config.sponge_width
@@ -209,8 +208,7 @@ class _Workspace:
         q_t = -self.flux_divergence(self.r2 * carrier * u)
 
         dh = self.dh(q) if nonlinear else self.hp_s * q
-        self.stack[0], self.stack[1], self.stack[2] = dh, phi, u
-        dh_r, phi_r, u_r = differentiate(self.grid, self.stack, 1)
+        dh_r, phi_r, u_r = differentiate(self.grid, np.array((dh, phi, u)), 1)
         # 0 - dh_r, not -dh_r: a zero dh_r stays +0 in the checkpoints
         u_t = np.zeros_like(u)
         u_t -= dh_r

@@ -309,10 +309,10 @@ def _fornberg_weights(z: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
 
 
 class _Stencil(NamedTuple):
-    """The derivative rows of one order, laid out for a stack read as one
-    flat array: ``tiles[j]`` weighs column j of the centered ``width``-node
-    window at each interior row of a block of whole profiles, and is NaN at
-    their end rows; the first k end rows of a piece (``n_ends`` a profile),
+    """The derivative rows of one order, laid out for a block of whole
+    profiles read as one flat array: ``tiles[j]`` weighs column j of the
+    centered ``width``-node window at each interior row, and is NaN at the
+    end rows; the first k end rows of a block (``n_ends`` a profile),
     ``ends[:k]``, weigh the nodes ``end_nodes[:k]`` by ``end_w[:k]``."""
 
     width: int
@@ -324,9 +324,8 @@ class _Stencil(NamedTuple):
 
 
 # a block holds at most 2^12 floats and 16 profiles (at least one), so a
-# grid keeps under 0.5 MB of tiles and end rows; a piece of 8 stays in cache
+# grid keeps under 0.5 MB of tiles and end rows
 _BLOCK_FLOATS = 2**12
-_PIECE_BLOCKS = 8
 
 
 def _stencil_rows(grid: RadialGrid, order: int):
@@ -370,12 +369,11 @@ def _stencil(grid: RadialGrid, order: int) -> _Stencil:
     rows = min(16, max(1, _BLOCK_FLOATS // n))
     tiles = np.full((width, rows, n), np.nan)
     tiles[:, :, inner] = w[inner, :width].T[:, None, :]
-    first = n * np.arange(_PIECE_BLOCKS * rows)[:, None]  # of each profile
+    first = n * np.arange(rows)[:, None]  # of each profile of a block
     ends = np.flatnonzero(~inner)
     nodes = (first + lo[ends]).reshape(-1, 1) + np.arange(w.shape[1])
     st = _Stencil(width, tiles.reshape(width, rows * n), ends.size,
-                  (first + ends).ravel(), nodes,
-                  np.tile(w[ends], (first.size, 1)))
+                  (first + ends).ravel(), nodes, np.tile(w[ends], (rows, 1)))
     grid._cache[key] = st
     return st
 
@@ -387,10 +385,10 @@ def differentiate(grid: RadialGrid, values: np.ndarray,
     centered in the interior, one-sided at both ends.  Each row sums its
     weighted nodes from left to right.
 
-    The stack is read flat, in pieces of up to _PIECE_BLOCKS whole blocks
-    and a last shorter one: each window column is one contiguous multiply-
-    add per block, quietly NaN at the end rows (a NaN weight raises no
-    floating-point warning), which the gathered end rows then replace."""
+    The stack is read flat, one block of whole profiles at a time: each
+    window column is one contiguous multiply-add, quietly NaN at the end
+    rows (a NaN weight raises no floating-point warning), which the end
+    rows, gathered through precomputed flat indices, then replace."""
     if np.shape(values)[-1] != grid.n_nodes:
         raise ParameterError("values do not match the grid nodes")
     st = _stencil(grid, order)
@@ -398,24 +396,20 @@ def differentiate(grid: RadialGrid, values: np.ndarray,
     out = np.empty_like(x)
     flat, res = x.reshape(-1), out.reshape(-1)
     block, s = st.tiles.shape[1], st.width // 2
-    whole = x.size - x.size % block
-    edges = sorted({*range(0, whole, _PIECE_BLOCKS * block), whole, x.size})
-    for a, b in zip(edges, edges[1:]):
-        xp, op = flat[a:b], res[a:b]
-        xb, ob = (xp, op) if b - a <= block else (xp.reshape(-1, block),
-                                                  op.reshape(-1, block))
-        span = xb.shape[-1] - st.width + 1  # the whole windows
-        acc = ob[..., s:s + span]
-        np.multiply(st.tiles[0, s:s + span], xb[..., :span], out=acc)
+    for a in range(0, x.size, block):
+        xb, ob = flat[a:a + block], res[a:a + block]
+        span = xb.size - st.width + 1  # the whole windows
+        acc = ob[s:s + span]
+        np.multiply(st.tiles[0, s:s + span], xb[:span], out=acc)
         for j in range(1, st.width):
-            acc += st.tiles[j, s:s + span] * xb[..., j:j + span]
-        k = (b - a) // grid.n_nodes * st.n_ends
-        terms = xp.take(st.end_nodes[:k])
+            acc += st.tiles[j, s:s + span] * xb[j:j + span]
+        k = xb.size // grid.n_nodes * st.n_ends
+        terms = xb.take(st.end_nodes[:k])
         terms *= st.end_w[:k]
         acc = terms[:, 0] + terms[:, 1]
         for j in range(2, terms.shape[1]):
             acc += terms[:, j]
-        op[st.ends[:k]] = acc
+        ob[st.ends[:k]] = acc
     return out
 
 

@@ -436,8 +436,8 @@ def test_run_builds_one_workspace(steady320, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
 def test_workspace_results_outlive_its_later_calls(steady_bump_gamma2, mode):
-    # rhs fills a stack it keeps: a run's calls in sequence give a fresh
-    # workspace's bits, and no returned array is a view of that stack
+    # a run's calls in sequence give a fresh workspace's bits, and no array
+    # a call returned is a view of state that a later call overwrites
     cfg = SimConfig(mode=mode)
 
     def fresh():

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 import nsplab
 from nsplab import (ParameterError, RadialGrid, SimConfig, make_profile,
                     solve_steady_monotone, weighted_l2_norm)
-from nsplab.grids import (_PIECE_BLOCKS, RadialField, _stencil, _stencil_rows,
-                          differentiate)
+from nsplab.grids import RadialField, _stencil, _stencil_rows, differentiate
 from nsplab.ineqlab import SphericalGrid, lame_report, tangent_ensemble
 
 from oracles import (dense_l2_norm, derivative_csr, fornberg_weights, gas,
@@ -250,11 +249,10 @@ def test_apply_equals_csr_matvec(n_cells, stretch, order):
 
 
 def _stack_heights(g, order):
-    """Stack heights about the block of B profiles and the piece of
-    _PIECE_BLOCKS blocks of the flat pass, and 100."""
+    """Stack heights about the block of B profiles of the flat pass (B - 1,
+    B, B + 1 and 2B + 1: whole blocks and a last shorter one), 1 and 100."""
     b = _stencil(g, order).tiles.shape[1] // g.n_nodes
-    p = _PIECE_BLOCKS * b
-    return sorted({1, max(b - 1, 1), b, b + 1, p, p + 1, 100})
+    return sorted({1, max(b - 1, 1), b, b + 1, 2 * b + 1, 100})
 
 
 @pytest.mark.parametrize("n_cells, stretch", [(100, 0.0), (1000, 0.0),
