@@ -25,10 +25,22 @@ every reported quantity is a Gram integral of 1-D factors and no report
 builds a 3-D field: ||grad v||, ||div v||, ||curl v|| and ||grad f|| over
 the shell, |v|^2 and the pairings int_{r=R} v . grad f over the inner
 sphere (radial factors at r = R), and ||f||_L6^6 as the Gram of f^3 (one
-term per multiset of three modes).  An ensemble stacks its members' factors
-on a leading batch axis, and the radial ensembles stack their members'
-profiles as rows, solved and differentiated in passes; either way a batch
-of one goes through the same code, and each member keeps its bits.
+term per multiset of three modes).  A batch stacks its members' factors on
+a leading axis, and a radial batch stacks its members' profiles as rows,
+solved and differentiated together; either way a batch of one goes through
+the same code, and each member keeps its bits.
+
+Every ensemble runs in member passes under one budget, _PASS_FLOATS = 2^13
+floats of the members' own data: the factors of a mode sum, modes (nr +
+ntheta + nphi) floats, or a radial profile, one float per node.  At the
+benchmark's sizes (64x32x64, modes = 3, 2001 radial nodes) that is 17
+tangent or scalar members per pass and 4 radial members.  Each pass writes
+its members' outputs (squared norms, ratios and the r = R pieces of the
+tangent fields, about 2.4 KB per tangent member) into arrays allocated
+once, so the memory of `nsplab verify-inequalities` depends on the pass and
+hardly on `ineqlab.n_fields`: at 64x32x64 its peak RSS is about 60 MB at
+100 fields, 62 MB at 1000 and 68 MB at 3000 (imports alone take 58 MB),
+where one batch per ensemble peaked at 64, 104 and 203 MB.
 """
 
 from __future__ import annotations
@@ -144,6 +156,8 @@ class _ModeSum:
         return self.amps[..., c, None] * self.radial
 
 
+# the pass budget, in the floats of the members' own data (see above)
+_PASS_FLOATS = 2**13
 _L6_PASS_FLOATS = 2**22  # in the (members, terms, terms) products of a pass
 
 
@@ -217,6 +231,34 @@ def _batch(build, seed: int, n: int, grid: SphericalGrid,
                     radial=cutoff(grid.r, grid.r_inner, length) * envelope,
                     polar=np.cos(l_theta * grid.theta + phase[1]) * taper,
                     azimuthal=np.cos(l_phi * grid.phi + phase[0]))
+
+
+def _member_passes(n: int, member_floats: int,
+                   most: int | None = None) -> list[slice]:
+    """The members 0, ..., n - 1 of an ensemble (n >= 1) in passes of at
+    most _PASS_FLOATS floats, member_floats per member, and at most `most`
+    members; every pass has at least one member."""
+    _check_count("ensemble size", n, 1)
+    step = max(1, min(_PASS_FLOATS // member_floats, most or n))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _factor_floats(grid: SphericalGrid, modes: int) -> int:
+    """The floats of one member's factors: modes (nr + ntheta + nphi)."""
+    return modes * (grid.nr + grid.ntheta + grid.nphi)
+
+
+def _mode_passes(build, seed: int, n: int, grid: SphericalGrid, modes: int,
+                 most: int | None = None):
+    """The members of _batch(build, seed, n, grid, modes) in the passes of
+    _member_passes: pairs (the slice of the members, their batch), each
+    batch built as its pass comes.  The counts are checked on the call,
+    before any pass runs."""
+    _check_count("seed", seed, 0)
+    check_modes(modes)
+    parts = _member_passes(n, _factor_floats(grid, modes), most)
+    return ((p, _batch(build, seed + p.start, p.stop - p.start, grid, modes))
+            for p in parts)
 
 
 def _radial_lift(grid: SphericalGrid) -> np.ndarray:
@@ -350,13 +392,27 @@ class TangentEnsemble:
 
 def tangent_ensemble(grid: SphericalGrid, n_fields: int, seed: int = 0,
                      modes: int = 3) -> TangentEnsemble:
-    """One batched pass over the factors of every member."""
-    ms = _batch(_tangent_modes, seed, n_fields, grid, modes)
-    grad_sq, div_sq, curl_sq = _tangent_quadratics(ms)
-    inner = tuple(_at_inner((_tangent_radial(ms, c), ms.polar, ms.azimuthal))
-                  for c in range(3))
-    return TangentEnsemble(grid=grid, seed=seed, modes=modes, grad_sq=grad_sq,
-                           div_sq=div_sq, curl_sq=curl_sq, inner=inner)
+    """The members in passes of at most _PASS_FLOATS = 2^13 factor floats
+    (17 members at 64x32x64 and modes = 3).  Each pass writes its members'
+    squared norms and r = R pieces into arrays allocated once, about 2.4 KB
+    per member (the three components share their angular factors), so the
+    ensemble's memory hardly grows with n_fields: `nsplab
+    verify-inequalities` at 64x32x64 peaks at about 60, 62 and 68 MB RSS at
+    100, 1000 and 3000 fields, where one batch peaked at 64, 104 and 203
+    MB."""
+    passes = _mode_passes(_tangent_modes, seed, n_fields, grid, modes)
+    sq = np.empty((3, n_fields))
+    rad = np.empty((3, n_fields, modes, 1))
+    pol = np.empty((n_fields, modes, grid.ntheta))
+    azi = np.empty((n_fields, modes, grid.nphi))
+    for part, ms in passes:
+        sq[:, part] = _tangent_quadratics(ms)
+        for c in range(3):
+            rad[c, part] = _tangent_radial(ms, c)[..., :1]
+        pol[part], azi[part] = ms.polar, ms.azimuthal
+    return TangentEnsemble(grid=grid, seed=seed, modes=modes, grad_sq=sq[0],
+                           div_sq=sq[1], curl_sq=sq[2],
+                           inner=tuple((rad[c], pol, azi) for c in range(3)))
 
 
 def _scalar_gradient(ms: _ModeSum) -> list:
@@ -471,15 +527,23 @@ def boundary_pairing_report(ens: TangentEnsemble, n_scalars: int = 20,
     """Check |int v . grad f| <= (1 + allowance) ||grad v|| ||grad f|| over
     the ensemble times n_scalars seeded scalars; the claimed constant is
     exactly 1 and the measured excess over 1 is the quadrature allowance.
-    The scalar gradients are one batched pass over their factors, and the
-    pairings one Gram over the sphere of the tangent pieces at r = R
-    against the scalar-gradient pieces at r = R."""
+    The scalar gradients run in member passes, and each pass pairs its
+    pieces at r = R with the tangent pieces at r = R in passes of the
+    tangent members, so no product grows with either ensemble."""
     check_allowance(allowance)
-    grid = ens.grid
-    comps = _scalar_gradient(_batch(_scalar_modes, ens.seed + 1000,
-                                    n_scalars, grid, ens.modes))
-    g_norms = np.sqrt(_vector_sq(grid, comps))
-    lhs = np.abs(_pairings(grid, ens.inner, [_at_inner(c) for c in comps]))
+    grid, n_fields = ens.grid, ens.grad_sq.size
+    passes = _mode_passes(_scalar_modes, ens.seed + 1000, n_scalars, grid,
+                          ens.modes)
+    g_norms, lhs = np.empty(n_scalars), np.empty((n_fields, n_scalars))
+    for part, ms in passes:
+        comps = _scalar_gradient(ms)
+        g_norms[part] = np.sqrt(_vector_sq(grid, comps))
+        g_inner = [_at_inner(c) for c in comps]
+        # a tangent row's floats: its (scalars, modes, modes) products
+        for row in _member_passes(n_fields, (part.stop - part.start)
+                                  * ens.modes**2):
+            v_inner = [tuple(f[row] for f in v) for v in ens.inner]
+            lhs[row, part] = np.abs(_pairings(grid, v_inner, g_inner))
     rhs = np.sqrt(ens.grad_sq)[:, None] * g_norms[None, :]
     kept = rhs > 0.0
     ratios = lhs[kept] / rhs[kept]
@@ -513,13 +577,15 @@ def _cube(ms: _ModeSum) -> tuple:
 def sobolev_l6_report(grid: SphericalGrid, n_samples: int = 100, seed: int = 0,
                       modes: int = 3) -> IneqReport:
     """||grad f|| and ||f||_L6 = (int (f^3)^2)^(1/6) of every member, from
-    the factors; the Gram of f^3 in passes of _L6_PASS_FLOATS products."""
-    ms = _batch(_scalar_modes, seed, n_samples, grid, modes)
-    denoms = np.sqrt(_vector_sq(grid, _scalar_gradient(ms)))
-    cube = _cube(ms)
-    step = _L6_PASS_FLOATS // cube[0].shape[-2] ** 2  # >= 1 by check_modes
-    sixth = np.concatenate([_gram(grid, [tuple(f[i:i + step] for f in cube)])
-                            for i in range(0, n_samples, step)])
+    the factors, in member passes of at most _PASS_FLOATS factor floats
+    whose Grams of f^3 hold at most _L6_PASS_FLOATS products."""
+    check_modes(modes)
+    passes = _mode_passes(_scalar_modes, seed, n_samples, grid, modes,
+                          _L6_PASS_FLOATS // math.comb(modes + 2, 3) ** 2)
+    sixth, denoms = np.empty(n_samples), np.empty(n_samples)
+    for part, ms in passes:
+        denoms[part] = np.sqrt(_vector_sq(grid, _scalar_gradient(ms)))
+        sixth[part] = _gram(grid, [_cube(ms)])
     ratios = _guarded_ratios(sixth ** (1.0 / 6.0), denoms,
                              "gradient vanishes; ratio undefined")
     return _ensemble_report("sobolev_l6", ratios)
@@ -540,9 +606,6 @@ def _lame_ratios(grid: RadialGrid, psi: np.ndarray,
              + _vector_gradient_norms(grid, u, du))
     trivial = denom < 1e-14 * np.fmax(1.0, hess_u)
     return np.divide(hess_u, denom, out=np.zeros_like(denom), where=~trivial)
-
-
-_RADIAL_PASS_FLOATS = 2**14  # in the (members, nodes) stacks of a pass
 
 
 def _radial_sources(seeds: range, grid: RadialGrid) -> np.ndarray:
@@ -567,16 +630,19 @@ def _radial_report(inequality: str, grid: RadialGrid, n_samples: int,
                    seed: int, ratios) -> IneqReport:
     """The ensemble report of ratios(q, phi) over the sources q of seeds
     seed, ..., seed + n_samples - 1 and their Neumann-Poisson potentials
-    phi, in passes of about _RADIAL_PASS_FLOATS: one stack of sources, one
-    multi-column solve and one stack of ratios per pass."""
+    phi, in passes of at most _PASS_FLOATS = 2^13 source floats (4 members
+    at 2001 nodes): one stack of sources, one multi-column solve and one
+    stack of ratios per pass, written into one array allocated once.  The
+    Poisson-regularity ensemble has n_fields members, so with the other
+    ensembles in passes `nsplab verify-inequalities` at 64x32x64 peaks at
+    about 60, 62 and 68 MB RSS at 100, 1000 and 3000 fields."""
     _check_count("seed", seed, 0)
-    _check_count("ensemble size", n_samples, 1)
-    lap, step = laplacian(grid), max(1, _RADIAL_PASS_FLOATS // grid.n_nodes)
-    stop, out = seed + n_samples, []
-    for i in range(seed, stop, step):
-        q = _radial_sources(range(i, min(i + step, stop)), grid)
-        out.append(ratios(q, lap.solve_refined(q)))
-    return _ensemble_report(inequality, np.concatenate(out))
+    parts = _member_passes(n_samples, grid.n_nodes)
+    lap, out = laplacian(grid), np.empty(n_samples)
+    for p in parts:
+        q = _radial_sources(range(seed + p.start, seed + p.stop), grid)
+        out[p] = ratios(q, lap.solve_refined(q))
+    return _ensemble_report(inequality, out)
 
 
 def lame_report(grid: RadialGrid, n_samples: int = 20, seed: int = 0,

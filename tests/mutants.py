@@ -80,6 +80,16 @@ MUTANTS = (
             "tests/test_ineqlab.py::test_seeded_reports_are_pinned",
             "tests/test_ineqlab.py::"
             "test_radial_passes_equal_the_member_loops")),
+    # every member pass of a mode-sum ensemble drawn from the ensemble's
+    # first seed, not from the seeds of its own members
+    Mutant("ensemble_pass_reuses_seed", "src/nsplab/ineqlab.py",
+           "    return ((p, _batch(build, seed + p.start, p.stop - p.start, "
+           "grid, modes))\n",
+           "    return ((p, _batch(build, seed, p.stop - p.start, "
+           "grid, modes))\n",
+           ("tests/test_ineqlab.py::"
+            "test_mode_passes_equal_the_member_batches",
+            "tests/test_ineqlab.py::test_seeded_reports_are_pinned")),
     # the polar and azimuthal orders of the seeded mode sums swapped
     Mutant("mode_sum_orders_swapped", "src/nsplab/ineqlab.py",
            "    l_phi, l_theta, k_r = np.moveaxis(orders, -1, 0)[..., None]\n",
@@ -173,10 +183,10 @@ MUTANTS = (
             "tests/test_evolve.py::test_step_global_second_order")),
     # every boundary pairing tripled
     Mutant("pairings_tripled", "src/nsplab/ineqlab.py",
-           "    lhs = np.abs(_pairings(grid, ens.inner, "
-           "[_at_inner(c) for c in comps]))\n",
-           "    lhs = 3.0 * np.abs(_pairings(grid, ens.inner, "
-           "[_at_inner(c) for c in comps]))\n",
+           "            lhs[row, part] = np.abs(_pairings(grid, v_inner, "
+           "g_inner))\n",
+           "            lhs[row, part] = 3.0 * np.abs(_pairings(grid, v_inner, "
+           "g_inner))\n",
            ("tests/test_ineqlab.py::test_seeded_reports_are_pinned",
             "tests/test_ineqlab.py::"
             "test_streamed_reports_equal_per_field_loop")),

@@ -620,6 +620,35 @@ def test_tangent_ensemble_allocates_little_besides_its_traces():
     assert peak < 8 * n * 3 * grid.theta.size * grid.phi.size
 
 
+@pytest.mark.parametrize("report", ["tangent_ensemble", "sobolev_l6"])
+def test_ensemble_memory_does_not_grow_with_its_members(report):
+    # in member passes, 8P members peak below P members plus the outputs
+    # that the other 7P members retain, with a 64 KiB margin: per tangent
+    # member its three squared norms, the radial factors of its three
+    # components at r = R and the angular factors they share; per L6
+    # member at most eight floats (its L6 and gradient norms, ratio and
+    # the guard's temporaries).  One batch per ensemble grew by about
+    # 40 KB per member at this grid
+    grid, modes = SphericalGrid(1.0, 16.0, 64, 32, 64), 3
+    p = iq._PASS_FLOATS // iq._factor_floats(grid, modes)
+    call, retained = {
+        "tangent_ensemble": (
+            lambda n: tangent_ensemble(grid, n, 0, modes),
+            3 + 3 * modes + modes * (grid.ntheta + grid.nphi)),
+        "sobolev_l6": (lambda n: sobolev_l6_report(grid, n, 0, modes), 8),
+    }[report]
+    call(p)
+    peaks = []
+    for n in (p, 8 * p):
+        tracemalloc.start()
+        try:
+            call(n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 8 * 7 * p * retained + 64 * 1024
+
+
 def test_ensemble_reports_allocate_no_3d_field():
     # every seeded report works on 1-D factors: at 256x128x256 one 3-D
     # field takes 8 nr ntheta nphi bytes (about 64 MB), and no report comes
@@ -756,7 +785,7 @@ def test_radial_passes_equal_the_member_loops(n_cells, stretch, monkeypatch):
     # the members of every pass, bit for bit, for ensembles that end
     # inside, at and just past a pass
     grid = RadialGrid(1.0, 16.0, n_cells, stretch)
-    step = iq._RADIAL_PASS_FLOATS // grid.n_nodes
+    step = iq._PASS_FLOATS // grid.n_nodes
     assert step > 2
     seed, visc = 5, 1.0
     want = {"poisson_regularity": poisson_regularity_ratios(grid, 100, seed),
@@ -777,6 +806,55 @@ def test_radial_passes_equal_the_member_loops(n_cells, stretch, monkeypatch):
             assert rep.n_samples == n
             assert rep.max_ratio == max(ratios)
             assert rep.mean_ratio == float(np.mean(ratios))
+
+
+def test_mode_passes_equal_the_member_batches(monkeypatch):
+    # the members of every pass, bit for bit, for ensembles that end
+    # inside, at and just past a pass and just past two; the pairings
+    # also cross the passes of the tangent rows
+    grid, modes, seed = SphericalGrid(1.0, 3.0, 32, 8, 8), 4, 5
+    step = iq._PASS_FLOATS // iq._factor_floats(grid, modes)
+    assert step > 2
+    assert 1 < iq._PASS_FLOATS // (step * modes**2) < step
+    sizes = (1, step - 1, step, step + 1, 2 * step + 1)
+    n = sizes[-1]
+    tangents = [_tangent_member(seed + i, grid, modes) for i in range(n)]
+    scalars = [iq._batch(iq._scalar_modes, seed + i, 1, grid, modes)
+               for i in range(n)]
+    # numpy's array power and Python's float power can round differently
+    sixth, grad_sq = (np.array([f(ms)[0] for ms in scalars]) for f in (
+        lambda ms: iq._gram(grid, [iq._cube(ms)]),
+        lambda ms: iq._vector_sq(grid, iq._scalar_gradient(ms))))
+    l6 = sixth ** (1.0 / 6.0) / np.sqrt(grad_sq)
+    g_comps = [_scalar_gradient(seed + 1000 + j, grid, modes)
+               for j in range(n)]
+    g_norms = [math.sqrt(iq._vector_sq(grid, comps)[0]) for comps in g_comps]
+    pairing = np.array([[abs(float(iq._pairings(grid, m.inner,
+                                                _inner(comps))[0, 0]))
+                         / (math.sqrt(m.grad_sq) * gn)
+                         for comps, gn in zip(g_comps, g_norms)]
+                        for m in tangents])
+    report, seen = iq._ensemble_report, {}
+
+    def record(inequality, ratios):
+        seen[inequality] = ratios
+        return report(inequality, ratios)
+
+    monkeypatch.setattr(iq, "_ensemble_report", record)
+    for k in sizes:
+        ens = tangent_ensemble(grid, k, seed, modes)
+        for i, one in enumerate(tangents[:k]):
+            for name in MEMBER_FIELDS:
+                assert getattr(ens, name)[i] == getattr(one, name)
+            assert _same_pieces(_member_pieces(ens.inner, i), one.inner)
+        rep = sobolev_l6_report(grid, k, seed, modes)
+        assert np.array_equal(seen["sobolev_l6"], l6[:k])
+        assert rep.n_samples == k
+        rep = boundary_pairing_report(ens, k)
+        want = pairing[:k, :k].ravel()
+        assert rep.n_samples == want.size
+        assert rep.max_ratio == max(want)
+        assert rep.mean_ratio == float(np.mean(want))
 
 
 def test_lame_rows_equal_batches_of_one():
