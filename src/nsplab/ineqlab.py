@@ -31,16 +31,12 @@ solved and differentiated together; either way a batch of one goes through
 the same code, and each member keeps its bits.
 
 Every ensemble runs in member passes under one budget, _PASS_FLOATS = 2^13
-floats of the members' own data: the factors of a mode sum, modes (nr +
-ntheta + nphi) floats, or a radial profile, one float per node.  At the
-benchmark's sizes (64x32x64, modes = 3, 2001 radial nodes) that is 17
-tangent or scalar members per pass and 4 radial members.  Each pass writes
-its members' outputs (squared norms, ratios and the r = R pieces of the
-tangent fields, about 2.4 KB per tangent member) into arrays allocated
-once, so the memory of `nsplab verify-inequalities` depends on the pass and
-hardly on `ineqlab.n_fields`: at 64x32x64 its peak RSS is about 60 MB at
-100 fields, 62 MB at 1000 and 68 MB at 3000 (imports alone take 58 MB),
-where one batch per ensemble peaked at 64, 104 and 203 MB.
+floats of the members' own data (a mode sum's factors or a radial
+profile): 17 tangent or scalar members at 64x32x64 and modes = 3, 4 radial
+members at 2001 nodes.  Each pass writes its members' outputs into arrays
+allocated once, so `verify-inequalities` at 64x32x64 peaks at about 60, 62
+and 68 MB RSS at 100, 1000 and 3000 fields (64, 104 and 203 MB in one
+batch).
 """
 
 from __future__ import annotations
@@ -156,8 +152,7 @@ class _ModeSum:
         return self.amps[..., c, None] * self.radial
 
 
-# the pass budget, in the floats of the members' own data (see above)
-_PASS_FLOATS = 2**13
+_PASS_FLOATS = 2**13  # in the members' own data (see above)
 _L6_PASS_FLOATS = 2**22  # in the (members, terms, terms) products of a pass
 
 
@@ -235,28 +230,22 @@ def _batch(build, seed: int, n: int, grid: SphericalGrid,
 
 def _member_passes(n: int, member_floats: int,
                    most: int | None = None) -> list[slice]:
-    """The members 0, ..., n - 1 of an ensemble (n >= 1) in passes of at
-    most _PASS_FLOATS floats, member_floats per member, and at most `most`
-    members; every pass has at least one member."""
+    """The members 0, ..., n - 1 (n >= 1) in passes of at least one and at
+    most `most` members and, at member_floats each, _PASS_FLOATS floats."""
     _check_count("ensemble size", n, 1)
     step = max(1, min(_PASS_FLOATS // member_floats, most or n))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-def _factor_floats(grid: SphericalGrid, modes: int) -> int:
-    """The floats of one member's factors: modes (nr + ntheta + nphi)."""
-    return modes * (grid.nr + grid.ntheta + grid.nphi)
-
-
 def _mode_passes(build, seed: int, n: int, grid: SphericalGrid, modes: int,
                  most: int | None = None):
-    """The members of _batch(build, seed, n, grid, modes) in the passes of
-    _member_passes: pairs (the slice of the members, their batch), each
-    batch built as its pass comes.  The counts are checked on the call,
-    before any pass runs."""
+    """Pairs (members, their batch) of _batch(build, seed, n, grid, modes)
+    in passes of modes (nr + ntheta + nphi) floats a member, each batch
+    built as its pass comes; the counts are checked before any pass."""
     _check_count("seed", seed, 0)
     check_modes(modes)
-    parts = _member_passes(n, _factor_floats(grid, modes), most)
+    parts = _member_passes(n, modes * (grid.nr + grid.ntheta + grid.nphi),
+                           most)
     return ((p, _batch(build, seed + p.start, p.stop - p.start, grid, modes))
             for p in parts)
 
@@ -392,14 +381,10 @@ class TangentEnsemble:
 
 def tangent_ensemble(grid: SphericalGrid, n_fields: int, seed: int = 0,
                      modes: int = 3) -> TangentEnsemble:
-    """The members in passes of at most _PASS_FLOATS = 2^13 factor floats
-    (17 members at 64x32x64 and modes = 3).  Each pass writes its members'
-    squared norms and r = R pieces into arrays allocated once, about 2.4 KB
-    per member (the three components share their angular factors), so the
-    ensemble's memory hardly grows with n_fields: `nsplab
-    verify-inequalities` at 64x32x64 peaks at about 60, 62 and 68 MB RSS at
-    100, 1000 and 3000 fields, where one batch peaked at 64, 104 and 203
-    MB."""
+    """The members in passes of _PASS_FLOATS = 2^13 factor floats (17 at
+    64x32x64, modes = 3), each writing their squared norms and r = R pieces
+    (2.4 KB a member) into arrays allocated once: `verify-inequalities`
+    there peaks at 60, 62 and 68 MB RSS at 100, 1000 and 3000 fields."""
     passes = _mode_passes(_tangent_modes, seed, n_fields, grid, modes)
     sq = np.empty((3, n_fields))
     rad = np.empty((3, n_fields, modes, 1))
@@ -527,9 +512,8 @@ def boundary_pairing_report(ens: TangentEnsemble, n_scalars: int = 20,
     """Check |int v . grad f| <= (1 + allowance) ||grad v|| ||grad f|| over
     the ensemble times n_scalars seeded scalars; the claimed constant is
     exactly 1 and the measured excess over 1 is the quadrature allowance.
-    The scalar gradients run in member passes, and each pass pairs its
-    pieces at r = R with the tangent pieces at r = R in passes of the
-    tangent members, so no product grows with either ensemble."""
+    Each member pass of the scalars pairs its gradient pieces at r = R with
+    the tangent pieces at r = R in passes of the tangent rows."""
     check_allowance(allowance)
     grid, n_fields = ens.grid, ens.grad_sq.size
     passes = _mode_passes(_scalar_modes, ens.seed + 1000, n_scalars, grid,
@@ -630,12 +614,9 @@ def _radial_report(inequality: str, grid: RadialGrid, n_samples: int,
                    seed: int, ratios) -> IneqReport:
     """The ensemble report of ratios(q, phi) over the sources q of seeds
     seed, ..., seed + n_samples - 1 and their Neumann-Poisson potentials
-    phi, in passes of at most _PASS_FLOATS = 2^13 source floats (4 members
-    at 2001 nodes): one stack of sources, one multi-column solve and one
-    stack of ratios per pass, written into one array allocated once.  The
-    Poisson-regularity ensemble has n_fields members, so with the other
-    ensembles in passes `nsplab verify-inequalities` at 64x32x64 peaks at
-    about 60, 62 and 68 MB RSS at 100, 1000 and 3000 fields."""
+    phi, in passes of _PASS_FLOATS = 2^13 source floats (4 members at 2001
+    nodes; peaks as in tangent_ensemble): one stack of sources, one
+    multi-column solve and one stack of ratios per pass, into one array."""
     _check_count("seed", seed, 0)
     parts = _member_passes(n_samples, grid.n_nodes)
     lap, out = laplacian(grid), np.empty(n_samples)

@@ -185,8 +185,8 @@ MUTANTS = (
     Mutant("pairings_tripled", "src/nsplab/ineqlab.py",
            "            lhs[row, part] = np.abs(_pairings(grid, v_inner, "
            "g_inner))\n",
-           "            lhs[row, part] = 3.0 * np.abs(_pairings(grid, v_inner, "
-           "g_inner))\n",
+           "            lhs[row, part] = 3.0 * np.abs(_pairings(grid, "
+           "v_inner, g_inner))\n",
            ("tests/test_ineqlab.py::test_seeded_reports_are_pinned",
             "tests/test_ineqlab.py::"
             "test_streamed_reports_equal_per_field_loop")),

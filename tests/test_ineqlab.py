@@ -629,12 +629,13 @@ def test_ensemble_memory_does_not_grow_with_its_members(report):
     # member at most eight floats (its L6 and gradient norms, ratio and
     # the guard's temporaries).  One batch per ensemble grew by about
     # 40 KB per member at this grid
-    grid, modes = SphericalGrid(1.0, 16.0, 64, 32, 64), 3
-    p = iq._PASS_FLOATS // iq._factor_floats(grid, modes)
+    (nr, ntheta, nphi), modes = (64, 32, 64), 3
+    grid = SphericalGrid(1.0, 16.0, nr, ntheta, nphi)
+    p = iq._PASS_FLOATS // (modes * (nr + ntheta + nphi))
     call, retained = {
         "tangent_ensemble": (
             lambda n: tangent_ensemble(grid, n, 0, modes),
-            3 + 3 * modes + modes * (grid.ntheta + grid.nphi)),
+            3 + 3 * modes + modes * (ntheta + nphi)),
         "sobolev_l6": (lambda n: sobolev_l6_report(grid, n, 0, modes), 8),
     }[report]
     call(p)
@@ -812,8 +813,9 @@ def test_mode_passes_equal_the_member_batches(monkeypatch):
     # the members of every pass, bit for bit, for ensembles that end
     # inside, at and just past a pass and just past two; the pairings
     # also cross the passes of the tangent rows
-    grid, modes, seed = SphericalGrid(1.0, 3.0, 32, 8, 8), 4, 5
-    step = iq._PASS_FLOATS // iq._factor_floats(grid, modes)
+    (nr, ntheta, nphi), modes, seed = (32, 8, 8), 4, 5
+    grid = SphericalGrid(1.0, 3.0, nr, ntheta, nphi)
+    step = iq._PASS_FLOATS // (modes * (nr + ntheta + nphi))
     assert step > 2
     assert 1 < iq._PASS_FLOATS // (step * modes**2) < step
     sizes = (1, step - 1, step, step + 1, 2 * step + 1)
